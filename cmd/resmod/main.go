@@ -87,9 +87,6 @@ type options struct {
 	large            int
 	json             bool
 	budget           time.Duration
-	benchOut         string
-	maxprocs         int
-	distWorkers      int
 }
 
 // emit renders v as JSON when -json is set and returns true.
@@ -143,10 +140,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs.IntVar(&o.large, "large", 64, "large-scale rank count for predict")
 	fs.BoolVar(&o.json, "json", false, "emit machine-readable JSON instead of tables")
 	fs.DurationVar(&o.budget, "budget", 0, "per-campaign wall-clock budget (0 = none)")
-	fs.StringVar(&o.benchOut, "out", "", "bench: output JSON `file` (required)")
-	fs.IntVar(&o.maxprocs, "maxprocs", 0, "bench: GOMAXPROCS for the measured runs (0 = all cores)")
-	fs.IntVar(&o.distWorkers, "dist-workers", 2,
-		"bench: in-process distributed workers for the sharded dimension (0 = skip)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
@@ -206,8 +199,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		err = doTrace(o, out)
 	case "stability":
 		err = doStability(s, o, out)
-	case "bench":
-		err = doBench(tctx, o, out, errw)
 	default:
 		usage(errw)
 		return fmt.Errorf("unknown experiment %q", cmd)
@@ -229,8 +220,6 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: resmod <experiment> [flags]
 experiments: apps table1 table2 fig1 fig2 fig3 fig5 fig6 fig7 fig8 overhead predict all report
 extras:      campaign ablate trace stability baselines modelablate scalesweep advise
-             bench (sequential-vs-concurrent PredictAll wall times -> -out FILE,
-             required)
              (use -app, -class, -small, -large)
 service:     serve -listen HOST:PORT -store DIR -workers N -queue N -drain D
              -pprof-addr HOST:PORT (optional net/http/pprof listener)

@@ -66,12 +66,10 @@ func (p *Pool) ReportProgress(rep ShardProgressReport) bool {
 // dispatch attempt.  All methods are nil-safe; newDistProgress returns
 // nil when no bus is listening, and the whole apparatus costs nothing.
 type distProgress struct {
-	pool     *Pool
-	prog     *telemetry.Progress
-	identity string
-	trials   int
-	m        *faultsim.Merger
-	start    time.Time
+	pool *Pool
+	m    *faultsim.Merger
+	// emit posts one campaign-kind event for the given combined tallies.
+	emit func(state string, st faultsim.ShardStatus)
 
 	mu       sync.Mutex
 	inflight map[string]faultsim.ShardStatus
@@ -81,9 +79,14 @@ func newDistProgress(pool *Pool, prog *telemetry.Progress, identity string, tria
 	if prog == nil {
 		return nil
 	}
+	start := time.Now()
 	return &distProgress{
-		pool: pool, prog: prog, identity: identity, trials: trials, m: m,
-		start:    time.Now(),
+		pool: pool, m: m,
+		// Distributed campaigns never resume from a checkpoint, so every
+		// done trial ran this run and the rate/ETA cover the whole count.
+		emit: func(state string, st faultsim.ShardStatus) {
+			prog.Publish(faultsim.BuildProgressEvent(identity, state, trials, st, time.Since(start), st.Done))
+		},
 		inflight: make(map[string]faultsim.ShardStatus),
 	}
 }
@@ -137,12 +140,7 @@ func (dp *distProgress) settle(token string) {
 	if dp == nil {
 		return
 	}
-	if token != "" {
-		dp.pool.unregisterProgress(token)
-		dp.mu.Lock()
-		delete(dp.inflight, token)
-		dp.mu.Unlock()
-	}
+	dp.retire(token)
 	dp.publish(telemetry.StateRunning)
 }
 
@@ -163,9 +161,7 @@ func (dp *distProgress) publish(state string) {
 		st.Retried += s.Retried
 	}
 	dp.mu.Unlock()
-	// Distributed campaigns never resume from a checkpoint, so every done
-	// trial ran this run and the rate/ETA cover the whole count.
-	dp.prog.Publish(faultsim.BuildProgressEvent(dp.identity, state, dp.trials, st, time.Since(dp.start), st.Done))
+	dp.emit(state, st)
 }
 
 // finish retires every remaining token and publishes the terminal state.

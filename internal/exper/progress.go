@@ -43,7 +43,7 @@ func (s *Session) SchedulerStats() SchedulerStats {
 // (serial curve points, the small profile, the unique-region branch, the
 // measured large run) and each event samples the session scheduler, so a
 // subscriber sees both how far this prediction is and how busy the
-// machine is.  nil (bus off) is valid and inert, like campaignProgress.
+// machine is.  nil (bus off) is valid and inert.
 type predictionProgress struct {
 	prog  *telemetry.Progress
 	s     *Session

@@ -1,10 +1,13 @@
 package faultsim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -280,11 +283,11 @@ func Run(c Campaign) (*Summary, error) {
 // promptly (within one trial timeout) and returns the partial Summary
 // flagged Interrupted instead of discarding the completed work.
 func RunCtx(ctx context.Context, c Campaign) (*Summary, error) {
+	ctx = orBackground(ctx)
+	// Only what the golden run itself needs is checked here; every other
+	// default is Campaign.prepared's, applied by RunAgainstCtx.
 	if c.App == nil {
 		return nil, errors.New("faultsim: Campaign.App is nil")
-	}
-	if c.Class == "" {
-		c.Class = c.App.DefaultClass()
 	}
 	if c.Procs < 1 {
 		return nil, fmt.Errorf("faultsim: invalid Procs %d", c.Procs)
@@ -295,8 +298,13 @@ func RunCtx(ctx context.Context, c Campaign) (*Summary, error) {
 	if c.Timeout <= 0 {
 		c.Timeout = apps.DefaultTimeout
 	}
-
+	// A golden run occupies the machine like one in-flight trial, so under
+	// a shared budget it holds a token like one.
+	if err := c.Pool.Acquire(ctx); err != nil {
+		return nil, err
+	}
 	golden, err := ComputeGoldenCtx(ctx, c.App, c.Class, c.Procs, c.Timeout)
+	c.Pool.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -309,31 +317,35 @@ func RunAgainst(c Campaign, golden *Golden) (*Summary, error) {
 	return RunAgainstCtx(context.Background(), c, golden)
 }
 
-// RunAgainstCtx is RunAgainst under a context.  On cancellation or an
-// exhausted Budget it returns the partial Summary flagged Interrupted (and,
-// when Checkpoint is set, persists a resumable snapshot first).  Campaign
-// errors — invalid configuration, or more than MaxAbnormal abnormal trials
-// — are returned as errors; the abnormal-overflow error cites the lowest
-// failing trial index observed, independent of worker scheduling.
-func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, error) {
+// orBackground is the package's nil-context guard: the exported entry
+// points pass their context through it once, so nothing below them checks.
+func orBackground(ctx context.Context) context.Context {
 	if ctx == nil {
-		ctx = context.Background()
+		return context.Background()
 	}
+	return ctx
+}
+
+// prepared returns the campaign ready to execute against golden: App and
+// Class filled from the golden run, the identity-defining defaults of
+// Normalized, and the execution defaults (Workers, Timeout,
+// AbnormalRetries) that never enter the identity.  RunAgainstCtx and
+// RunShardCtx both start here, which is what makes a shard's embedded
+// identity equal the coordinator's.
+func (c Campaign) prepared(golden *Golden) (Campaign, error) {
 	if c.App == nil {
 		c.App = golden.App
 	}
 	if c.Class == "" {
 		c.Class = golden.Class
 	}
+	c = c.Normalized()
 	if golden.Procs != c.Procs {
-		return nil, fmt.Errorf("faultsim: golden has %d procs, campaign wants %d",
+		return c, fmt.Errorf("faultsim: golden has %d procs, campaign wants %d",
 			golden.Procs, c.Procs)
 	}
 	if c.Trials < 1 {
-		return nil, fmt.Errorf("faultsim: invalid Trials %d", c.Trials)
-	}
-	if c.Errors < 1 {
-		c.Errors = 1
+		return c, fmt.Errorf("faultsim: invalid Trials %d", c.Trials)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -341,23 +353,29 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 	if c.Timeout <= 0 {
 		c.Timeout = apps.DefaultTimeout
 	}
-	if c.ContaminationTol == 0 {
-		c.ContaminationTol = DefaultContaminationTol
-	}
 	if c.AbnormalRetries == 0 {
 		c.AbnormalRetries = DefaultAbnormalRetries
 	}
+	return c, nil
+}
 
-	if c.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Budget)
-		defer cancel()
+// RunAgainstCtx is RunAgainst under a context.  On cancellation or an
+// exhausted Budget it returns the partial Summary flagged Interrupted (and,
+// when Checkpoint is set, persists a resumable snapshot first).  Campaign
+// errors — invalid configuration, or more than MaxAbnormal abnormal trials
+// — are returned as errors; the abnormal-overflow error cites the lowest
+// failing trial index observed, independent of worker scheduling.
+//
+// A local campaign is the shard [0, Trials): this wrapper only adds what a
+// whole campaign has and a shard does not — resume, periodic checkpoints,
+// live progress on the telemetry bus and the Interrupted contract — around
+// the same runRange RunShardCtx calls.
+func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, error) {
+	ctx = orBackground(ctx)
+	c, err := c.prepared(golden)
+	if err != nil {
+		return nil, err
 	}
-	// abort lets a worker that exhausts the abnormal budget stop the
-	// others promptly instead of letting them burn through their remaining
-	// trials.
-	ctx, abort := context.WithCancel(ctx)
-	defer abort()
 
 	start := time.Now()
 	agg := newAggregate(c.Procs, c.Trials)
@@ -367,9 +385,7 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 	identity := c.Identity()
 
 	// Telemetry: one campaign span covering the whole deployment, trial
-	// outcomes/latency into the sink, structured completion events.  The
-	// bundle is resolved once here — not per trial — so the hot path pays
-	// only the recording calls themselves (no-ops when telemetry is off).
+	// outcomes/latency into the sink, structured completion events.
 	tel := telemetry.From(ctx)
 	ctx, span := tel.Tracer().Start(ctx, "campaign",
 		telemetry.String("id", identity),
@@ -379,18 +395,39 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 	defer span.End()
 
 	if c.Resume && c.Checkpoint != "" {
-		if err := agg.restoreFromFile(c.Checkpoint, identity); err != nil {
+		// A resume is a merge onto the saved snapshot: the same validated
+		// fold a shard result goes through.  A missing file is not an error
+		// — the campaign starts fresh, so -resume is safe to pass always.
+		ck, err := LoadCheckpoint(c.Checkpoint)
+		if err == nil {
+			err = agg.mergeDisjoint(ck, identity)
+		}
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
 		tel.Logger().Debug("campaign resumed from checkpoint",
 			"campaign", identity, "path", c.Checkpoint, "done", agg.doneCount())
 	}
-	// Live progress: an opening snapshot (a resumed campaign announces
-	// its restored trial count), periodic snapshots from the trial loop,
-	// and a terminal snapshot on every summary-producing exit.  nil when
-	// the context carries no Progress bus.
-	prog := newCampaignProgress(tel.Progress(), c, identity, agg.doneCount())
-	prog.publish(agg, telemetry.StateRunning)
+
+	// Live progress: an opening snapshot (a resumed campaign announces its
+	// restored trial count), periodic ones from the trial loop's observer
+	// and a terminal one on every summary-producing exit.  With no bus on
+	// the context the observer stays nil and publish does nothing.
+	// Publishing is observation-only, so results are bit-identical whether
+	// or not anyone is listening.
+	publish := func(string, ShardStatus) {}
+	var observe ShardObserver
+	if bus := tel.Progress(); bus != nil {
+		// Rate and ETA cover only trials executed this run, so a
+		// 90%-restored campaign doesn't report a fantasy rate.
+		restored := agg.doneCount()
+		publish = func(state string, st ShardStatus) {
+			bus.Publish(BuildProgressEvent(identity, state, c.Trials, st, time.Since(start), st.Done-restored))
+		}
+		observe = func(st ShardStatus) { publish(telemetry.StateRunning, st) }
+	}
+	publish(telemetry.StateRunning, agg.status(0, c.Trials))
+
 	// writeCheckpoint snapshots the tallies, tracing and counting each
 	// write (the final write's error is the caller's to handle).
 	writeCheckpoint := func() error {
@@ -435,30 +472,91 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 		}()
 	}
 
-	base := stats.NewRNG(c.Seed)
+	stopped := runRange(ctx, c, golden, agg, 0, c.Trials, observe)
+
+	if c.Checkpoint != "" {
+		close(ckptStop)
+		ckptWG.Wait()
+		if err := writeCheckpoint(); err != nil {
+			return nil, fmt.Errorf("faultsim: writing checkpoint: %w", err)
+		}
+	}
+	if err := agg.fatalError(c.MaxAbnormal); err != nil {
+		publish(telemetry.StateFailed, agg.status(0, c.Trials))
+		return nil, err
+	}
+
+	sum := agg.summary(golden)
+	sum.Elapsed = time.Since(start)
+	sum.Interrupted = stopped != nil && sum.TrialsDone+sum.Abnormal < uint64(c.Trials)
+	state := telemetry.StateDone
+	if sum.Interrupted {
+		state = telemetry.StateInterrupted
+	}
+	publish(state, agg.status(0, c.Trials))
+	tel.Sink().CampaignDone(sum.Elapsed)
+	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: sum.TrialsDone},
+		telemetry.Attr{Key: "interrupted", Value: sum.Interrupted})
+	logCampaign(tel, identity, sum)
+	return sum, nil
+}
+
+// runRange is the package's one trial executor.  It runs the not-yet-done
+// trials of [start, end) on c.Workers goroutines striding over *global*
+// trial indices — trial t's RNG stream is split from c.Seed by t alone, so
+// how [0, Trials) is cut into ranges, and which worker runs which trial,
+// cannot change a tally — and records them into agg, which spans the
+// whole campaign's bitmap width.  c must be prepared.  observe (nil = off)
+// sees the [start, end) tallies at the campaign's progress cadence.
+//
+// Everything that makes a trial loop resilient lives here once: the
+// Budget deadline, the abort that stops the other workers when the
+// abnormal budget blows, one arena per worker, a shared-Pool token per
+// in-flight trial, retried-then-abandoned abnormal trials, and a
+// trial-batch span per worker.  The return value is the cause that ended
+// the run's context early — cancellation, Budget expiry or that abort —
+// or nil when every worker ran off the end of its stride; what an early
+// stop means (a partial Summary, or a shard that must not merge) is the
+// caller's contract.
+func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, start, end int, observe ShardObserver) error {
+	if c.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.Budget)
+		defer cancel()
+	}
+	ctx, abort := context.WithCancel(ctx)
+	defer abort()
+
+	// The telemetry bundle is resolved once here — not per trial — so the
+	// hot path pays only the recording calls themselves (no-ops when
+	// telemetry is off).
+	tel := telemetry.From(ctx)
 	sink := tel.Sink()
+	base := stats.NewRNG(c.Seed)
+	every := progressEvery(c)
 	var wg sync.WaitGroup
 	for w := 0; w < c.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			_, bspan := tel.Tracer().Start(ctx, "trial-batch", telemetry.Int("worker", w))
-			done := 0
+			ran := 0
 			defer func() {
-				bspan.SetAttr(telemetry.Int("trials", done))
+				bspan.SetAttr(telemetry.Int("trials", ran))
 				bspan.End()
 			}()
 			// One arena per worker: trials reuse the simulated world's
 			// channel fabric and the per-rank fpe contexts instead of
 			// rebuilding them, cutting steady-state per-trial allocation
-			// to what the application itself allocates.
+			// to what the application itself allocates.  Pooled state
+			// never affects trial results.
 			arena := apps.NewArena()
-			for t := w; t < c.Trials; t += c.Workers {
+			for t := start + w; t < end; t += c.Workers {
 				if ctx.Err() != nil {
 					return
 				}
 				if agg.isDone(t) {
-					continue // restored from the checkpoint
+					continue // merged in from a checkpoint
 				}
 				// Under a shared budget, hold one token per in-flight
 				// trial.  Tokens are released before any other blocking
@@ -476,42 +574,25 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 					}
 					sink.TrialAbnormal()
 					if agg.recordAbnormal(t, err) > c.MaxAbnormal {
+						// Stop burning trials: a campaign fails from
+						// fatalError, a shard reports its list and lets
+						// the coordinator apply the campaign-wide budget.
 						abort()
 						return
 					}
 					continue
 				}
-				prog.trialRecorded(agg.record(t, rec), agg)
+				done := agg.record(t, rec)
 				sink.TrialDone(rec.Outcome.String(), time.Since(t0))
-				done++
+				ran++
+				if observe != nil && done%every == 0 {
+					observe(agg.status(start, end))
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-
-	if c.Checkpoint != "" {
-		close(ckptStop)
-		ckptWG.Wait()
-		if err := writeCheckpoint(); err != nil {
-			return nil, fmt.Errorf("faultsim: writing checkpoint: %w", err)
-		}
-	}
-	if err := agg.fatalError(c.MaxAbnormal); err != nil {
-		prog.publish(agg, telemetry.StateFailed)
-		return nil, err
-	}
-
-	sum := agg.summary(golden)
-	sum.Elapsed = time.Since(start)
-	if sum.TrialsDone+sum.Abnormal < uint64(c.Trials) && ctx.Err() != nil {
-		sum.Interrupted = true
-	}
-	prog.finish(agg, sum.Interrupted)
-	sink.CampaignDone(sum.Elapsed)
-	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: sum.TrialsDone},
-		telemetry.Attr{Key: "interrupted", Value: sum.Interrupted})
-	logCampaign(tel, identity, sum)
-	return sum, nil
+	return context.Cause(ctx)
 }
 
 // logCampaign emits the structured completion event for one executed
@@ -697,26 +778,46 @@ func (a *aggregate) recordAbnormal(t int, err error) int {
 	return len(a.abnormal)
 }
 
-// fatalError returns the campaign error when the abnormal budget is
-// exceeded: the lowest-trial-index abnormal error observed, so the result
-// does not depend on which worker happened to be merged first.
-func (a *aggregate) fatalError(maxAbnormal int) error {
+// abnormalTrials snapshots the abnormal-trial list in ascending trial
+// index order — the one deterministic view both error reporting and the
+// shard wire format read, independent of which worker recorded first.
+func (a *aggregate) abnormalTrials() []trialError {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.abnormal) <= maxAbnormal {
+	out := slices.Clone(a.abnormal)
+	a.mu.Unlock()
+	slices.SortStableFunc(out, func(x, y trialError) int { return cmp.Compare(x.trial, y.trial) })
+	return out
+}
+
+// fatalError returns the campaign error when the abnormal budget is
+// exceeded, citing the lowest-trial-index abnormal error observed.
+func (a *aggregate) fatalError(maxAbnormal int) error {
+	abn := a.abnormalTrials()
+	if len(abn) <= maxAbnormal {
 		return nil
 	}
-	first := a.abnormal[0]
-	for _, te := range a.abnormal[1:] {
-		if te.trial < first.trial {
-			first = te
-		}
-	}
-	if maxAbnormal == 0 && len(a.abnormal) == 1 {
-		return first.err
+	if maxAbnormal == 0 && len(abn) == 1 {
+		return abn[0].err
 	}
 	return fmt.Errorf("faultsim: %d abnormal trial(s) exceed budget %d; first: %w",
-		len(a.abnormal), maxAbnormal, first.err)
+		len(abn), maxAbnormal, abn[0].err)
+}
+
+// status snapshots the tallies as a ShardStatus over [start, end) — the
+// one tally shape progress events, shard observers and Merger.Tallies
+// share.
+func (a *aggregate) status(start, end int) ShardStatus {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return ShardStatus{
+		Start: start, End: end,
+		Done:     a.completed,
+		Success:  a.counter.Success,
+		SDC:      a.counter.SDC,
+		Failure:  a.counter.Failure,
+		Abnormal: uint64(len(a.abnormal)),
+		Retried:  a.retried,
+	}
 }
 
 // summary builds the Summary from the tallies.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -77,59 +76,6 @@ func (a *aggregate) snapshot(identity string) *Checkpoint {
 		ck.ByContamination[x] = *bc
 	}
 	return ck
-}
-
-// restore loads a Checkpoint into the (fresh) aggregate after validating
-// that it belongs to the campaign with the given identity.
-func (a *aggregate) restore(ck *Checkpoint, identity string) error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("%w: snapshot version %d, want %d",
-			ErrCheckpointMismatch, ck.Version, CheckpointVersion)
-	}
-	if ck.Identity != identity {
-		return fmt.Errorf("%w: snapshot is of %q, campaign is %q",
-			ErrCheckpointMismatch, ck.Identity, identity)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if ck.Trials != a.trials || len(ck.Done) != len(a.done) ||
-		len(ck.Hist) != len(a.hist) || len(ck.Spread) != len(a.spread) {
-		return fmt.Errorf("%w: snapshot shape does not fit the campaign",
-			ErrCheckpointMismatch)
-	}
-	var pop uint64
-	for _, w := range ck.Done {
-		pop += uint64(bits.OnesCount64(w))
-	}
-	if pop != ck.Completed || ck.Success+ck.SDC+ck.Failure != ck.Completed {
-		return fmt.Errorf("%w: snapshot tallies are inconsistent (%d done bits, %d completed)",
-			ErrCheckpointMismatch, pop, ck.Completed)
-	}
-	copy(a.done, ck.Done)
-	a.completed = ck.Completed
-	a.counter = stats.Counter{Success: ck.Success, SDC: ck.SDC, Failure: ck.Failure}
-	copy(a.hist, ck.Hist)
-	copy(a.spread, ck.Spread)
-	a.fired = ck.Fired
-	for x, bc := range ck.ByContamination {
-		cp := bc
-		a.byCont[x] = &cp
-	}
-	return nil
-}
-
-// restoreFromFile loads the checkpoint at path into the aggregate.  A
-// missing file is not an error — the campaign simply starts fresh, which
-// makes `-resume` safe to pass unconditionally.
-func (a *aggregate) restoreFromFile(path, identity string) error {
-	ck, err := LoadCheckpoint(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	return a.restore(ck, identity)
 }
 
 // SaveCheckpoint atomically writes the snapshot to path: the JSON is

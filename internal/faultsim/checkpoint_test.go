@@ -63,7 +63,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	// The loaded snapshot restores into a fresh aggregate and reproduces
 	// an identical snapshot.
 	agg2 := newAggregate(4, 100)
-	if err := agg2.restore(got, ck.Identity); err != nil {
+	if err := agg2.mergeDisjoint(got, ck.Identity); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(agg2.snapshot(ck.Identity), ck) {

@@ -54,29 +54,15 @@ func WithShardObserver(ctx context.Context, obs ShardObserver) context.Context {
 
 // shardObserverFrom extracts the context's observer, or nil.
 func shardObserverFrom(ctx context.Context) ShardObserver {
-	if ctx == nil {
-		return nil
-	}
 	obs, _ := ctx.Value(shardObsKey{}).(ShardObserver)
 	return obs
-}
-
-// statusOf snapshots the aggregate tallies as a ShardStatus over
-// [start, end).
-func statusOf(agg *aggregate, start, end int) ShardStatus {
-	pc := agg.progressCounts()
-	return ShardStatus{
-		Start: start, End: end,
-		Done: pc.done, Success: pc.success, SDC: pc.sdc,
-		Failure: pc.failure, Abnormal: pc.abnormal, Retried: pc.retried,
-	}
 }
 
 // Tallies returns the tallies merged so far as a ShardStatus over the
 // whole campaign range — what a dispatcher combines with in-flight shard
 // reports to publish honest distributed progress.
 func (m *Merger) Tallies() ShardStatus {
-	return statusOf(m.agg, 0, m.trials)
+	return m.agg.status(0, m.trials)
 }
 
 // BuildProgressEvent assembles the campaign-kind progress event local

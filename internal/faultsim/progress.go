@@ -1,11 +1,5 @@
 package faultsim
 
-import (
-	"time"
-
-	"resmod/internal/telemetry"
-)
-
 // DefaultProgressDivisor sets the default snapshot cadence: a campaign
 // publishes roughly this many live-progress snapshots over its lifetime
 // (Campaign.ProgressEvery overrides; minimum one trial between
@@ -22,97 +16,6 @@ func progressEvery(c Campaign) uint64 {
 		every = 1
 	}
 	return uint64(every)
-}
-
-// campaignProgress publishes one campaign's live snapshots.  It is
-// observation-only: it reads the aggregate's tallies and never touches
-// RNG streams, trial scheduling, or the campaign identity, so results
-// stay bit-identical whether or not anyone is listening.
-type campaignProgress struct {
-	prog     *telemetry.Progress
-	identity string
-	trials   int
-	every    uint64
-	start    time.Time
-	// startDone is the trial count restored from a checkpoint before this
-	// run began: throughput and ETA cover only trials executed *this*
-	// run, so a 90%-restored campaign doesn't report a fantasy rate.
-	startDone uint64
-}
-
-// newCampaignProgress builds a publisher, or nil when the bus is off —
-// the hot path then pays a single nil check per recorded trial.
-func newCampaignProgress(prog *telemetry.Progress, c Campaign, identity string, startDone uint64) *campaignProgress {
-	if prog == nil {
-		return nil
-	}
-	return &campaignProgress{
-		prog:      prog,
-		identity:  identity,
-		trials:    c.Trials,
-		every:     progressEvery(c),
-		start:     time.Now(),
-		startDone: startDone,
-	}
-}
-
-// trialRecorded publishes a snapshot every `every` recorded trials.
-func (p *campaignProgress) trialRecorded(done uint64, agg *aggregate) {
-	if p == nil || done%p.every != 0 {
-		return
-	}
-	p.publish(agg, telemetry.StateRunning)
-}
-
-// publish posts one snapshot in the given state.
-func (p *campaignProgress) publish(agg *aggregate, state string) {
-	if p == nil {
-		return
-	}
-	st := statusOf(agg, 0, p.trials)
-	var ran uint64
-	if st.Done >= p.startDone {
-		ran = st.Done - p.startDone
-	}
-	p.prog.Publish(BuildProgressEvent(p.identity, state, p.trials, st, time.Since(p.start), ran))
-}
-
-// finish publishes the terminal snapshot for a campaign that produced a
-// summary (clean or interrupted).
-func (p *campaignProgress) finish(agg *aggregate, interrupted bool) {
-	if p == nil {
-		return
-	}
-	state := telemetry.StateDone
-	if interrupted {
-		state = telemetry.StateInterrupted
-	}
-	p.publish(agg, state)
-}
-
-// progressCounts is a point-in-time copy of the aggregate's tallies for
-// snapshot building.
-type progressCounts struct {
-	done     uint64
-	success  uint64
-	sdc      uint64
-	failure  uint64
-	abnormal uint64
-	retried  uint64
-}
-
-// progressCounts snapshots the tallies under the aggregate lock.
-func (a *aggregate) progressCounts() progressCounts {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return progressCounts{
-		done:     a.completed,
-		success:  a.counter.Success,
-		sdc:      a.counter.SDC,
-		failure:  a.counter.Failure,
-		abnormal: uint64(len(a.abnormal)),
-		retried:  a.retried,
-	}
 }
 
 // noteRetried counts one abnormal-trial retry for live snapshots (the

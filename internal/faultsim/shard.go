@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"time"
 
-	"resmod/internal/apps"
 	"resmod/internal/stats"
 	"resmod/internal/telemetry"
 )
@@ -53,56 +51,22 @@ type ShardResult struct {
 }
 
 // RunShardCtx executes trials [start, end) of the campaign against a
-// precomputed golden and returns the shard's partial tallies.  The
-// campaign is normalized exactly like RunAgainstCtx, so the embedded
-// identity matches the coordinator's; per-trial RNG streams are split
-// from Campaign.Seed by global trial index, so the result is independent
-// of how [0, Trials) was cut into shards.  Cancellation (or an exhausted
-// Budget) aborts the shard with an error — a half-executed shard is the
-// dispatcher's to retry, never to merge.
+// precomputed golden and returns the shard's partial tallies.  It runs
+// the same Campaign.prepared and the same runRange as RunAgainstCtx, so
+// the embedded identity matches the coordinator's and the result is
+// independent of how [0, Trials) was cut into shards.  Cancellation (or an
+// exhausted Budget) aborts the shard with an error — a half-executed shard
+// is the dispatcher's to retry, never to merge.
 func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int) (*ShardResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if c.App == nil {
-		c.App = golden.App
-	}
-	if c.Class == "" {
-		c.Class = golden.Class
-	}
-	if golden.Procs != c.Procs {
-		return nil, fmt.Errorf("faultsim: golden has %d procs, shard campaign wants %d",
-			golden.Procs, c.Procs)
-	}
-	if c.Trials < 1 {
-		return nil, fmt.Errorf("faultsim: invalid Trials %d", c.Trials)
+	ctx = orBackground(ctx)
+	c, err := c.prepared(golden)
+	if err != nil {
+		return nil, err
 	}
 	if start < 0 || end > c.Trials || start >= end {
 		return nil, fmt.Errorf("faultsim: shard [%d,%d) outside campaign trials [0,%d)",
 			start, end, c.Trials)
 	}
-	if c.Errors < 1 {
-		c.Errors = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = apps.DefaultTimeout
-	}
-	if c.ContaminationTol == 0 {
-		c.ContaminationTol = DefaultContaminationTol
-	}
-	if c.AbnormalRetries == 0 {
-		c.AbnormalRetries = DefaultAbnormalRetries
-	}
-	if c.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Budget)
-		defer cancel()
-	}
-	ctx, abort := context.WithCancel(ctx)
-	defer abort()
 
 	identity := c.Identity()
 	tel := telemetry.From(ctx)
@@ -115,55 +79,12 @@ func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int
 	// The aggregate spans the whole campaign's bitmap width so the
 	// snapshot merges positionally; only [start, end) bits ever set.
 	agg := newAggregate(c.Procs, c.Trials)
-	base := stats.NewRNG(c.Seed)
-	sink := tel.Sink()
-	// Live tallies for the dispatcher, at the campaign's progress cadence.
+	// Live tallies for the dispatcher, at the campaign's progress cadence
+	// and once more with the final counts.
 	obs := shardObserverFrom(ctx)
-	every := progressEvery(c)
-	var wg sync.WaitGroup
-	for w := 0; w < c.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// One arena per worker, exactly as in RunAgainstCtx: pooled
-			// state never affects trial results, so shard execution stays
-			// bit-identical to local execution.
-			arena := apps.NewArena()
-			for t := start + w; t < end; t += c.Workers {
-				if ctx.Err() != nil {
-					return
-				}
-				if err := c.Pool.Acquire(ctx); err != nil {
-					return
-				}
-				t0 := time.Now()
-				rec, err := runTrialResilient(ctx, c, golden, base, t, sink, agg, arena)
-				c.Pool.Release()
-				if err != nil {
-					if isInterruption(err) {
-						return
-					}
-					sink.TrialAbnormal()
-					if agg.recordAbnormal(t, err) > c.MaxAbnormal {
-						// The shard alone already blows the campaign-wide
-						// budget; stop burning trials, let the coordinator
-						// fail the campaign from the reported list.
-						abort()
-						return
-					}
-					continue
-				}
-				done := agg.record(t, rec)
-				sink.TrialDone(rec.Outcome.String(), time.Since(t0))
-				if obs != nil && done%every == 0 {
-					obs(statusOf(agg, start, end))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	stopped := runRange(ctx, c, golden, agg, start, end, obs)
 	if obs != nil {
-		obs(statusOf(agg, start, end))
+		obs(agg.status(start, end))
 	}
 
 	res := &ShardResult{Start: start, End: end, Checkpoint: agg.snapshot(identity)}
@@ -178,24 +99,10 @@ func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int
 	if len(res.Abnormal) <= c.MaxAbnormal &&
 		res.Checkpoint.Completed+uint64(len(res.Abnormal)) < uint64(end-start) {
 		return nil, fmt.Errorf("faultsim: shard [%d,%d) interrupted after %d trials: %w",
-			start, end, res.Checkpoint.Completed, context.Cause(ctx))
+			start, end, res.Checkpoint.Completed, stopped)
 	}
 	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: res.Checkpoint.Completed})
 	return res, nil
-}
-
-// abnormalTrials snapshots the abnormal-trial list in deterministic
-// (ascending trial index) order.
-func (a *aggregate) abnormalTrials() []trialError {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := append([]trialError(nil), a.abnormal...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].trial < out[j-1].trial; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // mergeDisjoint folds a shard snapshot into the aggregate after
@@ -294,29 +201,71 @@ func NewMerger(c Campaign, golden *Golden) *Merger {
 // Identity returns the campaign identity shards must carry.
 func (m *Merger) Identity() string { return m.identity }
 
-// Merge folds one shard result in.  A shard whose tallies overlap an
-// already-merged trial, or that belongs to a different campaign, is
-// rejected — the dispatcher bug surfaces instead of corrupting counts.
+// Merge folds one shard result in, all or nothing: a result that belongs
+// to a different campaign, claims a trial outside its own [Start, End),
+// touches a trial already accounted for, or is internally inconsistent is
+// rejected with the merger unchanged — so the dispatcher bug surfaces
+// instead of corrupting counts, and a clean retry of the same range still
+// merges.
 func (m *Merger) Merge(res *ShardResult) error {
 	if res == nil || res.Checkpoint == nil {
 		return fmt.Errorf("%w: nil shard result", ErrCheckpointMismatch)
 	}
+	if res.Start < 0 || res.End > m.trials || res.Start >= res.End {
+		return fmt.Errorf("%w: shard [%d,%d) outside campaign trials [0,%d)",
+			ErrCheckpointMismatch, res.Start, res.End, m.trials)
+	}
+	done := res.Checkpoint.Done
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(done) != len(m.accounted) {
+		return fmt.Errorf("%w: snapshot shape does not fit the campaign", ErrCheckpointMismatch)
+	}
+	for i, w := range done {
+		if w&^wordMask(i, res.Start, res.End) != 0 {
+			return fmt.Errorf("%w: shard [%d,%d) tallies trials outside its range",
+				ErrCheckpointMismatch, res.Start, res.End)
+		}
+		if w&m.accounted[i] != 0 {
+			return fmt.Errorf("%w: shard overlaps already-merged trials", ErrCheckpointMismatch)
+		}
+	}
+	seen := make(map[int]bool, len(res.Abnormal))
+	for _, ab := range res.Abnormal {
+		t := ab.Trial
+		if t < res.Start || t >= res.End {
+			return fmt.Errorf("%w: abnormal trial %d outside shard [%d,%d)",
+				ErrCheckpointMismatch, t, res.Start, res.End)
+		}
+		if bit := uint64(1) << (t % 64); seen[t] || (done[t/64]|m.accounted[t/64])&bit != 0 {
+			return fmt.Errorf("%w: abnormal trial %d is already accounted for",
+				ErrCheckpointMismatch, t)
+		}
+		seen[t] = true
+	}
+	// mergeDisjoint validates the rest (version, identity, tally
+	// consistency) before it mutates; nothing after it can fail.
 	if err := m.agg.mergeDisjoint(res.Checkpoint, m.identity); err != nil {
 		return err
 	}
-	for i, w := range res.Checkpoint.Done {
+	for i, w := range done {
 		m.accounted[i] |= w
 	}
 	for _, ab := range res.Abnormal {
-		if ab.Trial < 0 || ab.Trial >= m.trials {
-			return fmt.Errorf("%w: abnormal trial %d outside campaign", ErrCheckpointMismatch, ab.Trial)
-		}
 		m.agg.recordAbnormal(ab.Trial, errors.New(ab.Err))
 		m.accounted[ab.Trial/64] |= 1 << (ab.Trial % 64)
 	}
 	return nil
+}
+
+// wordMask returns the bits of bitmap word i that fall inside the trial
+// range [start, end).
+func wordMask(i, start, end int) uint64 {
+	lo, hi := max(start-i*64, 0), min(end-i*64, 64)
+	if lo >= hi {
+		return 0
+	}
+	return ^uint64(0) >> (64 - (hi - lo)) << lo
 }
 
 // AbnormalExceeded reports whether the merged abnormal trials already
@@ -342,12 +291,8 @@ func (m *Merger) Complete() bool {
 }
 
 func (m *Merger) completeLocked() bool {
-	for t := 0; t < m.trials; t += 64 {
-		want := ^uint64(0)
-		if m.trials-t < 64 {
-			want = (uint64(1) << (m.trials - t)) - 1
-		}
-		if m.accounted[t/64]&want != want {
+	for i, w := range m.accounted {
+		if want := wordMask(i, 0, m.trials); w&want != want {
 			return false
 		}
 	}
