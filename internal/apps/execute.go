@@ -41,7 +41,7 @@ func ExecuteCtx(ctx context.Context, app App, class string, procs int, plans map
 }
 
 // Arena is a reuse pool for repeated executions: the simulated world's
-// channel fabric (simmpi.Engine), the per-rank instrumented fpe contexts,
+// per-rank inboxes (simmpi.Engine), the per-rank instrumented fpe contexts,
 // and the output slice are built once and reset per run, so steady-state
 // trial execution allocates only what the application itself allocates.
 //

@@ -66,8 +66,8 @@ func TestPooledTrialAllocBounded(t *testing.T) {
 	})
 	// The bound covers the per-trial constants: the plan draw, the trial
 	// RNG split, the world's per-run goroutines and comms, and the app's
-	// small outputs — but not any procs²-sized channel fabric or per-rank
-	// context construction, which the arena amortizes away.
+	// small outputs — but not the world's inboxes or per-rank context
+	// construction, which the arena amortizes away.
 	const bound = 128
 	if avg > bound {
 		t.Errorf("pooled trial allocates %.1f allocs/run; want <= %d", avg, bound)

@@ -546,7 +546,7 @@ func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, s
 				bspan.End()
 			}()
 			// One arena per worker: trials reuse the simulated world's
-			// channel fabric and the per-rank fpe contexts instead of
+			// inboxes and the per-rank fpe contexts instead of
 			// rebuilding them, cutting steady-state per-trial allocation
 			// to what the application itself allocates.  Pooled state
 			// never affects trial results.

@@ -11,12 +11,6 @@ type Comm struct {
 	w    *world
 	rank int
 	size int
-	// pending[worldSrc] buffers messages whose tag did not match an
-	// in-flight Recv.  The store is shared between a rank's root
-	// communicator and all its Split-derived communicators: tags are
-	// disjoint per communicator, so sharing preserves isolation while
-	// letting interleaved parent/child traffic buffer correctly.
-	pending *[][]message
 
 	// Sub-communicator state (nil/zero on the root communicator).
 	parent   *Comm
@@ -40,10 +34,8 @@ func (c *Comm) checkPeer(peer int, op string) {
 
 // checkAbort raises the abort sentinel if the world has failed.
 func (c *Comm) checkAbort() {
-	select {
-	case <-c.w.abort:
+	if c.w.err() != nil {
 		panic(abortPanic{})
-	default:
 	}
 }
 
@@ -54,67 +46,65 @@ func (c *Comm) worldRank() int {
 }
 
 // Send delivers a copy of data to dst with the given tag.  It blocks only
-// when the destination's channel buffer is full (backpressure).  Sending to
-// oneself is allowed (buffered).
+// while pairCap of this rank's messages sit unreceived at dst
+// (backpressure).  Sending to oneself is allowed (buffered).
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.checkPeer(dst, "Send")
 	c.checkAbort()
 	wdst, wtag := c.translate(dst, tag)
+	src := c.worldRank()
 	cp := make([]float64, len(data))
 	copy(cp, data)
-	ch := c.w.chans[wdst*c.w.size+c.worldRank()]
-	m := message{tag: wtag, data: cp}
-	// Fast path: a non-blocking send avoids the full two-case select
-	// (runtime.selectgo) whenever the destination buffer has room — the
-	// overwhelmingly common case.  The abort channel only matters once
-	// the world is failing, and then only to unblock a full buffer.
-	select {
-	case ch <- m:
-	default:
-		select {
-		case ch <- m:
-		case <-c.w.abort:
+	in := &c.w.inboxes[wdst]
+	in.mu.Lock()
+	for in.full(src) {
+		if c.w.err() != nil {
+			in.mu.Unlock()
 			panic(abortPanic{})
 		}
+		in.blocked++
+		in.room.Wait()
+		in.blocked--
 	}
-	c.w.msgCount.Add(1)
-	c.w.msgFloats.Add(uint64(len(cp)))
+	in.q = append(in.q, message{src: src, tag: wtag, data: cp})
+	in.msgs++
+	in.floats += uint64(len(cp))
+	if in.parked && in.wantSrc == src && in.wantTag == wtag {
+		in.arrive.Signal()
+	}
+	in.mu.Unlock()
 }
 
 // Recv blocks until a message with the given tag arrives from src and
-// returns its payload.  Messages from the same source with other tags are
-// buffered and stay available for later Recv calls (including on other
-// communicators of this rank), preserving per-source order within each
-// tag.
+// returns its payload.  Other messages stay queued in the rank's inbox,
+// available to later Recv calls (including on other communicators of
+// this rank, which share it: their tag spaces are disjoint), so order is
+// preserved per (source, tag).
 func (c *Comm) Recv(src, tag int) []float64 {
 	c.checkPeer(src, "Recv")
 	wsrc, wtag := c.translate(src, tag)
-	// First look in the rank's shared pending buffer.
-	buf := (*c.pending)[wsrc]
-	for i, m := range buf {
-		if m.tag == wtag {
-			(*c.pending)[wsrc] = append(buf[:i], buf[i+1:]...)
-			return m.data
-		}
-	}
-	ch := c.w.chans[c.worldRank()*c.w.size+wsrc]
-	for {
-		// Fast path: drain already-delivered messages without the full
-		// two-case select; fall back to blocking only on an empty buffer.
-		var m message
-		select {
-		case m = <-ch:
-		default:
-			select {
-			case m = <-ch:
-			case <-c.w.abort:
-				panic(abortPanic{})
+	in := &c.w.inboxes[c.worldRank()]
+	in.mu.Lock()
+	// seen counts the queued messages already found not to match; only
+	// this goroutine removes, so they stay the first seen of the queue.
+	for seen := 0; ; {
+		for ; seen < len(in.q); seen++ {
+			if m := in.q[seen]; m.src == wsrc && m.tag == wtag {
+				in.take(seen)
+				if in.blocked > 0 {
+					in.room.Broadcast()
+				}
+				in.mu.Unlock()
+				return m.data
 			}
 		}
-		if m.tag == wtag {
-			return m.data
+		if c.w.err() != nil {
+			in.mu.Unlock()
+			panic(abortPanic{})
 		}
-		(*c.pending)[wsrc] = append((*c.pending)[wsrc], m)
+		in.parked, in.wantSrc, in.wantTag = true, wsrc, wtag
+		in.arrive.Wait()
+		in.parked = false
 	}
 }
 

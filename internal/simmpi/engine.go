@@ -7,12 +7,12 @@ import (
 )
 
 // Engine is a reusable allocation arena for repeated executions of the
-// same world shape.  Constructing a world is the expensive part of a
-// run — procs² buffered channels plus per-rank pending-message stores —
-// and a fault-injection campaign builds thousands of identically-shaped
-// worlds, so an Engine keeps those allocations alive across runs: each
-// RunCtx call reuses the channels and buffers after emptying whatever a
-// previous (possibly aborted) run left behind.
+// same world shape.  A world is one inbox per rank — O(procs) memory,
+// none of it sized by pairs of ranks — and a fault-injection campaign
+// builds thousands of identically-shaped worlds, so an Engine keeps the
+// inboxes and the queue arrays they have grown alive across runs: each
+// RunCtx call leaves them empty, releasing whatever payloads a (possibly
+// aborted) run left undelivered.
 //
 // An Engine is owned by one trial-executing goroutine: RunCtx must not
 // be called concurrently on the same Engine, and a new run may start
@@ -23,13 +23,8 @@ import (
 // semantics are exactly those of a fresh world, so results are
 // bit-identical with and without pooling.
 type Engine struct {
-	procs   int
-	chanCap int
 	timeout time.Duration
-	chans   []chan message
-	// pending[rank] is the rank's unmatched-message store, shared by the
-	// rank's root communicator and its Split children.
-	pending [][][]message
+	inboxes []inbox
 }
 
 // NewEngine validates cfg and allocates the world arena once.
@@ -37,48 +32,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("simmpi: Procs must be >= 1, got %d", cfg.Procs)
 	}
-	chanCap := cfg.ChanCap
-	if chanCap <= 0 {
-		chanCap = 256
-	}
-	e := &Engine{
-		procs:   cfg.Procs,
-		chanCap: chanCap,
-		timeout: cfg.Timeout,
-		chans:   make([]chan message, cfg.Procs*cfg.Procs),
-		pending: make([][][]message, cfg.Procs),
-	}
-	for i := range e.chans {
-		e.chans[i] = make(chan message, chanCap)
-	}
-	for r := range e.pending {
-		e.pending[r] = make([][]message, cfg.Procs)
+	e := &Engine{timeout: cfg.Timeout, inboxes: make([]inbox, cfg.Procs)}
+	for i := range e.inboxes {
+		in := &e.inboxes[i]
+		in.arrive.L, in.room.L = &in.mu, &in.mu
 	}
 	return e, nil
 }
 
 // Procs returns the engine's world size.
-func (e *Engine) Procs() int { return e.procs }
+func (e *Engine) Procs() int { return len(e.inboxes) }
 
 // RunCtx executes fn on every rank of a world drawn from the arena,
 // with the same semantics as the package-level RunCtx.  It returns only
 // after every rank goroutine has finished, so the arena is immediately
 // reusable.
 func (e *Engine) RunCtx(ctx context.Context, fn func(c *Comm) error) (Stats, error) {
-	// Empty whatever an aborted previous run left behind.  No goroutine
-	// of that run is alive (runWorld joins them all), so plain
-	// non-blocking drains are race-free.
-	for _, ch := range e.chans {
-		for len(ch) > 0 {
-			<-ch
-		}
+	err := runWorld(ctx, &world{inboxes: e.inboxes}, e.timeout, fn)
+	// No goroutine of the run is alive (runWorld joined them all), so
+	// the inboxes are read and emptied without their locks.
+	var st Stats
+	for i := range e.inboxes {
+		in := &e.inboxes[i]
+		st.Messages += in.msgs
+		st.Floats += in.floats
+		in.reset()
 	}
-	for r := range e.pending {
-		p := e.pending[r]
-		for i := range p {
-			p[i] = p[i][:0]
-		}
-	}
-	w := &world{size: e.procs, chans: e.chans, abort: make(chan struct{})}
-	return runWorld(ctx, w, e.timeout, e.pending, fn)
+	return st, err
 }

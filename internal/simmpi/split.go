@@ -11,7 +11,7 @@ import (
 // are ordered by (key, old rank).  The call is collective over the parent
 // communicator.
 //
-// The returned Comm shares the parent's transport but renumbers ranks and
+// The returned Comm shares the parent's inboxes but renumbers ranks and
 // remaps tags into a per-color tag space, so collectives on different
 // sub-communicators cannot interfere with each other or with the parent
 // (as long as the application keeps its own point-to-point tags below the
@@ -54,7 +54,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		w:       c.w,
 		rank:    newRank,
 		size:    len(group),
-		pending: c.pending, // shared with the parent: tags are disjoint
 		parent:  c,
 		members: members,
 		// Disambiguate same-shape sub-communicators by their lowest parent

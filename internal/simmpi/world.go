@@ -1,8 +1,15 @@
 // Package simmpi is resmod's in-process message-passing runtime — the
 // stand-in for MPI in the paper's testbed.  A parallel execution of p ranks
-// is p goroutines, each holding a Comm handle.  Point-to-point messages are
-// delivered over per-(source,destination) channels with tag matching;
-// collectives (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
+// is p goroutines, each holding a Comm handle.  Every rank owns one inbox:
+// a mutex-guarded queue of the messages sent to it and not yet received,
+// in arrival order.  Send appends to the destination's inbox and wakes
+// its owner if it is parked on exactly that message; Recv takes the first
+// queued message matching its (source, tag) and otherwise parks.  Messages
+// of one (source, tag) are therefore received in the order they were sent,
+// and a world's memory is O(p) plus what is in flight, whatever its
+// communication pattern: nothing is sized by pairs of ranks.
+//
+// Collectives (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
 // Gather, Scatter) are built from point-to-point messages using the classic
 // binomial-tree and shifted-pairwise algorithms, giving a fixed, size-only-
 // dependent reduction order so that every execution at a given scale is
@@ -30,9 +37,6 @@ import (
 type Config struct {
 	// Procs is the number of ranks (>= 1).
 	Procs int
-	// ChanCap is the per-(src,dst) channel buffer capacity; messages beyond
-	// it apply backpressure like MPI's rendezvous protocol.  Defaults to 256.
-	ChanCap int
 	// Timeout aborts the world if the program has not finished in time — the
 	// harness's hang detector.  Zero means no watchdog.
 	Timeout time.Duration
@@ -75,33 +79,90 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("simmpi: rank %d panicked: %v", e.Rank, e.Value)
 }
 
-// message is one point-to-point payload.
+// message is one point-to-point payload, src and tag in world terms.
 type message struct {
-	tag  int
-	data []float64
+	src, tag int
+	data     []float64
+}
+
+// pairCap is the per-(sender, receiver) backpressure bound: a Send blocks
+// while this many of the sender's own messages sit unreceived at the
+// destination, like MPI's rendezvous protocol.
+const pairCap = 256
+
+// inbox is one rank's receive queue.  Senders append under mu; only the
+// owning rank (through its root communicator or a Split child) removes.
+type inbox struct {
+	mu sync.Mutex
+	// q holds the unreceived messages in arrival order.
+	q []message
+
+	// parked is set while the owner waits on arrive for a message
+	// matching (wantSrc, wantTag); only that message's Send signals it.
+	parked           bool
+	wantSrc, wantTag int
+	arrive           sync.Cond
+	// blocked counts senders waiting on room for the owner to receive.
+	blocked int
+	room    sync.Cond
+
+	// msgs and floats count what was sent here in the current run.
+	msgs, floats uint64
+}
+
+// take removes q[i], keeping the other messages in arrival order.
+func (in *inbox) take(i int) {
+	last := len(in.q) - 1
+	copy(in.q[i:], in.q[i+1:])
+	in.q[last] = message{}
+	in.q = in.q[:last]
+}
+
+// full reports whether src has pairCap messages unreceived here.  Only an
+// inbox at least that deep can hold them, so shallower ones are not counted.
+func (in *inbox) full(src int) bool {
+	if len(in.q) < pairCap {
+		return false
+	}
+	n := 0
+	for _, m := range in.q {
+		if m.src == src {
+			n++
+		}
+	}
+	return n >= pairCap
+}
+
+// reset empties the inbox for the next run.  The backing array is kept;
+// the payloads it referenced are not.
+func (in *inbox) reset() {
+	clear(in.q)
+	in.q = in.q[:0]
+	in.msgs, in.floats = 0, 0
 }
 
 // world is the shared state of one simulated execution.
 type world struct {
-	size    int
-	chans   []chan message // chans[dst*size+src]
-	abort   chan struct{}
-	once    sync.Once
+	inboxes []inbox // by world rank
 	failure atomic.Pointer[worldFailure]
-
-	// msgCount and msgFloats are communication-volume statistics.
-	msgCount  atomic.Uint64
-	msgFloats atomic.Uint64
 }
 
 type worldFailure struct{ err error }
 
-// fail records the first failure and releases every blocked rank.
+// fail records the first failure and releases every parked rank.  Taking
+// each inbox's lock orders the wake-up after any rank that saw no failure
+// and is about to park.
 func (w *world) fail(err error) {
-	w.once.Do(func() {
-		w.failure.Store(&worldFailure{err: err})
-		close(w.abort)
-	})
+	if !w.failure.CompareAndSwap(nil, &worldFailure{err: err}) {
+		return
+	}
+	for i := range w.inboxes {
+		in := &w.inboxes[i]
+		in.mu.Lock()
+		in.arrive.Broadcast()
+		in.room.Broadcast()
+		in.mu.Unlock()
+	}
 }
 
 // err returns the recorded failure, if any.
@@ -146,18 +207,18 @@ func RunCtx(ctx context.Context, cfg Config, fn func(c *Comm) error) (Stats, err
 	return e.RunCtx(ctx, fn)
 }
 
-// runWorld executes fn on every rank of a prepared world.  pending holds
-// the per-rank unmatched-message stores (engine-owned, already emptied).
-func runWorld(ctx context.Context, w *world, timeout time.Duration, pending [][][]message, fn func(c *Comm) error) (Stats, error) {
+// runWorld executes fn on every rank of a world whose inboxes are empty,
+// and returns once every rank goroutine has finished.
+func runWorld(ctx context.Context, w *world, timeout time.Duration, fn func(c *Comm) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var wg sync.WaitGroup
-	wg.Add(w.size)
-	for r := 0; r < w.size; r++ {
+	wg.Add(len(w.inboxes))
+	for r := range w.inboxes {
 		go func(rank int) {
 			defer wg.Done()
-			comm := &Comm{w: w, rank: rank, size: w.size, pending: &pending[rank]}
+			comm := &Comm{w: w, rank: rank, size: len(w.inboxes)}
 			defer func() {
 				if v := recover(); v != nil {
 					if _, isAbort := v.(abortPanic); isAbort {
@@ -193,7 +254,5 @@ func runWorld(ctx context.Context, w *world, timeout time.Duration, pending [][]
 		w.fail(fmt.Errorf("%w: %w", ErrCanceled, ctx.Err()))
 		<-done
 	}
-
-	stats := Stats{Messages: w.msgCount.Load(), Floats: w.msgFloats.Load()}
-	return stats, w.err()
+	return w.err()
 }
