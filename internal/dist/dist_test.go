@@ -10,6 +10,7 @@ import (
 
 	"resmod/internal/apps"
 	"resmod/internal/faultsim"
+	"resmod/internal/telemetry"
 
 	_ "resmod/internal/apps/pennant"
 )
@@ -72,7 +73,9 @@ func startCluster(t *testing.T, n int, cfg PoolConfig) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
+		// Each node carries its own recorder, as `resmod worker` does.
+		ctx, cancel := context.WithCancel(telemetry.With(context.Background(),
+			telemetry.New(nil, nil, telemetry.NewRecorder())))
 		cl.cancels = append(cl.cancels, cancel)
 		t.Cleanup(cancel)
 		go func() { _ = w.Run(ctx) }()

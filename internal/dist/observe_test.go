@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -455,8 +457,10 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 }
 
-// TestWorkerMetricsEndpoint: a worker's own /metrics is scrapeable and
-// reflects executed shards.
+// TestWorkerMetricsEndpoint: a worker's own /metrics is scrapeable,
+// reflects executed shards, and carries the whole engine block — the
+// same declaration the server exposes — whose outcome counters sum to
+// resmod_campaign_trials_total.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	c, golden := testCampaign(t)
 	cl := startCluster(t, 1, PoolConfig{HeartbeatTimeout: time.Second, ShardsPerWorker: 1})
@@ -483,5 +487,21 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("worker /metrics missing %q:\n%s", want, out)
 		}
+	}
+	var total, outcomes uint64
+	for _, line := range strings.Split(out, "\n") {
+		var v uint64
+		if _, err := fmt.Sscanf(line, "resmod_campaign_trials_total %d", &v); err == nil {
+			total = v
+		}
+		if rest, ok := strings.CutPrefix(line, "resmod_trial_total{"); ok {
+			if _, err := fmt.Sscanf(rest[strings.IndexByte(rest, '}')+1:], "%d", &v); err == nil {
+				outcomes += v
+			}
+		}
+	}
+	if total != 90 || outcomes != total || !strings.Contains(out, "resmod_trial_duration_seconds_count 90\n") {
+		t.Errorf("resmod_campaign_trials_total = %d, outcome sum = %d, want both (and the trial histogram's count) 90:\n%s",
+			total, outcomes, out)
 	}
 }

@@ -275,7 +275,7 @@ func (p *Pool) Workers() []WorkerInfo {
 	return out
 }
 
-// PoolStats is the coordinator's /metrics view.
+// PoolStats is a snapshot of the roster size and the pool counters.
 type PoolStats struct {
 	WorkersKnown     int
 	WorkersAlive     int
@@ -309,6 +309,77 @@ func (p *Pool) Stats() PoolStats {
 		ProgressReports:  p.progressReports.Load(),
 		ProgressStale:    p.progressStale.Load(),
 	}
+}
+
+// RegisterMetrics declares the coordinator's families on reg: the pool
+// counters (resmod_dist_*) and the fleet view (resmod_fleet_*), one
+// labelled series per rostered worker keyed by its registered name.  A
+// worker the pool retires simply stops being reported.
+func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
+	known := telemetry.Value(func() int { return p.Stats().WorkersKnown })
+	alive := telemetry.Value(func() int { return p.Stats().WorkersAlive })
+	reg.GaugeFunc("resmod_dist_workers_known", "Workers ever registered with this coordinator.", known)
+	reg.GaugeFunc("resmod_dist_workers_alive", "Registered workers with a fresh heartbeat.", alive)
+	reg.GaugeFunc("resmod_fleet_workers_known", "Workers ever registered with this coordinator (fleet view).", known)
+	reg.GaugeFunc("resmod_fleet_workers_alive", "Registered workers with a fresh heartbeat (fleet view).", alive)
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Uint64
+	}{
+		{"resmod_dist_heartbeats_total", "Worker heartbeats accepted.", &p.heartbeats},
+		{"resmod_dist_campaigns_total", "Campaigns routed through the distributed pool.", &p.campaigns},
+		{"resmod_dist_shards_dispatched_total", "Shard dispatches attempted (includes re-dispatches).", &p.shardsDispatched},
+		{"resmod_dist_shards_completed_total", "Shards completed by workers and merged.", &p.shardsCompleted},
+		{"resmod_dist_shards_requeued_total", "Shards requeued after a worker died or answered garbage.", &p.shardsRequeued},
+		{"resmod_dist_shards_local_total", "Shards the coordinator finished locally after worker loss.", &p.shardsLocal},
+		{"resmod_fleet_progress_reports_total", "In-flight shard progress reports accepted from workers.", &p.progressReports},
+		{"resmod_fleet_progress_stale_total", "Shard progress reports dropped for carrying a retired token.", &p.progressStale},
+	} {
+		reg.CounterFunc(c.name, c.help, telemetry.Value(c.v.Load))
+	}
+
+	perWorker := func(read func(wi WorkerInfo) float64) func(*telemetry.Emitter) {
+		return func(e *telemetry.Emitter) {
+			for _, wi := range p.Workers() {
+				e.Add(read(wi), "worker", wi.Name)
+			}
+		}
+	}
+	// Self-reported families skip a worker until its first stats-bearing
+	// heartbeat.
+	selfReported := func(read func(st *WorkerStats) uint64) func(*telemetry.Emitter) {
+		return func(e *telemetry.Emitter) {
+			for _, wi := range p.Workers() {
+				if wi.Stats != nil {
+					e.Add(float64(read(wi.Stats)), "worker", wi.Name)
+				}
+			}
+		}
+	}
+	reg.GaugeFunc("resmod_fleet_worker_up", "Whether the worker's heartbeat is fresh (1) or stale (0).",
+		perWorker(func(wi WorkerInfo) float64 {
+			if wi.Alive {
+				return 1
+			}
+			return 0
+		}))
+	// LastSeenMS is already an age, sampled when the list was built.
+	reg.GaugeFunc("resmod_fleet_worker_heartbeat_age_seconds", "Seconds since the worker's last heartbeat.",
+		perWorker(func(wi WorkerInfo) float64 { return float64(wi.LastSeenMS) / 1000 }))
+	reg.GaugeFunc("resmod_fleet_worker_trials_per_second", "Trial throughput derived from consecutive heartbeat snapshots.",
+		perWorker(func(wi WorkerInfo) float64 { return wi.TrialsPerSec }))
+	reg.CounterFunc("resmod_fleet_worker_shards_done_total", "Shards this worker completed (coordinator's count).",
+		perWorker(func(wi WorkerInfo) float64 { return float64(wi.ShardsDone) }))
+	reg.CounterFunc("resmod_fleet_worker_shards_failed_total", "Shard dispatches to this worker that errored (coordinator's count).",
+		perWorker(func(wi WorkerInfo) float64 { return float64(wi.ShardsFailed) }))
+	reg.CounterFunc("resmod_fleet_worker_trials_done_total", "Trials the worker reports having executed.",
+		selfReported(func(st *WorkerStats) uint64 { return st.TrialsDone }))
+	reg.GaugeFunc("resmod_fleet_worker_shards_inflight", "Shards the worker reports currently executing.",
+		selfReported(func(st *WorkerStats) uint64 { return st.ShardsInflight }))
+	reg.CounterFunc("resmod_fleet_worker_golden_cache_hits_total", "Golden-run cache hits the worker reports.",
+		selfReported(func(st *WorkerStats) uint64 { return st.GoldenHits }))
+	reg.CounterFunc("resmod_fleet_worker_golden_cache_misses_total", "Golden-run cache misses the worker reports.",
+		selfReported(func(st *WorkerStats) uint64 { return st.GoldenMisses }))
 }
 
 // chunkQueue is the campaign's work list: chunks pop in range order,

@@ -59,9 +59,11 @@ type Worker struct {
 	tel    *telemetry.Telemetry
 	client *http.Client
 
-	// series retains this node's own sampled counters; the sampler is
-	// ticked from the heartbeat loop (no extra goroutine, and retention
-	// stops exactly when the node stops announcing itself).
+	// reg declares this node's /metrics families; series retains the
+	// subset workerRetained names, sampled from the heartbeat loop (no
+	// extra goroutine, and retention stops exactly when the node stops
+	// announcing itself).
+	reg     *telemetry.Registry
 	series  *telemetry.SeriesStore
 	sampler *telemetry.Sampler
 
@@ -70,14 +72,23 @@ type Worker struct {
 	mu      sync.Mutex
 	goldens map[goldenKey]*goldenFlight
 
-	shardsDone     atomic.Uint64
-	shardsFailed   atomic.Uint64
-	shardsInflight atomic.Int64
-	trialsDone     atomic.Uint64
-	goldenHits     atomic.Uint64
-	goldenMisses   atomic.Uint64
+	shardsDone     *telemetry.Counter
+	shardsFailed   *telemetry.Counter
+	shardsInflight *telemetry.Gauge
+	trialsDone     *telemetry.Counter
+	goldenHits     *telemetry.Counter
+	goldenMisses   *telemetry.Counter
+}
 
-	start time.Time
+// workerRetained names the worker families GET /v1/series on a worker
+// node keeps history for (family → series name).
+var workerRetained = map[string]string{
+	"resmod_worker_shards_done_total":         "shards_done_total",
+	"resmod_worker_shards_failed_total":       "shards_failed_total",
+	"resmod_worker_trials_done_total":         "trials_done_total",
+	"resmod_worker_golden_cache_hits_total":   "golden_cache_hits_total",
+	"resmod_worker_golden_cache_misses_total": "golden_cache_misses_total",
+	"resmod_worker_shards_inflight":           "shards_inflight",
 }
 
 type goldenKey struct {
@@ -103,38 +114,32 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
+	reg := telemetry.NewRegistry()
+	start := time.Now()
 	w := &Worker{
 		cfg:     cfg,
 		client:  &http.Client{Timeout: 10 * time.Second},
 		goldens: make(map[goldenKey]*goldenFlight),
-		start:   time.Now(),
+		reg:     reg,
+		series:  telemetry.NewSeriesStore(),
+
+		shardsDone:   reg.Counter("resmod_worker_shards_done_total", "Shards executed and returned."),
+		shardsFailed: reg.Counter("resmod_worker_shards_failed_total", "Shards that ended in an error."),
+		trialsDone:   reg.Counter("resmod_worker_trials_done_total", "Trials completed across all shards."),
+		goldenHits: reg.Counter("resmod_worker_golden_cache_hits_total",
+			"Shard requests answered from the golden-run cache."),
+		goldenMisses: reg.Counter("resmod_worker_golden_cache_misses_total",
+			"Golden-run computations triggered by shard requests."),
+		shardsInflight: reg.Gauge("resmod_worker_shards_inflight", "Shards currently executing."),
 	}
-	w.series = telemetry.NewSeriesStore()
-	w.sampler = telemetry.NewSampler(w.series, w.sample, cfg.HeartbeatEvery)
+	reg.GaugeFunc("resmod_worker_uptime_seconds", "Seconds since the worker process started.",
+		telemetry.Value(func() float64 { return time.Since(start).Seconds() }))
+	w.sampler = telemetry.NewSampler(w.series, reg.Source(workerRetained), cfg.HeartbeatEvery)
 	return w, nil
 }
 
-// sample is the worker's retention source: the same self-reported
-// counters that piggyback on heartbeats, so /v1/series on a worker node
-// answers the history behind its instantaneous /metrics.
-func (w *Worker) sample() telemetry.Samples {
-	st := w.stats()
-	return telemetry.Samples{
-		Gauges: map[string]float64{
-			"shards_inflight": float64(st.ShardsInflight),
-		},
-		Counters: map[string]float64{
-			"trials_done_total":         float64(st.TrialsDone),
-			"shards_done_total":         float64(st.ShardsDone),
-			"shards_failed_total":       float64(st.ShardsFailed),
-			"golden_cache_hits_total":   float64(st.GoldenHits),
-			"golden_cache_misses_total": float64(st.GoldenMisses),
-		},
-	}
-}
-
 // stats snapshots the worker's self-reported counters — the payload
-// piggybacked on every heartbeat and served on the worker's /metrics.
+// piggybacked on every heartbeat.
 func (w *Worker) stats() WorkerStats {
 	inflight := w.shardsInflight.Load()
 	if inflight < 0 {
@@ -164,56 +169,11 @@ func (w *Worker) Handler() http.Handler {
 			"shards_failed": w.shardsFailed.Load(),
 		})
 	})
-	mux.HandleFunc("GET /metrics", w.handleMetrics)
+	mux.Handle("GET /metrics", w.reg)
 	mux.HandleFunc("GET /v1/series", func(rw http.ResponseWriter, r *http.Request) {
 		telemetry.ServeSeries(w.series, rw, r)
 	})
 	return mux
-}
-
-// handleMetrics serves the worker-node metric families in Prometheus
-// text exposition format: shard/trial counters plus, when the worker's
-// telemetry sink is a Recorder, the engine outcome counters.
-func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := w.stats()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("resmod_worker_shards_done_total", "Shards executed and returned.", st.ShardsDone)
-	counter("resmod_worker_shards_failed_total", "Shards that ended in an error.", st.ShardsFailed)
-	counter("resmod_worker_trials_done_total", "Trials completed across all shards.", st.TrialsDone)
-	counter("resmod_worker_golden_cache_hits_total",
-		"Shard requests answered from the golden-run cache.", st.GoldenHits)
-	counter("resmod_worker_golden_cache_misses_total",
-		"Golden-run computations triggered by shard requests.", st.GoldenMisses)
-	gauge("resmod_worker_shards_inflight", "Shards currently executing.", float64(st.ShardsInflight))
-	gauge("resmod_worker_uptime_seconds", "Seconds since the worker process started.",
-		time.Since(w.start).Seconds())
-	if rec, ok := w.tel.Sink().(*telemetry.Recorder); ok {
-		engine := rec.Snapshot()
-		fmt.Fprintf(rw, "# HELP resmod_trial_total Fault-injection trials executed, by outcome.\n")
-		fmt.Fprintf(rw, "# TYPE resmod_trial_total counter\n")
-		for _, oc := range []struct {
-			label string
-			v     uint64
-		}{
-			{"success", engine.TrialSuccess},
-			{"sdc", engine.TrialSDC},
-			{"failure", engine.TrialFailure},
-			{"other", engine.TrialOther},
-		} {
-			fmt.Fprintf(rw, "resmod_trial_total{outcome=%q} %d\n", oc.label, oc.v)
-		}
-		counter("resmod_trial_abnormal_total",
-			"Trials abandoned after repeated harness errors.", engine.TrialsAbnormal)
-		counter("resmod_trial_retried_total", "Retries of abnormal trials.", engine.TrialsRetried)
-		counter("resmod_golden_runs_total",
-			"Fault-free reference executions computed.", engine.GoldenRuns)
-	}
 }
 
 // Run serves shards until the context ends: bind, register (retrying
@@ -221,6 +181,7 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 // clean context-driven shutdown.
 func (w *Worker) Run(ctx context.Context) error {
 	w.tel = telemetry.From(ctx)
+	w.tel.Recorder().Register(w.reg)
 	ln, err := net.Listen("tcp", w.cfg.Listen)
 	if err != nil {
 		return fmt.Errorf("dist: worker listen: %w", err)

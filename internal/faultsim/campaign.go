@@ -385,7 +385,7 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 	identity := c.Identity()
 
 	// Telemetry: one campaign span covering the whole deployment, trial
-	// outcomes/latency into the sink, structured completion events.
+	// outcomes/latency into the recorder, structured completion events.
 	tel := telemetry.From(ctx)
 	ctx, span := tel.Tracer().Start(ctx, "campaign",
 		telemetry.String("id", identity),
@@ -436,7 +436,7 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 		err := SaveCheckpoint(c.Checkpoint, agg.snapshot(identity))
 		sp.End()
 		if err == nil {
-			tel.Sink().CheckpointWrite()
+			tel.Recorder().CheckpointWrite()
 		} else {
 			tel.Logger().Warn("checkpoint write failed",
 				"campaign", identity, "path", c.Checkpoint, "err", err)
@@ -494,7 +494,7 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 		state = telemetry.StateInterrupted
 	}
 	publish(state, agg.status(0, c.Trials))
-	tel.Sink().CampaignDone(sum.Elapsed)
+	tel.Recorder().CampaignDone(sum.Elapsed)
 	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: sum.TrialsDone},
 		telemetry.Attr{Key: "interrupted", Value: sum.Interrupted})
 	logCampaign(tel, identity, sum)
@@ -531,7 +531,7 @@ func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, s
 	// hot path pays only the recording calls themselves (no-ops when
 	// telemetry is off).
 	tel := telemetry.From(ctx)
-	sink := tel.Sink()
+	sink := tel.Recorder()
 	base := stats.NewRNG(c.Seed)
 	every := progressEvery(c)
 	var wg sync.WaitGroup
@@ -626,11 +626,11 @@ func isInterruption(err error) bool {
 
 // runTrialResilient runs one trial with harness-fault containment: panics
 // escaping the harness are recovered, and abnormal trials are retried with
-// bounded exponential backoff (each retry counted into the sink and the
+// bounded exponential backoff (each retry counted into the recorder and the
 // aggregate's live-snapshot tally).  Retries replay the identical trial —
 // the RNG stream is re-split from the base per attempt, and the worker's
 // arena is discarded first so the replay runs on provably fresh state.
-func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, base *stats.RNG, t int, sink telemetry.Sink, agg *aggregate, arena *apps.Arena) (TrialRecord, error) {
+func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, base *stats.RNG, t int, sink *telemetry.Recorder, agg *aggregate, arena *apps.Arena) (TrialRecord, error) {
 	backoff := retryBackoffBase
 	var rec TrialRecord
 	var err error

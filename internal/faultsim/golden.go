@@ -147,7 +147,7 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 		return nil, fmt.Errorf("faultsim: golden check of %s/%s p=%d not finite: %v",
 			app.Name(), class, procs, g.Check)
 	}
-	tel.Sink().GoldenRun(g.Elapsed)
+	tel.Recorder().GoldenRun(g.Elapsed)
 	tel.Logger().Debug("golden run complete",
 		"app", app.Name(), "class", class, "procs", procs,
 		"elapsed", g.Elapsed, "unique_frac", g.UniqueFraction())

@@ -66,12 +66,12 @@ func BuiltinRules(sampleEvery time.Duration) []telemetry.Rule {
 			Help: "The admission queue is nearly full; submissions will shed soon.",
 		},
 		{
-			Name: "worker-stale", Series: seriesWorkerHBAge + "*",
+			Name: "worker-stale", Series: seriesWorkerHBAge + "/*",
 			Threshold: workerStaleAgeSeconds, For: forSamples(2),
 			Help: "A registered worker has stopped heartbeating.",
 		},
 		{
-			Name: "worker-flap", Series: seriesWorkerFlaps + "*",
+			Name: "worker-flap", Series: seriesWorkerFlaps + "/*",
 			Threshold: workerFlapRate, For: forSamples(3),
 			Help: "A worker keeps oscillating between alive and dead.",
 		},

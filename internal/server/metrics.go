@@ -1,16 +1,12 @@
 package server
 
 import (
-	"fmt"
-	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"resmod/internal/dist"
-	"resmod/internal/exper"
-	"resmod/internal/store"
 	"resmod/internal/telemetry"
 )
 
@@ -23,63 +19,10 @@ var latencyBuckets = []float64{0.005, 0.025, 0.1, 0.5, 1, 5, 15, 60, 300}
 // server starts jobs in microseconds, a saturated one in minutes.
 var queueWaitBuckets = []float64{0.0005, 0.005, 0.025, 0.1, 0.5, 1, 5, 30, 120}
 
-// histogram is a Prometheus-style cumulative histogram.
-type histogram struct {
-	bounds []float64
-
-	mu      sync.Mutex
-	buckets []uint64 // one per bound, plus +Inf at the end
-	sum     float64
-	count   uint64
-}
-
-func newHistogram() *histogram {
-	return newBucketHistogram(latencyBuckets)
-}
-
-// newBucketHistogram builds a histogram over custom ascending bounds.
-func newBucketHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, buckets: make([]uint64, len(bounds)+1)}
-}
-
-// observe records one sample.
-func (h *histogram) observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i]++
-	h.sum += v
-	h.count++
-}
-
-// write emits the histogram in Prometheus text exposition format.
-func (h *histogram) write(w io.Writer, name string) {
-	h.writeLabeled(w, name, "")
-}
-
-// writeLabeled emits the histogram with an optional fixed label set
-// (e.g. `tenant="anon"`) merged into every series.
-func (h *histogram) writeLabeled(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var cum uint64
-	for i, le := range h.bounds {
-		cum += h.buckets[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, le, cum)
-	}
-	cum += h.buckets[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, h.count)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, h.sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.count)
-	}
+// alertStateValue encodes the alert state machine as the resmod_alerts
+// sample value (inactive is 0).
+var alertStateValue = map[string]float64{
+	telemetry.AlertPending: 1, telemetry.AlertFiring: 2, telemetry.AlertResolved: 3,
 }
 
 // requestKey labels one HTTP request counter series.  A comparable
@@ -92,33 +35,35 @@ type requestKey struct {
 	code   int
 }
 
-// metrics is the service's hand-rolled metric registry (the repo is
-// stdlib-only, so there is no client_golang; /metrics emits the
-// Prometheus text format directly).
+// metrics is the service's part of the registry: the counters handlers
+// and scheduler bump, plus collectors over state owned elsewhere.  The
+// engine and the worker pool declare their own families on the same
+// registry, which is the GET /metrics handler.
 type metrics struct {
+	reg   *telemetry.Registry
 	start time.Time
 
 	mu           sync.Mutex
 	httpRequests map[requestKey]uint64
 
-	submitted   atomic.Uint64 // jobs accepted into the queue
-	joined      atomic.Uint64 // submissions that joined an existing job
-	cacheHits   atomic.Uint64 // submissions answered from the result store
-	cacheMisses atomic.Uint64 // submissions that had to compute
-	rejected    atomic.Uint64 // submissions refused (queue full / draining)
+	submitted   *telemetry.Counter // jobs accepted into the queue
+	joined      *telemetry.Counter // submissions that joined an existing job
+	cacheHits   *telemetry.Counter // submissions answered from the result store
+	cacheMisses *telemetry.Counter // submissions that had to compute
+	rejected    *telemetry.Counter // submissions refused (queue full / draining)
 
-	jobsDone     atomic.Uint64
-	jobsFailed   atomic.Uint64
-	jobsCanceled atomic.Uint64
-	inflight     atomic.Int64
+	jobsDone     *telemetry.Counter
+	jobsFailed   *telemetry.Counter
+	jobsCanceled *telemetry.Counter
+	inflight     *telemetry.Gauge
 
-	campaigns atomic.Uint64 // campaigns actually executed (not cached)
+	campaigns *telemetry.Counter // campaigns actually executed (not cached)
 
-	authFailures  atomic.Uint64 // submissions with an unknown API key
-	idemReplays   atomic.Uint64 // responses replayed from an idempotency record
-	idemConflicts atomic.Uint64 // idempotency keys reused with a different payload
+	authFailures  *telemetry.Counter // submissions with an unknown API key
+	idemReplays   *telemetry.Counter // responses replayed from an idempotency record
+	idemConflicts *telemetry.Counter // idempotency keys reused with a different payload
 
-	latency *histogram
+	latency *telemetry.Histogram
 
 	tmu        sync.Mutex
 	tenantsByN map[string]*tenantMetrics
@@ -127,21 +72,186 @@ type metrics struct {
 // tenantMetrics is one tenant's admission-control series: how much got
 // in, how much was shed and why, and how long admitted work queued.
 type tenantMetrics struct {
-	admitted    atomic.Uint64 // jobs accepted into the queue
-	ratelimited atomic.Uint64 // requests shed by the token bucket (429)
-	shedQuota   atomic.Uint64 // submissions shed at the inflight quota (429)
-	shedQueue   atomic.Uint64 // submissions shed at queue saturation (429)
-	shedDrain   atomic.Uint64 // submissions refused while draining (503)
-	queued      atomic.Int64  // jobs currently waiting in the queue
-	queueWait   *histogram    // admission-to-start wait, seconds
+	admitted    atomic.Uint64        // jobs accepted into the queue
+	ratelimited atomic.Uint64        // requests shed by the token bucket (429)
+	shedQuota   atomic.Uint64        // submissions shed at the inflight quota (429)
+	shedQueue   atomic.Uint64        // submissions shed at queue saturation (429)
+	shedDrain   atomic.Uint64        // submissions refused while draining (503)
+	queued      atomic.Int64         // jobs currently waiting in the queue
+	queueWait   *telemetry.Histogram // admission-to-start wait, seconds
 }
 
-func newMetrics() *metrics {
-	return &metrics{
+// newMetrics declares every family the service exposes, in /metrics
+// order.  s.cfg, s.queue and s.recorder must be set; everything else a
+// collector reads (session, progress bus, tenants, alert engine) is
+// dereferenced at scrape time.
+func newMetrics(s *Server) *metrics {
+	reg := telemetry.NewRegistry()
+	m := &metrics{
+		reg:          reg,
 		start:        time.Now(),
 		httpRequests: make(map[requestKey]uint64),
-		latency:      newHistogram(),
+		latency:      telemetry.NewHistogram(latencyBuckets),
 		tenantsByN:   make(map[string]*tenantMetrics),
+	}
+	reg.CounterFunc("resmod_http_requests_total", "Served HTTP requests.", m.collectRequests)
+	m.submitted = reg.Counter("resmod_predictions_submitted_total",
+		"Prediction jobs accepted into the queue.")
+	m.joined = reg.Counter("resmod_predictions_joined_total",
+		"Submissions deduplicated onto an already-known job.")
+	m.cacheHits = reg.Counter("resmod_prediction_cache_hits_total",
+		"Submissions answered from the durable result store.")
+	m.cacheMisses = reg.Counter("resmod_prediction_cache_misses_total",
+		"Submissions that required computation.")
+	m.rejected = reg.Counter("resmod_predictions_rejected_total",
+		"Submissions refused because the queue was full or the server was draining.")
+	m.authFailures = reg.Counter("resmod_auth_failures_total",
+		"Submissions refused for carrying an unknown API key.")
+	m.idemReplays = reg.Counter("resmod_idempotent_replays_total",
+		"POST responses replayed verbatim from an idempotency record.")
+	m.idemConflicts = reg.Counter("resmod_idempotent_conflicts_total",
+		"Idempotency keys reused with a different request payload (409).")
+	m.jobsDone = reg.Counter("resmod_jobs_done_total", "Prediction jobs completed successfully.")
+	m.jobsFailed = reg.Counter("resmod_jobs_failed_total", "Prediction jobs that ended in an error.")
+	m.jobsCanceled = reg.Counter("resmod_jobs_canceled_total", "Prediction jobs canceled by shutdown.")
+	m.campaigns = reg.Counter("resmod_campaigns_executed_total",
+		"Fault-injection campaigns actually executed (cache hits excluded).")
+	s.recorder.Register(reg)
+
+	reg.GaugeFunc("resmod_queue_depth", "Jobs waiting in the scheduler queue.",
+		telemetry.Value(s.queue.depth))
+	m.inflight = reg.Gauge("resmod_jobs_inflight", "Jobs currently being computed.")
+	reg.GaugeFunc("resmod_uptime_seconds", "Seconds since the server started.",
+		telemetry.Value(func() float64 { return time.Since(m.start).Seconds() }))
+	reg.GaugeFunc("resmod_worker_budget_in_use", "Trial-worker tokens currently held by in-flight trials.",
+		telemetry.Value(func() int { return s.session.SchedulerStats().WorkerBudgetInUse }))
+	reg.GaugeFunc("resmod_worker_budget_size", "Trial-worker token pool capacity shared by all campaigns.",
+		telemetry.Value(func() int { return s.session.SchedulerStats().WorkerBudgetSize }))
+	reg.GaugeFunc("resmod_campaigns_running", "Campaigns currently holding an execution slot.",
+		telemetry.Value(func() int { return s.session.SchedulerStats().CampaignsRunning }))
+	reg.GaugeFunc("resmod_campaigns_queued", "Campaigns blocked waiting for an execution slot.",
+		telemetry.Value(func() int { return s.session.SchedulerStats().CampaignsQueued }))
+
+	// Per-campaign live-progress gauges from the server-wide bus.
+	campaign := func(read func(telemetry.ProgressEvent) float64) func(*telemetry.Emitter) {
+		return func(e *telemetry.Emitter) {
+			for _, ev := range s.progress.Latest() {
+				if ev.Kind == telemetry.KindCampaign {
+					e.Add(read(ev), "campaign", ev.Key)
+				}
+			}
+		}
+	}
+	reg.GaugeFunc("resmod_campaign_progress_ratio", "Completed fraction of each tracked campaign.",
+		campaign(telemetry.ProgressEvent.Ratio))
+	reg.GaugeFunc("resmod_trials_per_second", "Trial throughput of each tracked campaign (this run).",
+		campaign(func(ev telemetry.ProgressEvent) float64 { return ev.TrialsPerSec }))
+
+	// Per-tenant admission-control families; series appear as tenants
+	// first touch the service.
+	tenant := func(emit func(e *telemetry.Emitter, name string, tm *tenantMetrics)) func(*telemetry.Emitter) {
+		return func(e *telemetry.Emitter) {
+			for _, n := range m.tenantNames() {
+				emit(e, n, m.tenant(n))
+			}
+		}
+	}
+	reg.CounterFunc("resmod_tenant_admitted_total", "Jobs admitted into the queue, by tenant.",
+		tenant(func(e *telemetry.Emitter, n string, tm *tenantMetrics) {
+			e.Add(float64(tm.admitted.Load()), "tenant", n)
+		}))
+	reg.CounterFunc("resmod_tenant_ratelimited_total", "Requests shed by the tenant's token bucket (429).",
+		tenant(func(e *telemetry.Emitter, n string, tm *tenantMetrics) {
+			e.Add(float64(tm.ratelimited.Load()), "tenant", n)
+		}))
+	reg.CounterFunc("resmod_tenant_shed_total",
+		"Submissions shed before admission, by tenant and reason (quota/queue are 429, drain is 503).",
+		tenant(func(e *telemetry.Emitter, n string, tm *tenantMetrics) {
+			e.Add(float64(tm.shedQuota.Load()), "tenant", n, "reason", "quota")
+			e.Add(float64(tm.shedQueue.Load()), "tenant", n, "reason", "queue")
+			e.Add(float64(tm.shedDrain.Load()), "tenant", n, "reason", "drain")
+		}))
+	reg.GaugeFunc("resmod_tenant_queued", "Jobs currently waiting in the queue, by tenant.",
+		tenant(func(e *telemetry.Emitter, n string, tm *tenantMetrics) {
+			e.Add(float64(tm.queued.Load()), "tenant", n)
+		}))
+	reg.GaugeFunc("resmod_tenant_inflight", "Queued-plus-running jobs charged to each tenant's quota.",
+		func(e *telemetry.Emitter) {
+			for _, g := range s.tenants.inflightSnapshot() {
+				e.Add(g.value, "tenant", g.tenant)
+			}
+		})
+	reg.HistogramFunc("resmod_queue_wait_seconds", "Admission-to-start wait of executed jobs, by tenant.",
+		tenant(func(e *telemetry.Emitter, n string, tm *tenantMetrics) {
+			e.Hist(tm.queueWait.Snapshot(), "tenant", n)
+		}))
+
+	// Coordinator and store families are absent on servers without one.
+	if s.cfg.DistPool != nil {
+		s.cfg.DistPool.RegisterMetrics(reg)
+	}
+	if st := s.cfg.Store; st != nil {
+		reg.CounterFunc("resmod_store_hits_total", "Result-store lookups that found an entry.",
+			telemetry.Value(func() uint64 { return st.Stats().Hits }))
+		reg.CounterFunc("resmod_store_misses_total", "Result-store lookups that found nothing.",
+			telemetry.Value(func() uint64 { return st.Stats().Misses }))
+		reg.CounterFunc("resmod_store_puts_total", "Result-store writes.",
+			telemetry.Value(func() uint64 { return st.Stats().Puts }))
+		reg.CounterFunc("resmod_store_evictions_total", "Result-store LRU evictions.",
+			telemetry.Value(func() uint64 { return st.Stats().Evictions }))
+		reg.CounterFunc("resmod_store_corrupt_total", "Corrupt or partial store files skipped.",
+			telemetry.Value(func() uint64 { return st.Stats().Corrupt }))
+	}
+
+	// One series per rule instance, so an external scraper can alert on
+	// the alerts; the firing gauge is the one-number health signal.
+	reg.GaugeFunc("resmod_alerts", "Alert rule states (0 inactive, 1 pending, 2 firing, 3 resolved).",
+		func(e *telemetry.Emitter) {
+			for _, a := range s.alerts.Alerts() {
+				v := alertStateValue[a.State]
+				if a.Instance != "" {
+					e.Add(v, "rule", a.Rule, "instance", a.Instance, "state", a.State)
+				} else {
+					e.Add(v, "rule", a.Rule, "state", a.State)
+				}
+			}
+		})
+	reg.GaugeFunc("resmod_alerts_firing", "Alert rule instances currently firing.",
+		telemetry.Value(func() int {
+			firing := 0
+			for _, a := range s.alerts.Alerts() {
+				if a.State == telemetry.AlertFiring {
+					firing++
+				}
+			}
+			return firing
+		}))
+	reg.HistogramFunc("resmod_prediction_duration_seconds", "Wall time of computed predictions.",
+		func(e *telemetry.Emitter) { e.Hist(m.latency.Snapshot()) })
+	return m
+}
+
+// collectRequests reports the per-route request counters in a stable
+// order.
+func (m *metrics) collectRequests(e *telemetry.Emitter) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keys := make([]requestKey, 0, len(m.httpRequests))
+	for k := range m.httpRequests {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.method != b.method {
+			return a.method < b.method
+		}
+		if a.route != b.route {
+			return a.route < b.route
+		}
+		return a.code < b.code
+	})
+	for _, k := range keys {
+		e.Add(float64(m.httpRequests[k]), "method", k.method, "path", k.route, "code", strconv.Itoa(k.code))
 	}
 }
 
@@ -154,7 +264,7 @@ func (m *metrics) tenant(name string) *tenantMetrics {
 	defer m.tmu.Unlock()
 	tm, ok := m.tenantsByN[name]
 	if !ok {
-		tm = &tenantMetrics{queueWait: newBucketHistogram(queueWaitBuckets)}
+		tm = &tenantMetrics{queueWait: telemetry.NewHistogram(queueWaitBuckets)}
 		m.tenantsByN[name] = tm
 	}
 	return tm
@@ -178,357 +288,4 @@ func (m *metrics) request(method, route string, code int) {
 	m.mu.Lock()
 	m.httpRequests[k]++
 	m.mu.Unlock()
-}
-
-// write emits every metric in Prometheus text exposition format.
-// queueDepth is sampled by the caller; storeStats is nil when the server
-// runs without a store; engine is the process-wide engine-telemetry
-// snapshot (trial outcomes, golden runs, checkpoint writes, duration
-// histograms); sched samples the campaign scheduler and progress is the
-// server-wide bus's latest snapshot per key (campaign-kind entries
-// become per-campaign gauge series).
-func (m *metrics) write(w io.Writer, queueDepth int, storeStats *store.Stats, engine telemetry.Snapshot,
-	sched exper.SchedulerStats, progress []telemetry.ProgressEvent, tenantInflight []tenantGauge,
-	distStats *dist.PoolStats, fleet []dist.WorkerInfo, alerts []telemetry.Alert) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
-	fmt.Fprintf(w, "# HELP resmod_http_requests_total Served HTTP requests.\n")
-	fmt.Fprintf(w, "# TYPE resmod_http_requests_total counter\n")
-	m.mu.Lock()
-	keys := make([]requestKey, 0, len(m.httpRequests))
-	for k := range m.httpRequests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.method != b.method {
-			return a.method < b.method
-		}
-		if a.route != b.route {
-			return a.route < b.route
-		}
-		return a.code < b.code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "resmod_http_requests_total{method=%q,path=%q,code=\"%d\"} %d\n",
-			k.method, k.route, k.code, m.httpRequests[k])
-	}
-	m.mu.Unlock()
-
-	counter("resmod_predictions_submitted_total",
-		"Prediction jobs accepted into the queue.", m.submitted.Load())
-	counter("resmod_predictions_joined_total",
-		"Submissions deduplicated onto an already-known job.", m.joined.Load())
-	counter("resmod_prediction_cache_hits_total",
-		"Submissions answered from the durable result store.", m.cacheHits.Load())
-	counter("resmod_prediction_cache_misses_total",
-		"Submissions that required computation.", m.cacheMisses.Load())
-	counter("resmod_predictions_rejected_total",
-		"Submissions refused because the queue was full or the server was draining.",
-		m.rejected.Load())
-	counter("resmod_auth_failures_total",
-		"Submissions refused for carrying an unknown API key.", m.authFailures.Load())
-	counter("resmod_idempotent_replays_total",
-		"POST responses replayed verbatim from an idempotency record.",
-		m.idemReplays.Load())
-	counter("resmod_idempotent_conflicts_total",
-		"Idempotency keys reused with a different request payload (409).",
-		m.idemConflicts.Load())
-	counter("resmod_jobs_done_total", "Prediction jobs completed successfully.",
-		m.jobsDone.Load())
-	counter("resmod_jobs_failed_total", "Prediction jobs that ended in an error.",
-		m.jobsFailed.Load())
-	counter("resmod_jobs_canceled_total", "Prediction jobs canceled by shutdown.",
-		m.jobsCanceled.Load())
-	counter("resmod_campaigns_executed_total",
-		"Fault-injection campaigns actually executed (cache hits excluded).",
-		m.campaigns.Load())
-	// resmod_campaign_trials_total is the sum of the outcome-labeled
-	// resmod_trial_total counters by construction (both derive from the
-	// same engine snapshot), so the two families always agree — even with
-	// campaigns in flight or interrupted.
-	counter("resmod_campaign_trials_total",
-		"Fault-injection trials actually executed (cache hits excluded).",
-		engine.TrialsTotal())
-
-	fmt.Fprintf(w, "# HELP resmod_trial_total Fault-injection trials executed, by outcome.\n")
-	fmt.Fprintf(w, "# TYPE resmod_trial_total counter\n")
-	for _, oc := range []struct {
-		label string
-		v     uint64
-	}{
-		{"success", engine.TrialSuccess},
-		{"sdc", engine.TrialSDC},
-		{"failure", engine.TrialFailure},
-		{"other", engine.TrialOther},
-	} {
-		fmt.Fprintf(w, "resmod_trial_total{outcome=%q} %d\n", oc.label, oc.v)
-	}
-	counter("resmod_trial_abnormal_total",
-		"Trials abandoned after repeated harness errors.", engine.TrialsAbnormal)
-	counter("resmod_trial_retried_total",
-		"Retries of abnormal trials.", engine.TrialsRetried)
-	counter("resmod_golden_runs_total",
-		"Fault-free reference executions computed.", engine.GoldenRuns)
-	counter("resmod_checkpoint_writes_total",
-		"Campaign checkpoint snapshots written.", engine.CheckpointWrites)
-
-	gauge("resmod_queue_depth", "Jobs waiting in the scheduler queue.",
-		float64(queueDepth))
-	gauge("resmod_jobs_inflight", "Jobs currently being computed.",
-		float64(m.inflight.Load()))
-	gauge("resmod_uptime_seconds", "Seconds since the server started.",
-		time.Since(m.start).Seconds())
-	gauge("resmod_worker_budget_in_use",
-		"Trial-worker tokens currently held by in-flight trials.",
-		float64(sched.WorkerBudgetInUse))
-	gauge("resmod_worker_budget_size",
-		"Trial-worker token pool capacity shared by all campaigns.",
-		float64(sched.WorkerBudgetSize))
-	gauge("resmod_campaigns_running",
-		"Campaigns currently holding an execution slot.",
-		float64(sched.CampaignsRunning))
-	gauge("resmod_campaigns_queued",
-		"Campaigns blocked waiting for an execution slot.",
-		float64(sched.CampaignsQueued))
-
-	// Per-campaign live-progress gauges from the server-wide bus.  HELP
-	// and TYPE lines are emitted even with no tracked campaigns, so the
-	// families are always discoverable.
-	fmt.Fprintf(w, "# HELP resmod_campaign_progress_ratio Completed fraction of each tracked campaign.\n")
-	fmt.Fprintf(w, "# TYPE resmod_campaign_progress_ratio gauge\n")
-	for _, ev := range progress {
-		if ev.Kind != telemetry.KindCampaign {
-			continue
-		}
-		fmt.Fprintf(w, "resmod_campaign_progress_ratio{campaign=%q} %g\n", ev.Key, ev.Ratio())
-	}
-	fmt.Fprintf(w, "# HELP resmod_trials_per_second Trial throughput of each tracked campaign (this run).\n")
-	fmt.Fprintf(w, "# TYPE resmod_trials_per_second gauge\n")
-	for _, ev := range progress {
-		if ev.Kind != telemetry.KindCampaign {
-			continue
-		}
-		fmt.Fprintf(w, "resmod_trials_per_second{campaign=%q} %g\n", ev.Key, ev.TrialsPerSec)
-	}
-
-	// Per-tenant admission-control families.  HELP and TYPE lines are
-	// always emitted so the families are discoverable before any traffic;
-	// series appear as tenants first touch the service.
-	names := m.tenantNames()
-	fmt.Fprintf(w, "# HELP resmod_tenant_admitted_total Jobs admitted into the queue, by tenant.\n")
-	fmt.Fprintf(w, "# TYPE resmod_tenant_admitted_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "resmod_tenant_admitted_total{tenant=%q} %d\n", n, m.tenant(n).admitted.Load())
-	}
-	fmt.Fprintf(w, "# HELP resmod_tenant_ratelimited_total Requests shed by the tenant's token bucket (429).\n")
-	fmt.Fprintf(w, "# TYPE resmod_tenant_ratelimited_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "resmod_tenant_ratelimited_total{tenant=%q} %d\n", n, m.tenant(n).ratelimited.Load())
-	}
-	fmt.Fprintf(w, "# HELP resmod_tenant_shed_total Submissions shed before admission, by tenant and reason (quota/queue are 429, drain is 503).\n")
-	fmt.Fprintf(w, "# TYPE resmod_tenant_shed_total counter\n")
-	for _, n := range names {
-		tm := m.tenant(n)
-		for _, rc := range []struct {
-			reason string
-			v      uint64
-		}{
-			{"quota", tm.shedQuota.Load()},
-			{"queue", tm.shedQueue.Load()},
-			{"drain", tm.shedDrain.Load()},
-		} {
-			fmt.Fprintf(w, "resmod_tenant_shed_total{tenant=%q,reason=%q} %d\n", n, rc.reason, rc.v)
-		}
-	}
-	fmt.Fprintf(w, "# HELP resmod_tenant_queued Jobs currently waiting in the queue, by tenant.\n")
-	fmt.Fprintf(w, "# TYPE resmod_tenant_queued gauge\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "resmod_tenant_queued{tenant=%q} %d\n", n, m.tenant(n).queued.Load())
-	}
-	fmt.Fprintf(w, "# HELP resmod_tenant_inflight Queued-plus-running jobs charged to each tenant's quota.\n")
-	fmt.Fprintf(w, "# TYPE resmod_tenant_inflight gauge\n")
-	for _, g := range tenantInflight {
-		fmt.Fprintf(w, "resmod_tenant_inflight{tenant=%q} %g\n", g.tenant, g.value)
-	}
-	fmt.Fprintf(w, "# HELP resmod_queue_wait_seconds Admission-to-start wait of executed jobs, by tenant.\n")
-	fmt.Fprintf(w, "# TYPE resmod_queue_wait_seconds histogram\n")
-	for _, n := range names {
-		m.tenant(n).queueWait.writeLabeled(w, "resmod_queue_wait_seconds", fmt.Sprintf("tenant=%q", n))
-	}
-
-	// Coordinator (distributed execution) families; absent on plain
-	// servers, like the store families.
-	if distStats != nil {
-		gauge("resmod_dist_workers_known",
-			"Workers ever registered with this coordinator.",
-			float64(distStats.WorkersKnown))
-		gauge("resmod_dist_workers_alive",
-			"Registered workers with a fresh heartbeat.",
-			float64(distStats.WorkersAlive))
-		counter("resmod_dist_heartbeats_total",
-			"Worker heartbeats accepted.", distStats.Heartbeats)
-		counter("resmod_dist_campaigns_total",
-			"Campaigns routed through the distributed pool.", distStats.Campaigns)
-		counter("resmod_dist_shards_dispatched_total",
-			"Shard dispatches attempted (includes re-dispatches).",
-			distStats.ShardsDispatched)
-		counter("resmod_dist_shards_completed_total",
-			"Shards completed by workers and merged.", distStats.ShardsCompleted)
-		counter("resmod_dist_shards_requeued_total",
-			"Shards requeued after a worker died or answered garbage.",
-			distStats.ShardsRequeued)
-		counter("resmod_dist_shards_local_total",
-			"Shards the coordinator finished locally after worker loss.",
-			distStats.ShardsLocal)
-
-		// Fleet aggregation: the coordinator's view of every worker, one
-		// labeled series per worker keyed by its registered name.  HELP and
-		// TYPE lines are emitted even with zero workers so the families are
-		// discoverable the moment a coordinator starts.
-		gauge("resmod_fleet_workers_known",
-			"Workers ever registered with this coordinator (fleet view).",
-			float64(distStats.WorkersKnown))
-		gauge("resmod_fleet_workers_alive",
-			"Registered workers with a fresh heartbeat (fleet view).",
-			float64(distStats.WorkersAlive))
-		counter("resmod_fleet_progress_reports_total",
-			"In-flight shard progress reports accepted from workers.",
-			distStats.ProgressReports)
-		counter("resmod_fleet_progress_stale_total",
-			"Shard progress reports dropped for carrying a retired token.",
-			distStats.ProgressStale)
-		type fleetSeries struct {
-			name, help, typ string
-			value           func(wi dist.WorkerInfo) (float64, bool)
-		}
-		for _, fs := range []fleetSeries{
-			{"resmod_fleet_worker_up", "Whether the worker's heartbeat is fresh (1) or stale (0).", "gauge",
-				func(wi dist.WorkerInfo) (float64, bool) {
-					if wi.Alive {
-						return 1, true
-					}
-					return 0, true
-				}},
-			{"resmod_fleet_worker_heartbeat_age_seconds", "Seconds since the worker's last heartbeat.", "gauge",
-				func(wi dist.WorkerInfo) (float64, bool) {
-					// LastSeenMS is already an age (milliseconds since the
-					// last heartbeat), sampled when the list was built.
-					return float64(wi.LastSeenMS) / 1000, true
-				}},
-			{"resmod_fleet_worker_trials_per_second", "Trial throughput derived from consecutive heartbeat snapshots.", "gauge",
-				func(wi dist.WorkerInfo) (float64, bool) { return wi.TrialsPerSec, true }},
-			{"resmod_fleet_worker_shards_done_total", "Shards this worker completed (coordinator's count).", "counter",
-				func(wi dist.WorkerInfo) (float64, bool) { return float64(wi.ShardsDone), true }},
-			{"resmod_fleet_worker_shards_failed_total", "Shard dispatches to this worker that errored (coordinator's count).", "counter",
-				func(wi dist.WorkerInfo) (float64, bool) { return float64(wi.ShardsFailed), true }},
-			{"resmod_fleet_worker_trials_done_total", "Trials the worker reports having executed.", "counter",
-				func(wi dist.WorkerInfo) (float64, bool) {
-					if wi.Stats == nil {
-						return 0, false
-					}
-					return float64(wi.Stats.TrialsDone), true
-				}},
-			{"resmod_fleet_worker_shards_inflight", "Shards the worker reports currently executing.", "gauge",
-				func(wi dist.WorkerInfo) (float64, bool) {
-					if wi.Stats == nil {
-						return 0, false
-					}
-					return float64(wi.Stats.ShardsInflight), true
-				}},
-			{"resmod_fleet_worker_golden_cache_hits_total", "Golden-run cache hits the worker reports.", "counter",
-				func(wi dist.WorkerInfo) (float64, bool) {
-					if wi.Stats == nil {
-						return 0, false
-					}
-					return float64(wi.Stats.GoldenHits), true
-				}},
-			{"resmod_fleet_worker_golden_cache_misses_total", "Golden-run cache misses the worker reports.", "counter",
-				func(wi dist.WorkerInfo) (float64, bool) {
-					if wi.Stats == nil {
-						return 0, false
-					}
-					return float64(wi.Stats.GoldenMisses), true
-				}},
-		} {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fs.name, fs.help, fs.name, fs.typ)
-			for _, wi := range fleet {
-				v, ok := fs.value(wi)
-				if !ok {
-					continue
-				}
-				fmt.Fprintf(w, "%s{worker=%q} %g\n", fs.name, wi.Name, v)
-			}
-		}
-	}
-
-	if storeStats != nil {
-		counter("resmod_store_hits_total", "Result-store lookups that found an entry.",
-			storeStats.Hits)
-		counter("resmod_store_misses_total", "Result-store lookups that found nothing.",
-			storeStats.Misses)
-		counter("resmod_store_puts_total", "Result-store writes.", storeStats.Puts)
-		counter("resmod_store_evictions_total", "Result-store LRU evictions.",
-			storeStats.Evictions)
-		counter("resmod_store_corrupt_total",
-			"Corrupt or partial store files skipped.", storeStats.Corrupt)
-	}
-
-	// Alert-state exposition: one series per rule instance, value encoding
-	// the state machine (0 inactive, 1 pending, 2 firing, 3 resolved), so
-	// an external scraper can alert on the alerts.  HELP/TYPE are always
-	// emitted for discoverability; the firing gauge gives the one-number
-	// health signal.
-	fmt.Fprintf(w, "# HELP resmod_alerts Alert rule states (0 inactive, 1 pending, 2 firing, 3 resolved).\n")
-	fmt.Fprintf(w, "# TYPE resmod_alerts gauge\n")
-	firing := 0
-	for _, a := range alerts {
-		v := 0
-		switch a.State {
-		case telemetry.AlertPending:
-			v = 1
-		case telemetry.AlertFiring:
-			v = 2
-			firing++
-		case telemetry.AlertResolved:
-			v = 3
-		}
-		if a.Instance != "" {
-			fmt.Fprintf(w, "resmod_alerts{rule=%q,instance=%q,state=%q} %d\n",
-				a.Rule, a.Instance, a.State, v)
-		} else {
-			fmt.Fprintf(w, "resmod_alerts{rule=%q,state=%q} %d\n", a.Rule, a.State, v)
-		}
-	}
-	gauge("resmod_alerts_firing", "Alert rule instances currently firing.", float64(firing))
-
-	fmt.Fprintf(w, "# HELP resmod_prediction_duration_seconds Wall time of computed predictions.\n")
-	fmt.Fprintf(w, "# TYPE resmod_prediction_duration_seconds histogram\n")
-	m.latency.write(w, "resmod_prediction_duration_seconds")
-
-	writeHistSnapshot(w, "resmod_trial_duration_seconds",
-		"Wall time of individual fault-injection trials.", engine.TrialLatency)
-	writeHistSnapshot(w, "resmod_campaign_duration_seconds",
-		"Wall time of executed campaigns.", engine.CampaignDuration)
-}
-
-// writeHistSnapshot emits a telemetry histogram snapshot (per-bucket
-// counts) as a Prometheus cumulative histogram.
-func writeHistSnapshot(w io.Writer, name, help string, s telemetry.HistSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum uint64
-	for i, le := range s.Bounds {
-		if i < len(s.Counts) {
-			cum += s.Counts[i]
-		}
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, le, cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
-	fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }

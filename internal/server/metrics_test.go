@@ -110,49 +110,6 @@ func fetchMetrics(t *testing.T, base string) (string, map[string]*promFamily) {
 	return string(body), parseProm(t, string(body))
 }
 
-func TestMetricsExpositionMetadata(t *testing.T) {
-	_, hs := newTestServer(t, nil, 1, 4)
-	text, fams := fetchMetrics(t, hs.URL)
-
-	for _, name := range []string{
-		"resmod_http_requests_total",
-		"resmod_predictions_submitted_total",
-		"resmod_campaigns_executed_total",
-		"resmod_campaign_trials_total",
-		"resmod_trial_total",
-		"resmod_trial_abnormal_total",
-		"resmod_trial_retried_total",
-		"resmod_golden_runs_total",
-		"resmod_checkpoint_writes_total",
-		"resmod_queue_depth",
-		"resmod_jobs_inflight",
-		"resmod_uptime_seconds",
-		"resmod_prediction_duration_seconds",
-		"resmod_trial_duration_seconds",
-		"resmod_campaign_duration_seconds",
-	} {
-		f := fams[name]
-		if f == nil {
-			t.Fatalf("family %s missing from exposition:\n%s", name, text)
-		}
-		if f.help == "" {
-			t.Errorf("family %s has no HELP", name)
-		}
-		if f.typ == "" {
-			t.Errorf("family %s has no TYPE", name)
-		}
-	}
-	for _, histName := range []string{
-		"resmod_prediction_duration_seconds",
-		"resmod_trial_duration_seconds",
-		"resmod_campaign_duration_seconds",
-	} {
-		if got := fams[histName].typ; got != "histogram" {
-			t.Errorf("%s TYPE = %q, want histogram", histName, got)
-		}
-	}
-}
-
 // histBuckets returns a histogram family's (le, cumulative) pairs in
 // ascending le order, plus its count and +Inf bucket.
 func histBuckets(t *testing.T, f *promFamily) (les []float64, cums []float64, inf, count float64) {

@@ -318,6 +318,78 @@ func TestWorkerStaleAlertEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRetiredWorkerAlertResolves: the pool retiring a worker is the one
+// retirement signal.  A worker that goes silent fires worker-stale/w1;
+// once RetireAfter empties the roster the alert resolves on its own (no
+// heartbeat ever returns) and the worker's series leave the /v1/series
+// index; the SSE stream replays the resolved transition.
+func TestRetiredWorkerAlertResolves(t *testing.T) {
+	pool := dist.NewPool(dist.PoolConfig{
+		HeartbeatTimeout: 20 * time.Millisecond,
+		RetireAfter:      400 * time.Millisecond,
+	})
+	_, hs := newObsServer(t, Config{
+		SampleEvery: 5 * time.Millisecond,
+		DistPool:    pool,
+		AlertRules: []telemetry.Rule{{
+			Name: "worker-stale", Series: "worker_heartbeat_age_seconds/*",
+			Threshold: 0.1, For: 20 * time.Millisecond,
+		}},
+	})
+	pool.Heartbeat(pool.Register("w1", "http://127.0.0.1:1"), nil)
+
+	deadline := time.Now().Add(30 * time.Second)
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for !ok() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, getAlerts(t, hs.URL).Alerts)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("worker-stale/w1 never fired", func() bool {
+		return alertState(getAlerts(t, hs.URL), "worker-stale", "w1") == telemetry.AlertFiring
+	})
+	waitFor("pool never retired the silent worker", func() bool { return len(pool.Workers()) == 0 })
+	// A few sampler ticks after the roster emptied, nothing is left.
+	waitFor("alert outlived the retired worker", func() bool {
+		ar := getAlerts(t, hs.URL)
+		return ar.Firing == 0 && alertState(ar, "worker-stale", "w1") == ""
+	})
+	if text := scrape(t, hs.URL); !strings.Contains(text, "resmod_alerts_firing 0\n") ||
+		strings.Contains(text, `instance="w1"`) {
+		t.Fatalf("/metrics still shows the retired worker's alert:\n%s", text)
+	}
+	_, index := getJSON(t, hs.URL+"/v1/series")
+	for _, name := range index["series"].([]any) {
+		if strings.HasSuffix(name.(string), "/w1") {
+			t.Errorf("/v1/series index still lists %s", name)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+"/v1/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	for sc := bufio.NewScanner(resp.Body); ; {
+		if !sc.Scan() {
+			t.Fatalf("SSE stream never carried worker-stale/w1 resolved: %v", sc.Err())
+		}
+		if line := sc.Text(); strings.Contains(line, `"key":"worker-stale/w1"`) &&
+			strings.Contains(line, `"state":"resolved"`) {
+			break
+		}
+	}
+}
+
 // TestDeterminismWithObservability: a prediction computed under
 // aggressive sampling, alerting, and dashboard polling is byte-identical
 // to one computed by a bare session — the observability layer observes,

@@ -235,7 +235,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	tm := s.metrics.tenant(j.tenant)
 	tm.queued.Add(-1)
-	tm.queueWait.observe(wait.Seconds())
+	tm.queueWait.Observe(wait.Seconds())
 	defer s.tenants.release(j.tenant)
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
@@ -256,7 +256,7 @@ func (s *Server) runJob(j *job) {
 	case err == nil:
 		j.complete(row, elapsed)
 		s.metrics.jobsDone.Add(1)
-		s.metrics.latency.observe(elapsed.Seconds())
+		s.metrics.latency.Observe(elapsed.Seconds())
 		s.putPrediction(j.key, j.req, row)
 	case s.interrupted(err):
 		j.fail(StatusCanceled, fmt.Errorf("canceled by server shutdown: %w", err), elapsed)

@@ -10,58 +10,41 @@ import (
 	"resmod/internal/telemetry"
 )
 
-// Series names the server's sampler records.  Per-worker series append
-// "/<worker name>" so wildcard alert rules ("worker_heartbeat_age_seconds/*")
-// track each node independently.
+// retained names the families the sampler keeps history for (family →
+// series name): what an alert rule or a dashboard reads.  Value and
+// counter-vs-gauge kind come from the family's declaration; a labelled
+// family fans out to "<series>/<label value>", so wildcard alert rules
+// ("worker_heartbeat_age_seconds/*") track each node independently.
+var retained = map[string]string{
+	"resmod_queue_depth":                        seriesQueueDepth,
+	"resmod_jobs_inflight":                      "jobs_inflight",
+	"resmod_campaigns_running":                  "campaigns_running",
+	"resmod_campaigns_queued":                   "campaigns_queued",
+	"resmod_worker_budget_in_use":               "worker_budget_in_use",
+	"resmod_campaign_trials_total":              "trials_total",
+	"resmod_predictions_rejected_total":         seriesSheds,
+	"resmod_fleet_workers_alive":                "fleet_workers_alive",
+	"resmod_fleet_workers_known":                "fleet_workers_known",
+	"resmod_fleet_worker_heartbeat_age_seconds": seriesWorkerHBAge,
+	"resmod_dist_shards_requeued_total":         seriesRequeues,
+	"resmod_dist_heartbeats_total":              "dist_heartbeats_total",
+}
+
+// Series the alert rules and the derived signals below name.
 const (
 	seriesQueueDepth      = "queue_depth"
+	seriesSheds           = "sheds_total"
+	seriesRequeues        = "dist_shards_requeued_total"
+	seriesWorkerHBAge     = "worker_heartbeat_age_seconds" // + "/" + worker name
 	seriesQueueSaturation = "queue_saturation"
-	seriesJobsInflight    = "jobs_inflight"
-	seriesCampaignsRun    = "campaigns_running"
-	seriesCampaignsQueued = "campaigns_queued"
-	seriesBudgetInUse     = "worker_budget_in_use"
 	seriesCampaignsStall  = "campaigns_stalled"
-	seriesTrialP50        = "trial_latency_p50_seconds"
-	seriesTrialP99        = "trial_latency_p99_seconds"
-	seriesFleetAlive      = "fleet_workers_alive"
-	seriesFleetKnown      = "fleet_workers_known"
-	seriesWorkerHBAge     = "worker_heartbeat_age_seconds/" // + worker name
-	seriesWorkerFlaps     = "worker_flaps_total/"           // + worker name
-
-	seriesTrials     = "trials_total"
-	seriesSheds      = "sheds_total"
-	series5xx        = "http_5xx_nondrain_total"
-	seriesRequeues   = "dist_shards_requeued_total"
-	seriesHeartbeats = "dist_heartbeats_total"
+	series5xx             = "http_5xx_nondrain_total"
+	seriesWorkerFlaps     = "worker_flaps_total" // + "/" + worker name
 )
 
-// http5xx sums the request counters with a 5xx status code.
-func (m *metrics) http5xx() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n uint64
-	for k, v := range m.httpRequests {
-		if k.code >= 500 {
-			n += v
-		}
-	}
-	return n
-}
-
-// shedDrainTotal sums the drain-shed (503) counters across tenants.
-func (m *metrics) shedDrainTotal() uint64 {
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	var n uint64
-	for _, tm := range m.tenantsByN {
-		n += tm.shedDrain.Load()
-	}
-	return n
-}
-
-// sampleSource builds the server's telemetry.SampleSource.  Beyond
-// plain snapshot reads it derives two signals that need memory between
-// ticks:
+// sampleSource is the server's telemetry.SampleSource: the retained
+// registry families plus the signals that have no /metrics twin because
+// they need memory between ticks or are a function of other samples:
 //
 //   - campaigns_stalled: how many campaigns on the progress bus are
 //     running with trials remaining but whose Done count did not advance
@@ -71,8 +54,12 @@ func (m *metrics) shedDrainTotal() uint64 {
 //     every alive↔dead transition the coordinator observes, so a node
 //     whose heartbeat keeps lapsing surfaces as a flap rate instead of a
 //     series of isolated staleness blips.
+//   - queue_saturation, trial_latency_p50/p99_seconds and
+//     http_5xx_nondrain_total (5xx responses minus drain sheds, which are
+//     503 by design).
 type sampleSource struct {
-	s *Server
+	s    *Server
+	base telemetry.SampleSource
 
 	mu        sync.Mutex
 	prevDone  map[string]uint64 // campaign key → Done at previous tick
@@ -81,97 +68,68 @@ type sampleSource struct {
 }
 
 func (s *Server) newSampleSource() telemetry.SampleSource {
-	src := &sampleSource{
-		s:         s,
-		prevDone:  make(map[string]uint64),
-		prevAlive: make(map[string]bool),
-		flaps:     make(map[string]uint64),
-	}
+	src := &sampleSource{s: s, base: s.metrics.reg.Source(retained)}
 	return src.sample
 }
 
 func (ss *sampleSource) sample() telemetry.Samples {
-	s := ss.s
-	sched := s.session.SchedulerStats()
-	engine := s.recorder.Snapshot()
-	depth := s.queue.depth()
-	saturation := 0.0
-	if s.cfg.Queue > 0 {
-		saturation = float64(depth) / float64(s.cfg.Queue)
-	}
-	fiveXX := s.metrics.http5xx()
-	if drained := s.metrics.shedDrainTotal(); drained < fiveXX {
-		fiveXX -= drained
-	} else {
-		fiveXX = 0
-	}
+	s, m := ss.s, ss.s.metrics
+	smp := ss.base()
+	smp.Gauges[seriesQueueSaturation] = smp.Gauges[seriesQueueDepth] / float64(s.cfg.Queue)
+	trialLat := s.recorder.Snapshot().TrialLatency
+	smp.Gauges["trial_latency_p50_seconds"] = trialLat.Quantile(0.5)
+	smp.Gauges["trial_latency_p99_seconds"] = trialLat.Quantile(0.99)
 
-	gauges := map[string]float64{
-		seriesQueueDepth:      float64(depth),
-		seriesQueueSaturation: saturation,
-		seriesJobsInflight:    float64(s.metrics.inflight.Load()),
-		seriesCampaignsRun:    float64(sched.CampaignsRunning),
-		seriesCampaignsQueued: float64(sched.CampaignsQueued),
-		seriesBudgetInUse:     float64(sched.WorkerBudgetInUse),
-		seriesTrialP50:        engine.TrialLatency.Quantile(0.5),
-		seriesTrialP99:        engine.TrialLatency.Quantile(0.99),
+	var fiveXX, drained uint64
+	m.mu.Lock()
+	for k, v := range m.httpRequests {
+		if k.code >= 500 {
+			fiveXX += v
+		}
 	}
-	counters := map[string]float64{
-		seriesTrials: float64(engine.TrialsTotal()),
-		seriesSheds:  float64(s.metrics.rejected.Load()),
-		series5xx:    float64(fiveXX),
+	m.mu.Unlock()
+	m.tmu.Lock()
+	for _, tm := range m.tenantsByN {
+		drained += tm.shedDrain.Load()
 	}
+	m.tmu.Unlock()
+	smp.Counters[series5xx] = float64(fiveXX - min(drained, fiveXX))
 
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 
 	// Campaign stall: a running campaign whose Done froze between ticks.
+	// The memory maps are rebuilt from what is present now, so finished
+	// campaigns and retired workers leave them (and, reported no longer,
+	// a retired worker's flap series is dropped by the sampler).
 	stalled := 0
-	seen := make(map[string]bool)
+	done := make(map[string]uint64)
 	for _, ev := range s.progress.Latest() {
 		if ev.Kind != telemetry.KindCampaign {
 			continue
 		}
-		seen[ev.Key] = true
-		if ev.State == telemetry.StateRunning && ev.Done < ev.Total {
-			if prev, ok := ss.prevDone[ev.Key]; ok && prev == ev.Done {
-				stalled++
-			}
+		if prev, ok := ss.prevDone[ev.Key]; ok && prev == ev.Done &&
+			ev.State == telemetry.StateRunning && ev.Done < ev.Total {
+			stalled++
 		}
-		ss.prevDone[ev.Key] = ev.Done
+		done[ev.Key] = ev.Done
 	}
-	for key := range ss.prevDone {
-		if !seen[key] {
-			delete(ss.prevDone, key)
-		}
-	}
-	gauges[seriesCampaignsStall] = float64(stalled)
+	ss.prevDone = done
+	smp.Gauges[seriesCampaignsStall] = float64(stalled)
 
 	if s.cfg.DistPool != nil {
-		st := s.cfg.DistPool.Stats()
-		gauges[seriesFleetAlive] = float64(st.WorkersAlive)
-		gauges[seriesFleetKnown] = float64(st.WorkersKnown)
-		counters[seriesRequeues] = float64(st.ShardsRequeued)
-		counters[seriesHeartbeats] = float64(st.Heartbeats)
-		roster := make(map[string]bool)
+		alive, flaps := make(map[string]bool), make(map[string]uint64)
 		for _, wi := range s.cfg.DistPool.Workers() {
-			roster[wi.Name] = true
-			gauges[seriesWorkerHBAge+wi.Name] = float64(wi.LastSeenMS) / 1000
+			n := ss.flaps[wi.Name]
 			if prev, ok := ss.prevAlive[wi.Name]; ok && prev != wi.Alive {
-				ss.flaps[wi.Name]++
+				n++
 			}
-			ss.prevAlive[wi.Name] = wi.Alive
-			counters[seriesWorkerFlaps+wi.Name] = float64(ss.flaps[wi.Name])
+			alive[wi.Name], flaps[wi.Name] = wi.Alive, n
+			smp.Counters[seriesWorkerFlaps+"/"+wi.Name] = float64(n)
 		}
-		// Retired workers drop out of the derived series too.
-		for name := range ss.prevAlive {
-			if !roster[name] {
-				delete(ss.prevAlive, name)
-				delete(ss.flaps, name)
-			}
-		}
+		ss.prevAlive, ss.flaps = alive, flaps
 	}
-	return telemetry.Samples{Gauges: gauges, Counters: counters}
+	return smp
 }
 
 // handleSeries is GET /v1/series: the retained time-series query

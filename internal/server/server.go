@@ -167,7 +167,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		metrics: newMetrics(),
 		quit:    make(chan struct{}),
 		queue:   newJobQueue(cfg.Queue),
 		tenants: newTenants(cfg.APIKeys, cfg.TenantLimits, cfg.AnonLimits),
@@ -183,12 +182,13 @@ func New(cfg Config) *Server {
 	s.recorder = telemetry.NewRecorder()
 	s.tel = telemetry.New(logger, nil, s.recorder)
 	s.progress = telemetry.NewProgress()
+	s.metrics = newMetrics(s)
 
-	// Retention + alerting: the sampler snapshots the counters above into
-	// bounded ring windows every SampleEvery, and each tick drives one
-	// alert evaluation so rules always judge fresh points.  All of it is
-	// read-only over atomics and published snapshots — campaign results
-	// stay byte-identical with the whole stack enabled.
+	// Retention + alerting: the sampler reads the retained subset of the
+	// registry into bounded ring windows every SampleEvery, and each tick
+	// drives one alert evaluation so rules always judge fresh points.  All
+	// of it is read-only over atomics and published snapshots — campaign
+	// results stay byte-identical with the whole stack enabled.
 	s.series = telemetry.NewSeriesStore(cfg.SeriesWindows...)
 	s.sampler = telemetry.NewSampler(s.series, s.newSampleSource(), cfg.SampleEvery)
 	rules := cfg.AlertRules
@@ -237,7 +237,7 @@ func New(cfg Config) *Server {
 			s.instrument("/v1/shards/progress", cfg.DistPool.HandleShardProgress))
 	}
 	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	mux.Handle("GET /metrics", s.instrument("/metrics", s.metrics.reg.ServeHTTP))
 	s.mux = mux
 
 	for i := 0; i < cfg.Workers; i++ {
@@ -752,26 +752,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"jobs":           jobs,
 		"workers":        s.cfg.Workers,
 	})
-}
-
-// handleMetrics is GET /metrics (Prometheus text exposition format).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var storeStats *store.Stats
-	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		storeStats = &st
-	}
-	var distStats *dist.PoolStats
-	var fleet []dist.WorkerInfo
-	if s.cfg.DistPool != nil {
-		ds := s.cfg.DistPool.Stats()
-		distStats = &ds
-		fleet = s.cfg.DistPool.Workers()
-	}
-	s.metrics.write(w, s.queue.depth(), storeStats, s.recorder.Snapshot(),
-		s.session.SchedulerStats(), s.progress.Latest(), s.tenants.inflightSnapshot(),
-		distStats, fleet, s.alerts.Alerts())
 }
 
 // ---- prediction store ------------------------------------------------------

@@ -177,38 +177,3 @@ func TestEnginePoolingBoundsAllocations(t *testing.T) {
 		t.Fatalf("fresh p=64 world allocates %v/run, want <= 16 per rank", fresh64)
 	}
 }
-
-// BenchmarkWorldFresh and BenchmarkWorldPooled measure world
-// construction cost: the same tiny program on a fresh world per
-// iteration versus an engine-pooled one.
-func BenchmarkWorldFresh(b *testing.B) {
-	prog := func(c *Comm) error {
-		c.Barrier()
-		return nil
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Procs: 8}, prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWorldPooled(b *testing.B) {
-	prog := func(c *Comm) error {
-		c.Barrier()
-		return nil
-	}
-	e, err := NewEngine(Config{Procs: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.RunCtx(ctx, prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -176,6 +176,12 @@ func (e *AlertEngine) Evaluate(now time.Time) []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var changed []Alert
+	transition := func(r Rule, inst ruleInstance, st *alertState) {
+		st.since = now
+		a := e.alertLocked(r, inst.instance, inst.series, st)
+		changed = append(changed, a)
+		e.bus.Publish(ProgressEvent{Kind: KindAlert, Key: a.Rule + keySep(a.Instance), State: a.State})
+	}
 	for _, r := range e.rules {
 		for _, inst := range e.instancesLocked(r) {
 			v, ok := e.ruleValue(r, inst.series, now)
@@ -192,14 +198,25 @@ func (e *AlertEngine) Evaluate(now time.Time) []Alert {
 			e.step(r, st, v, now)
 			st.lastValue = v
 			if st.state != prev {
-				st.since = now
-				a := e.alertLocked(r, inst.instance, inst.series, st)
-				changed = append(changed, a)
-				e.bus.Publish(ProgressEvent{
-					Kind:  KindAlert,
-					Key:   a.Rule + keySep(a.Instance),
-					State: a.State,
-				})
+				transition(r, inst, st)
+			}
+		}
+		// A wildcard instance whose series has left the store was retired
+		// by its owner: resolve it if it was alerting, then forget it.
+		if prefix, wild := r.wildcard(); wild {
+			for key, st := range e.states {
+				rule, inst, _ := strings.Cut(key, "\x00")
+				if rule != r.Name {
+					continue
+				}
+				if _, present := e.store.Latest(prefix + inst); present {
+					continue
+				}
+				if st.state == AlertPending || st.state == AlertFiring {
+					st.state = AlertResolved
+					transition(r, ruleInstance{instance: inst, series: prefix + inst}, st)
+				}
+				delete(e.states, key)
 			}
 		}
 	}
@@ -219,30 +236,18 @@ func keySep(instance string) string {
 type ruleInstance struct{ instance, series string }
 
 // instancesLocked resolves the rule's concrete series: itself for exact
-// rules, every matching store series for wildcard rules — plus any
-// instance that already has alert state, so an alert on a series that
-// stopped reporting can still resolve or stay visible.
+// rules, every matching store series (sorted) for wildcard rules.
 func (e *AlertEngine) instancesLocked(r Rule) []ruleInstance {
 	prefix, wild := r.wildcard()
 	if !wild {
 		return []ruleInstance{{instance: "", series: r.Series}}
 	}
-	seen := make(map[string]bool)
 	var out []ruleInstance
 	for _, name := range e.store.Names() {
-		if strings.HasPrefix(name, prefix) {
-			inst := strings.TrimPrefix(name, prefix)
-			seen[inst] = true
+		if inst, ok := strings.CutPrefix(name, prefix); ok {
 			out = append(out, ruleInstance{instance: inst, series: name})
 		}
 	}
-	for key := range e.states {
-		rule, inst, _ := strings.Cut(key, "\x00")
-		if rule == r.Name && inst != "" && !seen[inst] {
-			out = append(out, ruleInstance{instance: inst, series: prefix + inst})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].instance < out[j].instance })
 	return out
 }
 
@@ -330,11 +335,7 @@ func (e *AlertEngine) Alerts() []Alert {
 	defer e.mu.Unlock()
 	var out []Alert
 	for _, r := range e.rules {
-		insts := e.instancesLocked(r)
-		if _, wild := r.wildcard(); wild && len(insts) == 0 {
-			continue
-		}
-		for _, inst := range insts {
+		for _, inst := range e.instancesLocked(r) {
 			st := e.states[r.Name+"\x00"+inst.instance]
 			if st == nil {
 				st = &alertState{state: AlertInactive}

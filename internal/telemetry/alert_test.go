@@ -165,6 +165,37 @@ func TestAlertWildcardInstances(t *testing.T) {
 	}
 }
 
+// TestAlertRetiredInstanceResolves: when a wildcard instance's series
+// leaves the store (its owner retired it), a firing alert publishes
+// resolved and the instance is forgotten; a quiet instance just goes.
+func TestAlertRetiredInstanceResolves(t *testing.T) {
+	store := NewSeriesStore(Window{Step: time.Second, Cap: 128})
+	bus := NewProgress()
+	eng := NewAlertEngine(store, bus, []Rule{{Name: "stale", Series: "hb_age/*", Threshold: 30}})
+	base := time.Unix(31000, 0)
+	store.Observe("hb_age/w1", base, 5)
+	store.Observe("hb_age/w2", base, 99)
+	eng.Evaluate(base)
+
+	store.Drop("hb_age/w1")
+	store.Drop("hb_age/w2")
+	changed := eng.Evaluate(base.Add(time.Second))
+	if len(changed) != 1 || changed[0].Instance != "w2" || changed[0].State != AlertResolved {
+		t.Fatalf("transitions on retirement = %+v, want only w2 resolved", changed)
+	}
+	if got := eng.Alerts(); len(got) != 0 {
+		t.Fatalf("alerts after retirement = %+v, want none", got)
+	}
+	evs := bus.Latest()
+	if len(evs) != 1 || evs[0].Key != "stale/w2" || evs[0].State != AlertResolved {
+		t.Fatalf("bus after retirement = %+v, want stale/w2 resolved", evs)
+	}
+	// Nothing lingers: a later evaluation has no instance to transition.
+	if changed := eng.Evaluate(base.Add(2 * time.Second)); len(changed) != 0 {
+		t.Fatalf("retired instance transitioned again: %+v", changed)
+	}
+}
+
 func TestAlertTransitionsPublishOnBus(t *testing.T) {
 	store := NewSeriesStore(Window{Step: time.Second, Cap: 128})
 	bus := NewProgress()

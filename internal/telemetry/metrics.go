@@ -9,40 +9,6 @@ import (
 	"time"
 )
 
-// Sink receives engine metrics from the campaign machinery.  The server
-// wires a Recorder here and exposes it as Prometheus families; the CLI
-// renders the same Recorder as an end-of-run summary block.  Methods must
-// be safe for concurrent use and cheap: TrialDone sits on the campaign
-// hot path (once per fault-injection test).
-type Sink interface {
-	// TrialDone records one tallied trial: its outcome ("success", "sdc",
-	// "failure") and its wall time (including any abnormal retries).
-	TrialDone(outcome string, d time.Duration)
-	// TrialAbnormal records a trial abandoned after harness errors.
-	TrialAbnormal()
-	// TrialRetried records one retry of an abnormal trial.
-	TrialRetried()
-	// GoldenRun records one fault-free reference execution.
-	GoldenRun(d time.Duration)
-	// CheckpointWrite records one campaign checkpoint snapshot written.
-	CheckpointWrite()
-	// CampaignDone records one completed (or interrupted) campaign
-	// execution and its wall time.
-	CampaignDone(d time.Duration)
-}
-
-// NopSink discards every metric.
-var NopSink Sink = nopSink{}
-
-type nopSink struct{}
-
-func (nopSink) TrialDone(string, time.Duration) {}
-func (nopSink) TrialAbnormal()                  {}
-func (nopSink) TrialRetried()                   {}
-func (nopSink) GoldenRun(time.Duration)         {}
-func (nopSink) CheckpointWrite()                {}
-func (nopSink) CampaignDone(time.Duration)      {}
-
 // Histogram bucket bounds, in seconds.  Trials range from microseconds
 // (tiny classes, warm caches) to seconds (large ranks under -race);
 // campaigns from milliseconds to tens of minutes at paper-scale trial
@@ -140,8 +106,13 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Recorder is the built-in Sink: lock-free counters plus trial-latency
-// and campaign-duration histograms.
+// Recorder counts what the campaign machinery does: lock-free counters
+// plus trial-latency and campaign-duration histograms.  The server and
+// the worker expose it as Prometheus families (Register); the CLI renders
+// it as an end-of-run summary block.  Methods are safe for concurrent use
+// and cheap — TrialDone sits on the campaign hot path, once per
+// fault-injection test — and a nil *Recorder records nothing, the
+// contract *Tracer and *Progress already have.
 type Recorder struct {
 	trialSuccess atomic.Uint64
 	trialSDC     atomic.Uint64
@@ -166,8 +137,12 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// TrialDone implements Sink.
+// TrialDone records one tallied trial: its outcome ("success", "sdc",
+// "failure") and its wall time (including any abnormal retries).
 func (r *Recorder) TrialDone(outcome string, d time.Duration) {
+	if r == nil {
+		return
+	}
 	switch outcome {
 	case "success":
 		r.trialSuccess.Add(1)
@@ -181,25 +156,77 @@ func (r *Recorder) TrialDone(outcome string, d time.Duration) {
 	r.trialLat.Observe(d.Seconds())
 }
 
-// TrialAbnormal implements Sink.
-func (r *Recorder) TrialAbnormal() { r.abnormal.Add(1) }
-
-// TrialRetried implements Sink.
-func (r *Recorder) TrialRetried() { r.retried.Add(1) }
-
-// GoldenRun implements Sink.
-func (r *Recorder) GoldenRun(d time.Duration) {
-	r.goldens.Add(1)
-	r.goldenMicros.Add(uint64(d.Microseconds()))
+// TrialAbnormal records a trial abandoned after harness errors.
+func (r *Recorder) TrialAbnormal() {
+	if r != nil {
+		r.abnormal.Add(1)
+	}
 }
 
-// CheckpointWrite implements Sink.
-func (r *Recorder) CheckpointWrite() { r.checkpoints.Add(1) }
+// TrialRetried records one retry of an abnormal trial.
+func (r *Recorder) TrialRetried() {
+	if r != nil {
+		r.retried.Add(1)
+	}
+}
 
-// CampaignDone implements Sink.
+// GoldenRun records one fault-free reference execution.
+func (r *Recorder) GoldenRun(d time.Duration) {
+	if r != nil {
+		r.goldens.Add(1)
+		r.goldenMicros.Add(uint64(d.Microseconds()))
+	}
+}
+
+// CheckpointWrite records one campaign checkpoint snapshot written.
+func (r *Recorder) CheckpointWrite() {
+	if r != nil {
+		r.checkpoints.Add(1)
+	}
+}
+
+// CampaignDone records one completed (or interrupted) campaign execution
+// and its wall time.
 func (r *Recorder) CampaignDone(d time.Duration) {
-	r.campaigns.Add(1)
-	r.campDur.Observe(d.Seconds())
+	if r != nil {
+		r.campaigns.Add(1)
+		r.campDur.Observe(d.Seconds())
+	}
+}
+
+// Register declares the engine families on reg — the one declaration the
+// server's and the worker's /metrics share.  resmod_campaign_trials_total
+// and the outcome-labelled resmod_trial_total read the same four
+// counters, so they agree whenever no trial is tallied between the two
+// reads (always, once the engine is idle).  A nil recorder declares
+// nothing.
+func (r *Recorder) Register(reg *Registry) {
+	if r == nil {
+		return
+	}
+	reg.CounterFunc("resmod_campaign_trials_total",
+		"Fault-injection trials actually executed (cache hits excluded).",
+		Value(func() uint64 {
+			return r.trialSuccess.Load() + r.trialSDC.Load() + r.trialFailure.Load() + r.trialOther.Load()
+		}))
+	reg.CounterFunc("resmod_trial_total", "Fault-injection trials executed, by outcome.", func(e *Emitter) {
+		e.Add(float64(r.trialSuccess.Load()), "outcome", "success")
+		e.Add(float64(r.trialSDC.Load()), "outcome", "sdc")
+		e.Add(float64(r.trialFailure.Load()), "outcome", "failure")
+		e.Add(float64(r.trialOther.Load()), "outcome", "other")
+	})
+	reg.CounterFunc("resmod_trial_abnormal_total",
+		"Trials abandoned after repeated harness errors.", Value(r.abnormal.Load))
+	reg.CounterFunc("resmod_trial_retried_total", "Retries of abnormal trials.", Value(r.retried.Load))
+	reg.CounterFunc("resmod_golden_runs_total",
+		"Fault-free reference executions computed.", Value(r.goldens.Load))
+	reg.CounterFunc("resmod_checkpoint_writes_total",
+		"Campaign checkpoint snapshots written.", Value(r.checkpoints.Load))
+	reg.HistogramFunc("resmod_trial_duration_seconds",
+		"Wall time of individual fault-injection trials.",
+		func(e *Emitter) { e.Hist(r.trialLat.Snapshot()) })
+	reg.HistogramFunc("resmod_campaign_duration_seconds", "Wall time of executed campaigns.",
+		func(e *Emitter) { e.Hist(r.campDur.Snapshot()) })
 }
 
 // Snapshot is a consistent-enough copy of a Recorder for exposition (each
@@ -239,9 +266,7 @@ func (r *Recorder) Snapshot() Snapshot {
 }
 
 // TrialsTotal is the number of tallied trials: the sum over the outcome
-// counters.  The server's resmod_campaign_trials_total family is this
-// value, which is what makes the outcome-labeled resmod_trial_total
-// counters sum to it by construction.
+// counters.
 func (s Snapshot) TrialsTotal() uint64 {
 	return s.TrialSuccess + s.TrialSDC + s.TrialFailure + s.TrialOther
 }

@@ -179,6 +179,16 @@ func (s *SeriesStore) Observe(name string, now time.Time, v float64) {
 	}
 }
 
+// Drop forgets the named series and its retained points.  Nil-safe.
+func (s *SeriesStore) Drop(name string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	delete(s.series, name)
+	s.mu.Unlock()
+}
+
 // Names lists the known series, sorted.  Nil-safe.
 func (s *SeriesStore) Names() []string {
 	if s == nil {
@@ -314,8 +324,10 @@ type Sampler struct {
 	onSample func(now time.Time)
 
 	mu    sync.Mutex
-	prev  map[string]float64
+	prev  map[string]float64 // counter name → total at the previous tick
 	prevT time.Time
+	tick  uint64
+	live  map[string]uint64 // series name → tick that last reported it
 }
 
 // NewSampler builds a sampler over store reading src every period
@@ -324,7 +336,8 @@ func NewSampler(store *SeriesStore, src SampleSource, every time.Duration) *Samp
 	if every <= 0 {
 		every = 10 * time.Second
 	}
-	return &Sampler{store: store, src: src, every: every}
+	return &Sampler{store: store, src: src, every: every,
+		prev: make(map[string]float64), live: make(map[string]uint64)}
 }
 
 // Every returns the sampling period.
@@ -346,28 +359,38 @@ func (s *Sampler) OnSample(fn func(now time.Time)) {
 // SampleNow executes one tick at the given instant: read the source,
 // store gauges verbatim, differentiate counters into rates.  A counter
 // that decreased (process restart, source reset) records no rate for
-// that interval and re-bases.  Nil-safe.
+// that interval and re-bases.  A series reported on the previous tick
+// but not on this one was retired by its owner: it is dropped from the
+// store and its counter baseline forgotten — the one signal the
+// /v1/series index and wildcard alert instances follow.  Nil-safe.
 func (s *Sampler) SampleNow(now time.Time) {
 	if s == nil {
 		return
 	}
 	smp := s.src()
+	s.mu.Lock()
+	s.tick++
 	for name, v := range smp.Gauges {
 		s.store.Observe(name, now, v)
+		s.live[name] = s.tick
 	}
-	s.mu.Lock()
 	dt := now.Sub(s.prevT).Seconds()
 	for name, v := range smp.Counters {
 		prev, seen := s.prev[name]
 		if seen && dt > 0 && v >= prev {
 			s.store.Observe(name, now, (v-prev)/dt)
 		}
-		if s.prev == nil {
-			s.prev = make(map[string]float64, len(smp.Counters))
-		}
 		s.prev[name] = v
+		s.live[name] = s.tick
 	}
 	s.prevT = now
+	for name, at := range s.live {
+		if at != s.tick {
+			s.store.Drop(name)
+			delete(s.live, name)
+			delete(s.prev, name)
+		}
+	}
 	s.mu.Unlock()
 	if s.onSample != nil {
 		s.onSample(now)

@@ -2,9 +2,12 @@ package telemetry
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"resmod/internal/race"
 )
 
 func TestSeriesRingBoundedAndOrdered(t *testing.T) {
@@ -230,5 +233,84 @@ func TestSamplerRunStops(t *testing.T) {
 	}
 	if _, ok := store.Latest("g"); !ok {
 		t.Fatal("Run recorded no samples")
+	}
+}
+
+// TestSamplerDropsAbsentSeries: a series the source stops reporting is
+// retired — dropped from the store, its counter baseline forgotten — and
+// one that returns starts over instead of differentiating across the gap.
+func TestSamplerDropsAbsentSeries(t *testing.T) {
+	store := NewSeriesStore(Window{Step: time.Second, Cap: 64})
+	workers := []string{"w1", "w2"}
+	sm := NewSampler(store, func() Samples {
+		s := Samples{Gauges: map[string]float64{"depth": 1}, Counters: map[string]float64{}}
+		for _, w := range workers {
+			s.Gauges["age/"+w] = 2
+			s.Counters["flaps/"+w] = 5
+		}
+		return s
+	}, time.Second)
+	base := time.Unix(5000, 0)
+	sm.SampleNow(base)
+	sm.SampleNow(base.Add(time.Second))
+	if got := store.Names(); len(got) != 5 {
+		t.Fatalf("names before retirement = %v, want 5 series", got)
+	}
+
+	workers = []string{"w2"}
+	sm.SampleNow(base.Add(2 * time.Second))
+	want := []string{"age/w2", "depth", "flaps/w2"}
+	if got := store.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("names after w1 retired = %v, want %v", got, want)
+	}
+
+	// w1 comes back: the first tick only re-seeds its counter baseline.
+	workers = []string{"w1", "w2"}
+	sm.SampleNow(base.Add(3 * time.Second))
+	if _, ok := store.Latest("flaps/w1"); ok {
+		t.Fatal("returning counter differentiated against its pre-retirement baseline")
+	}
+}
+
+// tickSource mimics the server's sample source: a realistic mix of
+// gauges and counters per tick.
+func tickSource() Samples {
+	return Samples{
+		Gauges: map[string]float64{
+			"queue_depth":         3,
+			"queue_saturation":    0.2,
+			"jobs_inflight":       2,
+			"campaigns_running":   1,
+			"fleet_workers_alive": 4,
+		},
+		Counters: map[string]float64{
+			"trials_total":   123456,
+			"sheds_total":    17,
+			"http_5xx_total": 2,
+		},
+	}
+}
+
+// TestSamplerTickAllocBounded pins the sampler's steady-state
+// allocation footprint so retention stays cheap enough to leave on
+// everywhere: the source map construction dominates; the store side
+// must not allocate per tick once rings exist.
+func TestSamplerTickAllocBounded(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	store := NewSeriesStore()
+	sm := NewSampler(store, tickSource, time.Second)
+	now := time.Unix(1_000_000, 0)
+	sm.SampleNow(now) // warm: create rings, seed baselines
+	avg := testing.AllocsPerRun(200, func() {
+		now = now.Add(time.Second)
+		sm.SampleNow(now)
+	})
+	// tickSource itself builds two maps (~10+ allocs); the bound leaves
+	// headroom for map internals but catches any per-tick ring growth.
+	const bound = 32
+	if avg > bound {
+		t.Errorf("sampler tick allocates %.1f allocs/run; want <= %d", avg, bound)
 	}
 }

@@ -1,12 +1,12 @@
 // Package telemetry is resmod's zero-dependency observability spine:
 // structured events on log/slog, lightweight trace spans exportable as
-// Chrome trace-event JSON, and an engine-metrics Sink — bundled into one
+// Chrome trace-event JSON, and an engine-metrics Recorder — bundled into one
 // value that travels down the call stack on context.Context, so the CLI,
 // the prediction service and library callers share a single
 // instrumentation surface through exper → faultsim → the simulated
 // applications.
 //
-// The package is allocation-conscious: a nil *Tracer and the nop Sink
+// The package is allocation-conscious: a nil *Tracer and a nil *Recorder
 // short-circuit every recording call, so an instrumented hot path (the
 // campaign trial loop) costs nothing when telemetry is off.
 package telemetry
@@ -21,26 +21,23 @@ import (
 // instrumentation sites need no nil checks.
 type Telemetry struct {
 	logger   *slog.Logger
-	tracer   *Tracer // nil = tracing off (*Tracer methods are nil-safe)
-	sink     Sink
+	tracer   *Tracer   // nil = tracing off (*Tracer methods are nil-safe)
+	recorder *Recorder // nil = engine metrics off (*Recorder methods are nil-safe)
 	progress *Progress // nil = live progress off (*Progress methods are nil-safe)
 }
 
 // New assembles a bundle.  Any argument may be nil: a nil logger discards
-// events, a nil tracer records no spans, a nil sink drops metrics.
-func New(logger *slog.Logger, tracer *Tracer, sink Sink) *Telemetry {
+// events, a nil tracer records no spans, a nil recorder drops metrics.
+func New(logger *slog.Logger, tracer *Tracer, recorder *Recorder) *Telemetry {
 	if logger == nil {
 		logger = nopLogger
 	}
-	if sink == nil {
-		sink = NopSink
-	}
-	return &Telemetry{logger: logger, tracer: tracer, sink: sink}
+	return &Telemetry{logger: logger, tracer: tracer, recorder: recorder}
 }
 
 // nop is the shared inert bundle returned by Nop and From on contexts
 // carrying no telemetry.
-var nop = &Telemetry{logger: nopLogger, sink: NopSink}
+var nop = &Telemetry{logger: nopLogger}
 
 // Nop returns the inert bundle: events discarded, spans off, metrics
 // dropped.
@@ -63,12 +60,13 @@ func (t *Telemetry) Tracer() *Tracer {
 	return t.tracer
 }
 
-// Sink returns the metrics sink (never nil).
-func (t *Telemetry) Sink() Sink {
+// Recorder returns the engine-metrics recorder; it may be nil, but every
+// *Recorder method is nil-safe, so call sites use it unconditionally.
+func (t *Telemetry) Recorder() *Recorder {
 	if t == nil {
-		return NopSink
+		return nil
 	}
-	return t.sink
+	return t.recorder
 }
 
 // Progress returns the live-progress bus; it may be nil, but every
@@ -81,29 +79,29 @@ func (t *Telemetry) Progress() *Progress {
 }
 
 // WithTracer returns a copy of the bundle recording spans into tr while
-// sharing the logger, sink and progress bus — how the prediction service
-// gives every job its own trace without forking the metric registry.
+// sharing the logger, recorder and progress bus — how the prediction
+// service gives every job its own trace without forking the metrics.
 func (t *Telemetry) WithTracer(tr *Tracer) *Telemetry {
-	return &Telemetry{logger: t.Logger(), tracer: tr, sink: t.Sink(), progress: t.Progress()}
+	return &Telemetry{logger: t.Logger(), tracer: tr, recorder: t.Recorder(), progress: t.Progress()}
 }
 
 // WithLogger returns a copy of the bundle logging through l while sharing
-// the tracer, sink and progress bus — how a worker scopes request-level
+// the tracer, recorder and progress bus — how a worker scopes request-level
 // slog fields (request_id, shard range) without forking the rest of its
 // telemetry.  A nil l falls back to the discarding logger.
 func (t *Telemetry) WithLogger(l *slog.Logger) *Telemetry {
 	if l == nil {
 		l = nopLogger
 	}
-	return &Telemetry{logger: l, tracer: t.Tracer(), sink: t.Sink(), progress: t.Progress()}
+	return &Telemetry{logger: l, tracer: t.Tracer(), recorder: t.Recorder(), progress: t.Progress()}
 }
 
 // WithProgress returns a copy of the bundle publishing live progress
-// onto p while sharing the logger, tracer and sink — the progress twin
+// onto p while sharing the logger, tracer and recorder — the progress twin
 // of WithTracer (the service scopes a bus per job; the CLI attaches one
 // per invocation).
 func (t *Telemetry) WithProgress(p *Progress) *Telemetry {
-	return &Telemetry{logger: t.Logger(), tracer: t.Tracer(), sink: t.Sink(), progress: p}
+	return &Telemetry{logger: t.Logger(), tracer: t.Tracer(), recorder: t.Recorder(), progress: p}
 }
 
 // ctxKey keys the bundle in a context.

@@ -33,8 +33,8 @@ func TestFromEmptyContextIsNop(t *testing.T) {
 	_, span := tel.Tracer().Start(context.Background(), "x")
 	span.SetAttr(String("k", "v"))
 	span.End()
-	tel.Sink().TrialDone("success", time.Millisecond)
-	tel.Sink().CampaignDone(time.Second)
+	tel.Recorder().TrialDone("success", time.Millisecond)
+	tel.Recorder().CampaignDone(time.Second)
 }
 
 func TestNilTelemetryAccessors(t *testing.T) {
@@ -42,11 +42,8 @@ func TestNilTelemetryAccessors(t *testing.T) {
 	if tel.Logger() == nil {
 		t.Fatal("nil Telemetry Logger() returned nil")
 	}
-	if tel.Sink() == nil {
-		t.Fatal("nil Telemetry Sink() returned nil")
-	}
-	if tel.Tracer() != nil {
-		t.Fatal("nil Telemetry Tracer() should be nil (nil-safe off switch)")
+	if tel.Tracer() != nil || tel.Recorder() != nil {
+		t.Fatal("nil Telemetry Tracer() and Recorder() should be nil (nil-safe off switches)")
 	}
 }
 
@@ -58,8 +55,8 @@ func TestWithTracerSharesLoggerAndSink(t *testing.T) {
 	if forked.Tracer() != tr {
 		t.Fatal("WithTracer did not install the tracer")
 	}
-	if forked.Sink() != base.Sink() {
-		t.Fatal("WithTracer forked the sink")
+	if forked.Recorder() != rec {
+		t.Fatal("WithTracer forked the recorder")
 	}
 	if forked.Logger() != base.Logger() {
 		t.Fatal("WithTracer forked the logger")
@@ -75,8 +72,8 @@ func TestWithLoggerSharesTracerAndSink(t *testing.T) {
 	if forked.Logger() != log {
 		t.Fatal("WithLogger did not install the logger")
 	}
-	if forked.Tracer() != tr || forked.Sink() != rec {
-		t.Fatal("WithLogger forked the tracer or sink")
+	if forked.Tracer() != tr || forked.Recorder() != rec {
+		t.Fatal("WithLogger forked the tracer or recorder")
 	}
 	if nop := base.WithLogger(nil).Logger(); nop == nil {
 		t.Fatal("WithLogger(nil) returned a nil logger")

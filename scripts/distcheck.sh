@@ -39,6 +39,14 @@ fail() {
     exit 1
 }
 
+# get_has URL PATTERN: capture the body, then grep it (curl | grep -q
+# under pipefail fails on an early match; see smoke.sh).
+get_has() {
+    local doc
+    doc=$(curl -fsS "$1") || return 1
+    grep -q "$2" <<<"$doc"
+}
+
 # boot NAME [extra serve flags...]: start the service on an ephemeral
 # port and wait for /healthz; sets $pid, $log, $addr.
 boot() {
@@ -91,7 +99,7 @@ go build -o "$workdir/resmod" ./cmd/resmod
 # --- baseline: plain single-node run -------------------------------------
 boot local
 # Plain servers must still answer the roster endpoint, as a non-coordinator.
-curl -fsS "http://$addr/v1/workers" | grep -q '"coordinator": \?false' ||
+get_has "http://$addr/v1/workers" '"coordinator": \?false' ||
     fail "plain server /v1/workers did not report coordinator: false"
 predict "$addr" "$workdir/job-local.json"
 shutdown
@@ -109,18 +117,16 @@ disown "$w1pid"
 w2pid=$!
 disown "$w2pid"
 for _ in $(seq 1 100); do
-    curl -fsS "http://$coord_addr/v1/workers" | grep -q '"alive": \?2\b' && break
+    get_has "http://$coord_addr/v1/workers" '"alive": \?2\b' && break
     kill -0 "$w1pid" 2>/dev/null || fail "worker 1 exited before registering"
     kill -0 "$w2pid" 2>/dev/null || fail "worker 2 exited before registering"
     sleep 0.1
 done
-curl -fsS "http://$coord_addr/v1/workers" | grep -q '"coordinator": \?true' ||
+get_has "http://$coord_addr/v1/workers" '"coordinator": \?true' ||
     fail "coordinator /v1/workers did not report coordinator: true"
-curl -fsS "http://$coord_addr/v1/workers" | grep -q '"alive": \?2\b' ||
+get_has "http://$coord_addr/v1/workers" '"alive": \?2\b' ||
     fail "two workers never became alive"
 # The cluster view and fleet families see both workers before any loss.
-# (Capture bodies instead of piping into grep -q: an early grep exit
-# would SIGPIPE curl mid-body and trip pipefail.)
 cluster=$(curl -fsS "http://$coord_addr/v1/cluster")
 echo "$cluster" | grep -q '"workers_alive": \?2\b' ||
     fail "/v1/cluster did not report workers_alive: 2"

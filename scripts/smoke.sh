@@ -28,6 +28,15 @@ fail() {
     exit 1
 }
 
+# get_has URL PATTERN: fetch the body into a variable, then grep it.
+# Piping curl straight into grep -q trips pipefail on a *match*: grep
+# exits at the first hit and curl dies of EPIPE (exit 23) on the rest.
+get_has() {
+    local doc
+    doc=$(curl -fsS "$1") || return 1
+    grep -q "$2" <<<"$doc"
+}
+
 # boot NAME [extra serve flags...]: start the service, wait for its
 # ephemeral address (read off the startup log line) and a passing
 # /healthz; sets $pid, $log, $addr.
@@ -46,7 +55,7 @@ boot() {
         sleep 0.1
     done
     [ -n "$addr" ] || fail "server never logged its address"
-    curl -fsS "http://$addr/healthz" | grep -q '"status": "ok"' || fail "/healthz"
+    get_has "http://$addr/healthz" '"status": "ok"' || fail "/healthz"
 }
 
 # shutdown: SIGTERM must drain cleanly and exit 0.
@@ -134,16 +143,16 @@ echo "$status_doc" | grep -Eq '"campaigns_tracked": [1-9]' ||
 # queryable, the alert engine answers with its built-in rule set (and
 # nothing fires on a healthy run), the embedded dashboard serves, and
 # the alert metric families reach /metrics.
-curl -fsS "http://$addr/v1/series" | grep -q '"trials_total"' ||
+get_has "http://$addr/v1/series" '"trials_total"' ||
     fail "/v1/series index missing the trials_total series"
-curl -fsS "http://$addr/v1/series?name=queue_depth&since=10m&max=50" |
-    grep -q '"name": "queue_depth"' || fail "/v1/series query failed"
+get_has "http://$addr/v1/series?name=queue_depth&since=10m&max=50" '"name": "queue_depth"' ||
+    fail "/v1/series query failed"
 alerts_doc=$(curl -fsS "http://$addr/v1/alerts")
 echo "$alerts_doc" | grep -q '"name": "queue-saturation"' ||
     fail "/v1/alerts missing the built-in rules: $alerts_doc"
 echo "$alerts_doc" | grep -q '"firing": 0' ||
     fail "healthy smoke run has firing alerts: $alerts_doc"
-curl -fsS "http://$addr/debug/dash" | grep -q 'resmod dash' ||
+get_has "http://$addr/debug/dash" 'resmod dash' ||
     fail "/debug/dash did not serve the dashboard"
 metrics=$(curl -fsS "http://$addr/metrics")
 echo "$metrics" | grep -q '^# TYPE resmod_alerts gauge' ||
@@ -160,10 +169,8 @@ shutdown
 
 # --- warm run: a fresh process over the same store answers from disk -----
 boot warm
-curl -fsS -X POST "http://$addr/v1/predictions" -d "$body" |
-    grep -q '"cached": true' || fail "warm POST not served from the store"
-# Capture the body before grepping: grep -q quitting early would
-# otherwise SIGPIPE curl and trip pipefail on a match.
+warm_doc=$(curl -fsS -X POST "http://$addr/v1/predictions" -d "$body")
+echo "$warm_doc" | grep -q '"cached": true' || fail "warm POST not served from the store"
 metrics=$(curl -fsS "http://$addr/metrics")
 echo "$metrics" | grep -q '^resmod_prediction_cache_hits_total 1$' ||
     fail "cache hit missing from /metrics"
