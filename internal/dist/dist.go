@@ -15,7 +15,10 @@
 package dist
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"resmod/internal/apps"
@@ -135,38 +138,73 @@ type ShardRequest struct {
 	// Trace asks the worker to run the shard under its own tracer and
 	// return the serialized spans in ShardResponse.Trace.
 	Trace bool `json:"trace,omitempty"`
-	// Progress, when set, asks the worker to stream live shard tallies
-	// back to the coordinator while the shard runs.
-	Progress *ProgressSpec `json:"progress,omitempty"`
+	// Progress asks the worker to stream the shard's live tallies ahead
+	// of the result, as progress frames on the same response.
+	Progress bool `json:"progress,omitempty"`
 }
 
-// ProgressSpec tells a worker where and how often to report live shard
-// progress: POST ShardProgressReports carrying Token to the
-// coordinator's /v1/shards/progress at most every EveryNS nanoseconds.
-// The token scopes reports to one dispatch attempt, so a retired
-// chunk's stale reports can be recognized and dropped.
-type ProgressSpec struct {
-	Token   string `json:"token"`
-	EveryNS int64  `json:"every_ns,omitempty"`
-}
-
-// ShardProgressReport is the worker→coordinator live-progress payload:
-// the latest faultsim.ShardStatus of one in-flight shard.
-type ShardProgressReport struct {
-	Token  string               `json:"token"`
-	Worker string               `json:"worker,omitempty"`
-	Status faultsim.ShardStatus `json:"status"`
-}
-
-// ShardResponse is the worker's reply: the shard's partial tallies,
-// plus (when the request asked for it) the worker-side spans recorded
-// while executing the shard — the coordinator grafts them under its
-// dispatch span so the job trace shows the true cross-fleet timeline.
+// ShardResponse is one frame of the worker's reply.  The reply is a
+// stream of newline-terminated JSON values on the dispatch's own
+// connection: zero or more progress frames (Progress only, sent when the
+// request asked for them), then exactly one terminal frame carrying
+// either Result — the shard's partial tallies, plus the worker-side spans
+// when the request asked for a trace, which the coordinator grafts under
+// its dispatch span — or Error.  A reply without progress is a one-frame
+// stream, i.e. a single JSON object.
 type ShardResponse struct {
-	Worker    string                `json:"worker"`
-	Result    *faultsim.ShardResult `json:"result"`
-	ElapsedNS int64                 `json:"elapsed_ns"`
+	Worker    string                `json:"worker,omitempty"`
+	Result    *faultsim.ShardResult `json:"result,omitempty"`
+	ElapsedNS int64                 `json:"elapsed_ns,omitempty"`
 	Trace     []telemetry.SpanView  `json:"trace,omitempty"`
+	// Progress is the in-flight tally of the dispatched range.
+	Progress *faultsim.ShardStatus `json:"progress,omitempty"`
+	// Error is the shard's failure (golden or trial run), in-band because
+	// the status line is long gone once a progress frame has been sent.
+	Error string `json:"error,omitempty"`
+}
+
+// readShardStream reads one dispatch's reply off r: it hands every
+// progress frame to onProgress and returns the terminal result frame.
+// Frames come from another machine, so each progress frame is validated
+// against the dispatched chunk — it must cover exactly that range, count
+// no more trials than the range holds, and its outcome counts must sum to
+// Done — and the result must be of that range (what is inside it is
+// Merger.Merge's to judge).  An invalid or empty frame, an error frame
+// and a stream that ends before its terminal frame are all dispatch
+// failures.
+func readShardStream(r io.Reader, chunk [2]int, onProgress faultsim.ShardObserver) (*ShardResponse, error) {
+	size := uint64(chunk[1] - chunk[0])
+	dec := json.NewDecoder(r)
+	for {
+		var f ShardResponse
+		if err := dec.Decode(&f); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("dist: shard stream: %w", err)
+		}
+		switch {
+		case f.Error != "":
+			return nil, fmt.Errorf("dist: shard failed on worker: %s", f.Error)
+		case f.Result != nil:
+			if f.Result.Start != chunk[0] || f.Result.End != chunk[1] {
+				return nil, fmt.Errorf("dist: worker returned shard [%d,%d), dispatched [%d,%d)",
+					f.Result.Start, f.Result.End, chunk[0], chunk[1])
+			}
+			return &f, nil
+		case f.Progress == nil:
+			return nil, errors.New("dist: worker returned no shard result")
+		}
+		st := *f.Progress
+		// Bounding each count by the range first keeps the sum from
+		// wrapping around to a plausible Done.
+		if st.Start != chunk[0] || st.End != chunk[1] || st.Done > size ||
+			st.Success > size || st.SDC > size || st.Failure > size || st.Abnormal > size-st.Done ||
+			st.Success+st.SDC+st.Failure != st.Done {
+			return nil, fmt.Errorf("dist: invalid progress frame %+v for shard [%d,%d)", st, chunk[0], chunk[1])
+		}
+		onProgress(st)
+	}
 }
 
 // WorkerStats is the self-reported counter snapshot a worker piggybacks

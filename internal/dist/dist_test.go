@@ -17,7 +17,7 @@ import (
 
 // testCampaign is small enough for -race yet large enough to cut into
 // many shards.
-func testCampaign(t *testing.T) (faultsim.Campaign, *faultsim.Golden) {
+func testCampaign(t testing.TB) (faultsim.Campaign, *faultsim.Golden) {
 	t.Helper()
 	app, err := apps.Lookup("PENNANT")
 	if err != nil {
@@ -138,7 +138,8 @@ func TestShardRanges(t *testing.T) {
 				tc.trials, tc.parts, tc.minShard, len(got), got, tc.want)
 		}
 		next := 0
-		for _, r := range got {
+		for _, ck := range got {
+			r := ck.r
 			if r[0] != next || r[1] <= r[0] {
 				t.Fatalf("shardRanges(%d,%d,%d) = %v: not a contiguous cover",
 					tc.trials, tc.parts, tc.minShard, got)

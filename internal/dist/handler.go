@@ -40,23 +40,6 @@ func (p *Pool) HandleHeartbeat(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// HandleShardProgress is the POST /v1/shards/progress endpoint: a worker
-// streams the latest tallies of an in-flight shard.  Reports with a
-// retired token answer ok:false (not an error — the chunk was merged or
-// requeued while the report was in flight).
-func (p *Pool) HandleShardProgress(rw http.ResponseWriter, r *http.Request) {
-	var rep ShardProgressReport
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&rep); err != nil {
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: "bad progress report: " + err.Error()})
-		return
-	}
-	if rep.Token == "" {
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: "progress report needs a token"})
-		return
-	}
-	writeJSON(rw, http.StatusOK, map[string]bool{"ok": p.ReportProgress(rep)})
-}
-
 // HandleCluster is the GET /v1/cluster endpoint: the coordinator's
 // fleet view — pool counters plus per-worker detail (self-reported
 // stats, derived trials/sec, heartbeat age).
@@ -73,7 +56,6 @@ func (p *Pool) HandleCluster(rw http.ResponseWriter, _ *http.Request) {
 		"shards_requeued":   st.ShardsRequeued,
 		"shards_local":      st.ShardsLocal,
 		"progress_reports":  st.ProgressReports,
-		"progress_stale":    st.ProgressStale,
 		"workers":           p.Workers(),
 	})
 }
@@ -102,7 +84,6 @@ func (p *Pool) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/workers/register", p.HandleRegister)
 	mux.HandleFunc("POST /v1/workers/heartbeat", p.HandleHeartbeat)
 	mux.HandleFunc("GET /v1/workers", p.HandleWorkers)
-	mux.HandleFunc("POST /v1/shards/progress", p.HandleShardProgress)
 	mux.HandleFunc("GET /v1/cluster", p.HandleCluster)
 	return mux
 }

@@ -84,7 +84,6 @@ func TestDistributedTraceAndProgress(t *testing.T) {
 		HeartbeatTimeout: time.Second,
 		ShardsPerWorker:  3,
 		MinShard:         4,
-		ProgressEvery:    10 * time.Millisecond,
 	})
 	tel, tr, prog := obsTelemetry()
 	sub := prog.Subscribe(4096)
@@ -289,60 +288,6 @@ func TestLocalFallbackObservability(t *testing.T) {
 	last := evs[len(evs)-1]
 	if last.State != telemetry.StateDone || last.Done != uint64(c.Trials) {
 		t.Fatalf("terminal event = {state %s, done %d}, want {done, %d}", last.State, last.Done, c.Trials)
-	}
-}
-
-// TestRetiredTokenDropsStaleReports pins the no-double-count rule: once
-// a dispatch attempt's token is retired (its chunk requeued), further
-// reports carrying it are rejected, counted as stale, and its previously
-// reported tallies leave the published view.
-func TestRetiredTokenDropsStaleReports(t *testing.T) {
-	c, golden := testCampaign(t)
-	pool := NewPool(PoolConfig{})
-	prog := telemetry.NewProgress()
-	m := faultsim.NewMerger(c, golden)
-	dp := newDistProgress(pool, prog, "cid:test", c.Trials, m)
-
-	token := dp.attach()
-	if token == "" {
-		t.Fatal("attach returned no token")
-	}
-	rep := ShardProgressReport{Token: token, Worker: "w1",
-		Status: faultsim.ShardStatus{Start: 0, End: 30, Done: 10, Success: 10}}
-	if !pool.ReportProgress(rep) {
-		t.Fatal("live token rejected")
-	}
-	lastEvent := func() telemetry.ProgressEvent {
-		t.Helper()
-		for _, ev := range prog.Latest() {
-			if ev.Kind == telemetry.KindCampaign && ev.Key == "cid:test" {
-				return ev
-			}
-		}
-		t.Fatal("no campaign event on the bus")
-		return telemetry.ProgressEvent{}
-	}
-	if ev := lastEvent(); ev.Done != 10 {
-		t.Fatalf("in-flight report not reflected: Done = %d, want 10", ev.Done)
-	}
-
-	// The chunk requeues: the worker's trials will re-execute elsewhere,
-	// so its reported tallies must vanish, not linger to double-count.
-	dp.retire(token)
-	if pool.ReportProgress(rep) {
-		t.Fatal("retired token accepted")
-	}
-	if st := pool.Stats(); st.ProgressStale != 1 || st.ProgressReports != 1 {
-		t.Fatalf("stale accounting = %+v, want 1 stale / 1 accepted", st)
-	}
-	dp.finish(nil, false)
-	if ev := lastEvent(); ev.Done != 0 || ev.State != telemetry.StateDone {
-		t.Fatalf("after retire+finish, event = {state %s, done %d}, want {done, 0}", ev.State, ev.Done)
-	}
-
-	// Reports for a token the pool never issued are stale too.
-	if pool.ReportProgress(ShardProgressReport{Token: "t999"}) {
-		t.Fatal("unknown token accepted")
 	}
 }
 

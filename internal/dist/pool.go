@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -48,9 +48,6 @@ type PoolConfig struct {
 	ShardsPerWorker int
 	// MinShard is the minimum trials per chunk (default DefaultMinShard).
 	MinShard int
-	// ProgressEvery is the live shard-progress report cadence requested
-	// from workers (default defaultProgressEvery).
-	ProgressEvery time.Duration
 	// RetireAfter removes a worker from the roster entirely once its
 	// heartbeat has been stale this long (default DefaultRetireMultiple ×
 	// HeartbeatTimeout) — its labeled /metrics series and /v1/workers
@@ -81,13 +78,6 @@ type Pool struct {
 	shardsRequeued   atomic.Uint64
 	shardsLocal      atomic.Uint64
 	progressReports  atomic.Uint64
-	progressStale    atomic.Uint64
-
-	// progSinks routes in-flight shard progress reports by token (see
-	// progress.go).
-	progMu    sync.Mutex
-	progSeq   uint64
-	progSinks map[string]func(ShardProgressReport)
 }
 
 // poolWorker is one registered execution node.
@@ -108,12 +98,6 @@ type poolWorker struct {
 	statsAt    time.Time
 	prevTrials uint64
 	rate       float64
-}
-
-func (w *poolWorker) seen(now time.Time) {
-	w.mu.Lock()
-	w.lastSeen = now
-	w.mu.Unlock()
 }
 
 func (w *poolWorker) aliveAt(now time.Time, timeout time.Duration) bool {
@@ -285,10 +269,9 @@ type PoolStats struct {
 	ShardsCompleted  uint64
 	ShardsRequeued   uint64
 	ShardsLocal      uint64
-	// ProgressReports counts accepted live shard-progress reports;
-	// ProgressStale counts reports dropped for carrying a retired token.
+	// ProgressReports counts the progress frames accepted off shard
+	// responses.
 	ProgressReports uint64
-	ProgressStale   uint64
 }
 
 // Stats snapshots the pool counters.
@@ -307,7 +290,6 @@ func (p *Pool) Stats() PoolStats {
 		ShardsRequeued:   p.shardsRequeued.Load(),
 		ShardsLocal:      p.shardsLocal.Load(),
 		ProgressReports:  p.progressReports.Load(),
-		ProgressStale:    p.progressStale.Load(),
 	}
 }
 
@@ -333,7 +315,6 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 		{"resmod_dist_shards_requeued_total", "Shards requeued after a worker died or answered garbage.", &p.shardsRequeued},
 		{"resmod_dist_shards_local_total", "Shards the coordinator finished locally after worker loss.", &p.shardsLocal},
 		{"resmod_fleet_progress_reports_total", "In-flight shard progress reports accepted from workers.", &p.progressReports},
-		{"resmod_fleet_progress_stale_total", "Shard progress reports dropped for carrying a retired token.", &p.progressStale},
 	} {
 		reg.CounterFunc(c.name, c.help, telemetry.Value(c.v.Load))
 	}
@@ -382,30 +363,48 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 		selfReported(func(st *WorkerStats) uint64 { return st.GoldenMisses }))
 }
 
+// chunk is one contiguous trial range on the campaign's work list, with
+// the number of dispatches of it that have failed so far.
+type chunk struct {
+	r        [2]int
+	failures int
+}
+
 // chunkQueue is the campaign's work list: chunks pop in range order,
 // failed dispatches requeue, and an exceeded abnormal budget closes the
-// queue so no further trials burn.
+// queue so no further trials burn.  A chunk that has failed on two
+// workers is the suspect, not they: it stays listed, but only the local
+// tail will take it.
 type chunkQueue struct {
 	mu     sync.Mutex
-	chunks [][2]int
+	chunks []chunk
 	closed bool
 }
 
-func (q *chunkQueue) pop() ([2]int, bool) {
+func (q *chunkQueue) pop(local bool) (chunk, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || len(q.chunks) == 0 {
-		return [2]int{}, false
+	if q.closed {
+		return chunk{}, false
 	}
-	r := q.chunks[0]
-	q.chunks = q.chunks[1:]
-	return r, true
+	for i, c := range q.chunks {
+		if local || c.failures < 2 {
+			q.chunks = slices.Delete(q.chunks, i, i+1)
+			return c, true
+		}
+	}
+	return chunk{}, false
 }
 
-func (q *chunkQueue) requeue(r [2]int) {
+// requeue puts back a chunk whose dispatch failed and reports whether
+// the worker that failed it should sit out the rest of the campaign —
+// true for a chunk's first failure, false once the chunk is the suspect.
+func (q *chunkQueue) requeue(c chunk) (bench bool) {
+	c.failures++
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.chunks = append(q.chunks, r)
+	q.chunks = append(q.chunks, c)
+	q.mu.Unlock()
+	return c.failures == 1
 }
 
 func (q *chunkQueue) close() {
@@ -417,7 +416,7 @@ func (q *chunkQueue) close() {
 // shardRanges cuts [0, trials) into at most parts contiguous chunks of
 // at least minShard trials each (the final chunk absorbs the
 // remainder's tail).
-func shardRanges(trials, parts, minShard int) [][2]int {
+func shardRanges(trials, parts, minShard int) []chunk {
 	if parts < 1 {
 		parts = 1
 	}
@@ -425,13 +424,9 @@ func shardRanges(trials, parts, minShard int) [][2]int {
 	if size < minShard {
 		size = minShard
 	}
-	var out [][2]int
+	var out []chunk
 	for start := 0; start < trials; start += size {
-		end := start + size
-		if end > trials {
-			end = trials
-		}
-		out = append(out, [2]int{start, end})
+		out = append(out, chunk{r: [2]int{start, min(start+size, trials)}})
 	}
 	return out
 }
@@ -467,56 +462,74 @@ func (p *Pool) Distribute(ctx context.Context, c faultsim.Campaign, golden *faul
 	log.Info("distributing campaign", "id", c.Identity(),
 		"trials", c.Trials, "workers", len(alive), "chunks", len(queue.chunks))
 
-	// Live progress (nil when the context carries no bus): workers stream
-	// in-flight tallies back, merged chunks settle into the Merger, and
-	// the combined view feeds the same events a local run publishes.
-	dp := newDistProgress(p, tel.Progress(), c.Identity(), c.Trials, m)
+	// Live progress (nil when the context carries no bus): every chunk's
+	// runner reports in-flight tallies through the observer it is handed,
+	// merged chunks settle into the Merger, and the combined view feeds
+	// the same events a local run publishes.
+	dp := newDistProgress(tel.Progress(), c.Identity(), c.Trials, m)
 	dp.publish(telemetry.StateRunning)
+
+	// drain is the campaign's one pop–run–merge loop, run by every
+	// per-worker dispatcher and by the local tail.  It returns the zero
+	// chunk once the queue is empty or closed, or the first chunk whose
+	// run or merge failed with that error — what a failure costs is the
+	// caller's policy.
+	type runner func(r [2]int, obs faultsim.ShardObserver) (*faultsim.ShardResult, error)
+	drain := func(local bool, run runner, merged func(r [2]int)) (chunk, error) {
+		for {
+			ck, ok := queue.pop(local)
+			if !ok {
+				return chunk{}, nil
+			}
+			res, err := run(ck.r, dp.observe(ck.r))
+			dp.release(ck.r)
+			if err == nil {
+				// A result that does not merge is a protocol bug or a
+				// hostile worker; it fails the chunk like a failed run.
+				err = m.Merge(res)
+			}
+			if err != nil {
+				return ck, err
+			}
+			dp.publish(telemetry.StateRunning)
+			merged(ck.r)
+			if m.AbnormalExceeded() {
+				queue.close()
+			}
+		}
+	}
 
 	var wg sync.WaitGroup
 	for _, wk := range alive {
 		wg.Add(1)
 		go func(wk *poolWorker) {
 			defer wg.Done()
-			for {
-				r, ok := queue.pop()
-				if !ok {
-					return
-				}
-				token := dp.attach()
-				res, err := p.dispatch(ctx, tel, wk, spec, r, token, reqID)
-				if err != nil {
-					// The chunk goes back for survivors (or the local
-					// tail); this worker sits out the rest of the
-					// campaign until its heartbeats prove it back.  Its
-					// token retires with it, so any straggler progress
-					// reports cannot double-count the re-executed trials.
-					dp.retire(token)
-					queue.requeue(r)
-					p.shardsRequeued.Add(1)
-					wk.mu.Lock()
-					wk.failed++
-					wk.mu.Unlock()
-					log.Warn("shard dispatch failed, requeued",
-						"worker", wk.id, "start", r[0], "end", r[1], "err", err)
-					return
-				}
-				if err := m.Merge(res); err != nil {
-					// A result that does not merge is a protocol bug or a
-					// hostile worker; treat like a dispatch failure.
-					dp.retire(token)
-					queue.requeue(r)
-					p.shardsRequeued.Add(1)
-					log.Warn("shard result rejected", "worker", wk.id, "err", err)
-					return
-				}
-				dp.settle(token)
+			run := func(r [2]int, obs faultsim.ShardObserver) (*faultsim.ShardResult, error) {
+				return p.dispatch(ctx, tel, wk, spec, r, obs, reqID)
+			}
+			merged := func([2]int) {
 				p.shardsCompleted.Add(1)
 				wk.mu.Lock()
 				wk.done++
 				wk.mu.Unlock()
-				if m.AbnormalExceeded() {
-					queue.close()
+			}
+			for {
+				ck, err := drain(false, run, merged)
+				if err == nil {
+					return
+				}
+				// The chunk goes back for survivors (or the local tail),
+				// and this worker sits out the rest of the campaign until
+				// its heartbeats prove it back — unless the chunk has now
+				// failed on two workers, which makes the chunk the suspect.
+				bench := queue.requeue(ck)
+				p.shardsRequeued.Add(1)
+				wk.mu.Lock()
+				wk.failed++
+				wk.mu.Unlock()
+				log.Warn("shard dispatch failed, requeued", "worker", wk.id,
+					"start", ck.r[0], "end", ck.r[1], "benched", bench, "err", err)
+				if bench {
 					return
 				}
 			}
@@ -525,59 +538,43 @@ func (p *Pool) Distribute(ctx context.Context, c faultsim.Campaign, golden *faul
 	wg.Wait()
 
 	// Whatever the dead left behind runs locally through the same shard
-	// engine — same per-trial RNG streams, so still bit-identical.
-	if !m.AbnormalExceeded() {
-		for {
-			r, ok := queue.pop()
-			if !ok {
-				break
-			}
-			runCtx := ctx
-			token := dp.attach()
-			if token != "" {
-				runCtx = faultsim.WithShardObserver(ctx, func(st faultsim.ShardStatus) {
-					dp.report(ShardProgressReport{Token: token, Status: st})
-				})
-			}
-			res, err := faultsim.RunShardCtx(runCtx, c, golden, r[0], r[1])
-			if err != nil {
-				dp.finish(err, ctx.Err() != nil)
-				return nil, true, fmt.Errorf("dist: local completion of [%d,%d): %w", r[0], r[1], err)
-			}
-			if err := m.Merge(res); err != nil {
-				dp.finish(err, false)
-				return nil, true, err
-			}
-			dp.settle(token)
+	// engine — same per-trial RNG streams, so still bit-identical.  Here
+	// a failure has no one left to retry it: it fails the campaign.
+	ck, err := drain(true,
+		func(r [2]int, obs faultsim.ShardObserver) (*faultsim.ShardResult, error) {
+			return faultsim.RunShardCtx(faultsim.WithShardObserver(ctx, obs), c, golden, r[0], r[1])
+		},
+		func(r [2]int) {
 			p.shardsLocal.Add(1)
 			log.Info("completed shard locally", "start", r[0], "end", r[1])
-			if m.AbnormalExceeded() {
-				break
-			}
-		}
-	}
-	sum, err := m.Summary()
+		})
+	var sum *faultsim.Summary
 	if err != nil {
-		dp.finish(err, false)
+		err = fmt.Errorf("dist: local completion of [%d,%d): %w", ck.r[0], ck.r[1], err)
+	} else {
+		sum, err = m.Summary()
+	}
+	dp.finish(err, err != nil && ctx.Err() != nil)
+	if err != nil {
 		return nil, true, err
 	}
-	dp.finish(nil, false)
 	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: m.Done()})
 	return sum, true, nil
 }
 
-// dispatch POSTs one chunk to one worker and decodes the shard result.
-// A watchdog cancels the in-flight request if the worker's heartbeat
-// goes stale — a killed node whose TCP connection does not reset still
-// only delays the campaign by the heartbeat timeout.
+// dispatch POSTs one chunk to one worker and reads the shard's reply
+// stream: progress frames go to obs (nil asks the worker for none) and
+// the terminal frame's result is returned.  A watchdog cancels the
+// in-flight request if the worker's heartbeat goes stale — a killed node
+// whose TCP connection does not reset still only delays the campaign by
+// the heartbeat timeout.
 //
 // Observability: the dispatch runs under its own span whose ID (and the
 // job's request ID) travel as headers; when tracing is on, the worker's
 // returned spans graft under that span tagged with the worker identity,
 // anchored at the dispatch instant — the job trace then shows the true
-// cross-fleet timeline.  A non-empty token asks the worker to stream
-// live progress back to /v1/shards/progress.
-func (p *Pool) dispatch(ctx context.Context, tel *telemetry.Telemetry, wk *poolWorker, spec CampaignSpec, r [2]int, token, reqID string) (*faultsim.ShardResult, error) {
+// cross-fleet timeline.
+func (p *Pool) dispatch(ctx context.Context, tel *telemetry.Telemetry, wk *poolWorker, spec CampaignSpec, r [2]int, obs faultsim.ShardObserver, reqID string) (*faultsim.ShardResult, error) {
 	p.shardsDispatched.Add(1)
 	tr := tel.Tracer()
 	dispatchedAt := time.Now()
@@ -586,29 +583,17 @@ func (p *Pool) dispatch(ctx context.Context, tel *telemetry.Telemetry, wk *poolW
 		telemetry.String("worker_name", wk.name),
 		telemetry.Int("start", r[0]), telemetry.Int("end", r[1]))
 	defer dspan.End()
-	sreq := ShardRequest{Campaign: spec, Start: r[0], End: r[1], Trace: tr != nil}
-	if token != "" {
-		every := p.cfg.ProgressEvery
-		if every <= 0 {
-			every = defaultProgressEvery
-		}
-		sreq.Progress = &ProgressSpec{Token: token, EveryNS: int64(every)}
-	}
-	body, err := json.Marshal(sreq)
+	body, err := json.Marshal(ShardRequest{Campaign: spec, Start: r[0], End: r[1], Trace: tr != nil, Progress: obs != nil})
 	if err != nil {
 		return nil, err
 	}
 	reqCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	watchStop := make(chan struct{})
-	defer close(watchStop)
+	defer cancel() // also what ends the watchdog
 	go func() {
 		tick := time.NewTicker(p.cfg.HeartbeatTimeout / 4)
 		defer tick.Stop()
 		for {
 			select {
-			case <-watchStop:
-				return
 			case <-reqCtx.Done():
 				return
 			case now := <-tick.C:
@@ -639,12 +624,14 @@ func (p *Pool) dispatch(ctx context.Context, tel *telemetry.Telemetry, wk *poolW
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("dist: worker %s: %s: %s", wk.id, resp.Status, bytes.TrimSpace(msg))
 	}
-	var sr ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	sr, err := readShardStream(resp.Body, r, func(st faultsim.ShardStatus) {
+		if obs != nil { // frames nobody asked for are checked, then dropped
+			p.progressReports.Add(1)
+			obs(st)
+		}
+	})
+	if err != nil {
 		return nil, err
-	}
-	if sr.Result == nil {
-		return nil, errors.New("dist: worker returned no shard result")
 	}
 	if len(sr.Trace) > 0 {
 		tr.Graft(sr.Trace, dspan, dispatchedAt,

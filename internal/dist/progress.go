@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -9,149 +8,83 @@ import (
 	"resmod/internal/telemetry"
 )
 
-// Coordinator-side live progress for distributed campaigns.  Each
-// dispatch attempt gets a single-use token; the worker streams
-// ShardProgressReports carrying that token to POST /v1/shards/progress,
-// and the coordinator folds the latest in-flight tallies together with
-// everything already merged into the same campaign-kind ProgressEvents a
-// local run publishes — so SSE streams, /v1/status and TTY bars keep
-// moving while the trials run on other machines.  Tokens are retired
-// when their chunk merges or is requeued, so a report from a dead
-// worker's abandoned attempt can never double-count trials that a
-// survivor re-executes.
-
-// registerProgress allocates a dispatch-attempt token routing reports to
-// fn.
-func (p *Pool) registerProgress(fn func(ShardProgressReport)) string {
-	p.progMu.Lock()
-	defer p.progMu.Unlock()
-	p.progSeq++
-	token := fmt.Sprintf("t%d", p.progSeq)
-	if p.progSinks == nil {
-		p.progSinks = make(map[string]func(ShardProgressReport))
-	}
-	p.progSinks[token] = fn
-	return token
-}
-
-// unregisterProgress retires a token; later reports carrying it count as
-// stale and are dropped.
-func (p *Pool) unregisterProgress(token string) {
-	if token == "" {
-		return
-	}
-	p.progMu.Lock()
-	delete(p.progSinks, token)
-	p.progMu.Unlock()
-}
-
-// ReportProgress routes one worker report to its campaign's tracker.
-// False means the token is unknown — the dispatch attempt was already
-// merged, requeued, or belongs to a previous coordinator life.
-func (p *Pool) ReportProgress(rep ShardProgressReport) bool {
-	p.progMu.Lock()
-	fn := p.progSinks[rep.Token]
-	p.progMu.Unlock()
-	if fn == nil {
-		p.progressStale.Add(1)
-		return false
-	}
-	p.progressReports.Add(1)
-	fn(rep)
-	return true
-}
-
 // distProgress publishes one distributed campaign's progress: merged
-// tallies from the Merger plus the latest report of every in-flight
-// dispatch attempt.  All methods are nil-safe; newDistProgress returns
-// nil when no bus is listening, and the whole apparatus costs nothing.
+// tallies from the Merger plus the latest tally of every chunk in flight,
+// as the same campaign-kind ProgressEvents a local run publishes — so SSE
+// streams, /v1/status and TTY bars keep moving while the trials run on
+// other machines.  A chunk's tally arrives through the ShardObserver its
+// runner was handed, which is called only while that runner holds the
+// chunk: a remote worker's frames are read off the dispatch's own
+// connection, a local shard's snapshots come from its own trial loop.  So
+// a requeued chunk's abandoned attempt has no way to report, and trials a
+// survivor re-executes are never counted twice.  All methods are nil-safe;
+// newDistProgress returns nil when no bus is listening, and the whole
+// apparatus costs nothing.
 type distProgress struct {
-	pool *Pool
-	m    *faultsim.Merger
+	m *faultsim.Merger
 	// emit posts one campaign-kind event for the given combined tallies.
 	emit func(state string, st faultsim.ShardStatus)
 
 	mu       sync.Mutex
-	inflight map[string]faultsim.ShardStatus
+	inflight map[[2]int]faultsim.ShardStatus
+	// high is the largest Done published so far.
+	high uint64
 }
 
-func newDistProgress(pool *Pool, prog *telemetry.Progress, identity string, trials int, m *faultsim.Merger) *distProgress {
+func newDistProgress(prog *telemetry.Progress, identity string, trials int, m *faultsim.Merger) *distProgress {
 	if prog == nil {
 		return nil
 	}
 	start := time.Now()
 	return &distProgress{
-		pool: pool, m: m,
+		m: m,
 		// Distributed campaigns never resume from a checkpoint, so every
 		// done trial ran this run and the rate/ETA cover the whole count.
 		emit: func(state string, st faultsim.ShardStatus) {
 			prog.Publish(faultsim.BuildProgressEvent(identity, state, trials, st, time.Since(start), st.Done))
 		},
-		inflight: make(map[string]faultsim.ShardStatus),
+		inflight: make(map[[2]int]faultsim.ShardStatus),
 	}
 }
 
-// attach opens one dispatch attempt and returns its token ("" when
-// progress is off).
-func (dp *distProgress) attach() string {
+// observe returns the observer one run of chunk r reports its live
+// tallies to (nil when progress is off).
+func (dp *distProgress) observe(r [2]int) faultsim.ShardObserver {
 	if dp == nil {
-		return ""
+		return nil
 	}
-	token := dp.pool.registerProgress(dp.report)
-	dp.mu.Lock()
-	dp.inflight[token] = faultsim.ShardStatus{}
-	dp.mu.Unlock()
-	return token
-}
-
-// report folds one live report into the in-flight view and publishes.
-// Reports for attempts no longer in flight are dropped — the
-// no-double-count guarantee after a chunk is requeued.
-func (dp *distProgress) report(rep ShardProgressReport) {
-	if dp == nil {
-		return
-	}
-	dp.mu.Lock()
-	if _, ok := dp.inflight[rep.Token]; !ok {
+	return func(st faultsim.ShardStatus) {
+		dp.mu.Lock()
+		dp.inflight[r] = st
 		dp.mu.Unlock()
-		return
+		dp.publish(telemetry.StateRunning)
 	}
-	dp.inflight[rep.Token] = rep.Status
-	dp.mu.Unlock()
-	dp.publish(telemetry.StateRunning)
 }
 
-// retire abandons a dispatch attempt whose chunk was requeued: its
-// reported tallies leave the combined view before a survivor re-executes
-// the same trials.
-func (dp *distProgress) retire(token string) {
-	if dp == nil || token == "" {
-		return
-	}
-	dp.pool.unregisterProgress(token)
-	dp.mu.Lock()
-	delete(dp.inflight, token)
-	dp.mu.Unlock()
-}
-
-// settle resolves a dispatch attempt whose result just merged, and
-// publishes — the merged tallies now cover the chunk exactly.
-func (dp *distProgress) settle(token string) {
+// release drops chunk r's in-flight tally once its run has ended: a
+// result about to merge must leave the in-flight view before the merged
+// tallies gain it, and a failed run's trials will execute again.
+func (dp *distProgress) release(r [2]int) {
 	if dp == nil {
 		return
 	}
-	dp.retire(token)
-	dp.publish(telemetry.StateRunning)
+	dp.mu.Lock()
+	delete(dp.inflight, r)
+	dp.mu.Unlock()
 }
 
 // publish posts the combined (merged + in-flight) tallies in the given
-// state.
+// state.  Progress never runs backwards: a failed chunk's in-flight tally
+// leaves the sum until a survivor catches up, so a running snapshot below
+// the last published one is skipped.  Events are posted under the lock so
+// they reach the bus in the order they were judged.
 func (dp *distProgress) publish(state string) {
 	if dp == nil {
 		return
 	}
 	st := dp.m.Tallies()
 	dp.mu.Lock()
+	defer dp.mu.Unlock()
 	for _, s := range dp.inflight {
 		st.Done += s.Done
 		st.Success += s.Success
@@ -160,21 +93,15 @@ func (dp *distProgress) publish(state string) {
 		st.Abnormal += s.Abnormal
 		st.Retried += s.Retried
 	}
-	dp.mu.Unlock()
+	if state == telemetry.StateRunning && st.Done < dp.high {
+		return
+	}
+	dp.high = max(dp.high, st.Done)
 	dp.emit(state, st)
 }
 
-// finish retires every remaining token and publishes the terminal state.
+// finish publishes the terminal state.
 func (dp *distProgress) finish(err error, canceled bool) {
-	if dp == nil {
-		return
-	}
-	dp.mu.Lock()
-	for token := range dp.inflight {
-		dp.pool.unregisterProgress(token)
-		delete(dp.inflight, token)
-	}
-	dp.mu.Unlock()
 	state := telemetry.StateDone
 	switch {
 	case canceled:

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"sync"
@@ -24,9 +25,6 @@ const (
 	DefaultHeartbeatEvery = 1 * time.Second
 	// registerBackoffMax caps the re-registration retry backoff.
 	registerBackoffMax = 5 * time.Second
-	// defaultProgressEvery is the shard progress-report period used when
-	// the dispatch request names none.
-	defaultProgressEvery = 500 * time.Millisecond
 )
 
 // WorkerConfig configures one execution node.
@@ -58,6 +56,9 @@ type Worker struct {
 	cfg    WorkerConfig
 	tel    *telemetry.Telemetry
 	client *http.Client
+	// life is Run's context: it bounds the work that outlives the
+	// request that started it (a golden flight).
+	life context.Context
 
 	// reg declares this node's /metrics families; series retains the
 	// subset workerRetained names, sampled from the heartbeat loop (no
@@ -119,6 +120,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		cfg:     cfg,
 		client:  &http.Client{Timeout: 10 * time.Second},
+		life:    context.Background(),
 		goldens: make(map[goldenKey]*goldenFlight),
 		reg:     reg,
 		series:  telemetry.NewSeriesStore(),
@@ -180,7 +182,7 @@ func (w *Worker) Handler() http.Handler {
 // until the coordinator answers), heartbeat, serve.  Returns nil on a
 // clean context-driven shutdown.
 func (w *Worker) Run(ctx context.Context) error {
-	w.tel = telemetry.From(ctx)
+	w.tel, w.life = telemetry.From(ctx), ctx
 	w.tel.Recorder().Register(w.reg)
 	ln, err := net.Listen("tcp", w.cfg.Listen)
 	if err != nil {
@@ -228,9 +230,16 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
+// jittered draws a sleep uniformly from [d/2, d]: a restarted
+// coordinator turns its whole fleet away at once, and without the spread
+// every worker's doubling backoff would bring them back in lockstep.
+func jittered(d time.Duration) time.Duration {
+	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+}
+
 // heartbeatLoop registers and then heartbeats until ctx ends,
-// re-registering (with capped backoff) whenever the coordinator stops
-// recognizing the worker — e.g. after a coordinator restart.
+// re-registering (with capped, jittered backoff) whenever the coordinator
+// stops recognizing the worker — e.g. after a coordinator restart.
 func (w *Worker) heartbeatLoop(ctx context.Context, name, advertise string) {
 	log := w.tel.Logger()
 	backoff := w.cfg.HeartbeatEvery
@@ -238,7 +247,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, name, advertise string) {
 		id, err := w.register(ctx, name, advertise)
 		if err != nil {
 			log.Warn("worker register failed", "err", err)
-			if !sleepCtx(ctx, backoff) {
+			if !sleepCtx(ctx, jittered(backoff)) {
 				return
 			}
 			if backoff *= 2; backoff > registerBackoffMax {
@@ -321,8 +330,8 @@ func (w *Worker) postJSON(ctx context.Context, url string, body, out any) error 
 // Observability rides the request: the coordinator's X-Request-ID lands
 // in this worker's slog fields and is echoed on the response, a
 // per-request tracer captures the shard's spans for the reply when the
-// dispatch asked for them, and a progress spec makes the shard stream
-// live tallies back while it runs.  None of it can perturb the result.
+// dispatch asked for them, and a progress request makes the reply carry
+// live tallies ahead of the result.  None of it can perturb the result.
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
@@ -353,115 +362,98 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		stel = stel.WithTracer(tr)
 	}
 	ctx = telemetry.With(ctx, stel)
-	ctx, stopProgress := w.shardProgress(ctx, req.Progress)
-	defer stopProgress()
+
+	// From here on the reply is a frame stream (see ShardResponse): the
+	// shard's outcome, failure included, travels in its terminal frame.
+	rw.Header().Set("Content-Type", "application/json")
+	frames := json.NewEncoder(rw)
+	stopProgress := func() {}
+	if req.Progress {
+		ctx, stopProgress = streamProgress(ctx, rw, frames)
+	}
 
 	w.shardsInflight.Add(1)
 	defer w.shardsInflight.Add(-1)
 	log.Info("shard accepted", "app", req.Campaign.App, "trials", req.End-req.Start)
 
-	golden, err := w.golden(ctx, c.App, c.Class, c.Procs, c.Timeout)
-	if err != nil {
-		w.shardsFailed.Add(1)
-		log.Warn("shard failed", "stage", "golden", "err", err)
-		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	t0 := time.Now()
-	res, err := faultsim.RunShardCtx(ctx, c, golden, req.Start, req.End)
-	if err != nil {
-		w.shardsFailed.Add(1)
-		log.Warn("shard failed", "stage", "run", "err", err)
-		writeJSON(rw, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	w.shardsDone.Add(1)
-	w.trialsDone.Add(res.Checkpoint.Completed)
-	id := ""
+	resp := ShardResponse{}
 	if v := w.id.Load(); v != nil {
-		id = v.(string)
+		resp.Worker = v.(string)
 	}
-	resp := ShardResponse{
-		Worker:    id,
-		Result:    res,
-		ElapsedNS: time.Since(t0).Nanoseconds(),
+	stage, t0 := "golden", time.Time{}
+	golden, err := w.golden(ctx, c.App, c.Class, c.Procs, c.Timeout)
+	if err == nil {
+		stage, t0 = "run", time.Now()
+		resp.Result, err = faultsim.RunShardCtx(ctx, c, golden, req.Start, req.End)
 	}
-	if tr != nil {
-		// Ship the shard's spans back, and keep a copy in the worker's own
-		// tracer (when it has one) so a worker-side -trace file still shows
-		// the work this node did.
-		resp.Trace = tr.Spans()
-		w.tel.Tracer().Merge(tr)
+	stopProgress()
+	if err != nil {
+		w.shardsFailed.Add(1)
+		log.Warn("shard failed", "stage", stage, "err", err)
+		resp.Error = err.Error()
+	} else {
+		w.shardsDone.Add(1)
+		w.trialsDone.Add(resp.Result.Checkpoint.Completed)
+		resp.ElapsedNS = time.Since(t0).Nanoseconds()
+		if tr != nil {
+			// Ship the shard's spans back, and keep a copy in the worker's own
+			// tracer (when it has one) so a worker-side -trace file still shows
+			// the work this node did.
+			resp.Trace = tr.Spans()
+			w.tel.Tracer().Merge(tr)
+		}
+		log.Info("shard done", "trials_done", resp.Result.Checkpoint.Completed,
+			"elapsed_ms", time.Since(t0).Milliseconds())
 	}
-	log.Info("shard done", "trials_done", res.Checkpoint.Completed,
-		"elapsed_ms", time.Since(t0).Milliseconds())
-	writeJSON(rw, http.StatusOK, resp)
+	_ = frames.Encode(resp) // a coordinator that hung up has already requeued the chunk
 }
 
-// shardProgress arranges live progress streaming for one shard: it
-// installs a faultsim.ShardObserver on the context and starts a pusher
-// goroutine that POSTs the latest tallies to the coordinator at the
-// requested cadence (latest-wins, never blocking the trial loop).  The
-// returned stop function must be called before the shard response is
-// written.  A nil spec is a no-op.
-func (w *Worker) shardProgress(ctx context.Context, spec *ProgressSpec) (context.Context, func()) {
-	if spec == nil || spec.Token == "" || w.cfg.Coordinator == "" {
-		return ctx, func() {}
-	}
-	every := time.Duration(spec.EveryNS)
-	if every <= 0 {
-		every = defaultProgressEvery
-	}
-	updates := make(chan faultsim.ShardStatus, 1)
-	obsCtx := faultsim.WithShardObserver(ctx, func(st faultsim.ShardStatus) {
-		for {
-			select {
-			case updates <- st:
-				return
-			default:
-				// Stale snapshot still queued: drop it, then retry the send.
-				select {
-				case <-updates:
-				default:
-				}
-			}
+// streamProgress makes the shard run under the returned context write its
+// live tallies to the reply as progress frames.  The shard's observer
+// fires at the campaign's own progress cadence and only ever fills a
+// one-slot, latest-wins hand-off, so the trial loop never blocks on the
+// network; a writer goroutine owns rw until the returned stop function
+// returns, which the handler calls before it writes the terminal frame.
+func streamProgress(ctx context.Context, rw http.ResponseWriter, frames *json.Encoder) (context.Context, func()) {
+	slot := make(chan faultsim.ShardStatus, 1)
+	ctx = faultsim.WithShardObserver(ctx, func(st faultsim.ShardStatus) {
+		select {
+		case <-slot: // a stale snapshot nobody wrote yet
+		default:
+		}
+		select {
+		case slot <- st:
+		default: // another trial goroutine got in first, with tallies as fresh
 		}
 	})
+	flusher := http.NewResponseController(rw)
 	done := make(chan struct{})
 	stopped := make(chan struct{})
 	go func() {
 		defer close(stopped)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		var latest *faultsim.ShardStatus
 		for {
 			select {
 			case <-done:
 				return
-			case st := <-updates:
-				latest = &st
-			case <-t.C:
-				if latest == nil {
-					continue
+			case st := <-slot:
+				// A failed write means the coordinator is gone, and the
+				// request context is about to say so.
+				if frames.Encode(ShardResponse{Progress: &st}) == nil {
+					_ = flusher.Flush()
 				}
-				st := *latest
-				latest = nil
-				id := ""
-				if v := w.id.Load(); v != nil {
-					id = v.(string)
-				}
-				pctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_ = w.postJSON(pctx, w.cfg.Coordinator+"/v1/shards/progress",
-					ShardProgressReport{Token: spec.Token, Worker: id, Status: st}, nil)
-				cancel()
 			}
 		}
 	}()
-	return obsCtx, func() { close(done); <-stopped }
+	return ctx, func() { close(done); <-stopped }
 }
 
 // golden returns the (app, class, procs) reference run, computing it at
-// most once per key even under concurrent shard requests.
+// most once per key even under concurrent shard requests.  The first
+// request to ask starts the computation, but under the worker's lifetime
+// rather than its own context: a dispatch the coordinator abandons must
+// not fail every shard that joined the flight, nor empty a slot that was
+// about to be filled.  Every caller, the first included, stops waiting
+// when its own context ends.
 func (w *Worker) golden(ctx context.Context, app apps.App, class string, procs int, timeout time.Duration) (*faultsim.Golden, error) {
 	if class == "" {
 		class = app.DefaultClass()
@@ -473,25 +465,32 @@ func (w *Worker) golden(ctx context.Context, app apps.App, class string, procs i
 		w.goldenMisses.Add(1)
 		f = &goldenFlight{done: make(chan struct{})}
 		w.goldens[key] = f
-		w.mu.Unlock()
-		f.g, f.err = faultsim.ComputeGoldenCtx(ctx, app, class, procs, timeout)
-		if f.err != nil {
-			// Clear the slot so a later shard can retry.
-			w.mu.Lock()
-			delete(w.goldens, key)
-			w.mu.Unlock()
-		}
-		close(f.done)
+		// The flight keeps the request's telemetry but not its
+		// cancellation; it ends with the computation, which w.life cancels.
+		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		stop := context.AfterFunc(w.life, cancel)
+		go func() {
+			defer cancel()
+			defer stop()
+			f.g, f.err = faultsim.ComputeGoldenCtx(fctx, app, class, procs, timeout)
+			if f.err != nil {
+				// Clear the slot so a later shard can retry.
+				w.mu.Lock()
+				delete(w.goldens, key)
+				w.mu.Unlock()
+			}
+			close(f.done)
+		}()
 	} else {
 		w.goldenHits.Add(1)
-		w.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
-	return f.g, f.err
+	w.mu.Unlock()
+	select {
+	case <-f.done:
+		return f.g, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // writeJSON writes a JSON response body with the given status.

@@ -326,7 +326,9 @@ func TestWorkerStaleAlertEndToEnd(t *testing.T) {
 func TestRetiredWorkerAlertResolves(t *testing.T) {
 	pool := dist.NewPool(dist.PoolConfig{
 		HeartbeatTimeout: 20 * time.Millisecond,
-		RetireAfter:      400 * time.Millisecond,
+		// Long enough that a stalled test process still polls inside the
+		// firing window (it opens at ~120ms and closes at retirement).
+		RetireAfter: 1500 * time.Millisecond,
 	})
 	_, hs := newObsServer(t, Config{
 		SampleEvery: 5 * time.Millisecond,

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"resmod/internal/telemetry"
 )
@@ -144,41 +141,5 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 // and every alert transition, replayed-then-live.  Unlike the per-job
 // stream it has no terminal event; it runs until the client hangs up.
 func (s *Server) handleServerEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	sub := s.progress.Subscribe(256)
-	defer sub.Close()
-
-	ticker := time.NewTicker(s.cfg.HeartbeatEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.quit:
-			return
-		case <-ticker.C:
-			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		case ev := <-sub.Events():
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	s.streamSSE(w, r, s.progress, s.quit, nil)
 }

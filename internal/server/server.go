@@ -20,9 +20,11 @@
 //	GET  /healthz                     liveness + queue snapshot
 //	GET  /metrics                     Prometheus text exposition
 //
-// Coordinators (serve -coordinator) additionally mount the worker-facing
-// dist endpoints: POST /v1/workers/register, /v1/workers/heartbeat, and
-// /v1/shards/progress.
+// Coordinators (serve -coordinator) additionally mount the worker control
+// plane: POST /v1/workers/register and /v1/workers/heartbeat.  Nothing a
+// worker says about a running shard arrives here — results and live
+// progress both ride the reply to the coordinator's own POST /v1/shards
+// dispatch (see internal/dist).
 package server
 
 import (
@@ -32,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -80,9 +81,6 @@ type Config struct {
 	// 10s); tests shrink it.  Sampling is observation-only — it reads
 	// atomic counters and published snapshots, never engine state.
 	SampleEvery time.Duration
-	// SeriesWindows overrides the retention tiers (default
-	// telemetry.DefaultWindows: 10s×360 + 1m×720).
-	SeriesWindows []telemetry.Window
 	// AlertRules replaces the built-in alert rule set when non-empty
 	// (BuiltinRules documents the defaults).
 	AlertRules []telemetry.Rule
@@ -105,9 +103,6 @@ type Config struct {
 	// servers that never configure tenancy behave exactly as before.
 	TenantLimits TenantLimits
 	AnonLimits   TenantLimits
-	// Log, when non-nil, receives progress events through an info-level
-	// structured logger.  Logger wins when both are set.
-	Log io.Writer
 	// Logger, when non-nil, receives every server event (access log, job
 	// lifecycle, engine progress).
 	Logger *slog.Logger
@@ -175,12 +170,8 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 
-	logger := cfg.Logger
-	if logger == nil && cfg.Log != nil {
-		logger = telemetry.NewLogger(cfg.Log, slog.LevelInfo)
-	}
 	s.recorder = telemetry.NewRecorder()
-	s.tel = telemetry.New(logger, nil, s.recorder)
+	s.tel = telemetry.New(cfg.Logger, nil, s.recorder)
 	s.progress = telemetry.NewProgress()
 	s.metrics = newMetrics(s)
 
@@ -189,7 +180,7 @@ func New(cfg Config) *Server {
 	// drives one alert evaluation so rules always judge fresh points.  All
 	// of it is read-only over atomics and published snapshots — campaign
 	// results stay byte-identical with the whole stack enabled.
-	s.series = telemetry.NewSeriesStore(cfg.SeriesWindows...)
+	s.series = telemetry.NewSeriesStore()
 	s.sampler = telemetry.NewSampler(s.series, s.newSampleSource(), cfg.SampleEvery)
 	rules := cfg.AlertRules
 	if len(rules) == 0 {
@@ -233,8 +224,6 @@ func New(cfg Config) *Server {
 			s.instrument("/v1/workers/register", cfg.DistPool.HandleRegister))
 		mux.Handle("POST /v1/workers/heartbeat",
 			s.instrument("/v1/workers/heartbeat", cfg.DistPool.HandleHeartbeat))
-		mux.Handle("POST /v1/shards/progress",
-			s.instrument("/v1/shards/progress", cfg.DistPool.HandleShardProgress))
 	}
 	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.Handle("GET /metrics", s.instrument("/metrics", s.metrics.reg.ServeHTTP))

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"resmod/internal/exper"
 	"resmod/internal/telemetry"
 )
 
@@ -32,6 +33,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no prediction %q", id)
 		return
 	}
+	// A store-served job has no bus; its nil subscription yields a nil
+	// channel (never ready) and the already-closed done channel ends the
+	// stream at once.
+	s.streamSSE(w, r, j.progress, j.done, func() any { return j.view() })
+}
+
+// streamSSE serves one Server-Sent Events stream off bus: the response
+// headers, the replayed-then-live snapshots as `event: progress` frames,
+// and comment-line heartbeats every Config.HeartbeatEvery.  The stream
+// runs until the client hangs up or stop closes; if final is non-nil a
+// stopped stream first flushes the snapshots still buffered and then
+// ends with one `event: done` frame carrying final().
+func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, bus *telemetry.Progress, stop <-chan struct{}, final func() any) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -42,11 +56,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	// Subscribe before checking for completion so no event can fall
-	// between the replay and the live stream.  A store-served job has no
-	// bus; its nil subscription yields a nil channel (never ready) and the
-	// already-closed done channel ends the stream at once.
-	sub := j.progress.Subscribe(256)
+	// Subscribed before stop is first looked at, so no event can fall
+	// between the replay and the live stream.
+	sub := bus.Subscribe(256)
 	defer sub.Close()
 
 	emit := func(event string, v any) bool {
@@ -76,9 +88,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !emit("progress", ev) {
 				return
 			}
-		case <-j.done:
-			// Terminal: flush whatever snapshots are still buffered, then
-			// close the stream with the job's final view.
+		case <-stop:
+			if final == nil {
+				return
+			}
 			for {
 				select {
 				case ev := <-sub.Events():
@@ -90,7 +103,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 				break
 			}
-			emit("done", j.view())
+			emit("done", final())
 			return
 		}
 	}
@@ -108,19 +121,10 @@ type statusView struct {
 	// Scheduler samples the shared campaign scheduler: campaigns
 	// running/queued against the slot capacity, and the trial-worker
 	// budget's occupancy.
-	Scheduler schedulerView `json:"scheduler"`
+	Scheduler exper.SchedulerStats `json:"scheduler"`
 	// CampaignsTracked is the number of campaigns with a live progress
 	// snapshot on the server-wide bus (running or finished).
 	CampaignsTracked int `json:"campaigns_tracked"`
-}
-
-// schedulerView mirrors exper.SchedulerStats for the API.
-type schedulerView struct {
-	CampaignsRunning  int `json:"campaigns_running"`
-	CampaignsQueued   int `json:"campaigns_queued"`
-	CampaignSlots     int `json:"campaign_slots"`
-	WorkerBudgetInUse int `json:"worker_budget_in_use"`
-	WorkerBudgetSize  int `json:"worker_budget_size"`
 }
 
 // handleStatus is GET /v1/status: one aggregate JSON snapshot of the
@@ -134,7 +138,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		counts[j.view().Status]++
 	}
 	s.mu.Unlock()
-	st := s.session.SchedulerStats()
 	tracked := 0
 	for _, ev := range s.progress.Latest() {
 		if ev.Kind == telemetry.KindCampaign {
@@ -142,20 +145,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, statusView{
-		Status:        "ok",
-		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		Workers:       s.cfg.Workers,
-		QueueDepth:    s.queue.depth(),
-		QueueCapacity: s.cfg.Queue,
-		Jobs:          counts,
-		JobsTotal:     total,
-		Scheduler: schedulerView{
-			CampaignsRunning:  st.CampaignsRunning,
-			CampaignsQueued:   st.CampaignsQueued,
-			CampaignSlots:     st.CampaignSlots,
-			WorkerBudgetInUse: st.WorkerBudgetInUse,
-			WorkerBudgetSize:  st.WorkerBudgetSize,
-		},
+		Status:           "ok",
+		UptimeSeconds:    time.Since(s.metrics.start).Seconds(),
+		Workers:          s.cfg.Workers,
+		QueueDepth:       s.queue.depth(),
+		QueueCapacity:    s.cfg.Queue,
+		Jobs:             counts,
+		JobsTotal:        total,
+		Scheduler:        s.session.SchedulerStats(),
 		CampaignsTracked: tracked,
 	})
 }

@@ -340,14 +340,6 @@ func NewSampler(store *SeriesStore, src SampleSource, every time.Duration) *Samp
 		prev: make(map[string]float64), live: make(map[string]uint64)}
 }
 
-// Every returns the sampling period.
-func (s *Sampler) Every() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.every
-}
-
 // OnSample registers the post-tick hook.  Call before the sampler is
 // shared between goroutines.
 func (s *Sampler) OnSample(fn func(now time.Time)) {

@@ -17,61 +17,8 @@ cd "$(dirname "$0")/.."
 out=${DISTCHECK_OUT:-distcheck.json}
 trace_out=${DISTCHECK_TRACE:-distcheck_trace.json}
 trials=${DISTCHECK_TRIALS:-120}
-workdir=$(mktemp -d)
-pid=
-w1pid=
-w2pid=
-log=
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null
-    [ -n "$w1pid" ] && kill "$w1pid" 2>/dev/null
-    [ -n "$w2pid" ] && kill "$w2pid" 2>/dev/null
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "distcheck: FAIL: $*" >&2
-    for f in "$workdir"/*.log; do
-        echo "--- $f ---" >&2
-        cat "$f" >&2 || true
-    done
-    exit 1
-}
-
-# get_has URL PATTERN: capture the body, then grep it (curl | grep -q
-# under pipefail fails on an early match; see smoke.sh).
-get_has() {
-    local doc
-    doc=$(curl -fsS "$1") || return 1
-    grep -q "$2" <<<"$doc"
-}
-
-# boot NAME [extra serve flags...]: start the service on an ephemeral
-# port and wait for /healthz; sets $pid, $log, $addr.
-boot() {
-    log="$workdir/$1.log"
-    store="$workdir/store-$1"
-    shift
-    "$workdir/resmod" serve -listen 127.0.0.1:0 -store "$store" \
-        -trials "$trials" -workers 1 -drain 30s "$@" 2>"$log" &
-    pid=$!
-    addr=
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's#.*serving on http://\([^ ]*\).*#\1#p' "$log" | head -n1)
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || fail "server exited before binding"
-        sleep 0.1
-    done
-    [ -n "$addr" ] || fail "server never logged its address"
-    curl -fsS "http://$addr/healthz" >/dev/null || fail "/healthz"
-}
-
-shutdown() {
-    kill -TERM "$pid"
-    wait "$pid" || fail "non-zero exit after SIGTERM"
-    pid=
-}
+check=distcheck
+. scripts/lib.sh
 
 # predict ADDR OUTFILE: submit the fixed prediction and poll it to done,
 # writing the final job JSON to OUTFILE.
@@ -105,17 +52,20 @@ predict "$addr" "$workdir/job-local.json"
 shutdown
 
 # --- distributed: coordinator + two workers, one killed mid-run ----------
-boot coord -coordinator -heartbeat-timeout 2s
+# (its own store: the baseline's would answer the job from disk)
+boot coord -store "$workdir/store-coord" -coordinator -heartbeat-timeout 2s
 coord_addr=$addr
 
 "$workdir/resmod" worker -coordinator "http://$coord_addr" \
     -name w-alpha -heartbeat 250ms 2>"$workdir/w1.log" &
 w1pid=$!
 disown "$w1pid"
+extra_pids+=("$w1pid")
 "$workdir/resmod" worker -coordinator "http://$coord_addr" \
     -name w-beta -heartbeat 250ms 2>"$workdir/w2.log" &
 w2pid=$!
 disown "$w2pid"
+extra_pids+=("$w2pid")
 for _ in $(seq 1 100); do
     get_has "http://$coord_addr/v1/workers" '"alive": \?2\b' && break
     kill -0 "$w1pid" 2>/dev/null || fail "worker 1 exited before registering"
@@ -269,9 +219,6 @@ print(json.dumps({
 EOF
 
 shutdown
-kill "$w2pid" 2>/dev/null || true
-w1pid=
-w2pid=
 
 echo "distcheck: OK (2 workers, 1 killed mid-run: $dispatched dispatched," \
     "$completed completed, ${requeued:-0} requeued, ${localn:-0} local;" \

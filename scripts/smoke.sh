@@ -12,59 +12,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-workdir=$(mktemp -d)
-pid=
-log=
-cleanup() {
-    [ -n "$pid" ] && kill "$pid" 2>/dev/null
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "smoke: FAIL: $*" >&2
-    echo "--- $log ---" >&2
-    cat "$log" >&2 || true
-    exit 1
-}
-
-# get_has URL PATTERN: fetch the body into a variable, then grep it.
-# Piping curl straight into grep -q trips pipefail on a *match*: grep
-# exits at the first hit and curl dies of EPIPE (exit 23) on the rest.
-get_has() {
-    local doc
-    doc=$(curl -fsS "$1") || return 1
-    grep -q "$2" <<<"$doc"
-}
-
-# boot NAME [extra serve flags...]: start the service, wait for its
-# ephemeral address (read off the startup log line) and a passing
-# /healthz; sets $pid, $log, $addr.
-boot() {
-    log="$workdir/$1.log"
-    store="$workdir/store"
-    shift
-    "$workdir/resmod" serve -listen 127.0.0.1:0 -store "$store" \
-        -trials 10 -workers 1 -drain 30s "$@" 2>"$log" &
-    pid=$!
-    addr=
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's#.*serving on http://\([^ ]*\).*#\1#p' "$log" | head -n1)
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || fail "server exited before binding"
-        sleep 0.1
-    done
-    [ -n "$addr" ] || fail "server never logged its address"
-    get_has "http://$addr/healthz" '"status": "ok"' || fail "/healthz"
-}
-
-# shutdown: SIGTERM must drain cleanly and exit 0.
-shutdown() {
-    kill -TERM "$pid"
-    wait "$pid" || fail "non-zero exit after SIGTERM"
-    grep -q "drained cleanly" "$log" || fail "no clean-drain log line"
-    pid=
-}
+check=smoke
+trials=10
+. scripts/lib.sh
 
 go build -o "$workdir/resmod" ./cmd/resmod
 body='{"app":"PENNANT","small":4,"large":8}'
