@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-short race cover benchcheck loc experiments report serve smoke trace distcheck clean
+.PHONY: all build fmt vet test test-short race cover benchcheck inlinecheck loc experiments report serve smoke trace distcheck clean
 
 all: build test
 
@@ -36,6 +36,13 @@ cover:
 benchcheck:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+
+# The instrumented fpe ops (and lu's stencil read) are fast because they
+# inline, each within a point or two of the compiler's budget; this asks
+# the toolchain for its verdict and fails when one no longer does (also
+# run in CI).
+inlinecheck:
+	./scripts/inlinecheck.sh
 
 # Non-blank, non-comment, non-test Go lines per package — the count the
 # ROADMAP's code-size aim tracks (CI prints it; nothing gates on it).

@@ -90,8 +90,10 @@ func (s *slab) idx(x, y, zl int) int { return (zl*s.ny+y)*s.nx + x }
 
 // get reads a(x,y,zl) treating out-of-range x/y as the zero boundary and
 // out-of-slab z through the given ghost planes (nil ghost = domain edge).
+// The unsigned compares fold each pair of range tests into one, which is
+// what lets get inline into the stencil loops (scripts/inlinecheck.sh).
 func (s *slab) get(a []float64, x, y, zl int, ghLo, ghHi []float64) float64 {
-	if x < 0 || x >= s.nx || y < 0 || y >= s.ny {
+	if uint(x) >= uint(s.nx) || uint(y) >= uint(s.ny) {
 		return 0
 	}
 	switch {

@@ -61,3 +61,32 @@ func TestResetPlanAllocFree(t *testing.T) {
 		t.Fatalf("pooled armed datapath allocates %v allocs/run, want 0", n)
 	}
 }
+
+// TestRegionDatapathAllocFree pins the class switch: once the region
+// stack and the region map are warm, a reused context that enters and
+// leaves regions (one nested, classes crossing both ways) allocates
+// nothing.
+func TestRegionDatapathAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	c := New()
+	run := func() {
+		c.Reset()
+		opSequence(c, 10)
+		end := c.Begin("halo", Unique)
+		opSequence(c, 10)
+		c.Begin("pack", Common)
+		opSequence(c, 5)
+		c.End()
+		end()
+		opSequence(c, 10)
+		if c.Counts() != (Counts{Common: 75, Unique: 30}) {
+			t.Fatal("datapath miscounted")
+		}
+	}
+	run() // warm the stack and the region map once
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("reused datapath with regions allocates %v allocs/run, want 0", n)
+	}
+}

@@ -86,6 +86,9 @@ func (k OpKind) String() string {
 //
 // The corruption is a single-bit flip of Bit (0 = least significant) when
 // Mask is zero, or an XOR with Mask (multi-bit faults) otherwise.
+//
+// Loading a plan (NewWithPlan, ResetPlan) panics on an injection whose
+// Class or Operand is out of range, or whose Bit is above 63 with no Mask.
 type Injection struct {
 	Class    RegionClass
 	KindMask uint8
@@ -183,7 +186,7 @@ type regionFrame struct {
 	// prev is the class that was active before this frame.
 	prev RegionClass
 	// snapshot of injectable counters at region entry, for per-region totals.
-	snap [numClasses]uint64
+	snap Counts
 }
 
 // injGroup is the pending-injection state for one (class, kindMask)
@@ -198,21 +201,29 @@ type injGroup struct {
 
 // Ctx is the per-rank instrumented floating point context.
 type Ctx struct {
-	class    RegionClass
-	counters [numClasses]uint64    // injectable ops executed per class
-	kinds    [numClasses][4]uint64 // injectable ops per class and kind
-	divs     uint64                // non-injectable ops (accounting only)
+	// left is how many more ops of the active class may run before one
+	// must look at the plan: left == 0 means exactly that THIS op takes the
+	// slow path.  With an unmasked plan it is trigger[class] minus the
+	// class's op count (effectively infinite when nothing is pending); while
+	// a kind-masked plan is armed it stays pinned at 0.  Add, Sub and Mul
+	// are one test, one decrement and one increment of plain fields so
+	// that they fit the compiler's inline budget (scripts/inlinecheck.sh).
+	left uint64
+	// adds, subs and muls are the active class's injectable ops by kind;
+	// their sum is its dynamic op index.  Begin and End swap them with
+	// kinds[class].
+	adds, subs, muls uint64
 
-	// armed counts the plan groups that still hold unfired injections.
-	armed int
+	class RegionClass
+	kinds [numClasses][4]uint64 // per class and kind; stale for the active class
+	divs  uint64                // non-injectable ops (accounting only)
 
 	// trigger[class] is the dynamic index within that class's injectable
 	// stream at which the next unmasked (KindMask==0) injection fires, or
 	// noTrigger when none is pending.  Because an unmasked group's stream
-	// index IS the class counter, the datapath reduces the whole armed
-	// check to one integer comparison per op: clean runs, clean ranks,
-	// the pre-fire window, and the post-fire tail all pay the same
-	// counter-increment fast path.
+	// index IS the class's op count, left counts down to it: clean runs,
+	// clean ranks, the pre-fire window and the post-fire tail all pay the
+	// same inlined fast path.
 	trigger [numClasses]uint64
 
 	// scanArmed is nonzero only for plans containing kind-masked
@@ -240,15 +251,13 @@ const noTrigger = math.MaxUint64
 
 // New returns a context with no planned injections and the Common class
 // active.
-func New() *Ctx {
-	return &Ctx{trigger: [numClasses]uint64{noTrigger, noTrigger}}
-}
+func New() *Ctx { return NewWithPlan(nil) }
 
 // NewWithPlan returns a context that will execute the given injections.
 // The plan slice is copied, grouped by stream, and sorted internally.
 func NewWithPlan(plan []Injection) *Ctx {
-	c := New()
-	c.loadPlan(plan)
+	c := &Ctx{}
+	c.ResetPlan(plan)
 	return c
 }
 
@@ -264,10 +273,9 @@ func (c *Ctx) Reset() { c.ResetPlan(nil) }
 // equivalent of NewWithPlan.
 func (c *Ctx) ResetPlan(plan []Injection) {
 	c.class = Common
-	c.counters = [numClasses]uint64{}
+	c.adds, c.subs, c.muls = 0, 0, 0
 	c.kinds = [numClasses][4]uint64{}
 	c.divs = 0
-	c.armed = 0
 	c.trigger = [numClasses]uint64{noTrigger, noTrigger}
 	c.scanArmed = 0
 	c.groups = c.groups[:0]
@@ -279,12 +287,20 @@ func (c *Ctx) ResetPlan(plan []Injection) {
 
 // loadPlan groups the plan by (class, kindMask) stream and arms the
 // context.  Group slots retired by a ResetPlan keep their queue storage,
-// so reloading a same-shaped plan allocates nothing.
+// so reloading a same-shaped plan allocates nothing.  A malformed
+// injection panics here, in the harness, rather than at fire time inside
+// a rank, where the panic would be tallied as the application's failure.
 func (c *Ctx) loadPlan(plan []Injection) {
 	for _, inj := range plan {
 		cl := inj.Class
 		if cl != Common && cl != Unique {
 			panic(fmt.Sprintf("fpe: invalid region class %d in plan", int(cl)))
+		}
+		if inj.Mask == 0 && inj.Bit > 63 {
+			panic(fmt.Sprintf("fpe: invalid bit %d in plan", inj.Bit))
+		}
+		if inj.Operand != 0 && inj.Operand != 1 {
+			panic(fmt.Sprintf("fpe: invalid operand %d in plan", inj.Operand))
 		}
 		gi := -1
 		for i := range c.groups {
@@ -301,24 +317,53 @@ func (c *Ctx) loadPlan(plan []Injection) {
 	for i := range c.groups {
 		sortInjections(c.groups[i].queue)
 	}
-	c.armed = len(c.groups)
-	masked := false
 	for i := range c.groups {
 		if c.groups[i].kindMask != 0 {
-			masked = true
+			c.scanArmed = len(c.groups)
 			break
 		}
 	}
-	if masked {
-		c.scanArmed = len(c.groups)
+	if c.scanArmed == 0 {
+		// Unmasked plans (at most one group per class after grouping): arm
+		// the per-class triggers so the datapath fires by index.
+		for i := range c.groups {
+			g := &c.groups[i]
+			c.trigger[g.class] = g.queue[0].Index
+		}
+	}
+	c.rearm()
+}
+
+// rearm recomputes the countdown for the active class from its counters:
+// the one place the invariant documented on Ctx.left is established.  A
+// trigger is never behind its class's count — it is set from a plan loaded
+// at count zero or re-armed strictly beyond the op that fired — so the
+// difference cannot wrap.
+func (c *Ctx) rearm() {
+	if c.scanArmed != 0 {
+		c.left = 0
 		return
 	}
-	// Unmasked plans (at most one group per class after grouping): arm
-	// the per-class triggers so the datapath fires by index comparison.
-	for i := range c.groups {
-		g := &c.groups[i]
-		c.trigger[g.class] = g.queue[0].Index
-	}
+	c.left = c.trigger[c.class] - c.count()
+}
+
+// count is the active class's op count, i.e. the dynamic index of its
+// next op.
+func (c *Ctx) count() uint64 { return c.adds + c.subs + c.muls }
+
+// live is the active class's row of kinds, read from the live counters.
+func (c *Ctx) live() [4]uint64 {
+	return [4]uint64{OpAdd: c.adds, OpSub: c.subs, OpMul: c.muls}
+}
+
+// setClass makes cl the active class: the live counters are parked in
+// kinds, cl's are loaded, and the countdown restarts from cl's trigger.
+func (c *Ctx) setClass(cl RegionClass) {
+	c.kinds[c.class] = c.live()
+	c.class = cl
+	k := &c.kinds[cl]
+	c.adds, c.subs, c.muls = k[OpAdd], k[OpSub], k[OpMul]
+	c.rearm()
 }
 
 // grabGroup appends a fresh group slot, reusing the backing array (and
@@ -349,14 +394,23 @@ func sortInjections(q []Injection) {
 // restores the enclosing region's class.  The returned function is the
 // matching End, enabling `defer ctx.Begin("halo", fpe.Unique)()`.
 func (c *Ctx) Begin(name string, class RegionClass) func() {
+	c.enter(name, class)
+	return c.End
+}
+
+// enter is Begin's body, kept out of line so that Begin itself inlines
+// and the End it returns need not be heap-allocated at every call site
+// (TestRegionDatapathAllocFree).
+//
+//go:noinline
+func (c *Ctx) enter(name string, class RegionClass) {
 	c.stack = append(c.stack, regionFrame{
 		name:  name,
 		class: class,
 		prev:  c.class,
-		snap:  c.counters,
+		snap:  c.Counts(),
 	})
-	c.class = class
-	return c.End
+	c.setClass(class)
 }
 
 // End leaves the innermost region.  It panics on unbalanced calls.
@@ -367,13 +421,14 @@ func (c *Ctx) End() {
 	}
 	f := c.stack[n-1]
 	c.stack = c.stack[:n-1]
-	c.class = f.prev
+	c.setClass(f.prev)
 	if c.regionTotals == nil {
 		c.regionTotals = make(map[string]Counts, 4)
 	}
+	now := c.Counts()
 	t := c.regionTotals[f.name]
-	t.Common += c.counters[Common] - f.snap[Common]
-	t.Unique += c.counters[Unique] - f.snap[Unique]
+	t.Common += now.Common - f.snap.Common
+	t.Unique += now.Unique - f.snap.Unique
 	c.regionTotals[f.name] = t
 }
 
@@ -381,13 +436,13 @@ func (c *Ctx) End() {
 func (c *Ctx) Class() RegionClass { return c.class }
 
 // Counts returns the injectable operation counts accumulated so far.
-func (c *Ctx) Counts() Counts {
-	return Counts{Common: c.counters[Common], Unique: c.counters[Unique]}
-}
+func (c *Ctx) Counts() Counts { return c.KindCounts().Counts() }
 
 // KindCounts returns the per-kind operation breakdown accumulated so far.
 func (c *Ctx) KindCounts() KindCounts {
-	return KindCounts{ByClassKind: c.kinds}
+	kc := KindCounts{ByClassKind: c.kinds}
+	kc.ByClassKind[c.class] = c.live()
+	return kc
 }
 
 // Divs returns the count of instrumented non-injectable operations.
@@ -428,11 +483,12 @@ func (c *Ctx) Pending() int {
 }
 
 // inject fires the injections due at the current op and corrupts the
-// operands.  It is the slow path, reached in exactly two cases: the
-// class trigger matched idx (an unmasked injection is due on THIS op),
-// or scanArmed > 0 (a kind-masked plan needs the legacy per-op group
-// scan).  idx is the op's pre-increment dynamic index within the active
-// class's stream, which for unmasked groups IS the group's stream index.
+// operands.  It runs on the slow path only, reached in exactly two cases:
+// the countdown ran out because the class trigger equals idx (an unmasked
+// injection is due on THIS op), or scanArmed > 0 (a kind-masked plan needs
+// the legacy per-op group scan).  idx is the op's dynamic index within the
+// active class's stream, which for unmasked groups IS the group's stream
+// index.
 func (c *Ctx) inject(op OpKind, idx uint64, a, b float64) (float64, float64) {
 	cl := c.class
 	scan := c.scanArmed != 0
@@ -474,11 +530,8 @@ func (c *Ctx) inject(op OpKind, idx uint64, a, b float64) (float64, float64) {
 				Injection: inj, Op: op, Region: name, Before: before, After: after,
 			})
 		}
-		if g.pos == len(g.queue) {
-			c.armed--
-			if scan {
-				c.scanArmed--
-			}
+		if scan && g.pos == len(g.queue) {
+			c.scanArmed--
 		}
 	}
 	if !scan {
@@ -495,40 +548,65 @@ func (c *Ctx) inject(op OpKind, idx uint64, a, b float64) (float64, float64) {
 	return a, b
 }
 
+// slowAdd, slowSub and slowMul are the out-of-line halves of the ops,
+// taken when the countdown is at zero: fire what is due on this op, count
+// it, re-arm the countdown.  Each takes and returns what its op does, which
+// keeps the inlined fast paths at one call with one result.
+
+//go:noinline
+func (c *Ctx) slowAdd(a, b float64) float64 {
+	a, b = c.inject(OpAdd, c.count(), a, b)
+	c.adds++
+	c.rearm()
+	return a + b
+}
+
+//go:noinline
+func (c *Ctx) slowSub(a, b float64) float64 {
+	a, b = c.inject(OpSub, c.count(), a, b)
+	c.subs++
+	c.rearm()
+	return a - b
+}
+
+//go:noinline
+func (c *Ctx) slowMul(a, b float64) float64 {
+	a, b = c.inject(OpMul, c.count(), a, b)
+	c.muls++
+	c.rearm()
+	return a * b
+}
+
 // Add computes a+b through the instrumented datapath.
 func (c *Ctx) Add(a, b float64) float64 {
-	cl := c.class
-	idx := c.counters[cl]
-	c.counters[cl] = idx + 1
-	c.kinds[cl][OpAdd]++
-	if idx == c.trigger[cl] || c.scanArmed != 0 {
-		a, b = c.inject(OpAdd, idx, a, b)
+	if c.left == 0 {
+		return c.slowAdd(a, b)
 	}
+	c.left--
+	c.adds++
 	return a + b
 }
 
 // Sub computes a-b through the instrumented datapath.
 func (c *Ctx) Sub(a, b float64) float64 {
-	cl := c.class
-	idx := c.counters[cl]
-	c.counters[cl] = idx + 1
-	c.kinds[cl][OpSub]++
-	if idx == c.trigger[cl] || c.scanArmed != 0 {
-		a, b = c.inject(OpSub, idx, a, b)
+	if c.left == 0 {
+		return c.slowSub(a, b)
 	}
+	c.left--
+	c.subs++
 	return a - b
 }
 
-// Mul computes a*b through the instrumented datapath.
+// Mul computes a*b through the instrumented datapath.  The conversion
+// rounds the product explicitly, so that inlining Mul into Add(s, Mul(x,
+// y)) can never let a fusing architecture compute an FMA instead.
 func (c *Ctx) Mul(a, b float64) float64 {
-	cl := c.class
-	idx := c.counters[cl]
-	c.counters[cl] = idx + 1
-	c.kinds[cl][OpMul]++
-	if idx == c.trigger[cl] || c.scanArmed != 0 {
-		a, b = c.inject(OpMul, idx, a, b)
+	if c.left == 0 {
+		return c.slowMul(a, b)
 	}
-	return a * b
+	c.left--
+	c.muls++
+	return float64(a * b)
 }
 
 // Div computes a/b.  Division is instrumented for accounting but is not an

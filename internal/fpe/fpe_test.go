@@ -2,6 +2,7 @@ package fpe
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -331,6 +332,32 @@ func TestNewWithPlanRejectsBadClass(t *testing.T) {
 		}
 	}()
 	NewWithPlan([]Injection{{Class: RegionClass(7)}})
+}
+
+// TestLoadRejectsMalformedInjection: a bit or an operand out of range
+// panics when the plan is loaded — in the harness, where it is a bug —
+// not at fire time inside a rank, where it would be tallied as the
+// application's Failure.  A Mask makes Bit irrelevant.
+func TestLoadRejectsMalformedInjection(t *testing.T) {
+	for _, inj := range []Injection{
+		{Bit: 64},
+		{Operand: 2},
+		{Operand: -1},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "fpe: invalid ") || !strings.HasSuffix(msg, " in plan") {
+					t.Fatalf("%+v: loading panicked with %q, want fpe: invalid … in plan", inj, msg)
+				}
+			}()
+			NewWithPlan([]Injection{inj})
+		}()
+	}
+	c := NewWithPlan([]Injection{{Bit: 64, Mask: 1}})
+	if got := c.Add(2, 0); got != math.Float64frombits(math.Float64bits(2)^1) {
+		t.Fatalf("masked injection with an unused Bit = %g", got)
+	}
 }
 
 func TestPlanErrorMessage(t *testing.T) {
