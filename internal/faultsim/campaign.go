@@ -672,20 +672,16 @@ func runTrialContained(ctx context.Context, c Campaign, golden *Golden, rng *sta
 }
 
 // aggregate is the shared, lock-protected campaign state: the done-trial
-// bitmap plus every tally the Summary is built from.  Keeping one shared
+// bitmap plus the Tally the Summary is built from.  Keeping one shared
 // aggregate (rather than per-worker partials merged at the end) is what
 // makes periodic checkpointing a plain snapshot; the per-trial lock is
 // negligible next to a trial's full application execution.
 type aggregate struct {
 	mu        sync.Mutex
-	procs     int
 	trials    int
 	done      []uint64 // bitmap; bit t set = trial t's outcome is tallied
 	completed uint64
-	counter   stats.Counter
-	hist      []uint64
-	byCont    map[int]*stats.Counter
-	spread    []uint64
+	tally     Tally
 	fired     uint64
 	retried   uint64 // abnormal-trial retries, for live snapshots
 	abnormal  []trialError
@@ -701,12 +697,9 @@ type trialError struct {
 
 func newAggregate(procs, trials int) *aggregate {
 	return &aggregate{
-		procs:  procs,
 		trials: trials,
 		done:   make([]uint64, (trials+63)/64),
-		hist:   make([]uint64, procs),
-		byCont: make(map[int]*stats.Counter),
-		spread: make([]uint64, procs/2+1),
+		tally:  newTally(procs),
 	}
 }
 
@@ -736,32 +729,7 @@ func (a *aggregate) record(t int, rec TrialRecord) uint64 {
 	a.done[t/64] |= 1 << (t % 64)
 	a.completed++
 	a.fired += uint64(rec.Fired)
-	switch rec.Outcome {
-	case Success:
-		a.counter.AddSuccess()
-	case SDC:
-		a.counter.AddSDC()
-	case Failure:
-		a.counter.AddFailure()
-	}
-	if rec.Outcome != Failure {
-		x := clampCont(rec.Contaminated, a.procs)
-		a.hist[x-1]++
-		for _, d := range rec.Distances {
-			a.spread[d]++
-		}
-		bc := a.byCont[x]
-		if bc == nil {
-			bc = &stats.Counter{}
-			a.byCont[x] = bc
-		}
-		switch rec.Outcome {
-		case Success:
-			bc.AddSuccess()
-		case SDC:
-			bc.AddSDC()
-		}
-	}
+	a.tally.add(rec)
 	if a.hook != nil {
 		a.hook(a.completed)
 	}
@@ -812,9 +780,9 @@ func (a *aggregate) status(start, end int) ShardStatus {
 	return ShardStatus{
 		Start: start, End: end,
 		Done:     a.completed,
-		Success:  a.counter.Success,
-		SDC:      a.counter.SDC,
-		Failure:  a.counter.Failure,
+		Success:  a.tally.Success,
+		SDC:      a.tally.SDC,
+		Failure:  a.tally.Failure,
 		Abnormal: uint64(len(a.abnormal)),
 		Retried:  a.retried,
 	}
@@ -824,20 +792,9 @@ func (a *aggregate) status(start, end int) ShardStatus {
 func (a *aggregate) summary(golden *Golden) *Summary {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	sum := &Summary{
-		Hist:             &stats.Hist{Counts: append([]uint64(nil), a.hist...)},
-		ByContamination:  make(map[int]*stats.Counter, len(a.byCont)),
-		SpreadByDistance: append([]uint64(nil), a.spread...),
-		Golden:           golden,
-		Rates:            a.counter.Rates(),
-		Counts:           a.counter,
-		TrialsDone:       a.completed,
-		Abnormal:         uint64(len(a.abnormal)),
-	}
-	for x, bc := range a.byCont {
-		cp := *bc
-		sum.ByContamination[x] = &cp
-	}
+	sum := a.tally.summary()
+	sum.Golden = golden
+	sum.Abnormal = uint64(len(a.abnormal))
 	if a.completed > 0 {
 		sum.AvgFired = float64(a.fired) / float64(a.completed)
 	}

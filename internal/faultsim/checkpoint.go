@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"resmod/internal/stats"
+	"slices"
 )
 
 // CheckpointVersion is the current snapshot schema version.
@@ -39,17 +38,9 @@ type Checkpoint struct {
 	Done []uint64
 	// Completed is the number of set bits in Done.
 	Completed uint64
-	// Success, SDC and Failure are the outcome tallies over Done trials.
-	Success uint64
-	SDC     uint64
-	Failure uint64
-	// Hist is the contamination histogram counts (bin x-1 = x ranks).
-	Hist []uint64
-	// ByContamination holds the outcome counters conditioned on
-	// contamination count.
-	ByContamination map[int]stats.Counter
-	// Spread is the SpreadByDistance tally.
-	Spread []uint64
+	// Tally holds the counts over Done trials; its fields appear inline
+	// in the JSON.
+	Tally
 	// Fired is the total fired-injection count over Done trials.
 	Fired uint64
 }
@@ -58,53 +49,50 @@ type Checkpoint struct {
 func (a *aggregate) snapshot(identity string) *Checkpoint {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ck := &Checkpoint{
-		Version:         CheckpointVersion,
-		Identity:        identity,
-		Trials:          a.trials,
-		Done:            append([]uint64(nil), a.done...),
-		Completed:       a.completed,
-		Success:         a.counter.Success,
-		SDC:             a.counter.SDC,
-		Failure:         a.counter.Failure,
-		Hist:            append([]uint64(nil), a.hist...),
-		ByContamination: make(map[int]stats.Counter, len(a.byCont)),
-		Spread:          append([]uint64(nil), a.spread...),
-		Fired:           a.fired,
+	return &Checkpoint{
+		Version:   CheckpointVersion,
+		Identity:  identity,
+		Trials:    a.trials,
+		Done:      slices.Clone(a.done),
+		Completed: a.completed,
+		Tally:     a.tally.clone(),
+		Fired:     a.fired,
 	}
-	for x, bc := range a.byCont {
-		ck.ByContamination[x] = *bc
-	}
-	return ck
 }
 
-// SaveCheckpoint atomically writes the snapshot to path: the JSON is
-// written to a temporary file in the same directory and renamed into
-// place, so a crash mid-write can never corrupt an existing snapshot.
+// SaveCheckpoint atomically writes the snapshot to path (WriteFileAtomic).
 func SaveCheckpoint(path string, ck *Checkpoint) error {
 	data, err := json.MarshalIndent(ck, "", " ")
 	if err != nil {
 		return fmt.Errorf("faultsim: marshaling checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("faultsim: creating checkpoint temp file: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("faultsim: writing checkpoint: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("faultsim: committing checkpoint: %w", err)
+	if err := WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("faultsim: saving checkpoint: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic writes data to a temporary file beside path and renames
+// it into place, so a crash mid-write can never corrupt an existing file;
+// the temporary file is removed when any step fails.  Checkpoints and the
+// result store's entries (internal/store) are both committed here — the
+// tree's one seam for a fault-injecting filesystem.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // LoadCheckpoint reads a snapshot written by SaveCheckpoint.  A missing

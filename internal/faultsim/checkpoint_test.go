@@ -181,3 +181,24 @@ func TestResumeWithMissingCheckpointStartsFresh(t *testing.T) {
 		t.Fatalf("TrialsDone = %d, want 8", sum.TrialsDone)
 	}
 }
+
+// TestWriteFileAtomicCleansUpOnFailure: a write that cannot be committed
+// (the target is a non-empty directory) reports the error and leaves no
+// temporary file beside it.
+func TestWriteFileAtomicCleansUpOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "ck.json")
+	if err := os.MkdirAll(filepath.Join(target, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("{}")); err == nil {
+		t.Fatal("write over a non-empty directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "ck.json" {
+		t.Fatalf("failed write left %v behind", ents)
+	}
+}

@@ -15,7 +15,7 @@ import (
 	_ "resmod/internal/apps/pennant"
 )
 
-func lookup(t *testing.T, name string) apps.App {
+func lookup(t testing.TB, name string) apps.App {
 	t.Helper()
 	a, err := apps.Lookup(name)
 	if err != nil {

@@ -119,8 +119,11 @@ func TestSummaryRecordRoundTrip(t *testing.T) {
 func TestSummaryRecordRejectsCorruption(t *testing.T) {
 	base := SummaryRecord{
 		Version: SummaryRecordVersion, Identity: "cid:v2/x",
-		Success: 3, SDC: 1, Failure: 1, TrialsDone: 5,
-		Hist: []uint64{4}, ByContamination: map[int]stats.Counter{},
+		Tally: Tally{
+			Counter: stats.Counter{Success: 3, SDC: 1, Failure: 1},
+			Hist:    []uint64{4}, ByContamination: map[int]stats.Counter{1: {Success: 3, SDC: 1}},
+		},
+		TrialsDone: 5,
 	}
 	if _, err := base.Restore(); err != nil {
 		t.Fatalf("consistent record rejected: %v", err)

@@ -16,12 +16,11 @@ import (
 // merges — what a rejected Merge must leave untouched.
 type mergerState struct {
 	tallies  ShardStatus
-	missing  [][2]int
 	exceeded bool
 }
 
 func stateOf(m *Merger) mergerState {
-	return mergerState{m.Tallies(), m.Missing(0, m.trials), m.AbnormalExceeded()}
+	return mergerState{m.Tallies(), m.AbnormalExceeded()}
 }
 
 // TestMergeRejectionLeavesMergerUntouched: a result rejected for a bad
@@ -68,9 +67,10 @@ func TestMergeRejectionLeavesMergerUntouched(t *testing.T) {
 // TestMergerProperty: for seeded random disjoint covers of [0, Trials)
 // delivered in random order, salted with duplicates and overlapping
 // re-cuts, every Merge either folds the result in or rejects it with the
-// merger unchanged, and once the dispatcher's requeue rule (run what
-// Missing reports) has filled the gaps, the Summary is the single-node
-// SummaryRecord byte for byte.
+// merger unchanged — a rejection that left a trial accounted for would get
+// the gap's own delivery refused — and once the dispatcher's requeue rule
+// (run what is still uncovered) has filled the gaps, the Summary is the
+// single-node SummaryRecord byte for byte.
 func TestMergerProperty(t *testing.T) {
 	// EP: the cheapest registered app under -race, with a mixed
 	// success/SDC tally; 70 trials put cuts on both sides of a bitmap word.
@@ -156,10 +156,22 @@ func TestMergerProperty(t *testing.T) {
 				covered[i] = true
 			}
 		}
-		for _, r := range m.Missing(0, c.Trials) {
-			if err := m.Merge(shard(r[0], r[1])); err != nil {
-				t.Fatalf("seed %d: requeued gap %v rejected: %v", seed, r, err)
+		for start := 0; start < c.Trials; {
+			if covered[start] {
+				start++
+				continue
 			}
+			end := start
+			for end < c.Trials && !covered[end] {
+				end++
+			}
+			if _, err := m.Summary(); err == nil {
+				t.Fatalf("seed %d: Summary of a merger missing [%d,%d) succeeded", seed, start, end)
+			}
+			if err := m.Merge(shard(start, end)); err != nil {
+				t.Fatalf("seed %d: requeued gap [%d,%d) rejected: %v", seed, start, end, err)
+			}
+			start = end
 		}
 		sum, err := m.Summary()
 		if err != nil {

@@ -24,17 +24,9 @@ type SummaryRecord struct {
 	Version int
 	// Identity is the owning campaign's Campaign.Identity().
 	Identity string
-	// Success, SDC and Failure are the outcome tallies.
-	Success uint64
-	SDC     uint64
-	Failure uint64
-	// Hist is the contamination histogram counts (bin x-1 = x ranks).
-	Hist []uint64
-	// ByContamination holds the outcome counters conditioned on
-	// contamination count.
-	ByContamination map[int]stats.Counter
-	// Spread is the SpreadByDistance tally.
-	Spread []uint64
+	// Tally holds the campaign's counts; its fields appear inline in the
+	// JSON.
+	Tally
 	// TrialsDone and Abnormal mirror the Summary fields.
 	TrialsDone uint64
 	Abnormal   uint64
@@ -57,29 +49,16 @@ func (s *Summary) Record(identity string) *SummaryRecord {
 	if s == nil || s.Interrupted {
 		return nil
 	}
-	rec := &SummaryRecord{
-		Version:         SummaryRecordVersion,
-		Identity:        identity,
-		Success:         s.Counts.Success,
-		SDC:             s.Counts.SDC,
-		Failure:         s.Counts.Failure,
-		ByContamination: make(map[int]stats.Counter, len(s.ByContamination)),
-		Spread:          append([]uint64(nil), s.SpreadByDistance...),
-		TrialsDone:      s.TrialsDone,
-		Abnormal:        s.Abnormal,
-		AvgFired:        s.AvgFired,
-		ElapsedNS:       int64(s.Elapsed),
-		CI95:            s.Rates.Intervals95(),
+	return &SummaryRecord{
+		Version:    SummaryRecordVersion,
+		Identity:   identity,
+		Tally:      s.tally(),
+		TrialsDone: s.TrialsDone,
+		Abnormal:   s.Abnormal,
+		AvgFired:   s.AvgFired,
+		ElapsedNS:  int64(s.Elapsed),
+		CI95:       s.Rates.Intervals95(),
 	}
-	if s.Hist != nil {
-		rec.Hist = append([]uint64(nil), s.Hist.Counts...)
-	}
-	for x, bc := range s.ByContamination {
-		if bc != nil {
-			rec.ByContamination[x] = *bc
-		}
-	}
-	return rec
 }
 
 // Restore rebuilds the Summary a record was captured from (with a nil
@@ -91,33 +70,12 @@ func (r *SummaryRecord) Restore() (*Summary, error) {
 		return nil, fmt.Errorf("faultsim: summary record version %d, want %d",
 			r.Version, SummaryRecordVersion)
 	}
-	counts := stats.Counter{Success: r.Success, SDC: r.SDC, Failure: r.Failure}
-	if counts.Total() != r.TrialsDone {
-		return nil, fmt.Errorf("faultsim: summary record tallies %d do not cover %d trials",
-			counts.Total(), r.TrialsDone)
+	if err := r.Tally.check(r.TrialsDone); err != nil {
+		return nil, fmt.Errorf("faultsim: summary record: %w", err)
 	}
-	var histed uint64
-	for _, n := range r.Hist {
-		histed += n
-	}
-	if histed != r.Success+r.SDC {
-		return nil, fmt.Errorf("faultsim: summary record histogram covers %d tests, want %d",
-			histed, r.Success+r.SDC)
-	}
-	sum := &Summary{
-		Rates:            counts.Rates(),
-		Counts:           counts,
-		Hist:             &stats.Hist{Counts: append([]uint64(nil), r.Hist...)},
-		ByContamination:  make(map[int]*stats.Counter, len(r.ByContamination)),
-		SpreadByDistance: append([]uint64(nil), r.Spread...),
-		Elapsed:          time.Duration(r.ElapsedNS),
-		AvgFired:         r.AvgFired,
-		TrialsDone:       r.TrialsDone,
-		Abnormal:         r.Abnormal,
-	}
-	for x, bc := range r.ByContamination {
-		cp := bc
-		sum.ByContamination[x] = &cp
-	}
+	sum := r.Tally.summary()
+	sum.Elapsed = time.Duration(r.ElapsedNS)
+	sum.AvgFired = r.AvgFired
+	sum.Abnormal = r.Abnormal
 	return sum, nil
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"resmod/internal/stats"
 	"resmod/internal/telemetry"
 )
 
@@ -20,9 +19,11 @@ import (
 // identity — the union of any disjoint shard cover of [0, Trials) merges
 // into a Summary bit-identical to a single-node run, whatever the worker
 // count, dispatch order or re-shard history.  The partial-tally carrier
-// is the PR 1 Checkpoint: the same bitmap-plus-commutative-counts
-// snapshot that makes resume bit-identical makes shard merging
-// bit-identical.
+// is the Checkpoint — a done-trial bitmap plus a Tally — so resuming a
+// campaign and merging a shard are one operation, mergeDisjoint, and what
+// comes back from a file or a worker is checked there once (the bitmap
+// against the campaign and the trials already merged, the counts by
+// Tally.check) before any of it is added.
 
 // AbnormalTrial is one trial a shard abandoned after exhausting its
 // retries — reported alongside the tallies so the coordinator can apply
@@ -105,10 +106,12 @@ func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int
 	return res, nil
 }
 
-// mergeDisjoint folds a shard snapshot into the aggregate after
-// validating that it belongs to this campaign, is internally consistent,
-// and covers no trial already merged.  All tallies are commutative
-// integer counts, so merge order cannot affect the final Summary.
+// mergeDisjoint folds a snapshot — a resumed checkpoint or a shard's
+// result — into the aggregate after validating that it belongs to this
+// campaign, marks only trials the campaign has and none already merged,
+// and carries a Tally consistent with its done bits; a rejected snapshot
+// leaves the aggregate untouched.  All tallies are commutative integer
+// counts, so merge order cannot affect the final Summary.
 func (a *aggregate) mergeDisjoint(ck *Checkpoint, identity string) error {
 	if ck == nil {
 		return fmt.Errorf("%w: nil shard snapshot", ErrCheckpointMismatch)
@@ -124,44 +127,31 @@ func (a *aggregate) mergeDisjoint(ck *Checkpoint, identity string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if ck.Trials != a.trials || len(ck.Done) != len(a.done) ||
-		len(ck.Hist) != len(a.hist) || len(ck.Spread) != len(a.spread) {
+		len(ck.Hist) != len(a.tally.Hist) || len(ck.Spread) != len(a.tally.Spread) {
 		return fmt.Errorf("%w: snapshot shape does not fit the campaign", ErrCheckpointMismatch)
 	}
 	var pop uint64
 	for i, w := range ck.Done {
+		if w&^wordMask(i, 0, a.trials) != 0 {
+			return fmt.Errorf("%w: snapshot has done bits beyond its %d trials", ErrCheckpointMismatch, a.trials)
+		}
 		if a.done[i]&w != 0 {
 			return fmt.Errorf("%w: shard overlaps already-merged trials", ErrCheckpointMismatch)
 		}
 		pop += uint64(bits.OnesCount64(w))
 	}
-	if pop != ck.Completed || ck.Success+ck.SDC+ck.Failure != ck.Completed {
-		return fmt.Errorf("%w: snapshot tallies are inconsistent (%d done bits, %d completed)",
-			ErrCheckpointMismatch, pop, ck.Completed)
+	if pop != ck.Completed {
+		return fmt.Errorf("%w: snapshot has %d done bits, %d completed", ErrCheckpointMismatch, pop, ck.Completed)
+	}
+	if err := ck.Tally.check(pop); err != nil {
+		return fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
 	}
 	for i, w := range ck.Done {
 		a.done[i] |= w
 	}
-	a.completed += ck.Completed
-	a.counter.Success += ck.Success
-	a.counter.SDC += ck.SDC
-	a.counter.Failure += ck.Failure
-	for i, n := range ck.Hist {
-		a.hist[i] += n
-	}
-	for i, n := range ck.Spread {
-		a.spread[i] += n
-	}
+	a.completed += pop
+	a.tally.merge(&ck.Tally)
 	a.fired += ck.Fired
-	for x, bc := range ck.ByContamination {
-		dst := a.byCont[x]
-		if dst == nil {
-			dst = &stats.Counter{}
-			a.byCont[x] = dst
-		}
-		dst.Success += bc.Success
-		dst.SDC += bc.SDC
-		dst.Failure += bc.Failure
-	}
 	return nil
 }
 
@@ -197,9 +187,6 @@ func NewMerger(c Campaign, golden *Golden) *Merger {
 		accounted: make([]uint64, (c.Trials+63)/64),
 	}
 }
-
-// Identity returns the campaign identity shards must carry.
-func (m *Merger) Identity() string { return m.identity }
 
 // Merge folds one shard result in, all or nothing: a result that belongs
 // to a different campaign, claims a trial outside its own [Start, End),
@@ -282,63 +269,20 @@ func (m *Merger) Done() uint64 {
 	return m.agg.doneCount()
 }
 
-// Complete reports whether every trial is accounted for (tallied or
-// abandoned as abnormal).
-func (m *Merger) Complete() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.completeLocked()
-}
-
-func (m *Merger) completeLocked() bool {
-	for i, w := range m.accounted {
-		if want := wordMask(i, 0, m.trials); w&want != want {
-			return false
-		}
-	}
-	return true
-}
-
-// Missing returns the maximal contiguous unaccounted trial ranges within
-// [start, end) — the re-dispatch list after a shard is lost.
-func (m *Merger) Missing(start, end int) [][2]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out [][2]int
-	runStart := -1
-	for t := start; t < end; t++ {
-		if m.accounted[t/64]&(1<<(t%64)) == 0 {
-			if runStart < 0 {
-				runStart = t
-			}
-			continue
-		}
-		if runStart >= 0 {
-			out = append(out, [2]int{runStart, t})
-			runStart = -1
-		}
-	}
-	if runStart >= 0 {
-		out = append(out, [2]int{runStart, end})
-	}
-	return out
-}
-
 // Summary builds the merged campaign Summary.  Incomplete coverage or an
 // exceeded abnormal budget is an error, with the same deterministic
 // lowest-trial-index reporting as a local run; the result is otherwise
 // bit-identical (Elapsed aside, which is wall time by definition) to
 // RunAgainstCtx over the full range.
 func (m *Merger) Summary() (*Summary, error) {
-	m.mu.Lock()
-	complete := m.completeLocked()
-	m.mu.Unlock()
 	if err := m.agg.fatalError(m.maxAbn); err != nil {
 		return nil, err
 	}
-	if !complete {
-		return nil, fmt.Errorf("faultsim: merged shards cover %d of %d trials",
-			m.agg.doneCount(), m.trials)
+	// Merge keeps tallied and abnormal trials disjoint and inside
+	// [0, trials), so together they cover the campaign exactly when their
+	// counts add up to it.
+	if st := m.Tallies(); st.Done+st.Abnormal != uint64(m.trials) {
+		return nil, fmt.Errorf("faultsim: merged shards cover %d of %d trials", st.Done, m.trials)
 	}
 	sum := m.agg.summary(m.golden)
 	sum.Elapsed = time.Since(m.start)

@@ -71,8 +71,8 @@ func TestShardMergeBitIdentical(t *testing.T) {
 				t.Fatalf("merge %v: %v", r, err)
 			}
 		}
-		if !m.Complete() {
-			t.Fatalf("cover %v: merger not complete after %d trials", cover, m.Done())
+		if got := m.Done(); got != uint64(c.Trials) {
+			t.Fatalf("cover %v: merger holds %d of %d trials", cover, got, c.Trials)
 		}
 		sum, err := m.Summary()
 		if err != nil {
@@ -107,9 +107,22 @@ func TestShardResultJSONRoundTrip(t *testing.T) {
 	if got := m.Done(); got != 30 {
 		t.Fatalf("merged %d trials, want 30", got)
 	}
-	if missing := m.Missing(0, c.Trials); len(missing) != 2 ||
-		missing[0] != [2]int{0, 10} || missing[1] != [2]int{40, 90} {
-		t.Fatalf("missing ranges %v, want [[0,10],[40,90]]", missing)
+	// Exactly [0,10) and [40,90) are still missing: no Summary yet, and
+	// those two ranges, no others, complete it.
+	if _, err := m.Summary(); err == nil {
+		t.Fatal("Summary of a third of the campaign succeeded")
+	}
+	for _, r := range [][2]int{{0, 10}, {40, 90}} {
+		rest, err := RunShardCtx(context.Background(), c, golden, r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Merge(rest); err != nil {
+			t.Fatalf("missing range %v refused: %v", r, err)
+		}
+	}
+	if _, err := m.Summary(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"resmod/internal/faultsim"
 )
 
 // DefaultMaxEntries is the LRU capacity used when Config.MaxEntries is
@@ -158,23 +160,8 @@ func (s *Store) Put(key string, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("store: marshaling %q: %w", key, err)
 		}
-		path := s.path(key)
-		tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp*")
-		if err != nil {
-			return fmt.Errorf("store: creating temp file: %w", err)
-		}
-		_, werr := tmp.Write(env)
-		cerr := tmp.Close()
-		if werr != nil || cerr != nil {
-			os.Remove(tmp.Name())
-			if werr == nil {
-				werr = cerr
-			}
-			return fmt.Errorf("store: writing %q: %w", key, werr)
-		}
-		if err := os.Rename(tmp.Name(), path); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("store: committing %q: %w", key, err)
+		if err := faultsim.WriteFileAtomic(s.path(key), env); err != nil {
+			return fmt.Errorf("store: writing %q: %w", key, err)
 		}
 	}
 	s.mu.Lock()

@@ -144,7 +144,21 @@ func TestCorruptAndPartialFilesAreSkipped(t *testing.T) {
 	}
 }
 
+// TestAtomicWriteLeavesNoTempFiles: repeated writes of one store entry,
+// and of one checkpoint (the other caller of faultsim.WriteFileAtomic),
+// leave exactly the committed file behind.
 func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
+	onlyFile := func(dir, want string) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Name() != want {
+			t.Fatalf("%s holds %v, want only %s", dir, ents, want)
+		}
+	}
+
 	dir := t.TempDir()
 	s := open(t, Config{Dir: dir})
 	for i := 0; i < 10; i++ {
@@ -152,19 +166,19 @@ func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.HasSuffix(s.path("k"), ".json") {
+		t.Fatalf("unexpected content address %s", s.path("k"))
 	}
-	if len(ents) != 1 {
-		t.Fatalf("directory holds %d files, want 1", len(ents))
+	onlyFile(dir, filepath.Base(s.path("k")))
+
+	ckDir := t.TempDir()
+	for i := 0; i < 10; i++ {
+		ck := &faultsim.Checkpoint{Version: faultsim.CheckpointVersion, Trials: i}
+		if err := faultsim.SaveCheckpoint(filepath.Join(ckDir, "ck.json"), ck); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !strings.HasSuffix(ents[0].Name(), ".json") {
-		t.Fatalf("unexpected file %s", ents[0].Name())
-	}
-	if filepath.Base(s.path("k")) != ents[0].Name() {
-		t.Fatal("entry not at its content address")
-	}
+	onlyFile(ckDir, "ck.json")
 }
 
 func TestConcurrentAccess(t *testing.T) {
