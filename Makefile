@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-short race cover fuzz benchcheck inlinecheck loc experiments report serve smoke trace distcheck clean
+.PHONY: all build fmt vet test test-short race cover fuzz benchcheck inlinecheck alloccheck loc experiments report serve smoke trace distcheck clean
 
 all: build test
 
@@ -51,6 +51,16 @@ benchcheck:
 # run in CI).
 inlinecheck:
 	./scripts/inlinecheck.sh
+
+# Every test that pins an allocation count or a byte count skips itself
+# under the race detector, whose shadow allocations would fail it — and
+# `go test -race ./...` is CI's only other test step.  This runs them
+# without it: the fpe datapath, the simmpi engine and message free lists,
+# each app's pooled run, the pooled trial, the telemetry hot path (also run
+# in CI).  A new pin joins by carrying Alloc, Pool or Bounded in its name.
+alloccheck:
+	$(GO) test -count=1 -run 'Alloc|Pool|Bounded|TestNilRecorder|TestWorld1024' \
+		./internal/fpe ./internal/simmpi ./internal/apps/... ./internal/faultsim ./internal/telemetry
 
 # Non-blank, non-comment, non-test Go lines per package — the count the
 # ROADMAP's code-size aim tracks (CI prints it; nothing gates on it).

@@ -10,6 +10,23 @@
 // route every floating-point operation through the per-rank *fpe.Ctx so
 // the harness can inject single-bit faults, and annotate parallel-unique
 // computation (paper Observation 1) with fpe regions.
+//
+// Two conventions keep a run's allocation at its working set — a campaign
+// is thousands of runs, and what a run allocates per message or per
+// iteration it pays for again in the collector.  Kernels take their
+// destination: a function called from an iteration loop (a stencil, a
+// sweep, a transpose, a halo exchange) writes into arrays its caller made
+// once before the loop and passes in, receives with RecvInto or an ...Into
+// collective, and sends straight from the working array (Send copies).
+// Hoisting must leave the order and the number of fpe operations exactly
+// as they were: an injection plan addresses an operation by its index.
+// (An array made once is also live for the whole run, on every rank; where
+// that is most of a wide world's memory, as on MG's replicated levels, the
+// array stays with the phase that uses it — see mg.vcycle.)
+// And fault-free setup that depends only on the class (a generated matrix,
+// a twiddle table, a right-hand side) is computed once per process and
+// shared by every run of every campaign, so it is read-only: a run that
+// wrote to it would silently change every later run's answer.
 package apps
 
 import (
@@ -132,15 +149,13 @@ func VerifyRel(golden, check []float64, tol float64) bool {
 }
 
 // HaloExchange1D exchanges boundary planes with the ring neighbours in a
-// 1-D decomposition: sendLo goes to rank-1, sendHi to rank+1; the returned
-// slices are the planes received from rank-1 (ghostLo) and rank+1
-// (ghostHi).  At the domain ends the corresponding ghost is nil.
+// 1-D decomposition: sendLo goes to rank-1, sendHi to rank+1; the plane
+// from rank-1 is received into ghostLo and the one from rank+1 into
+// ghostHi, which must have the planes' length.  It returns the two ghosts,
+// nil in place of the one beyond a domain end.
 // Tags must be below the collective tag space.
-func HaloExchange1D(comm *simmpi.Comm, tag int, sendLo, sendHi []float64) (ghostLo, ghostHi []float64) {
+func HaloExchange1D(comm *simmpi.Comm, tag int, sendLo, sendHi, ghostLo, ghostHi []float64) (lo, hi []float64) {
 	r, p := comm.Rank(), comm.Size()
-	if p == 1 {
-		return nil, nil
-	}
 	// Send both directions first (buffered), then receive: deadlock-free.
 	if r > 0 {
 		comm.Send(r-1, tag, sendLo)
@@ -149,10 +164,30 @@ func HaloExchange1D(comm *simmpi.Comm, tag int, sendLo, sendHi []float64) (ghost
 		comm.Send(r+1, tag+1, sendHi)
 	}
 	if r > 0 {
-		ghostLo = comm.Recv(r-1, tag+1)
+		comm.RecvInto(r-1, tag+1, ghostLo)
+		lo = ghostLo
 	}
 	if r < p-1 {
-		ghostHi = comm.Recv(r+1, tag)
+		comm.RecvInto(r+1, tag, ghostHi)
+		hi = ghostHi
 	}
-	return ghostLo, ghostHi
+	return lo, hi
+}
+
+// Exchange is the staging of a run's alltoall transposes, made once: Send[r]
+// is the block packed for rank r, Recv[r] the block received from it.
+type Exchange struct {
+	Send, Recv [][]float64
+}
+
+// NewExchange returns the staging for p ranks and blocks of n floats, all
+// carved from one array.
+func NewExchange(p, n int) Exchange {
+	flat := make([]float64, 2*p*n)
+	xp := Exchange{Send: make([][]float64, p), Recv: make([][]float64, p)}
+	for r := 0; r < p; r++ {
+		xp.Send[r] = flat[r*n : (r+1)*n]
+		xp.Recv[r] = flat[(p+r)*n : (p+r+1)*n]
+	}
+	return xp
 }

@@ -101,7 +101,7 @@ func TestHaloExchange1D(t *testing.T) {
 		r := c.Rank()
 		lo := []float64{float64(10 * r)}
 		hi := []float64{float64(10*r + 1)}
-		ghLo, ghHi := HaloExchange1D(c, 50, lo, hi)
+		ghLo, ghHi := HaloExchange1D(c, 50, lo, hi, make([]float64, 1), make([]float64, 1))
 		if r == 0 && ghLo != nil {
 			t.Errorf("rank 0 has a lower ghost")
 		}
@@ -123,7 +123,7 @@ func TestHaloExchange1D(t *testing.T) {
 
 func TestHaloExchange1DSerial(t *testing.T) {
 	_, err := simmpi.Run(simmpi.Config{Procs: 1}, func(c *simmpi.Comm) error {
-		lo, hi := HaloExchange1D(c, 50, []float64{1}, []float64{2})
+		lo, hi := HaloExchange1D(c, 50, []float64{1}, []float64{2}, make([]float64, 1), make([]float64, 1))
 		if lo != nil || hi != nil {
 			t.Error("serial halos not nil")
 		}

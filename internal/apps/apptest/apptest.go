@@ -6,11 +6,20 @@
 package apptest
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"math"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"resmod/internal/apps"
 	"resmod/internal/fpe"
+	"resmod/internal/race"
+	"resmod/internal/simmpi"
 )
 
 // Options tunes the conformance suite for one application.
@@ -160,4 +169,138 @@ func bitEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// Alloc is what one execution allocates on the heap.
+type Alloc struct {
+	Bytes, Objects uint64
+}
+
+// MeasureAlloc returns what one fault-free run of app's default class at
+// procs ranks allocates on a warmed arena — the steady state of a campaign
+// worker — from the process-wide allocation counters (so nothing else may
+// run beside it).  It is the mean over a batch of runs, and the least of a
+// few batches: what the runtime allocates now and then on its own account
+// (a goroutine descriptor, a buffer for a message that overtook another)
+// only ever adds, and next to a small app's few kilobytes it is not small.
+func MeasureAlloc(t *testing.T, app apps.App, procs int) Alloc {
+	t.Helper()
+	arena := apps.NewArena()
+	run := func() {
+		res := arena.ExecuteCtx(context.Background(), app, app.DefaultClass(), procs, nil, apps.DefaultTimeout)
+		if res.Err != nil {
+			t.Fatalf("p=%d run failed: %v", procs, res.Err)
+		}
+	}
+	// Two runs build the arena, fill the apps' setup caches and stock the
+	// engine's free lists.
+	run()
+	run()
+	const batches, runs = 3, 4
+	least := Alloc{Bytes: math.MaxUint64, Objects: math.MaxUint64}
+	for b := 0; b < batches; b++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		least.Bytes = min(least.Bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+		least.Objects = min(least.Objects, (after.Mallocs-before.Mallocs)/runs)
+	}
+	return least
+}
+
+// AllocBounded pins what a pooled clean run allocates at each rank count in
+// pins, so a change that puts a per-message or per-iteration allocation
+// back into the app or the runtime under it fails a test instead of only
+// moving a benchmark number.  A pin is 1.25 x what the app measured when
+// it was set (the scheduler decides how many messages are in flight at
+// once, which moves the count by a few percent); tighten it when the app
+// gets leaner.
+func AllocBounded(t *testing.T, app apps.App, pins map[int]Alloc) {
+	t.Helper()
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	scales := make([]int, 0, len(pins))
+	for procs := range pins {
+		scales = append(scales, procs)
+	}
+	sort.Ints(scales)
+	for _, procs := range scales {
+		pin := pins[procs]
+		got := MeasureAlloc(t, app, procs)
+		t.Logf("%s p=%d: %d bytes, %d objects per pooled run (pins %d, %d)",
+			app.Name(), procs, got.Bytes, got.Objects, pin.Bytes, pin.Objects)
+		if got.Bytes > pin.Bytes || got.Objects > pin.Objects {
+			t.Errorf("%s p=%d: a pooled run allocates %d bytes in %d objects; want <= %d in %d",
+				app.Name(), procs, got.Bytes, got.Objects, pin.Bytes, pin.Objects)
+		}
+	}
+}
+
+// SetupReadOnly asserts that no run can write to the fault-free setup
+// tables app caches across runs (see package apps): digest, the app's hash
+// over everything it has cached, must read the same after a trial whose
+// fault corrupts the output (SDC) and after one the watchdog kills
+// (Failure) as it did before them.
+func SetupReadOnly(t *testing.T, app apps.App, procs int, digest func() uint64) {
+	t.Helper()
+	class := app.DefaultClass()
+	clean := apps.Execute(app, class, procs, nil, apps.DefaultTimeout)
+	if clean.Err != nil {
+		t.Fatalf("clean run failed: %v", clean.Err)
+	}
+	before := digest()
+
+	// A flip of the top exponent bit, at the first of a few sites where it
+	// is not masked.
+	victim, sdc := procs/2, false
+	for div := uint64(2); div < 8 && !sdc; div++ {
+		res := apps.Execute(app, class, procs, map[int][]fpe.Injection{victim: {{
+			Class: fpe.Common, Index: clean.Ctxs[victim].Counts().Common / div, Bit: 62,
+		}}}, apps.DefaultTimeout)
+		sdc = res.Err == nil && !app.Verify(clean.Outputs[0].Check, res.Outputs[0].Check)
+	}
+	if !sdc {
+		t.Fatal("no exponent flip made an SDC trial")
+	}
+	if got := digest(); got != before {
+		t.Errorf("an SDC trial changed the cached setup: digest %x, was %x", got, before)
+	}
+
+	hung := apps.Execute(app, class, procs, nil, time.Nanosecond)
+	if !errors.Is(hung.Err, simmpi.ErrTimeout) {
+		t.Fatalf("a 1 ns watchdog did not make a Failure trial: err %v", hung.Err)
+	}
+	if got := digest(); got != before {
+		t.Errorf("a Failure trial changed the cached setup: digest %x, was %x", got, before)
+	}
+}
+
+// Digest hashes setup tables ([]float64 by their bits, []int) for
+// SetupReadOnly, in the order given.
+func Digest(tables ...any) uint64 {
+	h := fnv.New64a()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	for _, table := range tables {
+		switch xs := table.(type) {
+		case []float64:
+			for _, x := range xs {
+				put(math.Float64bits(x))
+			}
+		case []int:
+			for _, x := range xs {
+				put(uint64(x))
+			}
+		default:
+			panic("apptest: Digest of an unsupported table type")
+		}
+	}
+	return h.Sum64()
 }

@@ -79,7 +79,8 @@ func Order(class string) (int, bool) {
 // BlockCSR deterministically generates the sparse SPD matrix of the given
 // class and returns the CSR of rows [rowLo, rowHi) restricted to columns
 // [colLo, colHi), with column indices kept global.  The 2-D decomposed
-// variant (package cg2d) builds its blocks through this.
+// variant (package cg2d) builds its blocks through this.  The slices are
+// the cache's own: read-only.
 func BlockCSR(class string, rowLo, rowHi, colLo, colHi int) (rowPtr, colIdx []int, vals []float64, ok bool) {
 	p, found := classes[class]
 	if !found {
@@ -89,29 +90,55 @@ func BlockCSR(class string, rowLo, rowHi, colLo, colHi int) (rowPtr, colIdx []in
 	return m.rowPtr, m.colIdx, m.vals, true
 }
 
-// fullMatrices caches the generated full matrix per class seed.  Matrix
-// generation is fault-free setup (like NPB's makea), deterministic, and
-// read-only once built, so sharing it across the thousands of runs of a
-// campaign is safe and removes the dominant per-run setup cost.
-var fullMatrices sync.Map // uint64 (class seed) -> *csr over all rows/cols
+// blockKey names one block of one class's matrix.
+type blockKey struct {
+	seed                       uint64
+	rowLo, rowHi, colLo, colHi int
+}
+
+// blocks caches every matrix block a run has asked for, the full matrix
+// among them.  Generation and extraction are fault-free setup (like NPB's
+// makea), deterministic, and the same for every run of a (class, scale,
+// rank), so the thousands of runs of a campaign share one copy — which
+// makes a cached block read-only (see package apps).
+var blocks sync.Map // blockKey -> *csr
 
 // buildMatrix returns the CSR slice for rows [lo, hi) over all columns.
 func buildMatrix(p params, lo, hi int) *csr {
 	return buildBlock(p, lo, hi, 0, p.n)
 }
 
-// buildBlock returns the CSR of rows [rowLo, rowHi) restricted to columns
-// [colLo, colHi), extracted from the cached full matrix.
+// buildBlock returns the cached CSR of rows [rowLo, rowHi) restricted to
+// columns [colLo, colHi), cut from the full matrix on first use.
 func buildBlock(p params, lo, hi, colLo, colHi int) *csr {
-	fullAny, ok := fullMatrices.Load(p.seed)
-	if !ok {
-		fullAny, _ = fullMatrices.LoadOrStore(p.seed, generate(p))
+	key := blockKey{p.seed, lo, hi, colLo, colHi}
+	if m, ok := blocks.Load(key); ok {
+		return m.(*csr)
 	}
-	full := fullAny.(*csr)
+	var m *csr
 	if lo == 0 && hi == p.n && colLo == 0 && colHi == p.n {
-		return full
+		m = generate(p)
+	} else {
+		m = cutBlock(buildBlock(p, 0, p.n, 0, p.n), lo, hi, colLo, colHi)
 	}
+	cached, _ := blocks.LoadOrStore(key, m)
+	return cached.(*csr)
+}
+
+// cutBlock extracts a block of the full matrix.  A block over all columns
+// is a run of full's arrays and shares them, so a new rank count costs a
+// row-pointer array, not a copy of the matrix; only a column-restricted
+// block (cg2d's) holds copies.
+func cutBlock(full *csr, lo, hi, colLo, colHi int) *csr {
 	m := &csr{rowLo: lo, rowHi: hi, rowPtr: make([]int, hi-lo+1)}
+	if colLo == 0 && colHi == full.rowHi {
+		first, end := full.rowPtr[lo], full.rowPtr[hi]
+		m.colIdx, m.vals = full.colIdx[first:end:end], full.vals[first:end:end]
+		for i := range m.rowPtr {
+			m.rowPtr[i] = full.rowPtr[lo+i] - first
+		}
+		return m
+	}
 	for i := lo; i < hi; i++ {
 		for k := full.rowPtr[i]; k < full.rowPtr[i+1]; k++ {
 			j := full.colIdx[k]
@@ -203,14 +230,13 @@ func (m *csr) spmv(fc *fpe.Ctx, x, w []float64) {
 	}
 }
 
-// gatherVector assembles the full vector from per-rank segments.  In
-// parallel mode each rank first accumulates a checksum guard over its
-// segment — the parallel-unique computation.
-func gatherVector(fc *fpe.Ctx, comm *simmpi.Comm, local []float64) []float64 {
+// gatherVector assembles the full vector from per-rank segments into full.
+// In parallel mode each rank first accumulates a checksum guard over its
+// segment — the parallel-unique computation.  A serial run's full vector
+// is its segment, so there is nothing to do.
+func gatherVector(fc *fpe.Ctx, comm *simmpi.Comm, local, full []float64) {
 	if comm.Size() == 1 {
-		out := make([]float64, len(local))
-		copy(out, local)
-		return out
+		return
 	}
 	end := fc.Begin("gather-guard", fpe.Unique)
 	var guard float64
@@ -219,7 +245,7 @@ func gatherVector(fc *fpe.Ctx, comm *simmpi.Comm, local []float64) []float64 {
 	}
 	end()
 	_ = guard // the guard models NPB CG's exchange-preparation arithmetic
-	return comm.Allgather(local)
+	comm.AllgatherInto(full, local)
 }
 
 // Run executes the benchmark on this rank.
@@ -244,6 +270,10 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	r := make([]float64, nloc)
 	pvec := make([]float64, nloc)
 	q := make([]float64, nloc)
+	pfull := pvec // the direction vector over all rows
+	if comm.Size() > 1 {
+		pfull = make([]float64, pr.n)
+	}
 
 	var zeta float64
 	for it := 0; it < pr.outer; it++ {
@@ -255,7 +285,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		}
 		rho := comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
 		for cgit := 0; cgit < pr.inner; cgit++ {
-			pfull := gatherVector(fc, comm, pvec)
+			gatherVector(fc, comm, pvec, pfull)
 			m.spmv(fc, pfull, q)
 			d := comm.AllreduceValue(simmpi.OpSum, fc.Dot(pvec, q))
 			alpha := fc.Div(rho, d)

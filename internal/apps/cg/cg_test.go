@@ -153,3 +153,27 @@ func TestBadProcs(t *testing.T) {
 		t.Fatal("non-power-of-two procs accepted")
 	}
 }
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 62300, Objects: 22},
+		4:  {Bytes: 105000, Objects: 66},
+		16: {Bytes: 228000, Objects: 235},
+		64: {Bytes: 733000, Objects: 912},
+	})
+}
+
+// TestCachedBlocksReadOnly: the matrix blocks every run shares come through
+// an SDC trial and a Failure trial unchanged.
+func TestCachedBlocksReadOnly(t *testing.T) {
+	apptest.SetupReadOnly(t, App{}, 4, func() uint64 {
+		var sum uint64 // of the blocks' digests: Range's order is not fixed
+		blocks.Range(func(_, m any) bool {
+			sum += apptest.Digest(m.(*csr).rowPtr, m.(*csr).colIdx, m.(*csr).vals)
+			return true
+		})
+		return sum
+	})
+}

@@ -69,12 +69,14 @@ func gridSide(p int) int {
 	return s
 }
 
-// blockCSR is one rank's matrix block with columns rebased to the block.
+// blockCSR is one rank's matrix block — cg's cached arrays, read-only —
+// whose column indices are global: column j is element j-colLo of the
+// rank's vector segment.
 type blockCSR struct {
-	rows   int
-	rowPtr []int
-	colIdx []int
-	vals   []float64
+	rows, colLo int
+	rowPtr      []int
+	colIdx      []int
+	vals        []float64
 }
 
 // spmv computes w = A_block * x with instrumented arithmetic.
@@ -82,7 +84,7 @@ func (m *blockCSR) spmv(fc *fpe.Ctx, x, w []float64) {
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s = fc.Add(s, fc.Mul(m.vals[k], x[m.colIdx[k]]))
+			s = fc.Add(s, fc.Mul(m.vals[k], x[m.colIdx[k]-m.colLo]))
 		}
 		w[i] = s
 	}
@@ -116,16 +118,18 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	partner := col*side + row
 
 	rowPtr, colIdx, vals, _ := cg.BlockCSR(pr.class, row*b, (row+1)*b, col*b, (col+1)*b)
-	m := &blockCSR{rows: b, rowPtr: rowPtr, colIdx: make([]int, len(colIdx)), vals: vals}
-	for k, j := range colIdx {
-		m.colIdx[k] = j - col*b // rebase to the local segment
-	}
+	m := &blockCSR{rows: b, colLo: col * b, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 
 	// matvec computes the q segment this rank's column block contributes
 	// to, reduced across the process row and transposed into the rank's
-	// column segment.
+	// column segment.  Both live in arrays made once: the result is valid
+	// until the next call.
+	partial := make([]float64, b)
+	qseg := partial
+	if comm.Rank() != partner {
+		qseg = make([]float64, b)
+	}
 	matvec := func(x []float64) []float64 {
-		partial := make([]float64, b)
 		m.spmv(fc, x, partial)
 		if comm.Size() > 1 {
 			// The exchange-preparation guard models NPB CG's partial-sum
@@ -138,11 +142,12 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			end()
 			_ = guard
 		}
-		qi := rowComm.Allreduce(simmpi.OpSum, partial)
-		if comm.Rank() == partner {
-			return qi
+		rowComm.AllreduceInto(simmpi.OpSum, partial)
+		if comm.Rank() != partner {
+			comm.Send(partner, transposeTag, partial)
+			comm.RecvInto(partner, transposeTag, qseg)
 		}
-		return comm.Sendrecv(partner, transposeTag, qi, partner, transposeTag)
+		return qseg
 	}
 	// dot computes a global inner product from this rank's segments: the
 	// row communicator spans all column blocks exactly once.

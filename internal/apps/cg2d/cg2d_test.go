@@ -106,3 +106,14 @@ func TestStagedPropagation(t *testing.T) {
 		t.Fatalf("rates = %+v", sum.Rates)
 	}
 }
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 62400, Objects: 28},
+		4:  {Bytes: 136000, Objects: 102},
+		16: {Bytes: 295000, Objects: 407},
+		64: {Bytes: 751000, Objects: 1700},
+	})
+}

@@ -83,3 +83,14 @@ func TestNoPropagationBeyondInjectedRank(t *testing.T) {
 		t.Fatalf("EP propagation profile not a single spike: %v", probs)
 	}
 }
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 1170, Objects: 17},
+		4:  {Bytes: 2700, Objects: 40},
+		16: {Bytes: 8980, Objects: 131},
+		64: {Bytes: 33800, Objects: 495},
+	})
+}

@@ -41,9 +41,10 @@ func ExecuteCtx(ctx context.Context, app App, class string, procs int, plans map
 }
 
 // Arena is a reuse pool for repeated executions: the simulated world's
-// per-rank inboxes (simmpi.Engine), the per-rank instrumented fpe contexts,
-// and the output slice are built once and reset per run, so steady-state
-// trial execution allocates only what the application itself allocates.
+// per-rank inboxes with the message buffers they have recycled
+// (simmpi.Engine), the per-rank instrumented fpe contexts, and the output
+// slice are built once and reset per run, so steady-state trial execution
+// allocates only the application's own working set — nothing per message.
 //
 // An Arena is owned by a single goroutine (one campaign worker) and must
 // not be used concurrently.  The ExecResult's Ctxs and Outputs slices are
@@ -64,9 +65,10 @@ type Arena struct {
 // the first execution's shape and rebuilt if the shape changes.
 func NewArena() *Arena { return &Arena{} }
 
-// Discard drops the pooled state, forcing the next execution to rebuild
-// it.  Callers use it when an execution ended in a state they no longer
-// trust (e.g. after containing a harness panic).
+// Discard drops the pooled state — the engine's recycled message buffers
+// with it — forcing the next execution to rebuild it.  Callers use it when
+// an execution ended in a state they no longer trust (e.g. after
+// containing a harness panic).
 func (a *Arena) Discard() {
 	if a == nil {
 		return

@@ -22,6 +22,7 @@ package ft
 
 import (
 	"math"
+	"sync"
 
 	"resmod/internal/apps"
 	"resmod/internal/fpe"
@@ -73,6 +74,18 @@ func (App) MaxProcs(class string) int {
 // tw[s][j] is exp(-2*pi*i * j / 2^(s+1)) for j < 2^s.
 type twiddles struct {
 	re, im [][]float64
+}
+
+// twiddleTables caches the table of each FFT length: fault-free setup that
+// every rank of every run shares, so read-only (see package apps).
+var twiddleTables sync.Map // int (FFT length) -> *twiddles
+
+func twiddlesFor(n int) *twiddles {
+	if t, ok := twiddleTables.Load(n); ok {
+		return t.(*twiddles)
+	}
+	t, _ := twiddleTables.LoadOrStore(n, makeTwiddles(n))
+	return t.(*twiddles)
 }
 
 func makeTwiddles(n int) *twiddles {
@@ -172,9 +185,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	xlo, xhi := apps.Block1D(nx, p, comm.Rank())
 	nzLoc, nxLoc := zhi-zlo, xhi-xlo
 
-	twX := makeTwiddles(nx)
-	twY := makeTwiddles(ny)
-	twZ := makeTwiddles(nz)
+	twX, twY, twZ := twiddlesFor(nx), twiddlesFor(ny), twiddlesFor(nz)
 
 	// Spatial layout (z-distributed): idx = (z-zlo)*ny*nx + y*nx + x.
 	spatial := field{re: make([]float64, nzLoc*ny*nx), im: make([]float64, nzLoc*ny*nx)}
@@ -202,7 +213,8 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			fft1d(fc, twY, spatial.re, spatial.im, z*ny*nx+x, nx, ny, false)
 		}
 	}
-	var spec field // spectral data
+	var spec field       // spectral data
+	var xp apps.Exchange // the transposes' staging (parallel runs only)
 	if serial {
 		// z-direction FFT strided in place.
 		spec = spatial
@@ -213,7 +225,9 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		}
 	} else {
 		// Transpose to the x-distributed layout, then local z FFTs.
-		xd := transposeZX(fc, comm, pr, spatial, zlo, zhi, xlo, xhi)
+		xd := field{re: make([]float64, nxLoc*ny*nz), im: make([]float64, nxLoc*ny*nz)}
+		xp = apps.NewExchange(p, nzLoc*ny*nxLoc*2)
+		transposeZX(fc, comm, pr, xp, spatial, xd, zlo, zhi, xlo, xhi)
 		for x := 0; x < nxLoc; x++ {
 			for y := 0; y < ny; y++ {
 				fft1d(fc, twZ, xd.re, xd.im, (x*ny+y)*nz, 1, nz, false)
@@ -272,7 +286,10 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 					fft1d(fc, twZ, work.re, work.im, (x*ny+y)*nz, 1, nz, true)
 				}
 			}
-			spat = transposeXZ(fc, comm, pr, work, zlo, zhi, xlo, xhi)
+			// The initial field was consumed by the forward transpose; its
+			// arrays take each step's spatial result.
+			spat = spatial
+			transposeXZ(fc, comm, pr, xp, work, spat, zlo, zhi, xlo, xhi)
 		}
 		for z := 0; z < nzLoc; z++ {
 			for x := 0; x < nx; x++ {
@@ -300,7 +317,8 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			csRe = fc.Add(csRe, spat.re[l])
 			csIm = fc.Add(csIm, spat.im[l])
 		}
-		sum := comm.Allreduce(simmpi.OpSum, []float64{csRe, csIm})
+		sum := [2]float64{csRe, csIm}
+		comm.AllreduceInto(simmpi.OpSum, sum[:])
 		check = append(check, sum[0], sum[1])
 		lastSpatial = spat
 	}
@@ -324,10 +342,10 @@ func kbar2(k, n int) float64 {
 // so resmod models it as an injectable identity add in the Unique region.
 func stage(fc *fpe.Ctx, v float64) float64 { return fc.Add(v, 0) }
 
-// transposeZX redistributes from the z-distributed spatial layout
-// ((z,y,x), x contiguous) to the x-distributed layout ((x,y,z), z
+// transposeZX redistributes in, in the z-distributed spatial layout
+// ((z,y,x), x contiguous), to out in the x-distributed layout ((x,y,z), z
 // contiguous).  Pack and unpack are parallel-unique computation.
-func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in field, zlo, zhi, xlo, xhi int) field {
+func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in, out field, zlo, zhi, xlo, xhi int) {
 	p := comm.Size()
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	nzLoc := zhi - zlo
@@ -335,28 +353,28 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in field, zlo, zhi, 
 	nxb := nx / p
 
 	end := fc.Begin("transpose-pack", fpe.Unique)
-	send := make([][]float64, p)
 	for d := 0; d < p; d++ {
-		buf := make([]float64, 0, nzLoc*ny*nxb*2)
+		buf := xp.Send[d]
+		k := 0
 		for z := 0; z < nzLoc; z++ {
 			for y := 0; y < ny; y++ {
 				base := (z*ny + y) * nx
 				for x := d * nxb; x < (d+1)*nxb; x++ {
-					buf = append(buf, stage(fc, in.re[base+x]), stage(fc, in.im[base+x]))
+					buf[k] = stage(fc, in.re[base+x])
+					buf[k+1] = stage(fc, in.im[base+x])
+					k += 2
 				}
 			}
 		}
-		send[d] = buf
 	}
 	end()
 
-	recv := comm.Alltoall(send)
+	comm.AlltoallInto(xp.Recv, xp.Send)
 
 	end = fc.Begin("transpose-unpack", fpe.Unique)
-	out := field{re: make([]float64, nxLoc*ny*nz), im: make([]float64, nxLoc*ny*nz)}
 	nzb := nz / p
 	for s := 0; s < p; s++ {
-		buf := recv[s]
+		buf := xp.Recv[s]
 		k := 0
 		for z := s * nzb; z < (s+1)*nzb; z++ {
 			for y := 0; y < ny; y++ {
@@ -370,12 +388,11 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in field, zlo, zhi, 
 		}
 	}
 	end()
-	return out
 }
 
 // transposeXZ is the inverse redistribution: x-distributed back to
 // z-distributed.
-func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in field, zlo, zhi, xlo, xhi int) field {
+func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in, out field, zlo, zhi, xlo, xhi int) {
 	p := comm.Size()
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	nzLoc := zhi - zlo
@@ -383,28 +400,28 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in field, zlo, zhi, 
 	nzb := nz / p
 
 	end := fc.Begin("transpose-pack", fpe.Unique)
-	send := make([][]float64, p)
 	for d := 0; d < p; d++ {
-		buf := make([]float64, 0, nxLoc*ny*nzb*2)
+		buf := xp.Send[d]
+		k := 0
 		for z := d * nzb; z < (d+1)*nzb; z++ {
 			for y := 0; y < ny; y++ {
 				for x := 0; x < nxLoc; x++ {
 					l := (x*ny+y)*nz + z
-					buf = append(buf, stage(fc, in.re[l]), stage(fc, in.im[l]))
+					buf[k] = stage(fc, in.re[l])
+					buf[k+1] = stage(fc, in.im[l])
+					k += 2
 				}
 			}
 		}
-		send[d] = buf
 	}
 	end()
 
-	recv := comm.Alltoall(send)
+	comm.AlltoallInto(xp.Recv, xp.Send)
 
 	end = fc.Begin("transpose-unpack", fpe.Unique)
-	out := field{re: make([]float64, nzLoc*ny*nx), im: make([]float64, nzLoc*ny*nx)}
 	nxb := nx / p
 	for s := 0; s < p; s++ {
-		buf := recv[s]
+		buf := xp.Recv[s]
 		k := 0
 		for z := 0; z < nzLoc; z++ {
 			for y := 0; y < ny; y++ {
@@ -418,7 +435,6 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in field, zlo, zhi, 
 		}
 	}
 	end()
-	return out
 }
 
 // Verify implements the NPB FT checker: every per-iteration checksum

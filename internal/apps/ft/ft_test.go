@@ -207,3 +207,29 @@ func TestEvolveDampsChecksum(t *testing.T) {
 		t.Fatal("checksums identical across iterations; evolution not applied")
 	}
 }
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 574000, Objects: 26},
+		4:  {Bytes: 1070000, Objects: 100},
+		16: {Bytes: 1080000, Objects: 371},
+		64: {Bytes: 1370000, Objects: 1460},
+	})
+}
+
+// TestCachedTwiddlesReadOnly: the twiddle tables every run shares come
+// through an SDC trial and a Failure trial unchanged.
+func TestCachedTwiddlesReadOnly(t *testing.T) {
+	apptest.SetupReadOnly(t, App{}, 4, func() uint64 {
+		var sum uint64 // of the tables' digests: Range's order is not fixed
+		twiddleTables.Range(func(_, tw any) bool {
+			for s := range tw.(*twiddles).re {
+				sum += apptest.Digest(tw.(*twiddles).re[s], tw.(*twiddles).im[s])
+			}
+			return true
+		})
+		return sum
+	})
+}

@@ -20,6 +20,7 @@ package lu
 
 import (
 	"math"
+	"sync"
 
 	"resmod/internal/apps"
 	"resmod/internal/fpe"
@@ -113,8 +114,7 @@ func (s *slab) get(a []float64, x, y, zl int, ghLo, ghHi []float64) float64 {
 }
 
 // applyA computes w = A u over the slab (ghosts supply z neighbours).
-func applyA(fc *fpe.Ctx, s *slab, cf coeffs, u []float64, ghLo, ghHi []float64) []float64 {
-	w := make([]float64, len(u))
+func applyA(fc *fpe.Ctx, s *slab, cf coeffs, u, ghLo, ghHi, w []float64) {
 	for zl := 0; zl < s.nzLoc; zl++ {
 		for y := 0; y < s.ny; y++ {
 			for x := 0; x < s.nx; x++ {
@@ -129,54 +129,25 @@ func applyA(fc *fpe.Ctx, s *slab, cf coeffs, u []float64, ghLo, ghHi []float64) 
 			}
 		}
 	}
-	return w
 }
 
-// haloTag values; LU reuses tags freely thanks to per-source FIFO matching.
+// Tags; LU reuses them freely thanks to per-source FIFO matching.
 const (
-	tagHaloLo = 100 // plane sent downward (to rank-1)
-	tagHaloHi = 101 // plane sent upward (to rank+1)
-	tagFwd    = 102 // forward-sweep pipeline plane
-	tagBwd    = 103 // backward-sweep pipeline plane
+	tagHalo = 100 // halo planes: tagHalo downward (to rank-1), tagHalo+1 upward
+	tagFwd  = 102 // forward-sweep pipeline plane
+	tagBwd  = 103 // backward-sweep pipeline plane
 )
 
-// exchangeHalos returns the non-periodic ghost planes of a (nil at domain
-// edges).
-func exchangeHalos(comm *simmpi.Comm, s *slab, a []float64) (ghLo, ghHi []float64) {
-	r, p := comm.Rank(), comm.Size()
-	if p == 1 {
-		return nil, nil
-	}
-	plane := func(zl int) []float64 {
-		out := make([]float64, s.nx*s.ny)
-		copy(out, a[zl*s.nx*s.ny:(zl+1)*s.nx*s.ny])
-		return out
-	}
-	if r > 0 {
-		comm.Send(r-1, tagHaloLo, plane(0))
-	}
-	if r < p-1 {
-		comm.Send(r+1, tagHaloHi, plane(s.nzLoc-1))
-	}
-	if r > 0 {
-		ghLo = comm.Recv(r-1, tagHaloHi)
-	}
-	if r < p-1 {
-		ghHi = comm.Recv(r+1, tagHaloLo)
-	}
-	return ghLo, ghHi
-}
-
 // forwardSweep solves (D + omega*L) v = r by substitution ascending x, y, z.
-// The z dependency pipelines across ranks: wait for the rank below, then
-// send the top plane to the rank above.
-func forwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega float64, r []float64) []float64 {
+// The z dependency pipelines across ranks: wait for the rank below (its top
+// plane lands in ghost), then send the top plane to the rank above.
+func forwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega float64, r, ghost, v []float64) {
 	rank, p := comm.Rank(), comm.Size()
 	var ghLo []float64
 	if rank > 0 {
-		ghLo = comm.Recv(rank-1, tagFwd)
+		comm.RecvInto(rank-1, tagFwd, ghost)
+		ghLo = ghost
 	}
-	v := make([]float64, len(r))
 	for zl := 0; zl < s.nzLoc; zl++ {
 		for y := 0; y < s.ny; y++ {
 			for x := 0; x < s.nx; x++ {
@@ -189,22 +160,19 @@ func forwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega floa
 		}
 	}
 	if rank < p-1 {
-		top := make([]float64, s.nx*s.ny)
-		copy(top, v[(s.nzLoc-1)*s.nx*s.ny:])
-		comm.Send(rank+1, tagFwd, top)
+		comm.Send(rank+1, tagFwd, v[(s.nzLoc-1)*s.nx*s.ny:])
 	}
-	return v
 }
 
 // backwardSweep solves (D + omega*U) w = D v by substitution descending
 // x, y, z, pipelining downward across ranks.
-func backwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega float64, v []float64) []float64 {
+func backwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega float64, v, ghost, w []float64) {
 	rank, p := comm.Rank(), comm.Size()
 	var ghHi []float64
 	if rank < p-1 {
-		ghHi = comm.Recv(rank+1, tagBwd)
+		comm.RecvInto(rank+1, tagBwd, ghost)
+		ghHi = ghost
 	}
-	w := make([]float64, len(v))
 	for zl := s.nzLoc - 1; zl >= 0; zl-- {
 		for y := s.ny - 1; y >= 0; y-- {
 			for x := s.nx - 1; x >= 0; x-- {
@@ -217,21 +185,33 @@ func backwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega flo
 		}
 	}
 	if rank > 0 {
-		bottom := make([]float64, s.nx*s.ny)
-		copy(bottom, w[:s.nx*s.ny])
-		comm.Send(rank-1, tagBwd, bottom)
+		comm.Send(rank-1, tagBwd, w[:s.nx*s.ny])
 	}
-	return w
 }
 
-// rhsAt returns the manufactured right-hand side at a global grid point —
-// a smooth separable field, identical at every scale (setup,
-// uninstrumented).
-func rhsAt(pr params, x, y, z int) float64 {
-	fx := math.Sin(math.Pi * float64(x+1) / float64(pr.nx+1))
-	fy := math.Sin(2 * math.Pi * float64(y+1) / float64(pr.ny+1))
-	fz := math.Cos(math.Pi * float64(z+1) / float64(pr.nz+1))
-	return fx*fy + fz*0.5
+// rhsFields caches each class's manufactured right-hand side over the
+// whole grid — a smooth separable field, identical at every scale (setup,
+// uninstrumented).  Every rank of every run reads its slab of the one
+// copy, so it is read-only (see package apps).
+var rhsFields sync.Map // class name -> []float64, indexed (z*ny+y)*nx+x
+
+func rhsField(class string, pr params) []float64 {
+	if f, ok := rhsFields.Load(class); ok {
+		return f.([]float64)
+	}
+	f := make([]float64, pr.nx*pr.ny*pr.nz)
+	for z := 0; z < pr.nz; z++ {
+		fz := math.Cos(math.Pi * float64(z+1) / float64(pr.nz+1))
+		for y := 0; y < pr.ny; y++ {
+			fy := math.Sin(2 * math.Pi * float64(y+1) / float64(pr.ny+1))
+			for x := 0; x < pr.nx; x++ {
+				fx := math.Sin(math.Pi * float64(x+1) / float64(pr.nx+1))
+				f[(z*pr.ny+y)*pr.nx+x] = fx*fy + fz*0.5
+			}
+		}
+	}
+	cached, _ := rhsFields.LoadOrStore(class, f)
+	return cached.([]float64)
 }
 
 // Run executes the benchmark on this rank.
@@ -248,28 +228,25 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	s := &slab{nx: pr.nx, ny: pr.ny, nzLoc: zhi - zlo, zlo: zlo, nz: pr.nz}
 	cf := makeCoeffs(pr)
 
-	n := s.nx * s.ny * s.nzLoc
-	rhs := make([]float64, n)
-	for zl := 0; zl < s.nzLoc; zl++ {
-		for y := 0; y < s.ny; y++ {
-			for x := 0; x < s.nx; x++ {
-				rhs[s.idx(x, y, zl)] = rhsAt(pr, x, y, zlo+zl)
-			}
-		}
-	}
+	plane := s.nx * s.ny
+	n := plane * s.nzLoc
+	rhs := rhsField(class, pr)[zlo*plane : zhi*plane]
 	u := make([]float64, n)
+	// Per-iteration temporaries, made once: A u, the residual, the two
+	// sweeps' solutions, and the neighbours' planes.
+	au, r, v, w := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	below, above := make([]float64, plane), make([]float64, plane)
 
 	n3 := float64(pr.nx) * float64(pr.ny) * float64(pr.nz)
 	var rnorm float64
 	for it := 0; it < pr.niter; it++ {
-		ghLo, ghHi := exchangeHalos(comm, s, u)
-		au := applyA(fc, s, cf, u, ghLo, ghHi)
-		r := make([]float64, n)
+		ghLo, ghHi := apps.HaloExchange1D(comm, tagHalo, u[:plane], u[n-plane:], below, above)
+		applyA(fc, s, cf, u, ghLo, ghHi, au)
 		for i := range r {
 			r[i] = fc.Sub(rhs[i], au[i])
 		}
-		v := forwardSweep(fc, comm, s, cf, pr.omega, r)
-		w := backwardSweep(fc, comm, s, cf, pr.omega, v)
+		forwardSweep(fc, comm, s, cf, pr.omega, r, below, v)
+		backwardSweep(fc, comm, s, cf, pr.omega, v, above, w)
 		for i := range u {
 			u[i] = fc.Add(u[i], w[i])
 		}

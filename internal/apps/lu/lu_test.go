@@ -67,9 +67,9 @@ func TestForwardSweepSolvesLowerSystem(t *testing.T) {
 	for i := range r {
 		r[i] = float64(i%7) - 3
 	}
-	var v []float64
+	v := make([]float64, len(r))
 	if _, err := simmpi.Run(simmpi.Config{Procs: 1}, func(c *simmpi.Comm) error {
-		v = forwardSweep(fpe.New(), c, s, cf, pr.omega, r)
+		forwardSweep(fpe.New(), c, s, cf, pr.omega, r, nil, v)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -99,9 +99,9 @@ func TestBackwardSweepSolvesUpperSystem(t *testing.T) {
 	for i := range v {
 		v[i] = math.Sin(float64(i))
 	}
-	var w []float64
+	w := make([]float64, len(v))
 	if _, err := simmpi.Run(simmpi.Config{Procs: 1}, func(c *simmpi.Comm) error {
-		w = backwardSweep(fpe.New(), c, s, cf, pr.omega, v)
+		backwardSweep(fpe.New(), c, s, cf, pr.omega, v, nil, w)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -161,5 +161,29 @@ func TestConformanceClassA(t *testing.T) {
 		Class:      "A",
 		Procs:      []int{4},
 		WantUnique: false,
+	})
+}
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 556000, Objects: 25},
+		4:  {Bytes: 566000, Objects: 70},
+		16: {Bytes: 634000, Objects: 252},
+		64: {Bytes: 749000, Objects: 975},
+	})
+}
+
+// TestCachedRHSReadOnly: the right-hand side every run reads its slab of
+// comes through an SDC trial and a Failure trial unchanged.
+func TestCachedRHSReadOnly(t *testing.T) {
+	apptest.SetupReadOnly(t, App{}, 4, func() uint64 {
+		var sum uint64 // of the fields' digests: Range's order is not fixed
+		rhsFields.Range(func(_, f any) bool {
+			sum += apptest.Digest(f.([]float64))
+			return true
+		})
+		return sum
 	})
 }

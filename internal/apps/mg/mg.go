@@ -73,36 +73,35 @@ type level struct {
 	nx, ny, nz  int
 	distributed bool
 	zlo, zhi    int // owned global planes; [0, nz) when replicated
+
+	// below and above receive the neighbours' planes on a distributed
+	// level; Run makes them once.
+	below, above []float64
 }
 
 // nzLoc returns the number of locally stored planes.
 func (l *level) nzLoc() int { return l.zhi - l.zlo }
 
-// plane returns a copy of local plane zl (local index).
-func (l *level) plane(a []float64, zl int) []float64 {
-	sz := l.nx * l.ny
-	out := make([]float64, sz)
-	copy(out, a[zl*sz:(zl+1)*sz])
-	return out
-}
-
 // ghosts returns the periodic ghost planes below and above this rank's
-// slab of array a, exchanging with ring neighbours when the level is
-// distributed.
+// slab of array a.  A distributed level exchanges with its ring neighbours,
+// receiving into its below and above; a replicated (or serial) one wraps
+// locally, and its ghosts are a's own top and bottom planes — every kernel
+// reads a and its ghosts to the end before anything writes to a.
 func (l *level) ghosts(comm *simmpi.Comm, tag int, a []float64) (lo, hi []float64) {
+	sz := l.nx * l.ny
+	top := a[(l.nzLoc()-1)*sz : l.nzLoc()*sz]
 	if !l.distributed {
-		// Replicated (or serial): wrap locally.
-		return l.plane(a, l.nz-1), l.plane(a, 0)
+		return top, a[:sz]
 	}
 	p := comm.Size()
 	r := comm.Rank()
 	down := (r - 1 + p) % p
 	up := (r + 1) % p
-	comm.Send(down, tag, l.plane(a, 0))
-	comm.Send(up, tag+1, l.plane(a, l.nzLoc()-1))
-	hi = comm.Recv(up, tag)
-	lo = comm.Recv(down, tag+1)
-	return lo, hi
+	comm.Send(down, tag, a[:sz])
+	comm.Send(up, tag+1, top)
+	comm.RecvInto(up, tag, l.above)
+	comm.RecvInto(down, tag+1, l.below)
+	return l.below, l.above
 }
 
 // at reads a(x, y, zl) with periodic wrap in x and y; zl is a local plane
@@ -144,8 +143,7 @@ func stencilSum(fc *fpe.Ctx, a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghH
 
 // residual computes r = v - A u over the slab, where A is the 7-point
 // periodic Laplacian (Au = 6u - sum of neighbours).
-func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi []float64) []float64 {
-	r := make([]float64, len(u))
+func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi, r []float64) {
 	for zl := 0; zl < l.nzLoc(); zl++ {
 		for y := 0; y < l.ny; y++ {
 			for x := 0; x < l.nx; x++ {
@@ -156,13 +154,14 @@ func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi []float64) []float64 {
 			}
 		}
 	}
-	return r
 }
 
-// smooth applies one weighted-Jacobi sweep: z += w/6 * (r - A z).
-func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, z, r []float64, w float64) {
+// smooth applies one weighted-Jacobi sweep: z += w/6 * (r - A z).  The
+// update is staged in upd between the sweep over A z and the addition; upd
+// may be r itself — element i of the residual is read once, just before
+// update i is stored — when the caller has no further use for r.
+func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, z, r, upd []float64, w float64) {
 	ghLo, ghHi := l.ghosts(comm, tag, z)
-	upd := make([]float64, len(z))
 	w6 := w / 6
 	for zl := 0; zl < l.nzLoc(); zl++ {
 		for y := 0; y < l.ny; y++ {
@@ -205,6 +204,9 @@ func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level, rf
 		return local
 	}
 	// Cutover: fine distributed, coarse replicated -> gather everywhere.
+	// The broadcast's payload is the coarse residual itself (Allgather):
+	// received into an array of this rank's (AllgatherInto), the whole
+	// level would sit in memory twice, on every rank.
 	return comm.Allgather(local)
 }
 
@@ -284,6 +286,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		l.distributed = p > 1 && l.nz >= 2*p
 		if l.distributed {
 			l.zlo, l.zhi = apps.Block1D(l.nz, p, comm.Rank())
+			l.below, l.above = make([]float64, l.nx*l.ny), make([]float64, l.nx*l.ny)
 		} else {
 			l.zlo, l.zhi = 0, l.nz
 		}
@@ -311,20 +314,23 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		place(splitmix(&x), -1)
 	}
 
+	// The finest level's arrays are made once; the coarser levels' belong
+	// to the V-cycle that uses them (see vcycle).
 	u := make([]float64, len(v))
+	z := make([]float64, len(v))
 	r := make([]float64, len(v))
 	copy(r, v)
 
 	var rnorm float64
 	tag := 100
 	for it := 0; it < pr.niter; it++ {
-		z := vcycle(fc, comm, pr, levels, r, &tag)
+		vcycle(fc, comm, pr, levels, r, z, &tag)
 		for i := range u {
 			u[i] = fc.Add(u[i], z[i])
 		}
 		ghLo, ghHi := fine.ghosts(comm, tag, u)
 		tag += 2
-		r = residual(fc, fine, u, v, ghLo, ghHi)
+		residual(fc, fine, u, v, ghLo, ghHi, r)
 		local := fc.Dot(r, r)
 		rnorm = math.Sqrt(comm.AllreduceValue(simmpi.OpSum, local) / float64(n3))
 	}
@@ -335,8 +341,15 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 }
 
 // vcycle runs one multigrid V-cycle on residual r at the finest level and
-// returns the correction.
-func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []*level, r []float64, tag *int) []float64 {
+// leaves the correction in z.  It consumes r.
+//
+// The coarser levels' arrays are made here as they come into use and die
+// with the call, not hoisted into Run like the finest level's.  Past the
+// cutover every rank holds a whole level, and a rank spends most of a wide
+// run's wall time waiting at an exchange outside this function: 64 ranks x
+// two workers that keep 16 KB each across those waits are 2 MB the
+// collector doubles (measured at p = 64: heap 4 MB -> 9 MB).
+func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []*level, r, z []float64, tag *int) {
 	L := len(levels)
 	rs := make([][]float64, L)
 	rs[0] = r
@@ -348,21 +361,26 @@ func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []*level, r []floa
 	// Coarsest: several smoothing sweeps from zero.
 	zs := make([][]float64, L)
 	zs[L-1] = make([]float64, len(rs[L-1]))
+	clear(z)
+	zs[0] = z
+	upd := make([]float64, len(rs[L-1]))
 	for s := 0; s < pr.coarseIter; s++ {
-		smooth(fc, comm, *tag, levels[L-1], zs[L-1], rs[L-1], pr.weight)
+		smooth(fc, comm, *tag, levels[L-1], zs[L-1], rs[L-1], upd, pr.weight)
 		*tag += 2
 	}
-	// Up: interpolate the correction and post-smooth against this level's
-	// residual equation A z = r.
+	// Up: interpolate the correction (into zero) and post-smooth against
+	// this level's residual equation A z = r.  That sweep is the last
+	// reader of the level's residual, so it stages its update there.
 	for li := L - 2; li >= 0; li-- {
 		l := levels[li]
-		zs[li] = make([]float64, l.nzLoc()*l.ny*l.nx)
+		if li > 0 {
+			zs[li] = make([]float64, len(rs[li]))
+		}
 		interpAdd(fc, comm, *tag, levels[li+1], l, zs[li+1], zs[li])
 		*tag += 2
-		smooth(fc, comm, *tag, l, zs[li], rs[li], pr.weight)
+		smooth(fc, comm, *tag, l, zs[li], rs[li], rs[li], pr.weight)
 		*tag += 2
 	}
-	return zs[0]
 }
 
 func splitmix(x *uint64) uint64 {

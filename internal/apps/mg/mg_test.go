@@ -70,7 +70,8 @@ func TestResidualOfExactSolutionIsRHS(t *testing.T) {
 	}
 	ghLo := make([]float64, 16)
 	ghHi := make([]float64, 16)
-	r := residual(fpe.New(), l, u, v, ghLo, ghHi)
+	r := make([]float64, n)
+	residual(fpe.New(), l, u, v, ghLo, ghHi, r)
 	for i := range r {
 		if r[i] != v[i] {
 			t.Fatalf("residual[%d] = %g, want %g", i, r[i], v[i])
@@ -91,7 +92,8 @@ func TestOperatorAnnihilatesConstants(t *testing.T) {
 		ghost[i] = 7.5
 	}
 	v := make([]float64, n)
-	r := residual(fpe.New(), l, u, v, ghost, ghost)
+	r := make([]float64, n)
+	residual(fpe.New(), l, u, v, ghost, ghost, r)
 	for i := range r {
 		if math.Abs(r[i]) > 1e-12 {
 			t.Fatalf("residual[%d] = %g for constant field", i, r[i])
@@ -118,7 +120,8 @@ func TestGhostExchangeDistributed(t *testing.T) {
 	// global index as value.
 	_, err := simmpi.Run(simmpi.Config{Procs: 4}, func(c *simmpi.Comm) error {
 		l := &level{nx: 1, ny: 1, nz: 8, distributed: true,
-			zlo: 2 * c.Rank(), zhi: 2*c.Rank() + 2}
+			zlo: 2 * c.Rank(), zhi: 2*c.Rank() + 2,
+			below: make([]float64, 1), above: make([]float64, 1)}
 		a := []float64{float64(2 * c.Rank()), float64(2*c.Rank() + 1)}
 		lo, hi := l.ghosts(c, 10, a)
 		wantLo := float64((2*c.Rank() - 1 + 8) % 8)
@@ -159,5 +162,17 @@ func TestConformanceClassA(t *testing.T) {
 		Class:      "A",
 		Procs:      []int{4},
 		WantUnique: false,
+	})
+}
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: the finest level's working set,
+// made once, and the coarser levels' arrays once a V-cycle (see vcycle).
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 484000, Objects: 53},
+		4:  {Bytes: 495000, Objects: 211},
+		16: {Bytes: 532000, Objects: 822},
+		64: {Bytes: 5300000, Objects: 3150},
 	})
 }

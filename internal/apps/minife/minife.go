@@ -151,24 +151,19 @@ func assemble(fc *fpe.Ctx, pr params, zlo, zhi int) *stencil {
 	return st
 }
 
-const (
-	tagHaloDown = 200
-	tagHaloUp   = 201
-)
+// tagHalo and tagHalo+1 carry the planes sent downward (to rank-1) and
+// upward.
+const tagHalo = 200
 
-// haloPlanes exchanges the boundary planes of u with the z neighbours,
-// accumulating the parallel-unique checksum guard over each plane sent.
-func haloPlanes(fc *fpe.Ctx, comm *simmpi.Comm, st *stencil, u []float64) (ghLo, ghHi []float64) {
+// haloPlanes exchanges the boundary planes of u with the z neighbours into
+// below and above, accumulating the parallel-unique checksum guard over
+// each plane sent.  A ghost beyond a domain end is nil.
+func haloPlanes(fc *fpe.Ctx, comm *simmpi.Comm, st *stencil, u, below, above []float64) (ghLo, ghHi []float64) {
 	r, p := comm.Rank(), comm.Size()
 	if p == 1 {
 		return nil, nil
 	}
 	sz := st.nx * st.ny
-	plane := func(zl int) []float64 {
-		out := make([]float64, sz)
-		copy(out, u[zl*sz:(zl+1)*sz])
-		return out
-	}
 	end := fc.Begin("halo-guard", fpe.Unique)
 	guard := 0.0
 	if r > 0 {
@@ -183,19 +178,7 @@ func haloPlanes(fc *fpe.Ctx, comm *simmpi.Comm, st *stencil, u []float64) (ghLo,
 	}
 	end()
 	_ = guard // models MiniFE's exchange-preparation arithmetic
-	if r > 0 {
-		comm.Send(r-1, tagHaloDown, plane(0))
-	}
-	if r < p-1 {
-		comm.Send(r+1, tagHaloUp, plane(st.nzLoc-1))
-	}
-	if r > 0 {
-		ghLo = comm.Recv(r-1, tagHaloUp)
-	}
-	if r < p-1 {
-		ghHi = comm.Recv(r+1, tagHaloDown)
-	}
-	return ghLo, ghHi
+	return apps.HaloExchange1D(comm, tagHalo, u[:sz], u[(st.nzLoc-1)*sz:], below, above)
 }
 
 // matvec computes w = A u with the assembled stencil (Dirichlet-zero
@@ -270,9 +253,10 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	p := make([]float64, n)
 	copy(p, f)
 	q := make([]float64, n)
+	below, above := make([]float64, pr.nx*pr.ny), make([]float64, pr.nx*pr.ny)
 	rho := comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
 	for it := 0; it < pr.cgIters; it++ {
-		ghLo, ghHi := haloPlanes(fc, comm, st, p)
+		ghLo, ghHi := haloPlanes(fc, comm, st, p, below, above)
 		matvec(fc, st, p, q, ghLo, ghHi)
 		d := comm.AllreduceValue(simmpi.OpSum, fc.Dot(p, q))
 		alpha := fc.Div(rho, d)

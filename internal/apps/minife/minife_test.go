@@ -120,3 +120,14 @@ func TestExponentInjectionCaught(t *testing.T) {
 		t.Fatal("no mid-run exponent corruption caught by the checker")
 	}
 }
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 534000, Objects: 35},
+		4:  {Bytes: 540000, Objects: 110},
+		16: {Bytes: 560000, Objects: 411},
+		64: {Bytes: 645000, Objects: 1630},
+	})
+}

@@ -129,7 +129,8 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			comm.Send(rank-1, tagNodeLeft, []float64{u[0], x[0]})
 		}
 		if rank < p-1 {
-			g := comm.Recv(rank+1, tagNodeLeft)
+			var g [2]float64
+			comm.RecvInto(rank+1, tagNodeLeft, g[:])
 			u[nz], x[nz] = g[0], g[1]
 		}
 	}
@@ -173,7 +174,8 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			comm.Send(rank+1, tagZoneRight, []float64{press[nz-1], m[nz-1]})
 		}
 		if rank > 0 {
-			g := comm.Recv(rank-1, tagZoneRight)
+			var g [2]float64
+			comm.RecvInto(rank-1, tagZoneRight, g[:])
 			ghZoneP, ghZoneM = g[0], g[1]
 		}
 		for i := 0; i < nz; i++ {

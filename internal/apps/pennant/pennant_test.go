@@ -152,3 +152,14 @@ func TestConformanceSod(t *testing.T) {
 		WantUnique: false,
 	})
 }
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 25000, Objects: 25},
+		4:  {Bytes: 26400, Objects: 70},
+		16: {Bytes: 28300, Objects: 252},
+		64: {Bytes: 40000, Objects: 972},
+	})
+}

@@ -120,6 +120,14 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	}
 
 	cp := make([]float64, max(nx, max(ny, nz))) // Thomas scratch
+	// The x-distributed copy and the transposes' staging blocks (see
+	// package ft), made once for a parallel run.
+	var xd []float64
+	var xp apps.Exchange
+	if p > 1 {
+		xd = make([]float64, nxLoc*ny*nz)
+		xp = apps.NewExchange(p, nzLoc*ny*nxLoc)
+	}
 	for step := 0; step < pr.steps; step++ {
 		// x-direction implicit solve: lines are contiguous.
 		for z := 0; z < nzLoc; z++ {
@@ -141,13 +149,13 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 				}
 			}
 		} else {
-			xd := transposeZX(fc, comm, pr, u, zlo, zhi, xlo, xhi)
+			transposeZX(fc, comm, pr, xp, u, xd, zlo, zhi, xlo, xhi)
 			for x := 0; x < nxLoc; x++ {
 				for y := 0; y < ny; y++ {
 					thomas(fc, xd, (x*ny+y)*nz, 1, nz, pr.lambda, cp)
 				}
 			}
-			u = transposeXZ(fc, comm, pr, xd, zlo, zhi, xlo, xhi)
+			transposeXZ(fc, comm, pr, xp, xd, u, zlo, zhi, xlo, xhi)
 		}
 	}
 
@@ -167,34 +175,33 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	return apps.RankOutput{State: state, Check: []float64{rms, center}}, nil
 }
 
-// transposeZX redistributes from z-slabs ((z,y,x), x contiguous) to
-// x-slabs ((x,y,z), z contiguous).  Pack/unpack are parallel-unique.
-func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in []float64, zlo, zhi, xlo, xhi int) []float64 {
+// transposeZX redistributes in, in z-slabs ((z,y,x), x contiguous), to out
+// in x-slabs ((x,y,z), z contiguous).  Pack/unpack are parallel-unique.
+func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in, out []float64, zlo, zhi, xlo, xhi int) {
 	p := comm.Size()
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	nzLoc, nxLoc := zhi-zlo, xhi-xlo
 	nxb := nx / p
 	end := fc.Begin("transpose-pack", fpe.Unique)
-	send := make([][]float64, p)
 	for d := 0; d < p; d++ {
-		buf := make([]float64, 0, nzLoc*ny*nxb)
+		buf := xp.Send[d]
+		k := 0
 		for z := 0; z < nzLoc; z++ {
 			for y := 0; y < ny; y++ {
 				base := (z*ny + y) * nx
 				for x := d * nxb; x < (d+1)*nxb; x++ {
-					buf = append(buf, stage(fc, in[base+x]))
+					buf[k] = stage(fc, in[base+x])
+					k++
 				}
 			}
 		}
-		send[d] = buf
 	}
 	end()
-	recv := comm.Alltoall(send)
+	comm.AlltoallInto(xp.Recv, xp.Send)
 	end = fc.Begin("transpose-unpack", fpe.Unique)
-	out := make([]float64, nxLoc*ny*nz)
 	nzb := nz / p
 	for s := 0; s < p; s++ {
-		buf := recv[s]
+		buf := xp.Recv[s]
 		k := 0
 		for z := s * nzb; z < (s+1)*nzb; z++ {
 			for y := 0; y < ny; y++ {
@@ -206,35 +213,33 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in []float64, zlo, z
 		}
 	}
 	end()
-	return out
 }
 
 // transposeXZ is the inverse redistribution.
-func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in []float64, zlo, zhi, xlo, xhi int) []float64 {
+func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in, out []float64, zlo, zhi, xlo, xhi int) {
 	p := comm.Size()
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	nzLoc, nxLoc := zhi-zlo, xhi-xlo
 	nzb := nz / p
 	end := fc.Begin("transpose-pack", fpe.Unique)
-	send := make([][]float64, p)
 	for d := 0; d < p; d++ {
-		buf := make([]float64, 0, nxLoc*ny*nzb)
+		buf := xp.Send[d]
+		k := 0
 		for z := d * nzb; z < (d+1)*nzb; z++ {
 			for y := 0; y < ny; y++ {
 				for x := 0; x < nxLoc; x++ {
-					buf = append(buf, stage(fc, in[(x*ny+y)*nz+z]))
+					buf[k] = stage(fc, in[(x*ny+y)*nz+z])
+					k++
 				}
 			}
 		}
-		send[d] = buf
 	}
 	end()
-	recv := comm.Alltoall(send)
+	comm.AlltoallInto(xp.Recv, xp.Send)
 	end = fc.Begin("transpose-unpack", fpe.Unique)
-	out := make([]float64, nzLoc*ny*nx)
 	nxb := nx / p
 	for s := 0; s < p; s++ {
-		buf := recv[s]
+		buf := xp.Recv[s]
 		k := 0
 		for z := 0; z < nzLoc; z++ {
 			for y := 0; y < ny; y++ {
@@ -247,7 +252,6 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, in []float64, zlo, z
 		}
 	}
 	end()
-	return out
 }
 
 func max(a, b int) int {

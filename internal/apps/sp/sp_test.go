@@ -120,3 +120,14 @@ func TestLineSolveSpreadsInjection(t *testing.T) {
 		t.Fatal("no mid-run corruption caught")
 	}
 }
+
+// TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
+// what it measured when the pins were set: its working set, made once.
+func TestPooledRunAllocBounded(t *testing.T) {
+	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
+		1:  {Bytes: 329000, Objects: 18},
+		4:  {Bytes: 826000, Objects: 71},
+		16: {Bytes: 849000, Objects: 256},
+		64: {Bytes: 1160000, Objects: 993},
+	})
+}

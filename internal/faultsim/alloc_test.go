@@ -13,9 +13,11 @@ import (
 
 // allocApp is a minimal benchmark application for allocation accounting:
 // a short instrumented compute loop plus one collective, with small fixed
-// outputs.  Real applications allocate internally (matrix assembly,
-// message buffers), which would drown the harness's own footprint; this
-// app keeps the measurement on the pooled trial machinery itself.
+// outputs.  A real application allocates its working set every run — each
+// one's is pinned by its own TestPooledRunAllocBounded (apptest) — so this
+// app, which has none, keeps the measurement on what the trial machinery
+// around the run allocates: the plan draw, the world's per-run bookkeeping,
+// the contamination comparison.
 type allocApp struct{}
 
 func (allocApp) Name() string         { return "alloctest" }

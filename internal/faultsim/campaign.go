@@ -546,10 +546,10 @@ func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, s
 				bspan.End()
 			}()
 			// One arena per worker: trials reuse the simulated world's
-			// inboxes and the per-rank fpe contexts instead of
-			// rebuilding them, cutting steady-state per-trial allocation
-			// to what the application itself allocates.  Pooled state
-			// never affects trial results.
+			// inboxes, its recycled message buffers and the per-rank fpe
+			// contexts instead of rebuilding them, cutting steady-state
+			// per-trial allocation to the application's working set.
+			// Pooled state never affects trial results.
 			arena := apps.NewArena()
 			for t := start + w; t < end; t += c.Workers {
 				if ctx.Err() != nil {

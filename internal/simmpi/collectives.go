@@ -28,54 +28,50 @@ func (c *Comm) Barrier() {
 	}
 }
 
+// The binomial tree of a rooted collective lives in the rotated space where
+// root is virtual rank 0.  A rank's parent clears the lowest set bit of its
+// virtual rank; its children set one bit below that bit (any bit, for the
+// root).  Children are visited for k = 1, 2, 4, … while hasChild holds, and
+// that order is Reduce's fold order — the reduction's bits depend on it.
+func (c *Comm) vrank(root int) int { return (c.rank - root + c.size) % c.size }
+
+func (c *Comm) treeParent(vrank, root int) int { return (vrank&(vrank-1) + root) % c.size }
+
+func hasChild(vrank, k, size int) bool { return vrank&k == 0 && vrank|k < size }
+
+// sendChildren sends buf to each of this rank's children in root's tree.
+func (c *Comm) sendChildren(root, vrank, tag int, buf []float64) {
+	for k := 1; hasChild(vrank, k, c.size); k <<= 1 {
+		c.Send((vrank|k+root)%c.size, tag, buf)
+	}
+}
+
 // Bcast distributes root's data to every rank along a binomial tree and
 // returns each rank's copy.  Non-root callers pass their (ignored) local
 // slice or nil; the broadcast payload is returned.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
 	c.checkPeer(root, "Bcast")
-	if c.size == 1 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
-	}
-	// Work in the rotated space where root is virtual rank 0.
-	vrank := (c.rank - root + c.size) % c.size
+	vrank := c.vrank(root)
 	var buf []float64
 	if vrank == 0 {
 		buf = make([]float64, len(data))
 		copy(buf, data)
 	} else {
-		// Parent: clear the lowest set bit of vrank.
-		parent := (vrank&(vrank-1) + root) % c.size
-		buf = c.Recv(parent, tagBcast)
+		// The length is the root's to say, so this rank keeps the payload.
+		buf = c.Recv(c.treeParent(vrank, root), tagBcast)
 	}
-	for _, child := range bcastChildren(vrank, c.size) {
-		c.Send((child+root)%c.size, tagBcast, buf)
-	}
+	c.sendChildren(root, vrank, tagBcast, buf)
 	return buf
 }
 
-// bcastChildren enumerates the binomial-tree children of a virtual rank:
-// vrank | 1<<k for every k below the position of vrank's lowest set bit
-// (all k for the root).  The enumeration order fixes the deterministic
-// reduction order used by Reduce.
-func bcastChildren(vrank, size int) []int {
-	var kids []int
-	limit := 0
+// bcastInto is Bcast when every rank knows the length: root's buf is
+// delivered into every other rank's buf.
+func (c *Comm) bcastInto(root int, buf []float64) {
+	vrank := c.vrank(root)
 	if vrank != 0 {
-		for vrank&(1<<limit) == 0 {
-			limit++
-		}
-	} else {
-		limit = 31
+		c.RecvInto(c.treeParent(vrank, root), tagBcast, buf)
 	}
-	for k := 0; k < limit; k++ {
-		child := vrank | (1 << k)
-		if child != vrank && child < size {
-			kids = append(kids, child)
-		}
-	}
-	return kids
+	c.sendChildren(root, vrank, tagBcast, buf)
 }
 
 // Reduce folds every rank's data element-wise with op into root and returns
@@ -85,33 +81,48 @@ func (c *Comm) Reduce(root int, op Op, data []float64) []float64 {
 	c.checkPeer(root, "Reduce")
 	acc := make([]float64, len(data))
 	copy(acc, data)
-	if c.size == 1 {
-		return acc
-	}
-	vrank := (c.rank - root + c.size) % c.size
-	// Receive from children in ascending bit order, fold, then send to parent.
-	for _, child := range bcastChildren(vrank, c.size) {
-		msg := c.Recv((child+root)%c.size, tagReduce)
-		op.apply(acc, msg)
-	}
-	if vrank != 0 {
-		parent := (vrank&(vrank-1) + root) % c.size
-		c.Send(parent, tagReduce, acc)
+	c.reduceInto(root, op, acc)
+	if c.rank != root {
 		return nil
 	}
 	return acc
 }
 
-// Allreduce is Reduce to rank 0 followed by Bcast, guaranteeing that every
-// rank observes the identical (bit-for-bit) reduced vector.
-func (c *Comm) Allreduce(op Op, data []float64) []float64 {
-	red := c.Reduce(0, op, data)
-	return c.Bcast(0, red)
+// reduceInto is Reduce in place: acc holds this rank's contribution and, on
+// return, the fold of its subtree — the result, on root.  Each child's
+// contribution is folded in straight from its message, children in
+// ascending bit order, before the subtree's goes to the parent.
+func (c *Comm) reduceInto(root int, op Op, acc []float64) {
+	vrank := c.vrank(root)
+	for k := 1; hasChild(vrank, k, c.size); k <<= 1 {
+		c.recvFold((vrank|k+root)%c.size, tagReduce, op, acc)
+	}
+	if vrank != 0 {
+		c.Send(c.treeParent(vrank, root), tagReduce, acc)
+	}
 }
 
-// AllreduceValue reduces a single scalar.
+// AllreduceInto reduces data in place: reduceInto to rank 0 followed by
+// bcastInto, guaranteeing that every rank observes the identical
+// (bit-for-bit) reduced vector.
+func (c *Comm) AllreduceInto(op Op, data []float64) {
+	c.reduceInto(0, op, data)
+	c.bcastInto(0, data)
+}
+
+// Allreduce is AllreduceInto a new vector, leaving data alone.
+func (c *Comm) Allreduce(op Op, data []float64) []float64 {
+	out := make([]float64, len(data))
+	copy(out, data)
+	c.AllreduceInto(op, out)
+	return out
+}
+
+// AllreduceValue reduces a single scalar, on the caller's stack.
 func (c *Comm) AllreduceValue(op Op, v float64) float64 {
-	return c.Allreduce(op, []float64{v})[0]
+	buf := [1]float64{v}
+	c.AllreduceInto(op, buf[:])
+	return buf[0]
 }
 
 // Gather collects each rank's equal-length contribution on root, ordered by
@@ -122,21 +133,43 @@ func (c *Comm) Gather(root int, data []float64) []float64 {
 		c.Send(root, tagGather, data)
 		return nil
 	}
-	out := make([]float64, 0, len(data)*c.size)
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			out = append(out, data...)
-		} else {
-			out = append(out, c.Recv(r, tagGather)...)
-		}
-	}
+	out := make([]float64, len(data)*c.size)
+	c.gatherInto(out, data)
 	return out
 }
 
-// Allgather is Gather to rank 0 followed by Bcast.
+// gatherInto is the root's side of Gather: its own data and every other
+// rank's message, in rank order, straight into dst.
+func (c *Comm) gatherInto(dst, data []float64) {
+	n := len(data)
+	if len(dst) != n*c.size {
+		panic(fmt.Sprintf("simmpi: gather of %d ranks x %d values into %d", c.size, n, len(dst)))
+	}
+	for r := 0; r < c.size; r++ {
+		if seg := dst[r*n : (r+1)*n]; r == c.rank {
+			copy(seg, data)
+		} else {
+			c.RecvInto(r, tagGather, seg)
+		}
+	}
+}
+
+// AllgatherInto is Gather to rank 0 followed by Bcast, into dst, which
+// every rank sizes to Size() times its (equal-length) contribution.
+func (c *Comm) AllgatherInto(dst, data []float64) {
+	if c.rank == 0 {
+		c.gatherInto(dst, data)
+	} else {
+		c.Send(0, tagGather, data)
+	}
+	c.bcastInto(0, dst)
+}
+
+// Allgather is Gather to rank 0 followed by Bcast: the vector it returns is
+// the broadcast's own payload, kept, where AllgatherInto holds a rank's copy
+// twice — in dst, and in the recycled buffer it arrived in.
 func (c *Comm) Allgather(data []float64) []float64 {
-	g := c.Gather(0, data)
-	return c.Bcast(0, g)
+	return c.Bcast(0, c.Gather(0, data))
 }
 
 // Scatter splits root's data into size equal chunks and delivers chunk r to
@@ -181,4 +214,25 @@ func (c *Comm) Alltoall(send [][]float64) [][]float64 {
 		recv[src] = c.Sendrecv(dst, tagA2A+k, send[dst], src, tagA2A+k)
 	}
 	return recv
+}
+
+// AlltoallInto is Alltoall into the caller's memory: recv[r] is sized to
+// exactly what rank r sends here.  The schedule, tags and message order are
+// Alltoall's.
+func (c *Comm) AlltoallInto(recv, send [][]float64) {
+	if len(send) != c.size || len(recv) != c.size {
+		panic(fmt.Sprintf("simmpi: AlltoallInto: %d and %d buffers for %d ranks",
+			len(send), len(recv), c.size))
+	}
+	if len(recv[c.rank]) != len(send[c.rank]) {
+		panic(fmt.Sprintf("simmpi: AlltoallInto: own block of %d values into %d",
+			len(send[c.rank]), len(recv[c.rank])))
+	}
+	copy(recv[c.rank], send[c.rank])
+	for k := 1; k < c.size; k++ {
+		dst := (c.rank + k) % c.size
+		src := (c.rank - k + c.size) % c.size
+		c.Send(dst, tagA2A+k, send[dst])
+		c.RecvInto(src, tagA2A+k, recv[src])
+	}
 }

@@ -47,14 +47,14 @@ func (c *Comm) worldRank() int {
 
 // Send delivers a copy of data to dst with the given tag.  It blocks only
 // while pairCap of this rank's messages sit unreceived at dst
-// (backpressure).  Sending to oneself is allowed (buffered).
+// (backpressure).  Sending to oneself is allowed (buffered).  The copy is
+// made into one of dst's free buffers when one fits, under the inbox lock
+// the send takes anyway.
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.checkPeer(dst, "Send")
 	c.checkAbort()
 	wdst, wtag := c.translate(dst, tag)
 	src := c.worldRank()
-	cp := make([]float64, len(data))
-	copy(cp, data)
 	in := &c.w.inboxes[wdst]
 	in.mu.Lock()
 	for in.full(src) {
@@ -66,6 +66,8 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 		in.room.Wait()
 		in.blocked--
 	}
+	cp := in.grab(len(data))
+	copy(cp, data)
 	in.q = append(in.q, message{src: src, tag: wtag, data: cp})
 	in.msgs++
 	in.floats += uint64(len(cp))
@@ -75,13 +77,10 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	in.mu.Unlock()
 }
 
-// Recv blocks until a message with the given tag arrives from src and
-// returns its payload.  Other messages stay queued in the rank's inbox,
-// available to later Recv calls (including on other communicators of
-// this rank, which share it: their tag spaces are disjoint), so order is
-// preserved per (source, tag).
-func (c *Comm) Recv(src, tag int) []float64 {
-	c.checkPeer(src, "Recv")
+// await blocks until a message with the given tag from src is queued in
+// this rank's inbox, removes it, and returns its payload with the inbox
+// still locked: the caller unlocks once it has dealt with the payload.
+func (c *Comm) await(src, tag int) (*inbox, []float64) {
 	wsrc, wtag := c.translate(src, tag)
 	in := &c.w.inboxes[c.worldRank()]
 	in.mu.Lock()
@@ -94,8 +93,7 @@ func (c *Comm) Recv(src, tag int) []float64 {
 				if in.blocked > 0 {
 					in.room.Broadcast()
 				}
-				in.mu.Unlock()
-				return m.data
+				return in, m.data
 			}
 		}
 		if c.w.err() != nil {
@@ -106,6 +104,38 @@ func (c *Comm) Recv(src, tag int) []float64 {
 		in.arrive.Wait()
 		in.parked = false
 	}
+}
+
+// Recv blocks until a message with the given tag arrives from src and
+// returns its payload, which is the caller's to keep.  Other messages stay
+// queued in the rank's inbox, available to later receives (including on
+// other communicators of this rank, which share it: their tag spaces are
+// disjoint), so order is preserved per (source, tag).
+func (c *Comm) Recv(src, tag int) []float64 {
+	c.checkPeer(src, "Recv")
+	in, data := c.await(src, tag)
+	in.mu.Unlock()
+	return data
+}
+
+// RecvInto is Recv into the caller's memory: it copies the payload over
+// dst, and panics unless the message has exactly len(dst) values.  The
+// payload's buffer stays with the runtime for a later Send to reuse, so a
+// loop that receives this way allocates nothing.
+func (c *Comm) RecvInto(src, tag int, dst []float64) {
+	c.checkPeer(src, "RecvInto")
+	c.recvFold(src, tag, opCopy, dst)
+}
+
+// recvFold receives like Recv and folds the payload into dst by op —
+// straight out of the in-flight buffer, which is then recycled.
+func (c *Comm) recvFold(src, tag int, op Op, dst []float64) {
+	in, data := c.await(src, tag)
+	// apply panics on a length mismatch, and the abort that panic starts
+	// takes this lock.
+	defer in.mu.Unlock()
+	op.apply(dst, data)
+	in.recycle(data, len(c.w.inboxes)+freeSlack)
 }
 
 // Sendrecv sends sendData to dst with sendTag and receives a message with
@@ -120,9 +150,7 @@ func (c *Comm) SendValue(dst, tag int, v float64) { c.Send(dst, tag, []float64{v
 
 // RecvValue receives a single-scalar message.
 func (c *Comm) RecvValue(src, tag int) float64 {
-	d := c.Recv(src, tag)
-	if len(d) != 1 {
-		panic(fmt.Sprintf("simmpi: RecvValue: message has %d values", len(d)))
-	}
-	return d[0]
+	var v [1]float64
+	c.RecvInto(src, tag, v[:])
+	return v[0]
 }

@@ -10,9 +10,13 @@ import (
 // same world shape.  A world is one inbox per rank — O(procs) memory,
 // none of it sized by pairs of ranks — and a fault-injection campaign
 // builds thousands of identically-shaped worlds, so an Engine keeps the
-// inboxes and the queue arrays they have grown alive across runs: each
-// RunCtx call leaves them empty, releasing whatever payloads a (possibly
-// aborted) run left undelivered.
+// inboxes, the queue arrays they have grown and the free lists of payload
+// buffers their RecvIntos have stocked alive across runs: each RunCtx call
+// leaves the queues empty, releasing whatever payloads a run left
+// undelivered, and the next run's Sends find the previous run's buffers.
+// A free list holds at most one buffer per rank plus freeSlack, and a run
+// that fails (a rank panic or error, a timeout, a cancellation) keeps
+// none: what an abort interrupted is not worth reasoning about.
 //
 // An Engine is owned by one trial-executing goroutine: RunCtx must not
 // be called concurrently on the same Engine, and a new run may start
@@ -57,6 +61,9 @@ func (e *Engine) RunCtx(ctx context.Context, fn func(c *Comm) error) (Stats, err
 		st.Messages += in.msgs
 		st.Floats += in.floats
 		in.reset()
+		if err != nil {
+			in.free = nil
+		}
 	}
 	return st, err
 }

@@ -13,6 +13,9 @@ const (
 	OpProd
 )
 
+// opCopy is recvFold's plain receive: dst = src.
+const opCopy Op = -1
+
 // String returns the operator name.
 func (o Op) String() string {
 	switch o {
@@ -29,15 +32,18 @@ func (o Op) String() string {
 	}
 }
 
-// apply folds src into dst element-wise: dst = dst (op) src.
+// apply folds src into dst element-wise: dst = dst (op) src, and panics
+// unless they have one length.
 // Reduction arithmetic happens inside the "network" and is therefore not an
 // injection target, matching the paper's rule that errors are injected into
 // application computation, never into MPI communication.
 func (o Op) apply(dst, src []float64) {
 	if len(dst) != len(src) {
-		panic(fmt.Sprintf("simmpi: reduction length mismatch %d vs %d", len(dst), len(src)))
+		panic(fmt.Sprintf("simmpi: message of %d values received into %d", len(src), len(dst)))
 	}
 	switch o {
+	case opCopy:
+		copy(dst, src)
 	case OpSum:
 		for i := range dst {
 			dst[i] += src[i]

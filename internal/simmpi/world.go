@@ -9,6 +9,15 @@
 // and a world's memory is O(p) plus what is in flight, whatever its
 // communication pattern: nothing is sized by pairs of ranks.
 //
+// Payload ownership: Send copies, so the sender keeps its slice.  Recv
+// hands the payload's buffer to the caller, who may keep it for good.
+// RecvInto copies the payload into the caller's destination and keeps the
+// buffer: it joins the inbox's bounded free list, where a later Send of a
+// matching size to this rank finds it instead of allocating.  A program
+// whose loops receive with RecvInto (and the ...Into collectives built on
+// it) therefore stops allocating per message once its first iteration has
+// stocked the lists; an Engine carries them from one run to the next.
+//
 // Collectives (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
 // Gather, Scatter) are built from point-to-point messages using the classic
 // binomial-tree and shifted-pairwise algorithms, giving a fixed, size-only-
@@ -28,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,6 +118,52 @@ type inbox struct {
 
 	// msgs and floats count what was sent here in the current run.
 	msgs, floats uint64
+
+	// free holds the buffers of payloads RecvInto has copied out, newest
+	// last, for Sends to this rank to fill again.
+	free [][]float64
+}
+
+// freeSlack is the room a free list has beyond one buffer per peer (what a
+// gather or an alltoall lands on one rank): the tree and halo messages of
+// other sizes that circulate beside them.
+const freeSlack = 16
+
+// poisonFreed makes recycle fill a buffer with NaN as it enters a free
+// list, so a read of recycled memory changes a result instead of going
+// unseen.  Only tests set it.
+var poisonFreed bool
+
+// grab returns a buffer of n floats for a payload: the newest free one that
+// holds n without being more than twice as large (a scalar must not walk
+// off with a vector's buffer, which the next vector would then have to
+// allocate), or a new one.  Its contents are stale; Send overwrites all n.
+func (in *inbox) grab(n int) []float64 {
+	for i := len(in.free) - 1; i >= 0; i-- {
+		if b := in.free[i]; n <= cap(b) && cap(b) <= 2*n {
+			last := len(in.free) - 1
+			in.free[i] = in.free[last]
+			in.free[last] = nil
+			in.free = in.free[:last]
+			return b[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+// recycle keeps a delivered payload's buffer for grab, unless the list
+// already holds max of them.
+func (in *inbox) recycle(b []float64, max int) {
+	if cap(b) == 0 || len(in.free) >= max {
+		return
+	}
+	if poisonFreed {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = math.NaN()
+		}
+	}
+	in.free = append(in.free, b)
 }
 
 // take removes q[i], keeping the other messages in arrival order.
