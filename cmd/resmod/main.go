@@ -7,21 +7,16 @@
 //
 //	resmod <experiment> [flags]
 //
-// Experiments:
+// The experiments — the paper's §1 anecdote, Tables 1–2 and Figures 1–3
+// and 5–8, one custom prediction and the studies beyond the paper — are
+// the rows of exper.Plan (internal/exper/plan.go); `resmod` with no
+// arguments lists their names.  Beside them:
 //
 //	apps      list the registered benchmark applications
-//	table1    parallel-unique computation fractions
-//	table2    propagation cosine similarity (4V64, 8V64)
-//	fig1      CG propagation histograms (8 vs 64 ranks)
-//	fig2      FT propagation histograms (8 vs 64 ranks)
-//	fig3      serial-vs-parallel resilience characterization (8 ranks)
-//	fig5      prediction for 64 ranks from serial + 4 ranks
-//	fig6      prediction for 64 ranks from serial + 8 ranks
-//	fig7      prediction for 128 ranks (CG, FT)
-//	fig8      accuracy/cost sweep over small-scale sizes 4..32
-//	overhead  instruction-count growth from serial to 4 ranks (§1)
-//	predict   one custom prediction: -app, -small, -large
-//	all       every experiment above, in order
+//	all       the paper's rows, in order (console form)
+//	report    the paper's rows, then the extensions, as markdown: the whole
+//	          of EXPERIMENTS.md
+//	campaign  one fault injection deployment, with checkpoint/resume
 //	serve     long-running prediction service (HTTP JSON API + /metrics);
 //	          -coordinator shards campaigns across registered workers
 //	worker    distributed execution node: registers with a coordinator and
@@ -30,9 +25,10 @@
 //	top       live terminal dashboard for a running serve instance
 //	          (status, alerts, sparklines, fleet)
 //
-// Common flags: -trials, -seed, -apps, -workers, and the observability
-// trio every subcommand shares: -quiet (warnings only), -v (debug),
-// -trace FILE (Chrome trace-event JSON of the run's spans).
+// Common flags: -trials, -seed, -apps, -workers, -json (the experiment's
+// result value instead of its table), and the observability trio every
+// subcommand shares: -quiet (warnings only), -v (debug), -trace FILE
+// (Chrome trace-event JSON of the run's spans).
 package main
 
 import (
@@ -89,19 +85,6 @@ type options struct {
 	budget           time.Duration
 }
 
-// emit renders v as JSON when -json is set and returns true.
-func (o options) emit(out io.Writer, v any) bool {
-	if !o.json {
-		return false
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintln(out, "{}")
-	}
-	return true
-}
-
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	if len(args) == 0 {
 		usage(errw)
@@ -122,6 +105,10 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 	if cmd == "top" {
 		return doTop(ctx, args[1:], out, errw)
+	}
+	if _, isRow := exper.Lookup(cmd); !isRow && views[cmd] == nil {
+		usage(errw)
+		return fmt.Errorf("unknown experiment %q", cmd)
 	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(errw)
@@ -152,57 +139,13 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		CampaignParallel: o.campaignParallel,
 		Ctx:              tctx, Budget: o.budget,
 	})
-	names := splitApps(o.apps)
+	p := exper.Params{
+		Apps: splitApps(o.apps), App: o.app, Class: o.class,
+		Small: o.small, Large: o.large,
+	}
 
 	start := time.Now()
-	var err error
-	switch cmd {
-	case "apps":
-		err = listApps(out)
-	case "table1":
-		err = doTable1(s, out, o)
-	case "table2":
-		err = doTable2(s, out, names, o)
-	case "fig1":
-		err = doPropagation(s, out, "CG")
-	case "fig2":
-		err = doPropagation(s, out, "FT")
-	case "fig3":
-		err = doFig3(s, out, names)
-	case "fig5":
-		err = doPredict(s, out, names, 4, 64, o)
-	case "fig6":
-		err = doPredict(s, out, names, 8, 64, o)
-	case "fig7":
-		err = doFig7(s, out)
-	case "fig8":
-		err = doFig8(s, out, names, o)
-	case "overhead":
-		err = doOverhead(s, out)
-	case "predict":
-		err = doPredictOne(s, out, o)
-	case "all":
-		err = doAll(s, out, names)
-	case "report":
-		err = exper.Report(s, out)
-	case "ablate":
-		err = doAblate(o, out)
-	case "baselines":
-		err = doBaselines(s, out, names, o)
-	case "modelablate":
-		err = doModelAblate(s, out, o)
-	case "scalesweep":
-		err = doScaleSweep(s, out, o)
-	case "advise":
-		err = doAdvise(o, out)
-	case "trace":
-		err = doTrace(o, out)
-	case "stability":
-		err = doStability(s, o, out)
-	default:
-		usage(errw)
-		return fmt.Errorf("unknown experiment %q", cmd)
-	}
+	err := dispatch(s, cmd, p, o.json, out)
 	root.End()
 	if ferr := rt.finish(errw); ferr != nil && err == nil {
 		err = ferr
@@ -216,12 +159,70 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	return nil
 }
 
+// dispatch runs cmd — a plan row, or a view of the plan — on the session:
+// a row's value is rendered, or encoded when -json asks; a view has no
+// single value to encode and says so rather than ignore the flag.
+func dispatch(s *exper.Session, cmd string, p exper.Params, asJSON bool, out io.Writer) error {
+	row, isRow := exper.Lookup(cmd)
+	switch {
+	case !isRow && asJSON:
+		return fmt.Errorf("-json is not supported by %q: it encodes one experiment's result", cmd)
+	case !isRow:
+		return views[cmd](s, p, out)
+	}
+	v, err := row.Run(s, p)
+	if err != nil {
+		return err
+	}
+	if asJSON {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	}
+	row.Print(out, v)
+	return nil
+}
+
+// views are the subcommands that present the plan rather than run one row
+// of it.
+var views = map[string]func(s *exper.Session, p exper.Params, out io.Writer) error{
+	"apps": func(_ *exper.Session, _ exper.Params, out io.Writer) error { return listApps(out) },
+	// all: the paper's rows, in order, console form.
+	"all": func(s *exper.Session, p exper.Params, out io.Writer) error {
+		for _, e := range exper.Plan {
+			if !e.Paper {
+				continue
+			}
+			v, err := e.Run(s, p)
+			if err != nil {
+				return err
+			}
+			e.Print(out, v)
+			fmt.Fprintln(out)
+		}
+		return nil
+	},
+	// report: every row with a report heading, as markdown.
+	"report": func(s *exper.Session, p exper.Params, out io.Writer) error {
+		return exper.Report(s, out, p)
+	},
+}
+
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: resmod <experiment> [flags]
-experiments: apps table1 table2 fig1 fig2 fig3 fig5 fig6 fig7 fig8 overhead predict all report
-extras:      campaign ablate trace stability baselines modelablate scalesweep advise
+	var paper, extras []string
+	for _, e := range exper.Plan {
+		if e.Paper {
+			paper = append(paper, e.Name)
+		} else {
+			extras = append(extras, e.Name)
+		}
+	}
+	fmt.Fprintf(w, `usage: resmod <experiment> [flags]
+experiments: apps %s all report
+extras:      campaign %s
              (use -app, -class, -small, -large)
-service:     serve -listen HOST:PORT -store DIR -workers N -queue N -drain D
+`, strings.Join(paper, " "), strings.Join(extras, " "))
+	fmt.Fprintln(w, `service:     serve -listen HOST:PORT -store DIR -workers N -queue N -drain D
              -pprof-addr HOST:PORT (optional net/http/pprof listener)
              -api-keys KEY:TENANT,... or -api-keys-file FILE (tenancy)
              -tenant-rate/-tenant-burst/-tenant-inflight (keyed limits)
@@ -237,10 +238,11 @@ loadgen:     loadgen -target URL -clients N -duration D -mix predict=60,get=25,.
              -keys KEY,... -priorities normal=80,... -retries N -out FILE
              -fail-on-5xx (non-zero exit on any 5xx other than a drain 503)
 top:         top -target URL -interval D -once (live dashboard: status,
-             alerts, series sparklines, fleet; also see GET /debug/dash)
+             alerts, series sparklines, fleet)
 flags: -trials N -seed N -apps CG,FT,... -workers N -campaign-parallel N -budget D
+       -json (an experiment's result value instead of its table)
        -quiet (warnings only) -v (debug) -trace FILE (Chrome trace JSON)
-       (predict only) -app NAME -class C -small S -large P
+       (predict and the extras) -app NAME -class C -small S -large P
        (campaign only) -checkpoint FILE -resume -max-abnormal N -retries N
 SIGINT/SIGTERM stops campaigns promptly, preserving partial results
 (and the checkpoint, when one is configured).`)
@@ -268,167 +270,6 @@ func listApps(out io.Writer) error {
 		}
 		fmt.Fprintf(out, "%-10s classes=%v default=%s maxprocs=%d\n",
 			a.Name(), a.Classes(), a.DefaultClass(), a.MaxProcs(a.DefaultClass()))
-	}
-	return nil
-}
-
-func doTable1(s *exper.Session, out io.Writer, o options) error {
-	rows, err := exper.Table1(s)
-	if err != nil {
-		return err
-	}
-	if o.emit(out, rows) {
-		return nil
-	}
-	fmt.Fprintln(out, "== Table 1: percentage of parallel-unique computation (4 ranks) ==")
-	exper.RenderTable1(out, rows)
-	return nil
-}
-
-func doTable2(s *exper.Session, out io.Writer, names []string, o options) error {
-	rows, err := exper.Table2(s, names)
-	if err != nil {
-		return err
-	}
-	if o.emit(out, rows) {
-		return nil
-	}
-	fmt.Fprintln(out, "== Table 2: propagation cosine similarity ==")
-	exper.RenderTable2(out, rows)
-	return nil
-}
-
-func doPropagation(s *exper.Session, out io.Writer, app string) error {
-	r, err := exper.Propagation(s, app, 8, 64)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "== Figure %s: %s propagation profiles ==\n", map[string]string{
-		"CG": "1", "FT": "2"}[app], app)
-	exper.RenderPropagation(out, r)
-	return nil
-}
-
-func doFig3(s *exper.Session, out io.Writer, names []string) error {
-	if len(names) == 0 {
-		names = exper.PaperBenchmarks
-	}
-	fmt.Fprintln(out, "== Figure 3: serial x errors vs parallel x contaminated (8 ranks) ==")
-	for _, n := range names {
-		r, err := exper.Fig3(s, n, 8)
-		if err != nil {
-			return err
-		}
-		exper.RenderFig3(out, r)
-	}
-	return nil
-}
-
-func doPredict(s *exper.Session, out io.Writer, names []string, small, large int, o options) error {
-	rows, err := exper.PredictAll(s, names, small, large)
-	if err != nil {
-		return err
-	}
-	if o.emit(out, rows) {
-		return nil
-	}
-	fig := "5"
-	if small == 8 {
-		fig = "6"
-	}
-	fmt.Fprintf(out, "== Figure %s: modeling accuracy ==\n", fig)
-	exper.RenderPredictions(out, rows)
-	return nil
-}
-
-func doFig7(s *exper.Session, out io.Writer) error {
-	fmt.Fprintln(out, "== Figure 7: modeling accuracy for 128 ranks (CG, FT) ==")
-	// FT's class S transpose supports up to 64 ranks; class B covers 128
-	// (see DESIGN.md).
-	configs := []struct {
-		app, class string
-		small      int
-	}{
-		{"CG", "S", 4}, {"CG", "S", 8},
-		{"FT", "B", 4}, {"FT", "B", 8},
-	}
-	var rows []exper.PredictionRow
-	for _, c := range configs {
-		row, err := exper.PredictOne(s, c.app, c.class, c.small, 128)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, *row)
-	}
-	exper.RenderPredictions(out, rows)
-	return nil
-}
-
-func doFig8(s *exper.Session, out io.Writer, names []string, o options) error {
-	points, err := exper.Fig8(s, names, []int{4, 8, 16, 32}, 64)
-	if err != nil {
-		return err
-	}
-	if o.emit(out, points) {
-		return nil
-	}
-	fmt.Fprintln(out, "== Figure 8: accuracy vs fault-injection time ==")
-	exper.RenderFig8(out, points)
-	return nil
-}
-
-func doOverhead(s *exper.Session, out io.Writer) error {
-	cg, err := apps.Lookup("CG")
-	if err != nil {
-		return err
-	}
-	ser, err := s.Golden(cg, "S", 1)
-	if err != nil {
-		return err
-	}
-	par, err := s.Golden(cg, "S", 4)
-	if err != nil {
-		return err
-	}
-	serOps := ser.TotalCounts().Total()
-	parOps := par.TotalCounts().Total()
-	fmt.Fprintln(out, "== §1 anecdote: CG instruction growth, serial -> 4 ranks ==")
-	fmt.Fprintf(out, "serial ops:   %d\n", serOps)
-	fmt.Fprintf(out, "4-rank ops:   %d (+%.1f%%)\n", parOps,
-		100*(float64(parOps)/float64(serOps)-1))
-	fmt.Fprintf(out, "serial time:  %v\n", ser.Elapsed.Round(time.Microsecond))
-	fmt.Fprintf(out, "4-rank time:  %v (+%.1f%%)\n", par.Elapsed.Round(time.Microsecond),
-		100*(float64(par.Elapsed)/float64(ser.Elapsed)-1))
-	return nil
-}
-
-func doPredictOne(s *exper.Session, out io.Writer, o options) error {
-	row, err := exper.PredictOne(s, o.app, o.class, o.small, o.large)
-	if err != nil {
-		return err
-	}
-	exper.RenderPredictions(out, []exper.PredictionRow{*row})
-	return nil
-}
-
-func doAll(s *exper.Session, out io.Writer, names []string) error {
-	steps := []func() error{
-		func() error { return doOverhead(s, out) },
-		func() error { return doTable1(s, out, options{}) },
-		func() error { return doTable2(s, out, names, options{}) },
-		func() error { return doPropagation(s, out, "CG") },
-		func() error { return doPropagation(s, out, "FT") },
-		func() error { return doFig3(s, out, names) },
-		func() error { return doPredict(s, out, names, 4, 64, options{}) },
-		func() error { return doPredict(s, out, names, 8, 64, options{}) },
-		func() error { return doFig7(s, out) },
-		func() error { return doFig8(s, out, names, options{}) },
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
 	}
 	return nil
 }

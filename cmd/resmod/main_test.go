@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,10 +63,27 @@ func TestPredictCommandSmall(t *testing.T) {
 	}
 }
 
+// TestTraceCommand: a trace replays the campaign's own trials, so the sizes
+// of the contaminated sets it lists are the histogram `resmod campaign`
+// reports at the same seed (an empty set lands in bin 1, as the campaign's
+// tally clamps it).
 func TestTraceCommand(t *testing.T) {
-	got := runCmd(t, "trace", "-quiet", "-trials", "1", "-app", "PENNANT", "-small", "2")
+	args := []string{"-trials", "20", "-seed", "2018"}
+	got := runCmd(t, append([]string{"trace", "-quiet", "-app", "CG", "-small", "4"}, args...)...)
 	if !strings.Contains(got, "outcome:") || !strings.Contains(got, "golden:") {
 		t.Fatalf("trace output:\n%s", got)
+	}
+	hist := make([]uint64, 4)
+	for _, m := range regexp.MustCompile(`contaminated ranks: \[([0-9 ]*)\]`).FindAllStringSubmatch(got, -1) {
+		hist[max(len(strings.Fields(m[1])), 1)-1]++
+	}
+	var sum struct{ Hist []uint64 }
+	camp := runCmd(t, append([]string{"campaign", "-json", "-app", "CG", "-procs", "4"}, args...)...)
+	if err := json.Unmarshal([]byte(camp), &sum); err != nil {
+		t.Fatalf("campaign -json: %v\n%s", err, camp)
+	}
+	if !slices.Equal(hist, sum.Hist) {
+		t.Fatalf("traced contaminated-set sizes %v, campaign histogram %v", hist, sum.Hist)
 	}
 }
 

@@ -31,6 +31,9 @@ type ProtectionTarget struct {
 
 // Advice ranks protection targets for one application configuration.
 type Advice struct {
+	// App and Procs name the configuration measured.
+	App   string
+	Procs int
 	// BaseSDC is the unprotected overall SDC rate.
 	BaseSDC float64
 	// Targets are the candidate slices sorted by descending leverage.
@@ -109,7 +112,7 @@ func Advise(cfg Config, phases int) (*Advice, error) {
 	for _, p := range phasePoints {
 		base += p.Rates.SDC / float64(phases)
 	}
-	adv := &Advice{BaseSDC: base}
+	adv := &Advice{App: cfg.App.Name(), Procs: cfg.Procs, BaseSDC: base}
 	for _, t := range targets {
 		t.Contribution = 0
 		if base > 0 {
@@ -132,6 +135,7 @@ func Advise(cfg Config, phases int) (*Advice, error) {
 
 // Render prints the advice as a ranked table.
 func (a *Advice) Render(w io.Writer) {
+	fmt.Fprintf(w, "== protection advice: %s, %d ranks ==\n", a.App, a.Procs)
 	fmt.Fprintf(w, "unprotected SDC rate: %.1f%%\n", 100*a.BaseSDC)
 	fmt.Fprintf(w, "%-22s %-8s %-10s %-14s %-12s %s\n",
 		"slice", "cost", "slice SDC", "contribution", "residual", "leverage")

@@ -142,6 +142,8 @@ func RenderBaselines(w io.Writer, rows []BaselineRow) {
 // parallel-unique term, for one benchmark.
 type ModelAblation struct {
 	Bench    string
+	Small    int
+	Large    int
 	Measured float64
 	Full     float64
 	NoTuning float64
@@ -183,10 +185,22 @@ func AblateModel(s *Session, name, class string, small, large int) (*ModelAblati
 	}
 	return &ModelAblation{
 		Bench:    a.Name(),
+		Small:    small,
+		Large:    large,
 		Measured: measured.Success,
 		Full:     full.Rates.Success,
 		NoTuning: nt.Rates.Success,
 		NoUnique: nu.Rates.Success,
 		Tuned:    full.Tuned,
 	}, nil
+}
+
+// RenderModelAblation prints the four predictions.
+func RenderModelAblation(w io.Writer, ab *ModelAblation) {
+	fmt.Fprintf(w, "== model ablation: %s, predict %d from serial+%d ==\n",
+		ab.Bench, ab.Large, ab.Small)
+	fmt.Fprintf(w, "measured:            %5.1f%%\n", 100*ab.Measured)
+	fmt.Fprintf(w, "full model:          %5.1f%% (tuning active: %v)\n", 100*ab.Full, ab.Tuned)
+	fmt.Fprintf(w, "without alpha tune:  %5.1f%%\n", 100*ab.NoTuning)
+	fmt.Fprintf(w, "without unique term: %5.1f%%\n", 100*ab.NoUnique)
 }

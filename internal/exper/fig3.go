@@ -75,6 +75,23 @@ func Fig3(s *Session, name string, procs int) (*Fig3Result, error) {
 	return res, nil
 }
 
+// Fig3All characterizes every named benchmark (the paper's six when names
+// is empty), one panel each.
+func Fig3All(s *Session, names []string, procs int) ([]*Fig3Result, error) {
+	if len(names) == 0 {
+		names = PaperBenchmarks
+	}
+	panels := make([]*Fig3Result, 0, len(names))
+	for _, n := range names {
+		r, err := Fig3(s, n, procs)
+		if err != nil {
+			return nil, err
+		}
+		panels = append(panels, r)
+	}
+	return panels, nil
+}
+
 // Variances returns the success-rate variances of the two series (the
 // paper's Observation 4 compares them).  Parallel variance is over the
 // observed x values only.

@@ -64,3 +64,14 @@ func RenderFig8(w io.Writer, points []Fig8Point) {
 			p.Small, p.RMSE, p.NormalizedTime(), p.AvgSmallTime.Round(time.Millisecond))
 	}
 }
+
+// MarkdownFig8 prints the sweep as a table.
+func MarkdownFig8(w io.Writer, points []Fig8Point) {
+	fmt.Fprintf(w, "| small scale | RMSE | campaign time / serial | avg campaign time |\n")
+	fmt.Fprintf(w, "|---|---|---|---|\n")
+	for _, p := range points {
+		fmt.Fprintf(w, "| %d | %.4f | %.2fx | %v |\n",
+			p.Small, p.RMSE, p.NormalizedTime(), p.AvgSmallTime.Round(time.Millisecond))
+	}
+	fmt.Fprintln(w)
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 	"time"
 
 	"resmod/internal/apps"
@@ -237,6 +239,26 @@ func PredictAll(s *Session, names []string, small, large int) ([]PredictionRow, 
 	return rows, nil
 }
 
+// PredictConfig names one prediction's benchmark, class and small scale.
+type PredictConfig struct {
+	App, Class string
+	Small      int
+}
+
+// PredictEach runs PredictOne for every configuration at one target scale
+// — the paper's Figure 7 panel, whose rows differ in class and small scale.
+func PredictEach(s *Session, large int, configs []PredictConfig) ([]PredictionRow, error) {
+	rows := make([]PredictionRow, 0, len(configs))
+	for _, c := range configs {
+		row, err := PredictOne(s, c.App, c.Class, c.Small, large)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, *row)
+	}
+	return rows, nil
+}
+
 // SummarizeErrors returns the average and maximum success-rate prediction
 // error over the rows (the paper's headline numbers).
 func SummarizeErrors(rows []PredictionRow) (avg, max float64) {
@@ -285,4 +307,43 @@ func RenderPredictions(w io.Writer, rows []PredictionRow) {
 	avg, max := SummarizeErrors(rows)
 	fmt.Fprintf(w, "  average error %s, max %s, RMSE %.4f\n",
 		fmtPct(avg), fmtPct(max), RMSEOf(rows))
+}
+
+// MarkdownPredictions prints a Figure 5/6 panel — every benchmark from one
+// small scale — closing with the paper's headline errors beside the
+// measured ones.
+func MarkdownPredictions(w io.Writer, rows []PredictionRow, paper string) {
+	fmt.Fprintf(w, "| benchmark | measured success | predicted | abs error | tuned |\n")
+	fmt.Fprintf(w, "|---|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(w, "| %s (%s) | %.1f%% | %.1f%% | %.1f%% | %v |\n",
+			r.Bench, r.Class, 100*r.Measured.Success, 100*r.Predicted.Success,
+			100*r.Error, r.Tuned)
+	}
+	avg, max := SummarizeErrors(rows)
+	fmt.Fprintf(w, "\nPaper: %s.  Measured: %.1f%% avg, %.1f%% max.\n\n",
+		paper, 100*avg, 100*max)
+}
+
+// MarkdownScales prints a Figure 7 panel — rows that differ in their small
+// scale — closing with the paper's error bounds beside the worst measured
+// error of each small scale, in order of first appearance.
+func MarkdownScales(w io.Writer, rows []PredictionRow, paper string) {
+	fmt.Fprintf(w, "| benchmark | small | measured | predicted | abs error |\n|---|---|---|---|---|\n")
+	var smalls []int
+	worst := make(map[int]float64)
+	for _, r := range rows {
+		fmt.Fprintf(w, "| %s (%s) | %d | %.1f%% | %.1f%% | %.1f%% |\n",
+			r.Bench, r.Class, r.Small, 100*r.Measured.Success,
+			100*r.Predicted.Success, 100*r.Error)
+		if _, seen := worst[r.Small]; !seen {
+			smalls = append(smalls, r.Small)
+		}
+		worst[r.Small] = math.Max(worst[r.Small], r.Error)
+	}
+	bounds := make([]string, len(smalls))
+	for i, small := range smalls {
+		bounds[i] = fmt.Sprintf("<= %.1f%%", 100*worst[small])
+	}
+	fmt.Fprintf(w, "\nPaper: %s.  Measured: %s.\n\n", paper, strings.Join(bounds, " and "))
 }

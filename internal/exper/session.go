@@ -3,8 +3,10 @@
 // Table 2 (propagation cosine similarity), Figures 1–2 (propagation
 // histograms), Figure 3 (serial-vs-parallel resilience characterization),
 // Figures 5–7 (prediction accuracy at 64 and 128 ranks) and Figure 8
-// (accuracy/cost sensitivity).  The drivers are shared by the resmod CLI
-// and the benchmark harness.
+// (accuracy/cost sensitivity).  plan.go declares the evaluation once, as
+// the ordered slice Plan; the resmod CLI's experiments, `all`, `report`
+// and usage text are views of it.  The drivers are shared by the CLI and
+// the benchmark harness.
 package exper
 
 import (

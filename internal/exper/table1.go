@@ -57,3 +57,18 @@ func RenderTable1(w io.Writer, rows []Table1Row) {
 		fmt.Fprintf(w, "%-22s %s\n", r.Bench+" ("+r.Class+")", val)
 	}
 }
+
+// MarkdownTable1 prints the rows beside the paper's values (keyed
+// "Bench/Class").
+func MarkdownTable1(w io.Writer, rows []Table1Row, paper map[string]string) {
+	fmt.Fprintf(w, "| benchmark | paper | measured |\n|---|---|---|\n")
+	for _, r := range rows {
+		meas := "none"
+		if r.HasUnique {
+			meas = fmt.Sprintf("%.2f%%", 100*r.UniqueFraction)
+		}
+		fmt.Fprintf(w, "| %s (%s) | %s | %s |\n", r.Bench, r.Class,
+			paper[r.Bench+"/"+r.Class], meas)
+	}
+	fmt.Fprintln(w)
+}

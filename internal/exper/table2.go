@@ -58,3 +58,15 @@ func RenderTable2(w io.Writer, rows []Table2Row) {
 			fmt.Sprintf("%s (%s, %dV%d)", r.Bench, r.Class, r.Small, r.Large), r.Cosine)
 	}
 }
+
+// MarkdownTable2 prints the rows beside the paper's similarities (keyed
+// "Bench/Small").
+func MarkdownTable2(w io.Writer, rows []Table2Row, paper map[string]float64) {
+	fmt.Fprintf(w, "| benchmark | scales | paper | measured |\n|---|---|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(w, "| %s (%s) | %dV%d | %.3f | %.3f |\n",
+			r.Bench, r.Class, r.Small, r.Large,
+			paper[fmt.Sprintf("%s/%d", r.Bench, r.Small)], r.Cosine)
+	}
+	fmt.Fprintln(w)
+}

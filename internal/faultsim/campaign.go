@@ -635,7 +635,7 @@ func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, base *st
 	var rec TrialRecord
 	var err error
 	for attempt := 0; ; attempt++ {
-		rec, err = runTrialContained(ctx, c, golden, base.Split(uint64(t)), arena)
+		rec, err = runTrialContained(ctx, c, golden, base.Split(uint64(t)), arena, nil)
 		if err == nil || isInterruption(err) {
 			return rec, err
 		}
@@ -662,13 +662,13 @@ func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, base *st
 // harness (injection drawing, outcome classification, a panicking
 // application Verify) is contained to this trial and reported as an
 // abnormal error instead of killing the whole campaign.
-func runTrialContained(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, arena *apps.Arena) (rec TrialRecord, err error) {
+func runTrialContained(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, arena *apps.Arena, detail *TrialDetail) (rec TrialRecord, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("faultsim: harness panic: %v", v)
 		}
 	}()
-	return runTrial(ctx, c, golden, rng, arena)
+	return runTrial(ctx, c, golden, rng, arena, detail)
 }
 
 // aggregate is the shared, lock-protected campaign state: the done-trial
@@ -848,9 +848,39 @@ func drawFor(c Campaign, golden *Golden, rng *stats.RNG, rank, k int) ([]fpe.Inj
 	}
 }
 
+// TrialDetail is what a trace shows of one trial beyond its TrialRecord.
+type TrialDetail struct {
+	// Plan is the injection plan drawn for the target rank.
+	Plan []fpe.Injection
+	// Exec is the injected execution: the target rank's Ctx holds the
+	// records of the injections that fired, rank 0's output the Check.
+	Exec apps.ExecResult
+	// ContaminatedRanks are the ranks the campaign's contamination check
+	// counts, in rank order (len == TrialRecord.Contaminated).
+	ContaminatedRanks []int
+}
+
+// TraceTrial executes trial t of the campaign through the same contained
+// runTrial a campaign's workers call, on the RNG stream the campaign gives
+// trial t, and returns its record with the detail a trace prints.  Tallying
+// the records of trials 0..Trials-1 therefore reproduces the campaign's
+// Summary; an error is what the campaign would retry and then count
+// abnormal.
+func TraceTrial(ctx context.Context, c Campaign, golden *Golden, t int) (TrialRecord, *TrialDetail, error) {
+	c, err := c.prepared(golden)
+	if err != nil {
+		return TrialRecord{}, nil, err
+	}
+	detail := new(TrialDetail)
+	rec, err := runTrialContained(orBackground(ctx), c, golden, stats.NewRNG(c.Seed).Split(uint64(t)), nil, detail)
+	return rec, detail, err
+}
+
 // runTrial executes one fault injection test.  arena (nil-safe) pools
-// the execution state across a worker's trials.
-func runTrial(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, arena *apps.Arena) (TrialRecord, error) {
+// the execution state across a worker's trials.  detail, nil on the
+// campaign path, receives what TraceTrial reports — the execution result
+// included, so it is only for a trial run without an arena.
+func runTrial(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, arena *apps.Arena, detail *TrialDetail) (TrialRecord, error) {
 	target := 0
 	if c.Procs > 1 {
 		target = rng.Intn(c.Procs)
@@ -885,6 +915,9 @@ func runTrial(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, a
 		fired += res.Ctxs[r].Fired()
 	}
 	rec := TrialRecord{TargetRank: target, Fired: fired}
+	if detail != nil {
+		detail.Plan, detail.Exec = plans[target], res
+	}
 	if res.Err != nil {
 		var pe *simmpi.PanicError
 		if errors.As(res.Err, &pe) || errors.Is(res.Err, simmpi.ErrTimeout) {
@@ -907,6 +940,9 @@ func runTrial(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, a
 		if diverged(st, golden.States[r], c.ContaminationTol) {
 			rec.Contaminated++
 			rec.Distances = append(rec.Distances, ringDistance(r, target, c.Procs))
+			if detail != nil {
+				detail.ContaminatedRanks = append(detail.ContaminatedRanks, r)
+			}
 		}
 	}
 	if golden.App.Verify(golden.Check, res.Outputs[0].Check) {

@@ -62,7 +62,7 @@ func shardObserverFrom(ctx context.Context) ShardObserver {
 // whole campaign range — what a dispatcher combines with in-flight shard
 // reports to publish honest distributed progress.
 func (m *Merger) Tallies() ShardStatus {
-	return m.agg.status(0, m.trials)
+	return m.agg.status(0, m.agg.trials)
 }
 
 // BuildProgressEvent assembles the campaign-kind progress event local

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
+	"slices"
 	"time"
 
 	"resmod/internal/telemetry"
@@ -106,13 +106,22 @@ func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int
 	return res, nil
 }
 
-// mergeDisjoint folds a snapshot — a resumed checkpoint or a shard's
-// result — into the aggregate after validating that it belongs to this
-// campaign, marks only trials the campaign has and none already merged,
-// and carries a Tally consistent with its done bits; a rejected snapshot
-// leaves the aggregate untouched.  All tallies are commutative integer
-// counts, so merge order cannot affect the final Summary.
+// mergeDisjoint folds a resumed checkpoint — a snapshot that may cover any
+// of the campaign's trials and abandoned none — into the aggregate.
 func (a *aggregate) mergeDisjoint(ck *Checkpoint, identity string) error {
+	return a.mergeShard(ck, identity, 0, a.trials, nil)
+}
+
+// mergeShard is the package's one validated merge: it folds the snapshot of
+// trials [start, end), plus the trials that range abandoned, into the
+// aggregate, all or nothing.  Under the aggregate's lock it checks that the
+// snapshot belongs to this campaign; marks only trials inside its range and
+// none already tallied or abandoned; carries a Tally consistent with its
+// done bits; and abandons only trials of its range that are neither done
+// nor listed twice.  A rejected snapshot leaves the aggregate untouched.
+// All tallies are commutative integer counts, so merge order cannot affect
+// the final Summary.
+func (a *aggregate) mergeShard(ck *Checkpoint, identity string, start, end int, abnormal []AbnormalTrial) error {
 	if ck == nil {
 		return fmt.Errorf("%w: nil shard snapshot", ErrCheckpointMismatch)
 	}
@@ -126,18 +135,30 @@ func (a *aggregate) mergeDisjoint(ck *Checkpoint, identity string) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if start < 0 || end > a.trials || start >= end {
+		return fmt.Errorf("%w: shard [%d,%d) outside campaign trials [0,%d)",
+			ErrCheckpointMismatch, start, end, a.trials)
+	}
 	if ck.Trials != a.trials || len(ck.Done) != len(a.done) ||
 		len(ck.Hist) != len(a.tally.Hist) || len(ck.Spread) != len(a.tally.Spread) {
 		return fmt.Errorf("%w: snapshot shape does not fit the campaign", ErrCheckpointMismatch)
 	}
+	// taken marks the trials that need no further dispatch: tallied ones
+	// and abandoned ones, which a local run likewise excludes from the
+	// tallies rather than re-running.
+	taken := slices.Clone(a.done)
+	for _, te := range a.abnormal {
+		taken[te.trial/64] |= 1 << (te.trial % 64)
+	}
 	var pop uint64
 	for i, w := range ck.Done {
-		if w&^wordMask(i, 0, a.trials) != 0 {
-			return fmt.Errorf("%w: snapshot has done bits beyond its %d trials", ErrCheckpointMismatch, a.trials)
+		if w&^wordMask(i, start, end) != 0 {
+			return fmt.Errorf("%w: snapshot tallies trials outside [%d,%d)", ErrCheckpointMismatch, start, end)
 		}
-		if a.done[i]&w != 0 {
+		if taken[i]&w != 0 {
 			return fmt.Errorf("%w: shard overlaps already-merged trials", ErrCheckpointMismatch)
 		}
+		taken[i] |= w
 		pop += uint64(bits.OnesCount64(w))
 	}
 	if pop != ck.Completed {
@@ -146,31 +167,40 @@ func (a *aggregate) mergeDisjoint(ck *Checkpoint, identity string) error {
 	if err := ck.Tally.check(pop); err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
 	}
+	for _, ab := range abnormal {
+		t := ab.Trial
+		if t < start || t >= end {
+			return fmt.Errorf("%w: abnormal trial %d outside shard [%d,%d)",
+				ErrCheckpointMismatch, t, start, end)
+		}
+		if taken[t/64]&(1<<(t%64)) != 0 {
+			return fmt.Errorf("%w: abnormal trial %d is already accounted for", ErrCheckpointMismatch, t)
+		}
+		taken[t/64] |= 1 << (t % 64)
+	}
 	for i, w := range ck.Done {
 		a.done[i] |= w
 	}
 	a.completed += pop
 	a.tally.merge(&ck.Tally)
 	a.fired += ck.Fired
+	for _, ab := range abnormal {
+		a.abnormal = append(a.abnormal, trialError{trial: ab.Trial, err: errors.New(ab.Err)})
+	}
 	return nil
 }
 
 // Merger accumulates disjoint shard results of one campaign into the
 // Summary a single-node run would have produced.  It is safe for
-// concurrent Merge calls (dispatchers merge as shards land).
+// concurrent Merge calls (dispatchers merge as shards land): its only
+// mutable state is the aggregate, which holds both halves of "needs no
+// further dispatch" — the done bitmap and the abandoned-trial list.
 type Merger struct {
 	identity string
-	trials   int
 	maxAbn   int
 	golden   *Golden
 	start    time.Time
-
-	mu  sync.Mutex
-	agg *aggregate
-	// accounted marks trials that need no further dispatch: completed
-	// ones (the aggregate's done bits) plus abnormal ones, which a local
-	// run likewise excludes from the tallies rather than re-running.
-	accounted []uint64
+	agg      *aggregate
 }
 
 // NewMerger prepares a merger for the campaign (normalized first, so the
@@ -178,13 +208,11 @@ type Merger struct {
 func NewMerger(c Campaign, golden *Golden) *Merger {
 	c = c.Normalized()
 	return &Merger{
-		identity:  c.Identity(),
-		trials:    c.Trials,
-		maxAbn:    c.MaxAbnormal,
-		golden:    golden,
-		start:     time.Now(),
-		agg:       newAggregate(c.Procs, c.Trials),
-		accounted: make([]uint64, (c.Trials+63)/64),
+		identity: c.Identity(),
+		maxAbn:   c.MaxAbnormal,
+		golden:   golden,
+		start:    time.Now(),
+		agg:      newAggregate(c.Procs, c.Trials),
 	}
 }
 
@@ -195,54 +223,10 @@ func NewMerger(c Campaign, golden *Golden) *Merger {
 // instead of corrupting counts, and a clean retry of the same range still
 // merges.
 func (m *Merger) Merge(res *ShardResult) error {
-	if res == nil || res.Checkpoint == nil {
+	if res == nil {
 		return fmt.Errorf("%w: nil shard result", ErrCheckpointMismatch)
 	}
-	if res.Start < 0 || res.End > m.trials || res.Start >= res.End {
-		return fmt.Errorf("%w: shard [%d,%d) outside campaign trials [0,%d)",
-			ErrCheckpointMismatch, res.Start, res.End, m.trials)
-	}
-	done := res.Checkpoint.Done
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(done) != len(m.accounted) {
-		return fmt.Errorf("%w: snapshot shape does not fit the campaign", ErrCheckpointMismatch)
-	}
-	for i, w := range done {
-		if w&^wordMask(i, res.Start, res.End) != 0 {
-			return fmt.Errorf("%w: shard [%d,%d) tallies trials outside its range",
-				ErrCheckpointMismatch, res.Start, res.End)
-		}
-		if w&m.accounted[i] != 0 {
-			return fmt.Errorf("%w: shard overlaps already-merged trials", ErrCheckpointMismatch)
-		}
-	}
-	seen := make(map[int]bool, len(res.Abnormal))
-	for _, ab := range res.Abnormal {
-		t := ab.Trial
-		if t < res.Start || t >= res.End {
-			return fmt.Errorf("%w: abnormal trial %d outside shard [%d,%d)",
-				ErrCheckpointMismatch, t, res.Start, res.End)
-		}
-		if bit := uint64(1) << (t % 64); seen[t] || (done[t/64]|m.accounted[t/64])&bit != 0 {
-			return fmt.Errorf("%w: abnormal trial %d is already accounted for",
-				ErrCheckpointMismatch, t)
-		}
-		seen[t] = true
-	}
-	// mergeDisjoint validates the rest (version, identity, tally
-	// consistency) before it mutates; nothing after it can fail.
-	if err := m.agg.mergeDisjoint(res.Checkpoint, m.identity); err != nil {
-		return err
-	}
-	for i, w := range done {
-		m.accounted[i] |= w
-	}
-	for _, ab := range res.Abnormal {
-		m.agg.recordAbnormal(ab.Trial, errors.New(ab.Err))
-		m.accounted[ab.Trial/64] |= 1 << (ab.Trial % 64)
-	}
-	return nil
+	return m.agg.mergeShard(res.Checkpoint, m.identity, res.Start, res.End, res.Abnormal)
 }
 
 // wordMask returns the bits of bitmap word i that fall inside the trial
@@ -281,8 +265,8 @@ func (m *Merger) Summary() (*Summary, error) {
 	// Merge keeps tallied and abnormal trials disjoint and inside
 	// [0, trials), so together they cover the campaign exactly when their
 	// counts add up to it.
-	if st := m.Tallies(); st.Done+st.Abnormal != uint64(m.trials) {
-		return nil, fmt.Errorf("faultsim: merged shards cover %d of %d trials", st.Done, m.trials)
+	if st := m.Tallies(); st.Done+st.Abnormal != uint64(m.agg.trials) {
+		return nil, fmt.Errorf("faultsim: merged shards cover %d of %d trials", st.Done, m.agg.trials)
 	}
 	sum := m.agg.summary(m.golden)
 	sum.Elapsed = time.Since(m.start)

@@ -73,8 +73,8 @@ func alertState(ar alertsResponse, rule, instance string) string {
 }
 
 // TestObservabilitySurfaces: the retention query endpoint, the alert
-// endpoint, the dashboard, and the alert metric families all answer on
-// a freshly sampled server.
+// endpoint and the alert metric families all answer on a freshly sampled
+// server.
 func TestObservabilitySurfaces(t *testing.T) {
 	_, hs := newObsServer(t, Config{SampleEvery: 5 * time.Millisecond})
 
@@ -144,24 +144,6 @@ func TestObservabilitySurfaces(t *testing.T) {
 	}
 	if st := alertState(ar, "queue-saturation", ""); st != telemetry.AlertInactive {
 		t.Fatalf("queue-saturation on an idle server = %q, want inactive", st)
-	}
-
-	// Dashboard: one self-contained HTML page.
-	resp, err = http.Get(hs.URL + "/debug/dash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/dash = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Fatalf("dashboard Content-Type = %q", ct)
-	}
-	if !strings.Contains(string(body[:n]), "resmod dash") {
-		t.Fatal("dashboard HTML missing its title")
 	}
 
 	// Metric families: always present, even with nothing firing.
@@ -402,12 +384,12 @@ func TestDeterminismWithObservability(t *testing.T) {
 		SampleEvery: time.Millisecond, // ~1000 samples/s while computing
 	})
 
-	// Poll the operator surfaces concurrently, like an open dashboard.
+	// Poll the four surfaces `resmod top` reads, like an open dashboard.
 	pollCtx, pollCancel := context.WithCancel(context.Background())
 	defer pollCancel()
 	go func() {
 		for pollCtx.Err() == nil {
-			for _, p := range []string{"/v1/alerts", "/v1/series?name=trials_total", "/debug/dash"} {
+			for _, p := range []string{"/v1/status", "/v1/alerts", "/v1/cluster", "/v1/series?name=trials_total"} {
 				if resp, err := http.Get(hs.URL + p); err == nil {
 					resp.Body.Close()
 				}

@@ -215,7 +215,6 @@ func New(cfg Config) *Server {
 	mux.Handle("GET /v1/series", s.instrument("/v1/series", s.handleSeries))
 	mux.Handle("GET /v1/alerts", s.instrument("/v1/alerts", s.handleAlerts))
 	mux.Handle("GET /v1/events", s.instrument("/v1/events", s.handleServerEvents))
-	mux.Handle("GET /debug/dash", s.instrument("/debug/dash", s.handleDash))
 	mux.Handle("GET /v1/apps", s.instrument("/v1/apps", s.handleApps))
 	mux.Handle("GET /v1/workers", s.instrument("/v1/workers", s.handleWorkers))
 	mux.Handle("GET /v1/cluster", s.instrument("/v1/cluster", s.handleCluster))

@@ -89,10 +89,9 @@ echo "$status_doc" | grep -q '"done": 2' ||
 echo "$status_doc" | grep -Eq '"campaigns_tracked": [1-9]' ||
     fail "/v1/status tracked no campaigns: $status_doc"
 
-# Retention, alerting, and the dashboard (PR 10): sampled series are
-# queryable, the alert engine answers with its built-in rule set (and
-# nothing fires on a healthy run), the embedded dashboard serves, and
-# the alert metric families reach /metrics.
+# Retention and alerting (PR 10): sampled series are queryable, the alert
+# engine answers with its built-in rule set (and nothing fires on a
+# healthy run), and the alert metric families reach /metrics.
 get_has "http://$addr/v1/series" '"trials_total"' ||
     fail "/v1/series index missing the trials_total series"
 get_has "http://$addr/v1/series?name=queue_depth&since=10m&max=50" '"name": "queue_depth"' ||
@@ -102,8 +101,6 @@ echo "$alerts_doc" | grep -q '"name": "queue-saturation"' ||
     fail "/v1/alerts missing the built-in rules: $alerts_doc"
 echo "$alerts_doc" | grep -q '"firing": 0' ||
     fail "healthy smoke run has firing alerts: $alerts_doc"
-get_has "http://$addr/debug/dash" 'resmod dash' ||
-    fail "/debug/dash did not serve the dashboard"
 metrics=$(curl -fsS "http://$addr/metrics")
 echo "$metrics" | grep -q '^# TYPE resmod_alerts gauge' ||
     fail "resmod_alerts family missing from /metrics"
@@ -180,4 +177,12 @@ echo "$metrics" | grep -q '^# TYPE resmod_queue_wait_seconds histogram' ||
     fail "queue-wait histogram family missing"
 shutdown
 
-echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts + dashboard + top, warm store hit across restart, tenancy + idempotent replay + 429 shedding, clean drains)"
+# --- report: `make report` must regenerate the whole of EXPERIMENTS.md ----
+# The file is only safe to overwrite while the report carries every
+# section; a report that lost its second half fails here, not in review.
+"$workdir/resmod" report -trials 2 -quiet >"$workdir/report.md" ||
+    fail "resmod report failed"
+grep -q '^## Extensions beyond the paper' "$workdir/report.md" ||
+    fail "resmod report wrote a document without the Extensions heading"
+
+echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts + top, warm store hit across restart, tenancy + idempotent replay + 429 shedding, clean drains, whole report)"
