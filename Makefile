@@ -54,7 +54,7 @@ inlinecheck:
 
 # Every test that pins an allocation count or a byte count skips itself
 # under the race detector, whose shadow allocations would fail it — and
-# `go test -race ./...` is CI's only other test step.  This runs them
+# CI's other test steps all run under it.  This runs them
 # without it: the fpe datapath, the simmpi engine and message free lists,
 # each app's pooled run, the pooled trial, the telemetry hot path (also run
 # in CI).  A new pin joins by carrying Alloc, Pool or Bounded in its name.

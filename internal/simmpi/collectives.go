@@ -1,238 +1,320 @@
 package simmpi
 
-import "fmt"
-
-// Collective tags live in a reserved space far above application tags so
-// user point-to-point traffic can never be confused with collective
-// traffic.  Each collective call site uses a distinct base tag; repeated
-// collectives of the same kind are disambiguated by the per-source FIFO
-// ordering that the transport guarantees.
-const (
-	tagBarrier = 1 << 20
-	tagBcast   = 2 << 20
-	tagReduce  = 3 << 20
-	tagGather  = 4 << 20
-	tagScatter = 5 << 20
-	tagA2A     = 6 << 20
-	tagAllgat  = 7 << 20
+import (
+	"fmt"
+	"slices"
+	"sync"
 )
 
-// Barrier blocks until every rank has entered it (dissemination algorithm,
-// ceil(log2 p) rounds).
-func (c *Comm) Barrier() {
-	for k, round := 1, 0; k < c.size; k, round = k<<1, round+1 {
-		dst := (c.rank + k) % c.size
-		src := (c.rank - k + c.size) % c.size
-		c.Send(dst, tagBarrier+round, nil)
-		c.Recv(src, tagBarrier+round)
+// arrival is what one rank publishes on entering a collective.  kind, op,
+// root and n (the length every rank's contribution must have, 0 where the
+// kind fixes none) must be the same on every rank; the buffers are the
+// rank's own.
+type arrival struct {
+	kind string // the collective's name
+	op   Op
+	root int
+	n    int
+	// in is the rank's contribution and out where its result goes.  The
+	// allocating forms whose result's length or place only the root knows
+	// (Bcast, Scatter, Reduce, Gather) leave out nil and are handed it.
+	in, out []float64
+	// ins and outs are Alltoall's blocks by peer; with alloc set, outs is
+	// filled with new blocks instead of being copied into.
+	ins, outs [][]float64
+	alloc     bool
+	// sub and members are Split's result: the new communicator's
+	// rendezvous and its ranks in this one, by new rank.
+	sub     *rendezvous
+	members []int
+}
+
+func (a *arrival) String() string {
+	return fmt.Sprintf("%s(op %v, root %d, %d values)", a.kind, a.op, a.root, a.n)
+}
+
+// rendezvous is where the ranks of one communicator meet for a collective:
+// each publishes its arrival in its own slot and parks on its own channel;
+// the last to arrive moves all the data, between the published buffers, and
+// sends every other rank the token that releases it.  A slot is written by
+// its rank on arrival and by the last arriver until the release, and is not
+// touched again before its rank's next arrival — which is why a rank reads
+// its result out of it unlocked.  One wait queue for all the ranks
+// (sync.Cond, sync.WaitGroup) costs the same at p = 64 and twice as much at
+// p = 1024, where every park and wake contends for its one runtime lock.
+type rendezvous struct {
+	mu      sync.Mutex
+	slots   []arrival       // by communicator rank
+	parked  []chan struct{} // by rank: holds a token only while its rank is due to wake
+	arrived int             // ranks parked in the current collective
+	first   int             // the first of them, which the others must match
+	gen     uint64          // collectives met for and completed
+	floats  uint64          // values they moved between ranks
+	subs    []*rendezvous   // of the communicators Split off this one
+}
+
+func newRendezvous(size int) *rendezvous {
+	r := &rendezvous{slots: make([]arrival, size), parked: make([]chan struct{}, size)}
+	for i := range r.parked {
+		r.parked[i] = make(chan struct{}, 1)
+	}
+	return r
+}
+
+// wake releases the ranks parked here and at every rendezvous split off
+// this one to look at the world's failure.  Under the lock no collective is
+// half done, a Split that makes more included, and no rank is about to be
+// counted in.  The tokens left over make the rendezvous unfit for another
+// run.
+func (r *rendezvous) wake() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ch := range r.parked {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	for _, s := range r.subs {
+		s.wake()
 	}
 }
 
-// The binomial tree of a rooted collective lives in the rotated space where
-// root is virtual rank 0.  A rank's parent clears the lowest set bit of its
-// virtual rank; its children set one bit below that bit (any bit, for the
-// root).  Children are visited for k = 1, 2, 4, … while hasChild holds, and
-// that order is Reduce's fold order — the reduction's bits depend on it.
-func (c *Comm) vrank(root int) int { return (c.rank - root + c.size) % c.size }
+// drain adds to st what passed through r and the rendezvous split off it,
+// and forgets the run.
+func (r *rendezvous) drain(st *Stats) {
+	st.Messages += r.gen * uint64(len(r.slots))
+	st.Floats += r.floats
+	for _, s := range r.subs {
+		s.drain(st)
+	}
+	clear(r.slots) // and with them the last collective's buffers
+	r.gen, r.floats, r.subs = 0, 0, nil
+}
 
-func (c *Comm) treeParent(vrank, root int) int { return (vrank&(vrank-1) + root) % c.size }
+// meet enters the collective a describes and returns, with the rank's out,
+// once every rank of the communicator has entered it and the data has
+// moved.  An arrival that differs from the collective the others are in
+// panics; a one-rank communicator meets nobody and takes no lock.
+func (c *Comm) meet(a arrival) []float64 {
+	c.checkPeer(a.root, a.kind)
+	r, me := c.rv, &c.rv.slots[c.rank]
+	*me = a
+	switch {
+	case c.size == 1:
+		r.complete()
+	case c.arrive(me):
+		// Not under the lock, which the released ranks soon want again.
+		for i, ch := range r.parked {
+			if i != c.rank {
+				ch <- struct{}{}
+			}
+		}
+	default:
+		<-r.parked[c.rank]
+		c.checkAbort()
+	}
+	return me.out
+}
 
+// arrive counts the rank in and reports whether it was the last to arrive,
+// having then done the collective's work.
+func (c *Comm) arrive(me *arrival) (last bool) {
+	r := c.rv
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c.checkAbort()
+	if r.arrived == 0 {
+		r.first = c.rank
+	} else if f := &r.slots[r.first]; me.kind != f.kind || me.op != f.op || me.root != f.root || me.n != f.n {
+		panic(fmt.Sprintf("simmpi: rank %d entered %v while rank %d is in %v", c.rank, me, r.first, f))
+	}
+	if r.arrived++; r.arrived < c.size {
+		return false
+	}
+	r.complete()
+	r.arrived = 0
+	r.gen++
+	return true
+}
+
+// hasChild reports whether vrank|k is a child of vrank in the binomial tree
+// over size ranks: a rank's children set one bit below its lowest set bit
+// (any bit, for rank 0), visited for k = 1, 2, 4, … while hasChild holds.
 func hasChild(vrank, k, size int) bool { return vrank&k == 0 && vrank|k < size }
 
-// sendChildren sends buf to each of this rank's children in root's tree.
-func (c *Comm) sendChildren(root, vrank, tag int, buf []float64) {
-	for k := 1; hasChild(vrank, k, c.size); k <<= 1 {
-		c.Send((vrank|k+root)%c.size, tag, buf)
+// complete is the last arriver's work: the whole collective, over the
+// buffers in the slots, which all describe one collective.
+func (r *rendezvous) complete() {
+	s, p := r.slots, len(r.slots)
+	kind, op, root, n := s[0].kind, s[0].op, s[0].root, s[0].n
+	// moved counts the values that pass from one rank's buffers to
+	// another's beyond the n that p-1 ranks send or receive in every kind.
+	moved := 0
+	switch kind {
+	case "Bcast":
+		n = len(s[root].in)
+		for i := range s {
+			s[i].out = slices.Clone(s[root].in)
+		}
+	case "Scatter":
+		n = len(s[root].in) / p
+		for i := range s {
+			s[i].out = slices.Clone(s[root].in[i*n : (i+1)*n])
+		}
+	case "Reduce", "Allreduce":
+		// The fold of a binomial tree in the space rotated so that root is
+		// 0: every rank folds its children's subtrees into its own buffer
+		// in ascending bit order, children before parents.  A reduction's
+		// bits are this order's.
+		for v := p - 1; v >= 0; v-- {
+			for k := 1; hasChild(v, k, p); k <<= 1 {
+				op.apply(s[(v+root)%p].in, s[(v|k+root)%p].in)
+			}
+		}
+		if kind == "Reduce" {
+			s[root].out = s[root].in
+		}
+	case "Gather", "Allgather":
+		if kind == "Gather" {
+			s[root].out = make([]float64, p*n)
+		}
+		for i := range s {
+			copy(s[root].out[i*n:(i+1)*n], s[i].in)
+		}
+	case "Split":
+		// Ranks in (color, key, rank) order: every run of one color is a
+		// new communicator's members, by new rank.
+		order := make([]int, p)
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(s[a].in, s[b].in) })
+		for lo, hi := 0, 0; lo < p; lo = hi {
+			for hi < p && s[order[hi]].in[0] == s[order[lo]].in[0] {
+				hi++
+			}
+			sub := newRendezvous(hi - lo)
+			r.subs = append(r.subs, sub)
+			for _, i := range order[lo:hi] {
+				s[i].sub, s[i].members = sub, order[lo:hi]
+			}
+		}
+	case "Alltoall":
+		for d := range s {
+			for i := range s {
+				blk := s[i].ins[d]
+				if s[d].alloc {
+					s[d].outs[i] = slices.Clone(blk)
+				} else {
+					opCopy.apply(s[d].outs[i], blk)
+				}
+				if i != d {
+					moved += len(blk)
+				}
+			}
+		}
 	}
+	if kind == "Allreduce" || kind == "Allgather" {
+		// The result stands in rank 0's out; the others copy it whole.
+		for i := 1; i < p; i++ {
+			copy(s[i].out, s[0].out)
+		}
+		moved += (p - 1) * len(s[0].out)
+	}
+	r.floats += uint64(moved + (p-1)*n)
 }
 
-// Bcast distributes root's data to every rank along a binomial tree and
-// returns each rank's copy.  Non-root callers pass their (ignored) local
-// slice or nil; the broadcast payload is returned.
+// Every collective blocks until all ranks of the communicator have entered
+// it — the rooted ones too, which MPI permits and a correct program does
+// not notice.
+
+// Barrier blocks until every rank has entered it.
+func (c *Comm) Barrier() { c.meet(arrival{kind: "Barrier"}) }
+
+// Bcast distributes root's data to every rank and returns each rank's copy.
+// Non-root callers pass their (ignored) local slice or nil.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
-	c.checkPeer(root, "Bcast")
-	vrank := c.vrank(root)
-	var buf []float64
-	if vrank == 0 {
-		buf = make([]float64, len(data))
-		copy(buf, data)
-	} else {
-		// The length is the root's to say, so this rank keeps the payload.
-		buf = c.Recv(c.treeParent(vrank, root), tagBcast)
-	}
-	c.sendChildren(root, vrank, tagBcast, buf)
-	return buf
-}
-
-// bcastInto is Bcast when every rank knows the length: root's buf is
-// delivered into every other rank's buf.
-func (c *Comm) bcastInto(root int, buf []float64) {
-	vrank := c.vrank(root)
-	if vrank != 0 {
-		c.RecvInto(c.treeParent(vrank, root), tagBcast, buf)
-	}
-	c.sendChildren(root, vrank, tagBcast, buf)
+	return c.meet(arrival{kind: "Bcast", root: root, in: data})
 }
 
 // Reduce folds every rank's data element-wise with op into root and returns
-// the result on root (nil elsewhere).  The fold order is fixed by the
-// binomial tree, so results are bit-for-bit deterministic for a given size.
+// the result on root (nil elsewhere).  The fold order is that of a binomial
+// tree rooted at root, so results are bit-for-bit deterministic for a given
+// size.
 func (c *Comm) Reduce(root int, op Op, data []float64) []float64 {
-	c.checkPeer(root, "Reduce")
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	c.reduceInto(root, op, acc)
-	if c.rank != root {
-		return nil
-	}
-	return acc
+	return c.meet(arrival{kind: "Reduce", op: op, root: root, n: len(data), in: slices.Clone(data)})
 }
 
-// reduceInto is Reduce in place: acc holds this rank's contribution and, on
-// return, the fold of its subtree — the result, on root.  Each child's
-// contribution is folded in straight from its message, children in
-// ascending bit order, before the subtree's goes to the parent.
-func (c *Comm) reduceInto(root int, op Op, acc []float64) {
-	vrank := c.vrank(root)
-	for k := 1; hasChild(vrank, k, c.size); k <<= 1 {
-		c.recvFold((vrank|k+root)%c.size, tagReduce, op, acc)
-	}
-	if vrank != 0 {
-		c.Send(c.treeParent(vrank, root), tagReduce, acc)
-	}
-}
-
-// AllreduceInto reduces data in place: reduceInto to rank 0 followed by
-// bcastInto, guaranteeing that every rank observes the identical
-// (bit-for-bit) reduced vector.
+// AllreduceInto reduces data in place, in Reduce's order to rank 0, and
+// every rank observes the identical (bit-for-bit) reduced vector.
 func (c *Comm) AllreduceInto(op Op, data []float64) {
-	c.reduceInto(0, op, data)
-	c.bcastInto(0, data)
+	c.meet(arrival{kind: "Allreduce", op: op, n: len(data), in: data, out: data})
 }
 
 // Allreduce is AllreduceInto a new vector, leaving data alone.
 func (c *Comm) Allreduce(op Op, data []float64) []float64 {
-	out := make([]float64, len(data))
-	copy(out, data)
+	out := slices.Clone(data)
 	c.AllreduceInto(op, out)
 	return out
 }
 
-// AllreduceValue reduces a single scalar, on the caller's stack.
+// AllreduceValue reduces a single scalar, in the handle's own cell: one on
+// the caller's stack would escape to the heap on being published.
 func (c *Comm) AllreduceValue(op Op, v float64) float64 {
-	buf := [1]float64{v}
-	c.AllreduceInto(op, buf[:])
-	return buf[0]
+	c.cell[0] = v
+	c.AllreduceInto(op, c.cell[:])
+	return c.cell[0]
 }
 
 // Gather collects each rank's equal-length contribution on root, ordered by
 // rank.  It returns the concatenation on root and nil elsewhere.
 func (c *Comm) Gather(root int, data []float64) []float64 {
-	c.checkPeer(root, "Gather")
-	if c.rank != root {
-		c.Send(root, tagGather, data)
-		return nil
-	}
-	out := make([]float64, len(data)*c.size)
-	c.gatherInto(out, data)
-	return out
+	return c.meet(arrival{kind: "Gather", root: root, n: len(data), in: data})
 }
 
-// gatherInto is the root's side of Gather: its own data and every other
-// rank's message, in rank order, straight into dst.
-func (c *Comm) gatherInto(dst, data []float64) {
-	n := len(data)
-	if len(dst) != n*c.size {
-		panic(fmt.Sprintf("simmpi: gather of %d ranks x %d values into %d", c.size, n, len(dst)))
-	}
-	for r := 0; r < c.size; r++ {
-		if seg := dst[r*n : (r+1)*n]; r == c.rank {
-			copy(seg, data)
-		} else {
-			c.RecvInto(r, tagGather, seg)
-		}
-	}
-}
-
-// AllgatherInto is Gather to rank 0 followed by Bcast, into dst, which
-// every rank sizes to Size() times its (equal-length) contribution.
+// AllgatherInto gathers every rank's equal-length contribution, ordered by
+// rank, into dst, which every rank sizes to Size() times its own.
 func (c *Comm) AllgatherInto(dst, data []float64) {
-	if c.rank == 0 {
-		c.gatherInto(dst, data)
-	} else {
-		c.Send(0, tagGather, data)
+	if len(dst) != len(data)*c.size {
+		panic(fmt.Sprintf("simmpi: gather of %d ranks x %d values into %d", c.size, len(data), len(dst)))
 	}
-	c.bcastInto(0, dst)
+	c.meet(arrival{kind: "Allgather", n: len(data), in: data, out: dst})
 }
 
-// Allgather is Gather to rank 0 followed by Bcast: the vector it returns is
-// the broadcast's own payload, kept, where AllgatherInto holds a rank's copy
-// twice — in dst, and in the recycled buffer it arrived in.
+// Allgather is AllgatherInto a new vector.
 func (c *Comm) Allgather(data []float64) []float64 {
-	return c.Bcast(0, c.Gather(0, data))
+	out := make([]float64, len(data)*c.size)
+	c.AllgatherInto(out, data)
+	return out
 }
 
 // Scatter splits root's data into size equal chunks and delivers chunk r to
 // rank r.  It panics if len(data) on root is not divisible by size.
 func (c *Comm) Scatter(root int, data []float64) []float64 {
-	c.checkPeer(root, "Scatter")
-	if c.rank == root {
-		if len(data)%c.size != 0 {
-			panic(fmt.Sprintf("simmpi: Scatter: %d values not divisible by %d ranks",
-				len(data), c.size))
-		}
-		n := len(data) / c.size
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				continue
-			}
-			c.Send(r, tagScatter, data[r*n:(r+1)*n])
-		}
-		out := make([]float64, n)
-		copy(out, data[root*n:(root+1)*n])
-		return out
+	if c.rank == root && len(data)%c.size != 0 {
+		panic(fmt.Sprintf("simmpi: Scatter: %d values not divisible by %d ranks", len(data), c.size))
 	}
-	return c.Recv(root, tagScatter)
+	return c.meet(arrival{kind: "Scatter", root: root, in: data})
 }
 
 // Alltoall performs a complete exchange: send[r] goes to rank r, and the
-// returned slice holds recv[r] from each rank r.  The shifted-pairwise
-// schedule (step k pairs rank with rank±k) avoids hot spots and is
-// deterministic.
+// returned slice holds recv[r] from each rank r.
 func (c *Comm) Alltoall(send [][]float64) [][]float64 {
-	if len(send) != c.size {
-		panic(fmt.Sprintf("simmpi: Alltoall: %d buffers for %d ranks", len(send), c.size))
-	}
 	recv := make([][]float64, c.size)
-	// Self-exchange without touching the network.
-	self := make([]float64, len(send[c.rank]))
-	copy(self, send[c.rank])
-	recv[c.rank] = self
-	for k := 1; k < c.size; k++ {
-		dst := (c.rank + k) % c.size
-		src := (c.rank - k + c.size) % c.size
-		recv[src] = c.Sendrecv(dst, tagA2A+k, send[dst], src, tagA2A+k)
-	}
+	c.alltoall(arrival{kind: "Alltoall", ins: send, outs: recv, alloc: true})
 	return recv
 }
 
 // AlltoallInto is Alltoall into the caller's memory: recv[r] is sized to
-// exactly what rank r sends here.  The schedule, tags and message order are
-// Alltoall's.
+// exactly what rank r sends here.
 func (c *Comm) AlltoallInto(recv, send [][]float64) {
-	if len(send) != c.size || len(recv) != c.size {
-		panic(fmt.Sprintf("simmpi: AlltoallInto: %d and %d buffers for %d ranks",
-			len(send), len(recv), c.size))
+	c.alltoall(arrival{kind: "Alltoall", ins: send, outs: recv})
+}
+
+func (c *Comm) alltoall(a arrival) {
+	if len(a.ins) != c.size || len(a.outs) != c.size {
+		panic(fmt.Sprintf("simmpi: Alltoall: %d and %d buffers for %d ranks", len(a.ins), len(a.outs), c.size))
 	}
-	if len(recv[c.rank]) != len(send[c.rank]) {
-		panic(fmt.Sprintf("simmpi: AlltoallInto: own block of %d values into %d",
-			len(send[c.rank]), len(recv[c.rank])))
-	}
-	copy(recv[c.rank], send[c.rank])
-	for k := 1; k < c.size; k++ {
-		dst := (c.rank + k) % c.size
-		src := (c.rank - k + c.size) % c.size
-		c.Send(dst, tagA2A+k, send[dst])
-		c.RecvInto(src, tagA2A+k, recv[src])
-	}
+	c.meet(a)
 }

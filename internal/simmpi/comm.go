@@ -4,13 +4,16 @@ import "fmt"
 
 // Comm is a rank's handle on a communicator — the analog of an MPI
 // communicator handle.  The root communicator spans the world
-// (MPI_COMM_WORLD); Split derives sub-communicators that renumber ranks
-// and isolate their traffic in a private tag space.  A Comm is owned by
-// its rank goroutine and must not be shared between goroutines.
+// (MPI_COMM_WORLD); Split derives sub-communicators that renumber ranks,
+// isolate their point-to-point traffic in a private tag space and meet for
+// collectives at a rendezvous of their own.  A Comm is owned by its rank
+// goroutine and must not be shared between goroutines.
 type Comm struct {
 	w    *world
 	rank int
 	size int
+	rv   *rendezvous // shared by the communicator's ranks
+	cell [1]float64  // AllreduceValue's scalar
 
 	// Sub-communicator state (nil/zero on the root communicator).
 	parent   *Comm
@@ -124,17 +127,11 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // loop that receives this way allocates nothing.
 func (c *Comm) RecvInto(src, tag int, dst []float64) {
 	c.checkPeer(src, "RecvInto")
-	c.recvFold(src, tag, opCopy, dst)
-}
-
-// recvFold receives like Recv and folds the payload into dst by op —
-// straight out of the in-flight buffer, which is then recycled.
-func (c *Comm) recvFold(src, tag int, op Op, dst []float64) {
 	in, data := c.await(src, tag)
 	// apply panics on a length mismatch, and the abort that panic starts
 	// takes this lock.
 	defer in.mu.Unlock()
-	op.apply(dst, data)
+	opCopy.apply(dst, data)
 	in.recycle(data, len(c.w.inboxes)+freeSlack)
 }
 

@@ -244,11 +244,11 @@ func TestAbortedRunPinsNoPayloads(t *testing.T) {
 	check("after a clean run")
 }
 
-// TestWorld1024 runs a world 16 times wider than any campaign's: the
-// transport must not be sized by pairs of ranks.
+// TestWorld1024 runs a world 16 times wider than any campaign's: neither
+// the transport nor the rendezvous may be sized by pairs of ranks.
 func TestWorld1024(t *testing.T) {
 	const p = 1024
-	alltoall := !race.Enabled && !testing.Short() // p² = 1 M messages
+	alltoall := !race.Enabled && !testing.Short() // p² = 1 M blocks, and 128 MB of gathered vectors
 	_, err := Run(Config{Procs: p, Timeout: 2 * time.Minute}, func(c *Comm) error {
 		me := c.Rank()
 		c.Barrier()
@@ -259,16 +259,33 @@ func TestWorld1024(t *testing.T) {
 		if got[0] != float64((me+p-1)%p) {
 			t.Errorf("rank %d: ring got %g", me, got[0])
 		}
+		n := 1
+		if alltoall {
+			n = 16
+		}
+		seg, full := make([]float64, n), make([]float64, n*p)
+		for i := range seg {
+			seg[i] = float64(me*n + i)
+		}
+		c.AllgatherInto(full, seg)
+		for i, v := range full {
+			if v != float64(i) {
+				t.Errorf("rank %d: allgather value %d = %g", me, i, v)
+				break
+			}
+		}
 		if !alltoall {
 			return nil
 		}
-		send := make([][]float64, p)
+		send, recv := make([][]float64, p), make([][]float64, p)
+		into := make([]float64, p)
 		for d := range send {
-			send[d] = []float64{float64(me*p + d)}
+			send[d], recv[d] = []float64{float64(me*p + d)}, into[d:d+1]
 		}
+		c.AlltoallInto(recv, send)
 		for s, blk := range c.Alltoall(send) {
-			if len(blk) != 1 || blk[0] != float64(s*p+me) {
-				t.Errorf("rank %d: alltoall block from %d = %v", me, s, blk)
+			if len(blk) != 1 || blk[0] != float64(s*p+me) || into[s] != blk[0] {
+				t.Errorf("rank %d: alltoall block from %d = %v, into %g", me, s, blk, into[s])
 			}
 		}
 		return nil

@@ -13,7 +13,7 @@ const (
 	OpProd
 )
 
-// opCopy is recvFold's plain receive: dst = src.
+// opCopy is a plain delivery: dst = src, of one length.
 const opCopy Op = -1
 
 // String returns the operator name.

@@ -1,64 +1,32 @@
 package simmpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "slices"
 
 // Split partitions the communicator into disjoint sub-communicators, one
 // per distinct color, like MPI_Comm_split: every rank calls Split with its
 // color and key; ranks sharing a color form a new communicator whose ranks
 // are ordered by (key, old rank).  The call is collective over the parent
-// communicator.
+// communicator, whose last rank to arrive sorts the groups out.
 //
 // The returned Comm shares the parent's inboxes but renumbers ranks and
-// remaps tags into a per-color tag space, so collectives on different
-// sub-communicators cannot interfere with each other or with the parent
-// (as long as the application keeps its own point-to-point tags below the
-// collective tag space, as everywhere else in resmod).
+// remaps tags into a per-color tag space, so point-to-point messages on
+// different sub-communicators cannot be confused with each other or with
+// the parent's (as long as the application keeps its own tags below
+// subTagSpan, as everywhere in resmod), and its ranks meet for collectives
+// at a rendezvous no other communicator uses.
 func (c *Comm) Split(color, key int) *Comm {
-	// Exchange (color, key) pairs via an allgather on the parent.
-	mine := []float64{float64(color), float64(key), float64(c.rank)}
-	all := c.Allgather(mine)
-
-	type member struct{ color, key, rank int }
-	var group []member
-	for r := 0; r < c.size; r++ {
-		m := member{
-			color: int(all[3*r]),
-			key:   int(all[3*r+1]),
-			rank:  int(all[3*r+2]),
-		}
-		if m.color == color {
-			group = append(group, m)
-		}
-	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].rank < group[j].rank
-	})
-	newRank := -1
-	members := make([]int, len(group))
-	for i, m := range group {
-		members[i] = m.rank
-		if m.rank == c.rank {
-			newRank = i
-		}
-	}
-	if newRank < 0 {
-		panic(fmt.Sprintf("simmpi: Split lost rank %d", c.rank))
-	}
+	c.meet(arrival{kind: "Split", n: 2, in: []float64{float64(color), float64(key)}})
+	me := &c.rv.slots[c.rank] // this rank's until its next collective here
 	return &Comm{
 		w:       c.w,
-		rank:    newRank,
-		size:    len(group),
+		rank:    slices.Index(me.members, c.rank),
+		size:    len(me.members),
+		rv:      me.sub,
 		parent:  c,
-		members: members,
-		// Disambiguate same-shape sub-communicators by their lowest parent
+		members: me.members,
+		// Disambiguate same-shape sub-communicators by their first parent
 		// member (colors partition the ranks, so it is unique per group).
-		tagShift: (members[0] + 1) * subTagSpan,
+		tagShift: (me.members[0] + 1) * subTagSpan,
 	}
 }
 

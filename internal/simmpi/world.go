@@ -14,20 +14,28 @@
 // RecvInto copies the payload into the caller's destination and keeps the
 // buffer: it joins the inbox's bounded free list, where a later Send of a
 // matching size to this rank finds it instead of allocating.  A program
-// whose loops receive with RecvInto (and the ...Into collectives built on
-// it) therefore stops allocating per message once its first iteration has
-// stocked the lists; an Engine carries them from one run to the next.
+// whose loops receive with RecvInto therefore stops allocating per message
+// once its first iteration has stocked the lists; an Engine carries them
+// from one run to the next.
 //
 // Collectives (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
-// Gather, Scatter) are built from point-to-point messages using the classic
-// binomial-tree and shifted-pairwise algorithms, giving a fixed, size-only-
-// dependent reduction order so that every execution at a given scale is
-// bit-for-bit deterministic.  Determinism is what makes the fault-injection
-// harness able to detect rank contamination by exact state comparison.
+// Gather, Scatter) send no messages: the ranks' memory is one address
+// space, so the ranks of a communicator meet at its rendezvous, each
+// publishing its buffers and parking, and the last to arrive moves all the
+// data and releases the others.  Every collective therefore blocks until
+// all ranks have entered it, the rooted ones included — MPI permits that,
+// and a correct program must not rely on the opposite.  A reduction is
+// folded in the order of the classic binomial tree, fixed and dependent on
+// the size only, so that every execution at a given scale is bit-for-bit
+// deterministic.  Determinism is what makes the fault-injection harness
+// able to detect rank contamination by exact state comparison.  Ranks
+// that enter different collectives (or one collective with different
+// operators, roots or lengths) have a bug, reported by a panic naming both.
 //
 // Fault containment: if any rank panics, returns an error, or the world's
 // watchdog expires (a hang), the whole world aborts; every rank blocked in
-// a communication call is released.  Communication calls signal the abort
+// a communication call — parked on its inbox or at a rendezvous — is
+// released.  Communication calls signal the abort
 // by panicking with an internal sentinel that Run translates back into an
 // error, so application code can be written without per-call error plumbing
 // — the style real MPI codes use (MPI_Abort semantics).
@@ -125,8 +133,8 @@ type inbox struct {
 }
 
 // freeSlack is the room a free list has beyond one buffer per peer (what a
-// gather or an alltoall lands on one rank): the tree and halo messages of
-// other sizes that circulate beside them.
+// fan-in lands on one rank): the halo messages of other sizes that
+// circulate beside them.
 const freeSlack = 16
 
 // poisonFreed makes recycle fill a buffer with NaN as it enters a free
@@ -199,15 +207,16 @@ func (in *inbox) reset() {
 
 // world is the shared state of one simulated execution.
 type world struct {
-	inboxes []inbox // by world rank
+	inboxes []inbox     // by world rank
+	root    *rendezvous // the world communicator's
 	failure atomic.Pointer[worldFailure]
 }
 
 type worldFailure struct{ err error }
 
 // fail records the first failure and releases every parked rank.  Taking
-// each inbox's lock orders the wake-up after any rank that saw no failure
-// and is about to park.
+// each inbox's and rendezvous' lock orders the wake-up after any rank that
+// saw no failure and is about to park.
 func (w *world) fail(err error) {
 	if !w.failure.CompareAndSwap(nil, &worldFailure{err: err}) {
 		return
@@ -219,6 +228,7 @@ func (w *world) fail(err error) {
 		in.room.Broadcast()
 		in.mu.Unlock()
 	}
+	w.root.wake()
 }
 
 // err returns the recorded failure, if any.
@@ -235,10 +245,13 @@ type abortPanic struct{}
 
 // Stats reports communication volume for a finished world.
 type Stats struct {
-	// Messages is the number of point-to-point messages delivered
-	// (collectives included, since they are built from point-to-point).
+	// Messages is the number of point-to-point messages sent, plus one
+	// for each rank's arrival at each collective that completed (on a
+	// one-rank communicator there is nobody to meet and nothing to count).
 	Messages uint64
-	// Floats is the total number of float64 values carried.
+	// Floats is the number of float64 values those messages carried,
+	// plus every value a collective moved from one rank's buffers into
+	// another's: what a rank receives from others.
 	Floats uint64
 }
 
@@ -263,7 +276,8 @@ func RunCtx(ctx context.Context, cfg Config, fn func(c *Comm) error) (Stats, err
 	return e.RunCtx(ctx, fn)
 }
 
-// runWorld executes fn on every rank of a world whose inboxes are empty,
+// runWorld executes fn on every rank of a world whose inboxes are empty
+// and whose rendezvous is reset,
 // and returns once every rank goroutine has finished.
 func runWorld(ctx context.Context, w *world, timeout time.Duration, fn func(c *Comm) error) error {
 	if ctx == nil {
@@ -274,7 +288,7 @@ func runWorld(ctx context.Context, w *world, timeout time.Duration, fn func(c *C
 	for r := range w.inboxes {
 		go func(rank int) {
 			defer wg.Done()
-			comm := &Comm{w: w, rank: rank, size: len(w.inboxes)}
+			comm := &Comm{w: w, rank: rank, size: len(w.inboxes), rv: w.root}
 			defer func() {
 				if v := recover(); v != nil {
 					if _, isAbort := v.(abortPanic); isAbort {
