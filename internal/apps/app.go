@@ -9,7 +9,11 @@
 // scaling), and all ranks perform the same computation.  Applications
 // route every floating-point operation through the per-rank *fpe.Ctx so
 // the harness can inject single-bit faults, and annotate parallel-unique
-// computation (paper Observation 1) with fpe regions.
+// computation (paper Observation 1) with fpe regions.  A hot kernel does
+// so by the window: when fpe.Ctx.Reserve grants its ops it runs them as
+// plain arithmetic and books them with one Tally, and otherwise it runs
+// its instrumented loop — the same operations in the same order either
+// way (see package fpe).
 //
 // Two conventions keep a run's allocation at its working set — a campaign
 // is thousands of runs, and what a run allocates per message or per

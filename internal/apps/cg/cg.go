@@ -219,8 +219,19 @@ func insertionSortInts(a []int) {
 }
 
 // spmv computes w = A_local * x (x is the full vector) with instrumented
-// arithmetic.
+// arithmetic: one mul and one add per nonzero.
 func (m *csr) spmv(fc *fpe.Ctx, x, w []float64) {
+	if nnz := uint64(len(m.vals)); fc.Reserve(2 * nnz) {
+		for i := 0; i < m.rowHi-m.rowLo; i++ {
+			var s float64
+			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+				s += float64(m.vals[k] * x[m.colIdx[k]])
+			}
+			w[i] = s
+		}
+		fc.Tally(nnz, 0, nnz, 0)
+		return
+	}
 	for i := 0; i < m.rowHi-m.rowLo; i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
@@ -294,9 +305,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			rho0 := rho
 			rho = comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
 			beta := fc.Div(rho, rho0)
-			for i := range pvec {
-				pvec[i] = fc.Add(r[i], fc.Mul(beta, pvec[i]))
-			}
+			fc.Aypx(beta, r, pvec)
 		}
 		// zeta = shift + 1 / (x . z)
 		xz := comm.AllreduceValue(simmpi.OpSum, fc.Dot(x, z))

@@ -22,6 +22,7 @@ package ft
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"resmod/internal/apps"
@@ -107,7 +108,8 @@ func makeTwiddles(n int) *twiddles {
 // fft1d runs an in-place radix-2 FFT over the n elements at
 // offset, offset+stride, ... of (re, im).  inverse selects the conjugate
 // transform (without the 1/n scaling, applied separately).
-// All butterfly arithmetic is instrumented.
+// All butterfly arithmetic is counted; where no injection is due it runs
+// plain, in one fpe window.
 func fft1d(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n int, inverse bool) {
 	// Bit-reversal permutation (data movement inside the FFT kernel is part
 	// of the common computation; it has no FP arithmetic).
@@ -123,6 +125,33 @@ func fft1d(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n int, i
 			mask >>= 1
 		}
 		j |= mask
+	}
+	// n/2 butterflies per stage, log2 n stages; each is 3 adds, 3 subs and
+	// 4 muls.
+	if bf := uint64(n/2) * uint64(bits.TrailingZeros(uint(n))); fc.Reserve(10 * bf) {
+		stage := 0
+		for half := 1; half < n; half <<= 1 {
+			twRe, twIm := tw.re[stage], tw.im[stage]
+			for start := 0; start < n; start += half << 1 {
+				for j := 0; j < half; j++ {
+					wr, wi := twRe[j], twIm[j]
+					if inverse {
+						wi = -wi
+					}
+					a := offset + (start+j)*stride
+					b := offset + (start+j+half)*stride
+					vr := float64(wr*re[b]) - float64(wi*im[b])
+					vi := float64(wr*im[b]) + float64(wi*re[b])
+					re[b] = re[a] - vr
+					im[b] = im[a] - vi
+					re[a] += vr
+					im[a] += vi
+				}
+			}
+			stage++
+		}
+		fc.Tally(3*bf, 3*bf, 4*bf, 0)
+		return
 	}
 	stage := 0
 	for half := 1; half < n; half <<= 1 {
@@ -266,10 +295,19 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	for t := 1; t <= pr.iters; t++ {
 		// Evolve: work = spec * exp(-4 alpha pi^2 ksq t).
 		tf := -4 * pr.alpha * math.Pi * math.Pi * float64(t)
-		for i := range spec.re {
-			f := math.Exp(tf * ksq[i])
-			work.re[i] = fc.Mul(spec.re[i], f)
-			work.im[i] = fc.Mul(spec.im[i], f)
+		if n := uint64(len(spec.re)); fc.Reserve(2 * n) {
+			for i := range spec.re {
+				f := math.Exp(float64(tf * ksq[i]))
+				work.re[i] = float64(spec.re[i] * f)
+				work.im[i] = float64(spec.im[i] * f)
+			}
+			fc.Tally(0, 0, 2*n, 0)
+		} else {
+			for i := range spec.re {
+				f := math.Exp(tf * ksq[i])
+				work.re[i] = fc.Mul(spec.re[i], f)
+				work.im[i] = fc.Mul(spec.im[i], f)
+			}
 		}
 		// Inverse 3-D FFT of work back to spatial, z-distributed layout.
 		var spat field
@@ -300,9 +338,17 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			}
 		}
 		// Normalize.
-		for i := range spat.re {
-			spat.re[i] = fc.Mul(spat.re[i], invN3)
-			spat.im[i] = fc.Mul(spat.im[i], invN3)
+		if n := uint64(len(spat.re)); fc.Reserve(2 * n) {
+			for i := range spat.re {
+				spat.re[i] = float64(spat.re[i] * invN3)
+				spat.im[i] = float64(spat.im[i] * invN3)
+			}
+			fc.Tally(0, 0, 2*n, 0)
+		} else {
+			for i := range spat.re {
+				spat.re[i] = fc.Mul(spat.re[i], invN3)
+				spat.im[i] = fc.Mul(spat.im[i], invN3)
+			}
 		}
 		// Strided checksum (NPB style): sum of checkN scattered elements.
 		var csRe, csIm float64

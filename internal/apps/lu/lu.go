@@ -113,8 +113,29 @@ func (s *slab) get(a []float64, x, y, zl int, ghLo, ghHi []float64) float64 {
 	}
 }
 
+// points is the number of grid points in the slab.
+func (s *slab) points() uint64 { return uint64(s.nx * s.ny * s.nzLoc) }
+
 // applyA computes w = A u over the slab (ghosts supply z neighbours).
 func applyA(fc *fpe.Ctx, s *slab, cf coeffs, u, ghLo, ghHi, w []float64) {
+	if n := s.points(); fc.Reserve(13 * n) {
+		for zl := 0; zl < s.nzLoc; zl++ {
+			for y := 0; y < s.ny; y++ {
+				for x := 0; x < s.nx; x++ {
+					acc := float64(cf.d * u[s.idx(x, y, zl)])
+					acc += float64(cf.aW * s.get(u, x-1, y, zl, ghLo, ghHi))
+					acc += float64(cf.aE * s.get(u, x+1, y, zl, ghLo, ghHi))
+					acc += float64(cf.aS * s.get(u, x, y-1, zl, ghLo, ghHi))
+					acc += float64(cf.aN * s.get(u, x, y+1, zl, ghLo, ghHi))
+					acc += float64(cf.aB * s.get(u, x, y, zl-1, ghLo, ghHi))
+					acc += float64(cf.aT * s.get(u, x, y, zl+1, ghLo, ghHi))
+					w[s.idx(x, y, zl)] = acc
+				}
+			}
+		}
+		fc.Tally(6*n, 0, 7*n, 0)
+		return
+	}
 	for zl := 0; zl < s.nzLoc; zl++ {
 		for y := 0; y < s.ny; y++ {
 			for x := 0; x < s.nx; x++ {
@@ -148,14 +169,29 @@ func forwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega floa
 		comm.RecvInto(rank-1, tagFwd, ghost)
 		ghLo = ghost
 	}
-	for zl := 0; zl < s.nzLoc; zl++ {
-		for y := 0; y < s.ny; y++ {
-			for x := 0; x < s.nx; x++ {
-				lsum := fc.Mul(cf.aW, s.get(v, x-1, y, zl, ghLo, nil))
-				lsum = fc.Add(lsum, fc.Mul(cf.aS, s.get(v, x, y-1, zl, ghLo, nil)))
-				lsum = fc.Add(lsum, fc.Mul(cf.aB, s.get(v, x, y, zl-1, ghLo, nil)))
-				num := fc.Sub(r[s.idx(x, y, zl)], fc.Mul(omega, lsum))
-				v[s.idx(x, y, zl)] = fc.Div(num, cf.d)
+	if n := s.points(); fc.Reserve(7 * n) {
+		for zl := 0; zl < s.nzLoc; zl++ {
+			for y := 0; y < s.ny; y++ {
+				for x := 0; x < s.nx; x++ {
+					lsum := float64(cf.aW * s.get(v, x-1, y, zl, ghLo, nil))
+					lsum += float64(cf.aS * s.get(v, x, y-1, zl, ghLo, nil))
+					lsum += float64(cf.aB * s.get(v, x, y, zl-1, ghLo, nil))
+					num := r[s.idx(x, y, zl)] - float64(omega*lsum)
+					v[s.idx(x, y, zl)] = num / cf.d
+				}
+			}
+		}
+		fc.Tally(2*n, n, 4*n, n)
+	} else {
+		for zl := 0; zl < s.nzLoc; zl++ {
+			for y := 0; y < s.ny; y++ {
+				for x := 0; x < s.nx; x++ {
+					lsum := fc.Mul(cf.aW, s.get(v, x-1, y, zl, ghLo, nil))
+					lsum = fc.Add(lsum, fc.Mul(cf.aS, s.get(v, x, y-1, zl, ghLo, nil)))
+					lsum = fc.Add(lsum, fc.Mul(cf.aB, s.get(v, x, y, zl-1, ghLo, nil)))
+					num := fc.Sub(r[s.idx(x, y, zl)], fc.Mul(omega, lsum))
+					v[s.idx(x, y, zl)] = fc.Div(num, cf.d)
+				}
 			}
 		}
 	}
@@ -173,14 +209,29 @@ func backwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega flo
 		comm.RecvInto(rank+1, tagBwd, ghost)
 		ghHi = ghost
 	}
-	for zl := s.nzLoc - 1; zl >= 0; zl-- {
-		for y := s.ny - 1; y >= 0; y-- {
-			for x := s.nx - 1; x >= 0; x-- {
-				usum := fc.Mul(cf.aE, s.get(w, x+1, y, zl, nil, ghHi))
-				usum = fc.Add(usum, fc.Mul(cf.aN, s.get(w, x, y+1, zl, nil, ghHi)))
-				usum = fc.Add(usum, fc.Mul(cf.aT, s.get(w, x, y, zl+1, nil, ghHi)))
-				num := fc.Sub(fc.Mul(cf.d, v[s.idx(x, y, zl)]), fc.Mul(omega, usum))
-				w[s.idx(x, y, zl)] = fc.Div(num, cf.d)
+	if n := s.points(); fc.Reserve(8 * n) {
+		for zl := s.nzLoc - 1; zl >= 0; zl-- {
+			for y := s.ny - 1; y >= 0; y-- {
+				for x := s.nx - 1; x >= 0; x-- {
+					usum := float64(cf.aE * s.get(w, x+1, y, zl, nil, ghHi))
+					usum += float64(cf.aN * s.get(w, x, y+1, zl, nil, ghHi))
+					usum += float64(cf.aT * s.get(w, x, y, zl+1, nil, ghHi))
+					num := float64(cf.d*v[s.idx(x, y, zl)]) - float64(omega*usum)
+					w[s.idx(x, y, zl)] = num / cf.d
+				}
+			}
+		}
+		fc.Tally(2*n, n, 5*n, n)
+	} else {
+		for zl := s.nzLoc - 1; zl >= 0; zl-- {
+			for y := s.ny - 1; y >= 0; y-- {
+				for x := s.nx - 1; x >= 0; x-- {
+					usum := fc.Mul(cf.aE, s.get(w, x+1, y, zl, nil, ghHi))
+					usum = fc.Add(usum, fc.Mul(cf.aN, s.get(w, x, y+1, zl, nil, ghHi)))
+					usum = fc.Add(usum, fc.Mul(cf.aT, s.get(w, x, y, zl+1, nil, ghHi)))
+					num := fc.Sub(fc.Mul(cf.d, v[s.idx(x, y, zl)]), fc.Mul(omega, usum))
+					w[s.idx(x, y, zl)] = fc.Div(num, cf.d)
+				}
 			}
 		}
 	}
@@ -242,13 +293,27 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	for it := 0; it < pr.niter; it++ {
 		ghLo, ghHi := apps.HaloExchange1D(comm, tagHalo, u[:plane], u[n-plane:], below, above)
 		applyA(fc, s, cf, u, ghLo, ghHi, au)
-		for i := range r {
-			r[i] = fc.Sub(rhs[i], au[i])
+		if fc.Reserve(uint64(n)) {
+			for i := range r {
+				r[i] = rhs[i] - au[i]
+			}
+			fc.Tally(0, uint64(n), 0, 0)
+		} else {
+			for i := range r {
+				r[i] = fc.Sub(rhs[i], au[i])
+			}
 		}
 		forwardSweep(fc, comm, s, cf, pr.omega, r, below, v)
 		backwardSweep(fc, comm, s, cf, pr.omega, v, above, w)
-		for i := range u {
-			u[i] = fc.Add(u[i], w[i])
+		if fc.Reserve(uint64(n)) {
+			for i := range u {
+				u[i] += w[i]
+			}
+			fc.Tally(uint64(n), 0, 0, 0)
+		} else {
+			for i := range u {
+				u[i] = fc.Add(u[i], w[i])
+			}
 		}
 		rnorm = math.Sqrt(comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r)) / n3)
 	}

@@ -82,6 +82,9 @@ type level struct {
 // nzLoc returns the number of locally stored planes.
 func (l *level) nzLoc() int { return l.zhi - l.zlo }
 
+// points returns the number of locally stored grid points.
+func (l *level) points() uint64 { return uint64(l.nx * l.ny * l.nzLoc()) }
+
 // ghosts returns the periodic ghost planes below and above this rank's
 // slab of array a.  A distributed level exchanges with its ring neighbours,
 // receiving into its below and above; a replicated (or serial) one wraps
@@ -126,7 +129,24 @@ func stencilSum(fc *fpe.Ctx, a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghH
 	s := fc.Add(at(a, nx, ny, x-1, y, zl), at(a, nx, ny, x+1, y, zl))
 	s = fc.Add(s, at(a, nx, ny, x, y-1, zl))
 	s = fc.Add(s, at(a, nx, ny, x, y+1, zl))
-	var below, above float64
+	below, above := zNeighbours(a, nx, ny, nzLoc, x, y, zl, ghLo, ghHi)
+	s = fc.Add(s, below)
+	return fc.Add(s, above)
+}
+
+// stencilSumPlain is stencilSum's plain twin for windows: the same five adds.
+func stencilSumPlain(a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghHi []float64) float64 {
+	s := at(a, nx, ny, x-1, y, zl) + at(a, nx, ny, x+1, y, zl)
+	s += at(a, nx, ny, x, y-1, zl)
+	s += at(a, nx, ny, x, y+1, zl)
+	below, above := zNeighbours(a, nx, ny, nzLoc, x, y, zl, ghLo, ghHi)
+	s += below
+	return s + above
+}
+
+// zNeighbours reads the z neighbours of (x, y, zl), through the ghost
+// planes where they fall outside the slab.
+func zNeighbours(a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghHi []float64) (below, above float64) {
 	if zl == 0 {
 		below = at(ghLo, nx, ny, x, y, 0)
 	} else {
@@ -137,13 +157,25 @@ func stencilSum(fc *fpe.Ctx, a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghH
 	} else {
 		above = at(a, nx, ny, x, y, zl+1)
 	}
-	s = fc.Add(s, below)
-	return fc.Add(s, above)
+	return below, above
 }
 
 // residual computes r = v - A u over the slab, where A is the 7-point
 // periodic Laplacian (Au = 6u - sum of neighbours).
 func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi, r []float64) {
+	if n := l.points(); fc.Reserve(8 * n) {
+		for zl := 0; zl < l.nzLoc(); zl++ {
+			for y := 0; y < l.ny; y++ {
+				for x := 0; x < l.nx; x++ {
+					i := (zl*l.ny+y)*l.nx + x
+					au := float64(6*u[i]) - stencilSumPlain(u, l.nx, l.ny, l.nzLoc(), x, y, zl, ghLo, ghHi)
+					r[i] = v[i] - au
+				}
+			}
+		}
+		fc.Tally(5*n, 2*n, n, 0)
+		return
+	}
 	for zl := 0; zl < l.nzLoc(); zl++ {
 		for y := 0; y < l.ny; y++ {
 			for x := 0; x < l.nx; x++ {
@@ -163,6 +195,22 @@ func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi, r []float64) {
 func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, z, r, upd []float64, w float64) {
 	ghLo, ghHi := l.ghosts(comm, tag, z)
 	w6 := w / 6
+	if n := l.points(); fc.Reserve(10 * n) {
+		for zl := 0; zl < l.nzLoc(); zl++ {
+			for y := 0; y < l.ny; y++ {
+				for x := 0; x < l.nx; x++ {
+					i := (zl*l.ny+y)*l.nx + x
+					az := float64(6*z[i]) - stencilSumPlain(z, l.nx, l.ny, l.nzLoc(), x, y, zl, ghLo, ghHi)
+					upd[i] = float64(w6 * (r[i] - az))
+				}
+			}
+		}
+		for i := range z {
+			z[i] += upd[i]
+		}
+		fc.Tally(6*n, 2*n, 2*n, 0)
+		return
+	}
 	for zl := 0; zl < l.nzLoc(); zl++ {
 		for y := 0; y < l.ny; y++ {
 			for x := 0; x < l.nx; x++ {
@@ -188,15 +236,28 @@ func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level, rf
 	cklo, ckhi := fine.zlo/2, fine.zhi/2
 	local := make([]float64, (ckhi-cklo)*coarse.ny*coarse.nx)
 	const wC, wF = 0.5, 1.0 / 12.0
-	for ck := cklo; ck < ckhi; ck++ {
-		fz := 2*ck - fine.zlo // local fine plane of the coarse centre
-		for cy := 0; cy < coarse.ny; cy++ {
-			for cx := 0; cx < coarse.nx; cx++ {
-				fx, fy := 2*cx, 2*cy
-				center := at(rf, fine.nx, fine.ny, fx, fy, fz)
-				faces := stencilSum(fc, rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
-				i := ((ck-cklo)*coarse.ny+cy)*coarse.nx + cx
-				local[i] = fc.Add(fc.Mul(wC, center), fc.Mul(wF, faces))
+	if n := uint64(len(local)); fc.Reserve(8 * n) {
+		for ck := cklo; ck < ckhi; ck++ {
+			for cy := 0; cy < coarse.ny; cy++ {
+				for cx := 0; cx < coarse.nx; cx++ {
+					fx, fy, fz := 2*cx, 2*cy, 2*ck-fine.zlo
+					f := stencilSumPlain(rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
+					local[((ck-cklo)*coarse.ny+cy)*coarse.nx+cx] = float64(wC*at(rf, fine.nx, fine.ny, fx, fy, fz)) + float64(wF*f)
+				}
+			}
+		}
+		fc.Tally(6*n, 0, 2*n, 0)
+	} else {
+		for ck := cklo; ck < ckhi; ck++ {
+			fz := 2*ck - fine.zlo // local fine plane of the coarse centre
+			for cy := 0; cy < coarse.ny; cy++ {
+				for cx := 0; cx < coarse.nx; cx++ {
+					fx, fy := 2*cx, 2*cy
+					center := at(rf, fine.nx, fine.ny, fx, fy, fz)
+					faces := stencilSum(fc, rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
+					i := ((ck-cklo)*coarse.ny+cy)*coarse.nx + cx
+					local[i] = fc.Add(fc.Mul(wC, center), fc.Mul(wF, faces))
+				}
 			}
 		}
 	}
@@ -228,6 +289,33 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level, zc,
 		}
 		// Must be the plane directly above a distributed slab.
 		return at(ghHi, coarse.nx, coarse.ny, cx, cy, 0)
+	}
+	if n := fine.points(); fc.Reserve(10 * n) {
+		var adds uint64
+		for fz := fine.zlo; fz < fine.zhi; fz++ {
+			ck, zOdd := fz/2, fz%2 == 1
+			for fy := 0; fy < fine.ny; fy++ {
+				cy, yOdd := fy/2, fy%2 == 1
+				for fx := 0; fx < fine.nx; fx++ {
+					cx, xOdd := fx/2, fx%2 == 1
+					var sum float64
+					terms := 0
+					for dx := 0; dx <= btoi(xOdd); dx++ {
+						for dy := 0; dy <= btoi(yOdd); dy++ {
+							for dz := 0; dz <= btoi(zOdd); dz++ {
+								sum += coarseAt(cx+dx, cy+dy, ck+dz)
+								terms++
+							}
+						}
+					}
+					i := ((fz-fine.zlo)*fine.ny+fy)*fine.nx + fx
+					zf[i] += float64(sum * (1 / float64(terms)))
+					adds += uint64(terms) + 1
+				}
+			}
+		}
+		fc.Tally(adds, 0, n, 0)
+		return
 	}
 	for fz := fine.zlo; fz < fine.zhi; fz++ {
 		ck := fz / 2
@@ -325,8 +413,15 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	tag := 100
 	for it := 0; it < pr.niter; it++ {
 		vcycle(fc, comm, pr, levels, r, z, &tag)
-		for i := range u {
-			u[i] = fc.Add(u[i], z[i])
+		if n := fine.points(); fc.Reserve(n) {
+			for i := range u {
+				u[i] += z[i]
+			}
+			fc.Tally(n, 0, 0, 0)
+		} else {
+			for i := range u {
+				u[i] = fc.Add(u[i], z[i])
+			}
 		}
 		ghLo, ghHi := fine.ghosts(comm, tag, u)
 		tag += 2

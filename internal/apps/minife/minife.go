@@ -202,6 +202,25 @@ func matvec(fc *fpe.Ctx, st *stencil, u, w, ghLo, ghHi []float64) {
 		}
 		return u[(zl*st.ny+y)*st.nx+x]
 	}
+	if n := uint64(st.nx * st.ny * st.nzLoc); fc.Reserve(13 * n) {
+		for zl := 0; zl < st.nzLoc; zl++ {
+			for y := 0; y < st.ny; y++ {
+				for x := 0; x < st.nx; x++ {
+					i := st.idx(x, y, zl)
+					acc := float64(st.center[i] * u[i])
+					acc += float64(st.w[i] * get(x-1, y, zl))
+					acc += float64(st.e[i] * get(x+1, y, zl))
+					acc += float64(st.s[i] * get(x, y-1, zl))
+					acc += float64(st.n[i] * get(x, y+1, zl))
+					acc += float64(st.b[i] * get(x, y, zl-1))
+					acc += float64(st.t[i] * get(x, y, zl+1))
+					w[i] = acc
+				}
+			}
+		}
+		fc.Tally(6*n, 0, 7*n, 0)
+		return
+	}
 	for zl := 0; zl < st.nzLoc; zl++ {
 		for y := 0; y < st.ny; y++ {
 			for x := 0; x < st.nx; x++ {
@@ -265,9 +284,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		rho0 := rho
 		rho = comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
 		beta := fc.Div(rho, rho0)
-		for i := range p {
-			p[i] = fc.Add(r[i], fc.Mul(beta, p[i]))
-		}
+		fc.Aypx(beta, r, p)
 	}
 	rnorm := math.Sqrt(rho)
 	// Verification energy: u . f.

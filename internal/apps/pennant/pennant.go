@@ -141,22 +141,49 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	for step := 0; step < pr.steps; step++ {
 		// --- zone pressures and artificial viscosity --------------------
 		var dtLocal float64 = math.Inf(1)
-		for j := 0; j < nz; j++ {
-			dxj := fc.Sub(x[j+1], x[j])
-			rho[j] = fc.Div(m[j], dxj)
-			pj := fc.Mul(fc.Mul(pr.gamma-1, rho[j]), e[j])
-			du := fc.Sub(u[j+1], u[j])
-			var qj float64
-			if du < 0 { // compression: quadratic von Neumann-Richtmyer q
-				qj = fc.Mul(fc.Mul(pr.q1, rho[j]), fc.Mul(du, du))
+		// At most 11 injectable ops per zone; the branches' are counted.
+		if zones := uint64(nz); fc.Reserve(11 * zones) {
+			var muls, divs uint64
+			for j := 0; j < nz; j++ {
+				dxj := x[j+1] - x[j]
+				rho[j] = m[j] / dxj
+				pj := float64(float64((pr.gamma-1)*rho[j]) * e[j])
+				du := u[j+1] - u[j]
+				var qj float64
+				if du < 0 {
+					qj = float64(float64(pr.q1*rho[j]) * float64(du*du))
+					muls += 3
+				}
+				press[j] = pj + qj
+				cs := math.Sqrt(float64(pr.gamma*pj) / rho[j])
+				rate := cs + math.Abs(du)
+				if rate > 0 {
+					cand := float64(pr.cfl*dxj) / rate
+					muls, divs = muls+1, divs+1
+					if cand < dtLocal {
+						dtLocal = cand
+					}
+				}
 			}
-			press[j] = fc.Add(pj, qj)
-			cs := math.Sqrt(fc.Div(fc.Mul(pr.gamma, pj), rho[j]))
-			rate := fc.Add(cs, math.Abs(du))
-			if rate > 0 {
-				cand := fc.Div(fc.Mul(pr.cfl, dxj), rate)
-				if cand < dtLocal {
-					dtLocal = cand
+			fc.Tally(2*zones, 2*zones, 3*zones+muls, 2*zones+divs)
+		} else {
+			for j := 0; j < nz; j++ {
+				dxj := fc.Sub(x[j+1], x[j])
+				rho[j] = fc.Div(m[j], dxj)
+				pj := fc.Mul(fc.Mul(pr.gamma-1, rho[j]), e[j])
+				du := fc.Sub(u[j+1], u[j])
+				var qj float64
+				if du < 0 { // compression: quadratic von Neumann-Richtmyer q
+					qj = fc.Mul(fc.Mul(pr.q1, rho[j]), fc.Mul(du, du))
+				}
+				press[j] = fc.Add(pj, qj)
+				cs := math.Sqrt(fc.Div(fc.Mul(pr.gamma, pj), rho[j]))
+				rate := fc.Add(cs, math.Abs(du))
+				if rate > 0 {
+					cand := fc.Div(fc.Mul(pr.cfl, dxj), rate)
+					if cand < dtLocal {
+						dtLocal = cand
+					}
 				}
 			}
 		}
@@ -178,21 +205,42 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			comm.RecvInto(rank-1, tagZoneRight, g[:])
 			ghZoneP, ghZoneM = g[0], g[1]
 		}
-		for i := 0; i < nz; i++ {
-			gi := zlo + i
-			if gi == 0 {
-				u[0] = 0 // left wall
-				continue
+		// Every owned node but the left wall: 2 adds, a sub, 2 muls, a div.
+		nodes := uint64(nz)
+		if zlo == 0 {
+			nodes--
+		}
+		if fc.Reserve(5 * nodes) {
+			for i := 0; i < nz; i++ {
+				if zlo+i == 0 {
+					u[0] = 0
+					continue
+				}
+				pL, mL := ghZoneP, ghZoneM
+				if i > 0 {
+					pL, mL = press[i-1], m[i-1]
+				}
+				nodalMass := float64(0.5 * (mL + m[i]))
+				u[i] += float64(dt * ((pL - press[i]) / nodalMass))
 			}
-			var pL, mL float64
-			if i == 0 {
-				pL, mL = ghZoneP, ghZoneM
-			} else {
-				pL, mL = press[i-1], m[i-1]
+			fc.Tally(2*nodes, nodes, 2*nodes, nodes)
+		} else {
+			for i := 0; i < nz; i++ {
+				gi := zlo + i
+				if gi == 0 {
+					u[0] = 0 // left wall
+					continue
+				}
+				var pL, mL float64
+				if i == 0 {
+					pL, mL = ghZoneP, ghZoneM
+				} else {
+					pL, mL = press[i-1], m[i-1]
+				}
+				nodalMass := fc.Mul(0.5, fc.Add(mL, m[i]))
+				accel := fc.Div(fc.Sub(pL, press[i]), nodalMass)
+				u[i] = fc.Add(u[i], fc.Mul(dt, accel))
 			}
-			nodalMass := fc.Mul(0.5, fc.Add(mL, m[i]))
-			accel := fc.Div(fc.Sub(pL, press[i]), nodalMass)
-			u[i] = fc.Add(u[i], fc.Mul(dt, accel))
 		}
 		// Right wall: the last rank pins the global end node (which it
 		// stores as its ghost slot) and moves it (a no-op for u=0).
@@ -204,21 +252,30 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		if rank == p-1 {
 			top = nz
 		}
-		for i := 0; i <= top; i++ {
-			x[i] = fc.Add(x[i], fc.Mul(dt, u[i]))
-		}
+		fc.Axpy(dt, u[:top+1], x[:top+1])
 		// Refresh the ghost node with the owner's post-motion state so this
 		// cycle's zone update (and the next cycle's pressures) see it.
 		exchangeNode()
 
 		// --- zone thermodynamic update ------------------------------------
-		for j := 0; j < nz; j++ {
-			dvol := fc.Mul(dt, fc.Sub(u[j+1], u[j])) // d(dx) = du*dt
-			// de = -P dV / m (work done by total pressure).
-			de := fc.Div(fc.Mul(press[j], dvol), m[j])
-			e[j] = fc.Sub(e[j], de)
-			if e[j] < 1e-12 {
-				e[j] = 1e-12 // floor against viscosity overshoot
+		if zones := uint64(nz); fc.Reserve(4 * zones) {
+			for j := 0; j < nz; j++ {
+				dvol := float64(dt * (u[j+1] - u[j]))
+				e[j] -= float64(press[j]*dvol) / m[j]
+				if e[j] < 1e-12 {
+					e[j] = 1e-12
+				}
+			}
+			fc.Tally(0, 2*zones, 2*zones, zones)
+		} else {
+			for j := 0; j < nz; j++ {
+				dvol := fc.Mul(dt, fc.Sub(u[j+1], u[j])) // d(dx) = du*dt
+				// de = -P dV / m (work done by total pressure).
+				de := fc.Div(fc.Mul(press[j], dvol), m[j])
+				e[j] = fc.Sub(e[j], de)
+				if e[j] < 1e-12 {
+					e[j] = 1e-12 // floor against viscosity overshoot
+				}
 			}
 		}
 	}

@@ -10,6 +10,20 @@
 // dynamic operation index it flips one bit of one input operand, exactly the
 // paper's single-bit-flip fault model.
 //
+// Add, Sub and Mul remain the per-op path: each one counts itself and can
+// fire an injection.  A kernel that knows how many ops it is about to run
+// may instead count by the window: Reserve(n) is true when none of the
+// active class's next n injectable ops is due an injection, and the kernel
+// then runs its loop as plain float64 arithmetic — the same operations on
+// the same operands in the same order, every product that feeds an add or
+// a subtraction rounded by an explicit float64(…) so no architecture fuses
+// it — and books exactly what it ran with one Tally.  When Reserve refuses
+// (the window holds a trigger, or a kind-masked plan is armed) the kernel
+// runs its instrumented loop, unchanged.  A window never spans a Begin, an
+// End or a communication call, so counts, plan indices and Records are
+// those of per-op counting.  (A window a panic cuts short books nothing;
+// only a completed run's counts are ever read — the golden's.)
+//
 // A Ctx is owned by a single rank goroutine and is not safe for concurrent
 // use; each rank in a simulated parallel execution gets its own Ctx.
 package fpe
@@ -208,6 +222,9 @@ type Ctx struct {
 	// a kind-masked plan is armed it stays pinned at 0.  Add, Sub and Mul
 	// are one test, one decrement and one increment of plain fields so
 	// that they fit the compiler's inline budget (scripts/inlinecheck.sh).
+	// It is also the window contract: Reserve(n) grants n <= left, and
+	// Tally subtracts what the window ran, so the op that takes the slow
+	// path is the same one per-op counting would have sent there.
 	left uint64
 	// adds, subs and muls are the active class's injectable ops by kind;
 	// their sum is its dynamic op index.  Begin and End swap them with
@@ -244,7 +261,15 @@ type Ctx struct {
 	// regionTotals is allocated lazily on the first closed named region,
 	// so region-free executions never pay for the map.
 	regionTotals map[string]Counts
+
+	// window is what the last Reserve granted and no Tally has booked yet;
+	// tallied is every injectable op booked by a Tally since the reset.
+	window, tallied uint64
 }
+
+// windowsOff makes every Reserve refuse, so that every op takes the per-op
+// path; only the tests set it (export_test.go).
+var windowsOff bool
 
 // noTrigger marks a class stream with no pending unmasked injection.
 const noTrigger = math.MaxUint64
@@ -276,6 +301,7 @@ func (c *Ctx) ResetPlan(plan []Injection) {
 	c.adds, c.subs, c.muls = 0, 0, 0
 	c.kinds = [numClasses][4]uint64{}
 	c.divs = 0
+	c.window, c.tallied = 0, 0
 	c.trigger = [numClasses]uint64{noTrigger, noTrigger}
 	c.scanArmed = 0
 	c.groups = c.groups[:0]
@@ -616,6 +642,31 @@ func (c *Ctx) Div(a, b float64) float64 {
 	return a / b
 }
 
+// Reserve reports whether the active class's next n injectable ops may run
+// as plain arithmetic: true iff none of them is due an injection, which is
+// never the case while a kind-masked plan is armed.  A true Reserve must be
+// followed, before any other op of this Ctx, by the Tally of what ran.
+func (c *Ctx) Reserve(n uint64) bool {
+	if n > c.left || windowsOff {
+		return false
+	}
+	c.window = n
+	return true
+}
+
+// Tally books the ops a reserved window ran plain, exactly as per-op
+// counting would have.  It panics when they exceed the reservation: a
+// kernel whose bound is wrong fails in the harness, not in the numbers.
+// (A constant message keeps Tally inlinable: FT books a window per line.)
+func (c *Ctx) Tally(adds, subs, muls, divs uint64) {
+	n := adds + subs + muls
+	if n > c.window {
+		panic("fpe: Tally exceeds the ops its Reserve granted")
+	}
+	c.window, c.left, c.tallied = 0, c.left-n, c.tallied+n
+	c.adds, c.subs, c.muls, c.divs = c.adds+adds, c.subs+subs, c.muls+muls, c.divs+divs
+}
+
 // FMA computes a*b+x as one mul and one add through the datapath.
 func (c *Ctx) FMA(a, b, x float64) float64 {
 	return c.Add(c.Mul(a, b), x)
@@ -628,6 +679,13 @@ func (c *Ctx) Dot(x, y []float64) float64 {
 		panic("fpe: Dot length mismatch")
 	}
 	var s float64
+	if n := uint64(len(x)); c.Reserve(2 * n) {
+		for i := range x {
+			s += float64(x[i] * y[i])
+		}
+		c.Tally(n, 0, n, 0)
+		return s
+	}
 	for i := range x {
 		s = c.Add(s, c.Mul(x[i], y[i]))
 	}
@@ -639,8 +697,33 @@ func (c *Ctx) Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("fpe: Axpy length mismatch")
 	}
+	if n := uint64(len(x)); c.Reserve(2 * n) {
+		for i := range x {
+			y[i] += float64(alpha * x[i])
+		}
+		c.Tally(n, 0, n, 0)
+		return
+	}
 	for i := range x {
 		y[i] = c.Add(y[i], c.Mul(alpha, x[i]))
+	}
+}
+
+// Aypx computes y = x + beta*y element-wise through the datapath: the
+// conjugate-gradient direction update p = r + beta p.
+func (c *Ctx) Aypx(beta float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic("fpe: Aypx length mismatch")
+	}
+	if n := uint64(len(x)); c.Reserve(2 * n) {
+		for i := range x {
+			y[i] = x[i] + float64(beta*y[i])
+		}
+		c.Tally(n, 0, n, 0)
+		return
+	}
+	for i := range x {
+		y[i] = c.Add(x[i], c.Mul(beta, y[i]))
 	}
 }
 

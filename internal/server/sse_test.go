@@ -188,9 +188,10 @@ func TestSSEClientDisconnect(t *testing.T) {
 }
 
 // TestSSEHeartbeat: an idle stream carries comment heartbeats so proxies
-// keep the connection alive.
+// keep the connection alive.  The job runs 200 trials so that the stream
+// lives for many heartbeat periods (at 10 trials it could finish inside one).
 func TestSSEHeartbeat(t *testing.T) {
-	srv := New(Config{Trials: 10, Seed: 42, Workers: 1, Queue: 4,
+	srv := New(Config{Trials: 200, Seed: 42, Workers: 1, Queue: 4,
 		HeartbeatEvery: 5 * time.Millisecond})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
