@@ -24,9 +24,9 @@
 // collective, and sends straight from the working array (Send copies).
 // Hoisting must leave the order and the number of fpe operations exactly
 // as they were: an injection plan addresses an operation by its index.
-// (An array made once is also live for the whole run, on every rank; where
-// that is most of a wide world's memory, as on MG's replicated levels, the
-// array stays with the phase that uses it — see mg.vcycle.)
+// (An array made once is also live for the whole run, so it should be made
+// only on the ranks that use it: MG's coarse levels, which only rank 0
+// works on, are whole on rank 0 alone — see mg.Run.)
 // And fault-free setup that depends only on the class (a generated matrix,
 // a twiddle table, a right-hand side) is computed once per process and
 // shared by every run of every campaign, so it is read-only: a run that

@@ -286,6 +286,35 @@ func SetupReadOnly(t *testing.T, app apps.App, procs int, digest func() uint64) 
 	}
 }
 
+// OpCountNearSerial fails when app's golden run at MaxProcs of class (empty
+// = default class) does, over all its ranks, more than 3 % more common ops
+// than the serial run.  The paper's model reads the serial campaign's
+// result for the common computation of a parallel run (Eq. 4), which holds
+// only while the ranks split the serial work between them instead of
+// repeating it.
+func OpCountNearSerial(t *testing.T, app apps.App, class string) {
+	t.Helper()
+	if class == "" {
+		class = app.DefaultClass()
+	}
+	common := func(procs int) (n uint64) {
+		res := apps.Execute(app, class, procs, nil, apps.DefaultTimeout)
+		if res.Err != nil {
+			t.Fatalf("p=%d run failed: %v", procs, res.Err)
+		}
+		for _, fc := range res.Ctxs {
+			n += fc.Counts().Common
+		}
+		return n
+	}
+	procs := app.MaxProcs(class)
+	ser, par := common(1), common(procs)
+	t.Logf("%s/%s: %d common ops at p=%d, %d serial (x%.4f)", app.Name(), class, par, procs, ser, float64(par)/float64(ser))
+	if float64(par) > 1.03*float64(ser) {
+		t.Errorf("%s/%s: p=%d does %d common ops, more than 1.03 x the serial %d", app.Name(), class, procs, par, ser)
+	}
+}
+
 // Digest hashes setup tables ([]float64 by their bits, []int) for
 // SetupReadOnly, in the order given.
 func Digest(tables ...any) uint64 {

@@ -177,3 +177,5 @@ func TestCachedBlocksReadOnly(t *testing.T) {
 		return sum
 	})
 }
+
+func TestOpCountNearSerial(t *testing.T) { apptest.OpCountNearSerial(t, App{}, "") }

@@ -233,3 +233,5 @@ func TestCachedTwiddlesReadOnly(t *testing.T) {
 		return sum
 	})
 }
+
+func TestOpCountNearSerial(t *testing.T) { apptest.OpCountNearSerial(t, App{}, "") }

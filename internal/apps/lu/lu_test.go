@@ -187,3 +187,5 @@ func TestCachedRHSReadOnly(t *testing.T) {
 		return sum
 	})
 }
+
+func TestOpCountNearSerial(t *testing.T) { apptest.OpCountNearSerial(t, App{}, "") }

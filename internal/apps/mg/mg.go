@@ -6,15 +6,19 @@
 //
 // Parallel decomposition: planes of the grid are block-distributed along z
 // with periodic ring halo exchange at every smoothing, residual and
-// restriction step.  Grid levels coarser than the rank count are replicated:
-// each rank redundantly computes the identical coarse-grid work (a standard
-// coarse-level agglomeration strategy), entered through an allgather at the
-// cutover level.  Errors therefore propagate both locally plane-by-plane
-// through halos and globally through the coarse levels — the mixed
-// propagation profile the paper observes for MG.
+// restriction step, on every level with at least two planes per rank.  The
+// levels coarser than that are rank 0's alone (coarse-level agglomeration
+// onto one rank): at the cutover every rank restricts its slab and sends it
+// to rank 0, which runs the coarse V-cycle serially and sends each rank back
+// the coarse planes its slab interpolates from.  The ranks together do the
+// serial run's arithmetic, op for op.  A fault on a rank's slab spreads
+// locally plane-by-plane through halos; one in rank 0's coarse work reaches
+// every rank through the correction — the mixed propagation profile the
+// paper observes for MG.
 //
-// MG has no parallel-unique computation (paper Table 1): the halo planes
-// are sent directly from the working arrays with no staging arithmetic.
+// MG has no parallel-unique computation (paper Table 1): the halo and
+// cutover planes are sent directly from the working arrays with no staging
+// arithmetic.
 package mg
 
 import (
@@ -68,16 +72,25 @@ func (App) MaxProcs(class string) int {
 	return p.nz / 2
 }
 
-// level describes one grid level's geometry and distribution on this rank.
+// level describes one grid level's geometry and distribution on this rank,
+// and holds its arrays, which Run makes once.
 type level struct {
 	nx, ny, nz  int
 	distributed bool
-	zlo, zhi    int // owned global planes; [0, nz) when replicated
+	// zlo, zhi are the global planes this rank holds: its block on a
+	// distributed level, [0, nz) on rank 0's own levels, at the cutover the
+	// block its fine slab restricts to, and none on those below it.
+	zlo, zhi int
 
-	// below and above receive the neighbours' planes on a distributed
-	// level; Run makes them once.
-	below, above []float64
+	// r and z are the level's residual and correction.  below and above
+	// receive the neighbours' planes on a distributed level; above, rank
+	// 0's plane over the block at the cutover.
+	r, z, below, above []float64
 }
+
+// cutoverTag marks the messages between rank 0 and the others at the
+// cutover; the halo tags start above it.
+const cutoverTag = 1
 
 // nzLoc returns the number of locally stored planes.
 func (l *level) nzLoc() int { return l.zhi - l.zlo }
@@ -87,8 +100,8 @@ func (l *level) points() uint64 { return uint64(l.nx * l.ny * l.nzLoc()) }
 
 // ghosts returns the periodic ghost planes below and above this rank's
 // slab of array a.  A distributed level exchanges with its ring neighbours,
-// receiving into its below and above; a replicated (or serial) one wraps
-// locally, and its ghosts are a's own top and bottom planes — every kernel
+// receiving into its below and above; a whole (rank 0's, or serial) one
+// wraps locally, and its ghosts are a's own top and bottom planes — every kernel
 // reads a and its ghosts to the end before anything writes to a.
 func (l *level) ghosts(comm *simmpi.Comm, tag int, a []float64) (lo, hi []float64) {
 	sz := l.nx * l.ny
@@ -188,11 +201,12 @@ func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi, r []float64) {
 	}
 }
 
-// smooth applies one weighted-Jacobi sweep: z += w/6 * (r - A z).  The
-// update is staged in upd between the sweep over A z and the addition; upd
-// may be r itself — element i of the residual is read once, just before
+// smooth applies one weighted-Jacobi sweep to the level: z += w/6 * (r - A z).
+// The update is staged in upd between the sweep over A z and the addition;
+// upd may be r itself — element i of the residual is read once, just before
 // update i is stored — when the caller has no further use for r.
-func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, z, r, upd []float64, w float64) {
+func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, upd []float64, w float64) {
+	z, r := l.z, l.r
 	ghLo, ghHi := l.ghosts(comm, tag, z)
 	w6 := w / 6
 	if n := l.points(); fc.Reserve(10 * n) {
@@ -226,27 +240,28 @@ func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, z, r, upd []float
 	}
 }
 
-// restrictTo projects the fine residual rf onto the coarse level:
+// restrictTo projects the fine residual onto the coarse level:
 // c = 1/2 * fine(center) + 1/12 * (six fine face neighbours).
-// When the coarse level is replicated but the fine level is distributed,
-// each rank computes its plane block and the blocks are allgathered.
-func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level, rf []float64) []float64 {
+// Each rank computes the coarse planes of its fine slab; at the cutover rank
+// 0 gathers them into the whole level.
+func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level) {
+	rf, rc := fine.r, coarse.r
 	ghLo, _ := fine.ghosts(comm, tag, rf)
-	// Coarse planes derived from this rank's fine slab.
+	// Coarse planes derived from this rank's fine slab, the first of rc's.
 	cklo, ckhi := fine.zlo/2, fine.zhi/2
-	local := make([]float64, (ckhi-cklo)*coarse.ny*coarse.nx)
+	n := (ckhi - cklo) * coarse.ny * coarse.nx
 	const wC, wF = 0.5, 1.0 / 12.0
-	if n := uint64(len(local)); fc.Reserve(8 * n) {
+	if fc.Reserve(8 * uint64(n)) {
 		for ck := cklo; ck < ckhi; ck++ {
 			for cy := 0; cy < coarse.ny; cy++ {
 				for cx := 0; cx < coarse.nx; cx++ {
 					fx, fy, fz := 2*cx, 2*cy, 2*ck-fine.zlo
 					f := stencilSumPlain(rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
-					local[((ck-cklo)*coarse.ny+cy)*coarse.nx+cx] = float64(wC*at(rf, fine.nx, fine.ny, fx, fy, fz)) + float64(wF*f)
+					rc[((ck-cklo)*coarse.ny+cy)*coarse.nx+cx] = float64(wC*at(rf, fine.nx, fine.ny, fx, fy, fz)) + float64(wF*f)
 				}
 			}
 		}
-		fc.Tally(6*n, 0, 2*n, 0)
+		fc.Tally(6*uint64(n), 0, 2*uint64(n), 0)
 	} else {
 		for ck := cklo; ck < ckhi; ck++ {
 			fz := 2*ck - fine.zlo // local fine plane of the coarse centre
@@ -256,28 +271,44 @@ func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level, rf
 					center := at(rf, fine.nx, fine.ny, fx, fy, fz)
 					faces := stencilSum(fc, rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
 					i := ((ck-cklo)*coarse.ny+cy)*coarse.nx + cx
-					local[i] = fc.Add(fc.Mul(wC, center), fc.Mul(wF, faces))
+					rc[i] = fc.Add(fc.Mul(wC, center), fc.Mul(wF, faces))
 				}
 			}
 		}
 	}
-	if coarse.distributed || comm.Size() == 1 || !fine.distributed {
-		return local
+	switch {
+	case coarse.distributed || !fine.distributed: // rc is this rank's to keep
+	case comm.Rank() == 0:
+		for src := 1; src < comm.Size(); src++ {
+			comm.RecvInto(src, cutoverTag, rc[src*n:(src+1)*n])
+		}
+	default:
+		comm.Send(0, cutoverTag, rc)
 	}
-	// Cutover: fine distributed, coarse replicated -> gather everywhere.
-	// The broadcast's payload is the coarse residual itself (Allgather):
-	// received into an array of this rank's (AllgatherInto), the whole
-	// level would sit in memory twice, on every rank.
-	return comm.Allgather(local)
 }
 
-// interpAdd adds the trilinear interpolation of the coarse correction zc
-// into the fine array zf.
-func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level, zc, zf []float64) {
+// interpAdd adds the trilinear interpolation of the coarse correction into
+// the fine one.  A fine slab reads the coarse planes fine.zlo/2 through
+// fine.zhi/2: at the cutover rank 0 sends each rank those planes, as its
+// block and the plane above it.
+func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level) {
+	zc, zf := coarse.z, fine.z
 	var ghHi []float64
-	if coarse.distributed {
+	switch sz, n := coarse.nx*coarse.ny, fine.nzLoc()/2; {
+	case coarse.distributed:
 		_, ghHi = coarse.ghosts(comm, tag, zc)
+	case fine.distributed && comm.Rank() == 0:
+		for dst := 1; dst < comm.Size(); dst++ {
+			comm.Send(dst, cutoverTag, zc[dst*n*sz:(dst+1)*n*sz])
+			top := (dst + 1) * n % coarse.nz
+			comm.Send(dst, cutoverTag, zc[top*sz:(top+1)*sz])
+		}
+	case fine.distributed:
+		comm.RecvInto(0, cutoverTag, zc)
+		comm.RecvInto(0, cutoverTag, coarse.above)
+		ghHi = coarse.above
 	}
+	// Otherwise zc is the whole level: serial, or rank 0's below the cutover.
 	// coarseAt reads coarse plane k (global), using the ghost when k is
 	// just above the slab.
 	coarseAt := func(cx, cy, ck int) float64 {
@@ -287,22 +318,22 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level, zc,
 		if ck >= coarse.zlo && ck < coarse.zhi {
 			return at(zc, coarse.nx, coarse.ny, cx, cy, ck-coarse.zlo)
 		}
-		// Must be the plane directly above a distributed slab.
+		// Must be the plane directly above the slab.
 		return at(ghHi, coarse.nx, coarse.ny, cx, cy, 0)
 	}
 	if n := fine.points(); fc.Reserve(10 * n) {
 		var adds uint64
 		for fz := fine.zlo; fz < fine.zhi; fz++ {
-			ck, zOdd := fz/2, fz%2 == 1
+			ck := fz / 2
 			for fy := 0; fy < fine.ny; fy++ {
-				cy, yOdd := fy/2, fy%2 == 1
+				cy := fy / 2
 				for fx := 0; fx < fine.nx; fx++ {
-					cx, xOdd := fx/2, fx%2 == 1
+					cx := fx / 2
 					var sum float64
 					terms := 0
-					for dx := 0; dx <= btoi(xOdd); dx++ {
-						for dy := 0; dy <= btoi(yOdd); dy++ {
-							for dz := 0; dz <= btoi(zOdd); dz++ {
+					for dx := 0; dx <= fx%2; dx++ {
+						for dy := 0; dy <= fy%2; dy++ {
+							for dz := 0; dz <= fz%2; dz++ {
 								sum += coarseAt(cx+dx, cy+dy, ck+dz)
 								terms++
 							}
@@ -319,19 +350,16 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level, zc,
 	}
 	for fz := fine.zlo; fz < fine.zhi; fz++ {
 		ck := fz / 2
-		zOdd := fz%2 == 1
 		for fy := 0; fy < fine.ny; fy++ {
 			cy := fy / 2
-			yOdd := fy%2 == 1
 			for fx := 0; fx < fine.nx; fx++ {
 				cx := fx / 2
-				xOdd := fx%2 == 1
 				// Trilinear: average the 2^odd corner values.
 				var sum float64
 				terms := 0
-				for dx := 0; dx <= btoi(xOdd); dx++ {
-					for dy := 0; dy <= btoi(yOdd); dy++ {
-						for dz := 0; dz <= btoi(zOdd); dz++ {
+				for dx := 0; dx <= fx%2; dx++ {
+					for dy := 0; dy <= fy%2; dy++ {
+						for dz := 0; dz <= fz%2; dz++ {
 							sum = fc.Add(sum, coarseAt(cx+dx, cy+dy, ck+dz))
 							terms++
 						}
@@ -343,13 +371,6 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level, zc,
 			}
 		}
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Run executes the benchmark on this rank.
@@ -364,7 +385,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	}
 	p := comm.Size()
 
-	// Build the level geometry, finest first.
+	// Build the levels, finest first.
 	levels := make([]*level, pr.levels)
 	for li := 0; li < pr.levels; li++ {
 		sh := 1 << li
@@ -372,12 +393,17 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		// A distributed level needs at least two planes per rank so the
 		// restriction of every owned coarse plane's fine centre is local.
 		l.distributed = p > 1 && l.nz >= 2*p
-		if l.distributed {
+		switch sz := l.nx * l.ny; {
+		case l.distributed:
 			l.zlo, l.zhi = apps.Block1D(l.nz, p, comm.Rank())
-			l.below, l.above = make([]float64, l.nx*l.ny), make([]float64, l.nx*l.ny)
-		} else {
+			l.below, l.above = make([]float64, sz), make([]float64, sz)
+		case comm.Rank() == 0:
 			l.zlo, l.zhi = 0, l.nz
+		case levels[li-1].distributed:
+			l.zlo, l.zhi = levels[li-1].zlo/2, levels[li-1].zhi/2
+			l.above = make([]float64, sz)
 		}
+		l.r, l.z = make([]float64, l.points()), make([]float64, l.points())
 		levels[li] = l
 	}
 	fine := levels[0]
@@ -402,31 +428,28 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		place(splitmix(&x), -1)
 	}
 
-	// The finest level's arrays are made once; the coarser levels' belong
-	// to the V-cycle that uses them (see vcycle).
 	u := make([]float64, len(v))
-	z := make([]float64, len(v))
-	r := make([]float64, len(v))
-	copy(r, v)
+	copy(fine.r, v)
+	upd := make([]float64, len(levels[pr.levels-1].r))
 
 	var rnorm float64
 	tag := 100
 	for it := 0; it < pr.niter; it++ {
-		vcycle(fc, comm, pr, levels, r, z, &tag)
+		vcycle(fc, comm, pr, levels, upd, &tag)
 		if n := fine.points(); fc.Reserve(n) {
 			for i := range u {
-				u[i] += z[i]
+				u[i] += fine.z[i]
 			}
 			fc.Tally(n, 0, 0, 0)
 		} else {
 			for i := range u {
-				u[i] = fc.Add(u[i], z[i])
+				u[i] = fc.Add(u[i], fine.z[i])
 			}
 		}
 		ghLo, ghHi := fine.ghosts(comm, tag, u)
 		tag += 2
-		residual(fc, fine, u, v, ghLo, ghHi, r)
-		local := fc.Dot(r, r)
+		residual(fc, fine, u, v, ghLo, ghHi, fine.r)
+		local := fc.Dot(fine.r, fine.r)
 		rnorm = math.Sqrt(comm.AllreduceValue(simmpi.OpSum, local) / float64(n3))
 	}
 
@@ -435,46 +458,38 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	return apps.RankOutput{State: state, Check: []float64{rnorm}}, nil
 }
 
-// vcycle runs one multigrid V-cycle on residual r at the finest level and
-// leaves the correction in z.  It consumes r.
-//
-// The coarser levels' arrays are made here as they come into use and die
-// with the call, not hoisted into Run like the finest level's.  Past the
-// cutover every rank holds a whole level, and a rank spends most of a wide
-// run's wall time waiting at an exchange outside this function: 64 ranks x
-// two workers that keep 16 KB each across those waits are 2 MB the
-// collector doubles (measured at p = 64: heap 4 MB -> 9 MB).
-func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []*level, r, z []float64, tag *int) {
+// vcycle runs one multigrid V-cycle on the residual in the finest level's r
+// and leaves the correction in its z.  It consumes r.  upd is the coarsest
+// level's staging array.  Past the cutover only rank 0 works; the others
+// step the tags with it.
+func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []*level, upd []float64, tag *int) {
 	L := len(levels)
-	rs := make([][]float64, L)
-	rs[0] = r
+	works := func(l *level) bool { return l.distributed || comm.Rank() == 0 }
 	// Down: restrict residuals to the coarsest level.
 	for li := 1; li < L; li++ {
-		rs[li] = restrictTo(fc, comm, *tag, levels[li-1], levels[li], rs[li-1])
+		if works(levels[li-1]) {
+			restrictTo(fc, comm, *tag, levels[li-1], levels[li])
+		}
 		*tag += 2
 	}
 	// Coarsest: several smoothing sweeps from zero.
-	zs := make([][]float64, L)
-	zs[L-1] = make([]float64, len(rs[L-1]))
-	clear(z)
-	zs[0] = z
-	upd := make([]float64, len(rs[L-1]))
-	for s := 0; s < pr.coarseIter; s++ {
-		smooth(fc, comm, *tag, levels[L-1], zs[L-1], rs[L-1], upd, pr.weight)
-		*tag += 2
+	if c := levels[L-1]; works(c) {
+		clear(c.z)
+		for s := 0; s < pr.coarseIter; s++ {
+			smooth(fc, comm, *tag+2*s, c, upd, pr.weight)
+		}
 	}
+	*tag += 2 * pr.coarseIter
 	// Up: interpolate the correction (into zero) and post-smooth against
 	// this level's residual equation A z = r.  That sweep is the last
 	// reader of the level's residual, so it stages its update there.
 	for li := L - 2; li >= 0; li-- {
-		l := levels[li]
-		if li > 0 {
-			zs[li] = make([]float64, len(rs[li]))
+		if l := levels[li]; works(l) {
+			clear(l.z)
+			interpAdd(fc, comm, *tag, levels[li+1], l)
+			smooth(fc, comm, *tag+2, l, l.r, pr.weight)
 		}
-		interpAdd(fc, comm, *tag, levels[li+1], l, zs[li+1], zs[li])
-		*tag += 2
-		smooth(fc, comm, *tag, l, zs[li], rs[li], rs[li], pr.weight)
-		*tag += 2
+		*tag += 4
 	}
 }
 

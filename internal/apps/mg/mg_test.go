@@ -166,13 +166,20 @@ func TestConformanceClassA(t *testing.T) {
 }
 
 // TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
-// what it measured when the pins were set: the finest level's working set,
-// made once, and the coarser levels' arrays once a V-cycle (see vcycle).
+// what it measured when the pins were set: each rank's levels, made once —
+// at p = 32 and 64 the coarse levels on rank 0 alone (the p <= 16 pins date
+// from when every level's arrays were made once a V-cycle).
 func TestPooledRunAllocBounded(t *testing.T) {
 	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
 		1:  {Bytes: 484000, Objects: 53},
 		4:  {Bytes: 495000, Objects: 211},
 		16: {Bytes: 532000, Objects: 822},
-		64: {Bytes: 5300000, Objects: 3150},
+		32: {Bytes: 517000, Objects: 935},
+		64: {Bytes: 598000, Objects: 1465},
 	})
+}
+
+func TestOpCountNearSerial(t *testing.T) {
+	apptest.OpCountNearSerial(t, App{}, "")
+	apptest.OpCountNearSerial(t, App{}, "A")
 }

@@ -131,3 +131,5 @@ func TestPooledRunAllocBounded(t *testing.T) {
 		64: {Bytes: 645000, Objects: 1630},
 	})
 }
+
+func TestOpCountNearSerial(t *testing.T) { apptest.OpCountNearSerial(t, App{}, "") }

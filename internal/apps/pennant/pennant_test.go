@@ -163,3 +163,5 @@ func TestPooledRunAllocBounded(t *testing.T) {
 		64: {Bytes: 40000, Objects: 972},
 	})
 }
+
+func TestOpCountNearSerial(t *testing.T) { apptest.OpCountNearSerial(t, App{}, "") }

@@ -12,8 +12,19 @@ type namedFake struct {
 
 func (n namedFake) Name() string { return n.name }
 
+// register adds a to the global registry for the test's duration, so the
+// test can run again in one process (-count).
+func register(t *testing.T, a App) {
+	Register(a)
+	t.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		delete(registry, a.Name())
+	})
+}
+
 func TestRegistryLookupAndNames(t *testing.T) {
-	Register(namedFake{name: "zz-test-app"})
+	register(t, namedFake{name: "zz-test-app"})
 	a, err := Lookup("zz-test-app")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +54,7 @@ func TestRegistryUnknown(t *testing.T) {
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
-	Register(namedFake{name: "zz-dup-app"})
+	register(t, namedFake{name: "zz-dup-app"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")

@@ -39,7 +39,7 @@ const (
 
 // CampaignSpec is the JSON wire form of a faultsim.Campaign: exactly
 // the identity-affecting fields plus the per-trial timeout.  Execution
-// knobs that never enter cid:v2 (Workers, Pool, Budget, checkpoint and
+// knobs that never enter cid:v3 (Workers, Pool, Budget, checkpoint and
 // progress settings) deliberately do not cross the wire — each worker
 // chooses its own trial concurrency, and the coordinator owns
 // checkpointing of the merged result.
@@ -63,7 +63,7 @@ type CampaignSpec struct {
 }
 
 // SpecOf captures a campaign's wire form.  The campaign is normalized
-// first so both sides derive the same cid:v2 identity from the spec.
+// first so both sides derive the same cid:v3 identity from the spec.
 func SpecOf(c faultsim.Campaign) CampaignSpec {
 	c = c.Normalized()
 	s := CampaignSpec{

@@ -91,7 +91,7 @@ func startCluster(t *testing.T, n int, cfg PoolConfig) *cluster {
 }
 
 // TestSpecRoundTrip: the wire form survives JSON and reconstructs a
-// campaign with the same cid:v2 identity.
+// campaign with the same cid:v3 identity.
 func TestSpecRoundTrip(t *testing.T) {
 	c, _ := testCampaign(t)
 	spec := SpecOf(c)

@@ -7,7 +7,9 @@ import "fmt"
 // checkpoint snapshots on disk and addresses entries of the prediction
 // service's result store, so its format is API.  Bump this constant (and
 // the "cid:vN/" prefix it produces) whenever the set of outcome-affecting
-// fields or their encoding changes; a bump deliberately orphans existing
+// fields or their encoding changes, or an app changes what a campaign of
+// an unchanged identity measures (the identity names no app revision); a
+// bump deliberately orphans existing
 // checkpoints and store entries rather than silently resuming them into a
 // deployment with different semantics.
 //
@@ -16,7 +18,11 @@ import "fmt"
 //	v1  unversioned "APP/CLASS/p8/..." strings (pre-service checkpoints).
 //	v2  adds the "cid:v2/" prefix and defines the identity over the
 //	    Normalized campaign, so callers and RunAgainstCtx agree on keys.
-const IdentityVersion = 2
+//	v3  the format of v2.  MG stopped repeating its coarse levels on every
+//	    rank: at p >= 32 its ranks do the serial run's ops instead of up to
+//	    6.6x as many, so its campaigns there have other injection sites
+//	    and other outcomes under an unchanged v2 string.
+const IdentityVersion = 3
 
 // Normalized returns a copy of the campaign with the outcome-affecting
 // defaults applied: Class (the app's default), Errors (minimum 1) and
@@ -50,7 +56,7 @@ func (c Campaign) Normalized() Campaign {
 //
 // The format (pinned by TestIdentityFormat) is
 //
-//	cid:v2/APP/CLASS/p<procs>/t<trials>/e<errors>/r<region>/s<seed>/pat<pattern>
+//	cid:v3/APP/CLASS/p<procs>/t<trials>/e<errors>/r<region>/s<seed>/pat<pattern>
 //
 // followed by optional "/spread", "/tol<g>", "/k<mask>", "/b<bit>" and
 // "/w<lo>-<hi>" segments for the non-default extension knobs.  Call on

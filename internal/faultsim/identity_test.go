@@ -11,7 +11,7 @@ import (
 	"resmod/internal/stats"
 )
 
-// TestIdentityFormat pins the v2 identity format.  The identity keys
+// TestIdentityFormat pins the v3 identity format.  The identity keys
 // checkpoints and the prediction service's durable result store, so any
 // change here is a breaking schema change: bump IdentityVersion and update
 // this test deliberately, never incidentally.
@@ -21,7 +21,7 @@ func TestIdentityFormat(t *testing.T) {
 		Region: CommonOnly, Seed: 2018, Pattern: fpe.SingleBit}
 
 	got := c.Normalized().Identity()
-	want := "cid:v2/CG/S/p8/t400/e2/r1/s2018/pat0/tol1e-10"
+	want := "cid:v3/CG/S/p8/t400/e2/r1/s2018/pat0/tol1e-10"
 	if got != want {
 		t.Fatalf("Identity() = %q, want %q", got, want)
 	}
@@ -34,7 +34,7 @@ func TestIdentityFormat(t *testing.T) {
 	c.Window = &[2]float64{0.25, 0.75}
 	c.ContaminationTol = 1e-6
 	got = c.Normalized().Identity()
-	want = "cid:v2/CG/S/p8/t400/e2/r1/s2018/pat0/spread/tol1e-06/k3/b51/w0.25-0.75"
+	want = "cid:v3/CG/S/p8/t400/e2/r1/s2018/pat0/spread/tol1e-06/k3/b51/w0.25-0.75"
 	if got != want {
 		t.Fatalf("Identity() with extensions = %q, want %q", got, want)
 	}
@@ -60,7 +60,7 @@ func TestIdentityNormalization(t *testing.T) {
 	if tuned.Identity() != explicit.Identity() {
 		t.Fatal("non-outcome fields leaked into the identity")
 	}
-	if !strings.HasPrefix(explicit.Identity(), "cid:v2/") {
+	if !strings.HasPrefix(explicit.Identity(), "cid:v3/") {
 		t.Fatalf("identity %q lacks the version prefix", explicit.Identity())
 	}
 }
@@ -118,7 +118,7 @@ func TestSummaryRecordRoundTrip(t *testing.T) {
 // records into errors rather than wrong summaries.
 func TestSummaryRecordRejectsCorruption(t *testing.T) {
 	base := SummaryRecord{
-		Version: SummaryRecordVersion, Identity: "cid:v2/x",
+		Version: SummaryRecordVersion, Identity: "cid:v3/x",
 		Tally: Tally{
 			Counter: stats.Counter{Success: 3, SDC: 1, Failure: 1},
 			Hist:    []uint64{4}, ByContamination: map[int]stats.Counter{1: {Success: 3, SDC: 1}},

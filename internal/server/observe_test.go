@@ -163,7 +163,7 @@ func TestCampaignStallAlert(t *testing.T) {
 	srv, hs := newObsServer(t, Config{SampleEvery: 3 * time.Millisecond})
 
 	srv.progress.Publish(telemetry.ProgressEvent{
-		Kind: telemetry.KindCampaign, Key: "cid:v2/frozen",
+		Kind: telemetry.KindCampaign, Key: "cid:v3/frozen",
 		State: telemetry.StateRunning, Done: 10, Total: 100,
 	})
 
@@ -192,7 +192,7 @@ func TestCampaignStallAlert(t *testing.T) {
 
 	// The campaign finishes: the stall gauge drops and the alert resolves.
 	srv.progress.Publish(telemetry.ProgressEvent{
-		Kind: telemetry.KindCampaign, Key: "cid:v2/frozen",
+		Kind: telemetry.KindCampaign, Key: "cid:v3/frozen",
 		State: telemetry.StateDone, Done: 100, Total: 100,
 	})
 	for alertState(getAlerts(t, hs.URL), "campaign-stall", "") != telemetry.AlertResolved {

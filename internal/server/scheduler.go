@@ -42,8 +42,10 @@ type PredictionRequest struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// PredictionKeyVersion versions the prediction-store key schema.
-const PredictionKeyVersion = 1
+// PredictionKeyVersion versions the prediction-store key schema.  A row
+// is made of campaigns, so it moves with faultsim.IdentityVersion: v2 is
+// v1's format over cid:v3 campaigns.
+const PredictionKeyVersion = 2
 
 // key returns the request's content-address input: every model input that
 // determines the result (the campaign identities underneath are functions

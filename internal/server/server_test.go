@@ -308,6 +308,17 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	id := v["id"].(string)
 
+	// Close finishes the job a worker holds and cancels the queued ones, so
+	// the drain starts once the worker has taken this job.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		if _, v := getJSON(t, hs.URL+"/v1/predictions/"+id); v["status"] != StatusQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never left the queue")
+		}
+	}
+
 	// Drain with no deadline pressure: must finish the in-flight job.
 	if err := srv.Close(context.Background()); err != nil {
 		t.Fatalf("graceful drain errored: %v", err)

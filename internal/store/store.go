@@ -3,7 +3,7 @@
 // bounded in-memory LRU front and atomic-rename persistence.
 //
 // Keys are arbitrary strings — in practice faultsim campaign identities
-// ("cid:v2/...") and prediction-request keys ("pred:v1/...").  Each entry
+// ("cid:v3/...") and prediction-request keys ("pred:v2/...").  Each entry
 // lives at <dir>/<sha256(key)>.json inside an envelope that repeats the
 // full key, so a (vanishingly unlikely) hash collision or a file copied
 // between stores is detected and treated as a miss rather than served as

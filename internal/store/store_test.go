@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"resmod/internal/apps/pennant"
 	"resmod/internal/faultsim"
 	"resmod/internal/stats"
 )
@@ -209,7 +210,7 @@ func TestCampaignCache(t *testing.T) {
 	st := open(t, Config{Dir: t.TempDir()})
 	cache := CampaignCache{Store: st}
 
-	id := "cid:v2/test/X/p1/t5/e1/r0/s1/pat0/tol1e-10"
+	id := "cid:v3/test/X/p1/t5/e1/r0/s1/pat0/tol1e-10"
 	sum := &faultsim.Summary{
 		Counts:          stats.Counter{Success: 4, SDC: 1},
 		Hist:            &stats.Hist{Counts: []uint64{5}},
@@ -233,8 +234,33 @@ func TestCampaignCache(t *testing.T) {
 	// Interrupted summaries must never be cached.
 	interrupted := *sum
 	interrupted.Interrupted = true
-	cache.PutSummary("cid:v2/other", &interrupted)
-	if _, ok := cache.GetSummary("cid:v2/other"); ok {
+	cache.PutSummary("cid:v3/other", &interrupted)
+	if _, ok := cache.GetSummary("cid:v3/other"); ok {
 		t.Fatal("interrupted summary was cached")
+	}
+}
+
+// TestCampaignCacheV2EntryIsMiss fills a store with the summary record a
+// cid:v2 binary wrote for faultsim's contract campaign: it still decodes
+// under its own key, but the campaign's current identity must miss it, so
+// a store written before IdentityVersion 3 is recomputed, not served.
+func TestCampaignCacheV2EntryIsMiss(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "faultsim", "testdata", "summary_record_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const old = "cid:v2/PENNANT/leblanc/p4/t24/e1/r0/s8/pat0/tol1e-10"
+	cache := CampaignCache{Store: open(t, Config{Dir: t.TempDir()})}
+	if err := cache.Store.Put(old, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.GetSummary(old); !ok {
+		t.Fatal("the v2 record no longer decodes under its own key")
+	}
+	c := faultsim.Campaign{App: pennant.App{}, Procs: 4, Trials: 24, Seed: 8}
+	if id := c.Normalized().Identity(); id == old {
+		t.Fatalf("identity %q is still the v2 key", id)
+	} else if _, ok := cache.GetSummary(id); ok {
+		t.Fatalf("the v2 record is served under %q", id)
 	}
 }

@@ -46,7 +46,7 @@ type ProgressEvent struct {
 	// bus; reassigned when an event is forwarded to a parent bus).
 	Seq  uint64 `json:"seq"`
 	Kind string `json:"kind"`
-	// Key identifies the tracked unit: a campaign identity (cid:v2/…)
+	// Key identifies the tracked unit: a campaign identity (cid:v3/…)
 	// or a prediction label.
 	Key string `json:"key"`
 	// State is one of StateRunning/StateDone/StateInterrupted/StateFailed.
