@@ -31,6 +31,14 @@
 // a twiddle table, a right-hand side) is computed once per process and
 // shared by every run of every campaign, so it is read-only: a run that
 // wrote to it would silently change every later run's answer.
+//
+// The six paper apps also keep the step contract (Stepped): their run is a
+// loop of steps, and they name the state a step carries to the next
+// (Carry) and mark the boundaries between steps.  A trial then starts every
+// rank at the last boundary before its first injection, restoring that
+// state and the fpe counters, instead of re-running the prefix it shares
+// with the golden run (see faultsim's prefix table).  An app without it
+// runs from the start every time.
 package apps
 
 import (

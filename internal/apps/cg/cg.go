@@ -261,6 +261,12 @@ func gatherVector(fc *fpe.Ctx, comm *simmpi.Comm, local, full []float64) {
 
 // Run executes the benchmark on this rank.
 func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+	return a.RunSteps(fc, comm, class, nil)
+}
+
+// RunSteps is Run with a step boundary after every CG iteration: the outer
+// power iterations' inner solves, flattened into one loop.
+func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "CG", Class: class, Procs: comm.Size(),
@@ -286,36 +292,41 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		pfull = make([]float64, pr.n)
 	}
 
-	var zeta float64
-	for it := 0; it < pr.outer; it++ {
-		// Inner solver: fixed-iteration CG for A z = x.
-		for i := range z {
-			z[i] = 0
-			r[i] = x[i]
-			pvec[i] = r[i]
-		}
-		rho := comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
-		for cgit := 0; cgit < pr.inner; cgit++ {
-			gatherVector(fc, comm, pvec, pfull)
-			m.spmv(fc, pfull, q)
-			d := comm.AllreduceValue(simmpi.OpSum, fc.Dot(pvec, q))
-			alpha := fc.Div(rho, d)
-			fc.Axpy(alpha, pvec, z)
-			fc.Axpy(-alpha, q, r)
-			rho0 := rho
+	var rho, zeta float64
+	carry := &apps.Carry{Vecs: [][]float64{x, z, r, pvec}, Scalars: []*float64{&rho, &zeta}}
+	for step := st.Resume(carry); step < pr.outer*pr.inner; step++ {
+		cgit := step % pr.inner
+		if cgit == 0 {
+			// Inner solver: fixed-iteration CG for A z = x.
+			for i := range z {
+				z[i] = 0
+				r[i] = x[i]
+				pvec[i] = r[i]
+			}
 			rho = comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
-			beta := fc.Div(rho, rho0)
-			fc.Aypx(beta, r, pvec)
 		}
-		// zeta = shift + 1 / (x . z)
-		xz := comm.AllreduceValue(simmpi.OpSum, fc.Dot(x, z))
-		zeta = fc.Add(pr.shift, fc.Div(1, xz))
-		// x = z / ||z||
-		zz := comm.AllreduceValue(simmpi.OpSum, fc.Dot(z, z))
-		inv := fc.Div(1, math.Sqrt(zz))
-		for i := range x {
-			x[i] = fc.Mul(z[i], inv)
+		gatherVector(fc, comm, pvec, pfull)
+		m.spmv(fc, pfull, q)
+		d := comm.AllreduceValue(simmpi.OpSum, fc.Dot(pvec, q))
+		alpha := fc.Div(rho, d)
+		fc.Axpy(alpha, pvec, z)
+		fc.Axpy(-alpha, q, r)
+		rho0 := rho
+		rho = comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
+		beta := fc.Div(rho, rho0)
+		fc.Aypx(beta, r, pvec)
+		if cgit == pr.inner-1 {
+			// zeta = shift + 1 / (x . z)
+			xz := comm.AllreduceValue(simmpi.OpSum, fc.Dot(x, z))
+			zeta = fc.Add(pr.shift, fc.Div(1, xz))
+			// x = z / ||z||
+			zz := comm.AllreduceValue(simmpi.OpSum, fc.Dot(z, z))
+			inv := fc.Div(1, math.Sqrt(zz))
+			for i := range x {
+				x[i] = fc.Mul(z[i], inv)
+			}
 		}
+		st.Mark(step+1, carry)
 	}
 
 	state := make([]float64, nloc)

@@ -16,7 +16,9 @@ type ExecResult struct {
 	// Ctxs holds each rank's floating point context (op counts, fired
 	// injection records), indexed by rank.
 	Ctxs []*fpe.Ctx
-	// Comm holds communication-volume statistics.
+	// Comm holds communication-volume statistics — of the steps after the
+	// boundary an execution resumed from, when it resumed (no trial reads
+	// them).
 	Comm simmpi.Stats
 	// Err is the execution failure, if any: a *simmpi.PanicError for an
 	// application crash, simmpi.ErrTimeout for a hang, or a *simmpi.RankError
@@ -59,6 +61,7 @@ type Arena struct {
 	engine  *simmpi.Engine
 	ctxs    []*fpe.Ctx
 	outputs []RankOutput
+	steps   []Steps
 }
 
 // NewArena returns an empty arena; the pooled state is built lazily from
@@ -73,16 +76,25 @@ func (a *Arena) Discard() {
 	if a == nil {
 		return
 	}
-	a.procs, a.engine, a.ctxs, a.outputs = 0, nil, nil, nil
+	a.procs, a.engine, a.ctxs, a.outputs, a.steps = 0, nil, nil, nil, nil
 }
 
 // ExecuteCtx is the pooled equivalent of the package-level ExecuteCtx.
 func (a *Arena) ExecuteCtx(ctx context.Context, app App, class string, procs int, plans map[int][]fpe.Injection, timeout time.Duration) ExecResult {
+	return a.ExecuteSteps(ctx, app, class, procs, plans, timeout, nil)
+}
+
+// ExecuteSteps is ExecuteCtx with a StepPlan for a Stepped app's
+// boundaries (nil = none; an app that is not Stepped has only boundary 0,
+// where every execution starts).  The caller reads what the ranks recorded
+// into sp only after a clean return.
+func (a *Arena) ExecuteSteps(ctx context.Context, app App, class string, procs int, plans map[int][]fpe.Injection, timeout time.Duration, sp *StepPlan) ExecResult {
 	var engine *simmpi.Engine
 	var ctxs []*fpe.Ctx
 	var outputs []RankOutput
+	var steps []Steps
 	if a != nil && a.procs == procs && a.timeout == timeout && a.engine != nil {
-		engine, ctxs, outputs = a.engine, a.ctxs, a.outputs
+		engine, ctxs, outputs, steps = a.engine, a.ctxs, a.outputs, a.steps
 		for r := 0; r < procs; r++ {
 			ctxs[r].ResetPlan(plans[r])
 			outputs[r] = RankOutput{}
@@ -95,20 +107,30 @@ func (a *Arena) ExecuteCtx(ctx context.Context, app App, class string, procs int
 		engine = eng
 		ctxs = make([]*fpe.Ctx, procs)
 		outputs = make([]RankOutput, procs)
+		steps = make([]Steps, procs)
 		for r := 0; r < procs; r++ {
 			ctxs[r] = fpe.NewWithPlan(plans[r])
 		}
 		if a != nil {
 			a.procs, a.timeout = procs, timeout
-			a.engine, a.ctxs, a.outputs = engine, ctxs, outputs
+			a.engine, a.ctxs, a.outputs, a.steps = engine, ctxs, outputs, steps
 		}
 	}
+	stepped, _ := app.(Stepped)
 	st, err := engine.RunCtx(ctx, func(c *simmpi.Comm) error {
-		out, rerr := app.Run(ctxs[c.Rank()], c, class)
+		r := c.Rank()
+		var out RankOutput
+		var rerr error
+		if stepped != nil && sp != nil {
+			steps[r] = Steps{fc: ctxs[r], rank: r, plan: sp}
+			out, rerr = stepped.RunSteps(ctxs[r], c, class, &steps[r])
+		} else {
+			out, rerr = app.Run(ctxs[r], c, class)
+		}
 		if rerr != nil {
 			return rerr
 		}
-		outputs[c.Rank()] = out
+		outputs[r] = out
 		return nil
 	})
 	return ExecResult{Outputs: outputs, Ctxs: ctxs, Comm: st, Err: err}

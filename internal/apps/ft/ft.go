@@ -200,6 +200,13 @@ type field struct {
 
 // Run executes the benchmark on this rank.
 func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+	return a.RunSteps(fc, comm, class, nil)
+}
+
+// RunSteps is Run in steps: step 0 is the forward 3-D FFT, step t the t-th
+// time step.  No step reads the spectrum's predecessors, so the carry is the
+// spectrum and the checksums so far.
+func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "FT", Class: class, Procs: comm.Size(),
@@ -231,38 +238,11 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 	}
 
 	serial := p == 1
-
-	// ---- forward 3-D FFT --------------------------------------------------
-	// x and y direction FFTs are always local to the z-distributed layout.
-	for z := 0; z < nzLoc; z++ {
-		for y := 0; y < ny; y++ {
-			fft1d(fc, twX, spatial.re, spatial.im, (z*ny+y)*nx, 1, nx, false)
-		}
-		for x := 0; x < nx; x++ {
-			fft1d(fc, twY, spatial.re, spatial.im, z*ny*nx+x, nx, ny, false)
-		}
-	}
-	var spec field       // spectral data
+	spec := spatial      // spectral data: in place in a serial run
 	var xp apps.Exchange // the transposes' staging (parallel runs only)
-	if serial {
-		// z-direction FFT strided in place.
-		spec = spatial
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				fft1d(fc, twZ, spec.re, spec.im, y*nx+x, ny*nx, nz, false)
-			}
-		}
-	} else {
-		// Transpose to the x-distributed layout, then local z FFTs.
-		xd := field{re: make([]float64, nxLoc*ny*nz), im: make([]float64, nxLoc*ny*nz)}
+	if !serial {
+		spec = field{re: make([]float64, nxLoc*ny*nz), im: make([]float64, nxLoc*ny*nz)}
 		xp = apps.NewExchange(p, nzLoc*ny*nxLoc*2)
-		transposeZX(fc, comm, pr, xp, spatial, xd, zlo, zhi, xlo, xhi)
-		for x := 0; x < nxLoc; x++ {
-			for y := 0; y < ny; y++ {
-				fft1d(fc, twZ, xd.re, xd.im, (x*ny+y)*nz, 1, nz, false)
-			}
-		}
-		spec = xd
 	}
 
 	// Evolution exponents: kbar^2 summed over the three dimensions,
@@ -286,13 +266,19 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		}
 	}
 
-	// ---- time stepping -----------------------------------------------------
 	n3 := float64(nx) * float64(ny) * float64(nz)
 	invN3 := 1 / n3
 	work := field{re: make([]float64, len(spec.re)), im: make([]float64, len(spec.im))}
-	check := make([]float64, 0, 2*pr.iters)
+	check := make([]float64, 2*pr.iters)
 	var lastSpatial field
-	for t := 1; t <= pr.iters; t++ {
+	carry := &apps.Carry{Vecs: [][]float64{spec.re, spec.im, check}}
+	for t := st.Resume(carry); t <= pr.iters; t++ {
+		if t == 0 {
+			forward(fc, comm, pr, xp, spatial, spec, zlo, zhi, xlo, xhi)
+			st.Mark(1, carry)
+			continue
+		}
+		// ---- time step t ----------------------------------------------------
 		// Evolve: work = spec * exp(-4 alpha pi^2 ksq t).
 		tf := -4 * pr.alpha * math.Pi * math.Pi * float64(t)
 		if n := uint64(len(spec.re)); fc.Reserve(2 * n) {
@@ -363,16 +349,48 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			csRe = fc.Add(csRe, spat.re[l])
 			csIm = fc.Add(csIm, spat.im[l])
 		}
-		sum := [2]float64{csRe, csIm}
-		comm.AllreduceInto(simmpi.OpSum, sum[:])
-		check = append(check, sum[0], sum[1])
+		sum := check[2*t-2 : 2*t]
+		sum[0], sum[1] = csRe, csIm
+		comm.AllreduceInto(simmpi.OpSum, sum)
 		lastSpatial = spat
+		st.Mark(t+1, carry)
 	}
 
 	state := make([]float64, 0, 2*len(lastSpatial.re))
 	state = append(state, lastSpatial.re...)
 	state = append(state, lastSpatial.im...)
 	return apps.RankOutput{State: state, Check: check}, nil
+}
+
+// forward transforms spatial, in the z-distributed layout, into spec: the x
+// and y direction FFTs are local to that layout; a serial run then does the
+// z-direction FFTs strided in place (spec is spatial), a parallel one
+// transposes to the x-distributed layout and does them there.
+func forward(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, spatial, spec field, zlo, zhi, xlo, xhi int) {
+	nx, ny, nz := pr.nx, pr.ny, pr.nz
+	twX, twY, twZ := twiddlesFor(nx), twiddlesFor(ny), twiddlesFor(nz)
+	for z := 0; z < zhi-zlo; z++ {
+		for y := 0; y < ny; y++ {
+			fft1d(fc, twX, spatial.re, spatial.im, (z*ny+y)*nx, 1, nx, false)
+		}
+		for x := 0; x < nx; x++ {
+			fft1d(fc, twY, spatial.re, spatial.im, z*ny*nx+x, nx, ny, false)
+		}
+	}
+	if comm.Size() == 1 {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				fft1d(fc, twZ, spec.re, spec.im, y*nx+x, ny*nx, nz, false)
+			}
+		}
+		return
+	}
+	transposeZX(fc, comm, pr, xp, spatial, spec, zlo, zhi, xlo, xhi)
+	for x := 0; x < xhi-xlo; x++ {
+		for y := 0; y < ny; y++ {
+			fft1d(fc, twZ, spec.re, spec.im, (x*ny+y)*nz, 1, nz, false)
+		}
+	}
 }
 
 // kbar2 returns the squared folded wavenumber for index k of dimension n.
@@ -383,10 +401,32 @@ func kbar2(k, n int) float64 {
 	return float64(k * k)
 }
 
-// stage moves one float through the instrumented transpose datapath: at the
-// instruction level this is a load/store whose operand a fault can strike,
-// so resmod models it as an injectable identity add in the Unique region.
-func stage(fc *fpe.Ctx, v float64) float64 { return fc.Add(v, 0) }
+// stage moves every float of the blocks through the instrumented transpose
+// datapath, block by block, in the region name: at the instruction level
+// each is a load/store whose operand a fault can strike, so resmod models
+// it as an injectable identity add in the Unique region.  The pack stages
+// what it packed into the send blocks, the unpack what it received before
+// scattering it.  Where no injection is due the adds run plain — v + 0,
+// not a copy: it turns -0 into +0 — in one window.
+func stage(fc *fpe.Ctx, name string, blocks [][]float64) {
+	end := fc.Begin(name, fpe.Unique)
+	n := uint64(len(blocks) * len(blocks[0]))
+	if fc.Reserve(n) {
+		for _, b := range blocks {
+			for i := range b {
+				b[i] += 0
+			}
+		}
+		fc.Tally(n, 0, 0, 0)
+	} else {
+		for _, b := range blocks {
+			for i := range b {
+				b[i] = fc.Add(b[i], 0)
+			}
+		}
+	}
+	end()
+}
 
 // transposeZX redistributes in, in the z-distributed spatial layout
 // ((z,y,x), x contiguous), to out in the x-distributed layout ((x,y,z), z
@@ -398,7 +438,6 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 	nxLoc := xhi - xlo
 	nxb := nx / p
 
-	end := fc.Begin("transpose-pack", fpe.Unique)
 	for d := 0; d < p; d++ {
 		buf := xp.Send[d]
 		k := 0
@@ -406,18 +445,17 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 			for y := 0; y < ny; y++ {
 				base := (z*ny + y) * nx
 				for x := d * nxb; x < (d+1)*nxb; x++ {
-					buf[k] = stage(fc, in.re[base+x])
-					buf[k+1] = stage(fc, in.im[base+x])
+					buf[k], buf[k+1] = in.re[base+x], in.im[base+x]
 					k += 2
 				}
 			}
 		}
 	}
-	end()
+	stage(fc, "transpose-pack", xp.Send)
 
 	comm.AlltoallInto(xp.Recv, xp.Send)
 
-	end = fc.Begin("transpose-unpack", fpe.Unique)
+	stage(fc, "transpose-unpack", xp.Recv)
 	nzb := nz / p
 	for s := 0; s < p; s++ {
 		buf := xp.Recv[s]
@@ -426,14 +464,12 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 			for y := 0; y < ny; y++ {
 				for x := 0; x < nxLoc; x++ {
 					l := (x*ny+y)*nz + z
-					out.re[l] = stage(fc, buf[k])
-					out.im[l] = stage(fc, buf[k+1])
+					out.re[l], out.im[l] = buf[k], buf[k+1]
 					k += 2
 				}
 			}
 		}
 	}
-	end()
 }
 
 // transposeXZ is the inverse redistribution: x-distributed back to
@@ -445,7 +481,6 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 	nxLoc := xhi - xlo
 	nzb := nz / p
 
-	end := fc.Begin("transpose-pack", fpe.Unique)
 	for d := 0; d < p; d++ {
 		buf := xp.Send[d]
 		k := 0
@@ -453,18 +488,17 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 			for y := 0; y < ny; y++ {
 				for x := 0; x < nxLoc; x++ {
 					l := (x*ny+y)*nz + z
-					buf[k] = stage(fc, in.re[l])
-					buf[k+1] = stage(fc, in.im[l])
+					buf[k], buf[k+1] = in.re[l], in.im[l]
 					k += 2
 				}
 			}
 		}
 	}
-	end()
+	stage(fc, "transpose-pack", xp.Send)
 
 	comm.AlltoallInto(xp.Recv, xp.Send)
 
-	end = fc.Begin("transpose-unpack", fpe.Unique)
+	stage(fc, "transpose-unpack", xp.Recv)
 	nxb := nx / p
 	for s := 0; s < p; s++ {
 		buf := xp.Recv[s]
@@ -473,14 +507,12 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 			for y := 0; y < ny; y++ {
 				base := (z*ny + y) * nx
 				for x := s * nxb; x < (s+1)*nxb; x++ {
-					out.re[base+x] = stage(fc, buf[k])
-					out.im[base+x] = stage(fc, buf[k+1])
+					out.re[base+x], out.im[base+x] = buf[k], buf[k+1]
 					k += 2
 				}
 			}
 		}
 	}
-	end()
 }
 
 // Verify implements the NPB FT checker: every per-iteration checksum

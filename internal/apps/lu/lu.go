@@ -267,6 +267,11 @@ func rhsField(class string, pr params) []float64 {
 
 // Run executes the benchmark on this rank.
 func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+	return a.RunSteps(fc, comm, class, nil)
+}
+
+// RunSteps is Run with a step boundary after every SSOR iteration.
+func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "LU", Class: class, Procs: comm.Size(),
@@ -290,7 +295,8 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 
 	n3 := float64(pr.nx) * float64(pr.ny) * float64(pr.nz)
 	var rnorm float64
-	for it := 0; it < pr.niter; it++ {
+	carry := &apps.Carry{Vecs: [][]float64{u}}
+	for it := st.Resume(carry); it < pr.niter; it++ {
 		ghLo, ghHi := apps.HaloExchange1D(comm, tagHalo, u[:plane], u[n-plane:], below, above)
 		applyA(fc, s, cf, u, ghLo, ghHi, au)
 		if fc.Reserve(uint64(n)) {
@@ -316,6 +322,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 			}
 		}
 		rnorm = math.Sqrt(comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r)) / n3)
+		st.Mark(it+1, carry)
 	}
 	// Solution RMS norm, the second verification value.
 	unorm := math.Sqrt(comm.AllreduceValue(simmpi.OpSum, fc.Dot(u, u)) / n3)

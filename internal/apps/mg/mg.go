@@ -375,6 +375,12 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level) {
 
 // Run executes the benchmark on this rank.
 func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+	return a.RunSteps(fc, comm, class, nil)
+}
+
+// RunSteps is Run with a step boundary after every V-cycle and its
+// residual.  The message tag counter is carried with the solution.
+func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "MG", Class: class, Procs: comm.Size(),
@@ -434,7 +440,8 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 
 	var rnorm float64
 	tag := 100
-	for it := 0; it < pr.niter; it++ {
+	carry := &apps.Carry{Vecs: [][]float64{u, fine.r}, Ints: []*int{&tag}}
+	for it := st.Resume(carry); it < pr.niter; it++ {
 		vcycle(fc, comm, pr, levels, upd, &tag)
 		if n := fine.points(); fc.Reserve(n) {
 			for i := range u {
@@ -451,6 +458,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 		residual(fc, fine, u, v, ghLo, ghHi, fine.r)
 		local := fc.Dot(fine.r, fine.r)
 		rnorm = math.Sqrt(comm.AllreduceValue(simmpi.OpSum, local) / float64(n3))
+		st.Mark(it+1, carry)
 	}
 
 	state := make([]float64, len(u))

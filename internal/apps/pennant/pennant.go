@@ -90,6 +90,13 @@ const (
 // rank.  Each cycle exchanges the rank's last zone (P, m) rightward and its
 // first node (u, x) leftward.
 func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+	return a.RunSteps(fc, comm, class, nil)
+}
+
+// RunSteps is Run with a step boundary after every cycle.  A cycle
+// recomputes the densities and pressures from the mesh, so the carry is the
+// mesh (ghost node included), the energies and dt.
+func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "PENNANT", Class: class,
@@ -138,7 +145,8 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 
 	press := make([]float64, nz) // p + q per zone
 	dt := pr.dtInit
-	for step := 0; step < pr.steps; step++ {
+	carry := &apps.Carry{Vecs: [][]float64{x, u, e}, Scalars: []*float64{&dt}}
+	for step := st.Resume(carry); step < pr.steps; step++ {
 		// --- zone pressures and artificial viscosity --------------------
 		var dtLocal float64 = math.Inf(1)
 		// At most 11 injectable ops per zone; the branches' are counted.
@@ -278,6 +286,7 @@ func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput,
 				}
 			}
 		}
+		st.Mark(step+1, carry)
 	}
 
 	// Verification: total internal and kinetic energy (conserved up to

@@ -56,13 +56,13 @@ func TestPooledTrialAllocBounded(t *testing.T) {
 	ctx := context.Background()
 	arena := apps.NewArena()
 	// Warm the arena so the measured runs are steady state.
-	if _, err := runTrial(ctx, c, golden, base.Split(0), arena, nil); err != nil {
+	if _, err := runTrial(ctx, c, golden, nil, base.Split(0), arena, nil); err != nil {
 		t.Fatal(err)
 	}
 	trial := uint64(0)
 	avg := testing.AllocsPerRun(200, func() {
 		trial++
-		if _, err := runTrial(ctx, c, golden, base.Split(trial), arena, nil); err != nil {
+		if _, err := runTrial(ctx, c, golden, nil, base.Split(trial), arena, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -195,6 +195,8 @@ type campaignHooks struct {
 	// trial with the completed-trial count — used by tests to interrupt a
 	// campaign at an exact trial boundary.
 	trialDone func(done uint64)
+	// fromZero runs every trial from op 0, without a prefix table.
+	fromZero bool
 }
 
 // drawOpts assembles the fpe drawing options from the campaign fields.
@@ -534,6 +536,10 @@ func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, s
 	sink := tel.Recorder()
 	base := stats.NewRNG(c.Seed)
 	every := progressEvery(c)
+	var tab *prefixTable
+	if c.hooks == nil || !c.hooks.fromZero {
+		tab = newPrefixTable(golden)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < c.Workers; w++ {
 		wg.Add(1)
@@ -566,7 +572,7 @@ func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, s
 					return
 				}
 				t0 := time.Now()
-				rec, err := runTrialResilient(ctx, c, golden, base, t, sink, agg, arena)
+				rec, err := runTrialResilient(ctx, c, golden, tab, base, t, sink, agg, arena)
 				c.Pool.Release()
 				if err != nil {
 					if isInterruption(err) {
@@ -630,12 +636,12 @@ func isInterruption(err error) bool {
 // aggregate's live-snapshot tally).  Retries replay the identical trial —
 // the RNG stream is re-split from the base per attempt, and the worker's
 // arena is discarded first so the replay runs on provably fresh state.
-func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, base *stats.RNG, t int, sink *telemetry.Recorder, agg *aggregate, arena *apps.Arena) (TrialRecord, error) {
+func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable, base *stats.RNG, t int, sink *telemetry.Recorder, agg *aggregate, arena *apps.Arena) (TrialRecord, error) {
 	backoff := retryBackoffBase
 	var rec TrialRecord
 	var err error
 	for attempt := 0; ; attempt++ {
-		rec, err = runTrialContained(ctx, c, golden, base.Split(uint64(t)), arena, nil)
+		rec, err = runTrialContained(ctx, c, golden, tab, base.Split(uint64(t)), arena, nil)
 		if err == nil || isInterruption(err) {
 			return rec, err
 		}
@@ -662,13 +668,13 @@ func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, base *st
 // harness (injection drawing, outcome classification, a panicking
 // application Verify) is contained to this trial and reported as an
 // abnormal error instead of killing the whole campaign.
-func runTrialContained(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, arena *apps.Arena, detail *TrialDetail) (rec TrialRecord, err error) {
+func runTrialContained(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable, rng *stats.RNG, arena *apps.Arena, detail *TrialDetail) (rec TrialRecord, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("faultsim: harness panic: %v", v)
 		}
 	}()
-	return runTrial(ctx, c, golden, rng, arena, detail)
+	return runTrial(ctx, c, golden, tab, rng, arena, detail)
 }
 
 // aggregate is the shared, lock-protected campaign state: the done-trial
@@ -865,14 +871,15 @@ type TrialDetail struct {
 // trial t, and returns its record with the detail a trace prints.  Tallying
 // the records of trials 0..Trials-1 therefore reproduces the campaign's
 // Summary; an error is what the campaign would retry and then count
-// abnormal.
+// abnormal.  It runs from op 0, with no prefix table: the reference a
+// campaign's resumed trials are checked against.
 func TraceTrial(ctx context.Context, c Campaign, golden *Golden, t int) (TrialRecord, *TrialDetail, error) {
 	c, err := c.prepared(golden)
 	if err != nil {
 		return TrialRecord{}, nil, err
 	}
 	detail := new(TrialDetail)
-	rec, err := runTrialContained(orBackground(ctx), c, golden, stats.NewRNG(c.Seed).Split(uint64(t)), nil, detail)
+	rec, err := runTrialContained(orBackground(ctx), c, golden, nil, stats.NewRNG(c.Seed).Split(uint64(t)), nil, detail)
 	return rec, detail, err
 }
 
@@ -880,7 +887,7 @@ func TraceTrial(ctx context.Context, c Campaign, golden *Golden, t int) (TrialRe
 // the execution state across a worker's trials.  detail, nil on the
 // campaign path, receives what TraceTrial reports — the execution result
 // included, so it is only for a trial run without an arena.
-func runTrial(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, arena *apps.Arena, detail *TrialDetail) (TrialRecord, error) {
+func runTrial(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable, rng *stats.RNG, arena *apps.Arena, detail *TrialDetail) (TrialRecord, error) {
 	target := 0
 	if c.Procs > 1 {
 		target = rng.Intn(c.Procs)
@@ -909,7 +916,11 @@ func runTrial(ctx context.Context, c Campaign, golden *Golden, rng *stats.RNG, a
 		plans[target] = plan
 	}
 
-	res := arena.ExecuteCtx(ctx, golden.App, golden.Class, c.Procs, plans, c.Timeout)
+	sp := tab.plan(plans)
+	res := arena.ExecuteSteps(ctx, golden.App, golden.Class, c.Procs, plans, c.Timeout, sp)
+	if sp != nil && res.Err == nil {
+		tab.publish(sp)
+	}
 	fired := 0
 	for r := range plans {
 		fired += res.Ctxs[r].Fired()

@@ -43,6 +43,13 @@ type Golden struct {
 	Comm simmpi.Stats
 	// Elapsed is the wall time of the golden run.
 	Elapsed time.Duration
+	// StepCounts holds each rank's op counts at each step boundary of an
+	// apps.Stepped app: StepCounts[r][i] after i steps.  Empty for other
+	// apps.  Trials read it to choose the boundary they resume from.
+	StepCounts [][]fpe.Counts
+
+	// carryBytes is the size of every rank's carry at a boundary, together.
+	carryBytes int
 
 	// hashOnce guards the lazy per-rank state hashes used by the
 	// trial-comparison fast path; unexported so a Golden built by hand
@@ -117,7 +124,8 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 		telemetry.Int("procs", procs))
 	defer span.End()
 	start := time.Now()
-	res := apps.ExecuteCtx(ctx, app, class, procs, nil, timeout)
+	sp := &apps.StepPlan{Counts: make([][]fpe.Counts, procs), Bytes: make([]int, procs)}
+	res := apps.NewArena().ExecuteSteps(ctx, app, class, procs, nil, timeout, sp)
 	if res.Err != nil {
 		return nil, fmt.Errorf("faultsim: golden run of %s/%s p=%d failed: %w",
 			app.Name(), class, procs, res.Err)
@@ -130,6 +138,12 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 		Regions:    make(map[string]fpe.Counts),
 		Comm:       res.Comm,
 		Elapsed:    time.Since(start),
+	}
+	if len(sp.Counts[0]) > 0 {
+		g.StepCounts = sp.Counts
+		for _, b := range sp.Bytes {
+			g.carryBytes += b
+		}
 	}
 	g.Check = append(g.Check, res.Outputs[0].Check...)
 	for r := 0; r < procs; r++ {

@@ -458,6 +458,37 @@ func (c *Ctx) End() {
 	c.regionTotals[f.name] = t
 }
 
+// Boundary returns the counters a step boundary records: the per-kind op
+// counts and the divisions so far.  It panics when a region is open or a
+// window is reserved, since neither may span a step boundary.
+func (c *Ctx) Boundary() (KindCounts, uint64) {
+	if len(c.stack) != 0 || c.window != 0 {
+		panic("fpe: a step boundary inside a region or a reserved window")
+	}
+	return c.KindCounts(), c.divs
+}
+
+// ResumeAt sets the counters to what Boundary returned at a boundary of a
+// run whose plan had not fired yet: the Ctx goes on, under the plan it has
+// loaded, as if it had run that run's ops itself.  Region totals restart
+// from zero, so RegionCounts then covers only the ops after the boundary.
+// It panics outside a boundary, under a kind-masked plan, or when a planned
+// injection's index lies before kc's count of its class.
+func (c *Ctx) ResumeAt(kc KindCounts, divs uint64) {
+	c.Boundary()
+	for cl := range c.trigger {
+		if c.scanArmed != 0 || c.trigger[cl] < kc.Of(RegionClass(cl), 0) {
+			panic("fpe: resuming past a planned injection")
+		}
+	}
+	c.kinds = kc.ByClassKind
+	k := &c.kinds[c.class]
+	c.adds, c.subs, c.muls = k[OpAdd], k[OpSub], k[OpMul]
+	c.divs = divs
+	clear(c.regionTotals)
+	c.rearm()
+}
+
 // Class returns the currently active region class.
 func (c *Ctx) Class() RegionClass { return c.class }
 

@@ -4,12 +4,18 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"resmod/internal/apps"
+	"resmod/internal/fpe"
+	"resmod/internal/simmpi"
 	"resmod/internal/store"
 )
 
@@ -187,28 +193,65 @@ func TestSSEClientDisconnect(t *testing.T) {
 	}
 }
 
+// gateApp is a registered app whose runs wait until the gate in gateOpen
+// is closed and then fail: a prediction of it holds a scheduler worker for
+// as long as a test wants.
+type gateApp struct{}
+
+var (
+	gateOnce sync.Once
+	gateOpen atomic.Pointer[chan struct{}]
+)
+
+func (gateApp) Name() string               { return "GateTest" }
+func (gateApp) Classes() []string          { return []string{"S"} }
+func (gateApp) DefaultClass() string       { return "S" }
+func (gateApp) MaxProcs(string) int        { return 2 }
+func (gateApp) Verify(_, _ []float64) bool { return true }
+func (gateApp) Run(*fpe.Ctx, *simmpi.Comm, string) (apps.RankOutput, error) {
+	<-*gateOpen.Load()
+	return apps.RankOutput{}, errors.New("gate app: no computation")
+}
+
 // TestSSEHeartbeat: an idle stream carries comment heartbeats so proxies
-// keep the connection alive.  The job runs 200 trials so that the stream
-// lives for many heartbeat periods (at 10 trials it could finish inside one).
+// keep the connection alive.  The watched job is queued behind a job that
+// holds the only scheduler worker until the test has read a heartbeat, so
+// no trial speed lets it finish first.
 func TestSSEHeartbeat(t *testing.T) {
-	srv := New(Config{Trials: 200, Seed: 42, Workers: 1, Queue: 4,
+	gateOnce.Do(func() { apps.Register(gateApp{}) })
+	gate := make(chan struct{})
+	gateOpen.Store(&gate)
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	srv := New(Config{Trials: 10, Seed: 42, Workers: 1, Queue: 4,
 		HeartbeatEvery: 5 * time.Millisecond})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
+		release()
 		hs.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = srv.Close(ctx)
 	})
 
+	if code, v := postJSON(t, hs.URL+"/v1/predictions", `{"app":"GateTest","small":1,"large":2}`); code != http.StatusAccepted {
+		t.Fatalf("gate submit returned %d: %v", code, v)
+	}
 	code, v := postJSON(t, hs.URL+"/v1/predictions", predBody)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d: %v", code, v)
 	}
 	resp, sc := openSSE(t, context.Background(), hs.URL, v["id"].(string))
 	defer resp.Body.Close()
-	if _, heartbeats := readSSE(t, sc); heartbeats == 0 {
-		t.Fatal("no heartbeat comments on the stream")
+	for heartbeat := false; !heartbeat; {
+		if !sc.Scan() {
+			t.Fatal("the stream ended before a heartbeat comment")
+		}
+		heartbeat = strings.HasPrefix(sc.Text(), ": ")
+	}
+	release()
+	if events, _ := readSSE(t, sc); len(events) == 0 || events[len(events)-1].name != "done" {
+		t.Fatalf("the stream ended without a done event: %v", events)
 	}
 }
 
