@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -449,4 +452,84 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 		t.Errorf("resmod_campaign_trials_total = %d, outcome sum = %d, want both (and the trial histogram's count) 90:\n%s",
 			total, outcomes, out)
 	}
+}
+
+// TestFleetScrapeOneRoster: one /metrics pass reads the roster once, so
+// every per-worker family reports the same snapshot; a pass of the
+// retention sampler, which collects only some of the families, and every
+// later scrape read it afresh.  Concurrent scrapes each stay consistent.
+func TestFleetScrapeOneRoster(t *testing.T) {
+	var calls atomic.Int64
+	roster := func() []WorkerInfo {
+		n := calls.Add(1)
+		// Each call disagrees with the one before on every field.
+		u := uint64(n)
+		return []WorkerInfo{{Name: "w1", Alive: n%2 == 1, LastSeenMS: n * 1000,
+			TrialsPerSec: float64(n), ShardsDone: u, ShardsFailed: u,
+			Stats: &WorkerStats{TrialsDone: u, ShardsInflight: u, GoldenHits: u, GoldenMisses: u}}}
+	}
+	reg := telemetry.NewRegistry()
+	registerWorkerFamilies(reg, roster)
+
+	// scrape returns the roster call every sample of one pass came from,
+	// or an error naming the sample that disagrees.
+	scrape := func() (int64, error) {
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			return 0, err
+		}
+		var vals []int64
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				return 0, err
+			}
+			if !strings.HasPrefix(line, "resmod_fleet_worker_up{") {
+				vals = append(vals, v)
+			} else if len(vals) == 0 {
+				vals = append(vals, -v) // up: 1 for odd calls, 0 for even
+			}
+		}
+		if len(vals) != 9 {
+			return 0, fmt.Errorf("%d samples, want 9:\n%s", len(vals), buf.String())
+		}
+		n := vals[1]
+		if vals[0] != -(n % 2) {
+			return 0, fmt.Errorf("up disagrees with call %d:\n%s", n, buf.String())
+		}
+		for _, v := range vals[1:] {
+			if v != n {
+				return 0, fmt.Errorf("families read calls %d and %d:\n%s", n, v, buf.String())
+			}
+		}
+		return n, nil
+	}
+	if n, err := scrape(); err != nil || n != 1 || calls.Load() != 1 {
+		t.Fatalf("first scrape: call %d, %d roster reads, err %v; want call 1 and 1 read", n, calls.Load(), err)
+	}
+	smp := reg.Source(map[string]string{"resmod_fleet_worker_heartbeat_age_seconds": "age"})()
+	if calls.Load() != 2 || smp.Gauges["age/w1"] != 2 {
+		t.Fatalf("sampler pass: %d roster reads, age %v; want 2 and 2", calls.Load(), smp.Gauges["age/w1"])
+	}
+	if n, err := scrape(); err != nil || n != 3 || calls.Load() != 3 {
+		t.Fatalf("second scrape: call %d, %d roster reads, err %v; want call 3 and 3 reads", n, calls.Load(), err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				if _, err := scrape(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -319,23 +319,55 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 		reg.CounterFunc(c.name, c.help, telemetry.Value(c.v.Load))
 	}
 
-	perWorker := func(read func(wi WorkerInfo) float64) func(*telemetry.Emitter) {
+	registerWorkerFamilies(reg, p.Workers)
+}
+
+// registerWorkerFamilies declares the per-worker fleet families over one
+// roster snapshot per registry pass: the pass's Emitter names the scrape,
+// its first family takes the snapshot and its last drops it, so a scrape
+// copies and sorts the roster once and every family reports the same
+// instant, even while other scrapes run.  A pass that runs only some of
+// the families (the retention sampler's) reads the roster afresh.
+func registerWorkerFamilies(reg *telemetry.Registry, roster func() []WorkerInfo) {
+	var (
+		mu     sync.Mutex
+		passes = map[*telemetry.Emitter][]WorkerInfo{} // the snapshots of the passes in flight
+		nfams  int
+	)
+	family := func(emit func(e *telemetry.Emitter, wi WorkerInfo)) func(*telemetry.Emitter) {
+		i := nfams
+		nfams++
 		return func(e *telemetry.Emitter) {
-			for _, wi := range p.Workers() {
-				e.Add(read(wi), "worker", wi.Name)
+			mu.Lock()
+			ws, ok := passes[e]
+			if i == nfams-1 {
+				delete(passes, e)
+			}
+			mu.Unlock()
+			if i == 0 || !ok {
+				ws = roster()
+			}
+			if i == 0 {
+				mu.Lock()
+				passes[e] = ws
+				mu.Unlock()
+			}
+			for _, wi := range ws {
+				emit(e, wi)
 			}
 		}
+	}
+	perWorker := func(read func(wi WorkerInfo) float64) func(*telemetry.Emitter) {
+		return family(func(e *telemetry.Emitter, wi WorkerInfo) { e.Add(read(wi), "worker", wi.Name) })
 	}
 	// Self-reported families skip a worker until its first stats-bearing
 	// heartbeat.
 	selfReported := func(read func(st *WorkerStats) uint64) func(*telemetry.Emitter) {
-		return func(e *telemetry.Emitter) {
-			for _, wi := range p.Workers() {
-				if wi.Stats != nil {
-					e.Add(float64(read(wi.Stats)), "worker", wi.Name)
-				}
+		return family(func(e *telemetry.Emitter, wi WorkerInfo) {
+			if wi.Stats != nil {
+				e.Add(float64(read(wi.Stats)), "worker", wi.Name)
 			}
-		}
+		})
 	}
 	reg.GaugeFunc("resmod_fleet_worker_up", "Whether the worker's heartbeat is fresh (1) or stale (0).",
 		perWorker(func(wi WorkerInfo) float64 {

@@ -190,15 +190,17 @@ func (q *jobQueue) pop() (j *job, ok bool) {
 	}
 }
 
-// promote moves a queued job to a higher priority level, returning
-// whether it was found still queued.  Already-running (or finished)
-// jobs are left alone — preemption never touches running work.
+// promote moves a queued job to a higher priority level and records the
+// new level on the job, returning whether it was found still queued.
+// Already-running (or finished) jobs are left alone — preemption never
+// touches running work.
 func (q *jobQueue) promote(j *job, prio int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for lvl := PrioLow; lvl < prio; lvl++ {
 		if q.levels[lvl].remove(j) {
 			q.levels[prio].push(j)
+			j.setPriority(prio)
 			return true
 		}
 	}

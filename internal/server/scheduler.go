@@ -120,20 +120,46 @@ type job struct {
 	started   time.Time // when a worker picked the job up
 	elapsed   time.Duration
 	tracer    *telemetry.Tracer // per-job spans, set when the job starts
+	// doc is the job's API document, rendered once when the job turns
+	// terminal and sent as is from then on (shared with idempotency
+	// records, so nothing may write to it).  A terminal view cannot
+	// change: promotion moves only queued jobs, and a failed or canceled
+	// job is replaced in s.jobs, never mutated, so nothing ever has to
+	// invalidate these bytes.
+	doc []byte
 }
 
-// closedChan returns an already-closed channel, for jobs born terminal
-// (store-served submissions).
-func closedChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
+// storedJob builds a job born done from a stored prediction: it never
+// computes, so it has no bus, and its done channel is already closed.
+func storedJob(id, key string, req PredictionRequest, reqID, tenant string, prio int, row *exper.PredictionRow) *job {
+	j := &job{id: id, key: key, req: req, reqID: reqID, tenant: tenant, prio: prio,
+		status: StatusDone, cached: true, row: row, submitted: time.Now(),
+		done: make(chan struct{})}
+	close(j.done)
+	j.doc = marshalBody(j.viewLocked())
+	return j
 }
 
 // view snapshots the job for JSON rendering.
 func (j *job) view() Prediction {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+// body is the job's API document: the stored bytes once the job is
+// terminal, a fresh rendering while it is queued or running.
+func (j *job) body() []byte {
+	j.mu.Lock()
+	doc, v := j.doc, j.viewLocked()
+	j.mu.Unlock()
+	if doc == nil {
+		doc = marshalBody(v)
+	}
+	return doc
+}
+
+func (j *job) viewLocked() Prediction {
 	prio := ""
 	if j.prio != PrioNormal || j.req.Priority != "" {
 		prio = priorityName(j.prio)
@@ -146,7 +172,9 @@ func (j *job) view() Prediction {
 	}
 }
 
-// setPriority records a promotion (the queue already moved the job).
+// setPriority records a promotion.  The queue calls it under its lock,
+// before a worker can pop the job, so a promoted job's terminal document
+// carries the raised priority.
 func (j *job) setPriority(prio int) {
 	j.mu.Lock()
 	if prio > j.prio {
@@ -182,6 +210,7 @@ func (j *job) complete(row *exper.PredictionRow, elapsed time.Duration) {
 	j.status = StatusDone
 	j.row = row
 	j.elapsed = elapsed
+	j.doc = marshalBody(j.viewLocked())
 	j.mu.Unlock()
 	j.finish()
 }
@@ -191,6 +220,7 @@ func (j *job) fail(status string, err error, elapsed time.Duration) {
 	j.status = status
 	j.err = err.Error()
 	j.elapsed = elapsed
+	j.doc = marshalBody(j.viewLocked())
 	j.mu.Unlock()
 	j.finish()
 }

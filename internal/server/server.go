@@ -374,16 +374,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	})
 }
 
+// writeJSON renders v with marshalBody, the API's one renderer, and
+// sends it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	writeJSONRaw(w, code, marshalBody(v))
 }
 
-// marshalBody renders v exactly as writeJSON would (indented, trailing
-// newline), for paths that must both send and memoize the bytes.
+// marshalBody renders v indented, with a trailing newline, for paths that
+// must both send and keep the bytes.
 func marshalBody(v any) []byte {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -506,102 +504,128 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	key := req.key(s.cfg.Trials, s.cfg.Seed)
 	id := jobID(key)
+	reqID := r.Header.Get(requestIDHeader)
 
-	// memoize records the response under the idempotency key (successful
-	// admissions only — shed answers must stay retryable).
-	memoize := func(status int, body []byte) {
-		if idemKey == "" {
+	// s.mu guards only the s.jobs lookups and the admission decision: a
+	// joined job's document is sent after the lock is released, and the
+	// store is read before it is taken again (s.jobs is checked again on
+	// insert, so concurrent identical submissions still share one job).
+	s.mu.Lock()
+	j, live := s.jobs[id]
+	s.mu.Unlock()
+	var admitted *Prediction // a new queued job's view at admission
+	if live && !j.retryable() {
+		s.join(j, prio)
+	} else {
+		var nj *job
+		if row, ok := s.getPrediction(key); ok {
+			nj = storedJob(id, key, req, reqID, tenant, prio, row)
+		} else {
+			nj = &job{id: id, key: key, req: req, reqID: reqID, tenant: tenant, prio: prio,
+				status: StatusQueued, submitted: time.Now(), done: make(chan struct{})}
+		}
+		var refused *refusal
+		if j, admitted, refused = s.admit(nj); refused != nil {
+			w.Header().Set("Retry-After", strconv.Itoa(refused.retryAfter))
+			writeError(w, refused.code, "%s", refused.msg)
 			return
 		}
-		s.idem.record(idemRecord{Tenant: tenant, Key: idemKey, RequestHash: reqHash,
-			Request: req, Status: status, Body: body, JobID: id})
 	}
+	code, body := http.StatusOK, []byte(nil)
+	if admitted != nil {
+		code, body = http.StatusAccepted, marshalBody(*admitted)
+	} else {
+		body = j.body()
+	}
+	// Successful admissions only are recorded: shed answers must stay
+	// retryable under the same key.
+	if idemKey != "" {
+		s.idem.record(idemRecord{Tenant: tenant, Key: idemKey, RequestHash: reqHash,
+			Request: req, Status: code, Body: body, JobID: id})
+	}
+	writeJSONRaw(w, code, body)
+}
 
-	// The whole submit decision is one critical section so concurrent
-	// identical submissions cannot double-create a job.
+// join counts a submission that joins an existing job; a higher-priority
+// duplicate promotes the queued original (running work is never touched).
+func (s *Server) join(j *job, prio int) {
+	s.queue.promote(j, prio)
+	s.metrics.joined.Add(1)
+}
+
+// refusal is a shed submission's answer.
+type refusal struct {
+	code, retryAfter int
+	msg              string
+}
+
+// admit makes the submit decision, under s.mu, for a job the first
+// lookup did not find live: join one that appeared since, adopt nj when
+// it was born done from the store, or queue it.  It returns the job to
+// answer with (and, when it queued nj, nj's view at admission), or why
+// the submission was shed.
+func (s *Server) admit(nj *job) (*job, *Prediction, *refusal) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok && !j.retryable() {
-		// Joining an existing job: a higher-priority duplicate promotes
-		// the queued original (running work is never touched).
-		if s.queue.promote(j, prio) {
-			j.setPriority(prio)
-		}
-		s.metrics.joined.Add(1)
-		body := marshalBody(j.view())
-		memoize(http.StatusOK, body)
-		writeJSONRaw(w, http.StatusOK, body)
-		return
+	if j, ok := s.jobs[nj.id]; ok && !j.retryable() {
+		s.join(j, nj.prio)
+		return j, nil, nil
 	}
-	if row, ok := s.getPrediction(key); ok {
-		j := &job{id: id, key: key, req: req, reqID: r.Header.Get(requestIDHeader),
-			tenant: tenant, prio: prio,
-			status: StatusDone, cached: true, row: row, submitted: time.Now(),
-			done: closedChan()}
-		s.jobs[id] = j
+	if nj.status == StatusDone {
+		s.jobs[nj.id] = nj
 		s.metrics.cacheHits.Add(1)
-		body := marshalBody(j.view())
-		memoize(http.StatusOK, body)
-		writeJSONRaw(w, http.StatusOK, body)
-		return
+		return nj, nil, nil
 	}
 	s.metrics.cacheMisses.Add(1)
+	tm := s.metrics.tenant(nj.tenant)
 	select {
 	case <-s.quit:
 		// Draining is terminal for this process: 503 (not 429) tells
 		// well-behaved clients to try another instance, not this one.
 		tm.shedDrain.Add(1)
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.tenants.jitterSecs(5*time.Second)))
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return nil, nil, &refusal{http.StatusServiceUnavailable,
+			s.tenants.jitterSecs(5 * time.Second), "server is draining"}
 	default:
 	}
-	if !s.tenants.acquire(tenant) {
+	if !s.tenants.acquire(nj.tenant) {
 		tm.shedQuota.Add(1)
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After",
-			strconv.Itoa(s.tenants.shedRetryAfter(s.queue.depth(), s.cfg.Queue)))
-		writeError(w, http.StatusTooManyRequests,
-			"tenant %q is at its max-inflight quota; retry after the indicated delay", tenant)
-		return
+		return nil, nil, &refusal{http.StatusTooManyRequests,
+			s.tenants.shedRetryAfter(s.queue.depth(), s.cfg.Queue),
+			fmt.Sprintf("tenant %q is at its max-inflight quota; retry after the indicated delay", nj.tenant)}
 	}
 	// The job bus exists from submission (SSE clients can subscribe while
 	// the job is still queued) and forwards every event to the server-wide
 	// bus, which backs /metrics and /v1/status.
-	prog := telemetry.NewProgress()
-	prog.ForwardTo(s.progress)
-	j := &job{id: id, key: key, req: req, reqID: r.Header.Get(requestIDHeader),
-		tenant: tenant, prio: prio,
-		status: StatusQueued, submitted: time.Now(),
-		progress: prog, done: make(chan struct{})}
-	if s.queue.push(j, prio) {
-		s.jobs[id] = j
-		s.metrics.submitted.Add(1)
-		tm.admitted.Add(1)
-		tm.queued.Add(1)
-		body := marshalBody(j.view())
-		memoize(http.StatusAccepted, body)
-		writeJSONRaw(w, http.StatusAccepted, body)
-		return
+	nj.progress = telemetry.NewProgress()
+	nj.progress.ForwardTo(s.progress)
+	if !s.queue.push(nj, nj.prio) {
+		s.tenants.release(nj.tenant)
+		tm.shedQueue.Add(1)
+		s.metrics.rejected.Add(1)
+		return nil, nil, &refusal{http.StatusTooManyRequests,
+			s.tenants.shedRetryAfter(s.queue.depth(), s.cfg.Queue),
+			fmt.Sprintf("queue full (%d jobs waiting); retry after the indicated delay", s.cfg.Queue)}
 	}
-	s.tenants.release(tenant)
-	tm.shedQueue.Add(1)
-	s.metrics.rejected.Add(1)
-	w.Header().Set("Retry-After",
-		strconv.Itoa(s.tenants.shedRetryAfter(s.queue.depth(), s.cfg.Queue)))
-	writeError(w, http.StatusTooManyRequests,
-		"queue full (%d jobs waiting); retry after the indicated delay", s.cfg.Queue)
+	s.jobs[nj.id] = nj
+	s.metrics.submitted.Add(1)
+	tm.admitted.Add(1)
+	tm.queued.Add(1)
+	v := nj.view()
+	return nj, &v, nil
 }
 
 // materializeReplayed rebuilds the jobs-map entry behind a replayed
 // response when the process restarted since the original admission: if
 // the prediction finished and persisted, GET /v1/predictions/{id} works
-// again immediately.  Nothing to do when the job is still known.
+// again immediately.  Nothing to do when the job is still known.  The
+// store is read outside s.mu, like on the submit path.
 func (s *Server) materializeReplayed(rec idemRecord) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[rec.JobID]; ok {
+	_, known := s.jobs[rec.JobID]
+	s.mu.Unlock()
+	if known {
 		return
 	}
 	key := rec.Request.key(s.cfg.Trials, s.cfg.Seed)
@@ -609,41 +633,46 @@ func (s *Server) materializeReplayed(rec idemRecord) {
 	if !ok {
 		return
 	}
-	s.jobs[rec.JobID] = &job{id: rec.JobID, key: key, req: rec.Request,
-		tenant: rec.Tenant, prio: PrioNormal,
-		status: StatusDone, cached: true, row: row, submitted: time.Now(),
-		done: closedChan()}
+	j := storedJob(rec.JobID, key, rec.Request, "", rec.Tenant, PrioNormal, row)
+	s.mu.Lock()
+	if _, known := s.jobs[rec.JobID]; !known {
+		s.jobs[rec.JobID] = j
+	}
+	s.mu.Unlock()
+}
+
+// pathJob returns the job the request path names, answering 404 (and
+// returning nil) when there is none.
+func (s *Server) pathJob(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		writeError(w, http.StatusNotFound, "no prediction %q", id)
+	}
+	return j
 }
 
 // handleGet is GET /v1/predictions/{id}.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no prediction %q", id)
-		return
+	if j := s.pathJob(w, r); j != nil {
+		writeJSONRaw(w, http.StatusOK, j.body())
 	}
-	writeJSON(w, http.StatusOK, j.view())
 }
 
 // handleTrace is GET /v1/predictions/{id}/trace: the job's recorded
 // spans as Chrome trace-event JSON (load in chrome://tracing or
 // Perfetto).  A running job returns the spans finished so far.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no prediction %q", id)
+	j := s.pathJob(w, r)
+	if j == nil {
 		return
 	}
 	tr := j.traceTracer()
 	if tr == nil {
 		writeError(w, http.StatusNotFound,
-			"no trace for prediction %q (cache-served or not started)", id)
+			"no trace for prediction %q (cache-served or not started)", j.id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -25,12 +25,8 @@ import (
 // or fails the job — the subscription is read-only and drops its oldest
 // buffered events if the client stalls.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no prediction %q", id)
+	j := s.pathJob(w, r)
+	if j == nil {
 		return
 	}
 	// A store-served job has no bus; its nil subscription yields a nil
