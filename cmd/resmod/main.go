@@ -47,14 +47,11 @@ import (
 	"resmod/internal/exper"
 
 	_ "resmod/internal/apps/cg"
-	_ "resmod/internal/apps/cg2d"
-	_ "resmod/internal/apps/ep"
 	_ "resmod/internal/apps/ft"
 	_ "resmod/internal/apps/lu"
 	_ "resmod/internal/apps/mg"
 	_ "resmod/internal/apps/minife"
 	_ "resmod/internal/apps/pennant"
-	_ "resmod/internal/apps/sp"
 )
 
 func main() {

@@ -14,9 +14,9 @@
 //   - an in-process deterministic message-passing runtime (internal/simmpi)
 //     standing in for MPI, with ranks as goroutines;
 //   - the benchmark applications (internal/apps/...): the paper's six —
-//     NPB CG, FT, MG and LU plus the MiniFE and PENNANT proxy apps — and
-//     the EP, CG2D and SP extensions, rebuilt at laptop scale with their
-//     original communication structure;
+//     NPB CG, FT, MG and LU plus the MiniFE and PENNANT proxy apps —
+//     rebuilt at laptop scale with their original communication
+//     structure (RegisterApp adds your own);
 //   - the fault-injection campaign machinery (internal/faultsim);
 //   - the paper's prediction model (internal/core); and
 //   - the evaluation drivers regenerating every table and figure

@@ -185,21 +185,3 @@ func HaloExchange1D(comm *simmpi.Comm, tag int, sendLo, sendHi, ghostLo, ghostHi
 	}
 	return lo, hi
 }
-
-// Exchange is the staging of a run's alltoall transposes, made once: Send[r]
-// is the block packed for rank r, Recv[r] the block received from it.
-type Exchange struct {
-	Send, Recv [][]float64
-}
-
-// NewExchange returns the staging for p ranks and blocks of n floats, all
-// carved from one array.
-func NewExchange(p, n int) Exchange {
-	flat := make([]float64, 2*p*n)
-	xp := Exchange{Send: make([][]float64, p), Recv: make([][]float64, p)}
-	for r := 0; r < p; r++ {
-		xp.Send[r] = flat[r*n : (r+1)*n]
-		xp.Recv[r] = flat[(p+r)*n : (p+r+1)*n]
-	}
-	return xp
-}

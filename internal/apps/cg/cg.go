@@ -67,88 +67,45 @@ type csr struct {
 	vals         []float64
 }
 
-// Order returns the matrix order of a problem class.
-func Order(class string) (int, bool) {
-	p, ok := classes[class]
-	if !ok {
-		return 0, false
-	}
-	return p.n, true
-}
-
-// BlockCSR deterministically generates the sparse SPD matrix of the given
-// class and returns the CSR of rows [rowLo, rowHi) restricted to columns
-// [colLo, colHi), with column indices kept global.  The 2-D decomposed
-// variant (package cg2d) builds its blocks through this.  The slices are
-// the cache's own: read-only.
-func BlockCSR(class string, rowLo, rowHi, colLo, colHi int) (rowPtr, colIdx []int, vals []float64, ok bool) {
-	p, found := classes[class]
-	if !found {
-		return nil, nil, nil, false
-	}
-	m := buildBlock(p, rowLo, rowHi, colLo, colHi)
-	return m.rowPtr, m.colIdx, m.vals, true
-}
-
-// blockKey names one block of one class's matrix.
+// blockKey names one row block of one class's matrix.
 type blockKey struct {
-	seed                       uint64
-	rowLo, rowHi, colLo, colHi int
+	seed         uint64
+	rowLo, rowHi int
 }
 
-// blocks caches every matrix block a run has asked for, the full matrix
+// blocks caches every row block a run has asked for, the full matrix
 // among them.  Generation and extraction are fault-free setup (like NPB's
 // makea), deterministic, and the same for every run of a (class, scale,
 // rank), so the thousands of runs of a campaign share one copy — which
 // makes a cached block read-only (see package apps).
 var blocks sync.Map // blockKey -> *csr
 
-// buildMatrix returns the CSR slice for rows [lo, hi) over all columns.
+// buildMatrix returns the cached CSR of rows [lo, hi), cut from the full
+// matrix on first use.
 func buildMatrix(p params, lo, hi int) *csr {
-	return buildBlock(p, lo, hi, 0, p.n)
-}
-
-// buildBlock returns the cached CSR of rows [rowLo, rowHi) restricted to
-// columns [colLo, colHi), cut from the full matrix on first use.
-func buildBlock(p params, lo, hi, colLo, colHi int) *csr {
-	key := blockKey{p.seed, lo, hi, colLo, colHi}
+	key := blockKey{p.seed, lo, hi}
 	if m, ok := blocks.Load(key); ok {
 		return m.(*csr)
 	}
 	var m *csr
-	if lo == 0 && hi == p.n && colLo == 0 && colHi == p.n {
+	if lo == 0 && hi == p.n {
 		m = generate(p)
 	} else {
-		m = cutBlock(buildBlock(p, 0, p.n, 0, p.n), lo, hi, colLo, colHi)
+		m = cutBlock(buildMatrix(p, 0, p.n), lo, hi)
 	}
 	cached, _ := blocks.LoadOrStore(key, m)
 	return cached.(*csr)
 }
 
-// cutBlock extracts a block of the full matrix.  A block over all columns
-// is a run of full's arrays and shares them, so a new rank count costs a
-// row-pointer array, not a copy of the matrix; only a column-restricted
-// block (cg2d's) holds copies.
-func cutBlock(full *csr, lo, hi, colLo, colHi int) *csr {
-	m := &csr{rowLo: lo, rowHi: hi, rowPtr: make([]int, hi-lo+1)}
-	if colLo == 0 && colHi == full.rowHi {
-		first, end := full.rowPtr[lo], full.rowPtr[hi]
-		m.colIdx, m.vals = full.colIdx[first:end:end], full.vals[first:end:end]
-		for i := range m.rowPtr {
-			m.rowPtr[i] = full.rowPtr[lo+i] - first
-		}
-		return m
-	}
-	for i := lo; i < hi; i++ {
-		for k := full.rowPtr[i]; k < full.rowPtr[i+1]; k++ {
-			j := full.colIdx[k]
-			if j < colLo || j >= colHi {
-				continue
-			}
-			m.colIdx = append(m.colIdx, j)
-			m.vals = append(m.vals, full.vals[k])
-		}
-		m.rowPtr[i-lo+1] = len(m.colIdx)
+// cutBlock extracts rows [lo, hi) of the full matrix.  They are a run of
+// full's arrays and share them, so a new rank count costs a row-pointer
+// array, not a copy of the matrix.
+func cutBlock(full *csr, lo, hi int) *csr {
+	first, end := full.rowPtr[lo], full.rowPtr[hi]
+	m := &csr{rowLo: lo, rowHi: hi, rowPtr: make([]int, hi-lo+1),
+		colIdx: full.colIdx[first:end:end], vals: full.vals[first:end:end]}
+	for i := range m.rowPtr {
+		m.rowPtr[i] = full.rowPtr[lo+i] - first
 	}
 	return m
 }
@@ -158,8 +115,6 @@ func cutBlock(full *csr, lo, hi, colLo, colHi int) *csr {
 // NPB's makea it is setup code, outside the main computation loop that
 // fault injection targets.
 func generate(p params) *csr {
-	lo, hi := 0, p.n
-	colLo, colHi := 0, p.n
 	rng := stats.NewRNG(p.seed)
 	entries := make([]map[int]float64, p.n)
 	for i := range entries {
@@ -194,18 +149,13 @@ func generate(p params) *csr {
 		}
 		entries[i][i] = sum + p.shift
 	}
-	m := &csr{rowLo: lo, rowHi: hi, rowPtr: make([]int, hi-lo+1)}
-	for i := lo; i < hi; i++ {
-		row := entries[i]
-		cols := sortedCols(row)
-		for _, j := range cols {
-			if j < colLo || j >= colHi {
-				continue
-			}
+	m := &csr{rowLo: 0, rowHi: p.n, rowPtr: make([]int, p.n+1)}
+	for i, row := range entries {
+		for _, j := range sortedCols(row) {
 			m.colIdx = append(m.colIdx, j)
 			m.vals = append(m.vals, row[j])
 		}
-		m.rowPtr[i-lo+1] = len(m.colIdx)
+		m.rowPtr[i+1] = len(m.colIdx)
 	}
 	return m
 }

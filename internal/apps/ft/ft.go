@@ -238,11 +238,11 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	}
 
 	serial := p == 1
-	spec := spatial      // spectral data: in place in a serial run
-	var xp apps.Exchange // the transposes' staging (parallel runs only)
+	spec := spatial // spectral data: in place in a serial run
+	var xp exchange // the transposes' staging (parallel runs only)
 	if !serial {
 		spec = field{re: make([]float64, nxLoc*ny*nz), im: make([]float64, nxLoc*ny*nz)}
-		xp = apps.NewExchange(p, nzLoc*ny*nxLoc*2)
+		xp = newExchange(p, nzLoc*ny*nxLoc*2)
 	}
 
 	// Evolution exponents: kbar^2 summed over the three dimensions,
@@ -366,7 +366,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 // and y direction FFTs are local to that layout; a serial run then does the
 // z-direction FFTs strided in place (spec is spatial), a parallel one
 // transposes to the x-distributed layout and does them there.
-func forward(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, spatial, spec field, zlo, zhi, xlo, xhi int) {
+func forward(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp exchange, spatial, spec field, zlo, zhi, xlo, xhi int) {
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	twX, twY, twZ := twiddlesFor(nx), twiddlesFor(ny), twiddlesFor(nz)
 	for z := 0; z < zhi-zlo; z++ {
@@ -428,10 +428,28 @@ func stage(fc *fpe.Ctx, name string, blocks [][]float64) {
 	end()
 }
 
+// exchange is the staging of a run's alltoall transposes, made once: send[r]
+// is the block packed for rank r, recv[r] the block received from it.
+type exchange struct {
+	send, recv [][]float64
+}
+
+// newExchange returns the staging for p ranks and blocks of n floats, all
+// carved from one array.
+func newExchange(p, n int) exchange {
+	flat := make([]float64, 2*p*n)
+	xp := exchange{send: make([][]float64, p), recv: make([][]float64, p)}
+	for r := 0; r < p; r++ {
+		xp.send[r] = flat[r*n : (r+1)*n]
+		xp.recv[r] = flat[(p+r)*n : (p+r+1)*n]
+	}
+	return xp
+}
+
 // transposeZX redistributes in, in the z-distributed spatial layout
 // ((z,y,x), x contiguous), to out in the x-distributed layout ((x,y,z), z
 // contiguous).  Pack and unpack are parallel-unique computation.
-func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in, out field, zlo, zhi, xlo, xhi int) {
+func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp exchange, in, out field, zlo, zhi, xlo, xhi int) {
 	p := comm.Size()
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	nzLoc := zhi - zlo
@@ -439,7 +457,7 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 	nxb := nx / p
 
 	for d := 0; d < p; d++ {
-		buf := xp.Send[d]
+		buf := xp.send[d]
 		k := 0
 		for z := 0; z < nzLoc; z++ {
 			for y := 0; y < ny; y++ {
@@ -451,14 +469,14 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 			}
 		}
 	}
-	stage(fc, "transpose-pack", xp.Send)
+	stage(fc, "transpose-pack", xp.send)
 
-	comm.AlltoallInto(xp.Recv, xp.Send)
+	comm.AlltoallInto(xp.recv, xp.send)
 
-	stage(fc, "transpose-unpack", xp.Recv)
+	stage(fc, "transpose-unpack", xp.recv)
 	nzb := nz / p
 	for s := 0; s < p; s++ {
-		buf := xp.Recv[s]
+		buf := xp.recv[s]
 		k := 0
 		for z := s * nzb; z < (s+1)*nzb; z++ {
 			for y := 0; y < ny; y++ {
@@ -474,7 +492,7 @@ func transposeZX(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 
 // transposeXZ is the inverse redistribution: x-distributed back to
 // z-distributed.
-func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in, out field, zlo, zhi, xlo, xhi int) {
+func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp exchange, in, out field, zlo, zhi, xlo, xhi int) {
 	p := comm.Size()
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	nzLoc := zhi - zlo
@@ -482,7 +500,7 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 	nzb := nz / p
 
 	for d := 0; d < p; d++ {
-		buf := xp.Send[d]
+		buf := xp.send[d]
 		k := 0
 		for z := d * nzb; z < (d+1)*nzb; z++ {
 			for y := 0; y < ny; y++ {
@@ -494,14 +512,14 @@ func transposeXZ(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp apps.Exchange, in
 			}
 		}
 	}
-	stage(fc, "transpose-pack", xp.Send)
+	stage(fc, "transpose-pack", xp.send)
 
-	comm.AlltoallInto(xp.Recv, xp.Send)
+	comm.AlltoallInto(xp.recv, xp.send)
 
-	stage(fc, "transpose-unpack", xp.Recv)
+	stage(fc, "transpose-unpack", xp.recv)
 	nxb := nx / p
 	for s := 0; s < p; s++ {
-		buf := xp.Recv[s]
+		buf := xp.recv[s]
 		k := 0
 		for z := 0; z < nzLoc; z++ {
 			for y := 0; y < ny; y++ {

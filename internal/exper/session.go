@@ -380,8 +380,8 @@ func (s *Session) runCampaign(ctx context.Context, key string, c faultsim.Campai
 }
 
 // PaperBenchmarks are the six applications the paper evaluates, in its
-// presentation order.  Experiments default to them; extension benchmarks
-// (e.g. EP) participate only when named explicitly.
+// presentation order.  Experiments default to them; an application added
+// with RegisterApp participates only when named explicitly.
 var PaperBenchmarks = []string{"CG", "FT", "MG", "LU", "MiniFE", "PENNANT"}
 
 // resolveApps maps names to registered apps (the paper's six when empty).

@@ -71,19 +71,20 @@ func TestResumeMatchesFromZero(t *testing.T) {
 // TestResumeTableBudget: a table holds evenly spaced boundaries within its
 // byte budget and never the last one; an app without steps gets none.
 func TestResumeTableBudget(t *testing.T) {
-	for _, name := range []string{"CG", "FT", "MG", "LU", "MiniFE", "PENNANT", "EP"} {
+	golden, err := ComputeGolden(allocApp{}, "S", 4, apps.DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab := newPrefixTable(golden); tab != nil || golden.StepCounts != nil {
+		t.Fatalf("%s has no steps but step counts %v and a table %v", allocApp{}.Name(), golden.StepCounts, tab)
+	}
+	for _, name := range []string{"CG", "FT", "MG", "LU", "MiniFE", "PENNANT"} {
 		app := lookup(t, name)
 		golden, err := ComputeGolden(app, "", 4, apps.DefaultTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tab := newPrefixTable(golden)
-		if name == "EP" {
-			if tab != nil || golden.StepCounts != nil {
-				t.Fatalf("EP has no steps but a table of %v", tab.steps)
-			}
-			continue
-		}
 		last := len(golden.StepCounts[0]) - 1
 		t.Logf("%s: %d boundaries of %d B, holds %v", name, last, golden.carryBytes, tab.steps)
 		if n := len(tab.steps); n*golden.carryBytes > prefixTableBytes || tab.steps[n-1] >= last {

@@ -10,14 +10,11 @@ import (
 
 	"resmod/internal/apps"
 	_ "resmod/internal/apps/cg"
-	_ "resmod/internal/apps/cg2d"
-	_ "resmod/internal/apps/ep"
 	_ "resmod/internal/apps/ft"
 	_ "resmod/internal/apps/lu"
 	_ "resmod/internal/apps/mg"
 	_ "resmod/internal/apps/minife"
 	_ "resmod/internal/apps/pennant"
-	_ "resmod/internal/apps/sp"
 	"resmod/internal/exper"
 	"resmod/internal/fpe"
 	"resmod/internal/race"
@@ -134,10 +131,6 @@ func TestWindowOracleClean(t *testing.T) {
 		for _, p := range oracleScales(app) {
 			what := fmt.Sprintf("%s p=%d clean", app.Name(), p)
 			off := execute(app, p, nil, false)
-			var bad *apps.ErrBadProcs
-			if errors.As(off.Err, &bad) {
-				continue // CG2D runs on square grids only
-			}
 			if off.Err != nil {
 				t.Fatalf("%s: %v", what, off.Err)
 			}
@@ -215,7 +208,7 @@ func oraclePlans(golden apps.ExecResult, p, n int) []map[int][]fpe.Injection {
 }
 
 // TestWindowCoverage reports the share of each app's injectable ops that a
-// clean serial run books by the window, and holds every paper app at 95 %:
+// clean serial run books by the window, and holds every app at 95 %:
 // the ops left on the per-op path are the ones that pay the countdown.
 func TestWindowCoverage(t *testing.T) {
 	for _, app := range apps.All() {
@@ -226,10 +219,8 @@ func TestWindowCoverage(t *testing.T) {
 		c := res.Ctxs[0]
 		share := float64(c.Tallied()) / float64(c.Counts().Total())
 		t.Logf("%-8s p=1: %5.1f %% of %d ops windowed", app.Name(), 100*share, c.Counts().Total())
-		for _, name := range exper.PaperBenchmarks {
-			if name == app.Name() && share < 0.95 {
-				t.Errorf("%s: %.1f %% of a clean serial run's ops windowed, want >= 95 %%", name, 100*share)
-			}
+		if share < 0.95 {
+			t.Errorf("%s: %.1f %% of a clean serial run's ops windowed, want >= 95 %%", app.Name(), 100*share)
 		}
 	}
 }

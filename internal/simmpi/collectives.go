@@ -23,17 +23,13 @@ type arrival struct {
 	// filled with new blocks instead of being copied into.
 	ins, outs [][]float64
 	alloc     bool
-	// sub and members are Split's result: the new communicator's
-	// rendezvous and its ranks in this one, by new rank.
-	sub     *rendezvous
-	members []int
 }
 
 func (a *arrival) String() string {
 	return fmt.Sprintf("%s(op %v, root %d, %d values)", a.kind, a.op, a.root, a.n)
 }
 
-// rendezvous is where the ranks of one communicator meet for a collective:
+// rendezvous is where the world's ranks meet for a collective:
 // each publishes its arrival in its own slot and parks on its own channel;
 // the last to arrive moves all the data, between the published buffers, and
 // sends every other rank the token that releases it.  A slot is written by
@@ -44,13 +40,12 @@ func (a *arrival) String() string {
 // p = 1024, where every park and wake contends for its one runtime lock.
 type rendezvous struct {
 	mu      sync.Mutex
-	slots   []arrival       // by communicator rank
+	slots   []arrival       // by rank
 	parked  []chan struct{} // by rank: holds a token only while its rank is due to wake
 	arrived int             // ranks parked in the current collective
 	first   int             // the first of them, which the others must match
 	gen     uint64          // collectives met for and completed
 	floats  uint64          // values they moved between ranks
-	subs    []*rendezvous   // of the communicators Split off this one
 }
 
 func newRendezvous(size int) *rendezvous {
@@ -61,9 +56,8 @@ func newRendezvous(size int) *rendezvous {
 	return r
 }
 
-// wake releases the ranks parked here and at every rendezvous split off
-// this one to look at the world's failure.  Under the lock no collective is
-// half done, a Split that makes more included, and no rank is about to be
+// wake releases the ranks parked here to look at the world's failure.
+// Under the lock no collective is half done and no rank is about to be
 // counted in.  The tokens left over make the rendezvous unfit for another
 // run.
 func (r *rendezvous) wake() {
@@ -75,30 +69,24 @@ func (r *rendezvous) wake() {
 		default:
 		}
 	}
-	for _, s := range r.subs {
-		s.wake()
-	}
 }
 
-// drain adds to st what passed through r and the rendezvous split off it,
-// and forgets the run.
+// drain adds to st what passed through r and forgets the run.
 func (r *rendezvous) drain(st *Stats) {
 	st.Messages += r.gen * uint64(len(r.slots))
 	st.Floats += r.floats
-	for _, s := range r.subs {
-		s.drain(st)
-	}
 	clear(r.slots) // and with them the last collective's buffers
-	r.gen, r.floats, r.subs = 0, 0, nil
+	r.gen, r.floats = 0, 0
 }
 
 // meet enters the collective a describes and returns, with the rank's out,
-// once every rank of the communicator has entered it and the data has
-// moved.  An arrival that differs from the collective the others are in
-// panics; a one-rank communicator meets nobody and takes no lock.
+// once every rank has entered it and the data has moved.  An arrival that
+// differs from the collective the others are in panics; a one-rank world
+// meets nobody and takes no lock.
 func (c *Comm) meet(a arrival) []float64 {
 	c.checkPeer(a.root, a.kind)
-	r, me := c.rv, &c.rv.slots[c.rank]
+	r := c.w.root
+	me := &r.slots[c.rank]
 	*me = a
 	switch {
 	case c.size == 1:
@@ -120,7 +108,7 @@ func (c *Comm) meet(a arrival) []float64 {
 // arrive counts the rank in and reports whether it was the last to arrive,
 // having then done the collective's work.
 func (c *Comm) arrive(me *arrival) (last bool) {
-	r := c.rv
+	r := c.w.root
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c.checkAbort()
@@ -182,24 +170,6 @@ func (r *rendezvous) complete() {
 		for i := range s {
 			copy(s[root].out[i*n:(i+1)*n], s[i].in)
 		}
-	case "Split":
-		// Ranks in (color, key, rank) order: every run of one color is a
-		// new communicator's members, by new rank.
-		order := make([]int, p)
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(s[a].in, s[b].in) })
-		for lo, hi := 0, 0; lo < p; lo = hi {
-			for hi < p && s[order[hi]].in[0] == s[order[lo]].in[0] {
-				hi++
-			}
-			sub := newRendezvous(hi - lo)
-			r.subs = append(r.subs, sub)
-			for _, i := range order[lo:hi] {
-				s[i].sub, s[i].members = sub, order[lo:hi]
-			}
-		}
 	case "Alltoall":
 		for d := range s {
 			for i := range s {
@@ -225,9 +195,8 @@ func (r *rendezvous) complete() {
 	r.floats += uint64(moved + (p-1)*n)
 }
 
-// Every collective blocks until all ranks of the communicator have entered
-// it — the rooted ones too, which MPI permits and a correct program does
-// not notice.
+// Every collective blocks until all ranks have entered it — the rooted
+// ones too, which MPI permits and a correct program does not notice.
 
 // Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() { c.meet(arrival{kind: "Barrier"}) }

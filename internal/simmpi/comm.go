@@ -2,29 +2,20 @@ package simmpi
 
 import "fmt"
 
-// Comm is a rank's handle on a communicator — the analog of an MPI
-// communicator handle.  The root communicator spans the world
-// (MPI_COMM_WORLD); Split derives sub-communicators that renumber ranks,
-// isolate their point-to-point traffic in a private tag space and meet for
-// collectives at a rendezvous of their own.  A Comm is owned by its rank
-// goroutine and must not be shared between goroutines.
+// Comm is a rank's handle on the world communicator — the analog of
+// MPI_COMM_WORLD.  A Comm is owned by its rank goroutine and must not be
+// shared between goroutines.
 type Comm struct {
 	w    *world
 	rank int
 	size int
-	rv   *rendezvous // shared by the communicator's ranks
-	cell [1]float64  // AllreduceValue's scalar
-
-	// Sub-communicator state (nil/zero on the root communicator).
-	parent   *Comm
-	members  []int // world... parent ranks of this group, by new rank
-	tagShift int
+	cell [1]float64 // AllreduceValue's scalar
 }
 
-// Rank returns this rank's id in [0, Size) within this communicator.
+// Rank returns this rank's id in [0, Size).
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks in this communicator.
+// Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.size }
 
 // checkPeer panics (via the world abort path) on an invalid peer rank;
@@ -42,12 +33,6 @@ func (c *Comm) checkAbort() {
 	}
 }
 
-// worldRank returns this rank's id in the world communicator.
-func (c *Comm) worldRank() int {
-	r, _ := c.translate(c.rank, 0)
-	return r
-}
-
 // Send delivers a copy of data to dst with the given tag.  It blocks only
 // while pairCap of this rank's messages sit unreceived at dst
 // (backpressure).  Sending to oneself is allowed (buffered).  The copy is
@@ -56,11 +41,9 @@ func (c *Comm) worldRank() int {
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.checkPeer(dst, "Send")
 	c.checkAbort()
-	wdst, wtag := c.translate(dst, tag)
-	src := c.worldRank()
-	in := &c.w.inboxes[wdst]
+	in := &c.w.inboxes[dst]
 	in.mu.Lock()
-	for in.full(src) {
+	for in.full(c.rank) {
 		if c.w.err() != nil {
 			in.mu.Unlock()
 			panic(abortPanic{})
@@ -71,10 +54,10 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	}
 	cp := in.grab(len(data))
 	copy(cp, data)
-	in.q = append(in.q, message{src: src, tag: wtag, data: cp})
+	in.q = append(in.q, message{src: c.rank, tag: tag, data: cp})
 	in.msgs++
 	in.floats += uint64(len(cp))
-	if in.parked && in.wantSrc == src && in.wantTag == wtag {
+	if in.parked && in.wantSrc == c.rank && in.wantTag == tag {
 		in.arrive.Signal()
 	}
 	in.mu.Unlock()
@@ -84,14 +67,13 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 // this rank's inbox, removes it, and returns its payload with the inbox
 // still locked: the caller unlocks once it has dealt with the payload.
 func (c *Comm) await(src, tag int) (*inbox, []float64) {
-	wsrc, wtag := c.translate(src, tag)
-	in := &c.w.inboxes[c.worldRank()]
+	in := &c.w.inboxes[c.rank]
 	in.mu.Lock()
 	// seen counts the queued messages already found not to match; only
 	// this goroutine removes, so they stay the first seen of the queue.
 	for seen := 0; ; {
 		for ; seen < len(in.q); seen++ {
-			if m := in.q[seen]; m.src == wsrc && m.tag == wtag {
+			if m := in.q[seen]; m.src == src && m.tag == tag {
 				in.take(seen)
 				if in.blocked > 0 {
 					in.room.Broadcast()
@@ -103,7 +85,7 @@ func (c *Comm) await(src, tag int) (*inbox, []float64) {
 			in.mu.Unlock()
 			panic(abortPanic{})
 		}
-		in.parked, in.wantSrc, in.wantTag = true, wsrc, wtag
+		in.parked, in.wantSrc, in.wantTag = true, src, tag
 		in.arrive.Wait()
 		in.parked = false
 	}
@@ -111,9 +93,8 @@ func (c *Comm) await(src, tag int) (*inbox, []float64) {
 
 // Recv blocks until a message with the given tag arrives from src and
 // returns its payload, which is the caller's to keep.  Other messages stay
-// queued in the rank's inbox, available to later receives (including on
-// other communicators of this rank, which share it: their tag spaces are
-// disjoint), so order is preserved per (source, tag).
+// queued in the rank's inbox, available to later receives, so order is
+// preserved per (source, tag).
 func (c *Comm) Recv(src, tag int) []float64 {
 	c.checkPeer(src, "Recv")
 	in, data := c.await(src, tag)

@@ -97,22 +97,15 @@ func checkFolds(t *testing.T, what string, c *Comm, ranks []int) {
 	}
 }
 
-// TestFoldOrderOracle pins every reduction's bits to the binomial fold, on
-// the world and on the two halves of a Split that reverses the rank order.
+// TestFoldOrderOracle pins every reduction's bits to the binomial fold.
 func TestFoldOrderOracle(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 7, 8, 17, 33, 64, 100} {
 		world := make([]int, p)
-		var halves [2][]int
 		for r := range world {
 			world[r] = r
 		}
-		for r := p - 1; r >= 0; r-- {
-			halves[r%2] = append(halves[r%2], r)
-		}
 		runOrFatal(t, p, func(c *Comm) error {
 			checkFolds(t, "world", c, world)
-			sub := c.Split(c.Rank()%2, -c.Rank())
-			checkFolds(t, "half", sub, halves[c.Rank()%2])
 			return nil
 		})
 	}

@@ -10,14 +10,11 @@ import (
 
 	"resmod/internal/apps"
 	_ "resmod/internal/apps/cg"
-	_ "resmod/internal/apps/cg2d"
-	_ "resmod/internal/apps/ep"
 	_ "resmod/internal/apps/ft"
 	_ "resmod/internal/apps/lu"
 	_ "resmod/internal/apps/mg"
 	_ "resmod/internal/apps/minife"
 	_ "resmod/internal/apps/pennant"
-	_ "resmod/internal/apps/sp"
 	"resmod/internal/fpe"
 	"resmod/internal/simmpi"
 )
@@ -106,8 +103,7 @@ func TestPoisonedReuseIsInvisible(t *testing.T) {
 }
 
 // dyingApp is CG until, a few collectives in, rank 1 panics — or stalls,
-// for the watchdog to find — while the other ranks sit in an allreduce: its
-// own half of a Split in the half's, the other half in the world's.
+// for the watchdog to find — while the other ranks sit in an allreduce.
 type dyingApp struct {
 	apps.App
 	stall bool
@@ -120,14 +116,12 @@ func (a dyingApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOu
 		comm.AllgatherInto(full, seg)
 		seg[0] = comm.AllreduceValue(simmpi.OpSum, 1)
 	}
-	half := comm.Split(comm.Rank()%2, 0)
 	if comm.Rank() == 1 {
 		if !a.stall {
 			panic("rank 1 dies")
 		}
 		comm.Recv(0, 99) // never sent
 	}
-	half.AllreduceValue(simmpi.OpSum, 1)
 	comm.AllreduceValue(simmpi.OpSum, 1)
 	return a.App.Run(fc, comm, class)
 }

@@ -111,7 +111,7 @@ func TestRecvIntoWrongLengthPanics(t *testing.T) {
 
 // ownFree returns a copy of the calling rank's free list.
 func ownFree(c *Comm) [][]float64 {
-	in := &c.w.inboxes[c.worldRank()]
+	in := &c.w.inboxes[c.rank]
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return append([][]float64(nil), in.free...)

@@ -25,34 +25,29 @@ var collectiveCalls = []struct {
 	{"Allgather", func(cc *Comm) { cc.Allgather([]float64{1, 2}) }},
 	{"Scatter", func(cc *Comm) { cc.Scatter(0, make([]float64, 2*cc.Size())) }},
 	{"Alltoall", func(cc *Comm) { cc.Alltoall(make([][]float64, cc.Size())) }},
-	{"Split", func(cc *Comm) { cc.Split(0, 0) }},
 }
 
-// meetProgram runs every collective on the world and on a Split half of it
-// and leaves what each rank got in res.
+// meetProgram runs every collective and leaves what each rank got in res.
 func meetProgram(res [][]float64) func(c *Comm) error {
 	return func(c *Comm) error {
 		me := float64(c.Rank())
-		var out []float64
-		for _, cc := range []*Comm{c, c.Split(c.Rank()%2, -c.Rank())} {
-			v := []float64{1 / (me + 3), me}
-			out = append(out, float64(cc.Rank()), cc.AllreduceValue(OpSum, v[0]))
-			out = append(out, cc.Allreduce(OpMax, v)...)
-			out = append(out, cc.Bcast(cc.Size()-1, v)...)
-			out = append(out, cc.Reduce(0, OpSum, v)...)
-			out = append(out, cc.Gather(0, v)...)
-			all := cc.Allgather(v)
-			out = append(out, all...)
-			out = append(out, cc.Scatter(0, all)...)
-			send := make([][]float64, cc.Size())
-			for r := range send {
-				send[r] = []float64{me, float64(r)}
-			}
-			for _, blk := range cc.Alltoall(send) {
-				out = append(out, blk...)
-			}
-			cc.Barrier()
+		v := []float64{1 / (me + 3), me}
+		out := []float64{c.AllreduceValue(OpSum, v[0])}
+		out = append(out, c.Allreduce(OpMax, v)...)
+		out = append(out, c.Bcast(c.Size()-1, v)...)
+		out = append(out, c.Reduce(0, OpSum, v)...)
+		out = append(out, c.Gather(0, v)...)
+		all := c.Allgather(v)
+		out = append(out, all...)
+		out = append(out, c.Scatter(0, all)...)
+		send := make([][]float64, c.Size())
+		for r := range send {
+			send[r] = []float64{me, float64(r)}
 		}
+		for _, blk := range c.Alltoall(send) {
+			out = append(out, blk...)
+		}
+		c.Barrier()
 		res[c.Rank()] = out
 		return nil
 	}
@@ -75,10 +70,9 @@ func awaitArrived(r *rendezvous, n int) bool {
 
 // TestFaultsAtTheMeetingPoint: whatever ends a world — a rank's panic or
 // error, the watchdog, the caller's context — while the other ranks are
-// parked in a collective, on the world communicator or on a Split half
-// (whose other half then waits on the world's), releases them all with the
-// error that failure always had, and leaves the engine fit for a run that
-// equals a fresh world's in every bit and count.
+// parked in a collective releases them all with the error that failure
+// always had, and leaves the engine fit for a run that equals a fresh
+// world's in every bit and count.
 func TestFaultsAtTheMeetingPoint(t *testing.T) {
 	const p, victim = 6, 1
 	errBoom := errors.New("boom")
@@ -117,52 +111,41 @@ func TestFaultsAtTheMeetingPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, col := range collectiveCalls {
-			for _, onSub := range []bool{false, true} {
-				what := fmt.Sprintf("%s during %s (sub-communicator: %v)", mode.name, col.name, onSub)
-				ctx, cancel := context.WithCancel(context.Background())
-				start := time.Now()
-				_, err := e.RunCtx(ctx, func(c *Comm) error {
-					cc := c
-					if onSub {
-						cc = c.Split(c.Rank()%2, c.Rank())
+			what := fmt.Sprintf("%s during %s", mode.name, col.name)
+			ctx, cancel := context.WithCancel(context.Background())
+			start := time.Now()
+			_, err := e.RunCtx(ctx, func(c *Comm) error {
+				if c.Rank() == victim {
+					if !awaitArrived(c.w.root, p-1) {
+						t.Errorf("%s: the other ranks never parked", what)
 					}
-					switch {
-					case c.Rank() == victim:
-						if !awaitArrived(cc.rv, cc.size-1) || onSub && !awaitArrived(c.rv, p/2) {
-							t.Errorf("%s: the other ranks never parked", what)
-						}
-						return mode.fail(c, cancel)
-					case c.Rank()%2 != victim%2 && onSub:
-						col.call(cc) // the other half's, which completes
-						c.Barrier()
-					default:
-						col.call(cc)
-					}
-					return nil
-				})
-				cancel()
-				if !mode.check(err) {
-					t.Errorf("%s: err = %v", what, err)
+					return mode.fail(c, cancel)
 				}
-				if elapsed := time.Since(start); elapsed > 5*time.Second {
-					t.Errorf("%s: took %v to release the parked ranks", what, elapsed)
+				col.call(c)
+				return nil
+			})
+			cancel()
+			if !mode.check(err) {
+				t.Errorf("%s: err = %v", what, err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("%s: took %v to release the parked ranks", what, elapsed)
+			}
+			got := make([][]float64, p)
+			st, err := e.RunCtx(context.Background(), meetProgram(got))
+			if err != nil {
+				t.Fatalf("%s: the next run on the engine: %v", what, err)
+			}
+			if st != wantStats {
+				t.Errorf("%s: the next run's stats %+v, a fresh world's %+v", what, st, wantStats)
+			}
+			for r := range want {
+				if len(got[r]) != len(want[r]) {
+					t.Fatalf("%s: next run, rank %d: %d values, a fresh world's %d", what, r, len(got[r]), len(want[r]))
 				}
-				got := make([][]float64, p)
-				st, err := e.RunCtx(context.Background(), meetProgram(got))
-				if err != nil {
-					t.Fatalf("%s: the next run on the engine: %v", what, err)
-				}
-				if st != wantStats {
-					t.Errorf("%s: the next run's stats %+v, a fresh world's %+v", what, st, wantStats)
-				}
-				for r := range want {
-					if len(got[r]) != len(want[r]) {
-						t.Fatalf("%s: next run, rank %d: %d values, a fresh world's %d", what, r, len(got[r]), len(want[r]))
-					}
-					for i := range want[r] {
-						if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
-							t.Errorf("%s: next run, rank %d value %d: %g, a fresh world's %g", what, r, i, got[r][i], want[r][i])
-						}
+				for i := range want[r] {
+					if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+						t.Errorf("%s: next run, rank %d value %d: %g, a fresh world's %g", what, r, i, got[r][i], want[r][i])
 					}
 				}
 			}
@@ -193,29 +176,23 @@ func TestMismatchedArrivals(t *testing.T) {
 			[2]func(*Comm){func(c *Comm) { c.AllreduceValue(OpSum, 1) }, func(c *Comm) { c.AllreduceValue(OpMax, 1) }},
 			[]string{"Allreduce(op sum,", "Allreduce(op max,"}},
 	} {
-		for _, onSub := range []bool{false, true} {
-			start := time.Now()
-			_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
-				cc := c
-				if onSub {
-					cc = c.Split(0, -c.Rank())
-				}
-				tc.calls[c.Rank()%2](cc)
-				return nil
-			})
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("%s (sub-communicator: %v): err = %v, want a PanicError", tc.name, onSub, err)
+		start := time.Now()
+		_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
+			tc.calls[c.Rank()%2](c)
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %v, want a PanicError", tc.name, err)
+		}
+		msg := fmt.Sprint(pe.Value)
+		for _, part := range append(tc.names, "rank ", "while rank ") {
+			if !strings.Contains(msg, part) {
+				t.Errorf("%s: %q does not name %q", tc.name, msg, part)
 			}
-			msg := fmt.Sprint(pe.Value)
-			for _, part := range append(tc.names, "rank ", "while rank ") {
-				if !strings.Contains(msg, part) {
-					t.Errorf("%s (sub-communicator: %v): %q does not name %q", tc.name, onSub, msg, part)
-				}
-			}
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Errorf("%s: took %v to fail", tc.name, elapsed)
-			}
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("%s: took %v to fail", tc.name, elapsed)
 		}
 	}
 }
@@ -272,14 +249,12 @@ func TestStatsCountCollectives(t *testing.T) {
 			t.Errorf("%s: stats %+v, want %d messages and %d floats", tc.name, st, p, tc.floats)
 		}
 	}
-	// A sub-communicator's collectives count like the world's; a one-rank
-	// communicator's count nothing.
-	st := runOrFatal(t, p, func(c *Comm) error {
-		c.Split(c.Rank()%2, 0).AllreduceValue(OpSum, 1) // Split: p arrivals of 2 values
-		c.Split(c.Rank(), 0).AllreduceValue(OpSum, 1)
+	// A one-rank world meets nobody and counts nothing.
+	st := runOrFatal(t, 1, func(c *Comm) error {
+		c.AllreduceValue(OpSum, 1)
 		return nil
 	})
-	if want := (Stats{Messages: 3 * p, Floats: 2*(p-1)*2 + 2*(3-1) + 2*(2-1)}); st != want {
-		t.Errorf("Split halves and singletons: stats %+v, want %+v", st, want)
+	if st != (Stats{}) {
+		t.Errorf("one rank: stats %+v, want none", st)
 	}
 }

@@ -20,9 +20,9 @@
 //
 // Collectives (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
 // Gather, Scatter) send no messages: the ranks' memory is one address
-// space, so the ranks of a communicator meet at its rendezvous, each
-// publishing its buffers and parking, and the last to arrive moves all the
-// data and releases the others.  Every collective therefore blocks until
+// space, so the ranks meet at the world's rendezvous, each publishing its
+// buffers and parking, and the last to arrive moves all the data and
+// releases the others.  Every collective therefore blocks until
 // all ranks have entered it, the rooted ones included — MPI permits that,
 // and a correct program must not rely on the opposite.  A reduction is
 // folded in the order of the classic binomial tree, fixed and dependent on
@@ -34,7 +34,7 @@
 //
 // Fault containment: if any rank panics, returns an error, or the world's
 // watchdog expires (a hang), the whole world aborts; every rank blocked in
-// a communication call — parked on its inbox or at a rendezvous — is
+// a communication call — parked on its inbox or at the rendezvous — is
 // released.  Communication calls signal the abort
 // by panicking with an internal sentinel that Run translates back into an
 // error, so application code can be written without per-call error plumbing
@@ -97,7 +97,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("simmpi: rank %d panicked: %v", e.Rank, e.Value)
 }
 
-// message is one point-to-point payload, src and tag in world terms.
+// message is one point-to-point payload.
 type message struct {
 	src, tag int
 	data     []float64
@@ -109,7 +109,7 @@ type message struct {
 const pairCap = 256
 
 // inbox is one rank's receive queue.  Senders append under mu; only the
-// owning rank (through its root communicator or a Split child) removes.
+// owning rank removes.
 type inbox struct {
 	mu sync.Mutex
 	// q holds the unreceived messages in arrival order.
@@ -208,7 +208,7 @@ func (in *inbox) reset() {
 // world is the shared state of one simulated execution.
 type world struct {
 	inboxes []inbox     // by world rank
-	root    *rendezvous // the world communicator's
+	root    *rendezvous // where the ranks meet for collectives
 	failure atomic.Pointer[worldFailure]
 }
 
@@ -247,7 +247,7 @@ type abortPanic struct{}
 type Stats struct {
 	// Messages is the number of point-to-point messages sent, plus one
 	// for each rank's arrival at each collective that completed (on a
-	// one-rank communicator there is nobody to meet and nothing to count).
+	// one-rank world there is nobody to meet and nothing to count).
 	Messages uint64
 	// Floats is the number of float64 values those messages carried,
 	// plus every value a collective moved from one rank's buffers into
@@ -288,7 +288,7 @@ func runWorld(ctx context.Context, w *world, timeout time.Duration, fn func(c *C
 	for r := range w.inboxes {
 		go func(rank int) {
 			defer wg.Done()
-			comm := &Comm{w: w, rank: rank, size: len(w.inboxes), rv: w.root}
+			comm := &Comm{w: w, rank: rank, size: len(w.inboxes)}
 			defer func() {
 				if v := recover(); v != nil {
 					if _, isAbort := v.(abortPanic); isAbort {

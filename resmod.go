@@ -11,17 +11,13 @@ import (
 	"resmod/internal/simmpi"
 	"resmod/internal/stats"
 
-	// Register the paper's six benchmarks and the extension benchmarks
-	// (EP, CG2D, SP).
+	// Register the paper's six benchmarks.
 	_ "resmod/internal/apps/cg"
-	_ "resmod/internal/apps/cg2d"
-	_ "resmod/internal/apps/ep"
 	_ "resmod/internal/apps/ft"
 	_ "resmod/internal/apps/lu"
 	_ "resmod/internal/apps/mg"
 	_ "resmod/internal/apps/minife"
 	_ "resmod/internal/apps/pennant"
-	_ "resmod/internal/apps/sp"
 )
 
 // ---- applications ---------------------------------------------------------

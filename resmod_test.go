@@ -2,23 +2,20 @@ package resmod_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"resmod"
 )
 
+// TestFacadeLookupAndNames: the facade registers exactly the paper's six
+// applications, so an app the evaluation does not cover cannot come back
+// unnoticed.
 func TestFacadeLookupAndNames(t *testing.T) {
 	names := resmod.AppNames()
-	want := map[string]bool{"CG": true, "FT": true, "MG": true, "LU": true,
-		"MiniFE": true, "PENNANT": true}
-	found := 0
-	for _, n := range names {
-		if want[n] {
-			found++
-		}
-	}
-	if found != len(want) {
-		t.Fatalf("registered apps %v missing some of %v", names, want)
+	want := []string{"CG", "FT", "LU", "MG", "MiniFE", "PENNANT"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("registered apps %v, want exactly %v", names, want)
 	}
 	if _, err := resmod.LookupApp("nope"); err == nil {
 		t.Fatal("unknown app accepted")
