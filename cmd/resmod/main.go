@@ -21,7 +21,6 @@
 //	          -coordinator shards campaigns across registered workers
 //	worker    distributed execution node: registers with a coordinator and
 //	          executes dispatched trial-range shards
-//	loadgen   load-generation harness for a running serve instance
 //	top       live terminal dashboard for a running serve instance
 //	          (status, alerts, sparklines, fleet)
 //
@@ -93,9 +92,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 	if cmd == "serve" {
 		return doServe(ctx, args[1:], out, errw)
-	}
-	if cmd == "loadgen" {
-		return doLoadgen(ctx, args[1:], out, errw)
 	}
 	if cmd == "worker" {
 		return doWorker(ctx, args[1:], out, errw)
@@ -231,9 +227,6 @@ worker:      worker -coordinator URL -listen HOST:PORT -advertise URL
              -name NAME -campaign-workers N -heartbeat D
              -pprof-addr HOST:PORT (optional net/http/pprof listener;
              shard endpoint also serves GET /metrics)
-loadgen:     loadgen -target URL -clients N -duration D -mix predict=60,get=25,...
-             -keys KEY,... -priorities normal=80,... -retries N -out FILE
-             -fail-on-5xx (non-zero exit on any 5xx other than a drain 503)
 top:         top -target URL -interval D -once (live dashboard: status,
              alerts, series sparklines, fleet)
 flags: -trials N -seed N -apps CG,FT,... -workers N -campaign-parallel N -budget D

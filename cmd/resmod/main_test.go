@@ -87,13 +87,6 @@ func TestTraceCommand(t *testing.T) {
 	}
 }
 
-func TestStabilityCommand(t *testing.T) {
-	got := runCmd(t, "stability", "-quiet", "-trials", "16", "-app", "PENNANT", "-small", "1")
-	if !strings.Contains(got, "95% CI") {
-		t.Fatalf("stability output:\n%s", got)
-	}
-}
-
 func TestSplitApps(t *testing.T) {
 	got := splitApps(" CG , FT ,,LU ")
 	want := []string{"CG", "FT", "LU"}

@@ -31,8 +31,6 @@ var (
 		"modelablate": {App: "FT", Small: 2, Large: 4},
 		"scalesweep":  {App: "CG", Small: 2, Large: 8},
 		"ablate":      {App: "CG", Small: 2, Large: 64},
-		"advise":      {App: "CG", Small: 2, Large: 64},
-		"stability":   {App: "PENNANT", Small: 2, Large: 64},
 		"trace":       {App: "CG", Small: 4, Large: 64},
 	}
 )

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"resmod/internal/apps"
@@ -152,43 +150,5 @@ func TestTolSweepMonotoneContamination(t *testing.T) {
 	}
 	if points[0].Tol >= 0 {
 		t.Fatal("first point should be bit-exact")
-	}
-}
-
-func TestAdviseRanksTargets(t *testing.T) {
-	adv, err := Advise(cfg(t, "LU", 60), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv.BaseSDC < 0 || adv.BaseSDC > 1 {
-		t.Fatalf("base SDC = %g", adv.BaseSDC)
-	}
-	// 3 phases + add + mul slices.
-	if len(adv.Targets) != 5 {
-		t.Fatalf("%d targets", len(adv.Targets))
-	}
-	var contributionSum float64
-	for i, tg := range adv.Targets {
-		if tg.Share <= 0 || tg.Share > 1 {
-			t.Fatalf("share = %+v", tg)
-		}
-		if tg.Residual > adv.BaseSDC+1e-12 {
-			t.Fatalf("residual above base: %+v", tg)
-		}
-		if i > 0 && tg.Leverage > adv.Targets[i-1].Leverage+1e-12 {
-			t.Fatal("targets not sorted by leverage")
-		}
-		if len(tg.Name) == 0 {
-			t.Fatal("unnamed target")
-		}
-		_ = contributionSum
-	}
-	var buf bytes.Buffer
-	adv.Render(&buf)
-	if !strings.Contains(buf.String(), "leverage") {
-		t.Fatal("render missing leverage column")
-	}
-	if _, err := Advise(cfg(t, "LU", 4), 0); err == nil {
-		t.Fatal("zero phases accepted")
 	}
 }

@@ -3,9 +3,6 @@ package analysis
 import (
 	"fmt"
 	"io"
-
-	"resmod/internal/faultsim"
-	"resmod/internal/stats"
 )
 
 // Sweeps holds every sensitivity study of one configuration: the ablation
@@ -86,57 +83,5 @@ func (s *Sweeps) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  tol %-10s mean contaminated=%.2f  all-ranks fraction=%.1f%%\n",
 			label, p.MeanContaminated, 100*p.FullFraction)
-	}
-}
-
-// StabilityPoint is the fault injection result after Trials tests.
-type StabilityPoint struct {
-	Trials int
-	Rates  stats.Rates
-}
-
-// Stability checks the paper's statistical protocol: the success rate must
-// stabilize well before the full trial budget (the paper observes stability
-// after the first 1000 of 4000 tests).
-type Stability struct {
-	App    string
-	Class  string
-	Procs  int
-	Points []StabilityPoint
-}
-
-// StabilitySweep runs the configuration at an eighth, a quarter, a half and
-// the whole of cfg.Trials.
-func StabilitySweep(cfg Config) (*Stability, error) {
-	golden, err := cfg.golden()
-	if err != nil {
-		return nil, err
-	}
-	st := &Stability{App: cfg.App.Name(), Class: golden.Class, Procs: cfg.Procs}
-	for _, n := range []int{cfg.Trials / 8, cfg.Trials / 4, cfg.Trials / 2, cfg.Trials} {
-		if n < 1 {
-			continue
-		}
-		c := cfg.campaign()
-		c.Trials = n
-		sum, err := faultsim.RunAgainst(c, golden)
-		if err != nil {
-			return nil, err
-		}
-		st.Points = append(st.Points, StabilityPoint{Trials: n, Rates: sum.Rates})
-	}
-	return st, nil
-}
-
-// Render prints the convergence table.
-func (s *Stability) Render(w io.Writer) {
-	fmt.Fprintf(w, "== stability: %s/%s on %d ranks ==\n", s.App, s.Class, s.Procs)
-	fmt.Fprintf(w, "%-8s %-10s %s\n", "trials", "success", "95% CI")
-	var prev float64
-	for _, p := range s.Points {
-		lo, hi := p.Rates.SuccessInterval()
-		fmt.Fprintf(w, "%-8d %-10.1f %.1f%% - %.1f%%   (delta %.1f%%)\n",
-			p.Trials, 100*p.Rates.Success, 100*lo, 100*hi, 100*(p.Rates.Success-prev))
-		prev = p.Rates.Success
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	_ "resmod/internal/apps/cg"
 	_ "resmod/internal/apps/ft"
@@ -216,5 +217,27 @@ func TestScaleSweep(t *testing.T) {
 	}
 	if _, err := ScaleSweep(s, "PENNANT", "", 3, []int{4}); err == nil {
 		t.Fatal("non-multiple target accepted")
+	}
+}
+
+// TestOverheadPrintsSignedGrowth: a parallel run faster than the serial
+// one is a negative growth, printed with one sign — never "+-".
+func TestOverheadPrintsSignedGrowth(t *testing.T) {
+	o := &Overhead{Bench: "CG", Procs: 4, SerialOps: 1000, ParallelOps: 1200,
+		SerialTime: 4 * time.Millisecond, ParallelTime: 2 * time.Millisecond}
+	var buf bytes.Buffer
+	RenderOverhead(&buf, o)
+	MarkdownOverhead(&buf, o, "+11%", "+15%")
+	got := buf.String()
+	for _, want := range []string{
+		"4-rank ops:   1200 (+20.0%)", "4-rank time:  2ms (-50.0%)",
+		"| instruction growth | +11% | +20.0% |", "| fault-free time growth | +15% | -50.0% |",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "+-") {
+		t.Errorf("double sign in:\n%s", got)
 	}
 }

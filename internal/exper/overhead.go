@@ -52,9 +52,9 @@ func MeasureOverhead(s *Session, name, class string, procs int) (*Overhead, erro
 // RenderOverhead prints the comparison.
 func RenderOverhead(w io.Writer, o *Overhead) {
 	fmt.Fprintf(w, "serial ops:   %d\n", o.SerialOps)
-	fmt.Fprintf(w, "%d-rank ops:   %d (+%.1f%%)\n", o.Procs, o.ParallelOps, o.OpsGrowth())
+	fmt.Fprintf(w, "%d-rank ops:   %d (%+.1f%%)\n", o.Procs, o.ParallelOps, o.OpsGrowth())
 	fmt.Fprintf(w, "serial time:  %v\n", o.SerialTime.Round(time.Microsecond))
-	fmt.Fprintf(w, "%d-rank time:  %v (+%.1f%%)\n", o.Procs,
+	fmt.Fprintf(w, "%d-rank time:  %v (%+.1f%%)\n", o.Procs,
 		o.ParallelTime.Round(time.Microsecond), o.TimeGrowth())
 }
 
@@ -62,6 +62,6 @@ func RenderOverhead(w io.Writer, o *Overhead) {
 // paperTime are the paper's two growths.
 func MarkdownOverhead(w io.Writer, o *Overhead, paperOps, paperTime string) {
 	fmt.Fprintf(w, "| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(w, "| instruction growth | %s | +%.1f%% |\n", paperOps, o.OpsGrowth())
-	fmt.Fprintf(w, "| fault-free time growth | %s | +%.1f%% |\n\n", paperTime, o.TimeGrowth())
+	fmt.Fprintf(w, "| instruction growth | %s | %+.1f%% |\n", paperOps, o.OpsGrowth())
+	fmt.Fprintf(w, "| fault-free time growth | %s | %+.1f%% |\n\n", paperTime, o.TimeGrowth())
 }

@@ -252,28 +252,6 @@ var Plan = []Experiment{
 		Render: render(func(w io.Writer, v *analysis.Sweeps) { v.Render(w) }),
 	},
 	{
-		Name: "advise",
-		Run: func(s *Session, p Params) (any, error) {
-			cfg, err := analysisConfig(s, p)
-			if err != nil {
-				return nil, err
-			}
-			return analysis.Advise(cfg, 4)
-		},
-		Render: render(func(w io.Writer, v *analysis.Advice) { v.Render(w) }),
-	},
-	{
-		Name: "stability",
-		Run: func(s *Session, p Params) (any, error) {
-			cfg, err := analysisConfig(s, p)
-			if err != nil {
-				return nil, err
-			}
-			return analysis.StabilitySweep(cfg)
-		},
-		Render: render(func(w io.Writer, v *analysis.Stability) { v.Render(w) }),
-	},
-	{
 		Name: "trace",
 		Run: func(s *Session, p Params) (any, error) {
 			return TraceTrials(s, p.App, p.Class, p.Small)

@@ -2,10 +2,16 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -496,6 +502,136 @@ func TestBadPriority(t *testing.T) {
 		`{"app":"PENNANT","small":4,"large":8,"priority":"urgent"}`, nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad priority returned %d (%v), want 400", code, v)
+	}
+}
+
+// TestOverloadShedsNeverErrors drives a quota-constrained server with
+// concurrent mixed traffic from three tenants, the way a well-behaved
+// client would: a POST keeps its Idempotency-Key across retries and
+// honours Retry-After.  Overload must surface as 429 + Retry-After, never
+// as a 5xx; every tenant must still get work in; and the server must
+// drain cleanly afterwards.  The load is a fixed number of requests, not
+// a duration.
+func TestOverloadShedsNeverErrors(t *testing.T) {
+	srv, hs := newHardenedServer(t, Config{
+		Trials: 10, Seed: 42, Workers: 2, Queue: 8,
+		APIKeys:      map[string]string{"key-a": "team-a", "key-b": "team-b"},
+		AnonLimits:   TenantLimits{Rate: 20, Burst: 10},
+		TenantLimits: TenantLimits{Rate: 20, MaxInflight: 4},
+	})
+	// Twenty distinct predictions: more than the queue and the running
+	// jobs hold together, so the rate, quota and queue sheds all bite.
+	var bodies []string
+	for _, app := range []string{"PENNANT", "CG"} {
+		for large := 2; large <= 16; large *= 2 {
+			for small := 1; small < large; small *= 2 {
+				bodies = append(bodies, fmt.Sprintf(`{"app":%q,"small":%d,"large":%d}`, app, small, large))
+			}
+		}
+	}
+	keys := []string{"", "key-a", "key-b"} // anonymous, then the two tenants
+	const clients, perClient, retries = 6, 40, 2
+
+	var shed atomic.Int64
+	var admitted [3]atomic.Int64
+	// send issues one request and checks its answer: 2xx, or 429 with a
+	// positive integer Retry-After — anything else is a server bug here.
+	send := func(method, path, key, idemKey, body string) (int, http.Header, []byte) {
+		req, err := http.NewRequest(method, hs.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, nil, nil
+		}
+		if key != "" {
+			req.Header.Set("X-API-Key", key)
+		}
+		if idemKey != "" {
+			req.Header.Set(IdempotencyKeyHeader, idemKey)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return 0, nil, nil
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		switch code := resp.StatusCode; {
+		case code == http.StatusTooManyRequests:
+			shed.Add(1)
+			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+				t.Errorf("%s %s: 429 with Retry-After %q, want positive seconds",
+					method, path, resp.Header.Get("Retry-After"))
+			}
+		case code/100 != 2:
+			t.Errorf("%s %s answered %d under load: %s", method, path, code, b)
+		}
+		return resp.StatusCode, resp.Header, b
+	}
+	// post submits one prediction, retrying a shed answer under the same
+	// Idempotency-Key, and returns the job id once admitted.
+	post := func(tenant int, idemKey, body string) string {
+		for attempt := 0; ; attempt++ {
+			code, hdr, b := send(http.MethodPost, "/v1/predictions", keys[tenant], idemKey, body)
+			if code/100 == 2 {
+				admitted[tenant].Add(1)
+				var v struct{ ID string }
+				if err := json.Unmarshal(b, &v); err != nil || v.ID == "" {
+					t.Errorf("admitted POST without a job id: %s", b)
+				}
+				return v.ID
+			}
+			if code != http.StatusTooManyRequests || attempt == retries {
+				return ""
+			}
+			ra, _ := strconv.Atoi(hdr.Get("Retry-After"))
+			time.Sleep(min(time.Duration(ra)*time.Second, 5*time.Millisecond))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			tenant := c % len(keys)
+			rng := rand.New(rand.NewSource(int64(c)))
+			var known []string // this client's admitted jobs
+			for i := 0; i < perClient; i++ {
+				// POST 60, GET of a known job 25, /healthz 10, /metrics 5;
+				// a GET before anything was admitted submits instead.
+				switch n := rng.Intn(100); {
+				case n < 60 || n < 85 && len(known) == 0:
+					idemKey := fmt.Sprintf("client%d-%d", c, i)
+					if id := post(tenant, idemKey, bodies[rng.Intn(len(bodies))]); id != "" {
+						known = append(known, id)
+					}
+				case n < 85:
+					send(http.MethodGet, "/v1/predictions/"+known[rng.Intn(len(known))], keys[tenant], "", "")
+				case n < 95:
+					send(http.MethodGet, "/healthz", keys[tenant], "", "")
+				default:
+					send(http.MethodGet, "/metrics", keys[tenant], "", "")
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	if shed.Load() == 0 {
+		t.Error("no request was shed: the limits never bit")
+	}
+	for i, tenant := range []string{AnonTenant, "team-a", "team-b"} {
+		if admitted[i].Load() == 0 {
+			t.Errorf("tenant %s got no POST admitted", tenant)
+		}
+		tm := srv.metrics.tenant(tenant)
+		t.Logf("%s: %d admitted POSTs, shed %d rate / %d quota / %d queue", tenant,
+			admitted[i].Load(), tm.ratelimited.Load(), tm.shedQuota.Load(), tm.shedQueue.Load())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatalf("drain after the load: %v", err)
 	}
 }
 

@@ -60,7 +60,7 @@ type Config struct {
 	// concurrently (default 1).
 	Workers int
 	// Queue bounds the number of accepted-but-unstarted jobs; beyond it
-	// submissions are refused with 503 (default 64).
+	// submissions are shed with 429 (default 64).
 	Queue int
 	// CampaignWorkers is the per-campaign trial concurrency handed to the
 	// session (default GOMAXPROCS).  It also sizes the session's shared

@@ -82,29 +82,3 @@ func (r Rates) Intervals95() RateIntervals {
 		Failure: r.interval95(r.Failure),
 	}
 }
-
-// StableAfter reports the paper's stability criterion: whether the running
-// success rate over the outcome sequence changes by less than tol after
-// the first warmup trials.  outcomes[i] is true for success.
-func StableAfter(outcomes []bool, warmup int, tol float64) bool {
-	if len(outcomes) <= warmup || warmup <= 0 {
-		return false
-	}
-	succ := 0
-	for i := 0; i < warmup; i++ {
-		if outcomes[i] {
-			succ++
-		}
-	}
-	ref := float64(succ) / float64(warmup)
-	for i := warmup; i < len(outcomes); i++ {
-		if outcomes[i] {
-			succ++
-		}
-		run := float64(succ) / float64(i+1)
-		if math.Abs(run-ref) > tol {
-			return false
-		}
-	}
-	return true
-}

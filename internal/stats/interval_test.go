@@ -106,26 +106,3 @@ func TestIntervals95MatchesWilsonOnRawTallies(t *testing.T) {
 		t.Fatalf("failure interval [%g, %g], want [%g, %g]", iv.Failure.Lo, iv.Failure.Hi, lo, hi)
 	}
 }
-
-func TestStableAfter(t *testing.T) {
-	// A constant success sequence is stable.
-	stable := make([]bool, 2000)
-	for i := range stable {
-		stable[i] = i%2 == 0
-	}
-	if !StableAfter(stable, 1000, 0.05) {
-		t.Fatal("alternating sequence reported unstable")
-	}
-	// A drifting sequence is not: all successes first, then all failures.
-	drift := make([]bool, 2000)
-	for i := 0; i < 1000; i++ {
-		drift[i] = true
-	}
-	if StableAfter(drift, 1000, 0.05) {
-		t.Fatal("drifting sequence reported stable")
-	}
-	// Degenerate inputs.
-	if StableAfter(nil, 10, 0.1) || StableAfter(stable, 0, 0.1) {
-		t.Fatal("degenerate inputs reported stable")
-	}
-}
