@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-short race cover fuzz benchcheck inlinecheck alloccheck loc experiments report serve smoke trace distcheck clean
+.PHONY: all build fmt vet test test-short race cover fuzz benchcheck inlinecheck alloccheck loc experiments report reportcheck serve smoke trace distcheck clean
 
 all: build test
 
@@ -80,6 +80,13 @@ experiments:
 # two cores.
 report:
 	$(GO) run ./cmd/resmod report -trials 400 > EXPERIMENTS.md
+
+# Regenerate EXPERIMENTS.md and fail if it differs from the committed
+# file: no cell of the report reads the clock, so it is a function of
+# seed, trials and code alone, and a diff is a result that moved (also
+# run in CI).
+reportcheck: report
+	git diff --exit-code EXPERIMENTS.md
 
 # Run the prediction service (HTTP JSON API; see README "Running as a
 # service").  Results persist under ./results across restarts.

@@ -37,7 +37,6 @@ type campaignOptions struct {
 	maxAbnormal int
 	retries     int
 	checkpoint  string
-	ckptEvery   time.Duration
 	resume      bool
 }
 
@@ -69,7 +68,6 @@ func doCampaign(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs.IntVar(&o.maxAbnormal, "max-abnormal", 0, "abnormal (harness-error) trials tolerated before failing")
 	fs.IntVar(&o.retries, "retries", 0, "retries per abnormal trial (0 = default, <0 = none)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "periodic JSON snapshot file (enables resumability)")
-	fs.DurationVar(&o.ckptEvery, "checkpoint-every", 0, "snapshot period (default 5s)")
 	fs.BoolVar(&o.resume, "resume", false, "resume from -checkpoint if it exists")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,7 +85,7 @@ func doCampaign(ctx context.Context, args []string, out, errw io.Writer) error {
 		Errors: o.errors, Seed: o.seed, Workers: o.workers,
 		SpreadErrors: o.spread, ContaminationTol: o.tol,
 		Budget: o.budget, MaxAbnormal: o.maxAbnormal, AbnormalRetries: o.retries,
-		Checkpoint: o.checkpoint, CheckpointEvery: o.ckptEvery, Resume: o.resume,
+		Checkpoint: o.checkpoint, Resume: o.resume,
 	}
 	switch strings.ToLower(o.region) {
 	case "", "any":

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	_ "resmod/internal/apps/cg"
 	_ "resmod/internal/apps/ft"
@@ -146,8 +145,19 @@ func TestFig8Pipeline(t *testing.T) {
 		if p.RMSE < 0 || p.RMSE > 1 {
 			t.Fatalf("RMSE = %g", p.RMSE)
 		}
-		if p.NormalizedTime() <= 0 {
-			t.Fatalf("normalized time = %g", p.NormalizedTime())
+		// The cost axis is the golden op counts of the point's own rows.
+		var small, serial uint64
+		for _, r := range p.Rows {
+			o, err := MeasureOverhead(s, r.Bench, r.Class, p.Small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			small += o.ParallelOps
+			serial += o.SerialOps
+		}
+		if want := float64(small) / float64(serial); p.NormalizedCost() != want || want <= 0 {
+			t.Fatalf("S=%d: normalized cost = %g, want %d/%d = %g",
+				p.Small, p.NormalizedCost(), small, serial, want)
 		}
 	}
 	var buf bytes.Buffer
@@ -220,18 +230,16 @@ func TestScaleSweep(t *testing.T) {
 	}
 }
 
-// TestOverheadPrintsSignedGrowth: a parallel run faster than the serial
-// one is a negative growth, printed with one sign — never "+-".
+// TestOverheadPrintsSignedGrowth: a parallel run with fewer ops than the
+// serial one is a negative growth, printed with one sign — never "+-".
 func TestOverheadPrintsSignedGrowth(t *testing.T) {
-	o := &Overhead{Bench: "CG", Procs: 4, SerialOps: 1000, ParallelOps: 1200,
-		SerialTime: 4 * time.Millisecond, ParallelTime: 2 * time.Millisecond}
+	o := &Overhead{Bench: "CG", Procs: 4, SerialOps: 1000, ParallelOps: 800}
 	var buf bytes.Buffer
 	RenderOverhead(&buf, o)
-	MarkdownOverhead(&buf, o, "+11%", "+15%")
+	MarkdownOverhead(&buf, o, "+11%")
 	got := buf.String()
 	for _, want := range []string{
-		"4-rank ops:   1200 (+20.0%)", "4-rank time:  2ms (-50.0%)",
-		"| instruction growth | +11% | +20.0% |", "| fault-free time growth | +15% | -50.0% |",
+		"4-rank ops:   800 (-20.0%)", "| instruction growth | +11% | -20.0% |",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output lacks %q:\n%s", want, got)

@@ -3,7 +3,6 @@ package exper
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // Fig8Point is one x-axis point of the paper's Figure 8: the model's
@@ -13,21 +12,22 @@ type Fig8Point struct {
 	Small int
 	// RMSE is Eq. 9 over the benchmarks' success rates.
 	RMSE float64
-	// AvgSmallTime is the mean wall time of the small-scale deployments.
-	AvgSmallTime time.Duration
-	// AvgSerialTime is the mean wall time of one serial deployment, the
-	// normalization baseline of the paper's right axis.
-	AvgSerialTime time.Duration
-	Rows          []PredictionRow
+	// SmallOps and SerialOps are the golden runs' injectable operations
+	// at the small scale and at one rank, summed over the benchmarks.
+	// Every deployment runs the same number of trials, so their ratio is
+	// the paper's right axis: fault injection cost normalized by serial.
+	SmallOps  uint64
+	SerialOps uint64
+	Rows      []PredictionRow
 }
 
-// NormalizedTime returns the small-scale fault injection time normalized
-// by the serial fault injection time (the paper's Figure 8 right axis).
-func (p Fig8Point) NormalizedTime() float64 {
-	if p.AvgSerialTime <= 0 {
+// NormalizedCost returns the small-scale fault injection cost normalized
+// by the serial fault injection cost (the paper's Figure 8 right axis).
+func (p Fig8Point) NormalizedCost() float64 {
+	if p.SerialOps == 0 {
 		return 0
 	}
-	return float64(p.AvgSmallTime) / float64(p.AvgSerialTime)
+	return float64(p.SmallOps) / float64(p.SerialOps)
 }
 
 // Fig8 sweeps the small-scale size over smalls (the paper uses 4, 8, 16,
@@ -44,11 +44,14 @@ func Fig8(s *Session, names []string, smalls []int, large int) ([]Fig8Point, err
 		}
 		pt := Fig8Point{Small: small, RMSE: RMSEOf(rows), Rows: rows}
 		for _, r := range rows {
-			pt.AvgSmallTime += r.SmallTime
-			pt.AvgSerialTime += r.SerialTime
+			// The predictions ran on these goldens: the session has them.
+			o, err := MeasureOverhead(s, r.Bench, r.Class, small)
+			if err != nil {
+				return nil, err
+			}
+			pt.SmallOps += o.ParallelOps
+			pt.SerialOps += o.SerialOps
 		}
-		pt.AvgSmallTime /= time.Duration(len(rows))
-		pt.AvgSerialTime /= time.Duration(len(rows))
 		points = append(points, pt)
 	}
 	return points, nil
@@ -58,20 +61,18 @@ func Fig8(s *Session, names []string, smalls []int, large int) ([]Fig8Point, err
 func RenderFig8(w io.Writer, points []Fig8Point) {
 	fmt.Fprintf(w, "accuracy vs fault-injection cost (prediction target: %d ranks)\n",
 		points[0].Rows[0].Large)
-	fmt.Fprintf(w, "  %-8s %-10s %-14s %s\n", "small", "RMSE", "time/serial", "avg campaign time")
+	fmt.Fprintf(w, "  %-8s %-10s %s\n", "small", "RMSE", "cost/serial")
 	for _, p := range points {
-		fmt.Fprintf(w, "  %-8d %-10.4f %-14.2f %v\n",
-			p.Small, p.RMSE, p.NormalizedTime(), p.AvgSmallTime.Round(time.Millisecond))
+		fmt.Fprintf(w, "  %-8d %-10.4f %.3f\n", p.Small, p.RMSE, p.NormalizedCost())
 	}
 }
 
 // MarkdownFig8 prints the sweep as a table.
 func MarkdownFig8(w io.Writer, points []Fig8Point) {
-	fmt.Fprintf(w, "| small scale | RMSE | campaign time / serial | avg campaign time |\n")
-	fmt.Fprintf(w, "|---|---|---|---|\n")
+	fmt.Fprintf(w, "| small scale | RMSE | campaign cost / serial |\n")
+	fmt.Fprintf(w, "|---|---|---|\n")
 	for _, p := range points {
-		fmt.Fprintf(w, "| %d | %.4f | %.2fx | %v |\n",
-			p.Small, p.RMSE, p.NormalizedTime(), p.AvgSmallTime.Round(time.Millisecond))
+		fmt.Fprintf(w, "| %d | %.4f | %.3fx |\n", p.Small, p.RMSE, p.NormalizedCost())
 	}
 	fmt.Fprintln(w)
 }

@@ -102,7 +102,7 @@ var Plan = []Experiment{
 		},
 		Render: render(RenderOverhead),
 		Markdown: render(func(w io.Writer, o *Overhead) {
-			MarkdownOverhead(w, o, "+74.5%", "+15%")
+			MarkdownOverhead(w, o, "+74.5%")
 		}),
 	},
 	{
@@ -191,13 +191,13 @@ var Plan = []Experiment{
 	},
 	{
 		Name: "fig8", Paper: true,
-		Title:   "Figure 8: accuracy vs fault-injection time",
-		Heading: "Figure 8: accuracy vs fault-injection time (target 64 ranks)",
+		Title:   "Figure 8: accuracy vs fault-injection cost",
+		Heading: "Figure 8: accuracy vs fault-injection cost (target 64 ranks)",
 		// nil small sizes: Fig8's default is the paper's sweep.
 		Run:      func(s *Session, p Params) (any, error) { return Fig8(s, p.Apps, nil, 64) },
 		Render:   render(RenderFig8),
 		Markdown: render(MarkdownFig8),
-		Note: "Paper shape: RMSE falls and time rises as the small scale grows,\n" +
+		Note: "Paper shape: RMSE falls and cost rises as the small scale grows,\n" +
 			"with 16 ranks called the balance point.",
 	},
 	{

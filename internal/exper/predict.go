@@ -29,9 +29,10 @@ type PredictionRow struct {
 	Error float64
 	// SmallTime is the wall time of the small-scale deployment and
 	// SerialTime the *average* serial campaign time (the total over the
-	// sampled serial deployments divided by the number of sample points),
-	// for the Figure 8 cost axis.  Both are per-campaign elapsed times,
-	// independent of how many campaigns ran concurrently.
+	// sampled serial deployments divided by the number of sample points).
+	// Both are per-campaign elapsed times, independent of how many
+	// campaigns ran concurrently; no report cell reads them, because wall
+	// time does not repeat run to run.
 	SmallTime  time.Duration
 	SerialTime time.Duration
 }

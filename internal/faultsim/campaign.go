@@ -70,7 +70,7 @@ const (
 	// retried before it counts against the campaign's MaxAbnormal budget.
 	DefaultAbnormalRetries = 2
 	// DefaultCheckpointEvery is the period between checkpoint snapshots
-	// when Campaign.Checkpoint is set and no period is given.
+	// when Campaign.Checkpoint is set.
 	DefaultCheckpointEvery = 5 * time.Second
 )
 
@@ -161,28 +161,15 @@ type Campaign struct {
 	AbnormalRetries int
 
 	// Checkpoint is the path of a JSON snapshot of the campaign's partial
-	// tallies, written every CheckpointEvery and at exit (including
-	// interrupted exits).  Empty disables checkpointing.
+	// tallies, written every DefaultCheckpointEvery and at exit
+	// (including interrupted exits).  Empty disables checkpointing.
 	Checkpoint string
-	// CheckpointEvery is the snapshot period (default
-	// DefaultCheckpointEvery).
-	CheckpointEvery time.Duration
 	// Resume, when true and Checkpoint names an existing snapshot of this
 	// exact campaign (same Identity), restores its tallies and runs only
 	// the remaining trials.  Because each trial's RNG is an independent
 	// stream split from Seed, a resumed campaign is bit-identical to an
 	// uninterrupted one.  A missing checkpoint file starts fresh.
 	Resume bool
-
-	// ProgressEvery is the live-progress snapshot period in recorded
-	// trials: when the campaign's context carries a telemetry.Progress
-	// bus, a snapshot (tallies, trials/sec, ETA, Wilson CI widths) is
-	// published every that many trials.  Zero selects roughly
-	// DefaultProgressDivisor snapshots over the campaign's lifetime.
-	// Snapshots are observations only — they never affect outcomes or
-	// RNG streams — so, like Workers, the field never enters the
-	// campaign identity.
-	ProgressEvery int
 
 	// hooks holds test seams; nil in production use.  A pointer keeps
 	// Campaign comparable.
@@ -446,20 +433,16 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 		return err
 	}
 
-	// Periodic checkpointing: a snapshot every CheckpointEvery, plus a
-	// final one on every exit path so an interrupted campaign is always
-	// resumable.
+	// Periodic checkpointing: a snapshot every DefaultCheckpointEvery,
+	// plus a final one on every exit path so an interrupted campaign is
+	// always resumable.
 	ckptStop := make(chan struct{})
 	var ckptWG sync.WaitGroup
 	if c.Checkpoint != "" {
-		every := c.CheckpointEvery
-		if every <= 0 {
-			every = DefaultCheckpointEvery
-		}
 		ckptWG.Add(1)
 		go func() {
 			defer ckptWG.Done()
-			tick := time.NewTicker(every)
+			tick := time.NewTicker(DefaultCheckpointEvery)
 			defer tick.Stop()
 			for {
 				select {

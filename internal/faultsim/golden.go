@@ -41,8 +41,6 @@ type Golden struct {
 	Regions map[string]fpe.Counts
 	// Comm reports the execution's communication volume.
 	Comm simmpi.Stats
-	// Elapsed is the wall time of the golden run.
-	Elapsed time.Duration
 	// StepCounts holds each rank's op counts at each step boundary of an
 	// apps.Stepped app: StepCounts[r][i] after i steps.  Empty for other
 	// apps.  Trials read it to choose the boundary they resume from.
@@ -130,6 +128,7 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 		return nil, fmt.Errorf("faultsim: golden run of %s/%s p=%d failed: %w",
 			app.Name(), class, procs, res.Err)
 	}
+	elapsed := time.Since(start)
 	g := &Golden{
 		App: app, Class: class, Procs: procs,
 		Counts:     make([]fpe.Counts, procs),
@@ -137,7 +136,6 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 		States:     make([][]float64, procs),
 		Regions:    make(map[string]fpe.Counts),
 		Comm:       res.Comm,
-		Elapsed:    time.Since(start),
 	}
 	if len(sp.Counts[0]) > 0 {
 		g.StepCounts = sp.Counts
@@ -161,10 +159,10 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 		return nil, fmt.Errorf("faultsim: golden check of %s/%s p=%d not finite: %v",
 			app.Name(), class, procs, g.Check)
 	}
-	tel.Recorder().GoldenRun(g.Elapsed)
+	tel.Recorder().GoldenRun(elapsed)
 	tel.Logger().Debug("golden run complete",
 		"app", app.Name(), "class", class, "procs", procs,
-		"elapsed", g.Elapsed, "unique_frac", g.UniqueFraction())
+		"elapsed", elapsed, "unique_frac", g.UniqueFraction())
 	return g, nil
 }
 

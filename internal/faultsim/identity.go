@@ -31,8 +31,8 @@ const IdentityVersion = 3
 // a caller (the session cache, the result store) equal to the key
 // RunAgainstCtx embeds in checkpoints after it applies the same defaults.
 // Fields that do not affect trial outcomes (Workers, Pool, Timeout,
-// Budget, retry, checkpoint and ProgressEvery knobs) are left untouched
-// and never enter the identity.
+// Budget, retry and checkpoint knobs) are left untouched and never enter
+// the identity.
 func (c Campaign) Normalized() Campaign {
 	if c.Class == "" && c.App != nil {
 		c.Class = c.App.DefaultClass()

@@ -44,7 +44,7 @@ func TestCampaignProgressSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Campaign{App: app, Procs: 2, Trials: 40, Seed: 7, Workers: 4, ProgressEvery: 5}
+	c := Campaign{App: app, Procs: 2, Trials: 40, Seed: 7, Workers: 4}
 	sum, engine, evs := runWithProgress(t, c, golden)
 
 	if len(evs) < 3 {
@@ -94,7 +94,7 @@ func TestCampaignProgressResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ck.json")
-	base := Campaign{App: app, Procs: 2, Trials: 30, Seed: 3, Workers: 3, ProgressEvery: 1}
+	base := Campaign{App: app, Procs: 2, Trials: 30, Seed: 3, Workers: 3}
 
 	// Interrupt a checkpointing run partway.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -147,7 +147,7 @@ func TestCampaignProgressInterrupted(t *testing.T) {
 	defer sub.Close()
 	ctx, cancel := context.WithCancel(
 		telemetry.With(context.Background(), telemetry.Nop().WithProgress(prog)))
-	c := Campaign{App: app, Procs: 2, Trials: 30, Seed: 5, Workers: 2, ProgressEvery: 1}
+	c := Campaign{App: app, Procs: 2, Trials: 30, Seed: 5, Workers: 2}
 	c.hooks = &campaignHooks{trialDone: func(done uint64) {
 		if done >= 8 {
 			cancel()
@@ -179,7 +179,7 @@ func TestCampaignProgressInterrupted(t *testing.T) {
 }
 
 // TestProgressObservationOnly: publishing snapshots never changes the
-// campaign result, and the snapshot cadence never enters the identity.
+// campaign result.
 func TestProgressObservationOnly(t *testing.T) {
 	app := lookup(t, "PENNANT")
 	golden, err := ComputeGolden(app, "", 2, apps.DefaultTimeout)
@@ -191,29 +191,20 @@ func TestProgressObservationOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withBus := c
-	withBus.ProgressEvery = 1
-	got, _, _ := runWithProgress(t, withBus, golden)
+	got, _, _ := runWithProgress(t, c, golden)
 	equalResults(t, want, got, "with-progress vs without")
-
-	if c.Normalized().Identity() != withBus.Normalized().Identity() {
-		t.Fatal("ProgressEvery leaked into the campaign identity")
-	}
 }
 
 func TestProgressEveryDefaults(t *testing.T) {
 	for _, tc := range []struct {
-		trials, every int
-		want          uint64
+		trials int
+		want   uint64
 	}{
-		{trials: 4000, every: 0, want: 40},
-		{trials: 50, every: 0, want: 1}, // below the divisor: every trial
-		{trials: 400, every: 7, want: 7},
+		{trials: 4000, want: 40},
+		{trials: 50, want: 1}, // below the divisor: every trial
 	} {
-		c := Campaign{Trials: tc.trials, ProgressEvery: tc.every}
-		if got := progressEvery(c); got != tc.want {
-			t.Errorf("progressEvery(trials=%d, every=%d) = %d, want %d",
-				tc.trials, tc.every, got, tc.want)
+		if got := progressEvery(Campaign{Trials: tc.trials}); got != tc.want {
+			t.Errorf("progressEvery(trials=%d) = %d, want %d", tc.trials, got, tc.want)
 		}
 	}
 }
