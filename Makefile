@@ -29,12 +29,13 @@ cover:
 	$(GO) test -cover ./...
 
 # Ten seconds on each decoder that takes bytes from outside the process:
-# checkpoint files, store summary records, the shard reply stream (also
-# run in CI).  `go test -fuzz` takes one target and one package a run.
+# checkpoint files, store summary records, the shard reply stream and the
+# worker's shard request (also run in CI).  `go test -fuzz` takes one target and one package a run.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointMerge -fuzztime=10s ./internal/faultsim/
 	$(GO) test -run='^$$' -fuzz=FuzzSummaryRecordRestore -fuzztime=10s ./internal/faultsim/
 	$(GO) test -run='^$$' -fuzz=FuzzShardStream -fuzztime=10s ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzShardRequest -fuzztime=10s ./internal/dist/
 
 # The repo's perf harness is the nested benchmark/ module (declared in
 # BENCHMARK.json; run it with `go run -C benchmark resmod/benchmark`).

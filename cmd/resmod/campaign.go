@@ -11,7 +11,6 @@ import (
 
 	"resmod/internal/apps"
 	"resmod/internal/faultsim"
-	"resmod/internal/fpe"
 	"resmod/internal/stats"
 )
 
@@ -24,12 +23,6 @@ type campaignOptions struct {
 	errors      int
 	seed        uint64
 	region      string
-	pattern     string
-	kinds       string
-	bit         int
-	spread      bool
-	winLo       float64
-	winHi       float64
 	tol         float64
 	workers     int
 	json        bool
@@ -53,14 +46,8 @@ func doCampaign(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs.IntVar(&o.procs, "procs", 8, "rank count")
 	fs.IntVar(&o.trials, "trials", 400, "fault injection tests")
 	fs.IntVar(&o.errors, "errors", 1, "simultaneous errors per test")
-	fs.BoolVar(&o.spread, "spread", false, "distribute the errors across distinct ranks")
 	fs.Uint64Var(&o.seed, "seed", 1, "seed")
 	fs.StringVar(&o.region, "region", "any", "injection region: any, common, unique")
-	fs.StringVar(&o.pattern, "pattern", "single", "fault pattern: single, double, burst4, word")
-	fs.StringVar(&o.kinds, "kinds", "", "restrict op kinds: add, mul, or empty for any")
-	fs.IntVar(&o.bit, "bit", -1, "pin the flipped bit (single-bit pattern); -1 = random")
-	fs.Float64Var(&o.winLo, "window-lo", 0, "injection window start fraction")
-	fs.Float64Var(&o.winHi, "window-hi", 1, "injection window end fraction")
 	fs.Float64Var(&o.tol, "contamination-tol", 0, "contamination tolerance (0 = default, <0 = bit-exact)")
 	fs.IntVar(&o.workers, "workers", 0, "trial concurrency")
 	fs.BoolVar(&o.json, "json", false, "emit JSON")
@@ -83,8 +70,8 @@ func doCampaign(ctx context.Context, args []string, out, errw io.Writer) error {
 	c := faultsim.Campaign{
 		App: app, Class: o.class, Procs: o.procs, Trials: o.trials,
 		Errors: o.errors, Seed: o.seed, Workers: o.workers,
-		SpreadErrors: o.spread, ContaminationTol: o.tol,
-		Budget: o.budget, MaxAbnormal: o.maxAbnormal, AbnormalRetries: o.retries,
+		ContaminationTol: o.tol,
+		Budget:           o.budget, MaxAbnormal: o.maxAbnormal, AbnormalRetries: o.retries,
 		Checkpoint: o.checkpoint, Resume: o.resume,
 	}
 	switch strings.ToLower(o.region) {
@@ -96,35 +83,6 @@ func doCampaign(ctx context.Context, args []string, out, errw io.Writer) error {
 		c.Region = faultsim.UniqueOnly
 	default:
 		return fmt.Errorf("unknown region %q", o.region)
-	}
-	switch strings.ToLower(o.pattern) {
-	case "", "single":
-		c.Pattern = fpe.SingleBit
-	case "double":
-		c.Pattern = fpe.DoubleBit
-	case "burst4":
-		c.Pattern = fpe.Burst4
-	case "word":
-		c.Pattern = fpe.WordRandom
-	default:
-		return fmt.Errorf("unknown pattern %q", o.pattern)
-	}
-	switch strings.ToLower(o.kinds) {
-	case "":
-	case "add":
-		c.KindMask = 1<<uint(fpe.OpAdd) | 1<<uint(fpe.OpSub)
-	case "mul":
-		c.KindMask = 1 << uint(fpe.OpMul)
-	default:
-		return fmt.Errorf("unknown kind restriction %q", o.kinds)
-	}
-	if o.bit >= 0 {
-		b := uint(o.bit)
-		c.FixedBit = &b
-	}
-	if o.winLo != 0 || o.winHi != 1 {
-		win := [2]float64{o.winLo, o.winHi}
-		c.Window = &win
 	}
 
 	rt := tf.setup(errw)
@@ -161,8 +119,8 @@ func doCampaign(ctx context.Context, args []string, out, errw io.Writer) error {
 			Interrupted: sum.Interrupted,
 		})
 	}
-	fmt.Fprintf(out, "deployment: %s/%s procs=%d trials=%d errors=%d region=%s pattern=%s\n",
-		app.Name(), sum.Golden.Class, o.procs, o.trials, o.errors, o.region, o.pattern)
+	fmt.Fprintf(out, "deployment: %s/%s procs=%d trials=%d errors=%d region=%s\n",
+		app.Name(), sum.Golden.Class, o.procs, o.trials, o.errors, o.region)
 	if sum.Interrupted {
 		fmt.Fprintf(out, "INTERRUPTED: %d/%d trials completed; partial results below\n",
 			sum.TrialsDone, o.trials)

@@ -21,6 +21,8 @@ import (
 // fig8.txt, fig8.json and all.txt were re-captured when §1's time lines
 // went and Figure 8's cost became golden op counts; fig8.json's row
 // durations are the earlier capture's, so that diff shows only what moved.
+// ablate.txt was re-captured when the row kept only its
+// contamination-threshold table, whose lines did not change.
 var pinned = exper.Config{Trials: 5, Seed: 99}
 
 // rowParams gives the parametrised rows (-app, -apps, -small, -large) a

@@ -1,21 +1,15 @@
-// Package analysis implements the sensitivity characterizations the paper
-// builds its fault model on (§2): how the fault injection result depends
-// on which bit is struck, which instruction kind is selected, when in the
-// execution the fault lands, and what the fault pattern is.  These are the
-// ablation studies behind the paper's design choices — e.g. its finding
-// that "the fault injection result is sensitive to what type of
-// instruction is randomly selected" and its use of single-bit flips as the
-// dominant fault mode.
+// Package analysis implements the sensitivity study behind resmod's one
+// calibration: how the error-propagation profile a campaign measures
+// depends on the contamination significance threshold (DESIGN.md §4).
 package analysis
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"resmod/internal/apps"
 	"resmod/internal/faultsim"
-	"resmod/internal/fpe"
-	"resmod/internal/stats"
 )
 
 // Config shapes a sensitivity study.
@@ -52,172 +46,44 @@ func (c Config) golden() (*faultsim.Golden, error) {
 	return faultsim.ComputeGolden(c.App, class, c.Procs, timeout)
 }
 
-// BitBand is a contiguous range of IEEE-754 bit positions.
-type BitBand struct {
-	Name   string
-	Lo, Hi uint // inclusive
+// Ablation holds the sensitivity study of one configuration: on a
+// parallel configuration, the contamination-threshold sweep (a serial
+// run has one rank, so nothing to contaminate).
+type Ablation struct {
+	App    string
+	Procs  int
+	Trials int
+	Tols   []TolPoint `json:",omitempty"`
 }
 
-// DefaultBitBands partitions the double-precision word the way resilience
-// studies usually discuss it.
-func DefaultBitBands() []BitBand {
-	return []BitBand{
-		{Name: "mantissa-low", Lo: 0, Hi: 25},
-		{Name: "mantissa-high", Lo: 26, Hi: 51},
-		{Name: "exponent", Lo: 52, Hi: 62},
-		{Name: "sign", Lo: 63, Hi: 63},
+// Ablate runs the study with its default points.
+func Ablate(cfg Config) (*Ablation, error) {
+	if cfg.App == nil {
+		return nil, fmt.Errorf("analysis: Config.App is nil")
 	}
-}
-
-// BitPoint is one bit band's fault injection result.
-type BitPoint struct {
-	Band  BitBand
-	Rates stats.Rates
-}
-
-// BitSweep measures the fault injection result with the struck bit pinned
-// to representative positions of each band (the band's midpoint and
-// endpoints, averaged).
-func BitSweep(cfg Config, bands []BitBand) ([]BitPoint, error) {
-	if len(bands) == 0 {
-		bands = DefaultBitBands()
-	}
-	golden, err := cfg.golden()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BitPoint, 0, len(bands))
-	for bi, band := range bands {
-		if band.Hi < band.Lo || band.Hi > 63 {
-			return nil, fmt.Errorf("analysis: invalid bit band %+v", band)
-		}
-		var counter stats.Counter
-		probe := bandProbes(band)
-		for pi, bit := range probe {
-			c := cfg.campaign()
-			c.Trials = cfg.Trials / len(probe)
-			if c.Trials == 0 {
-				c.Trials = 1
-			}
-			c.Seed = cfg.Seed + uint64(bi*97+pi)
-			b := bit
-			c.FixedBit = &b
-			sum, err := faultsim.RunAgainst(c, golden)
-			if err != nil {
-				return nil, err
-			}
-			counter.Merge(sum.Counts)
-		}
-		out = append(out, BitPoint{Band: band, Rates: counter.Rates()})
-	}
-	return out, nil
-}
-
-// bandProbes picks the probe bits for a band: lo, mid, hi (deduplicated).
-func bandProbes(b BitBand) []uint {
-	mid := (b.Lo + b.Hi) / 2
-	probes := []uint{b.Lo}
-	if mid != b.Lo {
-		probes = append(probes, mid)
-	}
-	if b.Hi != mid && b.Hi != b.Lo {
-		probes = append(probes, b.Hi)
-	}
-	return probes
-}
-
-// KindPoint is one instruction-kind restriction's result.
-type KindPoint struct {
-	Name  string
-	Mask  uint8
-	Rates stats.Rates
-}
-
-// KindSweep measures the fault injection result when injections are
-// restricted to additions (add+sub, the same adder datapath) versus
-// multiplications — the paper's instruction-type sensitivity.
-func KindSweep(cfg Config) ([]KindPoint, error) {
-	golden, err := cfg.golden()
-	if err != nil {
-		return nil, err
-	}
-	points := []KindPoint{
-		{Name: "any", Mask: 0},
-		{Name: "add", Mask: 1<<uint(fpe.OpAdd) | 1<<uint(fpe.OpSub)},
-		{Name: "mul", Mask: 1 << uint(fpe.OpMul)},
-	}
-	for i := range points {
-		c := cfg.campaign()
-		c.KindMask = points[i].Mask
-		c.Seed = cfg.Seed + uint64(i)*131
-		sum, err := faultsim.RunAgainst(c, golden)
-		if err != nil {
+	a := &Ablation{App: cfg.App.Name(), Procs: cfg.Procs, Trials: cfg.Trials}
+	if cfg.Procs > 1 {
+		var err error
+		if a.Tols, err = TolSweep(cfg, nil); err != nil {
 			return nil, err
 		}
-		points[i].Rates = sum.Rates
 	}
-	return points, nil
+	return a, nil
 }
 
-// PhasePoint is one execution-window restriction's result.
-type PhasePoint struct {
-	Window [2]float64
-	Rates  stats.Rates
-}
-
-// PhaseSweep splits the dynamic operation stream into n equal windows and
-// measures the fault injection result of each — when in the execution a
-// fault lands matters because late errors have fewer operations left to
-// propagate (or be masked) through.
-func PhaseSweep(cfg Config, n int) ([]PhasePoint, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("analysis: need at least one phase window")
+// Render prints the study as a text table.
+func (a *Ablation) Render(w io.Writer) {
+	fmt.Fprintf(w, "== ablation studies: %s, %d ranks, %d tests/point ==\n",
+		a.App, a.Procs, a.Trials)
+	if len(a.Tols) > 0 {
+		fmt.Fprintln(w, "contamination-threshold sensitivity:")
 	}
-	golden, err := cfg.golden()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PhasePoint, 0, n)
-	for i := 0; i < n; i++ {
-		win := [2]float64{float64(i) / float64(n), float64(i+1) / float64(n)}
-		c := cfg.campaign()
-		c.Window = &win
-		c.Seed = cfg.Seed + uint64(i)*173
-		sum, err := faultsim.RunAgainst(c, golden)
-		if err != nil {
-			return nil, err
+	for _, p := range a.Tols {
+		label := fmt.Sprintf("%.0e", p.Tol)
+		if p.Tol < 0 {
+			label = "bit-exact"
 		}
-		out = append(out, PhasePoint{Window: win, Rates: sum.Rates})
+		fmt.Fprintf(w, "  tol %-10s mean contaminated=%.2f  all-ranks fraction=%.1f%%\n",
+			label, p.MeanContaminated, 100*p.FullFraction)
 	}
-	return out, nil
-}
-
-// PatternPoint is one fault pattern's result.
-type PatternPoint struct {
-	Pattern fpe.Pattern
-	Rates   stats.Rates
-}
-
-// PatternSweep compares fault patterns (single-bit, double-bit, 4-bit
-// burst, random word) under otherwise identical deployments — the paper
-// claims its model is pattern-agnostic; this measures how the raw rates
-// shift.
-func PatternSweep(cfg Config) ([]PatternPoint, error) {
-	golden, err := cfg.golden()
-	if err != nil {
-		return nil, err
-	}
-	patterns := []fpe.Pattern{fpe.SingleBit, fpe.DoubleBit, fpe.Burst4, fpe.WordRandom}
-	out := make([]PatternPoint, 0, len(patterns))
-	for i, p := range patterns {
-		c := cfg.campaign()
-		c.Pattern = p
-		c.Seed = cfg.Seed + uint64(i)*211
-		sum, err := faultsim.RunAgainst(c, golden)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PatternPoint{Pattern: p, Rates: sum.Rates})
-	}
-	return out, nil
 }

@@ -112,10 +112,13 @@ func drawPlan(t *testing.T, rng *stats.RNG, clean apps.ExecResult, p, kind int) 
 	case kind == 1:
 		k = 8
 	case kind == 2 && p > 1:
-		ranks = rng.Perm(p)[:min(8, p)]
+		ranks = ranks[:0]
+		for _, r := range rng.SampleDistinct(min(8, p), uint64(p)) {
+			ranks = append(ranks, int(r))
+		}
 	}
 	for _, r := range ranks {
-		plan, err := fpe.DrawAnyRegionKWith(rng, clean.Ctxs[r].KindCounts(), k, fpe.DrawOpts{})
+		plan, err := fpe.DrawPlanAnyRegion(rng, clean.Ctxs[r].Counts(), k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,14 +80,10 @@ type StepPlan struct {
 // LastClean returns the last boundary, up to last, at which no rank with a
 // plan has run an op its plan injects into: every injection's Index is at
 // least its rank's count of the injection's class there (counts as a
-// StepPlan's Counts).  A kind-masked injection, whose Index does not count
-// a class's ops, allows only boundary 0.
+// StepPlan's Counts).
 func LastClean(counts [][]fpe.Counts, plans map[int][]fpe.Injection, last int) int {
 	for r, plan := range plans {
 		for _, inj := range plan {
-			if inj.KindMask != 0 {
-				return 0
-			}
 			for last > 0 && counts[r][last].Of(inj.Class) > inj.Index {
 				last--
 			}

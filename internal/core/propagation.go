@@ -6,14 +6,6 @@ import (
 	"resmod/internal/stats"
 )
 
-// GroupProfile aggregates a large-scale contamination histogram (p bins)
-// into s groups and returns the grouped probability vector — the paper's
-// Figure 1b -> 1c transformation used to compare against a small-scale
-// profile.
-func GroupProfile(large *stats.Hist, s int) ([]float64, error) {
-	return large.Group(s)
-}
-
 // PropagationSimilarity computes the paper's Table 2 metric: the cosine
 // similarity between a small-scale propagation profile (s bins) and the
 // large-scale profile grouped into s bins.

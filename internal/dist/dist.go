@@ -23,7 +23,6 @@ import (
 
 	"resmod/internal/apps"
 	"resmod/internal/faultsim"
-	"resmod/internal/fpe"
 	"resmod/internal/telemetry"
 )
 
@@ -44,29 +43,24 @@ const (
 // chooses its own trial concurrency, and the coordinator owns
 // checkpointing of the merged result.
 type CampaignSpec struct {
-	App              string      `json:"app"`
-	Class            string      `json:"class,omitempty"`
-	Procs            int         `json:"procs"`
-	Trials           int         `json:"trials"`
-	Errors           int         `json:"errors"`
-	Region           int         `json:"region"`
-	Seed             uint64      `json:"seed"`
-	TimeoutNS        int64       `json:"timeout_ns,omitempty"`
-	SpreadErrors     bool        `json:"spread_errors,omitempty"`
-	ContaminationTol float64     `json:"contamination_tol,omitempty"`
-	Pattern          int         `json:"pattern,omitempty"`
-	KindMask         uint8       `json:"kind_mask,omitempty"`
-	FixedBit         *uint       `json:"fixed_bit,omitempty"`
-	Window           *[2]float64 `json:"window,omitempty"`
-	MaxAbnormal      int         `json:"max_abnormal,omitempty"`
-	AbnormalRetries  int         `json:"abnormal_retries,omitempty"`
+	App              string  `json:"app"`
+	Class            string  `json:"class,omitempty"`
+	Procs            int     `json:"procs"`
+	Trials           int     `json:"trials"`
+	Errors           int     `json:"errors"`
+	Region           int     `json:"region"`
+	Seed             uint64  `json:"seed"`
+	TimeoutNS        int64   `json:"timeout_ns,omitempty"`
+	ContaminationTol float64 `json:"contamination_tol,omitempty"`
+	MaxAbnormal      int     `json:"max_abnormal,omitempty"`
+	AbnormalRetries  int     `json:"abnormal_retries,omitempty"`
 }
 
 // SpecOf captures a campaign's wire form.  The campaign is normalized
 // first so both sides derive the same cid:v3 identity from the spec.
 func SpecOf(c faultsim.Campaign) CampaignSpec {
 	c = c.Normalized()
-	s := CampaignSpec{
+	return CampaignSpec{
 		App:              c.App.Name(),
 		Class:            c.Class,
 		Procs:            c.Procs,
@@ -75,22 +69,10 @@ func SpecOf(c faultsim.Campaign) CampaignSpec {
 		Region:           int(c.Region),
 		Seed:             c.Seed,
 		TimeoutNS:        int64(c.Timeout),
-		SpreadErrors:     c.SpreadErrors,
 		ContaminationTol: c.ContaminationTol,
-		Pattern:          int(c.Pattern),
-		KindMask:         c.KindMask,
 		MaxAbnormal:      c.MaxAbnormal,
 		AbnormalRetries:  c.AbnormalRetries,
 	}
-	if c.FixedBit != nil {
-		b := *c.FixedBit
-		s.FixedBit = &b
-	}
-	if c.Window != nil {
-		w := *c.Window
-		s.Window = &w
-	}
-	return s
 }
 
 // Campaign reconstructs the executable campaign from the wire form,
@@ -100,7 +82,7 @@ func (s CampaignSpec) Campaign() (faultsim.Campaign, error) {
 	if err != nil {
 		return faultsim.Campaign{}, fmt.Errorf("dist: %w", err)
 	}
-	c := faultsim.Campaign{
+	return faultsim.Campaign{
 		App:              app,
 		Class:            s.Class,
 		Procs:            s.Procs,
@@ -109,22 +91,10 @@ func (s CampaignSpec) Campaign() (faultsim.Campaign, error) {
 		Region:           faultsim.RegionMode(s.Region),
 		Seed:             s.Seed,
 		Timeout:          time.Duration(s.TimeoutNS),
-		SpreadErrors:     s.SpreadErrors,
 		ContaminationTol: s.ContaminationTol,
-		Pattern:          fpe.Pattern(s.Pattern),
-		KindMask:         s.KindMask,
 		MaxAbnormal:      s.MaxAbnormal,
 		AbnormalRetries:  s.AbnormalRetries,
-	}
-	if s.FixedBit != nil {
-		b := *s.FixedBit
-		c.FixedBit = &b
-	}
-	if s.Window != nil {
-		w := *s.Window
-		c.Window = &w
-	}
-	return c, nil
+	}, nil
 }
 
 // ShardRequest is the coordinator→worker dispatch payload: one

@@ -335,6 +335,33 @@ func TestWorkerEchoesRequestID(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsUnknownSpecField: a dispatch whose spec carries a field
+// the worker does not know — a retired fault-shape knob, as a coordinator
+// of another version would send — fails at dispatch with a 400 that names
+// the field, instead of running a different campaign whose result only
+// the merge would refuse.
+func TestWorkerRejectsUnknownSpecField(t *testing.T) {
+	c, _ := testCampaign(t)
+	cl := startCluster(t, 1, PoolConfig{HeartbeatTimeout: time.Second})
+	body, err := json.Marshal(ShardRequest{Campaign: SpecOf(c), Start: 0, End: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.Replace(body, []byte(`"campaign":{`), []byte(`"campaign":{"kind_mask":1,`), 1)
+	resp, err := http.Post(cl.pool.Workers()[0].URL+"/v1/shards", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `"kind_mask"`) {
+		t.Fatalf("spec with kind_mask: %s %q, want 400 naming the field", resp.Status, er.Error)
+	}
+}
+
 // TestHeartbeatStatsDeriveRate: the coordinator derives trials/sec from
 // consecutive stats-bearing heartbeats and surfaces the latest snapshot
 // in the workers view.

@@ -163,6 +163,33 @@ func TestShardStream(t *testing.T) {
 	}
 }
 
+// FuzzShardRequest: whatever bytes a dispatch holds, the worker's decode
+// ends in an error or in a campaign whose wire form names the same
+// campaign — never in a panic.
+func FuzzShardRequest(f *testing.F) {
+	c, _ := testCampaign(f)
+	valid, err := json.Marshal(ShardRequest{Campaign: SpecOf(c), Start: 0, End: 4, Progress: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(bytes.Replace(valid, []byte(`"campaign":{`), []byte(`"campaign":{"kind_mask":1,`), 1))
+	f.Add([]byte(`{"campaign":{"app":"PENNANT","procs":-2,"trials":3,"region":9,"seed":1,"contamination_tol":-1e300}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, c, err := decodeShardRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		back, err := SpecOf(c).Campaign()
+		if err != nil {
+			t.Fatalf("the wire form of a decoded campaign does not decode: %v", err)
+		}
+		if got, want := back.Identity(), c.Normalized().Identity(); got != want {
+			t.Fatalf("wire round trip changed the campaign: %s, decoded %s", got, want)
+		}
+	})
+}
+
 // FuzzShardStream: whatever bytes a worker's reply holds, reading it ends
 // in an error or in a result of the dispatched range that Merger.Merge
 // then accepts or rejects whole — never in a panic, and never with a

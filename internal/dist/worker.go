@@ -322,6 +322,22 @@ func (w *Worker) postJSON(ctx context.Context, url string, body, out any) error 
 	return nil
 }
 
+// decodeShardRequest reads a dispatch and resolves its campaign.  A field
+// this worker does not know is an error that names it: a spec from a
+// coordinator of another version may describe a campaign this worker
+// cannot run, and running a different one instead would only be caught
+// when the coordinator merges the result.
+func decodeShardRequest(r io.Reader) (ShardRequest, faultsim.Campaign, error) {
+	var req ShardRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, faultsim.Campaign{}, fmt.Errorf("bad shard request: %w", err)
+	}
+	c, err := req.Campaign.Campaign()
+	return req, c, err
+}
+
 // handleShard executes one dispatched trial range.  The request context
 // is the cancellation lever: a coordinator that abandons the dispatch
 // (worker presumed dead, campaign canceled) tears down the shard's
@@ -333,12 +349,7 @@ func (w *Worker) postJSON(ctx context.Context, url string, body, out any) error 
 // dispatch asked for them, and a progress request makes the reply carry
 // live tallies ahead of the result.  None of it can perturb the result.
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: "bad shard request: " + err.Error()})
-		return
-	}
-	c, err := req.Campaign.Campaign()
+	req, c, err := decodeShardRequest(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return

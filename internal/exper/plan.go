@@ -247,9 +247,9 @@ var Plan = []Experiment{
 			if err != nil {
 				return nil, err
 			}
-			return analysis.AllSweeps(cfg)
+			return analysis.Ablate(cfg)
 		},
-		Render: render(func(w io.Writer, v *analysis.Sweeps) { v.Render(w) }),
+		Render: render(func(w io.Writer, v *analysis.Ablation) { v.Render(w) }),
 	},
 	{
 		Name: "trace",

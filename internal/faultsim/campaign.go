@@ -82,8 +82,9 @@ const (
 )
 
 // Campaign is one fault injection deployment: a specific configuration
-// (scale, error count, region, fault pattern) run for Trials randomized
-// tests (paper §2).
+// (scale, error count, region) run for Trials randomized tests (paper §2),
+// each a single-bit flip in an input operand of a random floating-point
+// add, sub or mul.
 type Campaign struct {
 	App   apps.App
 	Class string // empty = app default
@@ -109,13 +110,6 @@ type Campaign struct {
 	// not affect trial outcomes and never enters the campaign identity.
 	Pool *WorkerBudget
 
-	// SpreadErrors distributes the Errors of a parallel test across that
-	// many *distinct* ranks (one error each) instead of injecting them all
-	// into one rank's stream — modelling spatially correlated fault events
-	// (e.g. one particle strike affecting several boards).  An extension
-	// beyond the paper, which always injects into a single rank.
-	SpreadErrors bool
-
 	// ContaminationTol is the relative per-element deviation above which a
 	// rank's final state counts as contaminated (paper §3.2).  The paper's
 	// testbed runs real MPI, where reduction-order noise makes only
@@ -124,19 +118,6 @@ type Campaign struct {
 	// DefaultContaminationTol; a negative value selects bit-exact
 	// comparison (every ULP of divergence counts).
 	ContaminationTol float64
-
-	// Pattern selects the fault shape (default single-bit flip, the
-	// paper's configuration).
-	Pattern fpe.Pattern
-	// KindMask restricts injections to specific operation kinds
-	// (bitmask of 1<<fpe.OpAdd etc.; zero = any injectable kind).
-	KindMask uint8
-	// FixedBit pins the flipped bit for bit-position sensitivity sweeps
-	// (single-bit pattern only).
-	FixedBit *uint
-	// Window restricts the injected dynamic-index range to a fraction
-	// [lo, hi) of the operation stream, for injection-time sweeps.
-	Window *[2]float64
 
 	// Budget bounds the campaign's total wall time; zero means no budget.
 	// A campaign that exhausts its budget stops promptly and returns a
@@ -184,16 +165,6 @@ type campaignHooks struct {
 	trialDone func(done uint64)
 	// fromZero runs every trial from op 0, without a prefix table.
 	fromZero bool
-}
-
-// drawOpts assembles the fpe drawing options from the campaign fields.
-func (c Campaign) drawOpts() fpe.DrawOpts {
-	return fpe.DrawOpts{
-		Pattern:  c.Pattern,
-		KindMask: c.KindMask,
-		FixedBit: c.FixedBit,
-		Window:   c.Window,
-	}
 }
 
 // TrialRecord describes one completed test, for tracing.
@@ -816,10 +787,9 @@ func clampCont(x, p int) int {
 }
 
 // drawFor draws a k-error plan for one rank under the campaign's region
-// mode and options.
+// mode.
 func drawFor(c Campaign, golden *Golden, rng *stats.RNG, rank, k int) ([]fpe.Injection, error) {
-	opts := c.drawOpts()
-	kc := golden.KindCounts[rank]
+	counts := golden.Counts[rank]
 	switch c.Region {
 	case AnyRegion:
 		// All k errors draw over the full injectable stream (common and
@@ -827,11 +797,11 @@ func drawFor(c Campaign, golden *Golden, rng *stats.RNG, rank, k int) ([]fpe.Inj
 		// the documented AnyRegion semantics; restricting the k>1 case to
 		// the common stream would make multi-error parallel deployments
 		// blind to the parallel-unique computation.
-		return fpe.DrawAnyRegionKWith(rng, kc, k, opts)
+		return fpe.DrawPlanAnyRegion(rng, counts, k)
 	case CommonOnly:
-		return fpe.DrawWith(rng, kc, fpe.Common, k, opts)
+		return fpe.DrawPlan(rng, counts, fpe.Common, k)
 	case UniqueOnly:
-		return fpe.DrawWith(rng, kc, fpe.Unique, k, opts)
+		return fpe.DrawPlan(rng, counts, fpe.Unique, k)
 	default:
 		return nil, fmt.Errorf("faultsim: unknown region mode %d", int(c.Region))
 	}
@@ -875,42 +845,20 @@ func runTrial(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable,
 	if c.Procs > 1 {
 		target = rng.Intn(c.Procs)
 	}
-	plans := make(map[int][]fpe.Injection)
-	if c.SpreadErrors && c.Procs > 1 && c.Errors > 1 {
-		k := c.Errors
-		if k > c.Procs {
-			return TrialRecord{}, fmt.Errorf(
-				"faultsim: SpreadErrors wants %d distinct ranks of %d", k, c.Procs)
-		}
-		ranks := rng.Perm(c.Procs)[:k]
-		target = ranks[0]
-		for _, r := range ranks {
-			plan, err := drawFor(c, golden, rng, r, 1)
-			if err != nil {
-				return TrialRecord{}, err
-			}
-			plans[r] = plan
-		}
-	} else {
-		plan, err := drawFor(c, golden, rng, target, c.Errors)
-		if err != nil {
-			return TrialRecord{}, err
-		}
-		plans[target] = plan
+	plan, err := drawFor(c, golden, rng, target, c.Errors)
+	if err != nil {
+		return TrialRecord{}, err
 	}
+	plans := map[int][]fpe.Injection{target: plan}
 
 	sp := tab.plan(plans)
 	res := arena.ExecuteSteps(ctx, golden.App, golden.Class, c.Procs, plans, c.Timeout, sp)
 	if sp != nil && res.Err == nil {
 		tab.publish(sp)
 	}
-	fired := 0
-	for r := range plans {
-		fired += res.Ctxs[r].Fired()
-	}
-	rec := TrialRecord{TargetRank: target, Fired: fired}
+	rec := TrialRecord{TargetRank: target, Fired: res.Ctxs[target].Fired()}
 	if detail != nil {
-		detail.Plan, detail.Exec = plans[target], res
+		detail.Plan, detail.Exec = plan, res
 	}
 	if res.Err != nil {
 		var pe *simmpi.PanicError

@@ -349,28 +349,3 @@ func TestRingDistance(t *testing.T) {
 		}
 	}
 }
-
-func TestSpreadErrorsAcrossRanks(t *testing.T) {
-	// With SpreadErrors, 3 errors land in 3 distinct ranks: the average
-	// fired count stays 3 and the minimum contamination is usually >= 3.
-	s, err := Run(Campaign{
-		App: lookup(t, "PENNANT"), Procs: 4, Trials: 20, Errors: 3,
-		SpreadErrors: true, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.AvgFired < 2.5 || s.AvgFired > 3 {
-		t.Fatalf("AvgFired = %g, want ~3", s.AvgFired)
-	}
-}
-
-func TestSpreadErrorsTooMany(t *testing.T) {
-	_, err := Run(Campaign{
-		App: lookup(t, "PENNANT"), Procs: 2, Trials: 2, Errors: 3,
-		SpreadErrors: true, Seed: 1,
-	})
-	if err == nil {
-		t.Fatal("more errors than ranks accepted")
-	}
-}

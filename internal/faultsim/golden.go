@@ -29,9 +29,6 @@ type Golden struct {
 	// Counts holds each rank's injectable-operation counts; injection
 	// plans are drawn uniformly over these streams.
 	Counts []fpe.Counts
-	// KindCounts holds each rank's per-operation-kind breakdown, for
-	// kind-restricted deployments.
-	KindCounts []fpe.KindCounts
 	// States holds each rank's fault-free final state for bit-exact
 	// contamination detection.
 	States [][]float64
@@ -131,11 +128,10 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 	elapsed := time.Since(start)
 	g := &Golden{
 		App: app, Class: class, Procs: procs,
-		Counts:     make([]fpe.Counts, procs),
-		KindCounts: make([]fpe.KindCounts, procs),
-		States:     make([][]float64, procs),
-		Regions:    make(map[string]fpe.Counts),
-		Comm:       res.Comm,
+		Counts:  make([]fpe.Counts, procs),
+		States:  make([][]float64, procs),
+		Regions: make(map[string]fpe.Counts),
+		Comm:    res.Comm,
 	}
 	if len(sp.Counts[0]) > 0 {
 		g.StepCounts = sp.Counts
@@ -146,7 +142,6 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 	g.Check = append(g.Check, res.Outputs[0].Check...)
 	for r := 0; r < procs; r++ {
 		g.Counts[r] = res.Ctxs[r].Counts()
-		g.KindCounts[r] = res.Ctxs[r].KindCounts()
 		g.States[r] = res.Outputs[r].State
 		for name, c := range res.Ctxs[r].RegionCounts() {
 			t := g.Regions[name]

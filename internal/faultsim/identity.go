@@ -22,6 +22,12 @@ import "fmt"
 //	    rank: at p >= 32 its ranks do the serial run's ops instead of up to
 //	    6.6x as many, so its campaigns there have other injection sites
 //	    and other outcomes under an unchanged v2 string.
+//
+// The "/pat0" segment is a constant: it once named the fault pattern, and
+// the single-bit flip, pattern 0, is now the only fault model.  Keeping
+// the segment (and dropping the suffixes of the retired fault-shape
+// knobs, which no default campaign printed) leaves every v3 key of a
+// single-bit campaign valid, so removing the other models needed no bump.
 const IdentityVersion = 3
 
 // Normalized returns a copy of the campaign with the outcome-affecting
@@ -48,41 +54,29 @@ func (c Campaign) Normalized() Campaign {
 
 // Identity returns the campaign's deterministic identity string: a
 // versioned key over every field that affects trial outcomes
-// (app/class/procs/trials/errors/region/seed/pattern and the extension
-// knobs).  Two campaigns with equal identities produce bit-identical
+// (app/class/procs/trials/errors/region/seed and the contamination
+// tolerance).  Two campaigns with equal identities produce bit-identical
 // Summaries; checkpoints and the prediction service's result store are
 // both keyed by it, so a snapshot or cached summary can never be resumed
 // into a different deployment.
 //
 // The format (pinned by TestIdentityFormat) is
 //
-//	cid:v3/APP/CLASS/p<procs>/t<trials>/e<errors>/r<region>/s<seed>/pat<pattern>
+//	cid:v3/APP/CLASS/p<procs>/t<trials>/e<errors>/r<region>/s<seed>/pat0
 //
-// followed by optional "/spread", "/tol<g>", "/k<mask>", "/b<bit>" and
-// "/w<lo>-<hi>" segments for the non-default extension knobs.  Call on
-// the Normalized campaign; RunAgainstCtx normalizes before computing it.
+// followed by "/tol<g>" when the tolerance is set, as it is on every
+// Normalized campaign.  Call on the Normalized campaign; RunAgainstCtx
+// normalizes before computing it.
 func (c Campaign) Identity() string {
 	app := "?"
 	if c.App != nil {
 		app = c.App.Name()
 	}
-	id := fmt.Sprintf("cid:v%d/%s/%s/p%d/t%d/e%d/r%d/s%d/pat%d",
+	id := fmt.Sprintf("cid:v%d/%s/%s/p%d/t%d/e%d/r%d/s%d/pat0",
 		IdentityVersion, app, c.Class, c.Procs, c.Trials, c.Errors,
-		int(c.Region), c.Seed, int(c.Pattern))
-	if c.SpreadErrors {
-		id += "/spread"
-	}
+		int(c.Region), c.Seed)
 	if c.ContaminationTol != 0 {
 		id += fmt.Sprintf("/tol%g", c.ContaminationTol)
-	}
-	if c.KindMask != 0 {
-		id += fmt.Sprintf("/k%d", c.KindMask)
-	}
-	if c.FixedBit != nil {
-		id += fmt.Sprintf("/b%d", *c.FixedBit)
-	}
-	if c.Window != nil {
-		id += fmt.Sprintf("/w%g-%g", c.Window[0], c.Window[1])
 	}
 	return id
 }

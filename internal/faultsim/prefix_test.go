@@ -18,18 +18,17 @@ func TestResumeMatchesFromZero(t *testing.T) {
 	for _, tc := range []struct {
 		app           string
 		procs, errors int
-		spread        bool
 	}{
-		{"CG", 4, 1, false}, {"FT", 4, 1, false}, {"MG", 4, 1, false},
-		{"LU", 4, 1, false}, {"MiniFE", 4, 1, false}, {"PENNANT", 4, 1, false},
-		{"CG", 1, 8, false}, {"MiniFE", 1, 8, false}, {"PENNANT", 4, 3, true},
+		{"CG", 4, 1}, {"FT", 4, 1}, {"MG", 4, 1},
+		{"LU", 4, 1}, {"MiniFE", 4, 1}, {"PENNANT", 4, 1},
+		{"CG", 1, 8}, {"MiniFE", 1, 8}, {"PENNANT", 4, 3},
 	} {
 		app := lookup(t, tc.app)
 		golden, err := ComputeGolden(app, "", tc.procs, apps.DefaultTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := Campaign{App: app, Procs: tc.procs, Trials: 40, Errors: tc.errors, SpreadErrors: tc.spread, Seed: 7}
+		c := Campaign{App: app, Procs: tc.procs, Trials: 40, Errors: tc.errors, Seed: 7}
 		identity := c.Normalized().Identity()
 		run := func(c Campaign) string {
 			sum, err := RunAgainst(c, golden)

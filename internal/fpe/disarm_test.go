@@ -3,6 +3,7 @@ package fpe
 import (
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,18 +11,25 @@ import (
 )
 
 // refCtx is a reference oracle for the instrumented datapath: the
-// original (pre-disarm) semantics, scanning every planned stream on
-// every operation with no exhausted-group skipping and no fast path,
-// and counting every op into every open region as it happens.  The one
+// original (pre-disarm) semantics, looking at its class's pending
+// injections on every operation with no countdown and no fast path, and
+// counting every op into every open region as it happens.  The one
 // datapath must be observationally identical to it.
 type refCtx struct {
 	class    RegionClass
 	counters [numClasses]uint64
 	kinds    [numClasses][4]uint64
-	groups   []injGroup
+	pending  [numClasses]refQueue
 	records  []Record
 	stack    []refFrame
 	regions  map[string]Counts
+}
+
+// refQueue is the oracle's plan for one class: its injections in Index
+// order, plan order among equal indices, and how many have fired.
+type refQueue struct {
+	queue []Injection
+	pos   int
 }
 
 // refFrame is an open region of the oracle.
@@ -34,21 +42,13 @@ type refFrame struct {
 func newRefCtx(plan []Injection) *refCtx {
 	r := &refCtx{regions: map[string]Counts{}}
 	for _, inj := range plan {
-		gi := -1
-		for i := range r.groups {
-			if r.groups[i].class == inj.Class && r.groups[i].kindMask == inj.KindMask {
-				gi = i
-				break
-			}
-		}
-		if gi < 0 {
-			r.groups = append(r.groups, injGroup{class: inj.Class, kindMask: inj.KindMask})
-			gi = len(r.groups) - 1
-		}
-		r.groups[gi].queue = append(r.groups[gi].queue, inj)
+		q := &r.pending[inj.Class]
+		q.queue = append(q.queue, inj)
 	}
-	for i := range r.groups {
-		sortInjections(r.groups[i].queue)
+	for cl := range r.pending {
+		sort.SliceStable(r.pending[cl].queue, func(i, j int) bool {
+			return r.pending[cl].queue[i].Index < r.pending[cl].queue[j].Index
+		})
 	}
 	return r
 }
@@ -70,6 +70,7 @@ func (r *refCtx) end() {
 
 func (r *refCtx) op(op OpKind, a, b float64) (float64, float64) {
 	cl := r.class
+	idx := r.counters[cl]
 	r.counters[cl]++
 	r.kinds[cl][op]++
 	region := ""
@@ -77,28 +78,21 @@ func (r *refCtx) op(op OpKind, a, b float64) (float64, float64) {
 		r.stack[i].count[cl]++
 		region = r.stack[i].name
 	}
-	for gi := range r.groups {
-		g := &r.groups[gi]
-		if g.class != cl || (g.kindMask != 0 && g.kindMask&(1<<uint(op)) == 0) {
-			continue
+	q := &r.pending[cl]
+	for q.pos < len(q.queue) && q.queue[q.pos].Index == idx {
+		inj := q.queue[q.pos]
+		q.pos++
+		var before, after float64
+		if inj.Operand == 0 {
+			before, a = a, FlipBit(a, inj.Bit)
+			after = a
+		} else {
+			before, b = b, FlipBit(b, inj.Bit)
+			after = b
 		}
-		idx := g.ctr
-		g.ctr = idx + 1
-		for g.pos < len(g.queue) && g.queue[g.pos].Index == idx {
-			inj := g.queue[g.pos]
-			g.pos++
-			var before, after float64
-			if inj.Operand == 0 {
-				before, a = a, inj.corrupt(a)
-				after = a
-			} else {
-				before, b = b, inj.corrupt(b)
-				after = b
-			}
-			r.records = append(r.records, Record{
-				Injection: inj, Op: op, Region: region, Before: before, After: after,
-			})
-		}
+		r.records = append(r.records, Record{
+			Injection: inj, Op: op, Region: region, Before: before, After: after,
+		})
 	}
 	return a, b
 }
@@ -261,7 +255,7 @@ func (l *lockstep) drive(rng *stats.RNG, n int) {
 }
 
 // TestDisarmMatchesFullScanSemantics is the datapath's oracle test:
-// across randomized plans (multiple streams, kind masks, shared indices)
+// across randomized plans (both classes, shared indices)
 // and call sequences that cross between the classes in both directions
 // and run far past the last planned index, the values computed, Counts,
 // KindCounts, RegionCounts and Records are bit-identical to the
@@ -278,9 +272,6 @@ func TestDisarmMatchesFullScanSemantics(t *testing.T) {
 				Bit:     uint(rng.Intn(64)),
 				Operand: rng.Intn(2),
 			}
-			if rng.Intn(2) == 0 {
-				inj.KindMask = uint8(rng.Intn(7) + 1)
-			}
 			plan = append(plan, inj)
 		}
 		l := newLockstep(t, NewWithPlan(plan), plan)
@@ -295,8 +286,8 @@ func TestDisarmMatchesFullScanSemantics(t *testing.T) {
 // TestDatapathDirectedCases plants injections on the ops where the
 // datapath's bookkeeping changes hands — the first op after a Begin and
 // after an End, adjacent indices, a shared index, index 0, one index in
-// both classes, an index never reached — over one fixed script, unmasked
-// and kind-masked, and compares each with the oracle.
+// both classes, an index never reached — over one fixed script, and
+// compares each with the oracle.
 func TestDatapathDirectedCases(t *testing.T) {
 	// The script, by class stream; op i of the whole script is an Add, Sub
 	// or Mul as i%3 is 0, 1 or 2, which gives each op's kind below:
@@ -363,16 +354,6 @@ func TestDatapathDirectedCases(t *testing.T) {
 		{"indices never reached", []Injection{
 			{Class: Common, Index: 18, Bit: 5}, {Class: Unique, Index: 1000, Bit: 5}, {Class: Unique, Index: 2, Bit: 5}},
 			"fsub@u"},
-		{"kind-masked, first op after Begin and after each End", []Injection{
-			{Class: Unique, Index: 0, Bit: 3, KindMask: 1 << OpMul}, {Class: Common, Index: 2, Bit: 3, KindMask: 1 << OpSub},
-			{Class: Unique, Index: 3, Bit: 3, KindMask: 1 << OpMul}},
-			"fmul@u fsub@ fmul@u"},
-		{"kind-masked beside unmasked on one op", []Injection{
-			{Class: Unique, Index: 5, Bit: 3}, {Class: Unique, Index: 2, Bit: 4, KindMask: 1 << OpAdd, Operand: 1}},
-			"fadd@u fadd@u"},
-		{"kind-masked never reached", []Injection{
-			{Class: Common, Index: 0, Bit: 3}, {Class: Unique, Index: 99, Bit: 3, KindMask: 1 << OpMul}},
-			"fadd@"},
 	}
 	pooled := New()
 	for _, tc := range cases {
@@ -402,7 +383,7 @@ func TestPooledCtxMatchesFresh(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		plan := []Injection{
 			{Class: Common, Index: uint64(rng.Intn(30)), Bit: uint(rng.Intn(64))},
-			{Class: Unique, Index: uint64(rng.Intn(30)), Bit: 5, KindMask: 1 << OpMul},
+			{Class: Unique, Index: uint64(rng.Intn(30)), Bit: 5},
 		}
 		fresh := NewWithPlan(plan)
 		pooled.ResetPlan(plan)

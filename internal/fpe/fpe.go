@@ -18,10 +18,9 @@
 // the same operands in the same order, every product that feeds an add or
 // a subtraction rounded by an explicit float64(…) so no architecture fuses
 // it — and books exactly what it ran with one Tally.  When Reserve refuses
-// (the window holds a trigger, or a kind-masked plan is armed) the kernel
-// runs its instrumented loop, unchanged.  A window never spans a Begin, an
-// End or a communication call, so counts, plan indices and Records are
-// those of per-op counting.  (A window a panic cuts short books nothing;
+// (the window holds a trigger) the kernel runs its instrumented loop,
+// unchanged.  A window never spans a Begin, an End or a communication
+// call, so counts, plan indices and Records are those of per-op counting.  (A window a panic cuts short books nothing;
 // only a completed run's counts are ever read — the golden's.)
 //
 // A Ctx is owned by a single rank goroutine and is not safe for concurrent
@@ -91,38 +90,16 @@ func (k OpKind) String() string {
 }
 
 // Injection describes one planned fault: at the Index-th dynamic
-// injectable operation within its stream, corrupt input operand Operand
-// (0 or 1).
-//
-// The stream an Index counts over is selected by (Class, KindMask): all
-// injectable operations of the region class when KindMask is zero, or only
-// the operation kinds whose bits are set (1<<OpAdd | ... ) otherwise.
-//
-// The corruption is a single-bit flip of Bit (0 = least significant) when
-// Mask is zero, or an XOR with Mask (multi-bit faults) otherwise.
+// injectable operation of region class Class, flip bit Bit (0 = least
+// significant) of input operand Operand (0 or 1).
 //
 // Loading a plan (NewWithPlan, ResetPlan) panics on an injection whose
-// Class or Operand is out of range, or whose Bit is above 63 with no Mask.
+// Class, Bit or Operand is out of range.
 type Injection struct {
-	Class    RegionClass
-	KindMask uint8
-	Index    uint64
-	Bit      uint
-	Mask     uint64
-	Operand  int
-}
-
-// corrupt applies the injection's fault to v.
-func (inj Injection) corrupt(v float64) float64 {
-	if inj.Mask != 0 {
-		return math.Float64frombits(math.Float64bits(v) ^ inj.Mask)
-	}
-	return FlipBit(v, inj.Bit)
-}
-
-// matchesKind reports whether the injection's stream includes ops of kind k.
-func (inj Injection) matchesKind(k OpKind) bool {
-	return inj.KindMask == 0 || inj.KindMask&(1<<uint(k)) != 0
+	Class   RegionClass
+	Index   uint64
+	Bit     uint
+	Operand int
 }
 
 // Record describes an injection that actually fired, for logging and
@@ -143,8 +120,8 @@ type Counts struct {
 }
 
 // KindCounts holds dynamic injectable-operation counts broken down by
-// region class and operation kind, for planning kind-restricted
-// injections.
+// region class and operation kind: what a step boundary records, so that
+// a resumed run goes on with the kind mix of the run it resumes.
 type KindCounts struct {
 	// ByClassKind[class][kind] counts injectable ops of that kind executed
 	// in that region class (kinds: OpAdd, OpSub, OpMul; OpDiv is not
@@ -152,22 +129,18 @@ type KindCounts struct {
 	ByClassKind [numClasses][4]uint64
 }
 
-// Of returns the stream length for (class, kindMask): the total injectable
-// ops of the class when kindMask is zero, else the sum over the selected
-// kinds.
-func (k KindCounts) Of(class RegionClass, kindMask uint8) uint64 {
+// Of returns the class's injectable op count, its kinds summed.
+func (k KindCounts) Of(class RegionClass) uint64 {
 	var n uint64
-	for kind := 0; kind < 4; kind++ {
-		if kindMask == 0 || kindMask&(1<<uint(kind)) != 0 {
-			n += k.ByClassKind[class][kind]
-		}
+	for _, v := range k.ByClassKind[class] {
+		n += v
 	}
 	return n
 }
 
 // Counts collapses the kind breakdown into per-class totals.
 func (k KindCounts) Counts() Counts {
-	return Counts{Common: k.Of(Common, 0), Unique: k.Of(Unique, 0)}
+	return Counts{Common: k.Of(Common), Unique: k.Of(Unique)}
 }
 
 // Total returns the total injectable operation count.
@@ -203,23 +176,12 @@ type regionFrame struct {
 	snap Counts
 }
 
-// injGroup is the pending-injection state for one (class, kindMask)
-// stream appearing in the plan.
-type injGroup struct {
-	class    RegionClass
-	kindMask uint8
-	ctr      uint64 // dynamic index within this stream
-	queue    []Injection
-	pos      int
-}
-
 // Ctx is the per-rank instrumented floating point context.
 type Ctx struct {
 	// left is how many more ops of the active class may run before one
 	// must look at the plan: left == 0 means exactly that THIS op takes the
-	// slow path.  With an unmasked plan it is trigger[class] minus the
-	// class's op count (effectively infinite when nothing is pending); while
-	// a kind-masked plan is armed it stays pinned at 0.  Add, Sub and Mul
+	// slow path.  It is trigger[class] minus the class's op count
+	// (effectively infinite when nothing is pending).  Add, Sub and Mul
 	// are one test, one decrement and one increment of plain fields so
 	// that they fit the compiler's inline budget (scripts/inlinecheck.sh).
 	// It is also the window contract: Reserve(n) grants n <= left, and
@@ -236,24 +198,17 @@ type Ctx struct {
 	divs  uint64                // non-injectable ops (accounting only)
 
 	// trigger[class] is the dynamic index within that class's injectable
-	// stream at which the next unmasked (KindMask==0) injection fires, or
-	// noTrigger when none is pending.  Because an unmasked group's stream
-	// index IS the class's op count, left counts down to it: clean runs,
-	// clean ranks, the pre-fire window and the post-fire tail all pay the
-	// same inlined fast path.
+	// stream at which the next injection fires, or noTrigger when none is
+	// pending.  An injection's Index IS its class's op count, so left
+	// counts down to it: clean runs, clean ranks, the pre-fire window and
+	// the post-fire tail all pay the same inlined fast path.
 	trigger [numClasses]uint64
 
-	// scanArmed is nonzero only for plans containing kind-masked
-	// (KindMask!=0) groups, whose stream indexes depend on the op-kind
-	// mix and cannot be predicted by a class trigger.  Such plans fall
-	// back to the legacy per-op group scan until every group is
-	// exhausted.  Real campaigns draw unmasked plans, so this path is
-	// cold.
-	scanArmed int
-
-	// groups holds the plan's injections grouped by stream; empty for
+	// plan[class] holds the class's injections sorted by Index, and
+	// next[class] the position of its first unfired one; both empty for
 	// clean runs, so the hot path pays only the counter increments.
-	groups []injGroup
+	plan [numClasses][]Injection
+	next [numClasses]int
 
 	records []Record
 
@@ -271,7 +226,7 @@ type Ctx struct {
 // path; only the tests set it (export_test.go).
 var windowsOff bool
 
-// noTrigger marks a class stream with no pending unmasked injection.
+// noTrigger marks a class stream with no pending injection.
 const noTrigger = math.MaxUint64
 
 // New returns a context with no planned injections and the Common class
@@ -279,7 +234,7 @@ const noTrigger = math.MaxUint64
 func New() *Ctx { return NewWithPlan(nil) }
 
 // NewWithPlan returns a context that will execute the given injections.
-// The plan slice is copied, grouped by stream, and sorted internally.
+// The plan slice is copied, split by class, and sorted internally.
 func NewWithPlan(plan []Injection) *Ctx {
 	c := &Ctx{}
 	c.ResetPlan(plan)
@@ -288,7 +243,7 @@ func NewWithPlan(plan []Injection) *Ctx {
 
 // Reset returns the context to its freshly-constructed clean state (no
 // plan, Common class active, all counters zero) while keeping the
-// allocated capacity — group slots, record storage, the region map — so
+// allocated capacity — plan queues, record storage, the region map — so
 // steady-state reuse across many executions allocates nothing.  The
 // slices previously returned by Records must not be retained across a
 // Reset.
@@ -302,59 +257,41 @@ func (c *Ctx) ResetPlan(plan []Injection) {
 	c.kinds = [numClasses][4]uint64{}
 	c.divs = 0
 	c.window, c.tallied = 0, 0
-	c.trigger = [numClasses]uint64{noTrigger, noTrigger}
-	c.scanArmed = 0
-	c.groups = c.groups[:0]
 	c.records = c.records[:0]
 	c.stack = c.stack[:0]
 	clear(c.regionTotals)
 	c.loadPlan(plan)
 }
 
-// loadPlan groups the plan by (class, kindMask) stream and arms the
-// context.  Group slots retired by a ResetPlan keep their queue storage,
-// so reloading a same-shaped plan allocates nothing.  A malformed
-// injection panics here, in the harness, rather than at fire time inside
-// a rank, where the panic would be tallied as the application's failure.
+// loadPlan splits the plan into its class queues and arms each class's
+// trigger at its queue's head.  The queues keep their storage across a
+// ResetPlan, so reloading a same-sized plan allocates nothing.  A
+// malformed injection panics here, in the harness, rather than at fire
+// time inside a rank, where the panic would be tallied as the
+// application's failure.
 func (c *Ctx) loadPlan(plan []Injection) {
+	for cl := range c.plan {
+		c.plan[cl] = c.plan[cl][:0]
+	}
+	c.next = [numClasses]int{}
 	for _, inj := range plan {
 		cl := inj.Class
 		if cl != Common && cl != Unique {
 			panic(fmt.Sprintf("fpe: invalid region class %d in plan", int(cl)))
 		}
-		if inj.Mask == 0 && inj.Bit > 63 {
+		if inj.Bit > 63 {
 			panic(fmt.Sprintf("fpe: invalid bit %d in plan", inj.Bit))
 		}
 		if inj.Operand != 0 && inj.Operand != 1 {
 			panic(fmt.Sprintf("fpe: invalid operand %d in plan", inj.Operand))
 		}
-		gi := -1
-		for i := range c.groups {
-			if c.groups[i].class == cl && c.groups[i].kindMask == inj.KindMask {
-				gi = i
-				break
-			}
-		}
-		if gi < 0 {
-			gi = c.grabGroup(cl, inj.KindMask)
-		}
-		c.groups[gi].queue = append(c.groups[gi].queue, inj)
+		c.plan[cl] = append(c.plan[cl], inj)
 	}
-	for i := range c.groups {
-		sortInjections(c.groups[i].queue)
-	}
-	for i := range c.groups {
-		if c.groups[i].kindMask != 0 {
-			c.scanArmed = len(c.groups)
-			break
-		}
-	}
-	if c.scanArmed == 0 {
-		// Unmasked plans (at most one group per class after grouping): arm
-		// the per-class triggers so the datapath fires by index.
-		for i := range c.groups {
-			g := &c.groups[i]
-			c.trigger[g.class] = g.queue[0].Index
+	for cl, q := range c.plan {
+		sortInjections(q)
+		c.trigger[cl] = noTrigger
+		if len(q) > 0 {
+			c.trigger[cl] = q[0].Index
 		}
 	}
 	c.rearm()
@@ -365,13 +302,7 @@ func (c *Ctx) loadPlan(plan []Injection) {
 // trigger is never behind its class's count — it is set from a plan loaded
 // at count zero or re-armed strictly beyond the op that fired — so the
 // difference cannot wrap.
-func (c *Ctx) rearm() {
-	if c.scanArmed != 0 {
-		c.left = 0
-		return
-	}
-	c.left = c.trigger[c.class] - c.count()
-}
+func (c *Ctx) rearm() { c.left = c.trigger[c.class] - c.count() }
 
 // count is the active class's op count, i.e. the dynamic index of its
 // next op.
@@ -390,21 +321,6 @@ func (c *Ctx) setClass(cl RegionClass) {
 	k := &c.kinds[cl]
 	c.adds, c.subs, c.muls = k[OpAdd], k[OpSub], k[OpMul]
 	c.rearm()
-}
-
-// grabGroup appends a fresh group slot, reusing the backing array (and
-// the retired slot's queue capacity) left behind by a ResetPlan.
-func (c *Ctx) grabGroup(cl RegionClass, kindMask uint8) int {
-	n := len(c.groups)
-	if n < cap(c.groups) {
-		c.groups = c.groups[:n+1]
-		g := &c.groups[n]
-		g.class, g.kindMask, g.ctr, g.pos = cl, kindMask, 0, 0
-		g.queue = g.queue[:0]
-	} else {
-		c.groups = append(c.groups, injGroup{class: cl, kindMask: kindMask})
-	}
-	return n
 }
 
 // sortInjections sorts by Index ascending (insertion sort; plans are tiny).
@@ -472,12 +388,12 @@ func (c *Ctx) Boundary() (KindCounts, uint64) {
 // run whose plan had not fired yet: the Ctx goes on, under the plan it has
 // loaded, as if it had run that run's ops itself.  Region totals restart
 // from zero, so RegionCounts then covers only the ops after the boundary.
-// It panics outside a boundary, under a kind-masked plan, or when a planned
-// injection's index lies before kc's count of its class.
+// It panics outside a boundary, or when a planned injection's index lies
+// before kc's count of its class.
 func (c *Ctx) ResumeAt(kc KindCounts, divs uint64) {
 	c.Boundary()
 	for cl := range c.trigger {
-		if c.scanArmed != 0 || c.trigger[cl] < kc.Of(RegionClass(cl), 0) {
+		if c.trigger[cl] < kc.Of(RegionClass(cl)) {
 			panic("fpe: resuming past a planned injection")
 		}
 	}
@@ -533,74 +449,47 @@ func (c *Ctx) Fired() int { return len(c.records) }
 // Pending reports how many planned injections have not fired yet.
 func (c *Ctx) Pending() int {
 	n := 0
-	for i := range c.groups {
-		n += len(c.groups[i].queue) - c.groups[i].pos
+	for cl, q := range c.plan {
+		n += len(q) - c.next[cl]
 	}
 	return n
 }
 
 // inject fires the injections due at the current op and corrupts the
-// operands.  It runs on the slow path only, reached in exactly two cases:
-// the countdown ran out because the class trigger equals idx (an unmasked
-// injection is due on THIS op), or scanArmed > 0 (a kind-masked plan needs
-// the legacy per-op group scan).  idx is the op's dynamic index within the
-// active class's stream, which for unmasked groups IS the group's stream
-// index.
+// operands.  It runs on the slow path only, reached when the countdown ran
+// out: the active class's trigger equals idx, the op's dynamic index in
+// its class, so an injection is due on THIS op.
 func (c *Ctx) inject(op OpKind, idx uint64, a, b float64) (float64, float64) {
 	cl := c.class
-	scan := c.scanArmed != 0
-	for gi := range c.groups {
-		g := &c.groups[gi]
-		if g.pos >= len(g.queue) {
-			continue // exhausted stream: nothing left to fire
+	q, i := c.plan[cl], c.next[cl]
+	// Multiple injections may share an index (distinct faults); fire them
+	// all.
+	for ; i < len(q) && q[i].Index == idx; i++ {
+		inj := q[i]
+		var before, after float64
+		if inj.Operand == 0 {
+			before = a
+			a = FlipBit(a, inj.Bit)
+			after = a
+		} else {
+			before = b
+			b = FlipBit(b, inj.Bit)
+			after = b
 		}
-		if g.class != cl || (g.kindMask != 0 && g.kindMask&(1<<uint(op)) == 0) {
-			continue
+		name := ""
+		if len(c.stack) > 0 {
+			name = c.stack[len(c.stack)-1].name
 		}
-		gidx := idx
-		if scan {
-			// Legacy mode: a masked group's stream counts only matching
-			// ops, so its index advances here, per call.
-			gidx = g.ctr
-			g.ctr = gidx + 1
-		}
-		// Multiple injections may share an index (distinct faults); fire
-		// them all.
-		for g.pos < len(g.queue) && g.queue[g.pos].Index == gidx {
-			inj := g.queue[g.pos]
-			g.pos++
-			var before, after float64
-			if inj.Operand == 0 {
-				before = a
-				a = inj.corrupt(a)
-				after = a
-			} else {
-				before = b
-				b = inj.corrupt(b)
-				after = b
-			}
-			name := ""
-			if len(c.stack) > 0 {
-				name = c.stack[len(c.stack)-1].name
-			}
-			c.records = append(c.records, Record{
-				Injection: inj, Op: op, Region: name, Before: before, After: after,
-			})
-		}
-		if scan && g.pos == len(g.queue) {
-			c.scanArmed--
-		}
+		c.records = append(c.records, Record{
+			Injection: inj, Op: op, Region: name, Before: before, After: after,
+		})
 	}
-	if !scan {
-		// Re-arm this class's trigger at the next pending head (strictly
-		// beyond idx: everything due at idx just fired).
-		c.trigger[cl] = noTrigger
-		for gi := range c.groups {
-			g := &c.groups[gi]
-			if g.class == cl && g.pos < len(g.queue) {
-				c.trigger[cl] = g.queue[g.pos].Index
-			}
-		}
+	// Re-arm this class's trigger at the next pending head (strictly beyond
+	// idx: everything due at idx just fired).
+	c.next[cl] = i
+	c.trigger[cl] = noTrigger
+	if i < len(q) {
+		c.trigger[cl] = q[i].Index
 	}
 	return a, b
 }
@@ -674,9 +563,9 @@ func (c *Ctx) Div(a, b float64) float64 {
 }
 
 // Reserve reports whether the active class's next n injectable ops may run
-// as plain arithmetic: true iff none of them is due an injection, which is
-// never the case while a kind-masked plan is armed.  A true Reserve must be
-// followed, before any other op of this Ctx, by the Tally of what ran.
+// as plain arithmetic: true iff none of them is due an injection.  A true
+// Reserve must be followed, before any other op of this Ctx, by the Tally
+// of what ran.
 func (c *Ctx) Reserve(n uint64) bool {
 	if n > c.left || windowsOff {
 		return false

@@ -243,7 +243,7 @@ func TestDrawPlanErrors(t *testing.T) {
 	if _, err := DrawPlan(rng, Counts{Common: 2}, Common, -1); err == nil {
 		t.Fatal("negative plan accepted")
 	}
-	if _, err := DrawPlanAnyRegion(rng, Counts{}); err == nil {
+	if _, err := DrawPlanAnyRegion(rng, Counts{}, 1); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }
@@ -255,7 +255,7 @@ func TestDrawPlanAnyRegionWeighting(t *testing.T) {
 	common := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		plan, err := DrawPlanAnyRegion(rng, counts)
+		plan, err := DrawPlanAnyRegion(rng, counts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,16 +313,6 @@ func TestStringMethods(t *testing.T) {
 	if OpKind(9).String() == "" {
 		t.Fatal("unknown op kind has empty string")
 	}
-	pats := map[Pattern]string{SingleBit: "single-bit", DoubleBit: "double-bit",
-		Burst4: "burst4", WordRandom: "word-random"}
-	for p, want := range pats {
-		if p.String() != want {
-			t.Fatalf("%v", p)
-		}
-	}
-	if Pattern(9).String() == "" {
-		t.Fatal("unknown pattern has empty string")
-	}
 }
 
 func TestNewWithPlanRejectsBadClass(t *testing.T) {
@@ -337,7 +327,7 @@ func TestNewWithPlanRejectsBadClass(t *testing.T) {
 // TestLoadRejectsMalformedInjection: a bit or an operand out of range
 // panics when the plan is loaded — in the harness, where it is a bug —
 // not at fire time inside a rank, where it would be tallied as the
-// application's Failure.  A Mask makes Bit irrelevant.
+// application's Failure.
 func TestLoadRejectsMalformedInjection(t *testing.T) {
 	for _, inj := range []Injection{
 		{Bit: 64},
@@ -353,10 +343,6 @@ func TestLoadRejectsMalformedInjection(t *testing.T) {
 			}()
 			NewWithPlan([]Injection{inj})
 		}()
-	}
-	c := NewWithPlan([]Injection{{Bit: 64, Mask: 1}})
-	if got := c.Add(2, 0); got != math.Float64frombits(math.Float64bits(2)^1) {
-		t.Fatalf("masked injection with an unused Bit = %g", got)
 	}
 }
 

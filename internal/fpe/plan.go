@@ -20,209 +20,57 @@ func (e *PlanError) Error() string {
 		e.Want, e.Class, e.Have, e.Reason)
 }
 
-// Pattern selects the fault shape of each injection.  The paper's
-// experiments use single-bit flips (the dominant DRAM/SRAM fault mode it
-// cites) but state the methodology is pattern-agnostic; the other patterns
-// exist to exercise that generality.
-type Pattern int
-
-// The supported fault patterns.
-const (
-	// SingleBit flips one uniformly chosen bit.
-	SingleBit Pattern = iota
-	// DoubleBit flips two distinct uniformly chosen bits.
-	DoubleBit
-	// Burst4 flips four contiguous bits at a uniform offset.
-	Burst4
-	// WordRandom XORs the operand with a uniform non-zero 64-bit mask.
-	WordRandom
-)
-
-// String returns the pattern name.
-func (p Pattern) String() string {
-	switch p {
-	case SingleBit:
-		return "single-bit"
-	case DoubleBit:
-		return "double-bit"
-	case Burst4:
-		return "burst4"
-	case WordRandom:
-		return "word-random"
-	default:
-		return fmt.Sprintf("Pattern(%d)", int(p))
-	}
-}
-
-// DrawOpts refines how injections are drawn.
-type DrawOpts struct {
-	// Pattern is the fault shape (default SingleBit).
-	Pattern Pattern
-	// KindMask restricts the target stream to the given operation kinds
-	// (bitmask of 1<<OpAdd | 1<<OpSub | 1<<OpMul); zero means any
-	// injectable kind.
-	KindMask uint8
-	// FixedBit pins the flipped bit (SingleBit pattern only); nil draws it
-	// uniformly.  Used for bit-position sensitivity sweeps.
-	FixedBit *uint
-	// Window restricts the dynamic-index range to [lo, hi) as fractions of
-	// the stream; nil means the whole stream.  Used for injection-time
-	// sensitivity sweeps.
-	Window *[2]float64
-}
-
-// windowRange maps opts.Window onto a stream of n ops.
-func (o DrawOpts) windowRange(n uint64) (lo, hi uint64, err error) {
-	if o.Window == nil {
-		return 0, n, nil
-	}
-	wl, wh := o.Window[0], o.Window[1]
-	if wl < 0 || wh > 1 || wl >= wh {
-		return 0, 0, fmt.Errorf("fpe: invalid window [%g, %g)", wl, wh)
-	}
-	lo = uint64(wl * float64(n))
-	hi = uint64(wh * float64(n))
-	if hi > n {
-		hi = n
-	}
-	return lo, hi, nil
-}
-
-// fault draws the pattern's corruption parameters.
-func (o DrawOpts) fault(rng *stats.RNG) (bit uint, mask uint64) {
-	switch o.Pattern {
-	case DoubleBit:
-		b1 := uint(rng.Intn(64))
-		b2 := uint(rng.Intn(63))
-		if b2 >= b1 {
-			b2++
-		}
-		return 0, 1<<b1 | 1<<b2
-	case Burst4:
-		b := uint(rng.Intn(61))
-		return 0, 0xF << b
-	case WordRandom:
-		for {
-			if m := rng.Uint64(); m != 0 {
-				return 0, m
-			}
-		}
-	default: // SingleBit
-		if o.FixedBit != nil {
-			return *o.FixedBit % 64, 0
-		}
-		return uint(rng.Intn(64)), 0
-	}
-}
-
-// DrawWith draws k independent injections uniformly over the selected
+// DrawPlan draws k independent single-bit injections uniformly over the
 // dynamic operation stream of the given region class, with distinct
 // operation indices (the paper's k-errors-per-test serial deployments).
-func DrawWith(rng *stats.RNG, kc KindCounts, class RegionClass, k int, opts DrawOpts) ([]Injection, error) {
-	n := kc.Of(class, opts.KindMask)
+func DrawPlan(rng *stats.RNG, counts Counts, class RegionClass, k int) ([]Injection, error) {
+	n := counts.Of(class)
 	if k < 0 {
 		return nil, &PlanError{Class: class, Want: k, Have: n, Reason: "negative error count"}
 	}
-	lo, hi, err := opts.windowRange(n)
-	if err != nil {
-		return nil, err
+	if uint64(k) > n {
+		return nil, &PlanError{Class: class, Want: k, Have: n, Reason: "stream shorter than error count"}
 	}
-	if uint64(k) > hi-lo {
-		return nil, &PlanError{Class: class, Want: k, Have: hi - lo,
-			Reason: "stream window shorter than error count"}
-	}
-	idx := rng.SampleDistinct(k, hi-lo)
 	plan := make([]Injection, k)
-	for i, ix := range idx {
-		bit, mask := opts.fault(rng)
-		plan[i] = Injection{
-			Class:    class,
-			KindMask: opts.KindMask,
-			Index:    lo + ix,
-			Bit:      bit,
-			Mask:     mask,
-			Operand:  rng.Intn(2),
-		}
+	for i, ix := range rng.SampleDistinct(k, n) {
+		plan[i] = drawSite(rng, class, ix)
 	}
 	return plan, nil
 }
 
-// DrawAnyRegionWith draws one injection uniformly over the union of the
-// common and unique streams, weighting each class by its (kind-filtered)
-// dynamic operation count — the paper's parallel fault injection tests.
-func DrawAnyRegionWith(rng *stats.RNG, kc KindCounts, opts DrawOpts) ([]Injection, error) {
-	return DrawAnyRegionKWith(rng, kc, 1, opts)
-}
-
-// DrawAnyRegionKWith draws k independent injections with distinct
-// operation indices uniformly over the union of the common and unique
-// streams, weighting each class by its (kind-filtered) dynamic operation
-// count.  It is the multi-error generalization of DrawAnyRegionWith:
-// each error independently lands in the common or the parallel-unique
-// computation in proportion to the dynamic op counts, so multi-error
-// parallel deployments sample the same flattened stream single-error
-// ones do.  For k=1 it consumes the identical RNG sequence as the
-// single-error draw, keeping existing campaign results stable.
-func DrawAnyRegionKWith(rng *stats.RNG, kc KindCounts, k int, opts DrawOpts) ([]Injection, error) {
-	nCommon := kc.Of(Common, opts.KindMask)
-	nUnique := kc.Of(Unique, opts.KindMask)
-	total := nCommon + nUnique
+// DrawPlanAnyRegion draws k independent single-bit injections with
+// distinct operation indices uniformly over the union of the common and
+// unique streams — the paper's parallel fault injection tests.  Each error
+// independently lands in the common or the parallel-unique computation in
+// proportion to the dynamic op counts, so multi-error parallel deployments
+// sample the same flattened stream single-error ones do.
+func DrawPlanAnyRegion(rng *stats.RNG, counts Counts, k int) ([]Injection, error) {
+	total := counts.Total()
 	if k < 0 {
 		return nil, &PlanError{Class: Common, Want: k, Have: total, Reason: "negative error count"}
 	}
 	if total == 0 {
 		return nil, &PlanError{Class: Common, Want: k, Have: 0, Reason: "empty operation stream"}
 	}
-	// The window applies within each class stream proportionally.
-	loC, hiC, err := opts.windowRange(nCommon)
-	if err != nil {
-		return nil, err
+	if uint64(k) > total {
+		return nil, &PlanError{Class: Common, Want: k, Have: total, Reason: "stream shorter than error count"}
 	}
-	loU, hiU, _ := opts.windowRange(nUnique)
-	span := (hiC - loC) + (hiU - loU)
-	if uint64(k) > span {
-		return nil, &PlanError{Class: Common, Want: k, Have: span,
-			Reason: "stream window shorter than error count"}
-	}
-	if span == 0 {
-		return nil, &PlanError{Class: Common, Want: k, Have: 0, Reason: "empty window"}
-	}
-	// Distinct flat indices over [common window][unique window] map to
-	// distinct (class, index) injection sites.
-	idx := rng.SampleDistinct(k, span)
+	// Distinct flat indices over [common][unique] map to distinct
+	// (class, index) injection sites.
 	plan := make([]Injection, k)
-	for i, flat := range idx {
-		bit, mask := opts.fault(rng)
-		inj := Injection{KindMask: opts.KindMask, Bit: bit, Mask: mask, Operand: rng.Intn(2)}
-		if flat < hiC-loC {
-			inj.Class = Common
-			inj.Index = loC + flat
+	for i, flat := range rng.SampleDistinct(k, total) {
+		if flat < counts.Common {
+			plan[i] = drawSite(rng, Common, flat)
 		} else {
-			inj.Class = Unique
-			inj.Index = loU + (flat - (hiC - loC))
+			plan[i] = drawSite(rng, Unique, flat-counts.Common)
 		}
-		plan[i] = inj
 	}
 	return plan, nil
 }
 
-// DrawPlan draws k single-bit injections over the whole class stream
-// (the paper's default configuration).
-func DrawPlan(rng *stats.RNG, counts Counts, class RegionClass, k int) ([]Injection, error) {
-	return DrawWith(rng, countsAsKinds(counts), class, k, DrawOpts{})
-}
-
-// DrawPlanAnyRegion draws one single-bit injection weighted across both
-// region classes.
-func DrawPlanAnyRegion(rng *stats.RNG, counts Counts) ([]Injection, error) {
-	return DrawAnyRegionWith(rng, countsAsKinds(counts), DrawOpts{})
-}
-
-// countsAsKinds lifts class totals into a KindCounts with everything
-// attributed to OpAdd — only the class totals matter when KindMask is 0.
-func countsAsKinds(c Counts) KindCounts {
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = c.Common
-	kc.ByClassKind[Unique][OpAdd] = c.Unique
-	return kc
+// drawSite completes the injection at a drawn site: the bit, then the
+// operand — the order every campaign's RNG stream has consumed them in.
+func drawSite(rng *stats.RNG, class RegionClass, index uint64) Injection {
+	bit := uint(rng.Intn(64))
+	return Injection{Class: class, Index: index, Bit: bit, Operand: rng.Intn(2)}
 }

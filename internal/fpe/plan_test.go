@@ -2,7 +2,6 @@ package fpe
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -23,195 +22,34 @@ func TestKindCountsAccumulate(t *testing.T) {
 		kc.ByClassKind[Common][OpMul] != 1 || kc.ByClassKind[Unique][OpMul] != 1 {
 		t.Fatalf("kind counts = %+v", kc)
 	}
-	if kc.Of(Common, 0) != 4 {
-		t.Fatalf("Of(Common, 0) = %d", kc.Of(Common, 0))
-	}
-	if kc.Of(Common, 1<<OpMul) != 1 {
-		t.Fatalf("Of(Common, mul) = %d", kc.Of(Common, 1<<OpMul))
+	if kc.Of(Common) != 4 {
+		t.Fatalf("Of(Common) = %d", kc.Of(Common))
 	}
 	if kc.Counts() != (Counts{Common: 4, Unique: 1}) {
 		t.Fatalf("Counts() = %+v", kc.Counts())
 	}
 }
 
-func TestKindRestrictedInjectionTargetsKindStream(t *testing.T) {
-	// Plan: corrupt the 2nd dynamic MUL (index 1 in the mul stream), sign
-	// bit.  Adds in between must not advance the mul stream.
-	c := NewWithPlan([]Injection{{
-		Class: Common, KindMask: 1 << OpMul, Index: 1, Bit: 63, Operand: 0,
-	}})
-	c.Mul(3, 1) // mul stream index 0
-	c.Add(1, 1) // not counted in the mul stream
-	c.Add(2, 2)
-	got := c.Mul(5, 1) // mul stream index 1: corrupt first operand
-	if got != -5 {
-		t.Fatalf("kind-restricted injection = %g, want -5", got)
-	}
-	if c.Fired() != 1 {
-		t.Fatalf("fired = %d", c.Fired())
-	}
-}
-
-func TestMaskCorruption(t *testing.T) {
-	// XOR mask flipping sign and mantissa bit 51 of 1.0 -> -1.5.
-	c := NewWithPlan([]Injection{{
-		Class: Common, Index: 0, Mask: 1<<63 | 1<<51, Operand: 0,
-	}})
-	if got := c.Add(1, 0); got != -1.5 {
-		t.Fatalf("mask corruption = %g, want -1.5", got)
-	}
-}
-
-func TestMixedStreamsFireIndependently(t *testing.T) {
-	// One any-kind injection and one mul-only injection, both at stream
-	// index 1 of their respective streams.
-	c := NewWithPlan([]Injection{
-		{Class: Common, Index: 1, Bit: 63, Operand: 0},
-		{Class: Common, KindMask: 1 << OpMul, Index: 1, Bit: 63, Operand: 0},
-	})
-	c.Add(1, 0)         // any stream 0
-	got1 := c.Add(2, 0) // any stream 1 -> fires: -2
-	c.Mul(1, 1)         // mul stream 0 (any stream 2)
-	got2 := c.Mul(3, 1) // mul stream 1 -> fires: -3
-	if got1 != -2 || got2 != -3 {
-		t.Fatalf("got %g, %g; want -2, -3", got1, got2)
-	}
-	if c.Fired() != 2 || c.Pending() != 0 {
-		t.Fatalf("fired=%d pending=%d", c.Fired(), c.Pending())
-	}
-}
-
-func TestDrawWithPatterns(t *testing.T) {
-	rng := stats.NewRNG(1)
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = 1000
-	cases := []struct {
-		pattern  Pattern
-		wantBits func(mask uint64) bool
-	}{
-		{SingleBit, func(m uint64) bool { return m == 0 }},
-		{DoubleBit, func(m uint64) bool { return bits.OnesCount64(m) == 2 }},
-		{Burst4, func(m uint64) bool {
-			return bits.OnesCount64(m) == 4 && m>>bits.TrailingZeros64(m) == 0xF
-		}},
-		{WordRandom, func(m uint64) bool { return m != 0 }},
-	}
-	for _, cse := range cases {
-		for i := 0; i < 50; i++ {
-			plan, err := DrawWith(rng, kc, Common, 1, DrawOpts{Pattern: cse.pattern})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !cse.wantBits(plan[0].Mask) {
-				t.Fatalf("%v: bad mask %#x", cse.pattern, plan[0].Mask)
-			}
-		}
-	}
-}
-
-func TestDrawWithFixedBit(t *testing.T) {
-	rng := stats.NewRNG(2)
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = 100
-	bit := uint(62)
-	for i := 0; i < 20; i++ {
-		plan, err := DrawWith(rng, kc, Common, 1, DrawOpts{FixedBit: &bit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan[0].Bit != 62 || plan[0].Mask != 0 {
-			t.Fatalf("fixed bit not honored: %+v", plan[0])
-		}
-	}
-}
-
-func TestDrawWithWindow(t *testing.T) {
-	rng := stats.NewRNG(3)
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = 1000
-	win := [2]float64{0.5, 0.75}
-	for i := 0; i < 100; i++ {
-		plan, err := DrawWith(rng, kc, Common, 1, DrawOpts{Window: &win})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan[0].Index < 500 || plan[0].Index >= 750 {
-			t.Fatalf("index %d outside window [500, 750)", plan[0].Index)
-		}
-	}
-	bad := [2]float64{0.9, 0.1}
-	if _, err := DrawWith(rng, kc, Common, 1, DrawOpts{Window: &bad}); err == nil {
-		t.Fatal("inverted window accepted")
-	}
-}
-
-func TestDrawWithKindMaskIndexRange(t *testing.T) {
-	rng := stats.NewRNG(4)
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = 1000
-	kc.ByClassKind[Common][OpMul] = 10
-	for i := 0; i < 50; i++ {
-		plan, err := DrawWith(rng, kc, Common, 1, DrawOpts{KindMask: 1 << OpMul})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan[0].Index >= 10 || plan[0].KindMask != 1<<OpMul {
-			t.Fatalf("mul-stream index out of range: %+v", plan[0])
-		}
-	}
-}
-
-func TestDrawAnyRegionWithWindowAndKinds(t *testing.T) {
-	rng := stats.NewRNG(5)
-	var kc KindCounts
-	kc.ByClassKind[Common][OpMul] = 800
-	kc.ByClassKind[Unique][OpMul] = 200
-	kc.ByClassKind[Common][OpAdd] = 5000 // excluded by the mask
-	win := [2]float64{0, 0.5}
-	uniqueHits := 0
-	const trials = 4000
-	for i := 0; i < trials; i++ {
-		plan, err := DrawAnyRegionWith(rng, kc, DrawOpts{KindMask: 1 << OpMul, Window: &win})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj := plan[0]
-		switch inj.Class {
-		case Common:
-			if inj.Index >= 400 {
-				t.Fatalf("common index %d outside windowed mul stream", inj.Index)
-			}
-		case Unique:
-			if inj.Index >= 100 {
-				t.Fatalf("unique index %d outside windowed mul stream", inj.Index)
-			}
-			uniqueHits++
-		}
-	}
-	frac := float64(uniqueHits) / trials
-	if math.Abs(frac-0.2) > 0.03 {
-		t.Fatalf("unique fraction %g, want ~0.2 (mask must exclude adds)", frac)
-	}
-}
-
 func TestDrawAnyRegionKMatchesSingleDraw(t *testing.T) {
-	// The k=1 path of the generalized draw must consume the identical RNG
-	// sequence as the historical single-error draw: cached campaign
-	// summaries and checkpoints depend on the draw stream staying stable.
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = 700
-	kc.ByClassKind[Unique][OpAdd] = 300
+	// The k=1 draw must consume the RNG sequence the historical
+	// single-error draw did — the flat site, then the bit, then the
+	// operand: cached campaign summaries and checkpoints depend on the
+	// draw stream staying stable.
+	counts := Counts{Common: 700, Unique: 300}
 	for seed := uint64(0); seed < 50; seed++ {
-		a, err := DrawAnyRegionWith(stats.NewRNG(seed), kc, DrawOpts{})
+		ref := stats.NewRNG(seed)
+		want := Injection{Class: Common, Index: ref.SampleDistinct(1, 1000)[0]}
+		if want.Index >= 700 {
+			want.Class, want.Index = Unique, want.Index-700
+		}
+		want.Bit = uint(ref.Intn(64))
+		want.Operand = ref.Intn(2)
+		got, err := DrawPlanAnyRegion(stats.NewRNG(seed), counts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := DrawAnyRegionKWith(stats.NewRNG(seed), kc, 1, DrawOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) != 1 || a[0] != b[0] {
-			t.Fatalf("seed %d: single draw %+v != k=1 draw %+v", seed, a[0], b[0])
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("seed %d: k=1 draw %+v, single draw %+v", seed, got, want)
 		}
 	}
 }
@@ -221,12 +59,10 @@ func TestDrawAnyRegionKSpansBothClasses(t *testing.T) {
 	// the parallel-unique computation in roughly its weight, and indices
 	// must be distinct within each class stream.
 	rng := stats.NewRNG(7)
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = 100
-	kc.ByClassKind[Unique][OpAdd] = 900
+	counts := Counts{Common: 100, Unique: 900}
 	uniqueHits, draws := 0, 0
 	for i := 0; i < 1000; i++ {
-		plan, err := DrawAnyRegionKWith(rng, kc, 3, DrawOpts{})
+		plan, err := DrawPlanAnyRegion(rng, counts, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,20 +98,18 @@ func TestDrawAnyRegionKSpansBothClasses(t *testing.T) {
 
 func TestDrawAnyRegionKValidation(t *testing.T) {
 	rng := stats.NewRNG(1)
-	var kc KindCounts
-	kc.ByClassKind[Common][OpAdd] = 3
-	kc.ByClassKind[Unique][OpAdd] = 2
-	if _, err := DrawAnyRegionKWith(rng, kc, 6, DrawOpts{}); err == nil {
+	counts := Counts{Common: 3, Unique: 2}
+	if _, err := DrawPlanAnyRegion(rng, counts, 6); err == nil {
 		t.Fatal("k larger than the union stream accepted")
 	}
-	if _, err := DrawAnyRegionKWith(rng, kc, -1, DrawOpts{}); err == nil {
+	if _, err := DrawPlanAnyRegion(rng, counts, -1); err == nil {
 		t.Fatal("negative k accepted")
 	}
-	if _, err := DrawAnyRegionKWith(rng, KindCounts{}, 1, DrawOpts{}); err == nil {
+	if _, err := DrawPlanAnyRegion(rng, Counts{}, 1); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 	// k equal to the whole union stream is legal and covers every site.
-	plan, err := DrawAnyRegionKWith(rng, kc, 5, DrawOpts{})
+	plan, err := DrawPlanAnyRegion(rng, counts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,13 +121,10 @@ func TestDrawAnyRegionKValidation(t *testing.T) {
 // Property: every drawn plan, when executed against a long enough op
 // stream, fires exactly k times.
 func TestDrawnPlansAlwaysFire(t *testing.T) {
-	f := func(seed uint64, kRaw, patRaw uint8) bool {
+	f := func(seed uint64, kRaw uint8) bool {
 		k := int(kRaw%5) + 1
-		pattern := Pattern(int(patRaw) % 4)
 		rng := stats.NewRNG(seed)
-		var kc KindCounts
-		kc.ByClassKind[Common][OpAdd] = 200
-		plan, err := DrawWith(rng, kc, Common, k, DrawOpts{Pattern: pattern})
+		plan, err := DrawPlan(rng, Counts{Common: 200}, Common, k)
 		if err != nil {
 			return false
 		}

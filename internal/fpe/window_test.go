@@ -140,8 +140,7 @@ func TestWindowOracleClean(t *testing.T) {
 }
 
 // TestWindowOracleInjected: for each paper app at each scale, seeded plans
-// — one to three faults on one rank or on two, either class, now and then
-// kind-masked — plus faults on each class's first and last op fire on the
+// — one to three faults on one rank or on two, either class — plus faults on each class's first and last op fire on the
 // same op with the same operands, and end the same, with windows as
 // without.
 func TestWindowOracleInjected(t *testing.T) {
@@ -180,14 +179,7 @@ func oraclePlans(golden apps.ExecResult, p, n int) []map[int][]fpe.Injection {
 		}
 		for len(plans) < ranks {
 			r := rng.Intn(p)
-			kc, opts := golden.Ctxs[r].KindCounts(), fpe.DrawOpts{}
-			if i%7 == 6 {
-				opts.KindMask = uint8(1 + rng.Intn(7))
-			}
-			if kc.Of(fpe.Common, opts.KindMask)+kc.Of(fpe.Unique, opts.KindMask) < 3 {
-				opts.KindMask = 0 // a kind the app does not run
-			}
-			plan, err := fpe.DrawAnyRegionKWith(rng, kc, 1+i%3, opts)
+			plan, err := fpe.DrawPlanAnyRegion(rng, golden.Ctxs[r].Counts(), 1+i%3)
 			if err != nil {
 				panic(err)
 			}

@@ -54,25 +54,6 @@ func (r Rates) interval95(rate float64) Interval {
 	return Interval{Lo: lo, Hi: hi}
 }
 
-// SuccessInterval returns the 95% Wilson interval of a Rates value's
-// success rate.
-func (r Rates) SuccessInterval() (lo, hi float64) {
-	i := r.interval95(r.Success)
-	return i.Lo, i.Hi
-}
-
-// SDCInterval returns the 95% Wilson interval of the SDC rate.
-func (r Rates) SDCInterval() (lo, hi float64) {
-	i := r.interval95(r.SDC)
-	return i.Lo, i.Hi
-}
-
-// FailureInterval returns the 95% Wilson interval of the failure rate.
-func (r Rates) FailureInterval() (lo, hi float64) {
-	i := r.interval95(r.Failure)
-	return i.Lo, i.Hi
-}
-
 // Intervals95 returns the Wilson 95% intervals of all three outcome
 // rates at once.
 func (r Rates) Intervals95() RateIntervals {

@@ -51,14 +51,6 @@ func TestWilsonIntervalProperties(t *testing.T) {
 	}
 }
 
-func TestSuccessInterval(t *testing.T) {
-	r := Rates{Success: 0.5, SDC: 0.5, N: 100}
-	lo, hi := r.SuccessInterval()
-	if lo >= 0.5 || hi <= 0.5 {
-		t.Fatalf("interval [%g, %g] does not contain the estimate", lo, hi)
-	}
-}
-
 func TestIntervals95AllOutcomes(t *testing.T) {
 	c := Counter{Success: 60, SDC: 30, Failure: 10}
 	r := c.Rates()
@@ -79,16 +71,6 @@ func TestIntervals95AllOutcomes(t *testing.T) {
 		if w := tc.iv.Width(); math.Abs(w-(tc.iv.Hi-tc.iv.Lo)) > 1e-15 {
 			t.Errorf("%s: Width() = %g, want %g", tc.name, w, tc.iv.Hi-tc.iv.Lo)
 		}
-	}
-	// The per-outcome accessors agree with the bundle.
-	if lo, hi := r.SDCInterval(); lo != iv.SDC.Lo || hi != iv.SDC.Hi {
-		t.Errorf("SDCInterval = [%g, %g], want [%g, %g]", lo, hi, iv.SDC.Lo, iv.SDC.Hi)
-	}
-	if lo, hi := r.FailureInterval(); lo != iv.Failure.Lo || hi != iv.Failure.Hi {
-		t.Errorf("FailureInterval = [%g, %g], want [%g, %g]", lo, hi, iv.Failure.Lo, iv.Failure.Hi)
-	}
-	if lo, hi := r.SuccessInterval(); lo != iv.Success.Lo || hi != iv.Success.Hi {
-		t.Errorf("SuccessInterval = [%g, %g], want [%g, %g]", lo, hi, iv.Success.Lo, iv.Success.Hi)
 	}
 }
 

@@ -51,34 +51,6 @@ func RMSE(measured, predicted []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(measured))), nil
 }
 
-// MeanAbs returns the mean of |a[i]-b[i]| — the "average prediction error"
-// the paper's abstract reports.
-func MeanAbs(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0, ErrDimension
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / float64(len(a)), nil
-}
-
-// MaxAbs returns the maximum of |a[i]-b[i]| — the "at most" prediction
-// error the paper reports alongside the average.
-func MaxAbs(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0, ErrDimension
-	}
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -21,15 +21,6 @@ type Counter struct {
 	Failure uint64
 }
 
-// AddSuccess, AddSDC and AddFailure record one trial each.
-func (c *Counter) AddSuccess() { c.Success++ }
-
-// AddSDC records one silent-data-corruption trial.
-func (c *Counter) AddSDC() { c.SDC++ }
-
-// AddFailure records one crash/hang trial.
-func (c *Counter) AddFailure() { c.Failure++ }
-
 // Merge adds other's counts into c.
 func (c *Counter) Merge(other Counter) {
 	c.Success += other.Success

@@ -8,16 +8,7 @@ import (
 )
 
 func TestCounterRates(t *testing.T) {
-	var c Counter
-	for i := 0; i < 20; i++ {
-		c.AddSuccess()
-	}
-	for i := 0; i < 70; i++ {
-		c.AddSDC()
-	}
-	for i := 0; i < 10; i++ {
-		c.AddFailure()
-	}
+	c := Counter{Success: 20, SDC: 70, Failure: 10}
 	r := c.Rates()
 	if r.Success != 0.2 || r.SDC != 0.7 || r.Failure != 0.1 || r.N != 100 {
 		t.Fatalf("rates = %+v", r)
@@ -25,11 +16,7 @@ func TestCounterRates(t *testing.T) {
 }
 
 func TestCounterMerge(t *testing.T) {
-	var a, b Counter
-	a.AddSuccess()
-	a.AddSDC()
-	b.AddFailure()
-	b.AddFailure()
+	a, b := Counter{Success: 1, SDC: 1}, Counter{Failure: 2}
 	a.Merge(b)
 	if a.Total() != 4 || a.Failure != 2 {
 		t.Fatalf("merged = %+v", a)

@@ -6,8 +6,6 @@
 // it has no dependencies outside the standard library.
 package stats
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random number generator built
 // from splitmix64 (for seeding and stream splitting) and xoshiro256**
 // (for bulk generation).  Campaigns derive one independent RNG per fault
@@ -107,32 +105,6 @@ func mul128(a, b uint64) (hi, lo uint64) {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard normal variate using the polar
-// Box–Muller method.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // SampleDistinct returns k distinct uniform values from [0, n), sorted

@@ -108,42 +108,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(17)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	varc := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %g too far from 0", mean)
-	}
-	if math.Abs(varc-1) > 0.03 {
-		t.Fatalf("normal variance %g too far from 1", varc)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(19)
-	for n := 0; n <= 20; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSampleDistinctProperties(t *testing.T) {
 	f := func(seed uint64, kRaw, nRaw uint16) bool {
 		n := uint64(nRaw%500) + 1

@@ -63,25 +63,6 @@ const (
 // FlipBit returns f with one bit of its IEEE-754 representation inverted.
 func FlipBit(f float64, bit uint) float64 { return fpe.FlipBit(f, bit) }
 
-// Pattern selects a campaign's fault shape.
-type Pattern = fpe.Pattern
-
-// The supported fault patterns (Campaign.Pattern).
-const (
-	PatternSingleBit  = fpe.SingleBit
-	PatternDoubleBit  = fpe.DoubleBit
-	PatternBurst4     = fpe.Burst4
-	PatternWordRandom = fpe.WordRandom
-)
-
-// Operation-kind masks for Campaign.KindMask.
-const (
-	// KindAdd restricts injection to the adder datapath (add and sub).
-	KindAdd uint8 = 1<<uint(fpe.OpAdd) | 1<<uint(fpe.OpSub)
-	// KindMul restricts injection to multiplications.
-	KindMul uint8 = 1 << uint(fpe.OpMul)
-)
-
 // ---- message-passing substrate ----------------------------------------------
 
 // Comm is a rank's communicator handle in the simulated MPI runtime.

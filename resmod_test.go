@@ -101,20 +101,3 @@ func TestFacadeFlipBit(t *testing.T) {
 		t.Fatal("FlipBit sign flip broken")
 	}
 }
-
-func TestFacadePatternCampaign(t *testing.T) {
-	app, err := resmod.LookupApp("PENNANT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := resmod.RunCampaign(resmod.Campaign{
-		App: app, Procs: 2, Trials: 10, Seed: 2,
-		Pattern: resmod.PatternWordRandom, KindMask: resmod.KindMul,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Rates.N != 10 {
-		t.Fatalf("N = %d", sum.Rates.N)
-	}
-}
