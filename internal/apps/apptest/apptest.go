@@ -270,19 +270,15 @@ func SetupReadOnly(t *testing.T, app apps.App, procs int, digest func() uint64) 
 		t.Errorf("an SDC trial changed the cached setup: digest %x, was %x", got, before)
 	}
 
-	// A run can beat even a 1 ns watchdog, so the Failure trial is retried
-	// (the setup checked after every attempt) until the watchdog wins.
-	for attempt := 1; ; attempt++ {
-		hung := apps.Execute(app, class, procs, nil, time.Nanosecond)
-		if got := digest(); got != before {
-			t.Fatalf("a 1 ns watchdog's run changed the cached setup: digest %x, was %x", got, before)
-		}
-		if errors.Is(hung.Err, simmpi.ErrTimeout) {
-			return
-		}
-		if hung.Err != nil || attempt == 50 {
-			t.Fatalf("a 1 ns watchdog did not make a Failure trial in %d attempts: err %v", attempt, hung.Err)
-		}
+	// A world polls its watchdog at its first communication call (or, with
+	// none, when a rank first yields), by when a 1 ns watchdog has expired:
+	// the run is a Failure trial, aborted where the app first communicates.
+	hung := apps.Execute(app, class, procs, nil, time.Nanosecond)
+	if got := digest(); got != before {
+		t.Fatalf("a 1 ns watchdog's run changed the cached setup: digest %x, was %x", got, before)
+	}
+	if !errors.Is(hung.Err, simmpi.ErrTimeout) {
+		t.Fatalf("a 1 ns watchdog did not make a Failure trial: err %v", hung.Err)
 	}
 }
 

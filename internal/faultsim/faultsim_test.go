@@ -190,7 +190,8 @@ func TestCrashClassifiedAsFailure(t *testing.T) {
 	}
 }
 
-// hangApp blocks forever when an injection fires.
+// hangApp blocks forever when an injection fires: every rank it leaves
+// unfinished is blocked, so the world fails at once as a hang.
 type hangApp struct{}
 
 func (hangApp) Name() string               { return "hang-test" }
@@ -211,16 +212,41 @@ func (hangApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutpu
 	return apps.RankOutput{State: []float64{s}, Check: []float64{s}}, nil
 }
 
+// spinApp livelocks when an injection fires: the rank exchanges messages
+// with itself until the world is ended, by its watchdog or its context.
+type spinApp struct{ hangApp }
+
+func (spinApp) Name() string { return "spin-test" }
+
+func (spinApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+	s := 0.0
+	for i := 0; i < 100; i++ {
+		s = fc.Add(s, float64(i))
+	}
+	for fc.Fired() > 0 {
+		comm.SendValue(comm.Rank(), 999, s)
+		s = comm.RecvValue(comm.Rank(), 999)
+	}
+	return apps.RankOutput{State: []float64{s}, Check: []float64{s}}, nil
+}
+
+// TestHangClassifiedAsFailure: a deadlocked trial is a Failure, found
+// without waiting out the trial's Timeout.
 func TestHangClassifiedAsFailure(t *testing.T) {
-	s, err := Run(Campaign{
+	c := Campaign{
 		App: hangApp{}, Procs: 2, Trials: 4, Seed: 2,
 		Timeout: 300 * time.Millisecond,
-	})
+	}
+	start := time.Now()
+	s, err := Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Rates.Failure != 1 {
 		t.Fatalf("hang rates = %+v, want all failures", s.Rates)
+	}
+	if elapsed := time.Since(start); elapsed >= c.Timeout {
+		t.Fatalf("a campaign of %d hung trials took %v, one Timeout is %v", c.Trials, elapsed, c.Timeout)
 	}
 }
 

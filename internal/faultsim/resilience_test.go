@@ -16,10 +16,10 @@ import (
 // ---- cancellation and budget ---------------------------------------------
 
 func TestCancellationReturnsPartialSummary(t *testing.T) {
-	// Every injected hangApp trial blocks until the per-trial Timeout, so
+	// Every injected spinApp trial spins until the per-trial Timeout, so
 	// without cancellation this campaign would take ~Trials/Workers x 2s.
 	c := Campaign{
-		App: hangApp{}, Procs: 2, Trials: 40, Seed: 2,
+		App: spinApp{}, Procs: 2, Trials: 40, Seed: 2,
 		Timeout: 2 * time.Second, Workers: 2,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -50,7 +50,7 @@ func TestCancellationReturnsPartialSummary(t *testing.T) {
 
 func TestBudgetInterruptsCampaign(t *testing.T) {
 	c := Campaign{
-		App: hangApp{}, Procs: 2, Trials: 40, Seed: 2,
+		App: spinApp{}, Procs: 2, Trials: 40, Seed: 2,
 		Timeout: 2 * time.Second, Workers: 2,
 		Budget: 200 * time.Millisecond,
 	}

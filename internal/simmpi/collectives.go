@@ -3,7 +3,6 @@ package simmpi
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // arrival is what one rank publishes on entering a collective.  kind, op,
@@ -29,101 +28,57 @@ func (a *arrival) String() string {
 	return fmt.Sprintf("%s(op %v, root %d, %d values)", a.kind, a.op, a.root, a.n)
 }
 
-// rendezvous is where the world's ranks meet for a collective:
-// each publishes its arrival in its own slot and parks on its own channel;
-// the last to arrive moves all the data, between the published buffers, and
-// sends every other rank the token that releases it.  A slot is written by
-// its rank on arrival and by the last arriver until the release, and is not
-// touched again before its rank's next arrival — which is why a rank reads
-// its result out of it unlocked.  One wait queue for all the ranks
-// (sync.Cond, sync.WaitGroup) costs the same at p = 64 and twice as much at
-// p = 1024, where every park and wake contends for its one runtime lock.
+// rendezvous is where the world's ranks meet for a collective: each
+// publishes its arrival in its own slot and parks; the last to arrive moves
+// all the data, between the published buffers, and readies the others.  A
+// slot is written by its rank on arrival and by the last arriver, and is
+// not touched again before its rank's next arrival — which is where the
+// rank reads its result from.
 type rendezvous struct {
-	mu      sync.Mutex
-	slots   []arrival       // by rank
-	parked  []chan struct{} // by rank: holds a token only while its rank is due to wake
-	arrived int             // ranks parked in the current collective
-	first   int             // the first of them, which the others must match
-	gen     uint64          // collectives met for and completed
-	floats  uint64          // values they moved between ranks
+	slots   []arrival // by rank
+	arrived int       // ranks parked in the current collective
+	first   int       // the first of them, which the others must match
+	gen     uint64    // collectives met for and completed
+	floats  uint64    // values they moved between ranks
 }
 
-func newRendezvous(size int) *rendezvous {
-	r := &rendezvous{slots: make([]arrival, size), parked: make([]chan struct{}, size)}
-	for i := range r.parked {
-		r.parked[i] = make(chan struct{}, 1)
-	}
-	return r
-}
-
-// wake releases the ranks parked here to look at the world's failure.
-// Under the lock no collective is half done and no rank is about to be
-// counted in.  The tokens left over make the rendezvous unfit for another
-// run.
-func (r *rendezvous) wake() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, ch := range r.parked {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// drain adds to st what passed through r and forgets the run.
+// drain adds to st what passed through r and forgets the run, an
+// unfinished collective included.
 func (r *rendezvous) drain(st *Stats) {
 	st.Messages += r.gen * uint64(len(r.slots))
 	st.Floats += r.floats
 	clear(r.slots) // and with them the last collective's buffers
-	r.gen, r.floats = 0, 0
+	r.gen, r.floats, r.arrived = 0, 0, 0
 }
 
 // meet enters the collective a describes and returns, with the rank's out,
 // once every rank has entered it and the data has moved.  An arrival that
-// differs from the collective the others are in panics; a one-rank world
-// meets nobody and takes no lock.
+// differs from the collective the others are in panics; on a one-rank
+// world nobody is met and nothing is counted.
 func (c *Comm) meet(a arrival) []float64 {
 	c.checkPeer(a.root, a.kind)
-	r := c.w.root
+	c.checkAbort()
+	r := &c.w.root
 	me := &r.slots[c.rank]
 	*me = a
-	switch {
-	case c.size == 1:
-		r.complete()
-	case c.arrive(me):
-		// Not under the lock, which the released ranks soon want again.
-		for i, ch := range r.parked {
-			if i != c.rank {
-				ch <- struct{}{}
-			}
-		}
-	default:
-		<-r.parked[c.rank]
-		c.checkAbort()
-	}
-	return me.out
-}
-
-// arrive counts the rank in and reports whether it was the last to arrive,
-// having then done the collective's work.
-func (c *Comm) arrive(me *arrival) (last bool) {
-	r := c.w.root
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c.checkAbort()
 	if r.arrived == 0 {
 		r.first = c.rank
 	} else if f := &r.slots[r.first]; me.kind != f.kind || me.op != f.op || me.root != f.root || me.n != f.n {
 		panic(fmt.Sprintf("simmpi: rank %d entered %v while rank %d is in %v", c.rank, me, r.first, f))
 	}
 	if r.arrived++; r.arrived < c.size {
-		return false
+		c.park()
+		return me.out
 	}
 	r.complete()
 	r.arrived = 0
-	r.gen++
-	return true
+	if c.size > 1 {
+		r.gen++
+	}
+	for i := range r.slots {
+		c.w.wake(i) // this rank, active, goes on
+	}
+	return me.out
 }
 
 // hasChild reports whether vrank|k is a child of vrank in the binomial tree

@@ -3,13 +3,28 @@ package simmpi
 import "fmt"
 
 // Comm is a rank's handle on the world communicator — the analog of
-// MPI_COMM_WORLD.  A Comm is owned by its rank goroutine and must not be
-// shared between goroutines.
+// MPI_COMM_WORLD.  A Comm is owned by its rank and must not be shared
+// with other ranks or goroutines.
 type Comm struct {
 	w    *world
 	rank int
 	size int
 	cell [1]float64 // AllreduceValue's scalar
+
+	// The rank's coroutine: resume runs it until it yields, yield (inside
+	// it) hands control back to whoever resumed it, stop ends it.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	// active is set from a resume of the rank to its next yield: while it
+	// runs, and while a rank it resumed runs.
+	active bool
+	// parked is set while the rank waits to be woken: by a message from
+	// (wantSrc, wantTag) when wantSrc >= 0, by room at inbox roomAt when
+	// roomAt >= 0, otherwise by the last arrival at the rendezvous.
+	parked           bool
+	wantSrc, wantTag int
+	roomAt           int
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -26,68 +41,72 @@ func (c *Comm) checkPeer(peer int, op string) {
 	}
 }
 
-// checkAbort raises the abort sentinel if the world has failed.
+// checkAbort raises the abort sentinel if the world has failed, its
+// watchdog has expired or its context is done.
 func (c *Comm) checkAbort() {
-	if c.w.err() != nil {
+	if c.w.failed() {
 		panic(abortPanic{})
 	}
+}
+
+// park suspends the rank until the world wakes it, and raises the abort
+// sentinel if it was woken by a failure.  While it waits it resumes the
+// ranks that are ready, so that control passes from rank to rank in one
+// switch instead of two through run; only with none ready does it yield
+// to its own resumer.
+func (c *Comm) park() {
+	for c.parked = true; c.parked; {
+		if c.w.queued > 0 {
+			c.w.resume(c.w.next())
+		} else if !c.yield(struct{}{}) {
+			panic(abortPanic{}) // the world was closed under a parked rank
+		}
+	}
+	c.wantSrc, c.roomAt = -1, -1
+	c.checkAbort()
 }
 
 // Send delivers a copy of data to dst with the given tag.  It blocks only
 // while pairCap of this rank's messages sit unreceived at dst
 // (backpressure).  Sending to oneself is allowed (buffered).  The copy is
-// made into one of dst's free buffers when one fits, under the inbox lock
-// the send takes anyway.
+// made into one of dst's free buffers when one fits.
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.checkPeer(dst, "Send")
 	c.checkAbort()
 	in := &c.w.inboxes[dst]
-	in.mu.Lock()
 	for in.full(c.rank) {
-		if c.w.err() != nil {
-			in.mu.Unlock()
-			panic(abortPanic{})
-		}
-		in.blocked++
-		in.room.Wait()
-		in.blocked--
+		c.roomAt = dst
+		c.park()
 	}
 	cp := in.grab(len(data))
 	copy(cp, data)
 	in.q = append(in.q, message{src: c.rank, tag: tag, data: cp})
 	in.msgs++
 	in.floats += uint64(len(cp))
-	if in.parked && in.wantSrc == c.rank && in.wantTag == tag {
-		in.arrive.Signal()
+	if d := &c.w.ranks[dst]; d.parked && d.wantSrc == c.rank && d.wantTag == tag {
+		c.w.wake(dst)
 	}
-	in.mu.Unlock()
 }
 
 // await blocks until a message with the given tag from src is queued in
-// this rank's inbox, removes it, and returns its payload with the inbox
-// still locked: the caller unlocks once it has dealt with the payload.
-func (c *Comm) await(src, tag int) (*inbox, []float64) {
+// this rank's inbox, removes it, and returns its payload.
+func (c *Comm) await(src, tag int) []float64 {
+	c.checkAbort()
 	in := &c.w.inboxes[c.rank]
-	in.mu.Lock()
 	// seen counts the queued messages already found not to match; only
-	// this goroutine removes, so they stay the first seen of the queue.
+	// this rank removes, so they stay the first seen of the queue.
 	for seen := 0; ; {
 		for ; seen < len(in.q); seen++ {
 			if m := in.q[seen]; m.src == src && m.tag == tag {
 				in.take(seen)
-				if in.blocked > 0 {
-					in.room.Broadcast()
+				if s := &c.w.ranks[src]; s.parked && s.roomAt == c.rank {
+					c.w.wake(src)
 				}
-				return in, m.data
+				return m.data
 			}
 		}
-		if c.w.err() != nil {
-			in.mu.Unlock()
-			panic(abortPanic{})
-		}
-		in.parked, in.wantSrc, in.wantTag = true, src, tag
-		in.arrive.Wait()
-		in.parked = false
+		c.wantSrc, c.wantTag = src, tag
+		c.park()
 	}
 }
 
@@ -97,9 +116,7 @@ func (c *Comm) await(src, tag int) (*inbox, []float64) {
 // preserved per (source, tag).
 func (c *Comm) Recv(src, tag int) []float64 {
 	c.checkPeer(src, "Recv")
-	in, data := c.await(src, tag)
-	in.mu.Unlock()
-	return data
+	return c.await(src, tag)
 }
 
 // RecvInto is Recv into the caller's memory: it copies the payload over
@@ -108,12 +125,9 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // loop that receives this way allocates nothing.
 func (c *Comm) RecvInto(src, tag int, dst []float64) {
 	c.checkPeer(src, "RecvInto")
-	in, data := c.await(src, tag)
-	// apply panics on a length mismatch, and the abort that panic starts
-	// takes this lock.
-	defer in.mu.Unlock()
+	data := c.await(src, tag)
 	opCopy.apply(dst, data)
-	in.recycle(data, len(c.w.inboxes)+freeSlack)
+	c.w.inboxes[c.rank].recycle(data, len(c.w.inboxes)+freeSlack)
 }
 
 // Sendrecv sends sendData to dst with sendTag and receives a message with

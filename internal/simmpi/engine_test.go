@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,4 +177,38 @@ func TestEnginePoolingBoundsAllocations(t *testing.T) {
 	if fresh64 := freshAllocs(64); fresh64 > 16*64 {
 		t.Fatalf("fresh p=64 world allocates %v/run, want <= 16 per rank", fresh64)
 	}
+}
+
+// TestDroppedEnginesEndTheirRanks: the rank coroutines of an engine
+// nobody holds end when it is collected, and a package-level Run leaves
+// none behind.
+func TestDroppedEnginesEndTheirRanks(t *testing.T) {
+	barrier := func(c *Comm) error {
+		c.Barrier()
+		return nil
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		e, err := NewEngine(Config{Procs: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunCtx(context.Background(), barrier); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(Config{Procs: 64}, barrier); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			runtime.GC() // a few engines' stacks at a time, not 100
+		}
+	}
+	n := 0
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		if n = runtime.NumGoroutine(); n <= base {
+			return
+		}
+	}
+	t.Fatalf("%d goroutines after dropping 100 engines, %d before", n, base)
 }

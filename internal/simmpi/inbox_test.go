@@ -11,19 +11,10 @@ import (
 	"resmod/internal/race"
 )
 
-// awaitBlocked waits until n senders are parked on in's backpressure.
-// Being parked is a state, not an event, so it is polled.
-func awaitBlocked(in *inbox, n int) bool {
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		in.mu.Lock()
-		blocked := in.blocked
-		in.mu.Unlock()
-		if blocked == n {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return false
+// blockedSending reports whether rank r is parked on backpressure at
+// dst's inbox.
+func blockedSending(w *world, r, dst int) bool {
+	return w.ranks[r].parked && w.ranks[r].roomAt == dst
 }
 
 // flood sends to dst without end, counting the sends that returned.
@@ -36,19 +27,11 @@ func flood(c *Comm, dst int, sent *atomic.Int64) {
 
 // TestBackpressureIsPerPair: a sender's 257th unreceived message to one
 // peer blocks, another sender to the same peer is not held up by it,
-// and a single Recv releases it.
+// and a single Recv releases it.  The ranks start in rank order and each
+// runs until it parks, so rank 1 has parked on its 257th send by the time
+// rank 2 starts.
 func TestBackpressureIsPerPair(t *testing.T) {
 	var sent atomic.Int64
-	blocked := make(chan struct{})   // closed by rank 0 once rank 1 is parked
-	otherDone := make(chan struct{}) // closed by rank 2 after its sends
-	released := make(chan struct{})  // closed by rank 1 after its last send
-	wait := func(ch chan struct{}, what string) {
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Second):
-			t.Error(what)
-		}
-	}
 	_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
 		switch c.Rank() {
 		case 1:
@@ -56,28 +39,29 @@ func TestBackpressureIsPerPair(t *testing.T) {
 				c.Send(0, 1, []float64{float64(i)})
 				sent.Add(1)
 			}
-			close(released)
+			c.Send(2, 11, nil) // released
 		case 2:
-			<-blocked
+			if !blockedSending(c.w, 1, 0) {
+				t.Error("sender never blocked")
+			}
 			for i := 0; i < 3; i++ {
 				c.Send(0, 2, []float64{float64(i)})
 			}
-			close(otherDone)
+			c.Send(0, 9, nil) // a second sender was not blocked
+			c.Recv(1, 11)
+			c.Send(0, 10, nil)
 		case 0:
-			ok := awaitBlocked(&c.w.inboxes[0], 1)
-			close(blocked)
-			if !ok {
-				t.Error("sender never blocked")
-				return nil
-			}
-			wait(otherDone, "a second sender was blocked by the first one's messages")
+			c.Recv(2, 9)
 			if n := sent.Load(); n != pairCap {
 				t.Errorf("%d sends returned before any Recv, want %d", n, pairCap)
 			}
 			if got := c.RecvValue(1, 1); got != 0 {
 				t.Errorf("first message = %g, want 0", got)
 			}
-			wait(released, "one Recv did not release the blocked sender")
+			c.Recv(2, 10) // rank 1 has told rank 2 its last send returned
+			if n := sent.Load(); n != pairCap+1 {
+				t.Errorf("one Recv did not release the blocked sender: %d sends returned", n)
+			}
 			for i := 1; i <= pairCap; i++ {
 				if got := c.RecvValue(1, 1); got != float64(i) {
 					t.Errorf("message %d = %g", i, got)
@@ -116,7 +100,9 @@ func TestRunawaySenderTimesOut(t *testing.T) {
 }
 
 // TestBlockedSenderReleasedByFailure: a sender parked on backpressure
-// is woken by another rank's panic and by context cancellation.
+// is woken by another rank's panic and by context cancellation.  Rank 0
+// finishes at once and rank 1 floods it until it parks, before rank 2
+// starts.
 func TestBlockedSenderReleasedByFailure(t *testing.T) {
 	run := func(ctx context.Context, onBlocked func()) error {
 		var sent atomic.Int64
@@ -125,7 +111,7 @@ func TestBlockedSenderReleasedByFailure(t *testing.T) {
 			case 1:
 				flood(c, 0, &sent)
 			case 2:
-				if !awaitBlocked(&c.w.inboxes[0], 1) {
+				if !blockedSending(c.w, 1, 0) {
 					t.Error("sender never blocked")
 				}
 				onBlocked()

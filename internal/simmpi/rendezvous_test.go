@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -53,28 +52,15 @@ func meetProgram(res [][]float64) func(c *Comm) error {
 	}
 }
 
-// awaitArrived waits until n ranks are parked at r.  Being parked is a
-// state, not an event, so it is polled.
-func awaitArrived(r *rendezvous, n int) bool {
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		r.mu.Lock()
-		arrived := r.arrived
-		r.mu.Unlock()
-		if arrived == n {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return false
-}
-
 // TestFaultsAtTheMeetingPoint: whatever ends a world — a rank's panic or
-// error, the watchdog, the caller's context — while the other ranks are
-// parked in a collective releases them all with the error that failure
-// always had, and leaves the engine fit for a run that equals a fresh
-// world's in every bit and count.
+// error, a deadlock, the watchdog ending a livelock, the caller's context
+// — while the other ranks are parked in a collective releases them all
+// with the error that failure always had, and leaves the engine fit for a
+// run that equals a fresh world's in every bit and count.  The ranks start
+// in rank order, so the victim, the last, starts when all the others have
+// parked.
 func TestFaultsAtTheMeetingPoint(t *testing.T) {
-	const p, victim = 6, 1
+	const p, victim = 6, 5
 	errBoom := errors.New("boom")
 	want := make([][]float64, p)
 	wantStats, err := Run(Config{Procs: p}, meetProgram(want))
@@ -95,9 +81,16 @@ func TestFaultsAtTheMeetingPoint(t *testing.T) {
 			var re *RankError
 			return errors.As(err, &re) && re.Rank == victim && errors.Is(err, errBoom)
 		}},
-		{"watchdog", 150 * time.Millisecond, func(c *Comm, _ context.CancelFunc) error {
-			c.Recv(c.Rank(), 99) // never sent: a hang
+		{"deadlock", 30 * time.Second, func(c *Comm, _ context.CancelFunc) error {
+			c.Recv(c.Rank(), 99) // never sent: a hang, with every rank blocked
 			return nil
+		}, func(err error) bool { return errors.Is(err, ErrTimeout) }},
+		{"watchdog", 150 * time.Millisecond, func(c *Comm, _ context.CancelFunc) error {
+			buf := []float64{1}
+			for { // a livelock: never blocked, so only the watchdog ends it
+				c.Send(c.Rank(), 98, buf)
+				c.RecvInto(c.Rank(), 98, buf)
+			}
 		}, func(err error) bool { return errors.Is(err, ErrTimeout) }},
 		{"cancel", 30 * time.Second, func(c *Comm, cancel context.CancelFunc) error {
 			cancel()
@@ -116,8 +109,8 @@ func TestFaultsAtTheMeetingPoint(t *testing.T) {
 			start := time.Now()
 			_, err := e.RunCtx(ctx, func(c *Comm) error {
 				if c.Rank() == victim {
-					if !awaitArrived(c.w.root, p-1) {
-						t.Errorf("%s: the other ranks never parked", what)
+					if c.w.root.arrived != p-1 {
+						t.Errorf("%s: %d ranks parked, want %d", what, c.w.root.arrived, p-1)
 					}
 					return mode.fail(c, cancel)
 				}

@@ -332,6 +332,19 @@ func TestHangDetection(t *testing.T) {
 	}
 }
 
+// TestOverrunIsHang: a world still computing when its watchdog expires
+// hung, even if it then finishes without another communication call.
+func TestOverrunIsHang(t *testing.T) {
+	_, err := Run(Config{Procs: 2, Timeout: 10 * time.Millisecond}, func(c *Comm) error {
+		c.Barrier()
+		time.Sleep(30 * time.Millisecond) // compute past the deadline
+		return nil
+	})
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+}
+
 func TestInvalidConfig(t *testing.T) {
 	if _, err := Run(Config{Procs: 0}, func(c *Comm) error { return nil }); err == nil {
 		t.Fatal("Procs=0 accepted")

@@ -78,10 +78,10 @@ get_has "http://$coord_addr/v1/workers" '"alive": \?2\b' ||
     fail "two workers never became alive"
 # The cluster view and fleet families see both workers before any loss.
 cluster=$(curl -fsS "http://$coord_addr/v1/cluster")
-echo "$cluster" | grep -q '"workers_alive": \?2\b' ||
+grep -q '"workers_alive": \?2\b' <<<"$cluster" ||
     fail "/v1/cluster did not report workers_alive: 2"
 m=$(curl -fsS "http://$coord_addr/metrics")
-echo "$m" | grep -q '^resmod_fleet_workers_alive 2$' ||
+grep -q '^resmod_fleet_workers_alive 2$' <<<"$m" ||
     fail "resmod_fleet_workers_alive != 2 with both workers up"
 
 # Capture the distributed job's SSE stream from submission: the stream
@@ -176,7 +176,7 @@ localn=$(echo "$metrics" | awk '/^resmod_dist_shards_local_total / {print $2}')
     fail "resmod_dist_shards_dispatched_total missing or zero"
 [ -n "$completed" ] && [ "$completed" -ge 1 ] ||
     fail "no shard completed over the distributed path"
-echo "$metrics" | grep -q '^resmod_dist_workers_known 2$' ||
+grep -q '^resmod_dist_workers_known 2$' <<<"$metrics" ||
     fail "coordinator does not know 2 workers"
 
 # The distributed result (after losing a worker mid-run) must match the

@@ -41,11 +41,11 @@ done
 # counters whose sum equals the campaign-trials total, plus the new
 # duration histograms.
 metrics=$(curl -fsS "http://$addr/metrics")
-echo "$metrics" | grep -q '^resmod_trial_total{outcome="success"} ' ||
+grep -q '^resmod_trial_total{outcome="success"} ' <<<"$metrics" ||
     fail "resmod_trial_total{outcome=...} missing from /metrics"
-echo "$metrics" | grep -q '^resmod_trial_duration_seconds_count ' ||
+grep -q '^resmod_trial_duration_seconds_count ' <<<"$metrics" ||
     fail "resmod_trial_duration_seconds missing from /metrics"
-echo "$metrics" | grep -q '^resmod_campaign_duration_seconds_count ' ||
+grep -q '^resmod_campaign_duration_seconds_count ' <<<"$metrics" ||
     fail "resmod_campaign_duration_seconds missing from /metrics"
 outcome_sum=$(echo "$metrics" | awk -F' ' '/^resmod_trial_total{/ {s += $2} END {print s}')
 trials_total=$(echo "$metrics" | awk '/^resmod_campaign_trials_total / {print $2}')
@@ -56,11 +56,11 @@ trials_total=$(echo "$metrics" | awk '/^resmod_campaign_trials_total / {print $2
 # Live-progress metric families (PR 5): worker-budget occupancy gauges
 # plus the per-campaign progress ratio and trial-rate series retained by
 # the server-wide progress bus.
-echo "$metrics" | grep -q '^resmod_worker_budget_in_use ' ||
+grep -q '^resmod_worker_budget_in_use ' <<<"$metrics" ||
     fail "resmod_worker_budget_in_use missing from /metrics"
-echo "$metrics" | grep -q '^resmod_campaign_progress_ratio{campaign=' ||
+grep -q '^resmod_campaign_progress_ratio{campaign=' <<<"$metrics" ||
     fail "resmod_campaign_progress_ratio series missing from /metrics"
-echo "$metrics" | grep -q '^# TYPE resmod_trials_per_second gauge' ||
+grep -q '^# TYPE resmod_trials_per_second gauge' <<<"$metrics" ||
     fail "resmod_trials_per_second family missing from /metrics"
 
 # Live progress over SSE: submit a second prediction and stream its
@@ -81,12 +81,12 @@ grep -q '^event: done$' "$workdir/sse.out" ||
 # Aggregate service state: /v1/status reports both finished jobs and the
 # campaigns tracked on the progress bus.
 status_doc=$(curl -fsS "http://$addr/v1/status")
-echo "$status_doc" | grep -q '"status": "ok"' || fail "/v1/status not ok"
-echo "$status_doc" | grep -q '"jobs_total": 2' ||
+grep -q '"status": "ok"' <<<"$status_doc" || fail "/v1/status not ok"
+grep -q '"jobs_total": 2' <<<"$status_doc" ||
     fail "/v1/status jobs_total != 2: $status_doc"
-echo "$status_doc" | grep -q '"done": 2' ||
+grep -q '"done": 2' <<<"$status_doc" ||
     fail "/v1/status does not report 2 done jobs: $status_doc"
-echo "$status_doc" | grep -Eq '"campaigns_tracked": [1-9]' ||
+grep -Eq '"campaigns_tracked": [1-9]' <<<"$status_doc" ||
     fail "/v1/status tracked no campaigns: $status_doc"
 
 # Retention and alerting (PR 10): sampled series are queryable, the alert
@@ -97,14 +97,14 @@ get_has "http://$addr/v1/series" '"trials_total"' ||
 get_has "http://$addr/v1/series?name=queue_depth&since=10m&max=50" '"name": "queue_depth"' ||
     fail "/v1/series query failed"
 alerts_doc=$(curl -fsS "http://$addr/v1/alerts")
-echo "$alerts_doc" | grep -q '"name": "queue-saturation"' ||
+grep -q '"name": "queue-saturation"' <<<"$alerts_doc" ||
     fail "/v1/alerts missing the built-in rules: $alerts_doc"
-echo "$alerts_doc" | grep -q '"firing": 0' ||
+grep -q '"firing": 0' <<<"$alerts_doc" ||
     fail "healthy smoke run has firing alerts: $alerts_doc"
 metrics=$(curl -fsS "http://$addr/metrics")
-echo "$metrics" | grep -q '^# TYPE resmod_alerts gauge' ||
+grep -q '^# TYPE resmod_alerts gauge' <<<"$metrics" ||
     fail "resmod_alerts family missing from /metrics"
-echo "$metrics" | grep -q '^resmod_alerts_firing 0$' ||
+grep -q '^resmod_alerts_firing 0$' <<<"$metrics" ||
     fail "resmod_alerts_firing missing or non-zero"
 
 # The terminal dashboard renders one frame off the same surfaces.
@@ -117,11 +117,11 @@ shutdown
 # --- warm run: a fresh process over the same store answers from disk -----
 boot warm
 warm_doc=$(curl -fsS -X POST "http://$addr/v1/predictions" -d "$body")
-echo "$warm_doc" | grep -q '"cached": true' || fail "warm POST not served from the store"
+grep -q '"cached": true' <<<"$warm_doc" || fail "warm POST not served from the store"
 metrics=$(curl -fsS "http://$addr/metrics")
-echo "$metrics" | grep -q '^resmod_prediction_cache_hits_total 1$' ||
+grep -q '^resmod_prediction_cache_hits_total 1$' <<<"$metrics" ||
     fail "cache hit missing from /metrics"
-echo "$metrics" | grep -q '^resmod_campaign_trials_total 0$' ||
+grep -q '^resmod_campaign_trials_total 0$' <<<"$metrics" ||
     fail "warm server re-ran campaign trials"
 shutdown
 
@@ -163,17 +163,17 @@ case "$code" in 200|202) ;; *) fail "keyed POST returned $code while anon was sh
 
 # Per-tenant metric families.
 metrics=$(curl -fsS "http://$addr/metrics")
-echo "$metrics" | grep -q '^resmod_tenant_admitted_total{tenant="anon"} 1$' ||
+grep -q '^resmod_tenant_admitted_total{tenant="anon"} 1$' <<<"$metrics" ||
     fail "anon admitted counter != 1"
-echo "$metrics" | grep -q '^resmod_tenant_admitted_total{tenant="smoketeam"} 1$' ||
+grep -q '^resmod_tenant_admitted_total{tenant="smoketeam"} 1$' <<<"$metrics" ||
     fail "smoketeam admitted counter != 1"
-echo "$metrics" | grep -q '^resmod_tenant_ratelimited_total{tenant="anon"} 1$' ||
+grep -q '^resmod_tenant_ratelimited_total{tenant="anon"} 1$' <<<"$metrics" ||
     fail "anon ratelimited counter != 1"
-echo "$metrics" | grep -q '^resmod_idempotent_replays_total 1$' ||
+grep -q '^resmod_idempotent_replays_total 1$' <<<"$metrics" ||
     fail "idempotent replay counter != 1"
-echo "$metrics" | grep -q '^# TYPE resmod_tenant_shed_total counter' ||
+grep -q '^# TYPE resmod_tenant_shed_total counter' <<<"$metrics" ||
     fail "tenant shed family missing"
-echo "$metrics" | grep -q '^# TYPE resmod_queue_wait_seconds histogram' ||
+grep -q '^# TYPE resmod_queue_wait_seconds histogram' <<<"$metrics" ||
     fail "queue-wait histogram family missing"
 shutdown
 
