@@ -219,9 +219,9 @@ func doServe(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs.IntVar(&o.cache, "cache", store.DefaultMaxEntries, "in-memory LRU capacity of the store")
 	fs.IntVar(&o.trials, "trials", 400, "fault injection tests per campaign (paper: 4000)")
 	fs.Uint64Var(&o.seed, "seed", 2018, "campaign seed")
-	fs.IntVar(&o.campaignWorkers, "campaign-workers", 0, "trial-level concurrency (default GOMAXPROCS)")
+	fs.IntVar(&o.campaignWorkers, "campaign-workers", 0, "trials run at once, shared by all jobs (default GOMAXPROCS)")
 	fs.IntVar(&o.campaignParallel, "campaign-parallel", 0,
-		"concurrent campaigns per prediction job (default GOMAXPROCS; 1 = sequential)")
+		"concurrent campaigns, shared by all jobs (default GOMAXPROCS; 1 = sequential)")
 	fs.DurationVar(&o.drain, "drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "host:port for a net/http/pprof listener (empty: disabled)")
 	fs.StringVar(&o.apiKeys, "api-keys", "", "inline API keys: KEY:TENANT,KEY:TENANT,...")

@@ -48,8 +48,9 @@ func ExecuteCtx(ctx context.Context, app App, class string, procs int, plans map
 // slice are built once and reset per run, so steady-state trial execution
 // allocates only the application's own working set — nothing per message.
 //
-// An Arena is owned by a single goroutine (one campaign worker) and must
-// not be used concurrently.  The ExecResult's Ctxs and Outputs slices are
+// An Arena is held by one execution at a time (in a campaign, one slot of
+// a faultsim.Runners set, held by one trial or golden run) and must not
+// be used concurrently.  The ExecResult's Ctxs and Outputs slices are
 // arena-owned: they are valid until the next ExecuteCtx call on the same
 // arena and must not be retained across it.  Reuse never changes results:
 // a pooled execution is bit-identical to a fresh one (the fpe reset and

@@ -57,7 +57,7 @@ func gatherModelInputsTimed(ctx context.Context, s *Session, a apps.App, class s
 	// mutually independent; the unique-region deployment depends only on
 	// the large golden (whose UniqueFraction decides whether it runs at
 	// all).  All stages are submitted at once and execute under the
-	// session's campaign-parallel slots and shared worker budget;
+	// session's campaign-parallel slots and shared trial runners;
 	// timings are per-campaign Elapsed sums, so SmallTime/SerialTime are
 	// identical however many stages overlap.
 	var (

@@ -8,7 +8,7 @@ import (
 
 // SchedulerStats is a point-in-time sample of the session's campaign
 // scheduler: how many campaigns hold an execution slot, how many are
-// waiting for one, and the shared trial-worker budget's occupancy.  The
+// waiting for one, and how many of the shared trial runners are held.  The
 // prediction service exposes it on /v1/status and stamps it into every
 // prediction-kind progress event.
 type SchedulerStats struct {
@@ -20,7 +20,8 @@ type SchedulerStats struct {
 	CampaignsQueued int `json:"campaigns_queued"`
 	// CampaignSlots is the slot capacity (Config.CampaignParallel).
 	CampaignSlots int `json:"campaign_slots"`
-	// WorkerBudgetInUse/Size sample the shared trial-worker token pool.
+	// WorkerBudgetInUse/Size sample the shared runner set: slots held
+	// by golden runs and trials, and Config.Workers.
 	WorkerBudgetInUse int `json:"worker_budget_in_use"`
 	WorkerBudgetSize  int `json:"worker_budget_size"`
 }
@@ -33,8 +34,8 @@ func (s *Session) SchedulerStats() SchedulerStats {
 		CampaignsRunning:  len(s.slots),
 		CampaignsQueued:   int(s.waiting.Load()),
 		CampaignSlots:     cap(s.slots),
-		WorkerBudgetInUse: s.pool.InUse(),
-		WorkerBudgetSize:  s.pool.Size(),
+		WorkerBudgetInUse: s.runners.InUse(),
+		WorkerBudgetSize:  s.runners.Size(),
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // finished by the time Wait returns.
 //
 // Actual campaign concurrency is bounded by the Session (campaign slots
-// and the shared worker budget), not here: a group may submit every
+// and the shared trial runners), not here: a group may submit every
 // stage at once, and stages queue on the session's scheduler.  With
 // Config.CampaignParallel = 1 the stages still execute strictly one at a
 // time, which is what makes `-campaign-parallel 1` restore sequential

@@ -33,18 +33,18 @@ type Config struct {
 	Seed uint64
 	// Timeout is the per-test hang budget.
 	Timeout time.Duration
-	// Workers is the per-campaign trial concurrency.  It also sizes the
-	// session's shared worker-token budget: no matter how many campaigns
-	// execute concurrently (see CampaignParallel), their combined
-	// in-flight trials never exceed this many (GOMAXPROCS when zero), so
-	// campaign-level parallelism composes with trial-level parallelism
-	// without oversubscribing the machine.
+	// Workers sizes the session's one runner set (GOMAXPROCS when zero):
+	// every golden run and trial of every campaign holds one of its
+	// slots, and each slot is one arena, so however many campaigns
+	// execute concurrently (see CampaignParallel), no more than Workers
+	// trials run at once and no more than Workers arenas exist.
 	Workers int
 	// CampaignParallel is the number of campaigns the session may execute
-	// concurrently.  Non-positive selects GOMAXPROCS; 1 restores strictly
-	// sequential campaign execution.  Each campaign is deterministic in
-	// (Campaign, Seed) and the shared worker budget only throttles
-	// scheduling, so results are bit-identical at every setting.
+	// concurrently, which bounds how many prefix tables are live.
+	// Non-positive selects GOMAXPROCS; 1 restores strictly sequential
+	// campaign execution.  Each campaign is deterministic in (Campaign,
+	// Seed) and the runners only schedule, so results are bit-identical
+	// at every setting.
 	CampaignParallel int
 	// Log, when non-nil, receives progress events.  It is a compatibility
 	// bridge: when Ctx carries no telemetry bundle, the session builds an
@@ -121,14 +121,14 @@ func (c Config) withDefaults() Config {
 //
 // Campaign executions are additionally scheduled through two bounds:
 // slots caps how many campaigns execute at once (Config.CampaignParallel)
-// and pool is the worker-token budget shared by their trial loops
-// (Config.Workers tokens), so saturating the campaign slots cannot
+// and runners is the set of Config.Workers trial runners their golden
+// runs and trials share, so saturating the campaign slots cannot
 // oversubscribe the machine.
 type Session struct {
-	cfg   Config
-	tel   *telemetry.Telemetry
-	slots chan struct{}
-	pool  *faultsim.WorkerBudget
+	cfg     Config
+	tel     *telemetry.Telemetry
+	slots   chan struct{}
+	runners *faultsim.Runners
 	// waiting counts campaigns blocked on a slot, for SchedulerStats.
 	waiting atomic.Int64
 
@@ -233,7 +233,7 @@ func NewSession(cfg Config) *Session {
 		cfg:     cfg,
 		tel:     tel,
 		slots:   make(chan struct{}, cfg.CampaignParallel),
-		pool:    faultsim.NewWorkerBudget(cfg.Workers),
+		runners: faultsim.NewRunners(cfg.Workers),
 		goldens: make(map[string]*flight[*faultsim.Golden]),
 		camps:   make(map[string]*flight[*faultsim.Summary]),
 	}
@@ -283,14 +283,9 @@ func (s *Session) GoldenCtx(ctx context.Context, app apps.App, class string, pro
 	}
 	key := fmt.Sprintf("%s/%s/p%d", app.Name(), class, procs)
 	return join(s, ctx, s.goldens, key, func(runCtx context.Context) (*faultsim.Golden, error) {
-		// A golden run occupies the machine like one in-flight trial;
-		// under campaign-level concurrency it draws from the same
-		// worker budget so N campaigns warming up don't oversubscribe.
-		if err := s.pool.Acquire(runCtx); err != nil {
-			return nil, err
-		}
-		defer s.pool.Release()
-		return faultsim.ComputeGoldenCtx(runCtx, app, class, procs, s.cfg.Timeout)
+		// A golden run holds a runner like one in-flight trial, so N
+		// campaigns warming up don't oversubscribe the machine.
+		return s.runners.Golden(runCtx, app, class, procs, s.cfg.Timeout)
 	})
 }
 
@@ -313,7 +308,7 @@ func (s *Session) CampaignCtx(ctx context.Context, app apps.App, class string, p
 		App: app, Class: class, Procs: procs, Trials: s.cfg.Trials,
 		Errors: errors, Region: region, Seed: s.cfg.Seed,
 		Timeout: s.cfg.Timeout, Workers: s.cfg.Workers,
-		Budget: s.cfg.Budget, Pool: s.pool,
+		Budget: s.cfg.Budget, Pool: s.runners,
 	}.Normalized()
 	// The singleflight key is the campaign's durable identity, so the
 	// in-process cache, checkpoints and Config.Cache all share one

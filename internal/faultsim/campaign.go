@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resmod/internal/apps"
@@ -100,15 +101,15 @@ type Campaign struct {
 	Seed uint64
 	// Timeout is the per-test hang budget (default apps.DefaultTimeout).
 	Timeout time.Duration
-	// Workers is the trial-level concurrency (default GOMAXPROCS).
+	// Workers sizes the campaign's private runner set when Pool is nil:
+	// how many of its trials run at once (default GOMAXPROCS).
 	Workers int
-	// Pool, when non-nil, is a worker-token budget shared with other
-	// concurrently executing campaigns: each in-flight trial holds one
-	// token, so N concurrent campaigns with Workers each never run more
-	// than Pool.Size() trials at once.  Nil (the default) leaves trial
-	// concurrency bounded by Workers alone.  Like Workers, the pool does
-	// not affect trial outcomes and never enters the campaign identity.
-	Pool *WorkerBudget
+	// Pool, when non-nil, is a runner set shared with other concurrently
+	// executing campaigns: each in-flight trial holds one of its slots
+	// and runs on that slot's arena, so however many campaigns share it,
+	// no more than Pool.Size() trials run at once.  Like Workers, the
+	// runners never affect trial outcomes or the campaign identity.
+	Pool *Runners
 
 	// ContaminationTol is the relative per-element deviation above which a
 	// rank's final state counts as contaminated (paper §3.2).  The paper's
@@ -258,13 +259,10 @@ func RunCtx(ctx context.Context, c Campaign) (*Summary, error) {
 	if c.Timeout <= 0 {
 		c.Timeout = apps.DefaultTimeout
 	}
-	// A golden run occupies the machine like one in-flight trial, so under
-	// a shared budget it holds a token like one.
-	if err := c.Pool.Acquire(ctx); err != nil {
-		return nil, err
+	if c.Pool == nil {
+		c.Pool = NewRunners(c.Workers)
 	}
-	golden, err := ComputeGoldenCtx(ctx, c.App, c.Class, c.Procs, c.Timeout)
-	c.Pool.Release()
+	golden, err := c.Pool.Golden(ctx, c.App, c.Class, c.Procs, c.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +286,7 @@ func orBackground(ctx context.Context) context.Context {
 
 // prepared returns the campaign ready to execute against golden: App and
 // Class filled from the golden run, the identity-defining defaults of
-// Normalized, and the execution defaults (Workers, Timeout,
+// Normalized, and the execution defaults (Workers, Pool, Timeout,
 // AbnormalRetries) that never enter the identity.  RunAgainstCtx and
 // RunShardCtx both start here, which is what makes a shard's embedded
 // identity equal the coordinator's.
@@ -309,6 +307,9 @@ func (c Campaign) prepared(golden *Golden) (Campaign, error) {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.Pool == nil {
+		c.Pool = NewRunners(c.Workers)
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = apps.DefaultTimeout
@@ -457,23 +458,22 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 	return sum, nil
 }
 
-// runRange is the package's one trial executor.  It runs the not-yet-done
-// trials of [start, end) on c.Workers goroutines striding over *global*
-// trial indices — trial t's RNG stream is split from c.Seed by t alone, so
-// how [0, Trials) is cut into ranges, and which worker runs which trial,
-// cannot change a tally — and records them into agg, which spans the
-// whole campaign's bitmap width.  c must be prepared.  observe (nil = off)
-// sees the [start, end) tallies at the campaign's progress cadence.
+// runRange is the package's one trial executor.  It walks the
+// not-yet-done trials of [start, end) in order, and runs each on its own
+// goroutine on a slot taken from c.Pool, which it returns when the trial
+// ends.  Trial t's RNG stream is split from c.Seed by t alone, so how
+// [0, Trials) is cut into ranges, and which slot runs which trial, cannot
+// change a tally.  It records the trials into agg, which spans the whole
+// campaign's bitmap width.  c must be prepared.  observe (nil = off) sees
+// the [start, end) tallies at the campaign's progress cadence.
 //
 // Everything that makes a trial loop resilient lives here once: the
-// Budget deadline, the abort that stops the other workers when the
-// abnormal budget blows, one arena per worker, a shared-Pool token per
-// in-flight trial, retried-then-abandoned abnormal trials, and a
-// trial-batch span per worker.  The return value is the cause that ended
-// the run's context early — cancellation, Budget expiry or that abort —
-// or nil when every worker ran off the end of its stride; what an early
-// stop means (a partial Summary, or a shard that must not merge) is the
-// caller's contract.
+// Budget deadline, the abort that stops the loop when the abnormal budget
+// blows, retried-then-abandoned abnormal trials, and one trial-batch span
+// per range.  The return value is the cause that ended the run's context
+// early — cancellation, Budget expiry or that abort — or nil when the loop
+// ran off the end of the range; what an early stop means (a partial
+// Summary, or a shard that must not merge) is the caller's contract.
 func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, start, end int, observe ShardObserver) error {
 	if c.Budget > 0 {
 		var cancel context.CancelFunc
@@ -494,64 +494,47 @@ func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, s
 	if c.hooks == nil || !c.hooks.fromZero {
 		tab = newPrefixTable(golden)
 	}
+	_, bspan := tel.Tracer().Start(ctx, "trial-batch")
+	var ran atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < c.Workers; w++ {
+	for t := start; t < end && ctx.Err() == nil; t++ {
+		if agg.isDone(t) {
+			continue // merged in from a checkpoint
+		}
+		arena, err := c.Pool.take(ctx)
+		if err != nil {
+			break
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			_, bspan := tel.Tracer().Start(ctx, "trial-batch", telemetry.Int("worker", w))
-			ran := 0
-			defer func() {
-				bspan.SetAttr(telemetry.Int("trials", ran))
-				bspan.End()
-			}()
-			// One arena per worker: trials reuse the simulated world's
-			// inboxes, its recycled message buffers and the per-rank fpe
-			// contexts instead of rebuilding them, cutting steady-state
-			// per-trial allocation to the application's working set.
-			// Pooled state never affects trial results.
-			arena := apps.NewArena()
-			for t := start + w; t < end; t += c.Workers {
-				if ctx.Err() != nil {
+			t0 := time.Now()
+			rec, err := runTrialResilient(ctx, c, golden, tab, base, t, sink, agg, arena)
+			c.Pool.put(arena)
+			if err != nil {
+				if isInterruption(err) {
 					return
 				}
-				if agg.isDone(t) {
-					continue // merged in from a checkpoint
+				sink.TrialAbnormal()
+				if agg.recordAbnormal(t, err) > c.MaxAbnormal {
+					// Stop burning trials: a campaign fails from
+					// fatalError, a shard reports its list and lets the
+					// coordinator apply the campaign-wide budget.
+					abort()
 				}
-				// Under a shared budget, hold one token per in-flight
-				// trial.  Tokens are released before any other blocking
-				// wait, so concurrent campaigns drain each other's
-				// backlog instead of deadlocking.
-				if err := c.Pool.Acquire(ctx); err != nil {
-					return
-				}
-				t0 := time.Now()
-				rec, err := runTrialResilient(ctx, c, golden, tab, base, t, sink, agg, arena)
-				c.Pool.Release()
-				if err != nil {
-					if isInterruption(err) {
-						return
-					}
-					sink.TrialAbnormal()
-					if agg.recordAbnormal(t, err) > c.MaxAbnormal {
-						// Stop burning trials: a campaign fails from
-						// fatalError, a shard reports its list and lets
-						// the coordinator apply the campaign-wide budget.
-						abort()
-						return
-					}
-					continue
-				}
-				done := agg.record(t, rec)
-				sink.TrialDone(rec.Outcome.String(), time.Since(t0))
-				ran++
-				if observe != nil && done%every == 0 {
-					observe(agg.status(start, end))
-				}
+				return
 			}
-		}(w)
+			done := agg.record(t, rec)
+			sink.TrialDone(rec.Outcome.String(), time.Since(t0))
+			ran.Add(1)
+			if observe != nil && done%every == 0 {
+				agg.observe(observe, start, end)
+			}
+		}()
 	}
 	wg.Wait()
+	bspan.SetAttr(telemetry.Int("trials", int(ran.Load())))
+	bspan.End()
 	return context.Cause(ctx)
 }
 
@@ -588,7 +571,7 @@ func isInterruption(err error) bool {
 // escaping the harness are recovered, and abnormal trials are retried with
 // bounded exponential backoff (each retry counted into the recorder and the
 // aggregate's live-snapshot tally).  Retries replay the identical trial —
-// the RNG stream is re-split from the base per attempt, and the worker's
+// the RNG stream is re-split from the base per attempt, and the slot's
 // arena is discarded first so the replay runs on provably fresh state.
 func runTrialResilient(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable, base *stats.RNG, t int, sink *telemetry.Recorder, agg *aggregate, arena *apps.Arena) (TrialRecord, error) {
 	backoff := retryBackoffBase
@@ -633,7 +616,7 @@ func runTrialContained(ctx context.Context, c Campaign, golden *Golden, tab *pre
 
 // aggregate is the shared, lock-protected campaign state: the done-trial
 // bitmap plus the Tally the Summary is built from.  Keeping one shared
-// aggregate (rather than per-worker partials merged at the end) is what
+// aggregate (rather than partials merged at the end) is what
 // makes periodic checkpointing a plain snapshot; the per-trial lock is
 // negligible next to a trial's full application execution.
 type aggregate struct {
@@ -646,6 +629,8 @@ type aggregate struct {
 	retried   uint64 // abnormal-trial retries, for live snapshots
 	abnormal  []trialError
 	hook      func(done uint64)
+	// obsMu orders observer deliveries (see observe).
+	obsMu sync.Mutex
 }
 
 // trialError is one abnormal trial's error, kept for deterministic
@@ -748,6 +733,16 @@ func (a *aggregate) status(start, end int) ShardStatus {
 	}
 }
 
+// observe hands obs the [start, end) tallies.  The snapshot is taken and
+// delivered under one lock, so snapshots reach obs in the order they were
+// taken and its Done never goes backwards; ShardObserver's contract that
+// observers do not block is what makes holding the lock cheap.
+func (a *aggregate) observe(obs ShardObserver, start, end int) {
+	a.obsMu.Lock()
+	defer a.obsMu.Unlock()
+	obs(a.status(start, end))
+}
+
 // summary builds the Summary from the tallies.
 func (a *aggregate) summary(golden *Golden) *Summary {
 	a.mu.Lock()
@@ -836,8 +831,8 @@ func TraceTrial(ctx context.Context, c Campaign, golden *Golden, t int) (TrialRe
 	return rec, detail, err
 }
 
-// runTrial executes one fault injection test.  arena (nil-safe) pools
-// the execution state across a worker's trials.  detail, nil on the
+// runTrial executes one fault injection test.  arena (nil-safe) is the
+// runner slot's execution state, pooled across the trials it runs.  detail, nil on the
 // campaign path, receives what TraceTrial reports — the execution result
 // included, so it is only for a trial run without an arena.
 func runTrial(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable, rng *stats.RNG, arena *apps.Arena, detail *TrialDetail) (TrialRecord, error) {

@@ -109,6 +109,11 @@ func ComputeGolden(app apps.App, class string, procs int, timeout time.Duration)
 // ComputeGoldenCtx is ComputeGolden under a context; cancellation aborts
 // the reference run promptly.
 func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int, timeout time.Duration) (*Golden, error) {
+	return computeGolden(ctx, nil, app, class, procs, timeout)
+}
+
+// computeGolden runs the fault-free execution on arena (nil: fresh state).
+func computeGolden(ctx context.Context, arena *apps.Arena, app apps.App, class string, procs int, timeout time.Duration) (*Golden, error) {
 	if class == "" {
 		class = app.DefaultClass()
 	}
@@ -120,7 +125,7 @@ func ComputeGoldenCtx(ctx context.Context, app apps.App, class string, procs int
 	defer span.End()
 	start := time.Now()
 	sp := &apps.StepPlan{Counts: make([][]fpe.Counts, procs), Bytes: make([]int, procs)}
-	res := apps.NewArena().ExecuteSteps(ctx, app, class, procs, nil, timeout, sp)
+	res := arena.ExecuteSteps(ctx, app, class, procs, nil, timeout, sp)
 	if res.Err != nil {
 		return nil, fmt.Errorf("faultsim: golden run of %s/%s p=%d failed: %w",
 			app.Name(), class, procs, res.Err)

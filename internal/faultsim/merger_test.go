@@ -187,8 +187,8 @@ func TestMergerProperty(t *testing.T) {
 }
 
 // TestShardTraceHasTrialBatches: a shard runs the same loop as a campaign,
-// so its trace carries one trial-batch span per worker under the shard
-// span, and their trials attrs account for the whole range.
+// so its trace carries one trial-batch span for its range under the shard
+// span, and its trials attr accounts for the whole range.
 func TestShardTraceHasTrialBatches(t *testing.T) {
 	c, golden := shardTestCampaign(t)
 	tr := telemetry.NewTracer()
@@ -218,8 +218,8 @@ func TestShardTraceHasTrialBatches(t *testing.T) {
 			}
 		}
 	}
-	if batches != c.Workers || trials != end-start {
-		t.Fatalf("%d trial-batch spans totalling %d trials under the shard span, want %d totalling %d",
-			batches, trials, c.Workers, end-start)
+	if batches != 1 || trials != end-start {
+		t.Fatalf("%d trial-batch spans totalling %d trials under the shard span, want 1 totalling %d",
+			batches, trials, end-start)
 	}
 }

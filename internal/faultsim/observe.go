@@ -34,7 +34,8 @@ type ShardStatus struct {
 
 // ShardObserver receives periodic ShardStatus snapshots while a shard
 // runs.  It is called from the trial-recording path (no more often than
-// the campaign's progress cadence) and once more with the final tallies;
+// the campaign's progress cadence) and once more with the final tallies.
+// Calls never overlap, and each sees tallies no older than the last one's;
 // implementations must not block.
 type ShardObserver func(ShardStatus)
 

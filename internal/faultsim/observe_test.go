@@ -3,6 +3,7 @@ package faultsim
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +13,10 @@ import (
 // TestShardObserverSeesMonotoneTallies: an observer installed on the
 // context receives snapshots whose Done count never regresses, ends on
 // the exact final tallies, and — the non-negotiable part — observing a
-// shard leaves its result byte-identical to an unobserved run.
+// shard leaves its result byte-identical to an unobserved run.  The
+// "slow first call" case sleeps inside the observer's first call, which
+// stands for a preemption between taking a snapshot and delivering it:
+// the trials that finish meanwhile must not overtake it.
 func TestShardObserverSeesMonotoneTallies(t *testing.T) {
 	c, golden := shardTestCampaign(t)
 	identity := c.Normalized().Identity()
@@ -21,19 +25,35 @@ func TestShardObserverSeesMonotoneTallies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var mu sync.Mutex
-	var seen []ShardStatus
-	ctx := WithShardObserver(context.Background(), func(st ShardStatus) {
-		mu.Lock()
-		seen = append(seen, st)
-		mu.Unlock()
-	})
-	observed, err := RunShardCtx(ctx, c, golden, 0, c.Trials)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		first time.Duration
+	}{{"fast", 0}, {"slow first call", 50 * time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var seen []ShardStatus
+			var calls atomic.Int64
+			ctx := WithShardObserver(context.Background(), func(st ShardStatus) {
+				if calls.Add(1) == 1 {
+					time.Sleep(tc.first)
+				}
+				mu.Lock()
+				seen = append(seen, st)
+				mu.Unlock()
+			})
+			observed, err := RunShardCtx(ctx, c, golden, 0, c.Trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkObserved(t, c, golden, identity, plain, observed, seen)
+		})
 	}
+}
 
+// checkObserved holds an observed shard to the unobserved one and its
+// snapshots to the observer contract.
+func checkObserved(t *testing.T, c Campaign, golden *Golden, identity string, plain, observed *ShardResult, seen []ShardStatus) {
+	t.Helper()
 	mo := NewMerger(c, golden)
 	if err := mo.Merge(observed); err != nil {
 		t.Fatal(err)
@@ -54,8 +74,6 @@ func TestShardObserverSeesMonotoneTallies(t *testing.T) {
 		t.Fatalf("observer perturbed the shard result:\n got %s\nwant %s", got, want)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	if len(seen) == 0 {
 		t.Fatal("observer never called")
 	}

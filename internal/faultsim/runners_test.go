@@ -1,7 +1,6 @@
 package faultsim
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -13,9 +12,11 @@ import (
 	"resmod/internal/simmpi"
 )
 
-// gaugeApp tracks the high-water mark of concurrently executing trials.
+// gaugeApp tracks the high-water mark of concurrently executing trials
+// and, when ctxs is set, every rank-0 fpe context it is handed.
 type gaugeApp struct {
 	cur, max *int64
+	ctxs     *sync.Map
 }
 
 func (gaugeApp) Name() string               { return "gauge-test" }
@@ -27,6 +28,9 @@ func (gaugeApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12)
 func (a gaugeApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
 	// Count each trial once (rank 0), not once per rank goroutine.
 	if comm.Rank() == 0 {
+		if a.ctxs != nil {
+			a.ctxs.Store(fc, true)
+		}
 		n := atomic.AddInt64(a.cur, 1)
 		for {
 			old := atomic.LoadInt64(a.max)
@@ -45,49 +49,13 @@ func (a gaugeApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOu
 	return apps.RankOutput{State: []float64{s}, Check: []float64{s}}, nil
 }
 
-func TestNilWorkerBudgetIsNoop(t *testing.T) {
-	var b *WorkerBudget
-	if err := b.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	b.Release()
-	if b.Size() != 0 || b.InUse() != 0 {
-		t.Fatal("nil budget reports tokens")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := b.Acquire(ctx); err == nil {
-		t.Fatal("nil budget ignored cancelled context")
-	}
-}
-
-func TestWorkerBudgetBlocksAndCancels(t *testing.T) {
-	b := NewWorkerBudget(1)
-	if b.Size() != 1 {
-		t.Fatalf("Size = %d", b.Size())
-	}
-	if err := b.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := b.Acquire(ctx); err == nil {
-		t.Fatal("second acquire on a full budget succeeded")
-	}
-	b.Release()
-	if err := b.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	b.Release()
-}
-
 func TestSharedBudgetBoundsConcurrentCampaigns(t *testing.T) {
-	// Two campaigns, each wanting 4 trial workers, share a 2-token
-	// budget: the high-water mark of in-flight trials must be <= 2, and
-	// both campaigns must still complete every trial.
+	// Two campaigns, each wanting 4 trial workers, share a 2-slot runner
+	// set: the high-water mark of in-flight trials must be <= 2, and both
+	// campaigns must still complete every trial.
 	var cur, max int64
 	app := gaugeApp{cur: &cur, max: &max}
-	pool := NewWorkerBudget(2)
+	pool := NewRunners(2)
 	var wg sync.WaitGroup
 	sums := make([]*Summary, 2)
 	errs := make([]error, 2)
@@ -111,22 +79,61 @@ func TestSharedBudgetBoundsConcurrentCampaigns(t *testing.T) {
 		}
 	}
 	if hw := atomic.LoadInt64(&max); hw > 2 {
-		t.Fatalf("high-water mark %d trials in flight, budget is 2", hw)
+		t.Fatalf("high-water mark %d trials in flight, runner set is 2", hw)
 	}
 	if pool.InUse() != 0 {
-		t.Fatalf("%d tokens leaked", pool.InUse())
+		t.Fatalf("%d slots leaked", pool.InUse())
+	}
+}
+
+// TestRunnerSetCapsArenas: the arenas a session builds are bounded by its
+// runner set, not by its campaigns' Workers.  An arena keeps its fpe
+// contexts across trials, so the distinct rank-0 contexts the app is
+// handed count the arenas that ran trials.
+func TestRunnerSetCapsArenas(t *testing.T) {
+	var cur, max int64
+	var ctxs sync.Map
+	app := gaugeApp{cur: &cur, max: &max, ctxs: &ctxs}
+	golden, err := ComputeGolden(app, "", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs.Range(func(k, _ any) bool { ctxs.Delete(k); return true }) // the golden's
+	pool := NewRunners(2)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = RunAgainst(Campaign{
+				App: app, Procs: 2, Trials: 20, Seed: uint64(i + 1),
+				Workers: 4, Pool: pool,
+			}, golden)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	ctxs.Range(func(any, any) bool { n++; return true })
+	if n != pool.Size() {
+		t.Fatalf("trials ran on %d distinct rank-0 contexts, want one per runner (%d)", n, pool.Size())
 	}
 }
 
 func TestPooledCampaignMatchesUnpooled(t *testing.T) {
-	// The pool throttles scheduling only; outcomes must be bit-identical
-	// to an unpooled run of the same campaign.
+	// A shared runner set schedules only; outcomes must be bit-identical
+	// to a run on the campaign's private set.
 	c := Campaign{App: lookup(t, "PENNANT"), Procs: 2, Trials: 24, Seed: 7, Workers: 4}
 	plain, err := Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Pool = NewWorkerBudget(1)
+	c.Pool = NewRunners(1)
 	pooled, err := Run(c)
 	if err != nil {
 		t.Fatal(err)

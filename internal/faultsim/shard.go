@@ -85,7 +85,7 @@ func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int
 	obs := shardObserverFrom(ctx)
 	stopped := runRange(ctx, c, golden, agg, start, end, obs)
 	if obs != nil {
-		obs(agg.status(start, end))
+		agg.observe(obs, start, end)
 	}
 
 	res := &ShardResult{Start: start, End: end, Checkpoint: agg.snapshot(identity)}

@@ -62,15 +62,15 @@ type Config struct {
 	// Queue bounds the number of accepted-but-unstarted jobs; beyond it
 	// submissions are shed with 429 (default 64).
 	Queue int
-	// CampaignWorkers is the per-campaign trial concurrency handed to the
-	// session (default GOMAXPROCS).  It also sizes the session's shared
-	// worker-token budget, so jobs saturating the campaign slots never
-	// oversubscribe the machine.
+	// CampaignWorkers sizes the session's trial runner set (default
+	// GOMAXPROCS).  Every job runs on the one session, so it bounds the
+	// trials and golden runs executing at once server-wide, however many
+	// campaign slots are busy.
 	CampaignWorkers int
-	// CampaignParallel is how many campaigns one prediction job may
-	// execute concurrently (the session's deployment scheduler).
-	// Non-positive selects GOMAXPROCS; 1 restores sequential campaign
-	// execution per job.
+	// CampaignParallel is how many campaigns the server executes
+	// concurrently, across all jobs: every job runs on the one session,
+	// so its slots are shared.  Non-positive selects GOMAXPROCS; 1
+	// restores sequential campaign execution server-wide.
 	CampaignParallel int
 	// Timeout is the per-trial hang budget (default apps.DefaultTimeout).
 	Timeout time.Duration

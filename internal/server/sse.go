@@ -125,7 +125,7 @@ type statusView struct {
 
 // handleStatus is GET /v1/status: one aggregate JSON snapshot of the
 // whole service — queue depth, per-state job counts, campaign-scheduler
-// and worker-budget occupancy.
+// and trial-runner occupancy.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	counts := map[string]int{}
 	s.mu.Lock()

@@ -53,7 +53,7 @@ trials_total=$(echo "$metrics" | awk '/^resmod_campaign_trials_total / {print $2
     fail "outcome sum $outcome_sum != resmod_campaign_trials_total $trials_total"
 [ "$trials_total" -gt 0 ] || fail "cold run executed no trials"
 
-# Live-progress metric families (PR 5): worker-budget occupancy gauges
+# Live-progress metric families (PR 5): trial-runner occupancy gauges
 # plus the per-campaign progress ratio and trial-rate series retained by
 # the server-wide progress bus.
 grep -q '^resmod_worker_budget_in_use ' <<<"$metrics" ||
