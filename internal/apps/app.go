@@ -10,27 +10,32 @@
 // route every floating-point operation through the per-rank *fpe.Ctx so
 // the harness can inject single-bit faults, and annotate parallel-unique
 // computation (paper Observation 1) with fpe regions.  A hot kernel does
-// so by the window: when fpe.Ctx.Reserve grants its ops it runs them as
-// plain arithmetic and books them with one Tally, and otherwise it runs
-// its instrumented loop — the same operations in the same order either
-// way (see package fpe).
+// so by the window, a plane (or a block of rows or zones) at a time: when
+// fpe.Ctx.Reserve grants the plane's ops it runs them as plain arithmetic
+// and books them with one Tally, and otherwise it runs the plane's
+// instrumented loop — the same operations in the same order either way
+// (see package fpe), so a due injection costs one plane on the per-op path.
 //
-// Two conventions keep a run's allocation at its working set — a campaign
-// is thousands of runs, and what a run allocates per message or per
-// iteration it pays for again in the collector.  Kernels take their
+// Three conventions keep a run from allocating at all — a campaign is
+// thousands of runs, and what a run allocates it pays for again in the
+// collector.  A run's working arrays come from the rank's working set
+// (Steps.Floats), which the rank's Arena keeps from one execution of a
+// shape to the next, and not from a make: the arrays, and the State a run
+// returns, are the arena's until its next execution.  Kernels take their
 // destination: a function called from an iteration loop (a stencil, a
-// sweep, a transpose, a halo exchange) writes into arrays its caller made
-// once before the loop and passes in, receives with RecvInto or an ...Into
+// sweep, a transpose, a halo exchange) writes into arrays its caller drew
+// before the loop and passes in, receives with RecvInto or an ...Into
 // collective, and sends straight from the working array (Send copies).
 // Hoisting must leave the order and the number of fpe operations exactly
 // as they were: an injection plan addresses an operation by its index.
-// (An array made once is also live for the whole run, so it should be made
-// only on the ranks that use it: MG's coarse levels, which only rank 0
-// works on, are whole on rank 0 alone — see mg.Run.)
+// (A drawn array is live for the whole run and kept between runs, so it
+// should be drawn only on the ranks that use it: MG's coarse levels, which
+// only rank 0 works on, are whole on rank 0 alone — see mg.Run.)
 // And fault-free setup that depends only on the class (a generated matrix,
-// a twiddle table, a right-hand side) is computed once per process and
-// shared by every run of every campaign, so it is read-only: a run that
-// wrote to it would silently change every later run's answer.
+// a twiddle table, evolution factors, a right-hand side) is computed once
+// per process and shared by every run of every campaign, so it is
+// read-only: a run that wrote to it would silently change every later
+// run's answer.
 //
 // The six paper apps also keep the step contract (Stepped): their run is a
 // loop of steps, and they name the state a step carries to the next

@@ -168,26 +168,33 @@ func insertionSortInts(a []int) {
 	}
 }
 
+// rowBlock is how many rows spmv books by one window: a due injection
+// sends one block down the per-op path.
+const rowBlock = 32
+
 // spmv computes w = A_local * x (x is the full vector) with instrumented
 // arithmetic: one mul and one add per nonzero.
 func (m *csr) spmv(fc *fpe.Ctx, x, w []float64) {
-	if nnz := uint64(len(m.vals)); fc.Reserve(2 * nnz) {
-		for i := 0; i < m.rowHi-m.rowLo; i++ {
+	for lo := 0; lo < m.rowHi-m.rowLo; lo += rowBlock {
+		hi := min(lo+rowBlock, m.rowHi-m.rowLo)
+		if nnz := uint64(m.rowPtr[hi] - m.rowPtr[lo]); fc.Reserve(2 * nnz) {
+			for i := lo; i < hi; i++ {
+				var s float64
+				for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+					s += float64(m.vals[k] * x[m.colIdx[k]])
+				}
+				w[i] = s
+			}
+			fc.Tally(nnz, 0, nnz, 0)
+			continue
+		}
+		for i := lo; i < hi; i++ {
 			var s float64
 			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				s += float64(m.vals[k] * x[m.colIdx[k]])
+				s = fc.Add(s, fc.Mul(m.vals[k], x[m.colIdx[k]]))
 			}
 			w[i] = s
 		}
-		fc.Tally(nnz, 0, nnz, 0)
-		return
-	}
-	for i := 0; i < m.rowHi-m.rowLo; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s = fc.Add(s, fc.Mul(m.vals[k], x[m.colIdx[k]]))
-		}
-		w[i] = s
 	}
 }
 
@@ -229,17 +236,14 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	m := buildMatrix(pr, lo, hi)
 	nloc := hi - lo
 
-	x := make([]float64, nloc)
+	x := st.Floats(nloc)
 	for i := range x {
 		x[i] = 1
 	}
-	z := make([]float64, nloc)
-	r := make([]float64, nloc)
-	pvec := make([]float64, nloc)
-	q := make([]float64, nloc)
+	z, r, pvec, q := st.Floats(nloc), st.Floats(nloc), st.Floats(nloc), st.Floats(nloc)
 	pfull := pvec // the direction vector over all rows
 	if comm.Size() > 1 {
-		pfull = make([]float64, pr.n)
+		pfull = st.Floats(pr.n)
 	}
 
 	var rho, zeta float64
@@ -279,9 +283,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		st.Mark(step+1, carry)
 	}
 
-	state := make([]float64, nloc)
-	copy(state, x)
-	return apps.RankOutput{State: state, Check: []float64{zeta}}, nil
+	return apps.RankOutput{State: x, Check: []float64{zeta}}, nil
 }
 
 // Verify implements the NPB CG checker: the eigenvalue estimate zeta must

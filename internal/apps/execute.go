@@ -44,25 +44,33 @@ func ExecuteCtx(ctx context.Context, app App, class string, procs int, plans map
 
 // Arena is a reuse pool for repeated executions: the simulated world's
 // per-rank inboxes with the message buffers they have recycled
-// (simmpi.Engine), the per-rank instrumented fpe contexts, and the output
-// slice are built once and reset per run, so steady-state trial execution
-// allocates only the application's own working set — nothing per message.
+// (simmpi.Engine), the per-rank instrumented fpe contexts, the output
+// slice, and each rank's working set — the arrays a Stepped app draws with
+// Steps.Floats — are built once and reset per run, so a steady-state trial
+// allocates next to nothing: an arena is an engine, its contexts and one
+// working set.  The working set is kept across executions of one (app,
+// class, procs) shape and dropped when the shape changes.
 //
 // An Arena is held by one execution at a time (in a campaign, one slot of
 // a faultsim.Runners set, held by one trial or golden run) and must not
-// be used concurrently.  The ExecResult's Ctxs and Outputs slices are
-// arena-owned: they are valid until the next ExecuteCtx call on the same
-// arena and must not be retained across it.  Reuse never changes results:
-// a pooled execution is bit-identical to a fresh one (the fpe reset and
-// engine reuse contracts), which is what keeps campaign determinism
-// intact.  A nil *Arena is valid and falls back to fresh allocations.
+// be used concurrently.  What an execution returns is arena-owned — the
+// ExecResult's Ctxs and Outputs slices, and the State (and any Check) an
+// app drew from its working set: it is valid until the next ExecuteCtx
+// call on the same arena, and a caller that keeps it longer copies it
+// (faultsim's golden run does).  Reuse never changes results: a pooled
+// execution is bit-identical to a fresh one (the fpe reset and engine
+// reuse contracts, and Floats' zeroed arrays), which is what keeps
+// campaign determinism intact.  A nil *Arena is valid and falls back to
+// fresh allocations.
 type Arena struct {
-	procs   int
-	timeout time.Duration
-	engine  *simmpi.Engine
-	ctxs    []*fpe.Ctx
-	outputs []RankOutput
-	steps   []Steps
+	procs      int
+	timeout    time.Duration
+	app, class string // the shape the working sets were drawn for
+	engine     *simmpi.Engine
+	ctxs       []*fpe.Ctx
+	outputs    []RankOutput
+	steps      []Steps
+	sets       []workingSet
 }
 
 // NewArena returns an empty arena; the pooled state is built lazily from
@@ -70,14 +78,13 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // Discard drops the pooled state — the engine's recycled message buffers
-// with it — forcing the next execution to rebuild it.  Callers use it when
-// an execution ended in a state they no longer trust (e.g. after
-// containing a harness panic).
+// and the working sets with it — forcing the next execution to rebuild it.
+// Callers use it when an execution ended in a state they no longer trust
+// (e.g. after containing a harness panic).
 func (a *Arena) Discard() {
-	if a == nil {
-		return
+	if a != nil {
+		*a = Arena{}
 	}
-	a.procs, a.engine, a.ctxs, a.outputs, a.steps = 0, nil, nil, nil, nil
 }
 
 // ExecuteCtx is the pooled equivalent of the package-level ExecuteCtx.
@@ -85,56 +92,62 @@ func (a *Arena) ExecuteCtx(ctx context.Context, app App, class string, procs int
 	return a.ExecuteSteps(ctx, app, class, procs, plans, timeout, nil)
 }
 
+// poisonSets makes an execution on a reused arena fill the working sets
+// the last one left with NaN before the ranks draw from them; only the
+// tests set it (export_test.go).
+var poisonSets bool
+
 // ExecuteSteps is ExecuteCtx with a StepPlan for a Stepped app's
 // boundaries (nil = none; an app that is not Stepped has only boundary 0,
 // where every execution starts).  The caller reads what the ranks recorded
 // into sp only after a clean return.
 func (a *Arena) ExecuteSteps(ctx context.Context, app App, class string, procs int, plans map[int][]fpe.Injection, timeout time.Duration, sp *StepPlan) ExecResult {
-	var engine *simmpi.Engine
-	var ctxs []*fpe.Ctx
-	var outputs []RankOutput
-	var steps []Steps
-	if a != nil && a.procs == procs && a.timeout == timeout && a.engine != nil {
-		engine, ctxs, outputs, steps = a.engine, a.ctxs, a.outputs, a.steps
-		for r := 0; r < procs; r++ {
-			ctxs[r].ResetPlan(plans[r])
-			outputs[r] = RankOutput{}
-		}
-	} else {
+	if a == nil {
+		a = new(Arena) // fresh state, dropped after the run
+	}
+	if a.procs != procs || a.timeout != timeout || a.engine == nil {
 		eng, err := simmpi.NewEngine(simmpi.Config{Procs: procs, Timeout: timeout})
 		if err != nil {
+			a.Discard()
 			return ExecResult{Err: err}
 		}
-		engine = eng
-		ctxs = make([]*fpe.Ctx, procs)
-		outputs = make([]RankOutput, procs)
-		steps = make([]Steps, procs)
-		for r := 0; r < procs; r++ {
-			ctxs[r] = fpe.NewWithPlan(plans[r])
+		*a = Arena{procs: procs, timeout: timeout, engine: eng,
+			ctxs: make([]*fpe.Ctx, procs), outputs: make([]RankOutput, procs), steps: make([]Steps, procs)}
+		for r := range a.ctxs {
+			a.ctxs[r] = fpe.NewWithPlan(plans[r])
 		}
-		if a != nil {
-			a.procs, a.timeout = procs, timeout
-			a.engine, a.ctxs, a.outputs, a.steps = engine, ctxs, outputs, steps
+	} else {
+		for r := 0; r < procs; r++ {
+			a.ctxs[r].ResetPlan(plans[r])
+			a.outputs[r] = RankOutput{}
+		}
+	}
+	if name := app.Name(); a.sets == nil || a.app != name || a.class != class {
+		a.app, a.class, a.sets = name, class, make([]workingSet, procs)
+	} else if poisonSets {
+		for r := range a.sets {
+			a.sets[r].poison()
 		}
 	}
 	stepped, _ := app.(Stepped)
-	st, err := engine.RunCtx(ctx, func(c *simmpi.Comm) error {
+	st, err := a.engine.RunCtx(ctx, func(c *simmpi.Comm) error {
 		r := c.Rank()
 		var out RankOutput
 		var rerr error
-		if stepped != nil && sp != nil {
-			steps[r] = Steps{fc: ctxs[r], rank: r, plan: sp}
-			out, rerr = stepped.RunSteps(ctxs[r], c, class, &steps[r])
+		if stepped != nil {
+			a.sets[r].rewind()
+			a.steps[r] = Steps{fc: a.ctxs[r], rank: r, plan: sp, set: &a.sets[r]}
+			out, rerr = stepped.RunSteps(a.ctxs[r], c, class, &a.steps[r])
 		} else {
-			out, rerr = app.Run(ctxs[r], c, class)
+			out, rerr = app.Run(a.ctxs[r], c, class)
 		}
 		if rerr != nil {
 			return rerr
 		}
-		outputs[r] = out
+		a.outputs[r] = out
 		return nil
 	})
-	return ExecResult{Outputs: outputs, Ctxs: ctxs, Comm: st, Err: err}
+	return ExecResult{Outputs: a.outputs, Ctxs: a.ctxs, Comm: st, Err: err}
 }
 
 // DefaultTimeout is the hang-detection budget used by the harness for one

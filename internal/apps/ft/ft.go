@@ -224,7 +224,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	twX, twY, twZ := twiddlesFor(nx), twiddlesFor(ny), twiddlesFor(nz)
 
 	// Spatial layout (z-distributed): idx = (z-zlo)*ny*nx + y*nx + x.
-	spatial := field{re: make([]float64, nzLoc*ny*nx), im: make([]float64, nzLoc*ny*nx)}
+	spatial := field{re: st.Floats(nzLoc * ny * nx), im: st.Floats(nzLoc * ny * nx)}
 	for z := zlo; z < zhi; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
@@ -241,35 +241,18 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	spec := spatial // spectral data: in place in a serial run
 	var xp exchange // the transposes' staging (parallel runs only)
 	if !serial {
-		spec = field{re: make([]float64, nxLoc*ny*nz), im: make([]float64, nxLoc*ny*nz)}
-		xp = newExchange(p, nzLoc*ny*nxLoc*2)
+		spec = field{re: st.Floats(nxLoc * ny * nz), im: st.Floats(nxLoc * ny * nz)}
+		blocks := st.Blocks(2*p, nzLoc*ny*nxLoc*2)
+		xp = exchange{send: blocks[:p], recv: blocks[p:]}
 	}
-
-	// Evolution exponents: kbar^2 summed over the three dimensions,
-	// for the elements this rank owns in its spectral layout.
-	ksq := make([]float64, len(spec.re))
-	if serial {
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					ksq[(z*ny+y)*nx+x] = kbar2(x, nx) + kbar2(y, ny) + kbar2(z, nz)
-				}
-			}
-		}
-	} else {
-		for x := xlo; x < xhi; x++ {
-			for y := 0; y < ny; y++ {
-				for z := 0; z < nz; z++ {
-					ksq[((x-xlo)*ny+y)*nz+z] = kbar2(x, nx) + kbar2(y, ny) + kbar2(z, nz)
-				}
-			}
-		}
-	}
+	// The evolution factors of the elements this rank owns in its spectral
+	// layout start at evoLo: a run of the x-major table in a parallel run.
+	evo, evoLo := evolution(pr, serial), xlo*ny*nz
 
 	n3 := float64(nx) * float64(ny) * float64(nz)
 	invN3 := 1 / n3
-	work := field{re: make([]float64, len(spec.re)), im: make([]float64, len(spec.im))}
-	check := make([]float64, 2*pr.iters)
+	work := field{re: st.Floats(len(spec.re)), im: st.Floats(len(spec.im))}
+	check := st.Floats(2 * pr.iters)
 	var lastSpatial field
 	carry := &apps.Carry{Vecs: [][]float64{spec.re, spec.im, check}}
 	for t := st.Resume(carry); t <= pr.iters; t++ {
@@ -280,19 +263,17 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		}
 		// ---- time step t ----------------------------------------------------
 		// Evolve: work = spec * exp(-4 alpha pi^2 ksq t).
-		tf := -4 * pr.alpha * math.Pi * math.Pi * float64(t)
+		f := evo[t-1][evoLo : evoLo+len(spec.re)]
 		if n := uint64(len(spec.re)); fc.Reserve(2 * n) {
 			for i := range spec.re {
-				f := math.Exp(float64(tf * ksq[i]))
-				work.re[i] = float64(spec.re[i] * f)
-				work.im[i] = float64(spec.im[i] * f)
+				work.re[i] = float64(spec.re[i] * f[i])
+				work.im[i] = float64(spec.im[i] * f[i])
 			}
 			fc.Tally(0, 0, 2*n, 0)
 		} else {
 			for i := range spec.re {
-				f := math.Exp(tf * ksq[i])
-				work.re[i] = fc.Mul(spec.re[i], f)
-				work.im[i] = fc.Mul(spec.im[i], f)
+				work.re[i] = fc.Mul(spec.re[i], f[i])
+				work.im[i] = fc.Mul(spec.im[i], f[i])
 			}
 		}
 		// Inverse 3-D FFT of work back to spatial, z-distributed layout.
@@ -356,9 +337,9 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		st.Mark(t+1, carry)
 	}
 
-	state := make([]float64, 0, 2*len(lastSpatial.re))
-	state = append(state, lastSpatial.re...)
-	state = append(state, lastSpatial.im...)
+	state := st.Floats(2 * len(lastSpatial.re))
+	copy(state, lastSpatial.re)
+	copy(state[len(lastSpatial.re):], lastSpatial.im)
 	return apps.RankOutput{State: state, Check: check}, nil
 }
 
@@ -401,6 +382,45 @@ func kbar2(k, n int) float64 {
 	return float64(k * k)
 }
 
+// evoKey names one class's evolution factors in one layout.
+type evoKey struct {
+	seed   uint64
+	serial bool
+}
+
+// evolutions caches the evolution factors of each class and layout:
+// fault-free setup that depends on neither the rank nor the run, so shared
+// by every run and read-only (see package apps).  Table t-1 holds time step
+// t's exp(-4 alpha pi^2 kbar^2 t) over the whole grid, in the serial run's
+// z-major layout or in the x-major layout a parallel rank reads a run of.
+var evolutions sync.Map // evoKey -> [][]float64
+
+func evolution(pr params, serial bool) [][]float64 {
+	key := evoKey{pr.seed, serial}
+	if f, ok := evolutions.Load(key); ok {
+		return f.([][]float64)
+	}
+	nx, ny, nz := pr.nx, pr.ny, pr.nz
+	ksq := make([]float64, 0, nx*ny*nz)
+	for a := 0; a < nz*ny*nx; a++ {
+		if serial { // a = (z*ny+y)*nx+x
+			ksq = append(ksq, kbar2(a%nx, nx)+kbar2(a/nx%ny, ny)+kbar2(a/(nx*ny), nz))
+		} else { // a = (x*ny+y)*nz+z
+			ksq = append(ksq, kbar2(a/(ny*nz), nx)+kbar2(a/nz%ny, ny)+kbar2(a%nz, nz))
+		}
+	}
+	f := make([][]float64, pr.iters)
+	for t := range f {
+		tf := -4 * pr.alpha * math.Pi * math.Pi * float64(t+1)
+		f[t] = make([]float64, len(ksq))
+		for i, k := range ksq {
+			f[t][i] = math.Exp(tf * k)
+		}
+	}
+	cached, _ := evolutions.LoadOrStore(key, f)
+	return cached.([][]float64)
+}
+
 // stage moves every float of the blocks through the instrumented transpose
 // datapath, block by block, in the region name: at the instruction level
 // each is a load/store whose operand a fault can strike, so resmod models
@@ -428,22 +448,11 @@ func stage(fc *fpe.Ctx, name string, blocks [][]float64) {
 	end()
 }
 
-// exchange is the staging of a run's alltoall transposes, made once: send[r]
-// is the block packed for rank r, recv[r] the block received from it.
+// exchange is the staging of a run's alltoall transposes, drawn once from
+// the rank's working set: send[r] is the block packed for rank r, recv[r]
+// the block received from it.
 type exchange struct {
 	send, recv [][]float64
-}
-
-// newExchange returns the staging for p ranks and blocks of n floats, all
-// carved from one array.
-func newExchange(p, n int) exchange {
-	flat := make([]float64, 2*p*n)
-	xp := exchange{send: make([][]float64, p), recv: make([][]float64, p)}
-	for r := 0; r < p; r++ {
-		xp.send[r] = flat[r*n : (r+1)*n]
-		xp.recv[r] = flat[(p+r)*n : (p+r+1)*n]
-	}
-	return xp
 }
 
 // transposeZX redistributes in, in the z-distributed spatial layout

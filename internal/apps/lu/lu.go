@@ -113,13 +113,15 @@ func (s *slab) get(a []float64, x, y, zl int, ghLo, ghHi []float64) float64 {
 	}
 }
 
-// points is the number of grid points in the slab.
-func (s *slab) points() uint64 { return uint64(s.nx * s.ny * s.nzLoc) }
+// plane is the number of grid points in one plane.
+func (s *slab) plane() uint64 { return uint64(s.nx * s.ny) }
 
-// applyA computes w = A u over the slab (ghosts supply z neighbours).
+// applyA computes w = A u over the slab (ghosts supply z neighbours), a
+// window per plane.
 func applyA(fc *fpe.Ctx, s *slab, cf coeffs, u, ghLo, ghHi, w []float64) {
-	if n := s.points(); fc.Reserve(13 * n) {
-		for zl := 0; zl < s.nzLoc; zl++ {
+	n := s.plane()
+	for zl := 0; zl < s.nzLoc; zl++ {
+		if fc.Reserve(13 * n) {
 			for y := 0; y < s.ny; y++ {
 				for x := 0; x < s.nx; x++ {
 					acc := float64(cf.d * u[s.idx(x, y, zl)])
@@ -132,11 +134,9 @@ func applyA(fc *fpe.Ctx, s *slab, cf coeffs, u, ghLo, ghHi, w []float64) {
 					w[s.idx(x, y, zl)] = acc
 				}
 			}
+			fc.Tally(6*n, 0, 7*n, 0)
+			continue
 		}
-		fc.Tally(6*n, 0, 7*n, 0)
-		return
-	}
-	for zl := 0; zl < s.nzLoc; zl++ {
 		for y := 0; y < s.ny; y++ {
 			for x := 0; x < s.nx; x++ {
 				acc := fc.Mul(cf.d, u[s.idx(x, y, zl)])
@@ -169,8 +169,9 @@ func forwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega floa
 		comm.RecvInto(rank-1, tagFwd, ghost)
 		ghLo = ghost
 	}
-	if n := s.points(); fc.Reserve(7 * n) {
-		for zl := 0; zl < s.nzLoc; zl++ {
+	n := s.plane()
+	for zl := 0; zl < s.nzLoc; zl++ {
+		if fc.Reserve(7 * n) {
 			for y := 0; y < s.ny; y++ {
 				for x := 0; x < s.nx; x++ {
 					lsum := float64(cf.aW * s.get(v, x-1, y, zl, ghLo, nil))
@@ -180,18 +181,16 @@ func forwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega floa
 					v[s.idx(x, y, zl)] = num / cf.d
 				}
 			}
+			fc.Tally(2*n, n, 4*n, n)
+			continue
 		}
-		fc.Tally(2*n, n, 4*n, n)
-	} else {
-		for zl := 0; zl < s.nzLoc; zl++ {
-			for y := 0; y < s.ny; y++ {
-				for x := 0; x < s.nx; x++ {
-					lsum := fc.Mul(cf.aW, s.get(v, x-1, y, zl, ghLo, nil))
-					lsum = fc.Add(lsum, fc.Mul(cf.aS, s.get(v, x, y-1, zl, ghLo, nil)))
-					lsum = fc.Add(lsum, fc.Mul(cf.aB, s.get(v, x, y, zl-1, ghLo, nil)))
-					num := fc.Sub(r[s.idx(x, y, zl)], fc.Mul(omega, lsum))
-					v[s.idx(x, y, zl)] = fc.Div(num, cf.d)
-				}
+		for y := 0; y < s.ny; y++ {
+			for x := 0; x < s.nx; x++ {
+				lsum := fc.Mul(cf.aW, s.get(v, x-1, y, zl, ghLo, nil))
+				lsum = fc.Add(lsum, fc.Mul(cf.aS, s.get(v, x, y-1, zl, ghLo, nil)))
+				lsum = fc.Add(lsum, fc.Mul(cf.aB, s.get(v, x, y, zl-1, ghLo, nil)))
+				num := fc.Sub(r[s.idx(x, y, zl)], fc.Mul(omega, lsum))
+				v[s.idx(x, y, zl)] = fc.Div(num, cf.d)
 			}
 		}
 	}
@@ -209,8 +208,9 @@ func backwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega flo
 		comm.RecvInto(rank+1, tagBwd, ghost)
 		ghHi = ghost
 	}
-	if n := s.points(); fc.Reserve(8 * n) {
-		for zl := s.nzLoc - 1; zl >= 0; zl-- {
+	n := s.plane()
+	for zl := s.nzLoc - 1; zl >= 0; zl-- {
+		if fc.Reserve(8 * n) {
 			for y := s.ny - 1; y >= 0; y-- {
 				for x := s.nx - 1; x >= 0; x-- {
 					usum := float64(cf.aE * s.get(w, x+1, y, zl, nil, ghHi))
@@ -220,18 +220,16 @@ func backwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega flo
 					w[s.idx(x, y, zl)] = num / cf.d
 				}
 			}
+			fc.Tally(2*n, n, 5*n, n)
+			continue
 		}
-		fc.Tally(2*n, n, 5*n, n)
-	} else {
-		for zl := s.nzLoc - 1; zl >= 0; zl-- {
-			for y := s.ny - 1; y >= 0; y-- {
-				for x := s.nx - 1; x >= 0; x-- {
-					usum := fc.Mul(cf.aE, s.get(w, x+1, y, zl, nil, ghHi))
-					usum = fc.Add(usum, fc.Mul(cf.aN, s.get(w, x, y+1, zl, nil, ghHi)))
-					usum = fc.Add(usum, fc.Mul(cf.aT, s.get(w, x, y, zl+1, nil, ghHi)))
-					num := fc.Sub(fc.Mul(cf.d, v[s.idx(x, y, zl)]), fc.Mul(omega, usum))
-					w[s.idx(x, y, zl)] = fc.Div(num, cf.d)
-				}
+		for y := s.ny - 1; y >= 0; y-- {
+			for x := s.nx - 1; x >= 0; x-- {
+				usum := fc.Mul(cf.aE, s.get(w, x+1, y, zl, nil, ghHi))
+				usum = fc.Add(usum, fc.Mul(cf.aN, s.get(w, x, y+1, zl, nil, ghHi)))
+				usum = fc.Add(usum, fc.Mul(cf.aT, s.get(w, x, y, zl+1, nil, ghHi)))
+				num := fc.Sub(fc.Mul(cf.d, v[s.idx(x, y, zl)]), fc.Mul(omega, usum))
+				w[s.idx(x, y, zl)] = fc.Div(num, cf.d)
 			}
 		}
 	}
@@ -287,11 +285,11 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	plane := s.nx * s.ny
 	n := plane * s.nzLoc
 	rhs := rhsField(class, pr)[zlo*plane : zhi*plane]
-	u := make([]float64, n)
-	// Per-iteration temporaries, made once: A u, the residual, the two
-	// sweeps' solutions, and the neighbours' planes.
-	au, r, v, w := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	below, above := make([]float64, plane), make([]float64, plane)
+	u := st.Floats(n)
+	// Per-iteration temporaries: A u, the residual, the two sweeps'
+	// solutions, and the neighbours' planes.
+	au, r, v, w := st.Floats(n), st.Floats(n), st.Floats(n), st.Floats(n)
+	below, above := st.Floats(plane), st.Floats(plane)
 
 	n3 := float64(pr.nx) * float64(pr.ny) * float64(pr.nz)
 	var rnorm float64
@@ -299,37 +297,17 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	for it := st.Resume(carry); it < pr.niter; it++ {
 		ghLo, ghHi := apps.HaloExchange1D(comm, tagHalo, u[:plane], u[n-plane:], below, above)
 		applyA(fc, s, cf, u, ghLo, ghHi, au)
-		if fc.Reserve(uint64(n)) {
-			for i := range r {
-				r[i] = rhs[i] - au[i]
-			}
-			fc.Tally(0, uint64(n), 0, 0)
-		} else {
-			for i := range r {
-				r[i] = fc.Sub(rhs[i], au[i])
-			}
-		}
+		fc.SubVec(r, rhs, au)
 		forwardSweep(fc, comm, s, cf, pr.omega, r, below, v)
 		backwardSweep(fc, comm, s, cf, pr.omega, v, above, w)
-		if fc.Reserve(uint64(n)) {
-			for i := range u {
-				u[i] += w[i]
-			}
-			fc.Tally(uint64(n), 0, 0, 0)
-		} else {
-			for i := range u {
-				u[i] = fc.Add(u[i], w[i])
-			}
-		}
+		fc.AddVec(u, u, w)
 		rnorm = math.Sqrt(comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r)) / n3)
 		st.Mark(it+1, carry)
 	}
 	// Solution RMS norm, the second verification value.
 	unorm := math.Sqrt(comm.AllreduceValue(simmpi.OpSum, fc.Dot(u, u)) / n3)
 
-	state := make([]float64, n)
-	copy(state, u)
-	return apps.RankOutput{State: state, Check: []float64{rnorm, unorm}}, nil
+	return apps.RankOutput{State: u, Check: []float64{rnorm, unorm}}, nil
 }
 
 // Verify implements the LU checker: the residual and solution norms must

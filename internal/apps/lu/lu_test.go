@@ -165,13 +165,15 @@ func TestConformanceClassA(t *testing.T) {
 }
 
 // TestPooledRunAllocBounded pins a steady-state run's allocation at 1.25 x
-// what it measured when the pins were set: its working set, made once.
+// what it measured when the pins were set.  With the working set drawn from
+// the arena, only a few small objects are left (the run's closure, its
+// Check), so a make put back into the run fails it.
 func TestPooledRunAllocBounded(t *testing.T) {
 	apptest.AllocBounded(t, App{}, map[int]apptest.Alloc{
-		1:  {Bytes: 556000, Objects: 25},
-		4:  {Bytes: 566000, Objects: 70},
-		16: {Bytes: 634000, Objects: 252},
-		64: {Bytes: 749000, Objects: 975},
+		1:  {Bytes: 120, Objects: 3},
+		4:  {Bytes: 180, Objects: 7},
+		16: {Bytes: 420, Objects: 22},
+		64: {Bytes: 1380, Objects: 82},
 	})
 }
 

@@ -73,7 +73,7 @@ func (App) MaxProcs(class string) int {
 }
 
 // level describes one grid level's geometry and distribution on this rank,
-// and holds its arrays, which Run makes once.
+// and holds its arrays, which Run draws from the rank's working set.
 type level struct {
 	nx, ny, nz  int
 	distributed bool
@@ -96,7 +96,10 @@ const cutoverTag = 1
 func (l *level) nzLoc() int { return l.zhi - l.zlo }
 
 // points returns the number of locally stored grid points.
-func (l *level) points() uint64 { return uint64(l.nx * l.ny * l.nzLoc()) }
+func (l *level) points() int { return l.nx * l.ny * l.nzLoc() }
+
+// plane returns the number of grid points in one plane.
+func (l *level) plane() uint64 { return uint64(l.nx * l.ny) }
 
 // ghosts returns the periodic ghost planes below and above this rank's
 // slab of array a.  A distributed level exchanges with its ring neighbours,
@@ -174,10 +177,11 @@ func zNeighbours(a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghHi []float64)
 }
 
 // residual computes r = v - A u over the slab, where A is the 7-point
-// periodic Laplacian (Au = 6u - sum of neighbours).
+// periodic Laplacian (Au = 6u - sum of neighbours), a window per plane.
 func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi, r []float64) {
-	if n := l.points(); fc.Reserve(8 * n) {
-		for zl := 0; zl < l.nzLoc(); zl++ {
+	n := l.plane()
+	for zl := 0; zl < l.nzLoc(); zl++ {
+		if fc.Reserve(8 * n) {
 			for y := 0; y < l.ny; y++ {
 				for x := 0; x < l.nx; x++ {
 					i := (zl*l.ny+y)*l.nx + x
@@ -185,11 +189,9 @@ func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi, r []float64) {
 					r[i] = v[i] - au
 				}
 			}
+			fc.Tally(5*n, 2*n, n, 0)
+			continue
 		}
-		fc.Tally(5*n, 2*n, n, 0)
-		return
-	}
-	for zl := 0; zl < l.nzLoc(); zl++ {
 		for y := 0; y < l.ny; y++ {
 			for x := 0; x < l.nx; x++ {
 				i := (zl*l.ny+y)*l.nx + x
@@ -209,8 +211,9 @@ func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, upd []float64, w 
 	z, r := l.z, l.r
 	ghLo, ghHi := l.ghosts(comm, tag, z)
 	w6 := w / 6
-	if n := l.points(); fc.Reserve(10 * n) {
-		for zl := 0; zl < l.nzLoc(); zl++ {
+	n := l.plane()
+	for zl := 0; zl < l.nzLoc(); zl++ {
+		if fc.Reserve(9 * n) {
 			for y := 0; y < l.ny; y++ {
 				for x := 0; x < l.nx; x++ {
 					i := (zl*l.ny+y)*l.nx + x
@@ -218,14 +221,9 @@ func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, upd []float64, w 
 					upd[i] = float64(w6 * (r[i] - az))
 				}
 			}
+			fc.Tally(5*n, 2*n, 2*n, 0)
+			continue
 		}
-		for i := range z {
-			z[i] += upd[i]
-		}
-		fc.Tally(6*n, 2*n, 2*n, 0)
-		return
-	}
-	for zl := 0; zl < l.nzLoc(); zl++ {
 		for y := 0; y < l.ny; y++ {
 			for x := 0; x < l.nx; x++ {
 				i := (zl*l.ny+y)*l.nx + x
@@ -235,9 +233,7 @@ func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, upd []float64, w 
 			}
 		}
 	}
-	for i := range z {
-		z[i] = fc.Add(z[i], upd[i])
-	}
+	fc.AddVec(z, z, upd[:len(z)])
 }
 
 // restrictTo projects the fine residual onto the coarse level:
@@ -251,28 +247,27 @@ func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level) {
 	cklo, ckhi := fine.zlo/2, fine.zhi/2
 	n := (ckhi - cklo) * coarse.ny * coarse.nx
 	const wC, wF = 0.5, 1.0 / 12.0
-	if fc.Reserve(8 * uint64(n)) {
-		for ck := cklo; ck < ckhi; ck++ {
+	pc := coarse.plane()
+	for ck := cklo; ck < ckhi; ck++ {
+		fz := 2*ck - fine.zlo // local fine plane of the coarse centre
+		if fc.Reserve(8 * pc) {
 			for cy := 0; cy < coarse.ny; cy++ {
 				for cx := 0; cx < coarse.nx; cx++ {
-					fx, fy, fz := 2*cx, 2*cy, 2*ck-fine.zlo
+					fx, fy := 2*cx, 2*cy
 					f := stencilSumPlain(rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
 					rc[((ck-cklo)*coarse.ny+cy)*coarse.nx+cx] = float64(wC*at(rf, fine.nx, fine.ny, fx, fy, fz)) + float64(wF*f)
 				}
 			}
+			fc.Tally(6*pc, 0, 2*pc, 0)
+			continue
 		}
-		fc.Tally(6*uint64(n), 0, 2*uint64(n), 0)
-	} else {
-		for ck := cklo; ck < ckhi; ck++ {
-			fz := 2*ck - fine.zlo // local fine plane of the coarse centre
-			for cy := 0; cy < coarse.ny; cy++ {
-				for cx := 0; cx < coarse.nx; cx++ {
-					fx, fy := 2*cx, 2*cy
-					center := at(rf, fine.nx, fine.ny, fx, fy, fz)
-					faces := stencilSum(fc, rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
-					i := ((ck-cklo)*coarse.ny+cy)*coarse.nx + cx
-					rc[i] = fc.Add(fc.Mul(wC, center), fc.Mul(wF, faces))
-				}
+		for cy := 0; cy < coarse.ny; cy++ {
+			for cx := 0; cx < coarse.nx; cx++ {
+				fx, fy := 2*cx, 2*cy
+				center := at(rf, fine.nx, fine.ny, fx, fy, fz)
+				faces := stencilSum(fc, rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
+				i := ((ck-cklo)*coarse.ny+cy)*coarse.nx + cx
+				rc[i] = fc.Add(fc.Mul(wC, center), fc.Mul(wF, faces))
 			}
 		}
 	}
@@ -321,10 +316,11 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level) {
 		// Must be the plane directly above the slab.
 		return at(ghHi, coarse.nx, coarse.ny, cx, cy, 0)
 	}
-	if n := fine.points(); fc.Reserve(10 * n) {
-		var adds uint64
-		for fz := fine.zlo; fz < fine.zhi; fz++ {
-			ck := fz / 2
+	n := fine.plane()
+	for fz := fine.zlo; fz < fine.zhi; fz++ {
+		ck := fz / 2
+		if fc.Reserve(10 * n) {
+			var adds uint64
 			for fy := 0; fy < fine.ny; fy++ {
 				cy := fy / 2
 				for fx := 0; fx < fine.nx; fx++ {
@@ -344,12 +340,9 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level) {
 					adds += uint64(terms) + 1
 				}
 			}
+			fc.Tally(adds, 0, n, 0)
+			continue
 		}
-		fc.Tally(adds, 0, n, 0)
-		return
-	}
-	for fz := fine.zlo; fz < fine.zhi; fz++ {
-		ck := fz / 2
 		for fy := 0; fy < fine.ny; fy++ {
 			cy := fy / 2
 			for fx := 0; fx < fine.nx; fx++ {
@@ -402,14 +395,14 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		switch sz := l.nx * l.ny; {
 		case l.distributed:
 			l.zlo, l.zhi = apps.Block1D(l.nz, p, comm.Rank())
-			l.below, l.above = make([]float64, sz), make([]float64, sz)
+			l.below, l.above = st.Floats(sz), st.Floats(sz)
 		case comm.Rank() == 0:
 			l.zlo, l.zhi = 0, l.nz
 		case levels[li-1].distributed:
 			l.zlo, l.zhi = levels[li-1].zlo/2, levels[li-1].zhi/2
-			l.above = make([]float64, sz)
+			l.above = st.Floats(sz)
 		}
-		l.r, l.z = make([]float64, l.points()), make([]float64, l.points())
+		l.r, l.z = st.Floats(l.points()), st.Floats(l.points())
 		levels[li] = l
 	}
 	fine := levels[0]
@@ -417,7 +410,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	// The right-hand side: balanced point charges at hashed positions
 	// (setup, uninstrumented, identical at every scale).
 	n3 := pr.nx * pr.ny * pr.nz
-	v := make([]float64, fine.nzLoc()*fine.ny*fine.nx)
+	v := st.Floats(fine.points())
 	place := func(h uint64, val float64) {
 		g := int(h % uint64(n3))
 		z := g / (pr.nx * pr.ny)
@@ -434,25 +427,16 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		place(splitmix(&x), -1)
 	}
 
-	u := make([]float64, len(v))
+	u := st.Floats(len(v))
 	copy(fine.r, v)
-	upd := make([]float64, len(levels[pr.levels-1].r))
+	upd := st.Floats(len(levels[pr.levels-1].r))
 
 	var rnorm float64
 	tag := 100
 	carry := &apps.Carry{Vecs: [][]float64{u, fine.r}, Ints: []*int{&tag}}
 	for it := st.Resume(carry); it < pr.niter; it++ {
 		vcycle(fc, comm, pr, levels, upd, &tag)
-		if n := fine.points(); fc.Reserve(n) {
-			for i := range u {
-				u[i] += fine.z[i]
-			}
-			fc.Tally(n, 0, 0, 0)
-		} else {
-			for i := range u {
-				u[i] = fc.Add(u[i], fine.z[i])
-			}
-		}
+		fc.AddVec(u, u, fine.z)
 		ghLo, ghHi := fine.ghosts(comm, tag, u)
 		tag += 2
 		residual(fc, fine, u, v, ghLo, ghHi, fine.r)
@@ -461,9 +445,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		st.Mark(it+1, carry)
 	}
 
-	state := make([]float64, len(u))
-	copy(state, u)
-	return apps.RankOutput{State: state, Check: []float64{rnorm}}, nil
+	return apps.RankOutput{State: u, Check: []float64{rnorm}}, nil
 }
 
 // vcycle runs one multigrid V-cycle on the residual in the finest level's r

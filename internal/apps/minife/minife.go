@@ -86,19 +86,20 @@ func conductivity(pr params, x, y, z, dir int) float64 {
 	return 1 + 0.5*float64(h>>11)/(1<<53)
 }
 
-// assemble builds the local stencil by edge assembly.  Every edge incident
-// to a local node is assembled; edges crossing the slab boundary are
-// evaluated redundantly by both ranks (each accumulates its own side), so
-// the assembled operator is identical at every scale.
-func assemble(fc *fpe.Ctx, pr params, zlo, zhi int) *stencil {
+// assemble builds the local stencil by edge assembly, into arrays drawn
+// from ws.  Every edge incident to a local node is assembled; edges
+// crossing the slab boundary are evaluated redundantly by both ranks (each
+// accumulates its own side), so the assembled operator is identical at
+// every scale.
+func assemble(fc *fpe.Ctx, ws *apps.Steps, pr params, zlo, zhi int) *stencil {
 	nzLoc := zhi - zlo
 	n := pr.nx * pr.ny * nzLoc
 	st := &stencil{
 		nx: pr.nx, ny: pr.ny, nzLoc: nzLoc, zlo: zlo,
-		center: make([]float64, n),
-		w:      make([]float64, n), e: make([]float64, n),
-		s: make([]float64, n), n: make([]float64, n),
-		b: make([]float64, n), t: make([]float64, n),
+		center: ws.Floats(n),
+		w:      ws.Floats(n), e: ws.Floats(n),
+		s: ws.Floats(n), n: ws.Floats(n),
+		b: ws.Floats(n), t: ws.Floats(n),
 	}
 	for zl := 0; zl < nzLoc; zl++ {
 		z := zlo + zl
@@ -183,7 +184,7 @@ func haloPlanes(fc *fpe.Ctx, comm *simmpi.Comm, st *stencil, u, below, above []f
 }
 
 // matvec computes w = A u with the assembled stencil (Dirichlet-zero
-// outside the box; slab boundaries through ghosts).
+// outside the box; slab boundaries through ghosts), a window per plane.
 func matvec(fc *fpe.Ctx, st *stencil, u, w, ghLo, ghHi []float64) {
 	get := func(x, y, zl int) float64 {
 		if x < 0 || x >= st.nx || y < 0 || y >= st.ny {
@@ -203,8 +204,9 @@ func matvec(fc *fpe.Ctx, st *stencil, u, w, ghLo, ghHi []float64) {
 		}
 		return u[(zl*st.ny+y)*st.nx+x]
 	}
-	if n := uint64(st.nx * st.ny * st.nzLoc); fc.Reserve(13 * n) {
-		for zl := 0; zl < st.nzLoc; zl++ {
+	n := uint64(st.nx * st.ny)
+	for zl := 0; zl < st.nzLoc; zl++ {
+		if fc.Reserve(13 * n) {
 			for y := 0; y < st.ny; y++ {
 				for x := 0; x < st.nx; x++ {
 					i := st.idx(x, y, zl)
@@ -218,11 +220,9 @@ func matvec(fc *fpe.Ctx, st *stencil, u, w, ghLo, ghHi []float64) {
 					w[i] = acc
 				}
 			}
+			fc.Tally(6*n, 0, 7*n, 0)
+			continue
 		}
-		fc.Tally(6*n, 0, 7*n, 0)
-		return
-	}
-	for zl := 0; zl < st.nzLoc; zl++ {
 		for y := 0; y < st.ny; y++ {
 			for x := 0; x < st.nx; x++ {
 				i := st.idx(x, y, zl)
@@ -250,7 +250,7 @@ var stencils sync.Map // class seed -> *stencil
 func assembled(pr params, zlo, zhi int) *stencil {
 	v, ok := stencils.Load(pr.seed)
 	if !ok {
-		v, _ = stencils.LoadOrStore(pr.seed, assemble(fpe.New(), pr, 0, pr.nz))
+		v, _ = stencils.LoadOrStore(pr.seed, assemble(fpe.New(), nil, pr, 0, pr.nz))
 	}
 	full := v.(*stencil)
 	lo, hi := zlo*pr.nx*pr.ny, zhi*pr.nx*pr.ny
@@ -279,7 +279,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.
 	n := pr.nx * pr.ny * (zhi - zlo)
 
 	// Load vector: unit heat source in the middle of the box (setup).
-	f := make([]float64, n)
+	f := steps.Floats(n)
 	for zl := 0; zl < zhi-zlo; zl++ {
 		z := zlo + zl
 		if z >= pr.nz/4 && z < 3*pr.nz/4 {
@@ -292,11 +292,8 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.
 	}
 
 	// Conjugate gradients with a fixed iteration budget.
-	u := make([]float64, n)
-	r := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
-	below, above := make([]float64, pr.nx*pr.ny), make([]float64, pr.nx*pr.ny)
+	u, r, p, q := steps.Floats(n), steps.Floats(n), steps.Floats(n), steps.Floats(n)
+	below, above := steps.Floats(pr.nx*pr.ny), steps.Floats(pr.nx*pr.ny)
 	var rho float64
 	carry := &apps.Carry{Vecs: [][]float64{u, r, p}, Scalars: []*float64{&rho}}
 	var st *stencil
@@ -306,7 +303,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.
 	}
 	for it := from; it <= pr.cgIters; it++ {
 		if it == 0 {
-			st = assemble(fc, pr, zlo, zhi)
+			st = assemble(fc, steps, pr, zlo, zhi)
 			copy(r, f)
 			copy(p, f)
 			rho = comm.AllreduceValue(simmpi.OpSum, fc.Dot(r, r))
@@ -329,9 +326,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.
 	// Verification energy: u . f.
 	energy := comm.AllreduceValue(simmpi.OpSum, fc.Dot(u, f))
 
-	state := make([]float64, n)
-	copy(state, u)
-	return apps.RankOutput{State: state, Check: []float64{rnorm, energy}}, nil
+	return apps.RankOutput{State: u, Check: []float64{rnorm, energy}}, nil
 }
 
 // Verify implements the MiniFE checker: the final residual norm and the

@@ -83,6 +83,10 @@ const (
 	tagNodeLeft  = 301 // first node state sent to the left neighbour
 )
 
+// zoneBlock is how many zones (or nodes) a cycle's kernels book by one
+// window: a due injection sends one block down the per-op path.
+const zoneBlock = 32
+
 // Run executes the benchmark on this rank.
 //
 // Mesh ownership: rank r owns zones [zlo, zhi) and nodes [zlo, zhi); the
@@ -111,14 +115,14 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 
 	// Initial mesh and states (setup, uninstrumented, scale-invariant).
 	dx0 := pr.xmax / float64(pr.zones)
-	x := make([]float64, nz+1) // node positions zlo..zhi (local copy of zhi)
-	u := make([]float64, nz+1) // node velocities
+	x := st.Floats(nz + 1) // node positions zlo..zhi (local copy of zhi)
+	u := st.Floats(nz + 1) // node velocities
 	for i := 0; i <= nz; i++ {
 		x[i] = float64(zlo+i) * dx0
 	}
-	rho := make([]float64, nz)
-	e := make([]float64, nz)
-	m := make([]float64, nz) // fixed Lagrangian zone masses
+	rho := st.Floats(nz)
+	e := st.Floats(nz)
+	m := st.Floats(nz) // fixed Lagrangian zone masses
 	for j := 0; j < nz; j++ {
 		center := (float64(zlo+j) + 0.5) * dx0
 		if center < pr.xif {
@@ -143,39 +147,42 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	}
 	exchangeNode() // establish the initial ghost
 
-	press := make([]float64, nz) // p + q per zone
+	press := st.Floats(nz) // p + q per zone
 	dt := pr.dtInit
 	carry := &apps.Carry{Vecs: [][]float64{x, u, e}, Scalars: []*float64{&dt}}
 	for step := st.Resume(carry); step < pr.steps; step++ {
 		// --- zone pressures and artificial viscosity --------------------
 		var dtLocal float64 = math.Inf(1)
 		// At most 11 injectable ops per zone; the branches' are counted.
-		if zones := uint64(nz); fc.Reserve(11 * zones) {
-			var muls, divs uint64
-			for j := 0; j < nz; j++ {
-				dxj := x[j+1] - x[j]
-				rho[j] = m[j] / dxj
-				pj := float64(float64((pr.gamma-1)*rho[j]) * e[j])
-				du := u[j+1] - u[j]
-				var qj float64
-				if du < 0 {
-					qj = float64(float64(pr.q1*rho[j]) * float64(du*du))
-					muls += 3
-				}
-				press[j] = pj + qj
-				cs := math.Sqrt(float64(pr.gamma*pj) / rho[j])
-				rate := cs + math.Abs(du)
-				if rate > 0 {
-					cand := float64(pr.cfl*dxj) / rate
-					muls, divs = muls+1, divs+1
-					if cand < dtLocal {
-						dtLocal = cand
+		for lo := 0; lo < nz; lo += zoneBlock {
+			hi := min(lo+zoneBlock, nz)
+			if zones := uint64(hi - lo); fc.Reserve(11 * zones) {
+				var muls, divs uint64
+				for j := lo; j < hi; j++ {
+					dxj := x[j+1] - x[j]
+					rho[j] = m[j] / dxj
+					pj := float64(float64((pr.gamma-1)*rho[j]) * e[j])
+					du := u[j+1] - u[j]
+					var qj float64
+					if du < 0 {
+						qj = float64(float64(pr.q1*rho[j]) * float64(du*du))
+						muls += 3
+					}
+					press[j] = pj + qj
+					cs := math.Sqrt(float64(pr.gamma*pj) / rho[j])
+					rate := cs + math.Abs(du)
+					if rate > 0 {
+						cand := float64(pr.cfl*dxj) / rate
+						muls, divs = muls+1, divs+1
+						if cand < dtLocal {
+							dtLocal = cand
+						}
 					}
 				}
+				fc.Tally(2*zones, 2*zones, 3*zones+muls, 2*zones+divs)
+				continue
 			}
-			fc.Tally(2*zones, 2*zones, 3*zones+muls, 2*zones+divs)
-		} else {
-			for j := 0; j < nz; j++ {
+			for j := lo; j < hi; j++ {
 				dxj := fc.Sub(x[j+1], x[j])
 				rho[j] = fc.Div(m[j], dxj)
 				pj := fc.Mul(fc.Mul(pr.gamma-1, rho[j]), e[j])
@@ -214,26 +221,29 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 			ghZoneP, ghZoneM = g[0], g[1]
 		}
 		// Every owned node but the left wall: 2 adds, a sub, 2 muls, a div.
-		nodes := uint64(nz)
-		if zlo == 0 {
-			nodes--
-		}
-		if fc.Reserve(5 * nodes) {
-			for i := 0; i < nz; i++ {
-				if zlo+i == 0 {
-					u[0] = 0
-					continue
-				}
-				pL, mL := ghZoneP, ghZoneM
-				if i > 0 {
-					pL, mL = press[i-1], m[i-1]
-				}
-				nodalMass := float64(0.5 * (mL + m[i]))
-				u[i] += float64(dt * ((pL - press[i]) / nodalMass))
+		for lo := 0; lo < nz; lo += zoneBlock {
+			hi := min(lo+zoneBlock, nz)
+			nodes := uint64(hi - lo)
+			if zlo+lo == 0 {
+				nodes--
 			}
-			fc.Tally(2*nodes, nodes, 2*nodes, nodes)
-		} else {
-			for i := 0; i < nz; i++ {
+			if fc.Reserve(5 * nodes) {
+				for i := lo; i < hi; i++ {
+					if zlo+i == 0 {
+						u[0] = 0
+						continue
+					}
+					pL, mL := ghZoneP, ghZoneM
+					if i > 0 {
+						pL, mL = press[i-1], m[i-1]
+					}
+					nodalMass := float64(0.5 * (mL + m[i]))
+					u[i] += float64(dt * ((pL - press[i]) / nodalMass))
+				}
+				fc.Tally(2*nodes, nodes, 2*nodes, nodes)
+				continue
+			}
+			for i := lo; i < hi; i++ {
 				gi := zlo + i
 				if gi == 0 {
 					u[0] = 0 // left wall
@@ -266,17 +276,20 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		exchangeNode()
 
 		// --- zone thermodynamic update ------------------------------------
-		if zones := uint64(nz); fc.Reserve(4 * zones) {
-			for j := 0; j < nz; j++ {
-				dvol := float64(dt * (u[j+1] - u[j]))
-				e[j] -= float64(press[j]*dvol) / m[j]
-				if e[j] < 1e-12 {
-					e[j] = 1e-12
+		for lo := 0; lo < nz; lo += zoneBlock {
+			hi := min(lo+zoneBlock, nz)
+			if zones := uint64(hi - lo); fc.Reserve(4 * zones) {
+				for j := lo; j < hi; j++ {
+					dvol := float64(dt * (u[j+1] - u[j]))
+					e[j] -= float64(press[j]*dvol) / m[j]
+					if e[j] < 1e-12 {
+						e[j] = 1e-12
+					}
 				}
+				fc.Tally(0, 2*zones, 2*zones, zones)
+				continue
 			}
-			fc.Tally(0, 2*zones, 2*zones, zones)
-		} else {
-			for j := 0; j < nz; j++ {
+			for j := lo; j < hi; j++ {
 				dvol := fc.Mul(dt, fc.Sub(u[j+1], u[j])) // d(dx) = du*dt
 				// de = -P dV / m (work done by total pressure).
 				de := fc.Div(fc.Mul(press[j], dvol), m[j])
@@ -319,10 +332,10 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	}
 	tot := comm.Allreduce(simmpi.OpSum, []float64{eint, ekin})
 
-	state := make([]float64, 0, 2*nz+nz+1)
-	state = append(state, rho...)
-	state = append(state, e...)
-	state = append(state, u[:nz]...)
+	state := st.Floats(3 * nz)
+	copy(state, rho)
+	copy(state[nz:], e)
+	copy(state[2*nz:], u[:nz])
 	return apps.RankOutput{State: state, Check: []float64{tot[0], tot[1]}}, nil
 }
 

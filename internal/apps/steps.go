@@ -12,8 +12,9 @@ import (
 // Stepped is the optional step contract of an App whose run is a loop of
 // steps.  Before its loop a rank calls st.Resume(carry), which says at which
 // step to start, and after step i-1 it calls st.Mark(i, carry): boundary i
-// is the state after i steps.  Both are no-ops on a nil *Steps, and the
-// app's Run is RunSteps(fc, comm, class, nil).
+// is the state after i steps.  It draws its working arrays with st.Floats.
+// All three work on a nil *Steps (Resume and Mark do nothing, Floats is
+// make), and the app's Run is RunSteps(fc, comm, class, nil).
 //
 // At a boundary the Carry must hold everything a later step or the code
 // after the loop reads that an earlier step wrote — except at the last
@@ -92,19 +93,101 @@ func LastClean(counts [][]fpe.Counts, plans map[int][]fpe.Injection, last int) i
 	return last
 }
 
-// Steps is one rank's view of its execution's StepPlan.
+// Steps is one rank's view of its execution: the StepPlan's boundaries,
+// and the working set it draws its arrays from.  An execution hands every
+// Stepped app one, with or without a plan; Run's nil *Steps has neither.
 type Steps struct {
 	fc   *fpe.Ctx
 	rank int
-	plan *StepPlan
+	plan *StepPlan // nil: no boundary is restored or recorded
+	set  *workingSet
 	next int        // the first entry of plan.Record this rank has not filled
 	last *RankState // the state this rank restored or last recorded
+}
+
+// Floats returns a zeroed array of n floats from the rank's working set:
+// the one the rank's Arena kept from the same draw of the last execution
+// of this shape, or a new one.  An app draws every per-run working array,
+// and the State it returns, this way.  They are the arena's, valid until
+// its next execution, so nothing a run returns may outlive that without a
+// copy (see Arena).  On a nil *Steps it is make.
+func (s *Steps) Floats(n int) []float64 {
+	var w *workingSet
+	if s != nil {
+		w = s.set
+	}
+	return w.draw(n)[:n] // inlined, this tells the caller the length
+}
+
+// Blocks returns k zeroed blocks of n floats each, carved from one array of
+// Floats; the slice that holds them is the working set's too.
+func (s *Steps) Blocks(k, n int) [][]float64 {
+	flat := s.Floats(k * n)
+	var b [][]float64
+	if s == nil {
+		b = make([][]float64, k)
+	} else {
+		w := s.set
+		if w.nb == len(w.blocks) {
+			w.blocks = append(w.blocks, nil)
+		}
+		if cap(w.blocks[w.nb]) < k {
+			w.blocks[w.nb] = make([][]float64, k)
+		}
+		b = w.blocks[w.nb][:k]
+		w.nb++
+	}
+	for i := range b {
+		b[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return b
+}
+
+// workingSet is one rank's arrays, in the order its runs drew them: a run
+// of the same shape draws the same sizes in the same order, so draw i
+// reuses array i.
+type workingSet struct {
+	floats [][]float64
+	blocks [][][]float64
+	nf, nb int // the next draws
+}
+
+// draw returns the next array of the run's draws, n zeroed floats; on a
+// nil *workingSet, a new one.
+func (w *workingSet) draw(n int) []float64 {
+	if w == nil {
+		return make([]float64, n)
+	}
+	if w.nf == len(w.floats) {
+		w.floats = append(w.floats, nil)
+	}
+	b := w.floats[w.nf]
+	if cap(b) < n {
+		b = make([]float64, n)
+		w.floats[w.nf] = b
+	}
+	w.nf++
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// rewind starts a run's draws from the first array.
+func (w *workingSet) rewind() { w.nf, w.nb = 0, 0 }
+
+// poison fills every array with NaN.
+func (w *workingSet) poison() {
+	for _, b := range w.floats {
+		for i := range b[:cap(b)] {
+			b[i] = math.NaN()
+		}
+	}
 }
 
 // Resume restores the rank's carry and counters from the plan's From
 // boundary and returns its step, or returns 0 to start at the beginning.
 func (s *Steps) Resume(c *Carry) int {
-	if s == nil {
+	if s == nil || s.plan == nil {
 		return 0
 	}
 	if s.plan.Counts != nil {
@@ -124,7 +207,7 @@ func (s *Steps) Resume(c *Carry) int {
 
 // Mark declares boundary i, the state after i steps.
 func (s *Steps) Mark(i int, c *Carry) {
-	if s == nil {
+	if s == nil || s.plan == nil {
 		return
 	}
 	kc, divs := s.fc.Boundary()

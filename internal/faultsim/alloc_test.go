@@ -13,11 +13,11 @@ import (
 
 // allocApp is a minimal benchmark application for allocation accounting:
 // a short instrumented compute loop plus one collective, with small fixed
-// outputs.  A real application allocates its working set every run — each
-// one's is pinned by its own TestPooledRunAllocBounded (apptest) — so this
-// app, which has none, keeps the measurement on what the trial machinery
-// around the run allocates: the plan draw, the world's per-run bookkeeping,
-// the contamination comparison.
+// outputs.  A real application draws its working set from the arena — what
+// little each one's run still allocates is pinned by its own
+// TestPooledRunAllocBounded (apptest) — so this app keeps the measurement
+// on what the trial machinery around the run allocates: the plan draw, the
+// world's per-run bookkeeping, the contamination comparison.
 type allocApp struct{}
 
 func (allocApp) Name() string         { return "alloctest" }
@@ -66,11 +66,12 @@ func TestPooledTrialAllocBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The bound covers the per-trial constants: the plan draw, the trial
-	// RNG split, the world's per-run goroutines and comms, and the app's
-	// small outputs — but not the world's inboxes or per-rank context
-	// construction, which the arena amortizes away.
-	const bound = 128
+	// The bound, 1.25 x what a trial measured when it was set, covers the
+	// per-trial constants: the plan draw, the trial RNG split, the run's
+	// closure and the app's small outputs — but not the world's inboxes or
+	// per-rank context construction, which the arena amortizes away.
+	const bound = 17
+	t.Logf("pooled trial: %.1f allocs/run (pin %d)", avg, bound)
 	if avg > bound {
 		t.Errorf("pooled trial allocates %.1f allocs/run; want <= %d", avg, bound)
 	}

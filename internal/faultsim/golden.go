@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -147,7 +148,8 @@ func computeGolden(ctx context.Context, arena *apps.Arena, app apps.App, class s
 	g.Check = append(g.Check, res.Outputs[0].Check...)
 	for r := 0; r < procs; r++ {
 		g.Counts[r] = res.Ctxs[r].Counts()
-		g.States[r] = res.Outputs[r].State
+		// The arena's next execution reuses the arrays the State is in.
+		g.States[r] = slices.Clone(res.Outputs[r].State)
 		for name, c := range res.Ctxs[r].RegionCounts() {
 			t := g.Regions[name]
 			t.Common += c.Common

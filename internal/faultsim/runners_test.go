@@ -1,7 +1,9 @@
 package faultsim
 
 import (
+	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,5 +145,44 @@ func TestPooledCampaignMatchesUnpooled(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.Hist.Counts, pooled.Hist.Counts) {
 		t.Fatalf("pooled hist %+v != unpooled %+v", pooled.Hist.Counts, plain.Hist.Counts)
+	}
+}
+
+// TestGoldenSurvivesWorkspaceReuse: a golden run's States outlive the
+// arena it ran on.  An app's State is an array of the slot's working set,
+// which the slot's next execution draws again, so a golden that kept it
+// instead of a copy would read as the last trial's State — and would hash
+// as whichever trial first asked for its hashes.  Ten trials of a
+// contaminating campaign on the golden's one slot must leave the golden's
+// States bit for bit as they were.
+func TestGoldenSurvivesWorkspaceReuse(t *testing.T) {
+	app, err := apps.Lookup("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewRunners(1)
+	golden, err := pool.Golden(context.Background(), app, "", 4, apps.DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float64, len(golden.States))
+	for r, s := range golden.States {
+		want[r] = slices.Clone(s)
+	}
+	sum, err := RunAgainst(Campaign{App: app, Procs: 4, Trials: 10, Errors: 16, Seed: 7, Pool: pool}, golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spread uint64
+	for _, n := range sum.SpreadByDistance {
+		spread += n
+	}
+	if spread == 0 {
+		t.Fatal("no trial contaminated a rank; the test proves nothing")
+	}
+	for r := range want {
+		if !bitEqual(golden.States[r], want[r]) {
+			t.Fatalf("rank %d: the golden's State changed under the trials run on its slot", r)
+		}
 	}
 }

@@ -19,7 +19,10 @@
 // a subtraction rounded by an explicit float64(…) so no architecture fuses
 // it — and books exactly what it ran with one Tally.  When Reserve refuses
 // (the window holds a trigger) the kernel runs its instrumented loop,
-// unchanged.  A window never spans a Begin, an End or a communication
+// unchanged.  A kernel reserves a plane, a block of rows or of zones at a
+// time, and the vector ops (Dot, Axpy, Aypx, AddVec, SubVec) reserve up
+// to the element that holds the trigger, so a refusal costs one plane (one
+// element) on the per-op path, not the kernel's whole call.  A window never spans a Begin, an End or a communication
 // call, so counts, plan indices and Records are those of per-op counting.  (A window a panic cuts short books nothing;
 // only a completed run's counts are ever read — the golden's.)
 //
@@ -565,7 +568,8 @@ func (c *Ctx) Div(a, b float64) float64 {
 // Reserve reports whether the active class's next n injectable ops may run
 // as plain arithmetic: true iff none of them is due an injection.  A true
 // Reserve must be followed, before any other op of this Ctx, by the Tally
-// of what ran.
+// of what ran.  A false one sends the n ops down the per-op path, which
+// is why a kernel reserves one plane at a time.
 func (c *Ctx) Reserve(n uint64) bool {
 	if n > c.left || windowsOff {
 		return false
@@ -592,6 +596,12 @@ func (c *Ctx) FMA(a, b, x float64) float64 {
 	return c.Add(c.Mul(a, b), x)
 }
 
+// room is how many of the next n elements of a vector op, of per
+// injectable ops each, run before the active class's next trigger: the
+// vector ops window them and send the element that holds the trigger down
+// the per-op path.
+func (c *Ctx) room(n, per int) int { return int(min(uint64(n), c.left/uint64(per))) }
+
 // Dot accumulates the instrumented dot product of x and y.
 // It panics if the lengths differ.
 func (c *Ctx) Dot(x, y []float64) float64 {
@@ -599,14 +609,18 @@ func (c *Ctx) Dot(x, y []float64) float64 {
 		panic("fpe: Dot length mismatch")
 	}
 	var s float64
-	if n := uint64(len(x)); c.Reserve(2 * n) {
-		for i := range x {
-			s += float64(x[i] * y[i])
+	for i := 0; i < len(x); i++ {
+		if k := c.room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
+			xs := x[i : i+k]
+			ys := y[i:][:len(xs)]
+			for j := range xs {
+				s += float64(xs[j] * ys[j])
+			}
+			c.Tally(uint64(k), 0, uint64(k), 0)
+			if i += k; i == len(x) {
+				break
+			}
 		}
-		c.Tally(n, 0, n, 0)
-		return s
-	}
-	for i := range x {
 		s = c.Add(s, c.Mul(x[i], y[i]))
 	}
 	return s
@@ -617,14 +631,18 @@ func (c *Ctx) Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("fpe: Axpy length mismatch")
 	}
-	if n := uint64(len(x)); c.Reserve(2 * n) {
-		for i := range x {
-			y[i] += float64(alpha * x[i])
+	for i := 0; i < len(x); i++ {
+		if k := c.room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
+			xs := x[i : i+k]
+			ys := y[i:][:len(xs)]
+			for j := range xs {
+				ys[j] += float64(alpha * xs[j])
+			}
+			c.Tally(uint64(k), 0, uint64(k), 0)
+			if i += k; i == len(x) {
+				break
+			}
 		}
-		c.Tally(n, 0, n, 0)
-		return
-	}
-	for i := range x {
 		y[i] = c.Add(y[i], c.Mul(alpha, x[i]))
 	}
 }
@@ -635,15 +653,63 @@ func (c *Ctx) Aypx(beta float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("fpe: Aypx length mismatch")
 	}
-	if n := uint64(len(x)); c.Reserve(2 * n) {
-		for i := range x {
-			y[i] = x[i] + float64(beta*y[i])
+	for i := 0; i < len(x); i++ {
+		if k := c.room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
+			xs := x[i : i+k]
+			ys := y[i:][:len(xs)]
+			for j := range xs {
+				ys[j] = xs[j] + float64(beta*ys[j])
+			}
+			c.Tally(uint64(k), 0, uint64(k), 0)
+			if i += k; i == len(x) {
+				break
+			}
 		}
-		c.Tally(n, 0, n, 0)
-		return
-	}
-	for i := range x {
 		y[i] = c.Add(x[i], c.Mul(beta, y[i]))
+	}
+}
+
+// AddVec computes dst = a + b element-wise through the datapath; dst may
+// be a.
+func (c *Ctx) AddVec(dst, a, b []float64) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic("fpe: AddVec length mismatch")
+	}
+	for i := 0; i < len(dst); i++ {
+		if k := c.room(len(dst)-i, 1); c.Reserve(uint64(k)) {
+			ds := dst[i : i+k]
+			as, bs := a[i:][:len(ds)], b[i:][:len(ds)]
+			for j := range ds {
+				ds[j] = as[j] + bs[j]
+			}
+			c.Tally(uint64(k), 0, 0, 0)
+			if i += k; i == len(dst) {
+				break
+			}
+		}
+		dst[i] = c.Add(a[i], b[i])
+	}
+}
+
+// SubVec computes dst = a - b element-wise through the datapath; dst may
+// be a.
+func (c *Ctx) SubVec(dst, a, b []float64) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic("fpe: SubVec length mismatch")
+	}
+	for i := 0; i < len(dst); i++ {
+		if k := c.room(len(dst)-i, 1); c.Reserve(uint64(k)) {
+			ds := dst[i : i+k]
+			as, bs := a[i:][:len(ds)], b[i:][:len(ds)]
+			for j := range ds {
+				ds[j] = as[j] - bs[j]
+			}
+			c.Tally(0, uint64(k), 0, 0)
+			if i += k; i == len(dst) {
+				break
+			}
+		}
+		dst[i] = c.Sub(a[i], b[i])
 	}
 }
 

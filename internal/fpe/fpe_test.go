@@ -2,6 +2,7 @@ package fpe
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,11 @@ func TestDotAxpy(t *testing.T) {
 		if y[i] != want[i] {
 			t.Fatalf("Axpy y = %v", y)
 		}
+	}
+	c.SubVec(y, y, x)
+	c.AddVec(x, x, y)
+	if want := []float64{6, 9, 12}; !slices.Equal(x, want) {
+		t.Fatalf("SubVec then AddVec x = %v", x)
 	}
 }
 

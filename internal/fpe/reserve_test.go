@@ -94,7 +94,7 @@ func TestWindowCountsMatchPerOp(t *testing.T) {
 		y := []float64{7, 6, 5, 4, 3, 2, 1}
 		out := []float64{}
 		for i := 0; i < 60; i++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0:
 				out = append(out, c.Dot(x, y))
 			case 1:
@@ -107,6 +107,10 @@ func TestWindowCountsMatchPerOp(t *testing.T) {
 				end := c.Begin("u", Unique)
 				c.Axpy(-0.5, y, x)
 				end()
+			case 5:
+				c.AddVec(x, x, y)
+			case 6:
+				c.SubVec(y, x, y)
 			default:
 				if c.Reserve(3) { // a hand-made window: a mul, an add, a div
 					x[1] = y[1] + float64(x[1]*0.5)/3
