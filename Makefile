@@ -48,8 +48,8 @@ benchcheck:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# The instrumented fpe ops (and lu's stencil read) are fast because they
-# inline, each within a point or two of the compiler's budget; this asks
+# The instrumented fpe ops (and the stencils' row helpers) are fast because
+# they inline, each within a point or two of the compiler's budget; this asks
 # the toolchain for its verdict and fails when one no longer does (also
 # run in CI).
 inlinecheck:

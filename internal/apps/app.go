@@ -10,11 +10,16 @@
 // route every floating-point operation through the per-rank *fpe.Ctx so
 // the harness can inject single-bit faults, and annotate parallel-unique
 // computation (paper Observation 1) with fpe regions.  A hot kernel does
-// so by the window, a plane (or a block of rows or zones) at a time: when
-// fpe.Ctx.Reserve grants the plane's ops it runs them as plain arithmetic
-// and books them with one Tally, and otherwise it runs the plane's
-// instrumented loop — the same operations in the same order either way
-// (see package fpe), so a due injection costs one plane on the per-op path.
+// so by the window, a plane, a batch of lines or a block of rows (or
+// zones) at a time: when fpe.Ctx.Reserve grants the window's ops it runs
+// them as plain arithmetic and books them with one Tally, and otherwise it
+// runs the window's instrumented loop — the same operations in the same
+// order either way (see package fpe), so a due injection costs one plane,
+// one line or one block on the per-op path.  Both loops are straight: a
+// stencil chooses the planes and rows it reads once per plane and per row
+// (Layer, Row), so that only a row's two ends are tested inside it, and
+// past a domain edge it reads a plane of zeros that every run shares and
+// none may write.
 //
 // Three conventions keep a run from allocating at all — a campaign is
 // thousands of runs, and what a run allocates it pays for again in the
@@ -163,6 +168,45 @@ func VerifyRel(golden, check []float64, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// zeros is what a stencil reads past a domain edge: a plane as large as the
+// largest any app's class has (LU's and MG's class A, 16 x 16).  Every rank
+// of every run shares it, so it is read-only.
+var zeros [16 * 16]float64
+
+// Layer returns the k-th run of n floats of a: a plane of a slab of planes,
+// or a row of a plane.  Past a's ends, k = -1 is lo and k = len(a)/n is hi —
+// the ghost planes of a slab's neighbours, the rows a periodic plane wraps
+// to — and a nil one, a domain edge, reads as zeros.  A stencil chooses the
+// layers it reads once per plane and per row, so that only a row's two ends
+// need a test inside it; a layer past an edge it must only read.
+func Layer(a []float64, n, k int, lo, hi []float64) []float64 {
+	switch {
+	case k < 0:
+		a, k = lo, 0
+	case k*n >= len(a):
+		a, k = hi, 0
+	}
+	if a == nil {
+		a = zeros[:]
+	}
+	return a[k*n : (k+1)*n : (k+1)*n]
+}
+
+// Row returns row y of plane p, of rows of nx points, and zeros past the
+// plane's edges (y = -1 or ny).
+func Row(p []float64, nx, y int) []float64 { return Layer(p, nx, y, nil, nil) }
+
+// Beside returns the values before and after x in row, zero past its ends.
+func Beside(row []float64, x int) (before, after float64) {
+	if x > 0 {
+		before = row[x-1]
+	}
+	if x+1 < len(row) {
+		after = row[x+1]
+	}
+	return before, after
 }
 
 // HaloExchange1D exchanges boundary planes with the ring neighbours in a

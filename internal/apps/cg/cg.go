@@ -172,6 +172,13 @@ func insertionSortInts(a []int) {
 // sends one block down the per-op path.
 const rowBlock = 32
 
+// row returns local row i's nonzeros and their columns.
+func (m *csr) row(i int) (vals []float64, cols []int) {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	vals = m.vals[lo:hi]
+	return vals, m.colIdx[lo:hi][:len(vals)]
+}
+
 // spmv computes w = A_local * x (x is the full vector) with instrumented
 // arithmetic: one mul and one add per nonzero.
 func (m *csr) spmv(fc *fpe.Ctx, x, w []float64) {
@@ -179,9 +186,10 @@ func (m *csr) spmv(fc *fpe.Ctx, x, w []float64) {
 		hi := min(lo+rowBlock, m.rowHi-m.rowLo)
 		if nnz := uint64(m.rowPtr[hi] - m.rowPtr[lo]); fc.Reserve(2 * nnz) {
 			for i := lo; i < hi; i++ {
+				vals, cols := m.row(i)
 				var s float64
-				for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-					s += float64(m.vals[k] * x[m.colIdx[k]])
+				for k, v := range vals {
+					s += float64(v * x[cols[k]])
 				}
 				w[i] = s
 			}
@@ -189,9 +197,10 @@ func (m *csr) spmv(fc *fpe.Ctx, x, w []float64) {
 			continue
 		}
 		for i := lo; i < hi; i++ {
+			vals, cols := m.row(i)
 			var s float64
-			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				s = fc.Add(s, fc.Mul(m.vals[k], x[m.colIdx[k]]))
+			for k, v := range vals {
+				s = fc.Add(s, fc.Mul(v, x[cols[k]]))
 			}
 			w[i] = s
 		}

@@ -18,6 +18,15 @@
 // z-direction FFTs strided in place, with no transpose — the common
 // computation is bit-comparable across scales while the parallel-unique
 // computation exists only in parallel runs (paper Observation 1).
+//
+// A 3-D FFT runs its 1-D transforms a batch of lines at a time (fftLines):
+// a plane's x lines, then its y lines, and all the z lines of the rank.
+// A batch is one fpe window.  Lines that lie side by side (the y lines,
+// and the serial run's strided z lines) run a butterfly of every line at
+// a time, so the innermost loop walks contiguous memory; contiguous lines
+// run one after another.  A batch that holds a due injection runs line by
+// line, in the order the lines are listed, so that only the line with the
+// trigger takes the per-op path.
 package ft
 
 import (
@@ -111,45 +120,9 @@ func makeTwiddles(n int) *twiddles {
 // All butterfly arithmetic is counted; where no injection is due it runs
 // plain, in one fpe window.
 func fft1d(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n int, inverse bool) {
-	// Bit-reversal permutation (data movement inside the FFT kernel is part
-	// of the common computation; it has no FP arithmetic).
-	for i, j := 0, 0; i < n; i++ {
-		if i < j {
-			a, b := offset+i*stride, offset+j*stride
-			re[a], re[b] = re[b], re[a]
-			im[a], im[b] = im[b], im[a]
-		}
-		mask := n >> 1
-		for j&mask != 0 {
-			j &^= mask
-			mask >>= 1
-		}
-		j |= mask
-	}
-	// n/2 butterflies per stage, log2 n stages; each is 3 adds, 3 subs and
-	// 4 muls.
-	if bf := uint64(n/2) * uint64(bits.TrailingZeros(uint(n))); fc.Reserve(10 * bf) {
-		stage := 0
-		for half := 1; half < n; half <<= 1 {
-			twRe, twIm := tw.re[stage], tw.im[stage]
-			for start := 0; start < n; start += half << 1 {
-				for j := 0; j < half; j++ {
-					wr, wi := twRe[j], twIm[j]
-					if inverse {
-						wi = -wi
-					}
-					a := offset + (start+j)*stride
-					b := offset + (start+j+half)*stride
-					vr := float64(wr*re[b]) - float64(wi*im[b])
-					vi := float64(wr*im[b]) + float64(wi*re[b])
-					re[b] = re[a] - vr
-					im[b] = im[a] - vi
-					re[a] += vr
-					im[a] += vi
-				}
-			}
-			stage++
-		}
+	bitReverse(re, im, offset, stride, n, 1, 0)
+	if bf := butterflies(n); fc.Reserve(10 * bf) {
+		plainLines(tw, re, im, offset, stride, n, 1, 0, inverse)
 		fc.Tally(3*bf, 3*bf, 4*bf, 0)
 		return
 	}
@@ -172,6 +145,122 @@ func fft1d(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n int, i
 				im[b] = fc.Sub(im[a], vi)
 				re[a] = fc.Add(re[a], vr)
 				im[a] = fc.Add(im[a], vi)
+			}
+		}
+		stage++
+	}
+}
+
+// fftLines runs fft1d over count lines of length n, line l starting at
+// offset+l*lineStride, as one fpe window: a batch of the lines of one
+// direction, a plane's or a whole transform's.  Each line is contiguous
+// (stride 1), or the lines lie side by side (lineStride 1).  When an
+// injection is due in the batch it runs fft1d line by line, in order, so
+// only the line that holds the trigger takes the per-op path.
+func fftLines(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n, count, lineStride int, inverse bool) {
+	if stride != 1 && lineStride != 1 && count > 1 {
+		panic("ft: fftLines of lines neither contiguous nor side by side")
+	}
+	bf := butterflies(n) * uint64(count)
+	if !fc.Reserve(10 * bf) {
+		for l := 0; l < count; l++ {
+			fft1d(fc, tw, re, im, offset+l*lineStride, stride, n, inverse)
+		}
+		return
+	}
+	bitReverse(re, im, offset, stride, n, count, lineStride)
+	plainLines(tw, re, im, offset, stride, n, count, lineStride, inverse)
+	fc.Tally(3*bf, 3*bf, 4*bf, 0)
+}
+
+// butterflies is the number of butterflies of an FFT of length n: n/2 per
+// stage, log2 n stages.  Each is 3 adds, 3 subs and 4 muls.
+func butterflies(n int) uint64 { return uint64(n/2) * uint64(bits.TrailingZeros(uint(n))) }
+
+// bitReverse applies an FFT's bit-reversal permutation to count lines, as
+// fftLines lays them out (data movement inside the FFT kernel is part of the
+// common computation; it has no FP arithmetic).
+func bitReverse(re, im []float64, offset, stride, n, count, lineStride int) {
+	for i, j := 0, 0; i < n; i++ {
+		if i < j {
+			a, b := offset+i*stride, offset+j*stride
+			for l := 0; l < count; l++ {
+				la, lb := a+l*lineStride, b+l*lineStride
+				re[la], re[lb] = re[lb], re[la]
+				im[la], im[lb] = im[lb], im[la]
+			}
+		}
+		mask := n >> 1
+		for j&mask != 0 {
+			j &^= mask
+			mask >>= 1
+		}
+		j |= mask
+	}
+}
+
+// plainLines runs the butterflies of count bit-reversed lines, as fftLines
+// lays them out, as plain arithmetic, each element's ops in fft1d's order:
+// a contiguous line a stage at a time over slices of it, lines side by side
+// a butterfly of every line at a time.
+func plainLines(tw *twiddles, re, im []float64, offset, stride, n, count, lineStride int, inverse bool) {
+	if stride != 1 {
+		plainButterflyLines(tw, re, im, offset, stride, n, count, inverse)
+		return
+	}
+	for l := 0; l < count; l++ {
+		o := offset + l*lineStride
+		lr, li := re[o:o+n], im[o:o+n]
+		for stage, half := 0, 1; half < n; stage, half = stage+1, half<<1 {
+			twRe := tw.re[stage]
+			twIm := tw.im[stage][:len(twRe)]
+			for start := 0; start < n; start += half << 1 {
+				ar, ai := lr[start:start+half], li[start:start+half]
+				br, bi := lr[start+half:start+2*half], li[start+half:start+2*half]
+				ar, ai, br, bi = ar[:len(twRe)], ai[:len(twRe)], br[:len(twRe)], bi[:len(twRe)]
+				for j, wr := range twRe {
+					wi := twIm[j]
+					if inverse {
+						wi = -wi
+					}
+					vr := float64(wr*br[j]) - float64(wi*bi[j])
+					vi := float64(wr*bi[j]) + float64(wi*br[j])
+					br[j] = ar[j] - vr
+					bi[j] = ai[j] - vi
+					ar[j] += vr
+					ai[j] += vi
+				}
+			}
+		}
+	}
+}
+
+// plainButterflyLines runs the butterflies of count lines that lie side by
+// side (line l starts at offset+l), a butterfly of every line at a time, so
+// that the innermost loop walks contiguous memory.
+func plainButterflyLines(tw *twiddles, re, im []float64, offset, stride, n, count int, inverse bool) {
+	stage := 0
+	for half := 1; half < n; half <<= 1 {
+		twRe, twIm := tw.re[stage], tw.im[stage]
+		for start := 0; start < n; start += half << 1 {
+			for j := 0; j < half; j++ {
+				wr, wi := twRe[j], twIm[j]
+				if inverse {
+					wi = -wi
+				}
+				a := offset + (start+j)*stride
+				b := offset + (start+j+half)*stride
+				ar, ai := re[a:a+count], im[a:a+count]
+				br, bi := re[b:b+count], im[b:b+count]
+				ai, br, bi = ai[:len(ar)], br[:len(ar)], bi[:len(ar)]
+				for l := range ar {
+					vr := float64(wr*br[l]) - float64(wi*bi[l])
+					vi := float64(wr*bi[l]) + float64(wi*br[l])
+					br[l] = ar[l] - vr
+					bi[l] = ai[l] - vi
+					ar[l] += vr
+					ai[l] += vi
+				}
 			}
 		}
 		stage++
@@ -280,29 +369,17 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		var spat field
 		if serial {
 			spat = work
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					fft1d(fc, twZ, spat.re, spat.im, y*nx+x, ny*nx, nz, true)
-				}
-			}
+			fftLines(fc, twZ, spat.re, spat.im, 0, ny*nx, nz, ny*nx, 1, true)
 		} else {
-			for x := 0; x < nxLoc; x++ {
-				for y := 0; y < ny; y++ {
-					fft1d(fc, twZ, work.re, work.im, (x*ny+y)*nz, 1, nz, true)
-				}
-			}
+			fftLines(fc, twZ, work.re, work.im, 0, 1, nz, nxLoc*ny, nz, true)
 			// The initial field was consumed by the forward transpose; its
 			// arrays take each step's spatial result.
 			spat = spatial
 			transposeXZ(fc, comm, pr, xp, work, spat, zlo, zhi, xlo, xhi)
 		}
 		for z := 0; z < nzLoc; z++ {
-			for x := 0; x < nx; x++ {
-				fft1d(fc, twY, spat.re, spat.im, z*ny*nx+x, nx, ny, true)
-			}
-			for y := 0; y < ny; y++ {
-				fft1d(fc, twX, spat.re, spat.im, (z*ny+y)*nx, 1, nx, true)
-			}
+			fftLines(fc, twY, spat.re, spat.im, z*ny*nx, nx, ny, nx, 1, true)
+			fftLines(fc, twX, spat.re, spat.im, z*ny*nx, 1, nx, ny, nx, true)
 		}
 		// Normalize.
 		if n := uint64(len(spat.re)); fc.Reserve(2 * n) {
@@ -351,27 +428,15 @@ func forward(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp exchange, spatial, sp
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
 	twX, twY, twZ := twiddlesFor(nx), twiddlesFor(ny), twiddlesFor(nz)
 	for z := 0; z < zhi-zlo; z++ {
-		for y := 0; y < ny; y++ {
-			fft1d(fc, twX, spatial.re, spatial.im, (z*ny+y)*nx, 1, nx, false)
-		}
-		for x := 0; x < nx; x++ {
-			fft1d(fc, twY, spatial.re, spatial.im, z*ny*nx+x, nx, ny, false)
-		}
+		fftLines(fc, twX, spatial.re, spatial.im, z*ny*nx, 1, nx, ny, nx, false)
+		fftLines(fc, twY, spatial.re, spatial.im, z*ny*nx, nx, ny, nx, 1, false)
 	}
 	if comm.Size() == 1 {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				fft1d(fc, twZ, spec.re, spec.im, y*nx+x, ny*nx, nz, false)
-			}
-		}
+		fftLines(fc, twZ, spec.re, spec.im, 0, ny*nx, nz, ny*nx, 1, false)
 		return
 	}
 	transposeZX(fc, comm, pr, xp, spatial, spec, zlo, zhi, xlo, xhi)
-	for x := 0; x < xhi-xlo; x++ {
-		for y := 0; y < ny; y++ {
-			fft1d(fc, twZ, spec.re, spec.im, (x*ny+y)*nz, 1, nz, false)
-		}
-	}
+	fftLines(fc, twZ, spec.re, spec.im, 0, 1, nz, (xhi-xlo)*ny, nz, false)
 }
 
 // kbar2 returns the squared folded wavenumber for index k of dimension n.

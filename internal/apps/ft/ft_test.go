@@ -1,7 +1,9 @@
 package ft
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -253,3 +255,73 @@ func TestCachedEvolutionReadOnly(t *testing.T) {
 }
 
 func TestOpCountNearSerial(t *testing.T) { apptest.OpCountNearSerial(t, App{}, "") }
+
+// TestFFTLinesMatchFFT1D: for every layout of lines the runs transform — x
+// lines, y lines, the serial run's strided z lines and a parallel rank's
+// contiguous ones — in both directions, a batch equals fft1d line by line
+// to the bit.  With no injection due the batch is one window; with a
+// trigger inside line k it fires on the same op with the same operands,
+// the counts agree, and only line k's ops take the per-op path.
+func TestFFTLinesMatchFFT1D(t *testing.T) {
+	pr := classes["S"]
+	nx, ny, nz := pr.nx, pr.ny, pr.nz
+	layouts := []struct {
+		name                                 string
+		offset, stride, n, count, lineStride int
+	}{
+		{"x lines", 3 * ny * nx, 1, nx, ny, nx},
+		{"y lines", 3 * ny * nx, nx, ny, nx, 1},
+		{"serial z lines", 0, ny * nx, nz, ny * nx, 1},
+		{"parallel z lines", 0, 1, nz, nx / 4 * ny, nz},
+	}
+	for _, l := range layouts {
+		for _, inverse := range []bool{false, true} {
+			lineOps := 10 * butterflies(l.n)
+			for _, k := range []int{-1, 0, l.count / 2, l.count - 1} { // -1: no injection
+				what := fmt.Sprintf("%s inverse=%v trigger in line %d", l.name, inverse, k)
+				var plan []fpe.Injection
+				if k >= 0 {
+					plan = []fpe.Injection{{Class: fpe.Common, Index: uint64(k)*lineOps + lineOps/3, Bit: 51}}
+				}
+				tw := twiddlesFor(l.n)
+				re, im := make([]float64, nx*ny*nz), make([]float64, nx*ny*nz)
+				for i := range re {
+					re[i], im[i] = hashInit(pr.seed, uint64(i))
+				}
+				wantRe, wantIm := append([]float64(nil), re...), append([]float64(nil), im...)
+				want := fpe.NewWithPlan(plan)
+				for i := 0; i < l.count; i++ {
+					fft1d(want, tw, wantRe, wantIm, l.offset+i*l.lineStride, l.stride, l.n, inverse)
+				}
+				got := fpe.NewWithPlan(plan)
+				fftLines(got, tw, re, im, l.offset, l.stride, l.n, l.count, l.lineStride, inverse)
+
+				if !sameBits(re, wantRe) || !sameBits(im, wantIm) {
+					t.Fatalf("%s: batch differs from fft1d line by line", what)
+				}
+				if g, w := got.KindCounts(), want.KindCounts(); g != w {
+					t.Fatalf("%s: counts %+v, line by line %+v", what, g, w)
+				}
+				if g, w := got.Records(), want.Records(); !reflect.DeepEqual(g, w) || len(g) != len(plan) {
+					t.Fatalf("%s: fired %+v, line by line %+v", what, g, w)
+				}
+				perOp := uint64(0)
+				if k >= 0 {
+					perOp = lineOps
+				}
+				if g, w := got.Tallied(), got.Counts().Total()-perOp; g != w {
+					t.Fatalf("%s: %d ops windowed, want %d (all but line %d's)", what, g, w, k)
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}

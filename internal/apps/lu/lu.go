@@ -84,69 +84,51 @@ func makeCoeffs(pr params) coeffs {
 // slab is a rank's block of planes with Dirichlet-zero virtual boundaries.
 type slab struct {
 	nx, ny, nzLoc int
-	zlo, nz       int // global plane offset and global extent
-}
-
-func (s *slab) idx(x, y, zl int) int { return (zl*s.ny+y)*s.nx + x }
-
-// get reads a(x,y,zl) treating out-of-range x/y as the zero boundary and
-// out-of-slab z through the given ghost planes (nil ghost = domain edge).
-// The unsigned compares fold each pair of range tests into one, which is
-// what lets get inline into the stencil loops (scripts/inlinecheck.sh).
-func (s *slab) get(a []float64, x, y, zl int, ghLo, ghHi []float64) float64 {
-	if uint(x) >= uint(s.nx) || uint(y) >= uint(s.ny) {
-		return 0
-	}
-	switch {
-	case zl < 0:
-		if ghLo == nil {
-			return 0
-		}
-		return ghLo[y*s.nx+x]
-	case zl >= s.nzLoc:
-		if ghHi == nil {
-			return 0
-		}
-		return ghHi[y*s.nx+x]
-	default:
-		return a[s.idx(x, y, zl)]
-	}
 }
 
 // plane is the number of grid points in one plane.
-func (s *slab) plane() uint64 { return uint64(s.nx * s.ny) }
+func (s *slab) plane() int { return s.nx * s.ny }
 
 // applyA computes w = A u over the slab (ghosts supply z neighbours), a
 // window per plane.
 func applyA(fc *fpe.Ctx, s *slab, cf coeffs, u, ghLo, ghHi, w []float64) {
-	n := s.plane()
+	nx, sz := s.nx, s.plane()
+	n := uint64(sz)
 	for zl := 0; zl < s.nzLoc; zl++ {
+		up, wp := apps.Layer(u, sz, zl, nil, nil), apps.Layer(w, sz, zl, nil, nil)
+		bp, tp := apps.Layer(u, sz, zl-1, ghLo, ghHi), apps.Layer(u, sz, zl+1, ghLo, ghHi)
 		if fc.Reserve(13 * n) {
 			for y := 0; y < s.ny; y++ {
-				for x := 0; x < s.nx; x++ {
-					acc := float64(cf.d * u[s.idx(x, y, zl)])
-					acc += float64(cf.aW * s.get(u, x-1, y, zl, ghLo, ghHi))
-					acc += float64(cf.aE * s.get(u, x+1, y, zl, ghLo, ghHi))
-					acc += float64(cf.aS * s.get(u, x, y-1, zl, ghLo, ghHi))
-					acc += float64(cf.aN * s.get(u, x, y+1, zl, ghLo, ghHi))
-					acc += float64(cf.aB * s.get(u, x, y, zl-1, ghLo, ghHi))
-					acc += float64(cf.aT * s.get(u, x, y, zl+1, ghLo, ghHi))
-					w[s.idx(x, y, zl)] = acc
+				c, so, no := apps.Row(up, nx, y), apps.Row(up, nx, y-1), apps.Row(up, nx, y+1)
+				bo, to, out := apps.Row(bp, nx, y), apps.Row(tp, nx, y), apps.Row(wp, nx, y)
+				for x, ux := range c {
+					uw, ue := apps.Beside(c, x)
+					acc := float64(cf.d * ux)
+					acc += float64(cf.aW * uw)
+					acc += float64(cf.aE * ue)
+					acc += float64(cf.aS * so[x])
+					acc += float64(cf.aN * no[x])
+					acc += float64(cf.aB * bo[x])
+					acc += float64(cf.aT * to[x])
+					out[x] = acc
 				}
 			}
 			fc.Tally(6*n, 0, 7*n, 0)
 			continue
 		}
 		for y := 0; y < s.ny; y++ {
-			for x := 0; x < s.nx; x++ {
-				acc := fc.Mul(cf.d, u[s.idx(x, y, zl)])
-				acc = fc.Add(acc, fc.Mul(cf.aW, s.get(u, x-1, y, zl, ghLo, ghHi)))
-				acc = fc.Add(acc, fc.Mul(cf.aE, s.get(u, x+1, y, zl, ghLo, ghHi)))
-				acc = fc.Add(acc, fc.Mul(cf.aS, s.get(u, x, y-1, zl, ghLo, ghHi)))
-				acc = fc.Add(acc, fc.Mul(cf.aN, s.get(u, x, y+1, zl, ghLo, ghHi)))
-				acc = fc.Add(acc, fc.Mul(cf.aB, s.get(u, x, y, zl-1, ghLo, ghHi)))
-				acc = fc.Add(acc, fc.Mul(cf.aT, s.get(u, x, y, zl+1, ghLo, ghHi)))
-				w[s.idx(x, y, zl)] = acc
+			c, so, no := apps.Row(up, nx, y), apps.Row(up, nx, y-1), apps.Row(up, nx, y+1)
+			bo, to, out := apps.Row(bp, nx, y), apps.Row(tp, nx, y), apps.Row(wp, nx, y)
+			for x, ux := range c {
+				uw, ue := apps.Beside(c, x)
+				acc := fc.Mul(cf.d, ux)
+				acc = fc.Add(acc, fc.Mul(cf.aW, uw))
+				acc = fc.Add(acc, fc.Mul(cf.aE, ue))
+				acc = fc.Add(acc, fc.Mul(cf.aS, so[x]))
+				acc = fc.Add(acc, fc.Mul(cf.aN, no[x]))
+				acc = fc.Add(acc, fc.Mul(cf.aB, bo[x]))
+				acc = fc.Add(acc, fc.Mul(cf.aT, to[x]))
+				out[x] = acc
 			}
 		}
 	}
@@ -169,33 +151,39 @@ func forwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega floa
 		comm.RecvInto(rank-1, tagFwd, ghost)
 		ghLo = ghost
 	}
-	n := s.plane()
+	nx, sz := s.nx, s.plane()
+	n := uint64(sz)
 	for zl := 0; zl < s.nzLoc; zl++ {
+		vp, rp, bp := apps.Layer(v, sz, zl, nil, nil), apps.Layer(r, sz, zl, nil, nil), apps.Layer(v, sz, zl-1, ghLo, nil)
 		if fc.Reserve(7 * n) {
 			for y := 0; y < s.ny; y++ {
-				for x := 0; x < s.nx; x++ {
-					lsum := float64(cf.aW * s.get(v, x-1, y, zl, ghLo, nil))
-					lsum += float64(cf.aS * s.get(v, x, y-1, zl, ghLo, nil))
-					lsum += float64(cf.aB * s.get(v, x, y, zl-1, ghLo, nil))
-					num := r[s.idx(x, y, zl)] - float64(omega*lsum)
-					v[s.idx(x, y, zl)] = num / cf.d
+				c, so, bo, rr := apps.Row(vp, nx, y), apps.Row(vp, nx, y-1), apps.Row(bp, nx, y), apps.Row(rp, nx, y)
+				for x := range c {
+					vw, _ := apps.Beside(c, x)
+					lsum := float64(cf.aW * vw)
+					lsum += float64(cf.aS * so[x])
+					lsum += float64(cf.aB * bo[x])
+					num := rr[x] - float64(omega*lsum)
+					c[x] = num / cf.d
 				}
 			}
 			fc.Tally(2*n, n, 4*n, n)
 			continue
 		}
 		for y := 0; y < s.ny; y++ {
-			for x := 0; x < s.nx; x++ {
-				lsum := fc.Mul(cf.aW, s.get(v, x-1, y, zl, ghLo, nil))
-				lsum = fc.Add(lsum, fc.Mul(cf.aS, s.get(v, x, y-1, zl, ghLo, nil)))
-				lsum = fc.Add(lsum, fc.Mul(cf.aB, s.get(v, x, y, zl-1, ghLo, nil)))
-				num := fc.Sub(r[s.idx(x, y, zl)], fc.Mul(omega, lsum))
-				v[s.idx(x, y, zl)] = fc.Div(num, cf.d)
+			c, so, bo, rr := apps.Row(vp, nx, y), apps.Row(vp, nx, y-1), apps.Row(bp, nx, y), apps.Row(rp, nx, y)
+			for x := range c {
+				vw, _ := apps.Beside(c, x)
+				lsum := fc.Mul(cf.aW, vw)
+				lsum = fc.Add(lsum, fc.Mul(cf.aS, so[x]))
+				lsum = fc.Add(lsum, fc.Mul(cf.aB, bo[x]))
+				num := fc.Sub(rr[x], fc.Mul(omega, lsum))
+				c[x] = fc.Div(num, cf.d)
 			}
 		}
 	}
 	if rank < p-1 {
-		comm.Send(rank+1, tagFwd, v[(s.nzLoc-1)*s.nx*s.ny:])
+		comm.Send(rank+1, tagFwd, v[(s.nzLoc-1)*sz:])
 	}
 }
 
@@ -208,33 +196,39 @@ func backwardSweep(fc *fpe.Ctx, comm *simmpi.Comm, s *slab, cf coeffs, omega flo
 		comm.RecvInto(rank+1, tagBwd, ghost)
 		ghHi = ghost
 	}
-	n := s.plane()
+	nx, sz := s.nx, s.plane()
+	n := uint64(sz)
 	for zl := s.nzLoc - 1; zl >= 0; zl-- {
+		wp, vp, tp := apps.Layer(w, sz, zl, nil, nil), apps.Layer(v, sz, zl, nil, nil), apps.Layer(w, sz, zl+1, nil, ghHi)
 		if fc.Reserve(8 * n) {
 			for y := s.ny - 1; y >= 0; y-- {
-				for x := s.nx - 1; x >= 0; x-- {
-					usum := float64(cf.aE * s.get(w, x+1, y, zl, nil, ghHi))
-					usum += float64(cf.aN * s.get(w, x, y+1, zl, nil, ghHi))
-					usum += float64(cf.aT * s.get(w, x, y, zl+1, nil, ghHi))
-					num := float64(cf.d*v[s.idx(x, y, zl)]) - float64(omega*usum)
-					w[s.idx(x, y, zl)] = num / cf.d
+				c, no, to, vr := apps.Row(wp, nx, y), apps.Row(wp, nx, y+1), apps.Row(tp, nx, y), apps.Row(vp, nx, y)
+				for x := len(c) - 1; x >= 0; x-- {
+					_, we := apps.Beside(c, x)
+					usum := float64(cf.aE * we)
+					usum += float64(cf.aN * no[x])
+					usum += float64(cf.aT * to[x])
+					num := float64(cf.d*vr[x]) - float64(omega*usum)
+					c[x] = num / cf.d
 				}
 			}
 			fc.Tally(2*n, n, 5*n, n)
 			continue
 		}
 		for y := s.ny - 1; y >= 0; y-- {
-			for x := s.nx - 1; x >= 0; x-- {
-				usum := fc.Mul(cf.aE, s.get(w, x+1, y, zl, nil, ghHi))
-				usum = fc.Add(usum, fc.Mul(cf.aN, s.get(w, x, y+1, zl, nil, ghHi)))
-				usum = fc.Add(usum, fc.Mul(cf.aT, s.get(w, x, y, zl+1, nil, ghHi)))
-				num := fc.Sub(fc.Mul(cf.d, v[s.idx(x, y, zl)]), fc.Mul(omega, usum))
-				w[s.idx(x, y, zl)] = fc.Div(num, cf.d)
+			c, no, to, vr := apps.Row(wp, nx, y), apps.Row(wp, nx, y+1), apps.Row(tp, nx, y), apps.Row(vp, nx, y)
+			for x := len(c) - 1; x >= 0; x-- {
+				_, we := apps.Beside(c, x)
+				usum := fc.Mul(cf.aE, we)
+				usum = fc.Add(usum, fc.Mul(cf.aN, no[x]))
+				usum = fc.Add(usum, fc.Mul(cf.aT, to[x]))
+				num := fc.Sub(fc.Mul(cf.d, vr[x]), fc.Mul(omega, usum))
+				c[x] = fc.Div(num, cf.d)
 			}
 		}
 	}
 	if rank > 0 {
-		comm.Send(rank-1, tagBwd, w[:s.nx*s.ny])
+		comm.Send(rank-1, tagBwd, w[:sz])
 	}
 }
 
@@ -279,10 +273,10 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		return apps.RankOutput{}, err
 	}
 	zlo, zhi := apps.Block1D(pr.nz, comm.Size(), comm.Rank())
-	s := &slab{nx: pr.nx, ny: pr.ny, nzLoc: zhi - zlo, zlo: zlo, nz: pr.nz}
+	s := &slab{nx: pr.nx, ny: pr.ny, nzLoc: zhi - zlo}
 	cf := makeCoeffs(pr)
 
-	plane := s.nx * s.ny
+	plane := s.plane()
 	n := plane * s.nzLoc
 	rhs := rhsField(class, pr)[zlo*plane : zhi*plane]
 	u := st.Floats(n)

@@ -58,11 +58,20 @@ func TestSerialParallelBitIdenticalState(t *testing.T) {
 	}
 }
 
+// at reads a(x, y, zl) of the slab, zero outside it: the sweeps' reference
+// read, with no ghosts.
+func at(s *slab, a []float64, x, y, zl int) float64 {
+	if x < 0 || x >= s.nx || y < 0 || y >= s.ny || zl < 0 || zl >= s.nzLoc {
+		return 0
+	}
+	return a[(zl*s.ny+y)*s.nx+x]
+}
+
 func TestForwardSweepSolvesLowerSystem(t *testing.T) {
 	// forwardSweep computes v with (D + wL) v = r; reconstruct r from v.
 	pr := classes["W"]
 	cf := makeCoeffs(pr)
-	s := &slab{nx: 4, ny: 4, nzLoc: 4, zlo: 0, nz: 4}
+	s := &slab{nx: 4, ny: 4, nzLoc: 4}
 	r := make([]float64, 64)
 	for i := range r {
 		r[i] = float64(i%7) - 3
@@ -77,13 +86,13 @@ func TestForwardSweepSolvesLowerSystem(t *testing.T) {
 	for zl := 0; zl < 4; zl++ {
 		for y := 0; y < 4; y++ {
 			for x := 0; x < 4; x++ {
-				lsum := cf.aW*s.get(v, x-1, y, zl, nil, nil) +
-					cf.aS*s.get(v, x, y-1, zl, nil, nil) +
-					cf.aB*s.get(v, x, y, zl-1, nil, nil)
-				got := cf.d*v[s.idx(x, y, zl)] + pr.omega*lsum
-				if math.Abs(got-r[s.idx(x, y, zl)]) > 1e-10 {
+				lsum := cf.aW*at(s, v, x-1, y, zl) +
+					cf.aS*at(s, v, x, y-1, zl) +
+					cf.aB*at(s, v, x, y, zl-1)
+				got := cf.d*at(s, v, x, y, zl) + pr.omega*lsum
+				if math.Abs(got-at(s, r, x, y, zl)) > 1e-10 {
 					t.Fatalf("(D+wL)v != r at (%d,%d,%d): %g vs %g",
-						x, y, zl, got, r[s.idx(x, y, zl)])
+						x, y, zl, got, at(s, r, x, y, zl))
 				}
 			}
 		}
@@ -94,7 +103,7 @@ func TestBackwardSweepSolvesUpperSystem(t *testing.T) {
 	// backwardSweep computes w with (D + wU) w = D v; reconstruct D v.
 	pr := classes["W"]
 	cf := makeCoeffs(pr)
-	s := &slab{nx: 3, ny: 3, nzLoc: 3, zlo: 0, nz: 3}
+	s := &slab{nx: 3, ny: 3, nzLoc: 3}
 	v := make([]float64, 27)
 	for i := range v {
 		v[i] = math.Sin(float64(i))
@@ -109,11 +118,11 @@ func TestBackwardSweepSolvesUpperSystem(t *testing.T) {
 	for zl := 2; zl >= 0; zl-- {
 		for y := 2; y >= 0; y-- {
 			for x := 2; x >= 0; x-- {
-				usum := cf.aE*s.get(w, x+1, y, zl, nil, nil) +
-					cf.aN*s.get(w, x, y+1, zl, nil, nil) +
-					cf.aT*s.get(w, x, y, zl+1, nil, nil)
-				got := cf.d*w[s.idx(x, y, zl)] + pr.omega*usum
-				want := cf.d * v[s.idx(x, y, zl)]
+				usum := cf.aE*at(s, w, x+1, y, zl) +
+					cf.aN*at(s, w, x, y+1, zl) +
+					cf.aT*at(s, w, x, y, zl+1)
+				got := cf.d*at(s, w, x, y, zl) + pr.omega*usum
+				want := cf.d * at(s, v, x, y, zl)
 				if math.Abs(got-want) > 1e-10 {
 					t.Fatalf("(D+wU)w != Dv at (%d,%d,%d): %g vs %g", x, y, zl, got, want)
 				}

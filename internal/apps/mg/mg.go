@@ -40,6 +40,10 @@ type params struct {
 	weight     float64
 }
 
+// maxLevels is the most grid levels a class has: a run's level headers
+// live in an array of that many on its stack.
+const maxLevels = 4
+
 var classes = map[string]params{
 	"S": {nx: 8, ny: 8, nz: 128, levels: 3, niter: 3, charges: 10,
 		seed: 0x36_5, coarseIter: 4, weight: 0.8},
@@ -123,81 +127,83 @@ func (l *level) ghosts(comm *simmpi.Comm, tag int, a []float64) (lo, hi []float6
 	return l.below, l.above
 }
 
-// at reads a(x, y, zl) with periodic wrap in x and y; zl is a local plane
-// index and must be in range.
-func at(a []float64, nx, ny, x, y, zl int) float64 {
-	if x < 0 {
-		x += nx
-	} else if x >= nx {
-		x -= nx
+// faces are the rows a 7-point stencil reads around one row of a plane: the
+// row c, its south and north neighbours in the plane (periodic), and the
+// rows below and above it, of the planes b and t.
+type faces struct{ c, s, n, b, t []float64 }
+
+// facesOf returns the faces of row y of plane cp, of rows of nx points, with
+// bp and tp the planes below and above it.
+func facesOf(cp, bp, tp []float64, nx, y int) faces {
+	last, first := cp[len(cp)-nx:], cp[:nx]
+	return faces{
+		c: apps.Row(cp, nx, y),
+		s: apps.Layer(cp, nx, y-1, last, first),
+		n: apps.Layer(cp, nx, y+1, last, first),
+		b: apps.Row(bp, nx, y),
+		t: apps.Row(tp, nx, y),
 	}
-	if y < 0 {
-		y += ny
-	} else if y >= ny {
-		y -= ny
-	}
-	return a[(zl*ny+y)*nx+x]
 }
 
-// stencilSum returns the sum of the six face neighbours of (x, y, zl),
-// using ghost planes for z neighbours that fall outside the slab.
-func stencilSum(fc *fpe.Ctx, a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghHi []float64) float64 {
-	s := fc.Add(at(a, nx, ny, x-1, y, zl), at(a, nx, ny, x+1, y, zl))
-	s = fc.Add(s, at(a, nx, ny, x, y-1, zl))
-	s = fc.Add(s, at(a, nx, ny, x, y+1, zl))
-	below, above := zNeighbours(a, nx, ny, nzLoc, x, y, zl, ghLo, ghHi)
-	s = fc.Add(s, below)
-	return fc.Add(s, above)
+// wrap returns x in [0, n) periodically, for x in [-1, n].
+func wrap(x, n int) int {
+	switch x {
+	case -1:
+		return n - 1
+	case n:
+		return 0
+	}
+	return x
 }
 
-// stencilSumPlain is stencilSum's plain twin for windows: the same five adds.
-func stencilSumPlain(a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghHi []float64) float64 {
-	s := at(a, nx, ny, x-1, y, zl) + at(a, nx, ny, x+1, y, zl)
-	s += at(a, nx, ny, x, y-1, zl)
-	s += at(a, nx, ny, x, y+1, zl)
-	below, above := zNeighbours(a, nx, ny, nzLoc, x, y, zl, ghLo, ghHi)
-	s += below
-	return s + above
+// sum returns the sum of the six face neighbours of x: five plain adds.
+func (f *faces) sum(x int) float64 {
+	s := f.c[wrap(x-1, len(f.c))] + f.c[wrap(x+1, len(f.c))]
+	s += f.s[x]
+	s += f.n[x]
+	s += f.b[x]
+	return s + f.t[x]
 }
 
-// zNeighbours reads the z neighbours of (x, y, zl), through the ghost
-// planes where they fall outside the slab.
-func zNeighbours(a []float64, nx, ny, nzLoc, x, y, zl int, ghLo, ghHi []float64) (below, above float64) {
-	if zl == 0 {
-		below = at(ghLo, nx, ny, x, y, 0)
-	} else {
-		below = at(a, nx, ny, x, y, zl-1)
-	}
-	if zl == nzLoc-1 {
-		above = at(ghHi, nx, ny, x, y, 0)
-	} else {
-		above = at(a, nx, ny, x, y, zl+1)
-	}
-	return below, above
+// sumOp is sum with the adds through fc, in the same order.
+func (f *faces) sumOp(fc *fpe.Ctx, x int) float64 {
+	s := fc.Add(f.c[wrap(x-1, len(f.c))], f.c[wrap(x+1, len(f.c))])
+	s = fc.Add(s, f.s[x])
+	s = fc.Add(s, f.n[x])
+	s = fc.Add(s, f.b[x])
+	return fc.Add(s, f.t[x])
+}
+
+// planes returns plane zl of a level's array a and the planes below and
+// above it, through the ghosts where they fall outside the slab.
+func (l *level) planes(a []float64, zl int, ghLo, ghHi []float64) (c, b, t []float64) {
+	sz := l.nx * l.ny
+	return apps.Layer(a, sz, zl, nil, nil), apps.Layer(a, sz, zl-1, ghLo, ghHi), apps.Layer(a, sz, zl+1, ghLo, ghHi)
 }
 
 // residual computes r = v - A u over the slab, where A is the 7-point
 // periodic Laplacian (Au = 6u - sum of neighbours), a window per plane.
 func residual(fc *fpe.Ctx, l *level, u, v, ghLo, ghHi, r []float64) {
-	n := l.plane()
+	nx, n := l.nx, l.plane()
 	for zl := 0; zl < l.nzLoc(); zl++ {
+		cp, bp, tp := l.planes(u, zl, ghLo, ghHi)
+		vp, rp := apps.Layer(v, int(n), zl, nil, nil), apps.Layer(r, int(n), zl, nil, nil)
 		if fc.Reserve(8 * n) {
 			for y := 0; y < l.ny; y++ {
-				for x := 0; x < l.nx; x++ {
-					i := (zl*l.ny+y)*l.nx + x
-					au := float64(6*u[i]) - stencilSumPlain(u, l.nx, l.ny, l.nzLoc(), x, y, zl, ghLo, ghHi)
-					r[i] = v[i] - au
+				f, vr, rr := facesOf(cp, bp, tp, nx, y), apps.Row(vp, nx, y), apps.Row(rp, nx, y)
+				for x, ux := range f.c {
+					au := float64(6*ux) - f.sum(x)
+					rr[x] = vr[x] - au
 				}
 			}
 			fc.Tally(5*n, 2*n, n, 0)
 			continue
 		}
 		for y := 0; y < l.ny; y++ {
-			for x := 0; x < l.nx; x++ {
-				i := (zl*l.ny+y)*l.nx + x
-				au := fc.Sub(fc.Mul(6, u[i]),
-					stencilSum(fc, u, l.nx, l.ny, l.nzLoc(), x, y, zl, ghLo, ghHi))
-				r[i] = fc.Sub(v[i], au)
+			f, vr, rr := facesOf(cp, bp, tp, nx, y), apps.Row(vp, nx, y), apps.Row(rp, nx, y)
+			for x, ux := range f.c {
+				au := fc.Sub(fc.Mul(6, ux), f.sumOp(fc, x))
+				rr[x] = fc.Sub(vr[x], au)
 			}
 		}
 	}
@@ -211,25 +217,26 @@ func smooth(fc *fpe.Ctx, comm *simmpi.Comm, tag int, l *level, upd []float64, w 
 	z, r := l.z, l.r
 	ghLo, ghHi := l.ghosts(comm, tag, z)
 	w6 := w / 6
-	n := l.plane()
+	nx, n := l.nx, l.plane()
 	for zl := 0; zl < l.nzLoc(); zl++ {
+		cp, bp, tp := l.planes(z, zl, ghLo, ghHi)
+		rp, up := apps.Layer(r, int(n), zl, nil, nil), apps.Layer(upd, int(n), zl, nil, nil)
 		if fc.Reserve(9 * n) {
 			for y := 0; y < l.ny; y++ {
-				for x := 0; x < l.nx; x++ {
-					i := (zl*l.ny+y)*l.nx + x
-					az := float64(6*z[i]) - stencilSumPlain(z, l.nx, l.ny, l.nzLoc(), x, y, zl, ghLo, ghHi)
-					upd[i] = float64(w6 * (r[i] - az))
+				f, rr, ur := facesOf(cp, bp, tp, nx, y), apps.Row(rp, nx, y), apps.Row(up, nx, y)
+				for x, zx := range f.c {
+					az := float64(6*zx) - f.sum(x)
+					ur[x] = float64(w6 * (rr[x] - az))
 				}
 			}
 			fc.Tally(5*n, 2*n, 2*n, 0)
 			continue
 		}
 		for y := 0; y < l.ny; y++ {
-			for x := 0; x < l.nx; x++ {
-				i := (zl*l.ny+y)*l.nx + x
-				az := fc.Sub(fc.Mul(6, z[i]),
-					stencilSum(fc, z, l.nx, l.ny, l.nzLoc(), x, y, zl, ghLo, ghHi))
-				upd[i] = fc.Mul(w6, fc.Sub(r[i], az))
+			f, rr, ur := facesOf(cp, bp, tp, nx, y), apps.Row(rp, nx, y), apps.Row(up, nx, y)
+			for x, zx := range f.c {
+				az := fc.Sub(fc.Mul(6, zx), f.sumOp(fc, x))
+				ur[x] = fc.Mul(w6, fc.Sub(rr[x], az))
 			}
 		}
 	}
@@ -247,27 +254,26 @@ func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level) {
 	cklo, ckhi := fine.zlo/2, fine.zhi/2
 	n := (ckhi - cklo) * coarse.ny * coarse.nx
 	const wC, wF = 0.5, 1.0 / 12.0
-	pc := coarse.plane()
+	nx, pc := coarse.nx, coarse.plane()
 	for ck := cklo; ck < ckhi; ck++ {
-		fz := 2*ck - fine.zlo // local fine plane of the coarse centre
+		// The fine centre's plane is even, so the plane above it is local.
+		cp, bp, tp := fine.planes(rf, 2*ck-fine.zlo, ghLo, nil)
+		op := apps.Layer(rc, int(pc), ck-cklo, nil, nil)
 		if fc.Reserve(8 * pc) {
 			for cy := 0; cy < coarse.ny; cy++ {
-				for cx := 0; cx < coarse.nx; cx++ {
-					fx, fy := 2*cx, 2*cy
-					f := stencilSumPlain(rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
-					rc[((ck-cklo)*coarse.ny+cy)*coarse.nx+cx] = float64(wC*at(rf, fine.nx, fine.ny, fx, fy, fz)) + float64(wF*f)
+				f, out := facesOf(cp, bp, tp, fine.nx, 2*cy), apps.Row(op, nx, cy)
+				for cx := range out {
+					out[cx] = float64(wC*f.c[2*cx]) + float64(wF*f.sum(2*cx))
 				}
 			}
 			fc.Tally(6*pc, 0, 2*pc, 0)
 			continue
 		}
 		for cy := 0; cy < coarse.ny; cy++ {
-			for cx := 0; cx < coarse.nx; cx++ {
-				fx, fy := 2*cx, 2*cy
-				center := at(rf, fine.nx, fine.ny, fx, fy, fz)
-				faces := stencilSum(fc, rf, fine.nx, fine.ny, fine.nzLoc(), fx, fy, fz, ghLo, nil)
-				i := ((ck-cklo)*coarse.ny+cy)*coarse.nx + cx
-				rc[i] = fc.Add(fc.Mul(wC, center), fc.Mul(wF, faces))
+			f, out := facesOf(cp, bp, tp, fine.nx, 2*cy), apps.Row(op, nx, cy)
+			for cx := range out {
+				faces := f.sumOp(fc, 2*cx)
+				out[cx] = fc.Add(fc.Mul(wC, f.c[2*cx]), fc.Mul(wF, faces))
 			}
 		}
 	}
@@ -288,8 +294,12 @@ func restrictTo(fc *fpe.Ctx, comm *simmpi.Comm, tag int, fine, coarse *level) {
 // block and the plane above it.
 func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level) {
 	zc, zf := coarse.z, fine.z
-	var ghHi []float64
-	switch sz, n := coarse.nx*coarse.ny, fine.nzLoc()/2; {
+	sz := coarse.nx * coarse.ny
+	// ghHi is the coarse plane just above the slab: periodically, the
+	// level's first plane when zc is the whole level (serial, or rank 0's
+	// below the cutover).
+	ghHi := zc[:sz]
+	switch n := fine.nzLoc() / 2; {
 	case coarse.distributed:
 		_, ghHi = coarse.ghosts(comm, tag, zc)
 	case fine.distributed && comm.Rank() == 0:
@@ -303,40 +313,25 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level) {
 		comm.RecvInto(0, cutoverTag, coarse.above)
 		ghHi = coarse.above
 	}
-	// Otherwise zc is the whole level: serial, or rank 0's below the cutover.
-	// coarseAt reads coarse plane k (global), using the ghost when k is
-	// just above the slab.
-	coarseAt := func(cx, cy, ck int) float64 {
-		if ck >= coarse.nz {
-			ck -= coarse.nz
-		}
-		if ck >= coarse.zlo && ck < coarse.zhi {
-			return at(zc, coarse.nx, coarse.ny, cx, cy, ck-coarse.zlo)
-		}
-		// Must be the plane directly above the slab.
-		return at(ghHi, coarse.nx, coarse.ny, cx, cy, 0)
-	}
-	n := fine.plane()
+	nx, n := fine.nx, fine.plane()
+	var corners [4][]float64
 	for fz := fine.zlo; fz < fine.zhi; fz++ {
-		ck := fz / 2
+		ck := fz/2 - coarse.zlo
+		planes := [2][]float64{apps.Layer(zc, sz, ck, nil, ghHi), apps.Layer(zc, sz, ck+1, nil, ghHi)}
+		zp := apps.Layer(zf, int(n), fz-fine.zlo, nil, nil)
 		if fc.Reserve(10 * n) {
 			var adds uint64
 			for fy := 0; fy < fine.ny; fy++ {
-				cy := fy / 2
-				for fx := 0; fx < fine.nx; fx++ {
-					cx := fx / 2
+				rows, out := coarseRows(&corners, planes, coarse.nx, fy, fz), apps.Row(zp, nx, fy)
+				for fx := range out {
 					var sum float64
-					terms := 0
 					for dx := 0; dx <= fx%2; dx++ {
-						for dy := 0; dy <= fy%2; dy++ {
-							for dz := 0; dz <= fz%2; dz++ {
-								sum += coarseAt(cx+dx, cy+dy, ck+dz)
-								terms++
-							}
+						for _, r := range rows {
+							sum += r[wrap(fx/2+dx, coarse.nx)]
 						}
 					}
-					i := ((fz-fine.zlo)*fine.ny+fy)*fine.nx + fx
-					zf[i] += float64(sum * (1 / float64(terms)))
+					terms := len(rows) * (1 + fx%2)
+					out[fx] += float64(sum * (1 / float64(terms)))
 					adds += uint64(terms) + 1
 				}
 			}
@@ -344,26 +339,36 @@ func interpAdd(fc *fpe.Ctx, comm *simmpi.Comm, tag int, coarse, fine *level) {
 			continue
 		}
 		for fy := 0; fy < fine.ny; fy++ {
-			cy := fy / 2
-			for fx := 0; fx < fine.nx; fx++ {
-				cx := fx / 2
+			rows, out := coarseRows(&corners, planes, coarse.nx, fy, fz), apps.Row(zp, nx, fy)
+			for fx := range out {
 				// Trilinear: average the 2^odd corner values.
 				var sum float64
-				terms := 0
 				for dx := 0; dx <= fx%2; dx++ {
-					for dy := 0; dy <= fy%2; dy++ {
-						for dz := 0; dz <= fz%2; dz++ {
-							sum = fc.Add(sum, coarseAt(cx+dx, cy+dy, ck+dz))
-							terms++
-						}
+					for _, r := range rows {
+						sum = fc.Add(sum, r[wrap(fx/2+dx, coarse.nx)])
 					}
 				}
-				v := fc.Mul(sum, 1/float64(terms))
-				i := ((fz-fine.zlo)*fine.ny+fy)*fine.nx + fx
-				zf[i] = fc.Add(zf[i], v)
+				v := fc.Mul(sum, 1/float64(len(rows)*(1+fx%2)))
+				out[fx] = fc.Add(out[fx], v)
 			}
 		}
 	}
+}
+
+// coarseRows returns, in buf, the coarse rows the fine row (fy, fz) reads
+// its corner values from: cy = fy/2 and, when fy is odd, cy+1 (periodic),
+// each of the coarse plane fz/2 and, when fz is odd, of the plane above —
+// in the order the trilinear sum adds them, y before z.
+func coarseRows(buf *[4][]float64, planes [2][]float64, nx, fy, fz int) [][]float64 {
+	k := 0
+	for dy := 0; dy <= fy%2; dy++ {
+		for dz := 0; dz <= fz%2; dz++ {
+			p := planes[dz]
+			buf[k] = apps.Layer(p, nx, fy/2+dy, nil, p[:nx])
+			k++
+		}
+	}
+	return buf[:k]
 }
 
 // Run executes the benchmark on this rank.
@@ -385,10 +390,12 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	p := comm.Size()
 
 	// Build the levels, finest first.
-	levels := make([]*level, pr.levels)
-	for li := 0; li < pr.levels; li++ {
+	var headers [maxLevels]level
+	levels := headers[:pr.levels]
+	for li := range levels {
 		sh := 1 << li
-		l := &level{nx: pr.nx / sh, ny: pr.ny / sh, nz: pr.nz / sh}
+		l := &levels[li]
+		l.nx, l.ny, l.nz = pr.nx/sh, pr.ny/sh, pr.nz/sh
 		// A distributed level needs at least two planes per rank so the
 		// restriction of every owned coarse plane's fine centre is local.
 		l.distributed = p > 1 && l.nz >= 2*p
@@ -403,9 +410,8 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 			l.above = st.Floats(sz)
 		}
 		l.r, l.z = st.Floats(l.points()), st.Floats(l.points())
-		levels[li] = l
 	}
-	fine := levels[0]
+	fine := &levels[0]
 
 	// The right-hand side: balanced point charges at hashed positions
 	// (setup, uninstrumented, identical at every scale).
@@ -452,18 +458,18 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 // and leaves the correction in its z.  It consumes r.  upd is the coarsest
 // level's staging array.  Past the cutover only rank 0 works; the others
 // step the tags with it.
-func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []*level, upd []float64, tag *int) {
+func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []level, upd []float64, tag *int) {
 	L := len(levels)
 	works := func(l *level) bool { return l.distributed || comm.Rank() == 0 }
 	// Down: restrict residuals to the coarsest level.
 	for li := 1; li < L; li++ {
-		if works(levels[li-1]) {
-			restrictTo(fc, comm, *tag, levels[li-1], levels[li])
+		if works(&levels[li-1]) {
+			restrictTo(fc, comm, *tag, &levels[li-1], &levels[li])
 		}
 		*tag += 2
 	}
 	// Coarsest: several smoothing sweeps from zero.
-	if c := levels[L-1]; works(c) {
+	if c := &levels[L-1]; works(c) {
 		clear(c.z)
 		for s := 0; s < pr.coarseIter; s++ {
 			smooth(fc, comm, *tag+2*s, c, upd, pr.weight)
@@ -474,9 +480,9 @@ func vcycle(fc *fpe.Ctx, comm *simmpi.Comm, pr params, levels []*level, upd []fl
 	// this level's residual equation A z = r.  That sweep is the last
 	// reader of the level's residual, so it stages its update there.
 	for li := L - 2; li >= 0; li-- {
-		if l := levels[li]; works(l) {
+		if l := &levels[li]; works(l) {
 			clear(l.z)
-			interpAdd(fc, comm, *tag, levels[li+1], l)
+			interpAdd(fc, comm, *tag, &levels[li+1], l)
 			smooth(fc, comm, *tag+2, l, l.r, pr.weight)
 		}
 		*tag += 4

@@ -91,10 +91,10 @@ func conductivity(pr params, x, y, z, dir int) float64 {
 // crossing the slab boundary are evaluated redundantly by both ranks (each
 // accumulates its own side), so the assembled operator is identical at
 // every scale.
-func assemble(fc *fpe.Ctx, ws *apps.Steps, pr params, zlo, zhi int) *stencil {
+func assemble(fc *fpe.Ctx, ws *apps.Steps, pr params, zlo, zhi int) stencil {
 	nzLoc := zhi - zlo
 	n := pr.nx * pr.ny * nzLoc
-	st := &stencil{
+	st := stencil{
 		nx: pr.nx, ny: pr.ny, nzLoc: nzLoc, zlo: zlo,
 		center: ws.Floats(n),
 		w:      ws.Floats(n), e: ws.Floats(n),
@@ -186,37 +186,23 @@ func haloPlanes(fc *fpe.Ctx, comm *simmpi.Comm, st *stencil, u, below, above []f
 // matvec computes w = A u with the assembled stencil (Dirichlet-zero
 // outside the box; slab boundaries through ghosts), a window per plane.
 func matvec(fc *fpe.Ctx, st *stencil, u, w, ghLo, ghHi []float64) {
-	get := func(x, y, zl int) float64 {
-		if x < 0 || x >= st.nx || y < 0 || y >= st.ny {
-			return 0
-		}
-		switch {
-		case zl < 0:
-			if ghLo == nil {
-				return 0
-			}
-			return ghLo[y*st.nx+x]
-		case zl >= st.nzLoc:
-			if ghHi == nil {
-				return 0
-			}
-			return ghHi[y*st.nx+x]
-		}
-		return u[(zl*st.ny+y)*st.nx+x]
-	}
-	n := uint64(st.nx * st.ny)
+	nx, sz := st.nx, st.nx*st.ny
+	n := uint64(sz)
 	for zl := 0; zl < st.nzLoc; zl++ {
+		up, bp, tp := apps.Layer(u, sz, zl, nil, nil), apps.Layer(u, sz, zl-1, ghLo, ghHi), apps.Layer(u, sz, zl+1, ghLo, ghHi)
 		if fc.Reserve(13 * n) {
 			for y := 0; y < st.ny; y++ {
-				for x := 0; x < st.nx; x++ {
+				c, so, no, bo, to := apps.Row(up, nx, y), apps.Row(up, nx, y-1), apps.Row(up, nx, y+1), apps.Row(bp, nx, y), apps.Row(tp, nx, y)
+				for x, ux := range c {
 					i := st.idx(x, y, zl)
-					acc := float64(st.center[i] * u[i])
-					acc += float64(st.w[i] * get(x-1, y, zl))
-					acc += float64(st.e[i] * get(x+1, y, zl))
-					acc += float64(st.s[i] * get(x, y-1, zl))
-					acc += float64(st.n[i] * get(x, y+1, zl))
-					acc += float64(st.b[i] * get(x, y, zl-1))
-					acc += float64(st.t[i] * get(x, y, zl+1))
+					uw, ue := apps.Beside(c, x)
+					acc := float64(st.center[i] * ux)
+					acc += float64(st.w[i] * uw)
+					acc += float64(st.e[i] * ue)
+					acc += float64(st.s[i] * so[x])
+					acc += float64(st.n[i] * no[x])
+					acc += float64(st.b[i] * bo[x])
+					acc += float64(st.t[i] * to[x])
 					w[i] = acc
 				}
 			}
@@ -224,15 +210,17 @@ func matvec(fc *fpe.Ctx, st *stencil, u, w, ghLo, ghHi []float64) {
 			continue
 		}
 		for y := 0; y < st.ny; y++ {
-			for x := 0; x < st.nx; x++ {
+			c, so, no, bo, to := apps.Row(up, nx, y), apps.Row(up, nx, y-1), apps.Row(up, nx, y+1), apps.Row(bp, nx, y), apps.Row(tp, nx, y)
+			for x, ux := range c {
 				i := st.idx(x, y, zl)
-				acc := fc.Mul(st.center[i], u[i])
-				acc = fc.Add(acc, fc.Mul(st.w[i], get(x-1, y, zl)))
-				acc = fc.Add(acc, fc.Mul(st.e[i], get(x+1, y, zl)))
-				acc = fc.Add(acc, fc.Mul(st.s[i], get(x, y-1, zl)))
-				acc = fc.Add(acc, fc.Mul(st.n[i], get(x, y+1, zl)))
-				acc = fc.Add(acc, fc.Mul(st.b[i], get(x, y, zl-1)))
-				acc = fc.Add(acc, fc.Mul(st.t[i], get(x, y, zl+1)))
+				uw, ue := apps.Beside(c, x)
+				acc := fc.Mul(st.center[i], ux)
+				acc = fc.Add(acc, fc.Mul(st.w[i], uw))
+				acc = fc.Add(acc, fc.Mul(st.e[i], ue))
+				acc = fc.Add(acc, fc.Mul(st.s[i], so[x]))
+				acc = fc.Add(acc, fc.Mul(st.n[i], no[x]))
+				acc = fc.Add(acc, fc.Mul(st.b[i], bo[x]))
+				acc = fc.Add(acc, fc.Mul(st.t[i], to[x]))
 				w[i] = acc
 			}
 		}
@@ -244,17 +232,17 @@ func matvec(fc *fpe.Ctx, st *stencil, u, w, ghLo, ghHi []float64) {
 // its slab of it: per node, assembly does the same ops at every scale, so
 // the slab is what the run would have assembled.  Read-only, like every
 // setup cache (see package apps).
-var stencils sync.Map // class seed -> *stencil
+var stencils sync.Map // class seed -> stencil
 
 // assembled returns the fault-free stencil of the planes [zlo, zhi).
-func assembled(pr params, zlo, zhi int) *stencil {
+func assembled(pr params, zlo, zhi int) stencil {
 	v, ok := stencils.Load(pr.seed)
 	if !ok {
 		v, _ = stencils.LoadOrStore(pr.seed, assemble(fpe.New(), nil, pr, 0, pr.nz))
 	}
-	full := v.(*stencil)
+	full := v.(stencil)
 	lo, hi := zlo*pr.nx*pr.ny, zhi*pr.nx*pr.ny
-	return &stencil{nx: pr.nx, ny: pr.ny, nzLoc: zhi - zlo, zlo: zlo,
+	return stencil{nx: pr.nx, ny: pr.ny, nzLoc: zhi - zlo, zlo: zlo,
 		center: full.center[lo:hi], w: full.w[lo:hi], e: full.e[lo:hi],
 		s: full.s[lo:hi], n: full.n[lo:hi], b: full.b[lo:hi], t: full.t[lo:hi]}
 }
@@ -296,7 +284,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.
 	below, above := steps.Floats(pr.nx*pr.ny), steps.Floats(pr.nx*pr.ny)
 	var rho float64
 	carry := &apps.Carry{Vecs: [][]float64{u, r, p}, Scalars: []*float64{&rho}}
-	var st *stencil
+	var st stencil
 	from := steps.Resume(carry)
 	if from > 0 {
 		st = assembled(pr, zlo, zhi)
@@ -310,8 +298,8 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.
 			steps.Mark(1, carry)
 			continue
 		}
-		ghLo, ghHi := haloPlanes(fc, comm, st, p, below, above)
-		matvec(fc, st, p, q, ghLo, ghHi)
+		ghLo, ghHi := haloPlanes(fc, comm, &st, p, below, above)
+		matvec(fc, &st, p, q, ghLo, ghHi)
 		d := comm.AllreduceValue(simmpi.OpSum, fc.Dot(p, q))
 		alpha := fc.Div(rho, d)
 		fc.Axpy(alpha, p, u)

@@ -3,10 +3,12 @@ package apps_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"resmod/internal/apps"
+	"resmod/internal/faultsim"
 	"resmod/internal/fpe"
 	"resmod/internal/stats"
 )
@@ -49,6 +51,31 @@ func TestReusedWorkspaceIsInvisible(t *testing.T) {
 					if g, w := got.Ctxs[r].KindCounts(), step.want.Ctxs[r].KindCounts(); g != w {
 						t.Fatalf("%s: rank %d op counts %+v, a fresh run's %+v", what, r, g, w)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestZeroPlaneStaysZero: the plane of zeros every stencil reads past a
+// domain edge (apps.Layer) is shared by every rank of every run, so a
+// kernel that wrote to what it read there would change every later run's
+// answer.  After a campaign of each paper app at p = 1 and 4 — clean
+// golden runs and trials of three faults each, so the per-op paths run as
+// well as the windows — it must still be all zeros.
+func TestZeroPlaneStaysZero(t *testing.T) {
+	for _, name := range []string{"CG", "FT", "MG", "LU", "MiniFE", "PENNANT"} {
+		app, err := apps.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 4} {
+			if _, err := faultsim.Run(faultsim.Campaign{App: app, Procs: p, Trials: 40, Errors: 3, Seed: 7, Workers: 2}); err != nil {
+				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+			for i, v := range apps.ZeroPlane() {
+				if v != 0 || math.Signbit(v) {
+					t.Fatalf("after a %s campaign at p=%d the zero plane holds %v at %d", name, p, v, i)
 				}
 			}
 		}

@@ -578,6 +578,10 @@ func (c *Ctx) Reserve(n uint64) bool {
 	return true
 }
 
+// Tallied is how many injectable ops Tally booked since the last reset:
+// the ops that ran plain in windows, not down the per-op path.
+func (c *Ctx) Tallied() uint64 { return c.tallied }
+
 // Tally books the ops a reserved window ran plain, exactly as per-op
 // counting would have.  It panics when they exceed the reservation: a
 // kernel whose bound is wrong fails in the harness, not in the numbers.

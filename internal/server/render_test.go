@@ -299,3 +299,27 @@ func TestConcurrentStoredFirstPosts(t *testing.T) {
 		t.Fatalf("%d jobs, %d cache hits, %d joins; want 1, 1 and %d", jobs, hits, joined, n-1)
 	}
 }
+
+// TestStoredBeforeDone: a job's row is in the store by the time its
+// terminal event arrives, so a client that sees done and restarts the
+// server over the same store gets the cached row, not a new computation.
+func TestStoredBeforeDone(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, hs := newTestServer(t, st, 1, 4)
+	code, v := postJSON(t, hs.URL+"/v1/predictions", predBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit returned %d: %v", code, v)
+	}
+	j := jobOf(t, srv, v["id"].(string))
+	select {
+	case <-j.done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("job did not finish")
+	}
+	if _, ok := st.Get(j.key); !ok {
+		t.Fatalf("job %s is %s but its row is not in the store", j.id, j.view().Status)
+	}
+}

@@ -286,10 +286,12 @@ func (s *Server) runJob(j *job) {
 	}
 	switch {
 	case err == nil:
+		// Stored before it is published done: a client that sees done and
+		// restarts the server over the same store finds the row there.
+		s.putPrediction(j.key, j.req, row)
 		j.complete(row, elapsed)
 		s.metrics.jobsDone.Add(1)
 		s.metrics.latency.Observe(elapsed.Seconds())
-		s.putPrediction(j.key, j.req, row)
 	case s.interrupted(err):
 		j.fail(StatusCanceled, fmt.Errorf("canceled by server shutdown: %w", err), elapsed)
 		s.metrics.jobsCanceled.Add(1)
