@@ -20,6 +20,10 @@ type ExecResult struct {
 	// boundary an execution resumed from, when it resumed (no trial reads
 	// them).
 	Comm simmpi.Stats
+	// Stopped reports that the ranks reconverged to the golden's at the
+	// StepPlan's Check boundary and stopped there: Outputs are not the
+	// run's.
+	Stopped bool
 	// Err is the execution failure, if any: a *simmpi.PanicError for an
 	// application crash, simmpi.ErrTimeout for a hang, or a *simmpi.RankError
 	// for an application-reported error.
@@ -100,7 +104,7 @@ var poisonSets bool
 // ExecuteSteps is ExecuteCtx with a StepPlan for a Stepped app's
 // boundaries (nil = none; an app that is not Stepped has only boundary 0,
 // where every execution starts).  The caller reads what the ranks recorded
-// into sp only after a clean return.
+// into sp only after a clean return, a stop included.
 func (a *Arena) ExecuteSteps(ctx context.Context, app App, class string, procs int, plans map[int][]fpe.Injection, timeout time.Duration, sp *StepPlan) ExecResult {
 	if a == nil {
 		a = new(Arena) // fresh state, dropped after the run
@@ -136,7 +140,7 @@ func (a *Arena) ExecuteSteps(ctx context.Context, app App, class string, procs i
 		var rerr error
 		if stepped != nil {
 			a.sets[r].rewind()
-			a.steps[r] = Steps{fc: a.ctxs[r], rank: r, plan: sp, set: &a.sets[r]}
+			a.steps[r] = Steps{fc: a.ctxs[r], comm: c, rank: r, plan: sp, set: &a.sets[r]}
 			out, rerr = stepped.RunSteps(a.ctxs[r], c, class, &a.steps[r])
 		} else {
 			out, rerr = app.Run(a.ctxs[r], c, class)
@@ -147,7 +151,7 @@ func (a *Arena) ExecuteSteps(ctx context.Context, app App, class string, procs i
 		a.outputs[r] = out
 		return nil
 	})
-	return ExecResult{Outputs: a.outputs, Ctxs: a.ctxs, Comm: st, Err: err}
+	return ExecResult{Outputs: a.outputs, Ctxs: a.ctxs, Comm: st, Stopped: st.Stopped, Err: err}
 }
 
 // DefaultTimeout is the hang-detection budget used by the harness for one

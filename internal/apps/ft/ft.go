@@ -161,16 +161,15 @@ func fftLines(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n, co
 	if stride != 1 && lineStride != 1 && count > 1 {
 		panic("ft: fftLines of lines neither contiguous nor side by side")
 	}
-	bf := butterflies(n) * uint64(count)
-	if !fc.Reserve(10 * bf) {
-		for l := 0; l < count; l++ {
-			fft1d(fc, tw, re, im, offset+l*lineStride, stride, n, inverse)
-		}
+	if bf := butterflies(n) * uint64(count); fc.Reserve(10 * bf) {
+		bitReverse(re, im, offset, stride, n, count, lineStride)
+		plainLines(tw, re, im, offset, stride, n, count, lineStride, inverse)
+		fc.Tally(3*bf, 3*bf, 4*bf, 0)
 		return
 	}
-	bitReverse(re, im, offset, stride, n, count, lineStride)
-	plainLines(tw, re, im, offset, stride, n, count, lineStride, inverse)
-	fc.Tally(3*bf, 3*bf, 4*bf, 0)
+	for l := 0; l < count; l++ {
+		fft1d(fc, tw, re, im, offset+l*lineStride, stride, n, inverse)
+	}
 }
 
 // butterflies is the number of butterflies of an FFT of length n: n/2 per
@@ -337,6 +336,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	// The evolution factors of the elements this rank owns in its spectral
 	// layout start at evoLo: a run of the x-major table in a parallel run.
 	evo, evoLo := evolution(pr, serial), xlo*ny*nz
+	samples := checkSamples(pr, zlo, zhi)
 
 	n3 := float64(nx) * float64(ny) * float64(nz)
 	invN3 := 1 / n3
@@ -396,14 +396,7 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		}
 		// Strided checksum (NPB style): sum of checkN scattered elements.
 		var csRe, csIm float64
-		for j := 1; j <= pr.checkN; j++ {
-			x := j % nx
-			y := (3 * j) % ny
-			z := (5 * j) % nz
-			if z < zlo || z >= zhi {
-				continue
-			}
-			l := ((z-zlo)*ny+y)*nx + x
+		for _, l := range samples {
 			csRe = fc.Add(csRe, spat.re[l])
 			csIm = fc.Add(csIm, spat.im[l])
 		}
@@ -484,6 +477,34 @@ func evolution(pr params, serial bool) [][]float64 {
 	}
 	cached, _ := evolutions.LoadOrStore(key, f)
 	return cached.([][]float64)
+}
+
+// sampleKey names the checksum samples of one class in one z range.
+type sampleKey struct {
+	seed     uint64
+	zlo, zhi int
+}
+
+// sampleTables caches checkSamples' answers: fault-free setup, shared by
+// every run and read-only like evolutions.
+var sampleTables sync.Map // sampleKey -> []int
+
+// checkSamples returns where the checksum's samples j = 1..checkN, at (j
+// mod nx, 3j mod ny, 5j mod nz), lie in a rank's spatial layout, in j
+// order, keeping those in its z range [zlo, zhi).
+func checkSamples(pr params, zlo, zhi int) []int {
+	key := sampleKey{pr.seed, zlo, zhi}
+	if s, ok := sampleTables.Load(key); ok {
+		return s.([]int)
+	}
+	var s []int
+	for j := 1; j <= pr.checkN; j++ {
+		if z := (5 * j) % pr.nz; z >= zlo && z < zhi {
+			s = append(s, ((z-zlo)*pr.ny+(3*j)%pr.ny)*pr.nx+j%pr.nx)
+		}
+	}
+	cached, _ := sampleTables.LoadOrStore(key, s)
+	return cached.([]int)
 }
 
 // stage moves every float of the blocks through the instrumented transpose

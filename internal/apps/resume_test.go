@@ -90,6 +90,52 @@ func resumeOracle(t *testing.T, app apps.App) {
 	}
 }
 
+// TestReconvergeCheck holds StepPlan.Check to its rules on the six paper
+// apps at p = 4.  A clean run stops at every check boundary but the last:
+// its carries are the golden's.  A run whose only fault step 1 masks stops
+// at boundary 2; with a second injection still pending there it must not,
+// and then equals the same plan run from op 0.
+func TestReconvergeCheck(t *testing.T) {
+	const p = 4
+	for _, name := range []string{"CG", "FT", "MG", "LU", "MiniFE", "PENNANT"} {
+		app, err := apps.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := &apps.StepPlan{Counts: make([][]fpe.Counts, p), Bytes: make([]int, p), Hashes: make([][]uint64, p)}
+		run(t, app, p, nil, golden)
+		last := len(golden.Counts[0]) - 1
+		check := func(plans map[int][]fpe.Injection, b int) apps.ExecResult {
+			return run(t, app, p, plans, &apps.StepPlan{Hashes: golden.Hashes, Check: b})
+		}
+		for b := 1; b < last; b++ {
+			if !check(nil, b).Stopped {
+				t.Errorf("%s: a clean run did not stop at boundary %d", name, b)
+			}
+		}
+		rng := stats.NewRNG(7)
+		lo, hi := golden.Counts[0][1].Common, golden.Counts[0][2].Common
+		var masked []fpe.Injection
+		for i := 0; i < 200 && masked == nil; i++ {
+			inj := []fpe.Injection{{Class: fpe.Common, Index: lo + rng.Uint64n(hi-lo), Bit: uint(rng.Intn(64))}}
+			if check(map[int][]fpe.Injection{0: inj}, 2).Stopped {
+				masked = inj
+			}
+		}
+		if masked == nil {
+			t.Fatalf("%s: no fault of 200 in step 1 was masked by boundary 2", name)
+		}
+		pending := fpe.Injection{Class: fpe.Common, Index: golden.Counts[0][last-1].Common, Bit: 52}
+		plans := map[int][]fpe.Injection{0: append(masked, pending)}
+		want, got := run(t, app, p, plans, nil), check(plans, 2)
+		if got.Stopped {
+			t.Errorf("%s: %v stopped at boundary 2 with an injection pending", name, plans[0])
+		} else if msg := sameTrial(want, got, plans); msg != "" {
+			t.Errorf("%s: %v checked at boundary 2 differs from op 0: %s", name, plans[0], msg)
+		}
+	}
+}
+
 // run executes app on fresh state, failing the test on a harness error.
 func run(t *testing.T, app apps.App, p int, plans map[int][]fpe.Injection, sp *apps.StepPlan) apps.ExecResult {
 	t.Helper()

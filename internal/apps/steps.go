@@ -24,6 +24,13 @@ import (
 // panics otherwise), and no message crosses it — everything sent in steps
 // <= i is received in steps <= i.  The code before Resume runs on every
 // execution and must do the same thing whatever the boundary.
+//
+// A boundary check (StepPlan.Check) takes a run whose Carry equals the
+// golden's at a boundary to run the golden's rest, so it assumes more: that
+// no step after the boundary reads what an earlier step wrote outside the
+// Carry.  Step 0 is the exception — MiniFE's stencil is built in step 0 and
+// not carried, and resuming rebuilds it — so a run checks only when its
+// step 0 ran clean.
 type Stepped interface {
 	App
 	RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *Steps) (RankOutput, error)
@@ -76,6 +83,15 @@ type StepPlan struct {
 	// Counts[r][i] after i steps — and the size of its Carry.
 	Counts [][]fpe.Counts
 	Bytes  []int
+	// Hashes, set with Counts, receives each rank's Carry hash at every
+	// boundary the same way.  With Check > 0 it is a golden run's instead:
+	// a rank that reaches boundary Check with no injection pending and its
+	// Carry hashing to Hashes[r][Check] has reconverged, and when the last
+	// rank has, the execution stops there (ExecResult.Stopped), its rest
+	// being the golden's.
+	Hashes  [][]uint64
+	Check   int
+	matched int // ranks reconverged at Check
 }
 
 // LastClean returns the last boundary, up to last, at which no rank with a
@@ -98,6 +114,7 @@ func LastClean(counts [][]fpe.Counts, plans map[int][]fpe.Injection, last int) i
 // Stepped app one, with or without a plan; Run's nil *Steps has neither.
 type Steps struct {
 	fc   *fpe.Ctx
+	comm *simmpi.Comm
 	rank int
 	plan *StepPlan // nil: no boundary is restored or recorded
 	set  *workingSet
@@ -192,7 +209,7 @@ func (s *Steps) Resume(c *Carry) int {
 	}
 	if s.plan.Counts != nil {
 		kc, _ := s.fc.Boundary()
-		s.plan.Counts[s.rank] = append(s.plan.Counts[s.rank], kc.Counts())
+		s.count(0, kc, c)
 		s.plan.Bytes[s.rank] = 8 * c.floats()
 	}
 	b := s.plan.From
@@ -211,17 +228,32 @@ func (s *Steps) Mark(i int, c *Carry) {
 		return
 	}
 	kc, divs := s.fc.Boundary()
-	if counts := s.plan.Counts; counts != nil {
-		if len(counts[s.rank]) != i {
-			panic(fmt.Sprintf("apps: Mark(%d) after %d boundaries", i, len(counts[s.rank])))
-		}
-		counts[s.rank] = append(counts[s.rank], kc.Counts())
+	if s.plan.Counts != nil {
+		s.count(i, kc, c)
 	}
 	if rec := s.plan.Record; s.next < len(rec) && rec[s.next].Step == i {
 		rs := &rec[s.next].Ranks[s.rank]
 		*rs = c.save(kc, divs, s.last)
 		s.last = rs
 		s.next++
+	}
+	if p := s.plan; i == p.Check && s.fc.Pending() == 0 && c.hash() == p.Hashes[s.rank][i] {
+		if p.matched++; p.matched == len(p.Hashes) {
+			s.comm.Stop()
+		}
+	}
+}
+
+// count appends the rank's op counts and Carry hash at boundary i to the
+// plan's.
+func (s *Steps) count(i int, kc fpe.KindCounts, c *Carry) {
+	counts := s.plan.Counts
+	if len(counts[s.rank]) != i {
+		panic(fmt.Sprintf("apps: Mark(%d) after %d boundaries", i, len(counts[s.rank])))
+	}
+	counts[s.rank] = append(counts[s.rank], kc.Counts())
+	if h := s.plan.Hashes; h != nil {
+		h[s.rank] = append(h[s.rank], c.hash())
 	}
 }
 
@@ -232,6 +264,41 @@ func (c *Carry) floats() int {
 		n += len(v)
 	}
 	return n
+}
+
+// hash is HashFloats over the carry's words: its Vecs, then its Scalars
+// and Ints as one word each.
+func (c *Carry) hash() uint64 {
+	h := uint64(FNVOffset)
+	for _, v := range c.Vecs {
+		h = HashFloats(h, v)
+	}
+	for _, p := range c.Scalars {
+		h = (h ^ math.Float64bits(*p)) * fnvPrime
+	}
+	for _, p := range c.Ints {
+		h = (h ^ uint64(*p)) * fnvPrime
+	}
+	return h
+}
+
+// FNVOffset is the FNV-1a offset basis HashFloats starts from.
+const (
+	FNVOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// HashFloats folds s's length and then its float64 words, bit for bit,
+// into the FNV-1a hash h.  For a fixed word each step is a bijection of h,
+// so two inputs that differ in exactly one word always hash differently,
+// and inputs that differ in more collide with odds of about 2^-64: a hash
+// match is taken for bit identity.
+func HashFloats(h uint64, s []float64) uint64 {
+	h = (h ^ uint64(len(s))) * fnvPrime
+	for _, v := range s {
+		h = (h ^ math.Float64bits(v)) * fnvPrime
+	}
+	return h
 }
 
 // save copies the carry out, sharing prev's arrays (nil = none) where they

@@ -852,6 +852,14 @@ func runTrial(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable,
 		tab.publish(sp)
 	}
 	rec := TrialRecord{TargetRank: target, Fired: res.Ctxs[target].Fired()}
+	if res.Stopped {
+		// Every rank reached the check boundary reconverged, every
+		// injection fired: the rest of the run, and so the record, is the
+		// golden's.
+		telemetry.From(ctx).Recorder().TrialReconverged()
+		rec.Outcome = Success
+		return rec, nil
+	}
 	if detail != nil {
 		detail.Plan, detail.Exec = plan, res
 	}

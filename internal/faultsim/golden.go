@@ -46,6 +46,9 @@ type Golden struct {
 
 	// carryBytes is the size of every rank's carry at a boundary, together.
 	carryBytes int
+	// stepHashes holds each rank's carry hash at each boundary, indexed as
+	// StepCounts: what a trial's boundary check compares against.
+	stepHashes [][]uint64
 
 	// hashOnce guards the lazy per-rank state hashes used by the
 	// trial-comparison fast path; unexported so a Golden built by hand
@@ -68,24 +71,11 @@ func (g *Golden) StateHashes() []uint64 {
 	return g.stateHashes
 }
 
-// hashState hashes a state vector's exact bit pattern (FNV-1a folded
-// over whole float64 words, length-seeded).  Hash equality is taken as
-// bit-identity in the contamination fast path: with 64-bit state a
-// masking collision needs ~2^-64 odds, far below the harness's
-// statistical resolution, and the hash is a pure function of the data,
-// so results stay deterministic across runs and worker schedules.
-func hashState(s []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(len(s))) * prime64
-	for _, v := range s {
-		h = (h ^ math.Float64bits(v)) * prime64
-	}
-	return h
-}
+// hashState hashes a state vector's exact bit pattern.  Hash equality is
+// taken as bit-identity in the contamination fast path (see
+// apps.HashFloats), and the hash is a pure function of the data, so
+// results stay deterministic across runs and worker schedules.
+func hashState(s []float64) uint64 { return apps.HashFloats(apps.FNVOffset, s) }
 
 // TotalCounts returns the injectable-operation counts summed over ranks.
 func (g *Golden) TotalCounts() fpe.Counts {
@@ -125,7 +115,7 @@ func computeGolden(ctx context.Context, arena *apps.Arena, app apps.App, class s
 		telemetry.Int("procs", procs))
 	defer span.End()
 	start := time.Now()
-	sp := &apps.StepPlan{Counts: make([][]fpe.Counts, procs), Bytes: make([]int, procs)}
+	sp := &apps.StepPlan{Counts: make([][]fpe.Counts, procs), Bytes: make([]int, procs), Hashes: make([][]uint64, procs)}
 	res := arena.ExecuteSteps(ctx, app, class, procs, nil, timeout, sp)
 	if res.Err != nil {
 		return nil, fmt.Errorf("faultsim: golden run of %s/%s p=%d failed: %w",
@@ -140,7 +130,7 @@ func computeGolden(ctx context.Context, arena *apps.Arena, app apps.App, class s
 		Comm:    res.Comm,
 	}
 	if len(sp.Counts[0]) > 0 {
-		g.StepCounts = sp.Counts
+		g.StepCounts, g.stepHashes = sp.Counts, sp.Hashes
 		for _, b := range sp.Bytes {
 			g.carryBytes += b
 		}

@@ -23,60 +23,80 @@ const prefixTableBytes = 512 << 10
 // trials fill it: a trial records the empty boundaries it passes before its
 // first injection is due, and publishes them only after its execution
 // returned cleanly.  A slot is published once and read-only after that.
+// The table also tells a trial where to check whether its state has
+// reconverged to the golden's (plan), which ends it early.
 type prefixTable struct {
 	golden *Golden
+	last   int   // the last boundary a trial may resume from or check at
 	steps  []int // the boundaries held, ascending
 	slots  []atomic.Pointer[apps.Boundary]
 }
 
-// newPrefixTable returns a table for campaigns against g, or nil when no
-// boundary can be held: the app has no steps, or one boundary's states
-// exceed the budget.  The last boundary is never held: code after the loop
-// may read what the last step wrote without carrying it (see apps.Stepped).
+// newPrefixTable returns a table for campaigns against g, or nil when the
+// app has no boundary to resume from; it holds none when one boundary's
+// states exceed the budget.  The last boundary is never held: code after
+// the loop may read what the last step wrote without carrying it (see
+// apps.Stepped).
 func newPrefixTable(g *Golden) *prefixTable {
-	if g.carryBytes == 0 {
+	if g.carryBytes == 0 || len(g.StepCounts[0]) < 3 {
 		return nil
 	}
-	n := len(g.StepCounts[0]) - 2 // boundaries 1..n
-	fit := prefixTableBytes / g.carryBytes
-	if n < 1 || fit < 1 {
-		return nil
-	}
-	stride := 1
-	for n/stride > fit {
-		stride++
-	}
-	t := &prefixTable{golden: g}
-	for b := stride; b <= n; b += stride {
-		t.steps = append(t.steps, b)
+	t := &prefixTable{golden: g, last: len(g.StepCounts[0]) - 2} // boundaries 1..last
+	if fit := prefixTableBytes / g.carryBytes; fit >= 1 {
+		stride := 1
+		for t.last/stride > fit {
+			stride++
+		}
+		for b := stride; b <= t.last; b += stride {
+			t.steps = append(t.steps, b)
+		}
 	}
 	t.slots = make([]atomic.Pointer[apps.Boundary], len(t.steps))
 	return t
 }
 
 // plan returns the StepPlan of a trial with these plans: start at the last
-// published boundary up to the limit, and record the empty ones between it
-// and the limit.  Nil means a run from the start that records nothing.
+// published boundary up to the limit, record the empty ones between it and
+// the limit, and check for reconvergence at the first boundary at which
+// the golden's counts say every injection is due — if the trial's step 0
+// ran clean (see apps.Stepped).  Nil means a run from the start that
+// records and checks nothing.
 func (t *prefixTable) plan(plans map[int][]fpe.Injection) *apps.StepPlan {
 	if t == nil {
 		return nil
 	}
-	limit := apps.LastClean(t.golden.StepCounts, plans, t.steps[len(t.steps)-1])
-	end := sort.SearchInts(t.steps, limit+1) // the slots up to the limit
+	g := t.golden
 	var sp apps.StepPlan
-	first := 0
-	for i := end - 1; i >= 0; i-- {
-		if b := t.slots[i].Load(); b != nil {
-			sp.From, first = b, i+1
-			break
+	if len(t.steps) > 0 {
+		limit := apps.LastClean(g.StepCounts, plans, t.steps[len(t.steps)-1])
+		end := sort.SearchInts(t.steps, limit+1) // the slots up to the limit
+		first := 0
+		for i := end - 1; i >= 0; i-- {
+			if b := t.slots[i].Load(); b != nil {
+				sp.From, first = b, i+1
+				break
+			}
+		}
+		for i := first; i < end; i++ {
+			if t.slots[i].Load() == nil {
+				sp.Record = append(sp.Record, apps.NewBoundary(t.steps[i], g.Procs))
+			}
 		}
 	}
-	for i := first; i < end; i++ {
-		if t.slots[i].Load() == nil {
-			sp.Record = append(sp.Record, apps.NewBoundary(t.steps[i], t.golden.Procs))
+	if apps.LastClean(g.StepCounts, plans, 1) == 1 {
+		b := 1
+		for r, plan := range plans {
+			for _, inj := range plan {
+				for b <= t.last && g.StepCounts[r][b].Of(inj.Class) <= inj.Index {
+					b++
+				}
+			}
+		}
+		if b <= t.last {
+			sp.Check, sp.Hashes = b, g.stepHashes
 		}
 	}
-	if sp.From == nil && sp.Record == nil {
+	if sp.From == nil && sp.Record == nil && sp.Check == 0 {
 		return nil
 	}
 	return &sp

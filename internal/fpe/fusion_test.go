@@ -18,7 +18,8 @@ import (
 // spec's own examples, "Floating-point operators").  A fused window would
 // compute different bits from the per-op path it stands for, on those
 // machines only, so amd64 CI could never see it.  This reads the source
-// instead: inside every window body — the branch an fpe Ctx.Reserve guards
+// instead: inside every window body — the branch of an if whose whole
+// condition is an fpe Ctx.Reserve call, the one form of window it accepts
 // — and every function or closure of the same package it calls, a float64
 // product must be the operand of a float64(…) conversion, wherever its
 // value goes; and the body may call no Ctx method but Tally and nothing in
@@ -80,11 +81,20 @@ func auditWindows(fset *token.FileSet, imp types.Importer, path string, files []
 			return true
 		})
 	}
+	guards := map[ast.Expr]bool{} // the Reserve calls that are an if's condition
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if s, ok := n.(*ast.IfStmt); ok && a.ctxMethod(s.Cond) == "Reserve" {
-				a.windows++
-				a.walk(s.Body)
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				if a.ctxMethod(n.Cond) == "Reserve" {
+					guards[n.Cond] = true
+					a.windows++
+					a.walk(n.Body)
+				}
+			case *ast.CallExpr:
+				if a.ctxMethod(n) == "Reserve" && !guards[n] {
+					a.report(n, "Ctx.Reserve not the whole condition of an if: its window goes unaudited")
+				}
 			}
 			return true
 		})
@@ -261,6 +271,10 @@ func kernel(c *fpe.Ctx, x, y []float64) (s float64) {
 		c.Tally(0, 0, 0, 0)
 		c.Add(s, 1)                    // a per-op call inside a window
 	}
+	plain := c.Reserve(1)              // a window the guard cannot see
+	if plain {
+		s += x[4] * y[4]
+	}
 	return s
 }
 `
@@ -273,7 +287,7 @@ func kernel(c *fpe.Ctx, x, y []float64) (s float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.problems) != 6 {
-		t.Fatalf("the guard found %d problems, want 6:\n%s", len(a.problems), strings.Join(a.problems, "\n"))
+	if len(a.problems) != 7 {
+		t.Fatalf("the guard found %d problems, want 7:\n%s", len(a.problems), strings.Join(a.problems, "\n"))
 	}
 }

@@ -49,6 +49,16 @@ func (c *Comm) checkAbort() {
 	}
 }
 
+// Stop ends the run early without failing it: the calling rank returns at
+// once, every other unfinished rank in its next communication call, as on
+// an abort, and the run reports Stats.Stopped and no error.  Unlike an
+// abort it keeps the free lists, since no payload is left half-handled.
+// After a failure it only unwinds the caller.
+func (c *Comm) Stop() {
+	c.w.fail(errStopped)
+	panic(abortPanic{})
+}
+
 // park suspends the rank until the world wakes it, and raises the abort
 // sentinel if it was woken by a failure.  While it waits it resumes the
 // ranks that are ready, so that control passes from rank to rank in one

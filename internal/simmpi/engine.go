@@ -18,7 +18,8 @@ import (
 // published, and the next run's Sends find the previous run's buffers.  A
 // free list holds at most one buffer per rank plus freeSlack, and a run
 // that fails (a rank panic or error, a hang, a cancellation) keeps none:
-// what an abort interrupted is not worth reasoning about.
+// what an abort interrupted is not worth reasoning about.  A run a rank
+// stopped (Comm.Stop) keeps them.
 //
 // An Engine is owned by one trial-executing goroutine: RunCtx must not
 // be called concurrently on the same Engine, and it runs every rank on the

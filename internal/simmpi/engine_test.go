@@ -109,6 +109,78 @@ func TestEngineReuseAfterAbort(t *testing.T) {
 	}
 }
 
+// TestEngineReuseAfterStop: a run that a rank stops, with the others parked
+// at a barrier and on a message never sent and a payload left undelivered,
+// reports Stopped and no error and keeps its free lists; the engine's next
+// runs serve their Sends from those lists — one ends holding exactly the
+// buffers the stopped run left — and are bit-identical to a fresh world's,
+// stats included.
+func TestEngineReuseAfterStop(t *testing.T) {
+	const p = 4
+	e, err := NewEngine(Config{Procs: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := func() map[*float64]bool {
+		bufs := map[*float64]bool{}
+		for r := range e.inboxes {
+			for _, b := range e.inboxes[r].free {
+				bufs[&b[:1][0]] = true
+			}
+		}
+		return bufs
+	}
+	st, err := e.RunCtx(context.Background(), func(c *Comm) error {
+		if err := loopProgram(3)(c); err != nil {
+			return err
+		}
+		c.Barrier()                                     // every rank has received all it will
+		c.Send((c.Rank()+1)%p, 9, make([]float64, 100)) // never received
+		switch c.Rank() {
+		case 0:
+			c.Recv(2, 99) // never sent
+		case 3:
+			c.Stop()
+		default:
+			c.Barrier()
+		}
+		panic("a rank ran on past the stop")
+	})
+	if err != nil || !st.Stopped {
+		t.Fatalf("stopped run: stats %+v, err %v; want Stopped and no error", st, err)
+	}
+	kept := free()
+	if len(kept) == 0 {
+		t.Fatal("a stopped run dropped its free lists")
+	}
+	if _, err := e.RunCtx(context.Background(), loopProgram(3)); err != nil {
+		t.Fatal(err)
+	}
+	if now := free(); len(now) != len(kept) {
+		t.Fatalf("the stopped run left %d free buffers, the next run %d", len(kept), len(now))
+	} else {
+		for b := range now {
+			if !kept[b] {
+				t.Fatal("the run after the stop allocated a buffer the free lists held")
+			}
+		}
+	}
+	want := make([]float64, p)
+	stFresh, err := Run(Config{Procs: p}, ringProgram(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, p)
+	if st, err = e.RunCtx(context.Background(), ringProgram(got)); err != nil || st != stFresh {
+		t.Fatalf("reuse after stop: stats %+v, err %v; a fresh world's stats %+v", st, err, stFresh)
+	}
+	for r := range got {
+		if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+			t.Fatalf("rank %d after stop: %g != fresh %g", r, got[r], want[r])
+		}
+	}
+}
+
 // TestEngineReuseAfterTimeout hangs a run until the watchdog fires,
 // then reuses the engine for a clean run.
 func TestEngineReuseAfterTimeout(t *testing.T) {

@@ -56,7 +56,9 @@
 // when its watchdog expires.  Communication calls signal the abort
 // by panicking with an internal sentinel that Run translates back into an
 // error, so application code can be written without per-call error plumbing
-// — the style real MPI codes use (MPI_Abort semantics).
+// — the style real MPI codes use (MPI_Abort semantics).  A rank that has
+// seen the rest of the run is not needed ends the world the same way
+// without failing it (Comm.Stop).
 package simmpi
 
 import (
@@ -94,6 +96,9 @@ var (
 	// distinguish external interruption from an application hang
 	// (ErrTimeout) or crash (*PanicError).
 	ErrCanceled = errors.New("simmpi: world canceled")
+	// errStopped is the failure of a world a rank stopped (Comm.Stop),
+	// which run reports as none.
+	errStopped = errors.New("simmpi: world stopped")
 )
 
 // RankError wraps an error returned by a rank's function.
@@ -321,6 +326,8 @@ type Stats struct {
 	// plus every value a collective moved from one rank's buffers into
 	// another's: what a rank receives from others.
 	Floats uint64
+	// Stopped reports that a rank ended the run early with Comm.Stop.
+	Stopped bool
 }
 
 // Run executes fn on every rank of a freshly created world and waits for
@@ -415,6 +422,9 @@ func (w *world) run(ctx context.Context, fn func(c *Comm) error) (Stats, error) 
 	w.poll() // a world that overran its watchdog hung, however it ended
 	w.fn, w.ctx = nil, nil
 	var st Stats
+	if st.Stopped = w.failure == errStopped; st.Stopped {
+		w.failure = nil
+	}
 	w.root.drain(&st)
 	for i := range w.inboxes {
 		in := &w.inboxes[i]

@@ -120,6 +120,7 @@ type Recorder struct {
 	trialOther   atomic.Uint64
 	abnormal     atomic.Uint64
 	retried      atomic.Uint64
+	reconverged  atomic.Uint64
 	goldens      atomic.Uint64
 	goldenMicros atomic.Uint64
 	checkpoints  atomic.Uint64
@@ -160,6 +161,14 @@ func (r *Recorder) TrialDone(outcome string, d time.Duration) {
 func (r *Recorder) TrialAbnormal() {
 	if r != nil {
 		r.abnormal.Add(1)
+	}
+}
+
+// TrialReconverged records one trial that stopped early, its state back
+// on the golden's.
+func (r *Recorder) TrialReconverged() {
+	if r != nil {
+		r.reconverged.Add(1)
 	}
 }
 
@@ -215,6 +224,8 @@ func (r *Recorder) Register(reg *Registry) {
 		e.Add(float64(r.trialFailure.Load()), "outcome", "failure")
 		e.Add(float64(r.trialOther.Load()), "outcome", "other")
 	})
+	reg.CounterFunc("resmod_trial_reconverged_total",
+		"Trials stopped early because their state had reconverged to the golden run's.", Value(r.reconverged.Load))
 	reg.CounterFunc("resmod_trial_abnormal_total",
 		"Trials abandoned after repeated harness errors.", Value(r.abnormal.Load))
 	reg.CounterFunc("resmod_trial_retried_total", "Retries of abnormal trials.", Value(r.retried.Load))
@@ -239,6 +250,7 @@ type Snapshot struct {
 	TrialOther       uint64
 	TrialsAbnormal   uint64
 	TrialsRetried    uint64
+	Reconverged      uint64
 	GoldenRuns       uint64
 	GoldenSeconds    float64
 	CheckpointWrites uint64
@@ -256,6 +268,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		TrialOther:       r.trialOther.Load(),
 		TrialsAbnormal:   r.abnormal.Load(),
 		TrialsRetried:    r.retried.Load(),
+		Reconverged:      r.reconverged.Load(),
 		GoldenRuns:       r.goldens.Load(),
 		GoldenSeconds:    float64(r.goldenMicros.Load()) / 1e6,
 		CheckpointWrites: r.checkpoints.Load(),
@@ -283,9 +296,9 @@ func WriteSummary(w io.Writer, s Snapshot) {
 	fmt.Fprintln(w, "== telemetry ==")
 	fmt.Fprintf(w, "campaigns:   %d executed, %s total wall time (mean %s)\n",
 		s.Campaigns, seconds(s.CampaignDuration.Sum), seconds(s.CampaignDuration.Mean()))
-	fmt.Fprintf(w, "trials:      %d (success %d, sdc %d, failure %d), mean %s/trial\n",
+	fmt.Fprintf(w, "trials:      %d (success %d, sdc %d, failure %d), mean %s/trial, %d reconverged\n",
 		s.TrialsTotal(), s.TrialSuccess, s.TrialSDC, s.TrialFailure,
-		seconds(s.TrialLatency.Mean()))
+		seconds(s.TrialLatency.Mean()), s.Reconverged)
 	if s.TrialsAbnormal > 0 || s.TrialsRetried > 0 {
 		fmt.Fprintf(w, "abnormal:    %d trials abandoned, %d retries\n",
 			s.TrialsAbnormal, s.TrialsRetried)

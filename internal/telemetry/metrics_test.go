@@ -18,6 +18,7 @@ func TestRecorderCounts(t *testing.T) {
 	r.TrialAbnormal()
 	r.TrialRetried()
 	r.TrialRetried()
+	r.TrialReconverged()
 	r.GoldenRun(10 * time.Millisecond)
 	r.CheckpointWrite()
 	r.CampaignDone(time.Second)
@@ -29,8 +30,8 @@ func TestRecorderCounts(t *testing.T) {
 	if got := s.TrialsTotal(); got != 5 {
 		t.Fatalf("TrialsTotal = %d, want 5", got)
 	}
-	if s.TrialsAbnormal != 1 || s.TrialsRetried != 2 {
-		t.Fatalf("abnormal/retried = %d/%d", s.TrialsAbnormal, s.TrialsRetried)
+	if s.TrialsAbnormal != 1 || s.TrialsRetried != 2 || s.Reconverged != 1 {
+		t.Fatalf("abnormal/retried/reconverged = %d/%d/%d", s.TrialsAbnormal, s.TrialsRetried, s.Reconverged)
 	}
 	if s.GoldenRuns != 1 || s.CheckpointWrites != 1 || s.Campaigns != 1 {
 		t.Fatalf("goldens/checkpoints/campaigns = %d/%d/%d",
@@ -95,6 +96,7 @@ func TestWriteSummary(t *testing.T) {
 	r.TrialDone("success", time.Millisecond)
 	r.TrialDone("sdc", time.Millisecond)
 	r.TrialAbnormal()
+	r.TrialReconverged()
 	r.GoldenRun(5 * time.Millisecond)
 	r.CheckpointWrite()
 	r.CampaignDone(100 * time.Millisecond)
@@ -106,6 +108,7 @@ func TestWriteSummary(t *testing.T) {
 		"== telemetry ==",
 		"campaigns:   1 executed",
 		"trials:      2 (success 1, sdc 1, failure 0)",
+		"1 reconverged",
 		"abnormal:    1 trials abandoned",
 		"goldens:     1 runs",
 		"checkpoints: 1 writes",
