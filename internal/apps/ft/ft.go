@@ -24,9 +24,12 @@
 // A batch is one fpe window.  Lines that lie side by side (the y lines,
 // and the serial run's strided z lines) run a butterfly of every line at
 // a time, so the innermost loop walks contiguous memory; contiguous lines
-// run one after another.  A batch that holds a due injection runs line by
-// line, in the order the lines are listed, so that only the line with the
-// trigger takes the per-op path.
+// run one after another, their first stages a twiddle at a time.  A
+// batch that holds a due injection splits at the line with the trigger:
+// the lines before it run as one window, that line runs fft1d on the
+// per-op path, and the lines after it go round again, so a trigger costs
+// one line of per-op arithmetic.  The evolution and the normalization
+// split the same way at the element that holds a trigger.
 package ft
 
 import (
@@ -115,19 +118,13 @@ func makeTwiddles(n int) *twiddles {
 }
 
 // fft1d runs an in-place radix-2 FFT over the n elements at
-// offset, offset+stride, ... of (re, im).  inverse selects the conjugate
-// transform (without the 1/n scaling, applied separately).
-// All butterfly arithmetic is counted; where no injection is due it runs
-// plain, in one fpe window.
+// offset, offset+stride, ... of (re, im) on the per-op path, every
+// butterfly op counted and injectable: the line of a batch that holds a
+// due injection.  inverse selects the conjugate transform (without the 1/n
+// scaling, applied separately).
 func fft1d(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n int, inverse bool) {
 	bitReverse(re, im, offset, stride, n, 1, 0)
-	if bf := butterflies(n); fc.Reserve(10 * bf) {
-		plainLines(tw, re, im, offset, stride, n, 1, 0, inverse)
-		fc.Tally(3*bf, 3*bf, 4*bf, 0)
-		return
-	}
-	stage := 0
-	for half := 1; half < n; half <<= 1 {
+	for stage, half := 0, 1; half < n; stage, half = stage+1, half<<1 {
 		twRe, twIm := tw.re[stage], tw.im[stage]
 		for start := 0; start < n; start += half << 1 {
 			for j := 0; j < half; j++ {
@@ -147,27 +144,31 @@ func fft1d(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n int, i
 				im[a] = fc.Add(im[a], vi)
 			}
 		}
-		stage++
 	}
 }
 
-// fftLines runs fft1d over count lines of length n, line l starting at
-// offset+l*lineStride, as one fpe window: a batch of the lines of one
-// direction, a plane's or a whole transform's.  Each line is contiguous
-// (stride 1), or the lines lie side by side (lineStride 1).  When an
-// injection is due in the batch it runs fft1d line by line, in order, so
-// only the line that holds the trigger takes the per-op path.
+// fftLines transforms count lines of length n, line l starting at
+// offset+l*lineStride: a batch of the lines of one direction, a plane's or
+// a whole transform's.  Each line is contiguous (stride 1), or the lines
+// lie side by side (lineStride 1).  The lines before the next due
+// injection run plain in one fpe window, the line that holds its trigger
+// runs fft1d, and the lines after it go round again, so each trigger costs
+// its own line on the per-op path and no other.
 func fftLines(fc *fpe.Ctx, tw *twiddles, re, im []float64, offset, stride, n, count, lineStride int, inverse bool) {
 	if stride != 1 && lineStride != 1 && count > 1 {
 		panic("ft: fftLines of lines neither contiguous nor side by side")
 	}
-	if bf := butterflies(n) * uint64(count); fc.Reserve(10 * bf) {
-		bitReverse(re, im, offset, stride, n, count, lineStride)
-		plainLines(tw, re, im, offset, stride, n, count, lineStride, inverse)
-		fc.Tally(3*bf, 3*bf, 4*bf, 0)
-		return
-	}
+	bf := butterflies(n)
 	for l := 0; l < count; l++ {
+		if k := fc.Room(count-l, int(10*bf)); fc.Reserve(10 * bf * uint64(k)) {
+			o := offset + l*lineStride
+			bitReverse(re, im, o, stride, n, k, lineStride)
+			plainLines(tw, re, im, o, stride, n, k, lineStride, inverse)
+			fc.Tally(3*bf*uint64(k), 3*bf*uint64(k), 4*bf*uint64(k), 0)
+			if l += k; l == count {
+				break
+			}
+		}
 		fft1d(fc, tw, re, im, offset+l*lineStride, stride, n, inverse)
 	}
 }
@@ -200,8 +201,11 @@ func bitReverse(re, im []float64, offset, stride, n, count, lineStride int) {
 
 // plainLines runs the butterflies of count bit-reversed lines, as fftLines
 // lays them out, as plain arithmetic, each element's ops in fft1d's order:
-// a contiguous line a stage at a time over slices of it, lines side by side
-// a butterfly of every line at a time.
+// a contiguous line a stage at a time over slices of it — a stage of
+// groups shorter than 16 twiddle by twiddle, so that it does not slice
+// four arrays for every few butterflies (measured: < 8, < 16 and < 32 run
+// alike, < 4 and every stage slower) — lines side by side a butterfly of
+// every line at a time.
 func plainLines(tw *twiddles, re, im []float64, offset, stride, n, count, lineStride int, inverse bool) {
 	if stride != 1 {
 		plainButterflyLines(tw, re, im, offset, stride, n, count, inverse)
@@ -213,6 +217,19 @@ func plainLines(tw *twiddles, re, im []float64, offset, stride, n, count, lineSt
 		for stage, half := 0, 1; half < n; stage, half = stage+1, half<<1 {
 			twRe := tw.re[stage]
 			twIm := tw.im[stage][:len(twRe)]
+			if half < 16 { // a twiddle at a time, its butterflies 2*half apart
+				for j, wr := range twRe {
+					wi := twIm[j]
+					if inverse {
+						wi = -wi
+					}
+					for a := j; a < n; a += 2 * half {
+						b := a + half
+						lr[a], li[a], lr[b], li[b] = butterfly(wr, wi, lr[a], li[a], lr[b], li[b])
+					}
+				}
+				continue
+			}
 			for start := 0; start < n; start += half << 1 {
 				ar, ai := lr[start:start+half], li[start:start+half]
 				br, bi := lr[start+half:start+2*half], li[start+half:start+2*half]
@@ -222,12 +239,7 @@ func plainLines(tw *twiddles, re, im []float64, offset, stride, n, count, lineSt
 					if inverse {
 						wi = -wi
 					}
-					vr := float64(wr*br[j]) - float64(wi*bi[j])
-					vi := float64(wr*bi[j]) + float64(wi*br[j])
-					br[j] = ar[j] - vr
-					bi[j] = ai[j] - vi
-					ar[j] += vr
-					ai[j] += vi
+					ar[j], ai[j], br[j], bi[j] = butterfly(wr, wi, ar[j], ai[j], br[j], bi[j])
 				}
 			}
 		}
@@ -253,17 +265,20 @@ func plainButterflyLines(tw *twiddles, re, im []float64, offset, stride, n, coun
 				br, bi := re[b:b+count], im[b:b+count]
 				ai, br, bi = ai[:len(ar)], br[:len(ar)], bi[:len(ar)]
 				for l := range ar {
-					vr := float64(wr*br[l]) - float64(wi*bi[l])
-					vi := float64(wr*bi[l]) + float64(wi*br[l])
-					br[l] = ar[l] - vr
-					bi[l] = ai[l] - vi
-					ar[l] += vr
-					ai[l] += vi
+					ar[l], ai[l], br[l], bi[l] = butterfly(wr, wi, ar[l], ai[l], br[l], bi[l])
 				}
 			}
 		}
 		stage++
 	}
+}
+
+// butterfly is one radix-2 butterfly of a and b under the twiddle w, as
+// plain arithmetic in fft1d's order: v = w*b, then a+v and a-v.
+func butterfly(wr, wi, ar, ai, br, bi float64) (float64, float64, float64, float64) {
+	vr := float64(wr*br) - float64(wi*bi)
+	vi := float64(wr*bi) + float64(wi*br)
+	return ar + vr, ai + vi, ar - vr, ai - vi
 }
 
 // hashInit returns the deterministic initial value pair for global element
@@ -313,17 +328,6 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 
 	// Spatial layout (z-distributed): idx = (z-zlo)*ny*nx + y*nx + x.
 	spatial := field{re: st.Floats(nzLoc * ny * nx), im: st.Floats(nzLoc * ny * nx)}
-	for z := zlo; z < zhi; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				g := uint64((z*ny+y)*nx + x)
-				r, i := hashInit(pr.seed, g)
-				l := ((z-zlo)*ny+y)*nx + x
-				spatial.re[l] = r
-				spatial.im[l] = i
-			}
-		}
-	}
 
 	serial := p == 1
 	spec := spatial // spectral data: in place in a serial run
@@ -352,18 +356,21 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 		}
 		// ---- time step t ----------------------------------------------------
 		// Evolve: work = spec * exp(-4 alpha pi^2 ksq t).
+		// Each element is a re and an im mul; a due one splits the window.
 		f := evo[t-1][evoLo : evoLo+len(spec.re)]
-		if n := uint64(len(spec.re)); fc.Reserve(2 * n) {
-			for i := range spec.re {
-				work.re[i] = float64(spec.re[i] * f[i])
-				work.im[i] = float64(spec.im[i] * f[i])
+		for i := 0; i < len(f); i++ {
+			if k := fc.Room(len(f)-i, 2); fc.Reserve(2 * uint64(k)) {
+				for j := i; j < i+k; j++ {
+					work.re[j] = float64(spec.re[j] * f[j])
+					work.im[j] = float64(spec.im[j] * f[j])
+				}
+				fc.Tally(0, 0, 2*uint64(k), 0)
+				if i += k; i == len(f) {
+					break
+				}
 			}
-			fc.Tally(0, 0, 2*n, 0)
-		} else {
-			for i := range spec.re {
-				work.re[i] = fc.Mul(spec.re[i], f[i])
-				work.im[i] = fc.Mul(spec.im[i], f[i])
-			}
+			work.re[i] = fc.Mul(spec.re[i], f[i])
+			work.im[i] = fc.Mul(spec.im[i], f[i])
 		}
 		// Inverse 3-D FFT of work back to spatial, z-distributed layout.
 		var spat field
@@ -381,18 +388,20 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 			fftLines(fc, twY, spat.re, spat.im, z*ny*nx, nx, ny, nx, 1, true)
 			fftLines(fc, twX, spat.re, spat.im, z*ny*nx, 1, nx, ny, nx, true)
 		}
-		// Normalize.
-		if n := uint64(len(spat.re)); fc.Reserve(2 * n) {
-			for i := range spat.re {
-				spat.re[i] = float64(spat.re[i] * invN3)
-				spat.im[i] = float64(spat.im[i] * invN3)
+		// Normalize, split the same way.
+		for i := 0; i < len(spat.re); i++ {
+			if k := fc.Room(len(spat.re)-i, 2); fc.Reserve(2 * uint64(k)) {
+				for j := i; j < i+k; j++ {
+					spat.re[j] = float64(spat.re[j] * invN3)
+					spat.im[j] = float64(spat.im[j] * invN3)
+				}
+				fc.Tally(0, 0, 2*uint64(k), 0)
+				if i += k; i == len(spat.re) {
+					break
+				}
 			}
-			fc.Tally(0, 0, 2*n, 0)
-		} else {
-			for i := range spat.re {
-				spat.re[i] = fc.Mul(spat.re[i], invN3)
-				spat.im[i] = fc.Mul(spat.im[i], invN3)
-			}
+			spat.re[i] = fc.Mul(spat.re[i], invN3)
+			spat.im[i] = fc.Mul(spat.im[i], invN3)
 		}
 		// Strided checksum (NPB style): sum of checkN scattered elements.
 		var csRe, csIm float64
@@ -413,12 +422,25 @@ func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Ste
 	return apps.RankOutput{State: state, Check: check}, nil
 }
 
-// forward transforms spatial, in the z-distributed layout, into spec: the x
-// and y direction FFTs are local to that layout; a serial run then does the
-// z-direction FFTs strided in place (spec is spatial), a parallel one
-// transposes to the x-distributed layout and does them there.
+// forward fills spatial, in the z-distributed layout, with the initial
+// field (only a run that starts at step 0 needs it: a resumed one restores
+// the spectrum, and each time step rewrites spatial) and transforms it into
+// spec: the x and y direction FFTs are local to that layout; a serial run
+// then does the z-direction FFTs strided in place (spec is spatial), a
+// parallel one transposes to the x-distributed layout and does them there.
 func forward(fc *fpe.Ctx, comm *simmpi.Comm, pr params, xp exchange, spatial, spec field, zlo, zhi, xlo, xhi int) {
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
+	for z := zlo; z < zhi; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				g := uint64((z*ny+y)*nx + x)
+				r, i := hashInit(pr.seed, g)
+				l := ((z-zlo)*ny+y)*nx + x
+				spatial.re[l] = r
+				spatial.im[l] = i
+			}
+		}
+	}
 	twX, twY, twZ := twiddlesFor(nx), twiddlesFor(ny), twiddlesFor(nz)
 	for z := 0; z < zhi-zlo; z++ {
 		fftLines(fc, twX, spatial.re, spatial.im, z*ny*nx, 1, nx, ny, nx, false)

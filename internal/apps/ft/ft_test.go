@@ -259,9 +259,11 @@ func TestOpCountNearSerial(t *testing.T) { apptest.OpCountNearSerial(t, App{}, "
 // TestFFTLinesMatchFFT1D: for every layout of lines the runs transform — x
 // lines, y lines, the serial run's strided z lines and a parallel rank's
 // contiguous ones — in both directions, a batch equals fft1d line by line
-// to the bit.  With no injection due the batch is one window; with a
-// trigger inside line k it fires on the same op with the same operands,
-// the counts agree, and only line k's ops take the per-op path.
+// to the bit.  With no injection due the batch is one window; with
+// triggers due — one in the first, a middle or the last line, two in one
+// line, in adjacent lines, in the first and the last, three spread out —
+// they fire on the same ops with the same operands, the counts agree, and
+// only the lines that hold a trigger take the per-op path.
 func TestFFTLinesMatchFFT1D(t *testing.T) {
 	pr := classes["S"]
 	nx, ny, nz := pr.nx, pr.ny, pr.nz
@@ -275,13 +277,21 @@ func TestFFTLinesMatchFFT1D(t *testing.T) {
 		{"parallel z lines", 0, 1, nz, nx / 4 * ny, nz},
 	}
 	for _, l := range layouts {
+		c := l.count
+		cases := [][]int{ // the line of each trigger
+			nil, {0}, {c / 2}, {c - 1},
+			{c / 2, c / 2}, {c/2 - 1, c / 2}, {0, c - 1}, {c / 4, c / 2, 3 * c / 4},
+		}
 		for _, inverse := range []bool{false, true} {
 			lineOps := 10 * butterflies(l.n)
-			for _, k := range []int{-1, 0, l.count / 2, l.count - 1} { // -1: no injection
-				what := fmt.Sprintf("%s inverse=%v trigger in line %d", l.name, inverse, k)
+			for _, lines := range cases {
+				what := fmt.Sprintf("%s inverse=%v triggers in lines %v", l.name, inverse, lines)
 				var plan []fpe.Injection
-				if k >= 0 {
-					plan = []fpe.Injection{{Class: fpe.Common, Index: uint64(k)*lineOps + lineOps/3, Bit: 51}}
+				perOp := map[int]bool{}
+				for i, line := range lines {
+					at := uint64(line)*lineOps + uint64(i+1)*lineOps/uint64(len(lines)+1)
+					plan = append(plan, fpe.Injection{Class: fpe.Common, Index: at, Bit: uint(51 - i)})
+					perOp[line] = true
 				}
 				tw := twiddlesFor(l.n)
 				re, im := make([]float64, nx*ny*nz), make([]float64, nx*ny*nz)
@@ -305,12 +315,8 @@ func TestFFTLinesMatchFFT1D(t *testing.T) {
 				if g, w := got.Records(), want.Records(); !reflect.DeepEqual(g, w) || len(g) != len(plan) {
 					t.Fatalf("%s: fired %+v, line by line %+v", what, g, w)
 				}
-				perOp := uint64(0)
-				if k >= 0 {
-					perOp = lineOps
-				}
-				if g, w := got.Tallied(), got.Counts().Total()-perOp; g != w {
-					t.Fatalf("%s: %d ops windowed, want %d (all but line %d's)", what, g, w, k)
+				if g, w := got.Tallied(), got.Counts().Total()-uint64(len(perOp))*lineOps; g != w {
+					t.Fatalf("%s: %d ops windowed, want %d (all but the %d lines with a trigger)", what, g, w, len(perOp))
 				}
 			}
 		}

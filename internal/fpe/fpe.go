@@ -20,11 +20,14 @@
 // it — and books exactly what it ran with one Tally.  When Reserve refuses
 // (the window holds a trigger) the kernel runs its instrumented loop,
 // unchanged.  A kernel reserves a plane, a block of rows or of zones at a
-// time, and the vector ops (Dot, Axpy, Aypx, AddVec, SubVec) reserve up
-// to the element that holds the trigger, so a refusal costs one plane (one
-// element) on the per-op path, not the kernel's whole call.  A window never spans a Begin, an End or a communication
-// call, so counts, plan indices and Records are those of per-op counting.  (A window a panic cuts short books nothing;
-// only a completed run's counts are ever read — the golden's.)
+// time, and the vector ops (Dot, Axpy, Aypx, AddVec, SubVec) and FT's
+// line batches reserve up to the element (the line) that holds the
+// trigger, as Room counts them, so a refusal costs one plane (one element,
+// one line) on the per-op path, not the kernel's whole call.  A window
+// never spans a Begin, an End or a communication call, so counts, plan
+// indices and Records are those of per-op counting.  (A window a panic
+// cuts short books nothing; only a completed run's counts are ever read —
+// the golden's.)
 //
 // A Ctx is owned by a single rank goroutine and is not safe for concurrent
 // use; each rank in a simulated parallel execution gets its own Ctx.
@@ -600,11 +603,11 @@ func (c *Ctx) FMA(a, b, x float64) float64 {
 	return c.Add(c.Mul(a, b), x)
 }
 
-// room is how many of the next n elements of a vector op, of per
-// injectable ops each, run before the active class's next trigger: the
-// vector ops window them and send the element that holds the trigger down
-// the per-op path.
-func (c *Ctx) room(n, per int) int { return int(min(uint64(n), c.left/uint64(per))) }
+// Room is how many of the next n elements of a kernel, of per injectable
+// ops each, run before the active class's next trigger: the vector ops
+// (and FT's line batches and element loops) window them and send the
+// element that holds the trigger down the per-op path.
+func (c *Ctx) Room(n, per int) int { return int(min(uint64(n), c.left/uint64(per))) }
 
 // Dot accumulates the instrumented dot product of x and y.
 // It panics if the lengths differ.
@@ -614,7 +617,7 @@ func (c *Ctx) Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i := 0; i < len(x); i++ {
-		if k := c.room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
+		if k := c.Room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
 			xs := x[i : i+k]
 			ys := y[i:][:len(xs)]
 			for j := range xs {
@@ -636,7 +639,7 @@ func (c *Ctx) Axpy(alpha float64, x, y []float64) {
 		panic("fpe: Axpy length mismatch")
 	}
 	for i := 0; i < len(x); i++ {
-		if k := c.room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
+		if k := c.Room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
 			xs := x[i : i+k]
 			ys := y[i:][:len(xs)]
 			for j := range xs {
@@ -658,7 +661,7 @@ func (c *Ctx) Aypx(beta float64, x, y []float64) {
 		panic("fpe: Aypx length mismatch")
 	}
 	for i := 0; i < len(x); i++ {
-		if k := c.room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
+		if k := c.Room(len(x)-i, 2); c.Reserve(2 * uint64(k)) {
 			xs := x[i : i+k]
 			ys := y[i:][:len(xs)]
 			for j := range xs {
@@ -680,7 +683,7 @@ func (c *Ctx) AddVec(dst, a, b []float64) {
 		panic("fpe: AddVec length mismatch")
 	}
 	for i := 0; i < len(dst); i++ {
-		if k := c.room(len(dst)-i, 1); c.Reserve(uint64(k)) {
+		if k := c.Room(len(dst)-i, 1); c.Reserve(uint64(k)) {
 			ds := dst[i : i+k]
 			as, bs := a[i:][:len(ds)], b[i:][:len(ds)]
 			for j := range ds {
@@ -702,7 +705,7 @@ func (c *Ctx) SubVec(dst, a, b []float64) {
 		panic("fpe: SubVec length mismatch")
 	}
 	for i := 0; i < len(dst); i++ {
-		if k := c.room(len(dst)-i, 1); c.Reserve(uint64(k)) {
+		if k := c.Room(len(dst)-i, 1); c.Reserve(uint64(k)) {
 			ds := dst[i : i+k]
 			as, bs := a[i:][:len(ds)], b[i:][:len(ds)]
 			for j := range ds {

@@ -1,6 +1,7 @@
 package fpe_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -53,6 +54,16 @@ func execute(app apps.App, p int, plans map[int][]fpe.Injection, windows bool) a
 	fpe.Windows(windows)
 	defer fpe.Windows(true)
 	return apps.Execute(app, app.DefaultClass(), p, plans, oracleTimeout)
+}
+
+// executeSteps is execute's per-op run with each rank's op counts at every
+// step boundary (apps.StepPlan.Counts).
+func executeSteps(app apps.App, p int) (apps.ExecResult, [][]fpe.Counts) {
+	fpe.Windows(false)
+	defer fpe.Windows(true)
+	sp := &apps.StepPlan{Counts: make([][]fpe.Counts, p), Bytes: make([]int, p)}
+	res := (*apps.Arena)(nil).ExecuteSteps(context.Background(), app, app.DefaultClass(), p, nil, oracleTimeout, sp)
+	return res, sp.Counts
 }
 
 func sameBits(a, b []float64) bool {
@@ -167,8 +178,10 @@ func TestWindowOracleClean(t *testing.T) {
 // TestWindowOracleInjected: for each paper app at each scale, seeded plans
 // — one to three faults on one rank or on two, either class — plus faults
 // on each class's first and last op fire on the same op with the same
-// operands, and end the same, with windows as without.  So do the two
-// crowded plans, but for NaN payloads under -race (sameOrNaN).
+// operands, and end the same, with windows as without.  So do faults
+// placed inside a step's first and last element loops and in the middle of
+// the unique ops, and the two crowded plans, but for NaN payloads under
+// -race (sameOrNaN).
 func TestWindowOracleInjected(t *testing.T) {
 	plansPerScale := 50
 	if race.Enabled {
@@ -180,11 +193,11 @@ func TestWindowOracleInjected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range oracleScales(app) {
-			golden := execute(app, p, nil, false)
+			golden, steps := executeSteps(app, p)
 			if golden.Err != nil {
 				t.Fatalf("%s p=%d golden: %v", name, p, golden.Err)
 			}
-			seeded, crowded := oraclePlans(golden, p, plansPerScale)
+			seeded, crowded := oraclePlans(golden, steps, p, plansPerScale)
 			for i, plans := range seeded {
 				what := fmt.Sprintf("%s p=%d plan %d %v", name, p, i, plans)
 				sameRun(t, what, execute(app, p, plans, false), execute(app, p, plans, true), false)
@@ -198,12 +211,16 @@ func TestWindowOracleInjected(t *testing.T) {
 }
 
 // oraclePlans draws n seeded plans against golden's op counts and adds the
-// edges: each class's op 0 and last op on the last rank.  It also returns
-// two crowded plans of sixteen faults on one rank, where split windows can
-// go wrong: a seeded spread, and a cluster whose offsets put several
-// triggers in one plane (one row block, one element of a vector op) and
-// the rest in the planes after it.
-func oraclePlans(golden apps.ExecResult, p, n int) (seeded, crowded []map[int][]fpe.Injection) {
+// edges: each class's op 0 and last op on the last rank.  It adds faults
+// inside the element loops that open and close a step — 1/64 of the last
+// rank's step 1 from either end of it, placed by steps (each rank's counts
+// at every boundary): FT's evolution and normalization — and one in the
+// middle of that rank's unique ops (FT's transpose staging).  It also
+// returns two crowded plans of sixteen faults on one rank, where split
+// windows can go wrong: a seeded spread, and a cluster whose offsets put
+// several triggers in one plane (one row block, one element of a vector
+// op) and the rest in the planes after it.
+func oraclePlans(golden apps.ExecResult, steps [][]fpe.Counts, p, n int) (seeded, crowded []map[int][]fpe.Injection) {
 	rng := stats.NewRNG(uint64(2018 + p))
 	var out []map[int][]fpe.Injection
 	for i := 0; i < n; i++ {
@@ -242,6 +259,17 @@ func oraclePlans(golden apps.ExecResult, p, n int) (seeded, crowded []map[int][]
 			for _, idx := range []uint64{0, n - 1} {
 				out = append(out, map[int][]fpe.Injection{last: {{Class: class, Index: idx, Bit: 62}}})
 			}
+		}
+	}
+	inside := []fpe.Injection{{Class: fpe.Unique, Index: counts.Unique / 2, Bit: 52}}
+	if b := steps[last]; len(b) > 2 {
+		from, to := b[1].Common, b[2].Common
+		inside = append(inside, fpe.Injection{Class: fpe.Common, Index: from + (to-from)/64, Bit: 52},
+			fpe.Injection{Class: fpe.Common, Index: to - (to-from)/64, Bit: 52})
+	}
+	for _, inj := range inside {
+		if inj.Index < counts.Of(inj.Class) {
+			out = append(out, map[int][]fpe.Injection{last: {inj}})
 		}
 	}
 	return out, crowded
