@@ -42,8 +42,8 @@
 // read-only: a run that wrote to it would silently change every later
 // run's answer.
 //
-// The six paper apps also keep the step contract (Stepped): their run is a
-// loop of steps, and they name the state a step carries to the next
+// The six paper apps also keep the step contract (see Steps): their run is
+// a loop of steps, and they name the state a step carries to the next
 // (Carry) and mark the boundaries between steps.  A trial then starts every
 // rank at the last boundary before its first injection, restoring that
 // state and the fpe counters, instead of re-running the prefix it shares
@@ -84,7 +84,10 @@ type App interface {
 	MaxProcs(class string) int
 	// Run executes the rank's share of the computation.  comm.Size()==1 is
 	// the serial execution.  All floating point math must flow through fc.
-	Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (RankOutput, error)
+	// st is the rank's view of its execution: the working set it draws its
+	// arrays from and the step boundaries it marks (see Steps); an app
+	// that keeps neither may ignore it.
+	Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *Steps) (RankOutput, error)
 	// Verify implements the application checker: it reports whether the
 	// verification values of a (possibly faulty) run are acceptable
 	// relative to the fault-free golden values.

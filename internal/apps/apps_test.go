@@ -157,6 +157,6 @@ func (fakeApp) Classes() []string          { return []string{"x"} }
 func (fakeApp) DefaultClass() string       { return "x" }
 func (fakeApp) MaxProcs(string) int        { return 8 }
 func (fakeApp) Verify(_, _ []float64) bool { return true }
-func (fakeApp) Run(_ *fpe.Ctx, _ *simmpi.Comm, _ string) (RankOutput, error) {
+func (fakeApp) Run(_ *fpe.Ctx, _ *simmpi.Comm, _ string, _ *Steps) (RankOutput, error) {
 	return RankOutput{}, nil
 }

@@ -72,7 +72,7 @@ func Conformance(t *testing.T, app apps.App, opt Options) {
 	if serial2.Err != nil {
 		t.Fatalf("second serial run failed: %v", serial2.Err)
 	}
-	if !bitEqual(serial.Outputs[0].State, serial2.Outputs[0].State) {
+	if !apps.SameBits(serial.Outputs[0].State, serial2.Outputs[0].State) {
 		t.Fatal("serial execution is not deterministic")
 	}
 	if serial.Ctxs[0].Counts() != serial2.Ctxs[0].Counts() {
@@ -99,7 +99,7 @@ func Conformance(t *testing.T, app apps.App, opt Options) {
 			t.Fatalf("p=%d second run failed: %v", p, par2.Err)
 		}
 		for r := 0; r < p; r++ {
-			if !bitEqual(par.Outputs[r].State, par2.Outputs[r].State) {
+			if !apps.SameBits(par.Outputs[r].State, par2.Outputs[r].State) {
 				t.Fatalf("p=%d rank %d state not deterministic", p, r)
 			}
 			if par.Ctxs[r].Counts() != par2.Ctxs[r].Counts() {
@@ -157,18 +157,6 @@ func Conformance(t *testing.T, app apps.App, opt Options) {
 	if inj.Err == nil && inj.Ctxs[0].Fired() != 1 {
 		t.Fatalf("planned injection did not fire (fired=%d)", inj.Ctxs[0].Fired())
 	}
-}
-
-func bitEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Alloc is what one execution allocates on the heap.

@@ -225,14 +225,10 @@ func gatherVector(fc *fpe.Ctx, comm *simmpi.Comm, local, full []float64) {
 	comm.AllgatherInto(full, local)
 }
 
-// Run executes the benchmark on this rank.
-func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
-	return a.RunSteps(fc, comm, class, nil)
-}
-
-// RunSteps is Run with a step boundary after every CG iteration: the outer
-// power iterations' inner solves, flattened into one loop.
-func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
+// Run executes the benchmark on this rank, with a step boundary after
+// every CG iteration: the outer power iterations' inner solves, flattened
+// into one loop.
+func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "CG", Class: class, Procs: comm.Size(),

@@ -49,7 +49,7 @@ func ExecuteCtx(ctx context.Context, app App, class string, procs int, plans map
 // Arena is a reuse pool for repeated executions: the simulated world's
 // per-rank inboxes with the message buffers they have recycled
 // (simmpi.Engine), the per-rank instrumented fpe contexts, the output
-// slice, and each rank's working set — the arrays a Stepped app draws with
+// slice, and each rank's working set — the arrays an app draws with
 // Steps.Floats — are built once and reset per run, so a steady-state trial
 // allocates next to nothing: an arena is an engine, its contexts and one
 // working set.  The working set is kept across executions of one (app,
@@ -101,9 +101,9 @@ func (a *Arena) ExecuteCtx(ctx context.Context, app App, class string, procs int
 // tests set it (export_test.go).
 var poisonSets bool
 
-// ExecuteSteps is ExecuteCtx with a StepPlan for a Stepped app's
-// boundaries (nil = none; an app that is not Stepped has only boundary 0,
-// where every execution starts).  The caller reads what the ranks recorded
+// ExecuteSteps is ExecuteCtx with a StepPlan for the app's boundaries
+// (nil = none; an app that marks none has only boundary 0, where every
+// execution starts).  The caller reads what the ranks recorded
 // into sp only after a clean return, a stop included.
 func (a *Arena) ExecuteSteps(ctx context.Context, app App, class string, procs int, plans map[int][]fpe.Injection, timeout time.Duration, sp *StepPlan) ExecResult {
 	if a == nil {
@@ -133,18 +133,11 @@ func (a *Arena) ExecuteSteps(ctx context.Context, app App, class string, procs i
 			a.sets[r].poison()
 		}
 	}
-	stepped, _ := app.(Stepped)
 	st, err := a.engine.RunCtx(ctx, func(c *simmpi.Comm) error {
 		r := c.Rank()
-		var out RankOutput
-		var rerr error
-		if stepped != nil {
-			a.sets[r].rewind()
-			a.steps[r] = Steps{fc: a.ctxs[r], comm: c, rank: r, plan: sp, set: &a.sets[r]}
-			out, rerr = stepped.RunSteps(a.ctxs[r], c, class, &a.steps[r])
-		} else {
-			out, rerr = app.Run(a.ctxs[r], c, class)
-		}
+		a.sets[r].rewind()
+		a.steps[r] = Steps{fc: a.ctxs[r], comm: c, rank: r, plan: sp, set: &a.sets[r]}
+		out, rerr := app.Run(a.ctxs[r], c, class, &a.steps[r])
 		if rerr != nil {
 			return rerr
 		}

@@ -301,15 +301,10 @@ type field struct {
 	re, im []float64
 }
 
-// Run executes the benchmark on this rank.
-func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
-	return a.RunSteps(fc, comm, class, nil)
-}
-
-// RunSteps is Run in steps: step 0 is the forward 3-D FFT, step t the t-th
-// time step.  No step reads the spectrum's predecessors, so the carry is the
-// spectrum and the checksums so far.
-func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
+// Run executes the benchmark on this rank in steps: step 0 is the forward
+// 3-D FFT, step t the t-th time step.  No step reads the spectrum's
+// predecessors, so the carry is the spectrum and the checksums so far.
+func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "FT", Class: class, Procs: comm.Size(),

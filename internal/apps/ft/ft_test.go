@@ -306,7 +306,7 @@ func TestFFTLinesMatchFFT1D(t *testing.T) {
 				got := fpe.NewWithPlan(plan)
 				fftLines(got, tw, re, im, l.offset, l.stride, l.n, l.count, l.lineStride, inverse)
 
-				if !sameBits(re, wantRe) || !sameBits(im, wantIm) {
+				if !apps.SameBits(re, wantRe) || !apps.SameBits(im, wantIm) {
 					t.Fatalf("%s: batch differs from fft1d line by line", what)
 				}
 				if g, w := got.KindCounts(), want.KindCounts(); g != w {
@@ -321,13 +321,4 @@ func TestFFTLinesMatchFFT1D(t *testing.T) {
 			}
 		}
 	}
-}
-
-func sameBits(a, b []float64) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return len(a) == len(b)
 }

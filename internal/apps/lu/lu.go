@@ -257,13 +257,9 @@ func rhsField(class string, pr params) []float64 {
 	return cached.([]float64)
 }
 
-// Run executes the benchmark on this rank.
-func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
-	return a.RunSteps(fc, comm, class, nil)
-}
-
-// RunSteps is Run with a step boundary after every SSOR iteration.
-func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
+// Run executes the benchmark on this rank, with a step boundary after
+// every SSOR iteration.
+func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "LU", Class: class, Procs: comm.Size(),

@@ -371,14 +371,10 @@ func coarseRows(buf *[4][]float64, planes [2][]float64, nx, fy, fz int) [][]floa
 	return buf[:k]
 }
 
-// Run executes the benchmark on this rank.
-func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
-	return a.RunSteps(fc, comm, class, nil)
-}
-
-// RunSteps is Run with a step boundary after every V-cycle and its
-// residual.  The message tag counter is carried with the solution.
-func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
+// Run executes the benchmark on this rank, with a step boundary after
+// every V-cycle and its residual.  The message tag counter is carried with
+// the solution.
+func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "MG", Class: class, Procs: comm.Size(),

@@ -247,14 +247,9 @@ func assembled(pr params, zlo, zhi int) stencil {
 		s: full.s[lo:hi], n: full.n[lo:hi], b: full.b[lo:hi], t: full.t[lo:hi]}
 }
 
-// Run executes the benchmark on this rank.
-func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
-	return a.RunSteps(fc, comm, class, nil)
-}
-
-// RunSteps is Run in steps: step 0 assembles the operator and starts CG,
-// each later step is one CG iteration.
-func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.Steps) (apps.RankOutput, error) {
+// Run executes the benchmark on this rank in steps: step 0 assembles the
+// operator and starts CG, each later step is one CG iteration.
+func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, steps *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "MiniFE", Class: class,

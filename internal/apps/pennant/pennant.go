@@ -92,15 +92,10 @@ const zoneBlock = 32
 // Mesh ownership: rank r owns zones [zlo, zhi) and nodes [zlo, zhi); the
 // global end node (index zones) is the right wall, handled by the last
 // rank.  Each cycle exchanges the rank's last zone (P, m) rightward and its
-// first node (u, x) leftward.
-func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
-	return a.RunSteps(fc, comm, class, nil)
-}
-
-// RunSteps is Run with a step boundary after every cycle.  A cycle
-// recomputes the densities and pressures from the mesh, so the carry is the
-// mesh (ghost node included), the energies and dt.
-func (a App) RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
+// first node (u, x) leftward.  There is a step boundary after every cycle.
+// A cycle recomputes the densities and pressures from the mesh, so the
+// carry is the mesh (ghost node included), the energies and dt.
+func (a App) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	pr, ok := classes[class]
 	if !ok {
 		return apps.RankOutput{}, &apps.ErrBadProcs{App: "PENNANT", Class: class,

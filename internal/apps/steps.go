@@ -9,33 +9,6 @@ import (
 	"resmod/internal/simmpi"
 )
 
-// Stepped is the optional step contract of an App whose run is a loop of
-// steps.  Before its loop a rank calls st.Resume(carry), which says at which
-// step to start, and after step i-1 it calls st.Mark(i, carry): boundary i
-// is the state after i steps.  It draws its working arrays with st.Floats.
-// All three work on a nil *Steps (Resume and Mark do nothing, Floats is
-// make), and the app's Run is RunSteps(fc, comm, class, nil).
-//
-// At a boundary the Carry must hold everything a later step or the code
-// after the loop reads that an earlier step wrote — except at the last
-// boundary, which is never resumed from (FT's final field, PENNANT's
-// densities are rewritten by the last step).  Two invariants make a
-// boundary one: no fpe region is open and no window is reserved (Mark
-// panics otherwise), and no message crosses it — everything sent in steps
-// <= i is received in steps <= i.  The code before Resume runs on every
-// execution and must do the same thing whatever the boundary.
-//
-// A boundary check (StepPlan.Check) takes a run whose Carry equals the
-// golden's at a boundary to run the golden's rest, so it assumes more: that
-// no step after the boundary reads what an earlier step wrote outside the
-// Carry.  Step 0 is the exception — MiniFE's stencil is built in step 0 and
-// not carried, and resuming rebuilds it — so a run checks only when its
-// step 0 ran clean.
-type Stepped interface {
-	App
-	RunSteps(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *Steps) (RankOutput, error)
-}
-
 // Carry names a rank's loop-carried state.  An app builds it once, before
 // Resume, from its working arrays and the addresses of its scalars.
 type Carry struct {
@@ -111,7 +84,29 @@ func LastClean(counts [][]fpe.Counts, plans map[int][]fpe.Injection, last int) i
 
 // Steps is one rank's view of its execution: the StepPlan's boundaries,
 // and the working set it draws its arrays from.  An execution hands every
-// Stepped app one, with or without a plan; Run's nil *Steps has neither.
+// app's Run one, with or without a plan.
+//
+// The step contract: when an app's run is a loop of steps, before its loop
+// a rank calls st.Resume(carry), which says at which step to start, and
+// after step i-1 it calls st.Mark(i, carry): boundary i is the state after
+// i steps.  An app that keeps no such contract never calls them and runs
+// from the start every time (the six paper apps all keep it).
+//
+// At a boundary the Carry must hold everything a later step or the code
+// after the loop reads that an earlier step wrote — except at the last
+// boundary, which is never resumed from (FT's final field, PENNANT's
+// densities are rewritten by the last step).  Two invariants make a
+// boundary one: no fpe region is open and no window is reserved (Mark
+// panics otherwise), and no message crosses it — everything sent in steps
+// <= i is received in steps <= i.  The code before Resume runs on every
+// execution and must do the same thing whatever the boundary.
+//
+// A boundary check (StepPlan.Check) takes a run whose Carry equals the
+// golden's at a boundary to run the golden's rest, so it assumes more: that
+// no step after the boundary reads what an earlier step wrote outside the
+// Carry.  Step 0 is the exception — MiniFE's stencil is built in step 0 and
+// not carried, and resuming rebuilds it — so a run checks only when its
+// step 0 ran clean.
 type Steps struct {
 	fc   *fpe.Ctx
 	comm *simmpi.Comm
@@ -127,7 +122,8 @@ type Steps struct {
 // of this shape, or a new one.  An app draws every per-run working array,
 // and the State it returns, this way.  They are the arena's, valid until
 // its next execution, so nothing a run returns may outlive that without a
-// copy (see Arena).  On a nil *Steps it is make.
+// copy (see Arena).  On a nil *Steps it is make: a class-wide setup cache
+// (MiniFE's operator) is built outside any execution.
 func (s *Steps) Floats(n int) []float64 {
 	var w *workingSet
 	if s != nil {
@@ -140,20 +136,15 @@ func (s *Steps) Floats(n int) []float64 {
 // Floats; the slice that holds them is the working set's too.
 func (s *Steps) Blocks(k, n int) [][]float64 {
 	flat := s.Floats(k * n)
-	var b [][]float64
-	if s == nil {
-		b = make([][]float64, k)
-	} else {
-		w := s.set
-		if w.nb == len(w.blocks) {
-			w.blocks = append(w.blocks, nil)
-		}
-		if cap(w.blocks[w.nb]) < k {
-			w.blocks[w.nb] = make([][]float64, k)
-		}
-		b = w.blocks[w.nb][:k]
-		w.nb++
+	w := s.set
+	if w.nb == len(w.blocks) {
+		w.blocks = append(w.blocks, nil)
 	}
+	if cap(w.blocks[w.nb]) < k {
+		w.blocks[w.nb] = make([][]float64, k)
+	}
+	b := w.blocks[w.nb][:k]
+	w.nb++
 	for i := range b {
 		b[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
@@ -204,7 +195,7 @@ func (w *workingSet) poison() {
 // Resume restores the rank's carry and counters from the plan's From
 // boundary and returns its step, or returns 0 to start at the beginning.
 func (s *Steps) Resume(c *Carry) int {
-	if s == nil || s.plan == nil {
+	if s.plan == nil {
 		return 0
 	}
 	if s.plan.Counts != nil {
@@ -224,7 +215,7 @@ func (s *Steps) Resume(c *Carry) int {
 
 // Mark declares boundary i, the state after i steps.
 func (s *Steps) Mark(i int, c *Carry) {
-	if s == nil || s.plan == nil {
+	if s.plan == nil {
 		return
 	}
 	kc, divs := s.fc.Boundary()
@@ -266,12 +257,12 @@ func (c *Carry) floats() int {
 	return n
 }
 
-// hash is HashFloats over the carry's words: its Vecs, then its Scalars
+// hash is hashFloats over the carry's words: its Vecs, then its Scalars
 // and Ints as one word each.
 func (c *Carry) hash() uint64 {
-	h := uint64(FNVOffset)
+	h := uint64(fnvOffset)
 	for _, v := range c.Vecs {
-		h = HashFloats(h, v)
+		h = hashFloats(h, v)
 	}
 	for _, p := range c.Scalars {
 		h = (h ^ math.Float64bits(*p)) * fnvPrime
@@ -282,18 +273,18 @@ func (c *Carry) hash() uint64 {
 	return h
 }
 
-// FNVOffset is the FNV-1a offset basis HashFloats starts from.
+// fnvOffset is the FNV-1a offset basis hashFloats starts from.
 const (
-	FNVOffset = 14695981039346656037
+	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-// HashFloats folds s's length and then its float64 words, bit for bit,
+// hashFloats folds s's length and then its float64 words, bit for bit,
 // into the FNV-1a hash h.  For a fixed word each step is a bijection of h,
 // so two inputs that differ in exactly one word always hash differently,
 // and inputs that differ in more collide with odds of about 2^-64: a hash
 // match is taken for bit identity.
-func HashFloats(h uint64, s []float64) uint64 {
+func hashFloats(h uint64, s []float64) uint64 {
 	h = (h ^ uint64(len(s))) * fnvPrime
 	for _, v := range s {
 		h = (h ^ math.Float64bits(v)) * fnvPrime
@@ -307,7 +298,7 @@ func (c *Carry) save(kc fpe.KindCounts, divs uint64, prev *RankState) RankState 
 	rs := RankState{Kinds: kc, Divs: divs, Vecs: make([][]float64, len(c.Vecs)),
 		Scalars: make([]float64, len(c.Scalars)), Ints: make([]int, len(c.Ints))}
 	for i, v := range c.Vecs {
-		if prev != nil && sameBits(v, prev.Vecs[i]) {
+		if prev != nil && SameBits(v, prev.Vecs[i]) {
 			rs.Vecs[i] = prev.Vecs[i]
 		} else {
 			rs.Vecs[i] = slices.Clone(v)
@@ -343,8 +334,10 @@ func (c *Carry) restore(rs *RankState) {
 	}
 }
 
-// sameBits reports whether a and b hold the same float64 bit patterns.
-func sameBits(a, b []float64) bool {
+// SameBits reports whether a and b hold the same float64 bit patterns
+// (NaNs included): the bit identity a contaminated rank is measured
+// against.
+func SameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -85,9 +85,9 @@ type gatedApp struct {
 
 func (g *gatedApp) Name() string { return "GATED" }
 
-func (g *gatedApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (g *gatedApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	<-*g.gate.Load()
-	return g.App.Run(fc, comm, class)
+	return g.App.Run(fc, comm, class, st)
 }
 
 // gated is registered once per test binary (-count reruns the tests, and

@@ -3,8 +3,6 @@ package exper
 import (
 	"fmt"
 	"io"
-
-	"resmod/internal/analysis"
 )
 
 // Params are the per-invocation inputs a plan row may read: the CLI's
@@ -243,13 +241,9 @@ var Plan = []Experiment{
 		Name:    "ablate",
 		Heading: "Sensitivity ablations",
 		Run: func(s *Session, p Params) (any, error) {
-			cfg, err := analysisConfig(s, p)
-			if err != nil {
-				return nil, err
-			}
-			return analysis.Ablate(cfg)
+			return TolSweep(s, p.App, p.Class, p.Small)
 		},
-		Render: render(func(w io.Writer, v *analysis.Ablation) { v.Render(w) }),
+		Render: render(RenderTolSweep),
 	},
 	{
 		Name: "trace",
@@ -258,18 +252,4 @@ var Plan = []Experiment{
 		},
 		Render: render(RenderTrace),
 	},
-}
-
-// analysisConfig is the session's trial budget and seed applied to the
-// -app/-class/-small configuration: what the sensitivity rows measure.
-func analysisConfig(s *Session, p Params) (analysis.Config, error) {
-	list, err := resolveApps([]string{p.App})
-	if err != nil {
-		return analysis.Config{}, err
-	}
-	cfg := s.Config()
-	return analysis.Config{
-		App: list[0], Class: p.Class, Procs: p.Small, Trials: cfg.Trials,
-		Seed: cfg.Seed, Workers: cfg.Workers,
-	}, nil
 }

@@ -303,13 +303,25 @@ func (s *Session) Campaign(app apps.App, class string, procs, errors int, region
 // waiter's context is, so cancelling one deduped caller never spuriously
 // fails the others.
 func (s *Session) CampaignCtx(ctx context.Context, app apps.App, class string, procs, errors int, region faultsim.RegionMode) (*faultsim.Summary, error) {
-	ctx = s.telemetryCtx(ctx)
-	c := faultsim.Campaign{
+	return s.run(ctx, s.campaign(app, class, procs, errors, region))
+}
+
+// campaign is the session's deployment of app: its trial budget, seed,
+// timeout, workers, budget and runner set.
+func (s *Session) campaign(app apps.App, class string, procs, errors int, region faultsim.RegionMode) faultsim.Campaign {
+	return faultsim.Campaign{
 		App: app, Class: class, Procs: procs, Trials: s.cfg.Trials,
 		Errors: errors, Region: region, Seed: s.cfg.Seed,
 		Timeout: s.cfg.Timeout, Workers: s.cfg.Workers,
 		Budget: s.cfg.Budget, Pool: s.runners,
-	}.Normalized()
+	}
+}
+
+// run returns (running and caching on first use) c's summary, as
+// CampaignCtx does.
+func (s *Session) run(ctx context.Context, c faultsim.Campaign) (*faultsim.Summary, error) {
+	ctx = s.telemetryCtx(ctx)
+	c = c.Normalized()
 	// The singleflight key is the campaign's durable identity, so the
 	// in-process cache, checkpoints and Config.Cache all share one
 	// keyspace.

@@ -24,7 +24,7 @@ func (countingApp) DefaultClass() string       { return "X" }
 func (countingApp) MaxProcs(string) int        { return 8 }
 func (countingApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12) }
 
-func (a countingApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (a countingApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	a.runs.Add(1)
 	s := 0.0
 	for i := 0; i < 200; i++ {
@@ -184,7 +184,7 @@ func (gatedApp) DefaultClass() string       { return "X" }
 func (gatedApp) MaxProcs(string) int        { return 8 }
 func (gatedApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12) }
 
-func (a gatedApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (a gatedApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	a.runs.Add(1)
 	first := false
 	a.once.Do(func() { first = true })

@@ -52,18 +52,14 @@ func TraceTrials(s *Session, name, class string, procs int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.Config()
-	c := faultsim.Campaign{
-		App: a, Class: class, Procs: procs, Trials: cfg.Trials,
-		Seed: cfg.Seed, Timeout: cfg.Timeout,
-	}
+	c := s.campaign(a, class, procs, 1, faultsim.AnyRegion)
 	tr := &Trace{
 		Bench: a.Name(), Class: class, Procs: procs,
 		GoldenOps:      golden.TotalCounts().Total(),
 		UniqueFraction: golden.UniqueFraction(),
 		GoldenCheck:    golden.Check,
 	}
-	for t := 0; t < cfg.Trials; t++ {
+	for t := 0; t < c.Trials; t++ {
 		rec, detail, err := faultsim.TraceTrial(s.Context(), c, golden, t)
 		if err != nil {
 			return nil, err

@@ -28,7 +28,7 @@ func (allocApp) Verify(golden, check []float64) bool {
 	return apps.VerifyRel(golden, check, 1e-6)
 }
 
-func (allocApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, _ string) (apps.RankOutput, error) {
+func (allocApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, _ string, _ *apps.Steps) (apps.RankOutput, error) {
 	x := 1.0 + float64(comm.Rank())
 	for i := 0; i < 512; i++ {
 		x = fc.Add(fc.Mul(x, 1.0000001), 1e-6)

@@ -872,14 +872,12 @@ func runTrial(ctx context.Context, c Campaign, golden *Golden, tab *prefixTable,
 		// Cancellation and harness problems are not application outcomes.
 		return rec, res.Err
 	}
-	// Hash-first contamination check: a rank whose state hash matches the
-	// golden hash is bit-identical (so never diverged, whatever the
-	// tolerance); only mismatching ranks — the contaminated few — pay the
-	// element-wise comparison.
-	hashes := golden.StateHashes()
+	// A rank whose state is bit-identical to the golden's never diverged,
+	// whatever the tolerance, and the test stops at the first word that
+	// differs: only the contaminated few pay diverged's arithmetic.
 	for r := 0; r < c.Procs; r++ {
 		st := res.Outputs[r].State
-		if hashState(st) == hashes[r] {
+		if apps.SameBits(st, golden.States[r]) {
 			continue
 		}
 		if diverged(st, golden.States[r], c.ContaminationTol) {

@@ -169,7 +169,7 @@ func (crashApp) DefaultClass() string       { return "X" }
 func (crashApp) MaxProcs(string) int        { return 8 }
 func (crashApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12) }
 
-func (crashApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (crashApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	s := 0.0
 	for i := 0; i < 100; i++ {
 		s = fc.Add(s, float64(i))
@@ -200,7 +200,7 @@ func (hangApp) DefaultClass() string       { return "X" }
 func (hangApp) MaxProcs(string) int        { return 8 }
 func (hangApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12) }
 
-func (hangApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (hangApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	s := 0.0
 	for i := 0; i < 100; i++ {
 		s = fc.Add(s, float64(i))
@@ -218,7 +218,7 @@ type spinApp struct{ hangApp }
 
 func (spinApp) Name() string { return "spin-test" }
 
-func (spinApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (spinApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	s := 0.0
 	for i := 0; i < 100; i++ {
 		s = fc.Add(s, float64(i))
@@ -262,7 +262,7 @@ func (uniqueHeavyApp) DefaultClass() string       { return "X" }
 func (uniqueHeavyApp) MaxProcs(string) int        { return 8 }
 func (uniqueHeavyApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12) }
 
-func (uniqueHeavyApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (uniqueHeavyApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	s := 0.0
 	for i := 0; i < 100; i++ {
 		s = fc.Add(s, float64(i))

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"resmod/internal/apps"
@@ -39,9 +38,10 @@ type Golden struct {
 	Regions map[string]fpe.Counts
 	// Comm reports the execution's communication volume.
 	Comm simmpi.Stats
-	// StepCounts holds each rank's op counts at each step boundary of an
-	// apps.Stepped app: StepCounts[r][i] after i steps.  Empty for other
-	// apps.  Trials read it to choose the boundary they resume from.
+	// StepCounts holds each rank's op counts at each step boundary the app
+	// marks (see apps.Steps): StepCounts[r][i] after i steps.  Empty for an
+	// app that marks none.  Trials read it to choose the boundary they
+	// resume from.
 	StepCounts [][]fpe.Counts
 
 	// carryBytes is the size of every rank's carry at a boundary, together.
@@ -49,33 +49,7 @@ type Golden struct {
 	// stepHashes holds each rank's carry hash at each boundary, indexed as
 	// StepCounts: what a trial's boundary check compares against.
 	stepHashes [][]uint64
-
-	// hashOnce guards the lazy per-rank state hashes used by the
-	// trial-comparison fast path; unexported so a Golden built by hand
-	// (tests, JSON) still works.
-	hashOnce    sync.Once
-	stateHashes []uint64
 }
-
-// StateHashes returns the per-rank hashes of States, computed once per
-// Golden.  Trials compare a rank's state hash first and fall back to the
-// element-wise scan only on mismatch, so the common uncontaminated-rank
-// case pays one cheap integer pass instead of a float comparison walk.
-func (g *Golden) StateHashes() []uint64 {
-	g.hashOnce.Do(func() {
-		g.stateHashes = make([]uint64, len(g.States))
-		for r, s := range g.States {
-			g.stateHashes[r] = hashState(s)
-		}
-	})
-	return g.stateHashes
-}
-
-// hashState hashes a state vector's exact bit pattern.  Hash equality is
-// taken as bit-identity in the contamination fast path (see
-// apps.HashFloats), and the hash is a pure function of the data, so
-// results stay deterministic across runs and worker schedules.
-func hashState(s []float64) uint64 { return apps.HashFloats(apps.FNVOffset, s) }
 
 // TotalCounts returns the injectable-operation counts summed over ranks.
 func (g *Golden) TotalCounts() fpe.Counts {
@@ -158,19 +132,6 @@ func computeGolden(ctx context.Context, arena *apps.Arena, app apps.App, class s
 	return g, nil
 }
 
-// bitEqual reports whether two vectors are identical bit-for-bit.
-func bitEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // DefaultContaminationTol is the relative state deviation above which a
 // rank counts as contaminated.  It sits at the verification checkers'
 // sensitivity scale: divergence below it is indistinguishable from the
@@ -185,7 +146,7 @@ const DefaultContaminationTol = 1e-10
 // mismatches and non-finite values always count as divergence.
 func diverged(got, golden []float64, tol float64) bool {
 	if tol < 0 {
-		return !bitEqual(got, golden)
+		return !apps.SameBits(got, golden)
 	}
 	if len(got) != len(golden) {
 		return true

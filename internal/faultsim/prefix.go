@@ -36,7 +36,7 @@ type prefixTable struct {
 // app has no boundary to resume from; it holds none when one boundary's
 // states exceed the budget.  The last boundary is never held: code after
 // the loop may read what the last step wrote without carrying it (see
-// apps.Stepped).
+// apps.Steps).
 func newPrefixTable(g *Golden) *prefixTable {
 	if g.carryBytes == 0 || len(g.StepCounts[0]) < 3 {
 		return nil
@@ -59,7 +59,7 @@ func newPrefixTable(g *Golden) *prefixTable {
 // published boundary up to the limit, record the empty ones between it and
 // the limit, and check for reconvergence at the first boundary at which
 // the golden's counts say every injection is due — if the trial's step 0
-// ran clean (see apps.Stepped).  Nil means a run from the start that
+// ran clean (see apps.Steps).  Nil means a run from the start that
 // records and checks nothing.
 func (t *prefixTable) plan(plans map[int][]fpe.Injection) *apps.StepPlan {
 	if t == nil {

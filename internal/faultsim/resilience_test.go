@@ -100,7 +100,7 @@ func (a verifyPanicApp) Verify(g, c []float64) bool {
 	panic("checker bug")
 }
 
-func (verifyPanicApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (verifyPanicApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	s := 0.0
 	for i := 0; i < 100; i++ {
 		s = fc.Add(s, float64(i))
@@ -183,7 +183,7 @@ func (abnormalApp) DefaultClass() string       { return "X" }
 func (abnormalApp) MaxProcs(string) int        { return 8 }
 func (abnormalApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12) }
 
-func (a abnormalApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (a abnormalApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	if a.runs != nil {
 		a.runs.Add(1)
 	}

@@ -27,7 +27,7 @@ func (gaugeApp) DefaultClass() string       { return "X" }
 func (gaugeApp) MaxProcs(string) int        { return 8 }
 func (gaugeApp) Verify(g, c []float64) bool { return apps.VerifyRel(g, c, 1e-12) }
 
-func (a gaugeApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (a gaugeApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	// Count each trial once (rank 0), not once per rank goroutine.
 	if comm.Rank() == 0 {
 		if a.ctxs != nil {
@@ -181,7 +181,7 @@ func TestGoldenSurvivesWorkspaceReuse(t *testing.T) {
 		t.Fatal("no trial contaminated a rank; the test proves nothing")
 	}
 	for r := range want {
-		if !bitEqual(golden.States[r], want[r]) {
+		if !apps.SameBits(golden.States[r], want[r]) {
 			t.Fatalf("rank %d: the golden's State changed under the trials run on its slot", r)
 		}
 	}

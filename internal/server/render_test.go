@@ -140,7 +140,7 @@ func (holdApp) Classes() []string          { return []string{"S", "W"} }
 func (holdApp) DefaultClass() string       { return "S" }
 func (holdApp) MaxProcs(string) int        { return 2 }
 func (holdApp) Verify(_, _ []float64) bool { return true }
-func (holdApp) Run(fc *fpe.Ctx, _ *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (holdApp) Run(fc *fpe.Ctx, _ *simmpi.Comm, class string, _ *apps.Steps) (apps.RankOutput, error) {
 	<-holdGates[class]
 	x := 1.0
 	for i := 0; i < 64; i++ {

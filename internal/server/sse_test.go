@@ -208,7 +208,7 @@ func (gateApp) Classes() []string          { return []string{"S"} }
 func (gateApp) DefaultClass() string       { return "S" }
 func (gateApp) MaxProcs(string) int        { return 2 }
 func (gateApp) Verify(_, _ []float64) bool { return true }
-func (gateApp) Run(*fpe.Ctx, *simmpi.Comm, string) (apps.RankOutput, error) {
+func (gateApp) Run(*fpe.Ctx, *simmpi.Comm, string, *apps.Steps) (apps.RankOutput, error) {
 	<-*gateOpen.Load()
 	return apps.RankOutput{}, errors.New("gate app: no computation")
 }

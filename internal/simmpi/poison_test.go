@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -19,19 +18,6 @@ import (
 	"resmod/internal/simmpi"
 )
 
-// sameBits reports whether two vectors are bit-for-bit equal (NaNs too).
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // sameExecution fails the test unless got is want in everything a campaign
 // reads off an execution: every rank's state and check bits, its op counts
 // and fired-injection records, and the world's message counts.
@@ -44,10 +30,10 @@ func sameExecution(t *testing.T, what string, want, got apps.ExecResult) {
 		t.Errorf("%s: comm stats %+v, fresh run's %+v", what, got.Comm, want.Comm)
 	}
 	for r := range want.Outputs {
-		if !sameBits(got.Outputs[r].State, want.Outputs[r].State) {
+		if !apps.SameBits(got.Outputs[r].State, want.Outputs[r].State) {
 			t.Errorf("%s: rank %d state differs from the fresh run's", what, r)
 		}
-		if !sameBits(got.Outputs[r].Check, want.Outputs[r].Check) {
+		if !apps.SameBits(got.Outputs[r].Check, want.Outputs[r].Check) {
 			t.Errorf("%s: rank %d check %v, fresh run's %v", what, r, got.Outputs[r].Check, want.Outputs[r].Check)
 		}
 		if g, w := got.Ctxs[r].KindCounts(), want.Ctxs[r].KindCounts(); g != w {
@@ -60,7 +46,7 @@ func sameExecution(t *testing.T, what string, want, got apps.ExecResult) {
 		}
 		for i := range g {
 			if g[i].Injection != w[i].Injection || g[i].Op != w[i].Op || g[i].Region != w[i].Region ||
-				!sameBits([]float64{g[i].Before, g[i].After}, []float64{w[i].Before, w[i].After}) {
+				!apps.SameBits([]float64{g[i].Before, g[i].After}, []float64{w[i].Before, w[i].After}) {
 				t.Errorf("%s: rank %d record %d is %+v, fresh run's %+v", what, r, i, g[i], w[i])
 			}
 		}
@@ -109,7 +95,7 @@ type dyingApp struct {
 	stall bool
 }
 
-func (a dyingApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOutput, error) {
+func (a dyingApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string, st *apps.Steps) (apps.RankOutput, error) {
 	seg := make([]float64, 32)
 	full := make([]float64, 32*comm.Size())
 	for i := 0; i < 3; i++ {
@@ -123,7 +109,7 @@ func (a dyingApp) Run(fc *fpe.Ctx, comm *simmpi.Comm, class string) (apps.RankOu
 		comm.Recv(0, 99) // never sent
 	}
 	comm.AllreduceValue(simmpi.OpSum, 1)
-	return a.App.Run(fc, comm, class)
+	return a.App.Run(fc, comm, class, st)
 }
 
 // TestPoisonedReuseAfterAbort: a run that dies mid-collective, and one the

@@ -23,8 +23,15 @@ import (
 // ---- applications ---------------------------------------------------------
 
 // App is a benchmark application: the unit fault injection campaigns run
-// against.  Implement it (and RegisterApp it) to study your own code.
+// against.  Implement it (and RegisterApp it) to study your own code; its
+// Run may ignore the *Steps it is handed.
 type App = apps.App
+
+// Steps is a rank's view of its execution, handed to App.Run: the working
+// set it may draw its arrays from (Floats) and the step boundaries a
+// looping app may mark so trials resume past the prefix they share with
+// the golden run (Resume, Mark).
+type Steps = apps.Steps
 
 // RankOutput is an application rank's final state and verification values.
 type RankOutput = apps.RankOutput
