@@ -221,8 +221,8 @@ extras:      campaign %s
              -tenant-rate/-tenant-burst/-tenant-inflight (keyed limits)
              -anon-rate/-anon-burst/-anon-inflight (anonymous-tier limits)
              -coordinator (shard campaigns across registered workers)
-             -heartbeat-timeout D -shards-per-worker N (coordinator tuning)
-             -sample-every D (telemetry retention/alerting cadence)
+             -heartbeat-timeout D (worker liveness; worker-stale pages on it)
+             -shards-per-worker N -sample-every D (retention, 6 alert rules)
 worker:      worker -coordinator URL -listen HOST:PORT -advertise URL
              -name NAME -campaign-workers N -heartbeat D
              -pprof-addr HOST:PORT (optional net/http/pprof listener;

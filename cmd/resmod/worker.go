@@ -60,7 +60,7 @@ func doWorker(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "host:port to bind the shard endpoint")
 	fs.StringVar(&o.advertise, "advertise", "",
 		"`URL` the coordinator dials back (default http://<bound address>)")
-	fs.StringVar(&o.name, "name", "", "worker label in /v1/workers (default: bound address)")
+	fs.StringVar(&o.name, "name", "", "worker label in the coordinator's /v1/cluster roster (default: bound address)")
 	fs.IntVar(&o.campaignWorkers, "campaign-workers", 0,
 		"trial-level concurrency per shard (default GOMAXPROCS)")
 	fs.DurationVar(&o.heartbeat, "heartbeat", dist.DefaultHeartbeatEvery,

@@ -60,22 +60,6 @@ func (p *Pool) HandleCluster(rw http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// HandleWorkers is the GET /v1/workers endpoint: the registry view.
-func (p *Pool) HandleWorkers(rw http.ResponseWriter, _ *http.Request) {
-	ws := p.Workers()
-	alive := 0
-	for _, w := range ws {
-		if w.Alive {
-			alive++
-		}
-	}
-	writeJSON(rw, http.StatusOK, map[string]any{
-		"coordinator": true,
-		"alive":       alive,
-		"workers":     ws,
-	})
-}
-
 // Handler mounts the coordinator's worker-facing endpoints on a bare
 // mux — the form tests and the bench harness embed; the prediction
 // service mounts the same methods behind its instrumented mux.
@@ -83,7 +67,6 @@ func (p *Pool) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/workers/register", p.HandleRegister)
 	mux.HandleFunc("POST /v1/workers/heartbeat", p.HandleHeartbeat)
-	mux.HandleFunc("GET /v1/workers", p.HandleWorkers)
 	mux.HandleFunc("GET /v1/cluster", p.HandleCluster)
 	return mux
 }

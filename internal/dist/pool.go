@@ -33,7 +33,7 @@ const (
 	// DefaultRetireMultiple sets the default roster-retirement horizon as
 	// a multiple of the heartbeat timeout: a worker silent this long is
 	// not "briefly partitioned", it is gone, and keeping it would grow
-	// the /v1/workers roster and the per-worker /metrics series without
+	// the /v1/cluster roster and the per-worker /metrics series without
 	// bound as workers churn.
 	DefaultRetireMultiple = 12
 )
@@ -50,7 +50,7 @@ type PoolConfig struct {
 	MinShard int
 	// RetireAfter removes a worker from the roster entirely once its
 	// heartbeat has been stale this long (default DefaultRetireMultiple ×
-	// HeartbeatTimeout) — its labeled /metrics series and /v1/workers
+	// HeartbeatTimeout) — its labeled /metrics series and /v1/cluster
 	// entry disappear instead of accumulating forever.  A retired worker
 	// that comes back simply re-registers.
 	RetireAfter time.Duration
@@ -210,10 +210,10 @@ func (p *Pool) alive() []*poolWorker {
 	return out
 }
 
-// WorkerInfo is the /v1/workers and /v1/cluster JSON view of one
-// registered worker.  ShardsDone/ShardsFailed are this coordinator's
-// view of its own dispatches; Stats is the worker's self-reported
-// lifetime snapshot from its latest heartbeat.
+// WorkerInfo is the /v1/cluster JSON view of one registered worker.
+// ShardsDone/ShardsFailed are this coordinator's view of its own
+// dispatches; Stats is the worker's self-reported lifetime snapshot from
+// its latest heartbeat.
 type WorkerInfo struct {
 	ID           string `json:"id"`
 	Name         string `json:"name"`
@@ -298,12 +298,10 @@ func (p *Pool) Stats() PoolStats {
 // labelled series per rostered worker keyed by its registered name.  A
 // worker the pool retires simply stops being reported.
 func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
-	known := telemetry.Value(func() int { return p.Stats().WorkersKnown })
-	alive := telemetry.Value(func() int { return p.Stats().WorkersAlive })
-	reg.GaugeFunc("resmod_dist_workers_known", "Workers ever registered with this coordinator.", known)
-	reg.GaugeFunc("resmod_dist_workers_alive", "Registered workers with a fresh heartbeat.", alive)
-	reg.GaugeFunc("resmod_fleet_workers_known", "Workers ever registered with this coordinator (fleet view).", known)
-	reg.GaugeFunc("resmod_fleet_workers_alive", "Registered workers with a fresh heartbeat (fleet view).", alive)
+	reg.GaugeFunc("resmod_fleet_workers_known", "Workers ever registered with this coordinator (fleet view).",
+		telemetry.Value(func() int { return p.Stats().WorkersKnown }))
+	reg.GaugeFunc("resmod_fleet_workers_alive", "Registered workers with a fresh heartbeat (fleet view).",
+		telemetry.Value(func() int { return p.Stats().WorkersAlive }))
 	for _, c := range []struct {
 		name, help string
 		v          *atomic.Uint64

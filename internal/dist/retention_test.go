@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
-	"net/http"
 	"testing"
 	"time"
 )
@@ -59,76 +57,5 @@ func TestRetireAfterDefault(t *testing.T) {
 	time.Sleep(120 * time.Millisecond) // well past the timeout, well short of 12x
 	if ws := pool.Workers(); len(ws) != 1 || ws[0].Alive {
 		t.Fatalf("dead-but-recent worker = %+v, want still rostered", ws)
-	}
-}
-
-// TestWorkerSeriesEndpoint: a worker retains its own sampled series
-// (piggybacked on the heartbeat ticker) and serves them at /v1/series.
-func TestWorkerSeriesEndpoint(t *testing.T) {
-	cl := startCluster(t, 1, PoolConfig{HeartbeatTimeout: time.Second})
-
-	url := cl.pool.Workers()[0].URL
-	// The sampler ticks with the 25ms heartbeat; wait until the gauge
-	// series has points.
-	deadline := time.Now().Add(5 * time.Second)
-	var series struct {
-		Name   string `json:"name"`
-		Points []struct {
-			T int64   `json:"t"`
-			V float64 `json:"v"`
-		} `json:"points"`
-	}
-	for {
-		resp, err := http.Get(url + "/v1/series?name=shards_inflight")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/series = %s", resp.Status)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&series)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(series.Points) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker series never accumulated points")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if series.Name != "shards_inflight" {
-		t.Fatalf("series name = %q", series.Name)
-	}
-
-	// The bare endpoint is the index: names plus retention windows.
-	resp, err := http.Get(url + "/v1/series")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var index struct {
-		Series  []string `json:"series"`
-		Windows []struct {
-			Step int64 `json:"step_ns"`
-			Cap  int   `json:"cap"`
-		} `json:"windows"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&index); err != nil {
-		t.Fatal(err)
-	}
-	if len(index.Windows) == 0 {
-		t.Fatalf("series index has no windows: %+v", index)
-	}
-	found := false
-	for _, n := range index.Series {
-		if n == "shards_inflight" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("series index %v missing shards_inflight", index.Series)
 	}
 }

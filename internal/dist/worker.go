@@ -36,8 +36,8 @@ type WorkerConfig struct {
 	// Advertise is the URL the coordinator should dial back; empty
 	// derives http://<bound address> from the listener.
 	Advertise string
-	// Name labels the worker in /v1/workers output (default: the bound
-	// address).
+	// Name labels the worker in the coordinator's /v1/cluster roster and
+	// its per-worker /metrics series (default: the bound address).
 	Name string
 	// Workers is the per-shard trial concurrency on this node (default
 	// GOMAXPROCS).  Trial concurrency never affects outcomes, so each
@@ -60,13 +60,10 @@ type Worker struct {
 	// request that started it (a golden flight).
 	life context.Context
 
-	// reg declares this node's /metrics families; series retains the
-	// subset workerRetained names, sampled from the heartbeat loop (no
-	// extra goroutine, and retention stops exactly when the node stops
-	// announcing itself).
-	reg     *telemetry.Registry
-	series  *telemetry.SeriesStore
-	sampler *telemetry.Sampler
+	// reg declares this node's /metrics families.  Their history is
+	// retained at the coordinator, which receives every counter through
+	// the heartbeats (resmod_fleet_worker_*).
+	reg *telemetry.Registry
 
 	id atomic.Value // string: coordinator-assigned worker id
 
@@ -79,17 +76,6 @@ type Worker struct {
 	trialsDone     *telemetry.Counter
 	goldenHits     *telemetry.Counter
 	goldenMisses   *telemetry.Counter
-}
-
-// workerRetained names the worker families GET /v1/series on a worker
-// node keeps history for (family → series name).
-var workerRetained = map[string]string{
-	"resmod_worker_shards_done_total":         "shards_done_total",
-	"resmod_worker_shards_failed_total":       "shards_failed_total",
-	"resmod_worker_trials_done_total":         "trials_done_total",
-	"resmod_worker_golden_cache_hits_total":   "golden_cache_hits_total",
-	"resmod_worker_golden_cache_misses_total": "golden_cache_misses_total",
-	"resmod_worker_shards_inflight":           "shards_inflight",
 }
 
 type goldenKey struct {
@@ -123,7 +109,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		life:    context.Background(),
 		goldens: make(map[goldenKey]*goldenFlight),
 		reg:     reg,
-		series:  telemetry.NewSeriesStore(),
 
 		shardsDone:   reg.Counter("resmod_worker_shards_done_total", "Shards executed and returned."),
 		shardsFailed: reg.Counter("resmod_worker_shards_failed_total", "Shards that ended in an error."),
@@ -136,7 +121,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	reg.GaugeFunc("resmod_worker_uptime_seconds", "Seconds since the worker process started.",
 		telemetry.Value(func() float64 { return time.Since(start).Seconds() }))
-	w.sampler = telemetry.NewSampler(w.series, reg.Source(workerRetained), cfg.HeartbeatEvery)
 	return w, nil
 }
 
@@ -172,9 +156,6 @@ func (w *Worker) Handler() http.Handler {
 		})
 	})
 	mux.Handle("GET /metrics", w.reg)
-	mux.HandleFunc("GET /v1/series", func(rw http.ResponseWriter, r *http.Request) {
-		telemetry.ServeSeries(w.series, rw, r)
-	})
 	return mux
 }
 
@@ -264,10 +245,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, name, advertise string) {
 			case <-ctx.Done():
 				ticker.Stop()
 				return
-			case now := <-ticker.C:
-				// Retention piggybacks on the heartbeat cadence: one
-				// sampler tick per announce, no dedicated timer.
-				w.sampler.SampleNow(now)
+			case <-ticker.C:
 			}
 			if err := w.heartbeat(ctx, id); err != nil {
 				log.Warn("worker heartbeat rejected, re-registering", "err", err)

@@ -16,17 +16,9 @@ const (
 	// shedRateThreshold is sustained shed responses per second before
 	// the shed-rate alert trips (clear at half).
 	shedRateThreshold = 1.0
-	// errorBudget5xx is the allowed non-drain 5xx rate per second; the
-	// http-5xx rule fires when the 5-minute mean burns it more than
-	// burn5xxMultiple times too fast.
-	errorBudget5xx  = 0.1
-	burn5xxMultiple = 2.0
 	// queueSaturationFire/Clear bound the queue-saturation hysteresis.
 	queueSaturationFire  = 0.9
 	queueSaturationClear = 0.7
-	// workerStaleAgeSeconds is the heartbeat age that marks a worker
-	// silently lost: 3× the default 5s coordinator heartbeat timeout.
-	workerStaleAgeSeconds = 15.0
 	// workerFlapRate is alive↔dead transitions per second that count as
 	// flapping (≈ one flap per 20 s, sustained).
 	workerFlapRate = 0.05
@@ -54,20 +46,16 @@ func BuiltinRules(sampleEvery time.Duration) []telemetry.Rule {
 			Help: "Admission control is shedding submissions (rate limit, quota, queue, or drain).",
 		},
 		{
-			Name: "http-5xx", Series: series5xx,
-			Threshold: burn5xxMultiple, Budget: errorBudget5xx,
-			BurnWindow: forSamples(30), For: forSamples(3),
-			Help: "Non-drain 5xx responses are burning the error budget too fast.",
-		},
-		{
 			Name: "queue-saturation", Series: seriesQueueSaturation,
 			Threshold: queueSaturationFire, For: forSamples(3),
 			Clear: &clearSat, ClearFor: forSamples(3),
 			Help: "The admission queue is nearly full; submissions will shed soon.",
 		},
 		{
-			Name: "worker-stale", Series: seriesWorkerHBAge + "/*",
-			Threshold: workerStaleAgeSeconds, For: forSamples(2),
+			// The pool's own liveness judgement, so the page follows the
+			// coordinator's -heartbeat-timeout.
+			Name: "worker-stale", Series: seriesWorkerUp + "/*",
+			Op: "<", Threshold: 0.5, For: forSamples(2),
 			Help: "A registered worker has stopped heartbeating.",
 		},
 		{

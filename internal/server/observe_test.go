@@ -1,14 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -155,222 +153,46 @@ func TestObservabilitySurfaces(t *testing.T) {
 	}
 }
 
-// TestCampaignStallAlert: a campaign whose Done count freezes trips the
-// campaign-stall rule; when the campaign completes, the alert resolves.
-// The campaign is synthetic — events published straight onto the
-// server-wide bus — so the test controls exactly when progress freezes.
-func TestCampaignStallAlert(t *testing.T) {
-	srv, hs := newObsServer(t, Config{SampleEvery: 3 * time.Millisecond})
-
-	srv.progress.Publish(telemetry.ProgressEvent{
-		Kind: telemetry.KindCampaign, Key: "cid:v3/frozen",
-		State: telemetry.StateRunning, Done: 10, Total: 100,
+// TestWorkerSeriesEndpoint: a worker's counters are retained in one
+// place, the coordinator.  A real worker heartbeats its stats, the
+// coordinator's /v1/series keeps their history per worker, and the
+// worker itself serves no series.
+func TestWorkerSeriesEndpoint(t *testing.T) {
+	pool := dist.NewPool(dist.PoolConfig{HeartbeatTimeout: time.Second})
+	_, hs := newObsServer(t, Config{SampleEvery: 5 * time.Millisecond, DistPool: pool})
+	w, err := dist.NewWorker(dist.WorkerConfig{
+		Coordinator: hs.URL, Listen: "127.0.0.1:0", Name: "tw0", HeartbeatEvery: 10 * time.Millisecond,
 	})
-
-	deadline := time.Now().Add(30 * time.Second)
-	for alertState(getAlerts(t, hs.URL), "campaign-stall", "") != telemetry.AlertFiring {
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign-stall never fired: %+v", getAlerts(t, hs.URL).Alerts)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Firing is visible on /metrics and as a KindAlert event on the bus.
-	text := scrape(t, hs.URL)
-	if !strings.Contains(text, `resmod_alerts{rule="campaign-stall",state="firing"} 2`) {
-		t.Fatalf("/metrics missing the firing campaign-stall series:\n%s", text)
-	}
-	sawBusAlert := false
-	for _, ev := range srv.progress.Latest() {
-		if ev.Kind == telemetry.KindAlert && ev.Key == "campaign-stall" {
-			sawBusAlert = true
-		}
-	}
-	if !sawBusAlert {
-		t.Fatal("no campaign-stall alert event on the progress bus")
-	}
-
-	// The campaign finishes: the stall gauge drops and the alert resolves.
-	srv.progress.Publish(telemetry.ProgressEvent{
-		Kind: telemetry.KindCampaign, Key: "cid:v3/frozen",
-		State: telemetry.StateDone, Done: 100, Total: 100,
-	})
-	for alertState(getAlerts(t, hs.URL), "campaign-stall", "") != telemetry.AlertResolved {
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign-stall never resolved: %+v", getAlerts(t, hs.URL).Alerts)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !strings.Contains(scrape(t, hs.URL), `resmod_alerts{rule="campaign-stall",state="resolved"} 3`) {
-		t.Fatal("/metrics missing the resolved campaign-stall series")
-	}
-}
-
-// TestWorkerStaleAlertEndToEnd drives a real firing→resolved incident
-// through every surface at once: a registered worker goes silent, the
-// per-instance worker-stale alert fires (visible on /v1/alerts, the
-// /v1/events SSE stream, and /metrics), and resuming heartbeats
-// resolves it.
-func TestWorkerStaleAlertEndToEnd(t *testing.T) {
-	// RetireAfter stays long so the silent worker remains rostered (and
-	// alerting) instead of being retired out of the fleet mid-test.
-	pool := dist.NewPool(dist.PoolConfig{
-		HeartbeatTimeout: 20 * time.Millisecond,
-		RetireAfter:      time.Minute,
-	})
-	rules := []telemetry.Rule{{
-		Name: "worker-stale", Series: "worker_heartbeat_age_seconds/*",
-		Threshold: 0.15, For: 20 * time.Millisecond,
-		Help: "test-scaled stale-worker rule",
-	}}
-	srv, hs := newObsServer(t, Config{
-		SampleEvery:    5 * time.Millisecond,
-		HeartbeatEvery: 20 * time.Millisecond,
-		DistPool:       pool,
-		AlertRules:     rules,
-	})
-	_ = srv
-
-	// Watch the server-wide SSE stream for alert transitions.
-	sseCtx, sseCancel := context.WithCancel(context.Background())
-	defer sseCancel()
-	req, err := http.NewRequestWithContext(sseCtx, http.MethodGet, hs.URL+"/v1/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/events = %d", resp.StatusCode)
-	}
-	var sseMu sync.Mutex
-	var sseData strings.Builder
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			sseMu.Lock()
-			sseData.WriteString(sc.Text())
-			sseData.WriteByte('\n')
-			sseMu.Unlock()
-		}
-	}()
-	sseSaw := func(substr string) bool {
-		sseMu.Lock()
-		defer sseMu.Unlock()
-		return strings.Contains(sseData.String(), substr)
-	}
+	ctx, cancel := context.WithCancel(telemetry.With(context.Background(),
+		telemetry.New(nil, nil, telemetry.NewRecorder())))
+	t.Cleanup(cancel)
+	go func() { _ = w.Run(ctx) }()
 
-	// A worker registers, heartbeats once, then goes silent.
-	id := pool.Register("w1", "http://127.0.0.1:1")
-	pool.Heartbeat(id, nil)
-
-	deadline := time.Now().Add(30 * time.Second)
-	for alertState(getAlerts(t, hs.URL), "worker-stale", "w1") != telemetry.AlertFiring {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker-stale/w1 never fired: %+v", getAlerts(t, hs.URL).Alerts)
-		}
-		time.Sleep(10 * time.Millisecond)
+	want := []string{
+		"worker_shards_done_total/tw0", "worker_shards_failed_total/tw0", "worker_trials_done_total/tw0",
+		"worker_shards_inflight/tw0", "worker_golden_cache_hits_total/tw0", "worker_golden_cache_misses_total/tw0",
 	}
-	if !strings.Contains(scrape(t, hs.URL),
-		`resmod_alerts{rule="worker-stale",instance="w1",state="firing"} 2`) {
-		t.Fatal("/metrics missing the firing worker-stale series")
-	}
-
-	// The worker comes back: heartbeats resume until the alert resolves.
-	for alertState(getAlerts(t, hs.URL), "worker-stale", "w1") != telemetry.AlertResolved {
-		pool.Heartbeat(id, nil)
-		if time.Now().After(deadline) {
-			t.Fatalf("worker-stale/w1 never resolved: %+v", getAlerts(t, hs.URL).Alerts)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// The SSE stream carried both transitions as KindAlert events.
-	for _, want := range []string{`"kind":"alert"`, `"key":"worker-stale/w1"`, `"state":"resolved"`} {
-		for !sseSaw(want) {
-			if time.Now().After(deadline) {
-				sseMu.Lock()
-				t.Fatalf("SSE stream missing %q:\n%s", want, sseData.String())
+	for _, name := range want {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			_, v := getJSON(t, hs.URL+"/v1/series?name="+name)
+			if pts, _ := v["points"].([]any); len(pts) > 0 {
+				break
 			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-}
-
-// TestRetiredWorkerAlertResolves: the pool retiring a worker is the one
-// retirement signal.  A worker that goes silent fires worker-stale/w1;
-// once RetireAfter empties the roster the alert resolves on its own (no
-// heartbeat ever returns) and the worker's series leave the /v1/series
-// index; the SSE stream replays the resolved transition.
-func TestRetiredWorkerAlertResolves(t *testing.T) {
-	pool := dist.NewPool(dist.PoolConfig{
-		HeartbeatTimeout: 20 * time.Millisecond,
-		// Long enough that a stalled test process still polls inside the
-		// firing window (it opens at ~120ms and closes at retirement).
-		RetireAfter: 1500 * time.Millisecond,
-	})
-	_, hs := newObsServer(t, Config{
-		SampleEvery: 5 * time.Millisecond,
-		DistPool:    pool,
-		AlertRules: []telemetry.Rule{{
-			Name: "worker-stale", Series: "worker_heartbeat_age_seconds/*",
-			Threshold: 0.1, For: 20 * time.Millisecond,
-		}},
-	})
-	pool.Heartbeat(pool.Register("w1", "http://127.0.0.1:1"), nil)
-
-	deadline := time.Now().Add(30 * time.Second)
-	waitFor := func(what string, ok func() bool) {
-		t.Helper()
-		for !ok() {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %+v", what, getAlerts(t, hs.URL).Alerts)
+				t.Fatalf("coordinator series %s never accumulated points", name)
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	waitFor("worker-stale/w1 never fired", func() bool {
-		return alertState(getAlerts(t, hs.URL), "worker-stale", "w1") == telemetry.AlertFiring
-	})
-	waitFor("pool never retired the silent worker", func() bool { return len(pool.Workers()) == 0 })
-	// A few sampler ticks after the roster emptied, nothing is left.
-	waitFor("alert outlived the retired worker", func() bool {
-		ar := getAlerts(t, hs.URL)
-		return ar.Firing == 0 && alertState(ar, "worker-stale", "w1") == ""
-	})
-	if text := scrape(t, hs.URL); !strings.Contains(text, "resmod_alerts_firing 0\n") ||
-		strings.Contains(text, `instance="w1"`) {
-		t.Fatalf("/metrics still shows the retired worker's alert:\n%s", text)
-	}
-	_, index := getJSON(t, hs.URL+"/v1/series")
-	for _, name := range index["series"].([]any) {
-		if strings.HasSuffix(name.(string), "/w1") {
-			t.Errorf("/v1/series index still lists %s", name)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+"/v1/events", nil)
+	resp, err := http.Get(pool.Workers()[0].URL + "/v1/series")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	for sc := bufio.NewScanner(resp.Body); ; {
-		if !sc.Scan() {
-			t.Fatalf("SSE stream never carried worker-stale/w1 resolved: %v", sc.Err())
-		}
-		if line := sc.Text(); strings.Contains(line, `"key":"worker-stale/w1"`) &&
-			strings.Contains(line, `"state":"resolved"`) {
-			break
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("worker GET /v1/series = %s, want 404", resp.Status)
 	}
 }
 

@@ -11,20 +11,27 @@ import (
 // series name): what an alert rule or a dashboard reads.  Value and
 // counter-vs-gauge kind come from the family's declaration; a labelled
 // family fans out to "<series>/<label value>", so wildcard alert rules
-// ("worker_heartbeat_age_seconds/*") track each node independently.
+// ("worker_up/*") track each node independently.
 var retained = map[string]string{
-	"resmod_queue_depth":                        seriesQueueDepth,
-	"resmod_jobs_inflight":                      "jobs_inflight",
-	"resmod_campaigns_running":                  "campaigns_running",
-	"resmod_campaigns_queued":                   "campaigns_queued",
-	"resmod_worker_budget_in_use":               "worker_budget_in_use",
-	"resmod_campaign_trials_total":              "trials_total",
-	"resmod_predictions_rejected_total":         seriesSheds,
-	"resmod_fleet_workers_alive":                "fleet_workers_alive",
-	"resmod_fleet_workers_known":                "fleet_workers_known",
-	"resmod_fleet_worker_heartbeat_age_seconds": seriesWorkerHBAge,
-	"resmod_dist_shards_requeued_total":         seriesRequeues,
-	"resmod_dist_heartbeats_total":              "dist_heartbeats_total",
+	"resmod_queue_depth":                            seriesQueueDepth,
+	"resmod_jobs_inflight":                          "jobs_inflight",
+	"resmod_campaigns_running":                      "campaigns_running",
+	"resmod_campaigns_queued":                       "campaigns_queued",
+	"resmod_worker_budget_in_use":                   "worker_budget_in_use",
+	"resmod_campaign_trials_total":                  "trials_total",
+	"resmod_predictions_rejected_total":             seriesSheds,
+	"resmod_fleet_workers_alive":                    "fleet_workers_alive",
+	"resmod_fleet_workers_known":                    "fleet_workers_known",
+	"resmod_fleet_worker_up":                        seriesWorkerUp,
+	"resmod_fleet_worker_heartbeat_age_seconds":     "worker_heartbeat_age_seconds",
+	"resmod_fleet_worker_shards_done_total":         "worker_shards_done_total",
+	"resmod_fleet_worker_shards_failed_total":       "worker_shards_failed_total",
+	"resmod_fleet_worker_trials_done_total":         "worker_trials_done_total",
+	"resmod_fleet_worker_shards_inflight":           "worker_shards_inflight",
+	"resmod_fleet_worker_golden_cache_hits_total":   "worker_golden_cache_hits_total",
+	"resmod_fleet_worker_golden_cache_misses_total": "worker_golden_cache_misses_total",
+	"resmod_dist_shards_requeued_total":             seriesRequeues,
+	"resmod_dist_heartbeats_total":                  "dist_heartbeats_total",
 }
 
 // Series the alert rules and the derived signals below name.
@@ -32,10 +39,9 @@ const (
 	seriesQueueDepth      = "queue_depth"
 	seriesSheds           = "sheds_total"
 	seriesRequeues        = "dist_shards_requeued_total"
-	seriesWorkerHBAge     = "worker_heartbeat_age_seconds" // + "/" + worker name
+	seriesWorkerUp        = "worker_up" // + "/" + worker name
 	seriesQueueSaturation = "queue_saturation"
 	seriesCampaignsStall  = "campaigns_stalled"
-	series5xx             = "http_5xx_nondrain_total"
 	seriesWorkerFlaps     = "worker_flaps_total" // + "/" + worker name
 )
 
@@ -51,9 +57,7 @@ const (
 //     every alive↔dead transition the coordinator observes, so a node
 //     whose heartbeat keeps lapsing surfaces as a flap rate instead of a
 //     series of isolated staleness blips.
-//   - queue_saturation, trial_latency_p50/p99_seconds and
-//     http_5xx_nondrain_total (5xx responses minus drain sheds, which are
-//     503 by design).
+//   - queue_saturation and trial_latency_p50/p99_seconds.
 type sampleSource struct {
 	s    *Server
 	base telemetry.SampleSource
@@ -70,27 +74,12 @@ func (s *Server) newSampleSource() telemetry.SampleSource {
 }
 
 func (ss *sampleSource) sample() telemetry.Samples {
-	s, m := ss.s, ss.s.metrics
+	s := ss.s
 	smp := ss.base()
 	smp.Gauges[seriesQueueSaturation] = smp.Gauges[seriesQueueDepth] / float64(s.cfg.Queue)
 	trialLat := s.recorder.Snapshot().TrialLatency
 	smp.Gauges["trial_latency_p50_seconds"] = trialLat.Quantile(0.5)
 	smp.Gauges["trial_latency_p99_seconds"] = trialLat.Quantile(0.99)
-
-	var fiveXX, drained uint64
-	m.mu.Lock()
-	for k, v := range m.httpRequests {
-		if k.code >= 500 {
-			fiveXX += v
-		}
-	}
-	m.mu.Unlock()
-	m.tmu.Lock()
-	for _, tm := range m.tenantsByN {
-		drained += tm.shedDrain.Load()
-	}
-	m.tmu.Unlock()
-	smp.Counters[series5xx] = float64(fiveXX - min(drained, fiveXX))
 
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

@@ -15,8 +15,7 @@
 //	GET  /v1/predictions              list known jobs
 //	GET  /v1/status                   aggregate scheduler/progress snapshot
 //	GET  /v1/apps                     registered benchmarks
-//	GET  /v1/workers                  worker roster (coordinator: false off it)
-//	GET  /v1/cluster                  fleet view (workers, stats, liveness)
+//	GET  /v1/cluster                  worker roster, stats, liveness
 //	GET  /healthz                     liveness + queue snapshot
 //	GET  /metrics                     Prometheus text exposition
 //
@@ -81,9 +80,6 @@ type Config struct {
 	// 10s); tests shrink it.  Sampling is observation-only — it reads
 	// atomic counters and published snapshots, never engine state.
 	SampleEvery time.Duration
-	// AlertRules replaces the built-in alert rule set when non-empty
-	// (BuiltinRules documents the defaults).
-	AlertRules []telemetry.Rule
 	// Store, when non-nil, persists campaign summaries and prediction
 	// rows so identical work is computed once ever.
 	Store *store.Store
@@ -91,7 +87,7 @@ type Config struct {
 	// are sharded across the pool's registered workers (falling back to
 	// local execution while none are alive), and the worker control
 	// plane (/v1/workers/register, /v1/workers/heartbeat) is mounted.
-	// GET /v1/workers is served either way, answering coordinator:false
+	// GET /v1/cluster is served either way, answering coordinator:false
 	// on plain servers.
 	DistPool *dist.Pool
 	// APIKeys maps API keys (sent as X-API-Key or Authorization: Bearer)
@@ -182,11 +178,7 @@ func New(cfg Config) *Server {
 	// results stay byte-identical with the whole stack enabled.
 	s.series = telemetry.NewSeriesStore()
 	s.sampler = telemetry.NewSampler(s.series, s.newSampleSource(), cfg.SampleEvery)
-	rules := cfg.AlertRules
-	if len(rules) == 0 {
-		rules = BuiltinRules(cfg.SampleEvery)
-	}
-	s.alerts = telemetry.NewAlertEngine(s.series, s.progress, rules)
+	s.alerts = telemetry.NewAlertEngine(s.series, s.progress, BuiltinRules(cfg.SampleEvery))
 	s.sampler.OnSample(func(now time.Time) { s.alerts.Evaluate(now) })
 
 	sessCfg := exper.Config{
@@ -216,7 +208,6 @@ func New(cfg Config) *Server {
 	mux.Handle("GET /v1/alerts", s.instrument("/v1/alerts", s.handleAlerts))
 	mux.Handle("GET /v1/events", s.instrument("/v1/events", s.handleServerEvents))
 	mux.Handle("GET /v1/apps", s.instrument("/v1/apps", s.handleApps))
-	mux.Handle("GET /v1/workers", s.instrument("/v1/workers", s.handleWorkers))
 	mux.Handle("GET /v1/cluster", s.instrument("/v1/cluster", s.handleCluster))
 	if cfg.DistPool != nil {
 		mux.Handle("POST /v1/workers/register",
@@ -723,21 +714,6 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 		infos = append(infos, info)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"apps": infos})
-}
-
-// handleWorkers is GET /v1/workers: the distributed-execution registry
-// view.  On a non-coordinator server it answers coordinator:false with
-// an empty worker list, so load harnesses can probe any instance.
-func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.DistPool == nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"coordinator": false,
-			"alive":       0,
-			"workers":     []dist.WorkerInfo{},
-		})
-		return
-	}
-	s.cfg.DistPool.HandleWorkers(w, r)
 }
 
 // handleCluster is GET /v1/cluster: the fleet view — pool counters plus

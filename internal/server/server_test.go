@@ -482,15 +482,19 @@ func TestForcedDrainCancelsInflight(t *testing.T) {
 	}
 }
 
-// TestWorkersEndpoint: /v1/workers answers on every server —
-// coordinator:false on a plain one, the registry view (register +
-// heartbeat reflected) on a coordinator.  A distributed prediction run
-// end-to-end lives in internal/dist and scripts/distcheck.sh.
+// TestWorkersEndpoint: /v1/workers is the worker control plane and
+// nothing else.  A plain server mounts none of it; a coordinator answers
+// register (400 without a callback url) and heartbeat (404 for an
+// unknown id, the worker's cue to re-register), while a GET on
+// /v1/workers finds no roster — that lives at /v1/cluster alone.
 func TestWorkersEndpoint(t *testing.T) {
+	notFound := func(code int) bool {
+		return code == http.StatusNotFound || code == http.StatusMethodNotAllowed
+	}
 	_, hs := newTestServer(t, nil, 1, 4)
-	_, v := getJSON(t, hs.URL+"/v1/workers")
-	if v["coordinator"] != false {
-		t.Fatalf("plain server /v1/workers = %v, want coordinator:false", v)
+	if code, _ := do(t, http.MethodPost, hs.URL+"/v1/workers/register",
+		`{"name":"w-test","url":"http://127.0.0.1:1"}`, nil); !notFound(code) {
+		t.Fatalf("plain server POST /v1/workers/register = %d, want 404 or 405", code)
 	}
 
 	pool := dist.NewPool(dist.PoolConfig{HeartbeatTimeout: time.Second})
@@ -502,49 +506,38 @@ func TestWorkersEndpoint(t *testing.T) {
 		defer cancel()
 		_ = srv.Close(ctx)
 	})
+	if code, _ := postJSON(t, hs2.URL+"/v1/workers/register", `{"name":"w-test"}`); code != http.StatusBadRequest {
+		t.Fatalf("register without url = %d, want 400", code)
+	}
 	code, reg := postJSON(t, hs2.URL+"/v1/workers/register",
 		`{"name":"w-test","url":"http://127.0.0.1:1"}`)
 	if code != http.StatusOK || reg["id"] == "" {
 		t.Fatalf("register = %d %v", code, reg)
 	}
-	code, _ = postJSON(t, hs2.URL+"/v1/workers/heartbeat",
-		`{"id":"`+reg["id"].(string)+`"}`)
-	if code != http.StatusOK {
+	if code, _ = postJSON(t, hs2.URL+"/v1/workers/heartbeat",
+		`{"id":"`+reg["id"].(string)+`"}`); code != http.StatusOK {
 		t.Fatalf("heartbeat = %d", code)
 	}
-	_, view := getJSON(t, hs2.URL+"/v1/workers")
-	if view["coordinator"] != true || view["alive"] != float64(1) {
-		t.Fatalf("coordinator /v1/workers = %v, want coordinator:true alive:1", view)
+	if code, _ = postJSON(t, hs2.URL+"/v1/workers/heartbeat", `{"id":"no-such-worker"}`); code != http.StatusNotFound {
+		t.Fatalf("heartbeat for an unknown id = %d, want 404", code)
 	}
-	// The dist metric families appear on coordinators.
-	resp, err := http.Get(hs2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	for _, family := range []string{
-		"resmod_dist_workers_alive 1",
-		"resmod_dist_heartbeats_total 1",
-		"resmod_dist_shards_dispatched_total 0",
-	} {
-		if !strings.Contains(buf.String(), family) {
-			t.Errorf("/metrics missing %q", family)
-		}
+	if code, _ := do(t, http.MethodGet, hs2.URL+"/v1/workers", "", nil); !notFound(code) {
+		t.Fatalf("coordinator GET /v1/workers = %d, want 404 or 405", code)
 	}
 }
 
-// TestClusterEndpointAndFleetMetrics: /v1/cluster answers on every
-// server (coordinator:false on a plain one) and a coordinator's
-// /metrics grows per-worker resmod_fleet_* series from heartbeat stats.
+// TestClusterEndpointAndFleetMetrics: /v1/cluster, the one roster
+// endpoint, answers on every server — coordinator:false and an empty
+// roster on a plain one, the registry view (register + heartbeat
+// reflected) on a coordinator — and a coordinator's /metrics grows the
+// pool counters and per-worker resmod_fleet_* series from heartbeat
+// stats.  A distributed prediction run end-to-end lives in internal/dist
+// and scripts/distcheck.sh.
 func TestClusterEndpointAndFleetMetrics(t *testing.T) {
 	_, hs := newTestServer(t, nil, 1, 4)
 	_, v := getJSON(t, hs.URL+"/v1/cluster")
-	if v["coordinator"] != false {
-		t.Fatalf("plain server /v1/cluster = %v, want coordinator:false", v)
+	if ws, ok := v["workers"].([]any); v["coordinator"] != false || v["workers_alive"] != float64(0) || !ok || len(ws) != 0 {
+		t.Fatalf("plain server /v1/cluster = %v, want coordinator:false and no workers", v)
 	}
 
 	pool := dist.NewPool(dist.PoolConfig{HeartbeatTimeout: time.Minute})
@@ -596,6 +589,8 @@ func TestClusterEndpointAndFleetMetrics(t *testing.T) {
 		"resmod_fleet_workers_alive 1",
 		"resmod_fleet_workers_known 1",
 		"resmod_fleet_progress_reports_total 0",
+		"resmod_dist_heartbeats_total 1",
+		"resmod_dist_shards_dispatched_total 0",
 		`resmod_fleet_worker_up{worker="w-fleet"} 1`,
 		`resmod_fleet_worker_trials_done_total{worker="w-fleet"} 42`,
 		`resmod_fleet_worker_shards_done_total{worker="w-fleet"} 0`,

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -35,15 +34,10 @@ const (
 // The grammar is deliberately small: a rule watches one series (exact
 // name, or a trailing "/*" prefix wildcard that tracks each matching
 // instance independently), compares its latest value against Threshold
-// with Op, and fires after the comparison has held for For.  Two
-// refinements cover real SLO practice:
-//
-//   - Hysteresis: Clear, when set, is a separate threshold the value
-//     must cross back over (for ClearFor) before the alert resolves, so
-//     a series oscillating around Threshold does not flap.
-//   - Burn rate: when Budget > 0, the rule compares the series' mean
-//     over BurnWindow divided by Budget — "we are consuming our error
-//     budget N× too fast" — instead of the instantaneous value.
+// with Op, and fires after the comparison has held for For.  Hysteresis
+// refines it: Clear, when set, is a separate threshold the value must
+// cross back over (for ClearFor) before the alert resolves, so a series
+// oscillating around Threshold does not flap.
 type Rule struct {
 	// Name identifies the rule in /v1/alerts, metrics, and bus events.
 	Name string `json:"name"`
@@ -63,14 +57,6 @@ type Rule struct {
 	// ClearFor is how long the cleared condition must hold before
 	// firing→resolved (0: resolve on first clear reading).
 	ClearFor time.Duration `json:"clear_for_ns,omitempty"`
-	// Budget and BurnWindow switch the rule to burn-rate mode: the
-	// compared value becomes mean(series over BurnWindow) / Budget.
-	Budget     float64       `json:"budget,omitempty"`
-	BurnWindow time.Duration `json:"burn_window_ns,omitempty"`
-	// MaxAge drops stale inputs: a latest point older than MaxAge is
-	// treated as "no data" and leaves the alert state unchanged
-	// (0: accept any age).
-	MaxAge time.Duration `json:"max_age_ns,omitempty"`
 	// Help is the operator-facing one-liner shown in /v1/alerts.
 	Help string `json:"help,omitempty"`
 }
@@ -115,8 +101,7 @@ type Alert struct {
 	Series   string  `json:"series"`
 	State    string  `json:"state"`
 	Value    float64 `json:"value"`
-	// Threshold echoes the rule's trip level (burn-rate rules report the
-	// burn multiple, so Threshold is the allowed multiple).
+	// Threshold echoes the rule's trip level.
 	Threshold float64 `json:"threshold"`
 	// SinceUnix is when the alert entered its current state.
 	SinceUnix int64  `json:"since_unix,omitempty"`
@@ -184,7 +169,7 @@ func (e *AlertEngine) Evaluate(now time.Time) []Alert {
 	}
 	for _, r := range e.rules {
 		for _, inst := range e.instancesLocked(r) {
-			v, ok := e.ruleValue(r, inst.series, now)
+			p, ok := e.store.Latest(inst.series)
 			if !ok {
 				continue
 			}
@@ -195,8 +180,8 @@ func (e *AlertEngine) Evaluate(now time.Time) []Alert {
 				e.states[key] = st
 			}
 			prev := st.state
-			e.step(r, st, v, now)
-			st.lastValue = v
+			e.step(r, st, p.Value, now)
+			st.lastValue = p.Value
 			if st.state != prev {
 				transition(r, inst, st)
 			}
@@ -249,27 +234,6 @@ func (e *AlertEngine) instancesLocked(r Rule) []ruleInstance {
 		}
 	}
 	return out
-}
-
-// ruleValue computes the compared value for one rule instance: the
-// latest point (threshold mode) or the windowed mean over the budget
-// (burn-rate mode).  ok is false on no/stale data.
-func (e *AlertEngine) ruleValue(r Rule, series string, now time.Time) (float64, bool) {
-	if r.Budget > 0 && r.BurnWindow > 0 {
-		mean, n := e.store.MeanSince(series, now.Add(-r.BurnWindow))
-		if n == 0 {
-			return 0, false
-		}
-		return mean / r.Budget, true
-	}
-	p, ok := e.store.Latest(series)
-	if !ok {
-		return 0, false
-	}
-	if r.MaxAge > 0 && now.Unix()-p.Unix > int64(r.MaxAge/time.Second) {
-		return 0, false
-	}
-	return p.Value, true
 }
 
 // step advances one state machine by one reading.
@@ -350,22 +314,4 @@ func (e *AlertEngine) Alerts() []Alert {
 		return out[i].Instance < out[j].Instance
 	})
 	return out
-}
-
-// Validate rejects malformed rules before an engine is built from
-// operator input.
-func (r Rule) Validate() error {
-	if r.Name == "" {
-		return fmt.Errorf("alert rule: name is required")
-	}
-	if r.Series == "" {
-		return fmt.Errorf("alert rule %s: series is required", r.Name)
-	}
-	if r.Op != "" && r.Op != ">" && r.Op != "<" {
-		return fmt.Errorf("alert rule %s: op must be \">\" or \"<\", got %q", r.Name, r.Op)
-	}
-	if (r.Budget > 0) != (r.BurnWindow > 0) {
-		return fmt.Errorf("alert rule %s: budget and burn_window must be set together", r.Name)
-	}
-	return nil
 }

@@ -224,20 +224,6 @@ func (s *SeriesStore) Latest(name string) (SamplePoint, bool) {
 	return SamplePoint{Unix: newest.bucket, Value: newest.sum / float64(newest.n)}, true
 }
 
-// MeanSince returns the mean of the named series' points at or after
-// since, with the number of points averaged.  Nil-safe.
-func (s *SeriesStore) MeanSince(name string, since time.Time) (float64, int) {
-	pts := s.Query(name, since, 0)
-	if len(pts) == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += p.Value
-	}
-	return sum / float64(len(pts)), len(pts)
-}
-
 // Query returns the named series' points at or after since, oldest
 // first, from the finest window that still covers since (a query
 // reaching past the fine ring's horizon answers from the coarse one).
@@ -311,9 +297,8 @@ type SampleSource func() Samples
 
 // Sampler periodically reads a SampleSource into a SeriesStore,
 // converting counters into rates via consecutive-tick deltas.  Drive it
-// either with Run (own ticker goroutine) or by calling SampleNow from
-// an existing loop — the worker piggybacks sampling on its heartbeat
-// ticks that way.
+// with Run (own ticker goroutine), or call SampleNow at instants of the
+// caller's choosing.
 type Sampler struct {
 	store *SeriesStore
 	src   SampleSource

@@ -4,8 +4,8 @@
 # prediction through the sharded HTTP path, SIGKILLs one worker while
 # shards are in flight, and asserts the job still completes with a
 # result byte-identical (wall-time fields excluded) to a plain
-# single-node run.  Also checks the worker roster and cluster endpoints,
-# the resmod_dist_* / resmod_fleet_* metric families, the merged
+# single-node run.  Also checks the cluster roster endpoint, the
+# resmod_dist_* / resmod_fleet_* metric families, the merged
 # cross-fleet job trace (spans from both workers), and the SSE progress
 # stream (monotone campaign progress while shards run elsewhere).  The
 # JSON report lands in DISTCHECK_OUT (default distcheck.json) and the
@@ -46,8 +46,8 @@ go build -o "$workdir/resmod" ./cmd/resmod
 # --- baseline: plain single-node run -------------------------------------
 boot local
 # Plain servers must still answer the roster endpoint, as a non-coordinator.
-get_has "http://$addr/v1/workers" '"coordinator": \?false' ||
-    fail "plain server /v1/workers did not report coordinator: false"
+get_has "http://$addr/v1/cluster" '"coordinator": \?false' ||
+    fail "plain server /v1/cluster did not report coordinator: false"
 predict "$addr" "$workdir/job-local.json"
 shutdown
 
@@ -67,19 +67,17 @@ w2pid=$!
 disown "$w2pid"
 extra_pids+=("$w2pid")
 for _ in $(seq 1 100); do
-    get_has "http://$coord_addr/v1/workers" '"alive": \?2\b' && break
+    get_has "http://$coord_addr/v1/cluster" '"workers_alive": \?2\b' && break
     kill -0 "$w1pid" 2>/dev/null || fail "worker 1 exited before registering"
     kill -0 "$w2pid" 2>/dev/null || fail "worker 2 exited before registering"
     sleep 0.1
 done
-get_has "http://$coord_addr/v1/workers" '"coordinator": \?true' ||
-    fail "coordinator /v1/workers did not report coordinator: true"
-get_has "http://$coord_addr/v1/workers" '"alive": \?2\b' ||
-    fail "two workers never became alive"
 # The cluster view and fleet families see both workers before any loss.
 cluster=$(curl -fsS "http://$coord_addr/v1/cluster")
+grep -q '"coordinator": \?true' <<<"$cluster" ||
+    fail "coordinator /v1/cluster did not report coordinator: true"
 grep -q '"workers_alive": \?2\b' <<<"$cluster" ||
-    fail "/v1/cluster did not report workers_alive: 2"
+    fail "two workers never became alive"
 m=$(curl -fsS "http://$coord_addr/metrics")
 grep -q '^resmod_fleet_workers_alive 2$' <<<"$m" ||
     fail "resmod_fleet_workers_alive != 2 with both workers up"
@@ -176,7 +174,7 @@ localn=$(echo "$metrics" | awk '/^resmod_dist_shards_local_total / {print $2}')
     fail "resmod_dist_shards_dispatched_total missing or zero"
 [ -n "$completed" ] && [ "$completed" -ge 1 ] ||
     fail "no shard completed over the distributed path"
-grep -q '^resmod_dist_workers_known 2$' <<<"$metrics" ||
+grep -q '^resmod_fleet_workers_known 2$' <<<"$metrics" ||
     fail "coordinator does not know 2 workers"
 
 # The distributed result (after losing a worker mid-run) must match the
