@@ -507,11 +507,11 @@ func TestBadPriority(t *testing.T) {
 
 // TestOverloadShedsNeverErrors drives a quota-constrained server with
 // concurrent mixed traffic from three tenants, the way a well-behaved
-// client would: a POST keeps its Idempotency-Key across retries and
-// honours Retry-After.  Overload must surface as 429 + Retry-After, never
-// as a 5xx; every tenant must still get work in; and the server must
-// drain cleanly afterwards.  The load is a fixed number of requests, not
-// a duration.
+// client would: a shed POST is retried with the same body, which names
+// the same job, after its Retry-After.  Overload must surface as 429 +
+// Retry-After, never as a 5xx; every tenant must still get work in; and
+// the server must drain cleanly afterwards.  The load is a fixed number
+// of requests, not a duration.
 func TestOverloadShedsNeverErrors(t *testing.T) {
 	srv, hs := newHardenedServer(t, Config{
 		Trials: 10, Seed: 42, Workers: 2, Queue: 8,
@@ -536,7 +536,7 @@ func TestOverloadShedsNeverErrors(t *testing.T) {
 	var admitted [3]atomic.Int64
 	// send issues one request and checks its answer: 2xx, or 429 with a
 	// positive integer Retry-After — anything else is a server bug here.
-	send := func(method, path, key, idemKey, body string) (int, http.Header, []byte) {
+	send := func(method, path, key, body string) (int, http.Header, []byte) {
 		req, err := http.NewRequest(method, hs.URL+path, strings.NewReader(body))
 		if err != nil {
 			t.Error(err)
@@ -544,9 +544,6 @@ func TestOverloadShedsNeverErrors(t *testing.T) {
 		}
 		if key != "" {
 			req.Header.Set("X-API-Key", key)
-		}
-		if idemKey != "" {
-			req.Header.Set(IdempotencyKeyHeader, idemKey)
 		}
 		resp, err := hs.Client().Do(req)
 		if err != nil {
@@ -567,11 +564,11 @@ func TestOverloadShedsNeverErrors(t *testing.T) {
 		}
 		return resp.StatusCode, resp.Header, b
 	}
-	// post submits one prediction, retrying a shed answer under the same
-	// Idempotency-Key, and returns the job id once admitted.
-	post := func(tenant int, idemKey, body string) string {
+	// post submits one prediction, retrying a shed answer with the same
+	// body, and returns the job id once admitted.
+	post := func(tenant int, body string) string {
 		for attempt := 0; ; attempt++ {
-			code, hdr, b := send(http.MethodPost, "/v1/predictions", keys[tenant], idemKey, body)
+			code, hdr, b := send(http.MethodPost, "/v1/predictions", keys[tenant], body)
 			if code/100 == 2 {
 				admitted[tenant].Add(1)
 				var v struct{ ID string }
@@ -601,16 +598,15 @@ func TestOverloadShedsNeverErrors(t *testing.T) {
 				// a GET before anything was admitted submits instead.
 				switch n := rng.Intn(100); {
 				case n < 60 || n < 85 && len(known) == 0:
-					idemKey := fmt.Sprintf("client%d-%d", c, i)
-					if id := post(tenant, idemKey, bodies[rng.Intn(len(bodies))]); id != "" {
+					if id := post(tenant, bodies[rng.Intn(len(bodies))]); id != "" {
 						known = append(known, id)
 					}
 				case n < 85:
-					send(http.MethodGet, "/v1/predictions/"+known[rng.Intn(len(known))], keys[tenant], "", "")
+					send(http.MethodGet, "/v1/predictions/"+known[rng.Intn(len(known))], keys[tenant], "")
 				case n < 95:
-					send(http.MethodGet, "/healthz", keys[tenant], "", "")
+					send(http.MethodGet, "/healthz", keys[tenant], "")
 				default:
-					send(http.MethodGet, "/metrics", keys[tenant], "", "")
+					send(http.MethodGet, "/metrics", keys[tenant], "")
 				}
 			}
 		}(c)

@@ -59,9 +59,7 @@ type metrics struct {
 
 	campaigns *telemetry.Counter // campaigns actually executed (not cached)
 
-	authFailures  *telemetry.Counter // submissions with an unknown API key
-	idemReplays   *telemetry.Counter // responses replayed from an idempotency record
-	idemConflicts *telemetry.Counter // idempotency keys reused with a different payload
+	authFailures *telemetry.Counter // submissions with an unknown API key
 
 	latency *telemetry.Histogram
 
@@ -107,10 +105,6 @@ func newMetrics(s *Server) *metrics {
 		"Submissions refused because the queue was full or the server was draining.")
 	m.authFailures = reg.Counter("resmod_auth_failures_total",
 		"Submissions refused for carrying an unknown API key.")
-	m.idemReplays = reg.Counter("resmod_idempotent_replays_total",
-		"POST responses replayed verbatim from an idempotency record.")
-	m.idemConflicts = reg.Counter("resmod_idempotent_conflicts_total",
-		"Idempotency keys reused with a different request payload (409).")
 	m.jobsDone = reg.Counter("resmod_jobs_done_total", "Prediction jobs completed successfully.")
 	m.jobsFailed = reg.Counter("resmod_jobs_failed_total", "Prediction jobs that ended in an error.")
 	m.jobsCanceled = reg.Counter("resmod_jobs_canceled_total", "Prediction jobs canceled by shutdown.")

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -84,9 +83,9 @@ func TestRenderersAgree(t *testing.T) {
 }
 
 // TestTerminalDocumentByteIdentical: for a done job — computed here or
-// born done from the store after a restart — the GET body, the POST-join
-// body and an Idempotency-Key replay are the encoder rendering of the
-// job's view, and a terminal document is built once.
+// born done from the store after a restart — the GET body and the
+// POST-join body are the encoder rendering of the job's view, and a
+// terminal document is built once.
 func TestTerminalDocumentByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	for _, restarted := range []bool{false, true} {
@@ -108,12 +107,9 @@ func TestTerminalDocumentByteIdentical(t *testing.T) {
 
 		j := jobOf(t, srv, id)
 		want := encoderRender(t, j.view())
-		hdr := map[string]string{IdempotencyKeyHeader: fmt.Sprint("render-once-", restarted)}
 		bodies := map[string][]byte{}
 		_, bodies["GET"] = do(t, http.MethodGet, url+"/"+id, "", nil)
 		_, bodies["POST-join"] = do(t, http.MethodPost, url, predBody, nil)
-		_, bodies["keyed POST"] = do(t, http.MethodPost, url, predBody, hdr)
-		_, bodies["replay"] = do(t, http.MethodPost, url, predBody, hdr)
 		for name, got := range bodies {
 			if !bytes.Equal(got, want) {
 				t.Errorf("restarted=%v: %s body\n%s\nwant the encoder rendering\n%s", restarted, name, got, want)
@@ -149,10 +145,9 @@ func (holdApp) Run(fc *fpe.Ctx, _ *simmpi.Comm, class string, _ *apps.Steps) (ap
 	return apps.RankOutput{State: []float64{x}, Check: []float64{x}}, nil
 }
 
-// TestDocumentFollowsJobState: a job's GET is queued, then running, then
-// done, each the encoder rendering of the view at that moment; nothing is
-// stored before the job is terminal.
-func TestDocumentFollowsJobState(t *testing.T) {
+// holdClasses registers HoldTest and gives each of its classes a fresh
+// gate, which the test's cleanup closes if the test did not.
+func holdClasses(t *testing.T) {
 	holdOnce.Do(func() { apps.Register(holdApp{}) })
 	holdGates = map[string]chan struct{}{"S": make(chan struct{}), "W": make(chan struct{})}
 	t.Cleanup(func() {
@@ -164,6 +159,13 @@ func TestDocumentFollowsJobState(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDocumentFollowsJobState: a job's GET is queued, then running, then
+// done, each the encoder rendering of the view at that moment; nothing is
+// stored before the job is terminal.
+func TestDocumentFollowsJobState(t *testing.T) {
+	holdClasses(t)
 	srv, hs := newTestServer(t, nil, 1, 4)
 	url := hs.URL + "/v1/predictions"
 

@@ -121,8 +121,8 @@ type job struct {
 	elapsed   time.Duration
 	tracer    *telemetry.Tracer // per-job spans, set when the job starts
 	// doc is the job's API document, rendered once when the job turns
-	// terminal and sent as is from then on (shared with idempotency
-	// records, so nothing may write to it).  A terminal view cannot
+	// terminal and sent as is from then on (shared by every response,
+	// so nothing may write to it).  A terminal view cannot
 	// change: promotion moves only queued jobs, and a failed or canceled
 	// job is replaced in s.jobs, never mutated, so nothing ever has to
 	// invalidate these bytes.

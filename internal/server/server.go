@@ -146,7 +146,6 @@ type Server struct {
 	wg        sync.WaitGroup
 	queue     *jobQueue
 	tenants   *tenants
-	idem      *idemIndex
 
 	mu   sync.Mutex
 	jobs map[string]*job
@@ -161,7 +160,6 @@ func New(cfg Config) *Server {
 		quit:    make(chan struct{}),
 		queue:   newJobQueue(cfg.Queue),
 		tenants: newTenants(cfg.APIKeys, cfg.TenantLimits, cfg.AnonLimits),
-		idem:    newIdemIndex(cfg.Store),
 		jobs:    make(map[string]*job),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
@@ -430,9 +428,12 @@ func (s *Server) validate(req PredictionRequest) (PredictionRequest, error) {
 }
 
 // handleSubmit is POST /v1/predictions: tenant resolution, token-bucket
-// rate limiting, validation, idempotency replay, content-addressed
-// dedup, inflight quota, then priority-queue admission — in that order,
-// so overload is shed as early and as cheaply as possible.
+// rate limiting, validation, content-addressed dedup, inflight quota,
+// then priority-queue admission — in that order, so overload is shed as
+// early and as cheaply as possible.  The job id is a function of the
+// request and the protocol, so it is the idempotency key: a retried POST
+// joins the live job, is served the stored row, or re-queues a failed or
+// canceled one, all under the same id.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant, authOK := s.tenants.resolve(r)
 	if !authOK {
@@ -471,28 +472,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Idempotency replay: a retried request (same tenant, same key)
-	// answers with the original response verbatim — same status, body and
-	// job id — no matter what the queue looks like now.
-	idemKey := r.Header.Get(IdempotencyKeyHeader)
-	reqHash := ""
-	if idemKey != "" {
-		reqHash = requestHash(req)
-		if rec, found := s.idem.lookup(tenant, idemKey); found {
-			if rec.RequestHash != reqHash {
-				s.metrics.idemConflicts.Add(1)
-				writeError(w, http.StatusConflict,
-					"Idempotency-Key %q was already used with a different request", idemKey)
-				return
-			}
-			s.materializeReplayed(rec)
-			s.metrics.idemReplays.Add(1)
-			w.Header().Set(IdempotencyReplayHeader, "true")
-			writeJSONRaw(w, rec.Status, rec.Body)
-			return
-		}
-	}
-
 	key := req.key(s.cfg.Trials, s.cfg.Seed)
 	id := jobID(key)
 	reqID := r.Header.Get(requestIDHeader)
@@ -522,19 +501,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	code, body := http.StatusOK, []byte(nil)
 	if admitted != nil {
-		code, body = http.StatusAccepted, marshalBody(*admitted)
-	} else {
-		body = j.body()
+		writeJSONRaw(w, http.StatusAccepted, marshalBody(*admitted))
+		return
 	}
-	// Successful admissions only are recorded: shed answers must stay
-	// retryable under the same key.
-	if idemKey != "" {
-		s.idem.record(idemRecord{Tenant: tenant, Key: idemKey, RequestHash: reqHash,
-			Request: req, Status: code, Body: body, JobID: id})
-	}
-	writeJSONRaw(w, code, body)
+	writeJSONRaw(w, http.StatusOK, j.body())
 }
 
 // join counts a submission that joins an existing job; a higher-priority
@@ -605,31 +576,6 @@ func (s *Server) admit(nj *job) (*job, *Prediction, *refusal) {
 	tm.queued.Add(1)
 	v := nj.view()
 	return nj, &v, nil
-}
-
-// materializeReplayed rebuilds the jobs-map entry behind a replayed
-// response when the process restarted since the original admission: if
-// the prediction finished and persisted, GET /v1/predictions/{id} works
-// again immediately.  Nothing to do when the job is still known.  The
-// store is read outside s.mu, like on the submit path.
-func (s *Server) materializeReplayed(rec idemRecord) {
-	s.mu.Lock()
-	_, known := s.jobs[rec.JobID]
-	s.mu.Unlock()
-	if known {
-		return
-	}
-	key := rec.Request.key(s.cfg.Trials, s.cfg.Seed)
-	row, ok := s.getPrediction(key)
-	if !ok {
-		return
-	}
-	j := storedJob(rec.JobID, key, rec.Request, "", rec.Tenant, PrioNormal, row)
-	s.mu.Lock()
-	if _, known := s.jobs[rec.JobID]; !known {
-		s.jobs[rec.JobID] = j
-	}
-	s.mu.Unlock()
 }
 
 // pathJob returns the job the request path names, answering 404 (and

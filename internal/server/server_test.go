@@ -239,6 +239,106 @@ func TestWarmAcrossRestart(t *testing.T) {
 	}
 }
 
+// staleKey is a client's Idempotency-Key retry token.  The server ignores
+// it: a retry is addressed by its body.
+var staleKey = map[string]string{"Idempotency-Key": "retry-1"}
+
+// TestRetryRequeuesCanceledAcrossRestart: a job canceled by a drain left
+// nothing in the store, so its retry against the restarted server
+// queues it again under the same id — pollable, and computed to done.
+func TestRetryRequeuesCanceledAcrossRestart(t *testing.T) {
+	holdClasses(t)
+	dir := t.TempDir()
+	st1, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := New(Config{Trials: 10, Seed: 42, Workers: 1, Queue: 8, Store: st1})
+	hs1 := httptest.NewServer(srv1.Handler())
+	defer hs1.Close()
+
+	// The blocker holds the only worker, so the prediction stays queued
+	// until the drain cancels it.
+	blocker := submit(t, hs1.URL, `{"app":"HoldTest","class":"W","small":1,"large":2}`)
+	for deadline := time.Now().Add(time.Minute); jobOf(t, srv1, blocker).view().Status != StatusRunning; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the blocker never started")
+		}
+	}
+	code, _, v := postJSONHeader(t, hs1.URL+"/v1/predictions", predBody, staleKey)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit returned %d: %v", code, v)
+	}
+	id := v["id"].(string)
+	// The blocker is let go only once Close has closed the queue, so the
+	// worker cannot pop the prediction after it.
+	closed := make(chan error, 1)
+	go func() { closed <- srv1.Close(context.Background()) }()
+	for {
+		srv1.queue.mu.Lock()
+		shut := srv1.queue.closed
+		srv1.queue.mu.Unlock()
+		if shut {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(holdGates["W"])
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if _, v := getJSON(t, hs1.URL+"/v1/predictions/"+id); v["status"] != StatusCanceled {
+		t.Fatalf("drained job is %v, want canceled", v["status"])
+	}
+
+	st2, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs2 := newTestServer(t, st2, 1, 8)
+	code, _, v = postJSONHeader(t, hs2.URL+"/v1/predictions", predBody, staleKey)
+	if code != http.StatusAccepted || v["id"] != id || v["status"] != StatusQueued {
+		t.Fatalf("retry after restart answered %d %v, want 202 queued %s", code, v, id)
+	}
+	if code, v := getJSON(t, hs2.URL+"/v1/predictions/"+id); code != http.StatusOK {
+		t.Fatalf("GET of the retried job returned %d: %v", code, v)
+	}
+	pollDone(t, hs2.URL, id)
+}
+
+// TestRetryFollowsProtocol: after a restart with another trial count a
+// retried body names the new protocol's job; the old id is unknown to
+// the restarted server, never an alias for the new protocol's row.
+func TestRetryFollowsProtocol(t *testing.T) {
+	dir := t.TempDir()
+	var ids []string
+	for _, trials := range []int{10, 12} {
+		st, err := store.Open(store.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, hs := newHardenedServer(t, Config{Trials: trials, Seed: 42, Workers: 1, Queue: 8, Store: st})
+		req, err := srv.validate(PredictionRequest{App: "PENNANT", Small: 4, Large: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := jobID(req.key(trials, 42))
+		for attempt := 0; attempt < 2; attempt++ {
+			code, _, v := postJSONHeader(t, hs.URL+"/v1/predictions", predBody, staleKey)
+			if code/100 != 2 || v["id"] != want {
+				t.Fatalf("trials=%d attempt %d answered %d %v, want id %s", trials, attempt, code, v, want)
+			}
+			pollDone(t, hs.URL, want)
+		}
+		for _, old := range ids {
+			if code, v := getJSON(t, hs.URL+"/v1/predictions/"+old); code != http.StatusNotFound {
+				t.Fatalf("trials=%d: GET of the earlier protocol's job %s answered %d: %v", trials, old, code, v)
+			}
+		}
+		ids = append(ids, want)
+	}
+}
+
 // TestConcurrentIdenticalSubmissions floods the server with identical
 // submissions (run under -race in CI): all join one content-addressed
 // job, and the underlying campaigns execute exactly once.

@@ -120,6 +120,23 @@ func TestAlertLifecycleTable(t *testing.T) {
 	}
 }
 
+// TestAlertClearForCountsSamples: at a 1 s cadence into 10 s buckets, a
+// rule whose ClearFor spans two samples resolves on the second cleared
+// sample, however the bucket's mean still reads.
+func TestAlertClearForCountsSamples(t *testing.T) {
+	store := NewSeriesStore()
+	eng := NewAlertEngine(store, nil, []Rule{{Name: "r", Series: "x", Threshold: 1, ClearFor: time.Second}})
+	want := []string{AlertFiring, AlertFiring, AlertResolved}
+	for i, v := range []float64{10, 0, 0} {
+		now := time.Unix(10000+int64(i), 0)
+		store.Observe("x", now, v)
+		eng.Evaluate(now)
+		if got := ruleState(t, eng, "r", ""); got != want[i] {
+			t.Fatalf("after sample %d: state = %s, want %s", i, got, want[i])
+		}
+	}
+}
+
 func TestAlertWildcardInstances(t *testing.T) {
 	store := NewSeriesStore(Window{Step: time.Second, Cap: 128})
 	eng := NewAlertEngine(store, nil, []Rule{{

@@ -36,8 +36,8 @@ var DefaultWindows = []Window{
 // recording), so a label explosion cannot grow memory without bound.
 const DefaultMaxSeries = 512
 
-// SamplePoint is one retained observation: a unix-seconds timestamp and
-// the (bucket-averaged) value.
+// SamplePoint is one observation: a unix-seconds timestamp and the value
+// (bucket-averaged in the rings).
 type SamplePoint struct {
 	Unix  int64   `json:"t"`
 	Value float64 `json:"v"`
@@ -116,9 +116,11 @@ func (r *ring) oldest() int64 {
 	return r.buf[(r.head-r.n+1+len(r.buf))%len(r.buf)].bucket
 }
 
-// series is one named metric's retention: one ring per window.
+// series is one named metric's retention: one ring per window, plus
+// the newest sample as observed (a ring bucket averages several).
 type series struct {
-	rings []*ring
+	rings  []*ring
+	latest SamplePoint
 }
 
 // SeriesStore retains sampled values for a bounded set of named series.
@@ -177,6 +179,9 @@ func (s *SeriesStore) Observe(name string, now time.Time, v float64) {
 	for _, r := range sr.rings {
 		r.observe(unix, v)
 	}
+	if unix >= sr.latest.Unix {
+		sr.latest = SamplePoint{Unix: unix, Value: v}
+	}
 }
 
 // Drop forgets the named series and its retained points.  Nil-safe.
@@ -204,8 +209,10 @@ func (s *SeriesStore) Names() []string {
 	return names
 }
 
-// Latest returns the newest retained point of the named series.
-// Nil-safe; ok is false when the series is unknown or empty.
+// Latest returns the newest sample of the named series as observed, not
+// its bucket's mean: alert rules judge one sample per sampler tick,
+// whatever the rings' step.  Nil-safe; ok is false when the series is
+// unknown.
 func (s *SeriesStore) Latest(name string) (SamplePoint, bool) {
 	if s == nil {
 		return SamplePoint{}, false
@@ -216,12 +223,7 @@ func (s *SeriesStore) Latest(name string) (SamplePoint, bool) {
 	if sr == nil {
 		return SamplePoint{}, false
 	}
-	r := sr.rings[0]
-	if r.n == 0 {
-		return SamplePoint{}, false
-	}
-	newest := r.buf[r.head]
-	return SamplePoint{Unix: newest.bucket, Value: newest.sum / float64(newest.n)}, true
+	return sr.latest, true
 }
 
 // Query returns the named series' points at or after since, oldest

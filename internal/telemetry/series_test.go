@@ -52,6 +52,27 @@ func TestSeriesBucketAveraging(t *testing.T) {
 	}
 }
 
+// TestSeriesLatestIsNewestSample: Latest reads the newest sample, not
+// the running mean of the 10 s bucket it landed in.
+func TestSeriesLatestIsNewestSample(t *testing.T) {
+	s := NewSeriesStore()
+	base := time.Unix(3000, 0)
+	for i, v := range []float64{10, 0, 0} {
+		s.Observe("x", base.Add(time.Duration(i)*time.Second), v)
+	}
+	if p, ok := s.Latest("x"); !ok || p != (SamplePoint{Unix: 3002, Value: 0}) {
+		t.Fatalf("Latest = %+v %v, want {3002 0}", p, ok)
+	}
+	if pts := s.Query("x", time.Unix(0, 0), 0); len(pts) != 1 || pts[0].Value != 10.0/3 {
+		t.Fatalf("bucket = %+v, want one point of mean 10/3", pts)
+	}
+	// A sample older than the newest is not the latest.
+	s.Observe("x", base, 7)
+	if p, _ := s.Latest("x"); p.Value != 0 {
+		t.Fatalf("a stale sample became Latest: %+v", p)
+	}
+}
+
 func TestSeriesQuerySinceAndCoarseFallback(t *testing.T) {
 	// Fine ring holds 4×1s, coarse holds 100×10s: a query reaching past
 	// the fine horizon must answer from the coarse ring.

@@ -125,25 +125,30 @@ grep -q '^resmod_campaign_trials_total 0$' <<<"$metrics" ||
     fail "warm server re-ran campaign trials"
 shutdown
 
-# --- hardened run: tenancy, rate limits, idempotent replay ---------------
+# --- hardened run: tenancy, rate limits, content-addressed retries -------
 # A tiny anonymous budget (burst 3, ~zero refill) plus one keyed tenant,
 # over a fresh store so admissions actually enqueue.
 boot hardened -store "$workdir/store-hardened" \
     -anon-rate 0.02 -anon-burst 3 -api-keys smokekey:smoketeam
 hbody='{"app":"PENNANT","small":2,"large":4}'
 
-# Idempotent replay: same key + same payload answers with the original
-# job id and is flagged as a replay.
-idem_id=$(curl -fsS -X POST "http://$addr/v1/predictions" \
-    -H 'Idempotency-Key: smoke-idem' -d "$hbody" |
+# A retry is addressed by its body: re-POSTing the same payload (an
+# Idempotency-Key header is ignored) answers 200 with the first job id
+# and joins that job instead of admitting a second one.
+first_id=$(curl -fsS -X POST "http://$addr/v1/predictions" \
+    -H 'Idempotency-Key: smoke-retry' -d "$hbody" |
     sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p') || true
-[ -n "$idem_id" ] || fail "idempotent submit returned no job id"
-hdr="$workdir/replay.hdr"
-idem_id2=$(curl -fsS -D "$hdr" -X POST "http://$addr/v1/predictions" \
-    -H 'Idempotency-Key: smoke-idem' -d "$hbody" |
-    sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p') || true
-[ "$idem_id2" = "$idem_id" ] || fail "replay job id '$idem_id2' != original '$idem_id'"
-grep -qi '^Idempotency-Replay: true' "$hdr" || fail "replay not flagged via header"
+[ -n "$first_id" ] || fail "submit returned no job id"
+joined() {
+    curl -fsS "http://$addr/metrics" | awk '/^resmod_predictions_joined_total / {print $2}'
+}
+joined_before=$(joined)
+code=$(curl -s -o "$workdir/repost.body" -w '%{http_code}' -X POST "http://$addr/v1/predictions" \
+    -H 'Idempotency-Key: smoke-retry' -d "$hbody")
+[ "$code" = 200 ] || fail "re-POST returned $code, want 200"
+repost_id=$(sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p' "$workdir/repost.body")
+[ "$repost_id" = "$first_id" ] || fail "re-POST job id '$repost_id' != original '$first_id'"
+[ "$(joined)" = $((joined_before + 1)) ] || fail "re-POST did not join the original job"
 
 # Anonymous tier: burst 3 is now spent by a third POST; the fourth is
 # shed with 429 and a positive Retry-After.
@@ -169,8 +174,6 @@ grep -q '^resmod_tenant_admitted_total{tenant="smoketeam"} 1$' <<<"$metrics" ||
     fail "smoketeam admitted counter != 1"
 grep -q '^resmod_tenant_ratelimited_total{tenant="anon"} 1$' <<<"$metrics" ||
     fail "anon ratelimited counter != 1"
-grep -q '^resmod_idempotent_replays_total 1$' <<<"$metrics" ||
-    fail "idempotent replay counter != 1"
 grep -q '^# TYPE resmod_tenant_shed_total counter' <<<"$metrics" ||
     fail "tenant shed family missing"
 grep -q '^# TYPE resmod_queue_wait_seconds histogram' <<<"$metrics" ||
@@ -185,4 +188,4 @@ shutdown
 grep -q '^## Extensions beyond the paper' "$workdir/report.md" ||
     fail "resmod report wrote a document without the Extensions heading"
 
-echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts + top, warm store hit across restart, tenancy + idempotent replay + 429 shedding, clean drains, whole report)"
+echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts + top, warm store hit across restart, tenancy + content-addressed retry + 429 shedding, clean drains, whole report)"
