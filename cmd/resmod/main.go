@@ -21,8 +21,6 @@
 //	          -coordinator shards campaigns across registered workers
 //	worker    distributed execution node: registers with a coordinator and
 //	          executes dispatched trial-range shards
-//	top       live terminal dashboard for a running serve instance
-//	          (status, alerts, sparklines, fleet)
 //
 // Common flags: -trials, -seed, -apps, -workers, -json (the experiment's
 // result value instead of its table), and the observability trio every
@@ -95,9 +93,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 	if cmd == "worker" {
 		return doWorker(ctx, args[1:], out, errw)
-	}
-	if cmd == "top" {
-		return doTop(ctx, args[1:], out, errw)
 	}
 	if _, isRow := exper.Lookup(cmd); !isRow && views[cmd] == nil {
 		usage(errw)
@@ -227,8 +222,6 @@ worker:      worker -coordinator URL -listen HOST:PORT -advertise URL
              -name NAME -campaign-workers N -heartbeat D
              -pprof-addr HOST:PORT (optional net/http/pprof listener;
              shard endpoint also serves GET /metrics)
-top:         top -target URL -interval D -once (live dashboard: status,
-             alerts, series sparklines, fleet)
 flags: -trials N -seed N -apps CG,FT,... -workers N -campaign-parallel N -budget D
        -json (an experiment's result value instead of its table)
        -quiet (warnings only) -v (debug) -trace FILE (Chrome trace JSON)

@@ -24,8 +24,12 @@ func runCmd(t *testing.T, args ...string) string {
 
 func TestUnknownCommand(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run(context.Background(), []string{"nope"}, &out, &errw); err == nil {
-		t.Fatal("unknown command accepted")
+	// "top" is no subcommand: the operator surface is the JSON endpoints.
+	for _, cmd := range []string{"nope", "top"} {
+		err := run(context.Background(), []string{cmd}, &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("run(%q) = %v, want an unknown experiment error", cmd, err)
+		}
 	}
 	if err := run(context.Background(), nil, &out, &errw); err == nil {
 		t.Fatal("missing command accepted")

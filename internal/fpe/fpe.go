@@ -7,8 +7,9 @@
 // of floating-point addition and multiplication instructions) separately for
 // the "common computation" and "parallel-unique computation" region classes
 // (paper Observations 1–2), and executes an injection Plan: at a chosen
-// dynamic operation index it flips one bit of one input operand, exactly the
-// paper's single-bit-flip fault model.
+// dynamic operation index it flips one bit of one input operand: the
+// paper's single-bit-flip fault model, whose output-operand case resmod
+// does not draw.
 //
 // Add, Sub and Mul remain the per-op path: each one counts itself and can
 // fire an injection.  A kernel that knows how many ops it is about to run

@@ -86,8 +86,8 @@ type alertsResponse struct {
 }
 
 // handleAlerts is GET /v1/alerts: every rule instance's current state
-// plus the rule definitions, so an operator (or the dashboard) sees
-// both what is watched and what is wrong.
+// plus the rule definitions, so an operator sees both what is watched
+// and what is wrong.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	alerts := s.alerts.Alerts()
 	if alerts == nil {

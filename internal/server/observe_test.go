@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,40 @@ func alertState(ar alertsResponse, rule, instance string) string {
 	return ""
 }
 
+// wantSeriesIndex waits until the /v1/series index lists every wanted
+// name (a counter's first rate needs two sampler ticks) and fails unless
+// it lists exactly those, so a series no reader needs cannot be retained
+// unnoticed.
+func wantSeriesIndex(t *testing.T, base string, want ...string) {
+	t.Helper()
+	slices.Sort(want)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/v1/series")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var index telemetry.SeriesIndexResponse
+		err = json.NewDecoder(resp.Body).Decode(&index)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(index.Windows) == 0 {
+			t.Fatalf("series index lists no windows: %+v", index)
+		}
+		missing := slices.ContainsFunc(want, func(n string) bool { return !slices.Contains(index.Series, n) })
+		if !missing {
+			if !slices.Equal(index.Series, want) {
+				t.Fatalf("series index = %v, want exactly %v", index.Series, want)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("series index = %v, never listed all of %v", index.Series, want)
+		}
+	}
+}
+
 // TestObservabilitySurfaces: the retention query endpoint, the alert
 // endpoint and the alert metric families all answer on a freshly sampled
 // server.
@@ -105,20 +140,10 @@ func TestObservabilitySurfaces(t *testing.T) {
 		t.Fatalf("series name = %q", sr.Name)
 	}
 
-	// Bare endpoint: the index of names and windows.
-	resp, err := http.Get(hs.URL + "/v1/series")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var index telemetry.SeriesIndexResponse
-	err = json.NewDecoder(resp.Body).Decode(&index)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(index.Series) == 0 || len(index.Windows) == 0 {
-		t.Fatalf("series index = %+v", index)
-	}
+	// Bare endpoint: the index of names and windows.  An idle server
+	// without a fleet keeps what its rules, smoke and the benchmark read.
+	wantSeriesIndex(t, hs.URL, "campaigns_stalled", "queue_depth", "queue_saturation",
+		"sheds_total", "trials_total")
 
 	// Bad query parameters are 400s, not empty 200s.
 	for _, q := range []string{"?name=queue_depth&since=bogus", "?name=queue_depth&max=x"} {
@@ -186,6 +211,11 @@ func TestWorkerSeriesEndpoint(t *testing.T) {
 			}
 		}
 	}
+	// The coordinator's index: the idle set, the fleet rules' series and
+	// the six per-worker counters above, nothing else.
+	wantSeriesIndex(t, hs.URL, append(want, "campaigns_stalled", "queue_depth", "queue_saturation",
+		"sheds_total", "trials_total", "dist_shards_requeued_total", "worker_up/tw0",
+		"worker_flaps_total/tw0")...)
 	resp, err := http.Get(pool.Workers()[0].URL + "/v1/series")
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +227,7 @@ func TestWorkerSeriesEndpoint(t *testing.T) {
 }
 
 // TestDeterminismWithObservability: a prediction computed under
-// aggressive sampling, alerting, and dashboard polling is byte-identical
+// aggressive sampling, alerting, and operator polling is byte-identical
 // to one computed by a bare session — the observability layer observes,
 // it never steers.
 func TestDeterminismWithObservability(t *testing.T) {
@@ -206,7 +236,7 @@ func TestDeterminismWithObservability(t *testing.T) {
 		SampleEvery: time.Millisecond, // ~1000 samples/s while computing
 	})
 
-	// Poll the four surfaces `resmod top` reads, like an open dashboard.
+	// Poll the four operator surfaces, as a client watching the run would.
 	pollCtx, pollCancel := context.WithCancel(context.Background())
 	defer pollCancel()
 	go func() {

@@ -8,30 +8,23 @@ import (
 )
 
 // retained names the families the sampler keeps history for (family →
-// series name): what an alert rule or a dashboard reads.  Value and
-// counter-vs-gauge kind come from the family's declaration; a labelled
-// family fans out to "<series>/<label value>", so wildcard alert rules
-// ("worker_up/*") track each node independently.
+// series name), each with the reader that needs its past.  A family
+// nothing reads over time stays a current value on /metrics only.
+// Value and counter-vs-gauge kind come from the family's declaration; a
+// labelled family fans out to "<series>/<label value>", so wildcard
+// alert rules ("worker_up/*") track each node independently.
 var retained = map[string]string{
-	"resmod_queue_depth":                            seriesQueueDepth,
-	"resmod_jobs_inflight":                          "jobs_inflight",
-	"resmod_campaigns_running":                      "campaigns_running",
-	"resmod_campaigns_queued":                       "campaigns_queued",
-	"resmod_worker_budget_in_use":                   "worker_budget_in_use",
-	"resmod_campaign_trials_total":                  "trials_total",
-	"resmod_predictions_rejected_total":             seriesSheds,
-	"resmod_fleet_workers_alive":                    "fleet_workers_alive",
-	"resmod_fleet_workers_known":                    "fleet_workers_known",
-	"resmod_fleet_worker_up":                        seriesWorkerUp,
-	"resmod_fleet_worker_heartbeat_age_seconds":     "worker_heartbeat_age_seconds",
-	"resmod_fleet_worker_shards_done_total":         "worker_shards_done_total",
-	"resmod_fleet_worker_shards_failed_total":       "worker_shards_failed_total",
-	"resmod_fleet_worker_trials_done_total":         "worker_trials_done_total",
-	"resmod_fleet_worker_shards_inflight":           "worker_shards_inflight",
-	"resmod_fleet_worker_golden_cache_hits_total":   "worker_golden_cache_hits_total",
-	"resmod_fleet_worker_golden_cache_misses_total": "worker_golden_cache_misses_total",
-	"resmod_dist_shards_requeued_total":             seriesRequeues,
-	"resmod_dist_heartbeats_total":                  "dist_heartbeats_total",
+	"resmod_queue_depth":                            seriesQueueDepth,                   // queue-saturation's input; benchmark serve_warm
+	"resmod_campaign_trials_total":                  "trials_total",                     // smoke's /v1/series index check
+	"resmod_predictions_rejected_total":             seriesSheds,                        // rule shed-rate
+	"resmod_fleet_worker_up":                        seriesWorkerUp,                     // rule worker-stale
+	"resmod_dist_shards_requeued_total":             seriesRequeues,                     // rule dist-dispatch-failures
+	"resmod_fleet_worker_shards_done_total":         "worker_shards_done_total",         // TestWorkerSeriesEndpoint
+	"resmod_fleet_worker_shards_failed_total":       "worker_shards_failed_total",       // TestWorkerSeriesEndpoint
+	"resmod_fleet_worker_trials_done_total":         "worker_trials_done_total",         // TestWorkerSeriesEndpoint
+	"resmod_fleet_worker_shards_inflight":           "worker_shards_inflight",           // TestWorkerSeriesEndpoint
+	"resmod_fleet_worker_golden_cache_hits_total":   "worker_golden_cache_hits_total",   // TestWorkerSeriesEndpoint
+	"resmod_fleet_worker_golden_cache_misses_total": "worker_golden_cache_misses_total", // TestWorkerSeriesEndpoint
 }
 
 // Series the alert rules and the derived signals below name.
@@ -57,7 +50,8 @@ const (
 //     every alive↔dead transition the coordinator observes, so a node
 //     whose heartbeat keeps lapsing surfaces as a flap rate instead of a
 //     series of isolated staleness blips.
-//   - queue_saturation and trial_latency_p50/p99_seconds.
+//   - queue_saturation: queue depth over capacity (rule
+//     queue-saturation).
 type sampleSource struct {
 	s    *Server
 	base telemetry.SampleSource
@@ -77,9 +71,6 @@ func (ss *sampleSource) sample() telemetry.Samples {
 	s := ss.s
 	smp := ss.base()
 	smp.Gauges[seriesQueueSaturation] = smp.Gauges[seriesQueueDepth] / float64(s.cfg.Queue)
-	trialLat := s.recorder.Snapshot().TrialLatency
-	smp.Gauges["trial_latency_p50_seconds"] = trialLat.Quantile(0.5)
-	smp.Gauges["trial_latency_p99_seconds"] = trialLat.Quantile(0.99)
 
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

@@ -665,7 +665,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 // handleCluster is GET /v1/cluster: the fleet view — pool counters plus
 // per-worker detail (self-reported stats, trials/sec, heartbeat age).
 // On a non-coordinator server it answers coordinator:false, so
-// operators can point the same dashboard at any instance.
+// an operator's client can poll it on any instance.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.DistPool == nil {
 		writeJSON(w, http.StatusOK, map[string]any{

@@ -72,40 +72,6 @@ func (s HistSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the bucket holding the target rank — the standard
-// fixed-bucket estimator (what PromQL's histogram_quantile computes).
-// Samples in the +Inf overflow bucket are attributed to the last finite
-// bound, since there is no upper edge to interpolate toward.  Returns 0
-// for an empty histogram.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	lower := 0.0
-	for i, c := range s.Counts {
-		if i >= len(s.Bounds) {
-			// +Inf bucket: no finite upper edge.
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		upper := s.Bounds[i]
-		if c > 0 && float64(cum)+float64(c) >= rank {
-			frac := (rank - float64(cum)) / float64(c)
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-		lower = upper
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // Recorder counts what the campaign machinery does: lock-free counters
 // plus trial-latency and campaign-duration histograms.  The server and
 // the worker expose it as Prometheus families (Register); the CLI renders

@@ -118,37 +118,3 @@ func TestWriteSummary(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramQuantile pins the interpolated estimator: uniform mass in
-// one bucket interpolates linearly; overflow clamps to the last bound.
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	if got := h.Snapshot().Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile = %v, want 0", got)
-	}
-	// 10 samples in (1,2]: the median interpolates to the bucket middle.
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5)
-	}
-	s := h.Snapshot()
-	if got := s.Quantile(0.5); got != 1.5 {
-		t.Fatalf("Quantile(0.5) = %v, want 1.5", got)
-	}
-	if got := s.Quantile(1); got != 2 {
-		t.Fatalf("Quantile(1) = %v, want the bucket's upper edge 2", got)
-	}
-	// An overflow sample clamps to the last finite bound.
-	h.Observe(100)
-	if got := h.Snapshot().Quantile(0.999); got != 4 {
-		t.Fatalf("overflow Quantile = %v, want last bound 4", got)
-	}
-	// Split across buckets: 5 in (0,1], 5 in (1,2] -> p25 inside bucket 1.
-	h2 := NewHistogram([]float64{1, 2})
-	for i := 0; i < 5; i++ {
-		h2.Observe(0.5)
-		h2.Observe(1.5)
-	}
-	if got := h2.Snapshot().Quantile(0.25); got != 0.5 {
-		t.Fatalf("Quantile(0.25) = %v, want 0.5", got)
-	}
-}

@@ -230,8 +230,8 @@ func (s *SeriesStore) Latest(name string) (SamplePoint, bool) {
 // first, from the finest window that still covers since (a query
 // reaching past the fine ring's horizon answers from the coarse one).
 // When maxPoints > 0 and the selection is larger, adjacent points are
-// averaged down to at most maxPoints — the dashboard's sparkline
-// downsampler.  Nil-safe.
+// averaged down to at most maxPoints, so a client plotting the window
+// gets a bounded reply.  Nil-safe.
 func (s *SeriesStore) Query(name string, since time.Time, maxPoints int) []SamplePoint {
 	if s == nil {
 		return nil

@@ -107,11 +107,6 @@ grep -q '^# TYPE resmod_alerts gauge' <<<"$metrics" ||
 grep -q '^resmod_alerts_firing 0$' <<<"$metrics" ||
     fail "resmod_alerts_firing missing or non-zero"
 
-# The terminal dashboard renders one frame off the same surfaces.
-"$workdir/resmod" top -target "http://$addr" -once >"$workdir/top.out" ||
-    fail "resmod top -once failed"
-grep -q 'resmod top' "$workdir/top.out" || fail "top frame missing header"
-grep -q 'alerts: none' "$workdir/top.out" || fail "top frame shows alerts on a healthy run"
 shutdown
 
 # --- warm run: a fresh process over the same store answers from disk -----
@@ -188,4 +183,4 @@ shutdown
 grep -q '^## Extensions beyond the paper' "$workdir/report.md" ||
     fail "resmod report wrote a document without the Extensions heading"
 
-echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts + top, warm store hit across restart, tenancy + content-addressed retry + 429 shedding, clean drains, whole report)"
+echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts, warm store hit across restart, tenancy + content-addressed retry + 429 shedding, clean drains, whole report)"
