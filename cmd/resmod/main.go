@@ -217,7 +217,7 @@ extras:      campaign %s
              -anon-rate/-anon-burst/-anon-inflight (anonymous-tier limits)
              -coordinator (shard campaigns across registered workers)
              -heartbeat-timeout D (worker liveness; worker-stale pages on it)
-             -shards-per-worker N -sample-every D (retention, 6 alert rules)
+             -sample-every D (retention, 6 alert rules)
 worker:      worker -coordinator URL -listen HOST:PORT -advertise URL
              -name NAME -campaign-workers N -heartbeat D
              -pprof-addr HOST:PORT (optional net/http/pprof listener;

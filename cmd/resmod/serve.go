@@ -41,7 +41,6 @@ type serveOptions struct {
 	anonInflight     int
 	coordinator      bool
 	heartbeatTimeout time.Duration
-	shardsPerWorker  int
 	sampleEvery      time.Duration
 	tf               telFlags
 }
@@ -81,15 +80,11 @@ func (o serveOptions) validate() error {
 	if o.apiKeys != "" && o.apiKeysFile != "" {
 		return fmt.Errorf("-api-keys and -api-keys-file are mutually exclusive")
 	}
-	if !o.coordinator && (o.heartbeatTimeout != DefaultServeHeartbeatTimeout ||
-		o.shardsPerWorker != dist.DefaultShardsPerWorker) {
-		return fmt.Errorf("-heartbeat-timeout and -shards-per-worker need -coordinator")
+	if !o.coordinator && o.heartbeatTimeout != DefaultServeHeartbeatTimeout {
+		return fmt.Errorf("-heartbeat-timeout needs -coordinator")
 	}
 	if o.heartbeatTimeout <= 0 {
 		return fmt.Errorf("-heartbeat-timeout must be positive, got %v", o.heartbeatTimeout)
-	}
-	if o.shardsPerWorker <= 0 {
-		return fmt.Errorf("-shards-per-worker must be positive, got %d", o.shardsPerWorker)
 	}
 	if o.sampleEvery <= 0 {
 		return fmt.Errorf("-sample-every must be positive, got %v", o.sampleEvery)
@@ -243,8 +238,6 @@ func doServe(ctx context.Context, args []string, out, errw io.Writer) error {
 		"act as a distributed-execution coordinator: accept resmod worker registrations and shard campaigns across them")
 	fs.DurationVar(&o.heartbeatTimeout, "heartbeat-timeout", DefaultServeHeartbeatTimeout,
 		"declare a worker dead after this long without a heartbeat (needs -coordinator)")
-	fs.IntVar(&o.shardsPerWorker, "shards-per-worker", dist.DefaultShardsPerWorker,
-		"trial-range chunks per alive worker when sharding a campaign (needs -coordinator)")
 	fs.DurationVar(&o.sampleEvery, "sample-every", 10*time.Second,
 		"telemetry sampling period for /v1/series retention and alert evaluation")
 	o.tf.register(fs)
@@ -296,10 +289,7 @@ func doServe(ctx context.Context, args []string, out, errw io.Writer) error {
 		cfg.Store = st
 	}
 	if o.coordinator {
-		cfg.DistPool = dist.NewPool(dist.PoolConfig{
-			HeartbeatTimeout: o.heartbeatTimeout,
-			ShardsPerWorker:  o.shardsPerWorker,
-		})
+		cfg.DistPool = dist.NewPool(dist.PoolConfig{HeartbeatTimeout: o.heartbeatTimeout})
 	}
 
 	stopPprof, err := startPprof(o.pprofAddr, rt.tel.Logger())

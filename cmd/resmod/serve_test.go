@@ -48,6 +48,8 @@ func TestServeFlagValidation(t *testing.T) {
 		{[]string{"-trials", "0"}, "-trials"},
 		{[]string{"-campaign-workers", "-1"}, "-campaign-workers"},
 		{[]string{"-drain", "0s"}, "-drain"},
+		{[]string{"-heartbeat-timeout", "2s"}, "needs -coordinator"},
+		{[]string{"-coordinator", "-shards-per-worker", "2"}, "not defined: -shards-per-worker"},
 		{[]string{"-api-keys", "k:t", "-api-keys-file", "f"}, "mutually exclusive"},
 		{[]string{"-api-keys", "justakey"}, "KEY:TENANT"},
 		{[]string{"-api-keys", "k:anon"}, "reserved"},

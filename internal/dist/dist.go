@@ -177,18 +177,6 @@ func readShardStream(r io.Reader, chunk [2]int, onProgress faultsim.ShardObserve
 	}
 }
 
-// WorkerStats is the self-reported counter snapshot a worker piggybacks
-// on every heartbeat; the coordinator aggregates these into the
-// resmod_fleet_* metric families and /v1/cluster.
-type WorkerStats struct {
-	ShardsDone     uint64 `json:"shards_done"`
-	ShardsFailed   uint64 `json:"shards_failed"`
-	ShardsInflight uint64 `json:"shards_inflight"`
-	TrialsDone     uint64 `json:"trials_done"`
-	GoldenHits     uint64 `json:"golden_hits"`
-	GoldenMisses   uint64 `json:"golden_misses"`
-}
-
 // registerRequest / registerResponse / heartbeatRequest are the worker
 // control-plane payloads.
 type registerRequest struct {
@@ -200,11 +188,11 @@ type registerResponse struct {
 	ID string `json:"id"`
 }
 
+// heartbeatRequest carries liveness only.  Its decoder ignores fields
+// it does not know, so a worker of an older version whose heartbeats
+// still carry a "stats" object is not bounced into re-registering.
 type heartbeatRequest struct {
 	ID string `json:"id"`
-	// Stats piggybacks the worker's counter snapshot (nil from pre-PR 8
-	// workers — the coordinator then has liveness but no detail).
-	Stats *WorkerStats `json:"stats,omitempty"`
 }
 
 // errorResponse mirrors the server package's error envelope.

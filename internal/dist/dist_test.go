@@ -176,11 +176,7 @@ func TestDistributedBitIdentical(t *testing.T) {
 	want := recordJSON(t, local, identity)
 
 	for _, n := range []int{1, 3} {
-		cl := startCluster(t, n, PoolConfig{
-			HeartbeatTimeout: time.Second,
-			ShardsPerWorker:  3,
-			MinShard:         4,
-		})
+		cl := startCluster(t, n, PoolConfig{HeartbeatTimeout: time.Second})
 		sum, handled, err := cl.pool.Distribute(context.Background(), c, golden)
 		if err != nil || !handled {
 			t.Fatalf("%d workers: Distribute = (%v, %v)", n, handled, err)
@@ -209,11 +205,8 @@ func TestDistributedReshardOnLoss(t *testing.T) {
 	}
 	want := recordJSON(t, local, identity)
 
-	cl := startCluster(t, 2, PoolConfig{
-		HeartbeatTimeout: 30 * time.Second, // keep the corpse "alive": dispatches must hit it
-		ShardsPerWorker:  3,
-		MinShard:         4,
-	})
+	// A long timeout keeps the corpse "alive": dispatches must hit it.
+	cl := startCluster(t, 2, PoolConfig{HeartbeatTimeout: 30 * time.Second})
 	// A phantom worker: registered, heartbeat-fresh, but its socket is
 	// already closed — every dispatch to it fails at connect time.
 	corpse := httptest.NewServer(nil)
@@ -245,11 +238,7 @@ func TestDistributedAllWorkersDie(t *testing.T) {
 	}
 	want := recordJSON(t, local, identity)
 
-	pool := NewPool(PoolConfig{
-		HeartbeatTimeout: 30 * time.Second,
-		ShardsPerWorker:  4,
-		MinShard:         4,
-	})
+	pool := NewPool(PoolConfig{HeartbeatTimeout: 30 * time.Second})
 	// Two phantoms: alive by heartbeat, dead on the wire.  Every chunk
 	// requeues until the dispatchers give up, then the local tail runs
 	// the whole campaign.
@@ -287,11 +276,7 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 	}
 	want := recordJSON(t, local, identity)
 
-	cl := startCluster(t, 3, PoolConfig{
-		HeartbeatTimeout: 500 * time.Millisecond,
-		ShardsPerWorker:  4,
-		MinShard:         2,
-	})
+	cl := startCluster(t, 3, PoolConfig{HeartbeatTimeout: 500 * time.Millisecond})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -317,7 +302,7 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 func TestHeartbeatExpiry(t *testing.T) {
 	pool := NewPool(PoolConfig{HeartbeatTimeout: 50 * time.Millisecond})
 	id := pool.Register("w", "http://127.0.0.1:1")
-	if !pool.Heartbeat(id, nil) {
+	if !pool.Heartbeat(id) {
 		t.Fatal("heartbeat for a registered worker rejected")
 	}
 	if got := pool.Stats().WorkersAlive; got != 1 {
@@ -331,7 +316,7 @@ func TestHeartbeatExpiry(t *testing.T) {
 	if len(ws) != 1 || ws[0].Alive {
 		t.Fatalf("registry view = %+v, want one dead worker", ws)
 	}
-	if pool.Heartbeat("nope", nil) {
+	if pool.Heartbeat("nope") {
 		t.Fatal("heartbeat for an unknown id accepted")
 	}
 	// Re-registration at the same URL replaces the stale entry.

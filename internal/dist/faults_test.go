@@ -35,7 +35,7 @@ func TestPoisonChunk(t *testing.T) {
 	}
 	want := recordJSON(t, local, identity)
 
-	pool := NewPool(PoolConfig{HeartbeatTimeout: 30 * time.Second, ShardsPerWorker: 3, MinShard: 4})
+	pool := NewPool(PoolConfig{HeartbeatTimeout: 30 * time.Second})
 	for i := 0; i < 3; i++ {
 		w, err := NewWorker(WorkerConfig{Coordinator: "http://unused.invalid", Workers: 2})
 		if err != nil {
@@ -66,7 +66,7 @@ func TestPoisonChunk(t *testing.T) {
 	if got := recordJSON(t, sum, identity); got != want {
 		t.Errorf("run with a poison chunk diverged from local:\n got %s\nwant %s", got, want)
 	}
-	const chunks = 9 // 90 trials over 3 workers × 3 shards
+	const chunks = 12 // 90 trials over 3 workers × shardsPerWorker, minShard a chunk
 	st := pool.Stats()
 	if st.ShardsLocal != 1 || st.ShardsCompleted != chunks-1 || st.ShardsRequeued != 2 {
 		t.Errorf("stats = %+v, want 1 local, %d completed, 2 requeued", st, chunks-1)

@@ -33,7 +33,7 @@ func (p *Pool) HandleHeartbeat(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusBadRequest, errorResponse{Error: "bad heartbeat request: " + err.Error()})
 		return
 	}
-	if !p.Heartbeat(req.ID, req.Stats) {
+	if !p.Heartbeat(req.ID) {
 		writeJSON(rw, http.StatusNotFound, errorResponse{Error: "unknown worker id " + req.ID})
 		return
 	}
@@ -41,8 +41,8 @@ func (p *Pool) HandleHeartbeat(rw http.ResponseWriter, r *http.Request) {
 }
 
 // HandleCluster is the GET /v1/cluster endpoint: the coordinator's
-// fleet view — pool counters plus per-worker detail (self-reported
-// stats, derived trials/sec, heartbeat age).
+// fleet view — pool counters plus, per worker, liveness, heartbeat age
+// and the coordinator's own shard counts.
 func (p *Pool) HandleCluster(rw http.ResponseWriter, _ *http.Request) {
 	st := p.Stats()
 	writeJSON(rw, http.StatusOK, map[string]any{

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -83,11 +84,7 @@ func TestDistributedTraceAndProgress(t *testing.T) {
 	}
 	want := recordJSON(t, local, identity)
 
-	cl := startCluster(t, 2, PoolConfig{
-		HeartbeatTimeout: time.Second,
-		ShardsPerWorker:  3,
-		MinShard:         4,
-	})
+	cl := startCluster(t, 2, PoolConfig{HeartbeatTimeout: time.Second})
 	tel, tr, prog := obsTelemetry()
 	sub := prog.Subscribe(4096)
 	defer sub.Close()
@@ -198,11 +195,8 @@ func TestDeadWorkerLeavesNoOrphanSpans(t *testing.T) {
 	}
 	want := recordJSON(t, local, identity)
 
-	cl := startCluster(t, 1, PoolConfig{
-		HeartbeatTimeout: 30 * time.Second, // keep the corpse "alive": dispatches must hit it
-		ShardsPerWorker:  3,
-		MinShard:         4,
-	})
+	// A long timeout keeps the corpse "alive": dispatches must hit it.
+	cl := startCluster(t, 1, PoolConfig{HeartbeatTimeout: 30 * time.Second})
 	corpse := httptest.NewServer(nil)
 	corpseURL := corpse.URL
 	corpse.Close()
@@ -245,11 +239,7 @@ func TestLocalFallbackObservability(t *testing.T) {
 	}
 	want := recordJSON(t, local, identity)
 
-	pool := NewPool(PoolConfig{
-		HeartbeatTimeout: 30 * time.Second,
-		ShardsPerWorker:  4,
-		MinShard:         4,
-	})
+	pool := NewPool(PoolConfig{HeartbeatTimeout: 30 * time.Second})
 	srv := httptest.NewServer(nil)
 	url := srv.URL
 	srv.Close()
@@ -362,50 +352,12 @@ func TestWorkerRejectsUnknownSpecField(t *testing.T) {
 	}
 }
 
-// TestHeartbeatStatsDeriveRate: the coordinator derives trials/sec from
-// consecutive stats-bearing heartbeats and surfaces the latest snapshot
-// in the workers view.
-func TestHeartbeatStatsDeriveRate(t *testing.T) {
-	pool := NewPool(PoolConfig{HeartbeatTimeout: time.Minute})
-	id := pool.Register("w", "http://127.0.0.1:1")
-
-	if !pool.Heartbeat(id, &WorkerStats{TrialsDone: 100}) {
-		t.Fatal("heartbeat rejected")
-	}
-	ws := pool.Workers()
-	if ws[0].Stats == nil || ws[0].Stats.TrialsDone != 100 {
-		t.Fatalf("stats snapshot = %+v, want TrialsDone 100", ws[0].Stats)
-	}
-	if ws[0].TrialsPerSec != 0 {
-		t.Fatalf("rate after one heartbeat = %g, want 0", ws[0].TrialsPerSec)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if !pool.Heartbeat(id, &WorkerStats{TrialsDone: 600}) {
-		t.Fatal("heartbeat rejected")
-	}
-	rate := pool.Workers()[0].TrialsPerSec
-	if rate <= 0 {
-		t.Fatalf("rate after two heartbeats = %g, want > 0", rate)
-	}
-	// 500 trials over >=50ms: the rate cannot exceed 10000/s.
-	if rate > 500/0.05 {
-		t.Fatalf("rate %g implausible for 500 trials over >=50ms", rate)
-	}
-	// A stats-free heartbeat refreshes liveness without clobbering stats.
-	if !pool.Heartbeat(id, nil) {
-		t.Fatal("stats-free heartbeat rejected")
-	}
-	if ws := pool.Workers(); ws[0].Stats == nil || ws[0].Stats.TrialsDone != 600 {
-		t.Fatalf("stats clobbered by nil heartbeat: %+v", ws[0].Stats)
-	}
-}
-
 // TestClusterEndpoint: /v1/cluster reports pool counters and per-worker
 // detail through the coordinator's bare handler.
 func TestClusterEndpoint(t *testing.T) {
 	pool := NewPool(PoolConfig{HeartbeatTimeout: time.Minute})
 	id := pool.Register("w-alpha", "http://127.0.0.1:1")
-	pool.Heartbeat(id, &WorkerStats{TrialsDone: 42, ShardsDone: 3})
+	pool.Heartbeat(id)
 	srv := httptest.NewServer(pool.Handler())
 	defer srv.Close()
 
@@ -426,9 +378,44 @@ func TestClusterEndpoint(t *testing.T) {
 	if !doc.Coordinator || doc.WorkersKnown != 1 || doc.WorkersAlive != 1 {
 		t.Fatalf("cluster view = %+v", doc)
 	}
-	if len(doc.Workers) != 1 || doc.Workers[0].Name != "w-alpha" ||
-		doc.Workers[0].Stats == nil || doc.Workers[0].Stats.TrialsDone != 42 {
+	if len(doc.Workers) != 1 || doc.Workers[0].Name != "w-alpha" || !doc.Workers[0].Alive {
 		t.Fatalf("cluster workers = %+v", doc.Workers)
+	}
+}
+
+// TestHeartbeatFromOlderWorker: during a rolling upgrade a worker of the
+// previous version still piggybacks a "stats" object on its heartbeats.
+// The coordinator accepts it as plain liveness — a 400 or a 404 would
+// bounce the worker into re-registering every period — and nothing of it
+// reaches /v1/cluster.
+func TestHeartbeatFromOlderWorker(t *testing.T) {
+	pool := NewPool(PoolConfig{HeartbeatTimeout: time.Minute})
+	id := pool.Register("w-old", "http://127.0.0.1:1")
+	srv := httptest.NewServer(pool.Handler())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/workers/heartbeat", "application/json", strings.NewReader(
+		`{"id":"`+id+`","stats":{"shards_done":3,"shards_inflight":1,"trials_done":42,"golden_hits":2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || pool.Stats().Heartbeats != 1 {
+		t.Fatalf("heartbeat with stats: %s, %d accepted; want 200 and 1", resp.Status, pool.Stats().Heartbeats)
+	}
+	resp, err = http.Get(srv.URL + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"worker_stats", "trials_per_sec", "trials_done"} {
+		if bytes.Contains(body, []byte(gone)) {
+			t.Errorf("/v1/cluster carries %q: %s", gone, body)
+		}
 	}
 }
 
@@ -438,7 +425,7 @@ func TestClusterEndpoint(t *testing.T) {
 // resmod_campaign_trials_total.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	c, golden := testCampaign(t)
-	cl := startCluster(t, 1, PoolConfig{HeartbeatTimeout: time.Second, ShardsPerWorker: 1})
+	cl := startCluster(t, 1, PoolConfig{HeartbeatTimeout: time.Second})
 	if _, handled, err := cl.pool.Distribute(context.Background(), c, golden); err != nil || !handled {
 		t.Fatalf("Distribute = (%v, %v)", handled, err)
 	}
@@ -453,7 +440,7 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"resmod_worker_shards_done_total 1",
+		fmt.Sprintf("resmod_worker_shards_done_total %d", shardsPerWorker),
 		"resmod_worker_trials_done_total 90",
 		"resmod_worker_golden_cache_misses_total 1",
 		"resmod_worker_shards_inflight 0",
@@ -491,9 +478,7 @@ func TestFleetScrapeOneRoster(t *testing.T) {
 		n := calls.Add(1)
 		// Each call disagrees with the one before on every field.
 		u := uint64(n)
-		return []WorkerInfo{{Name: "w1", Alive: n%2 == 1, LastSeenMS: n * 1000,
-			TrialsPerSec: float64(n), ShardsDone: u, ShardsFailed: u,
-			Stats: &WorkerStats{TrialsDone: u, ShardsInflight: u, GoldenHits: u, GoldenMisses: u}}}
+		return []WorkerInfo{{Name: "w1", Alive: n%2 == 1, LastSeenMS: n * 1000, ShardsDone: u, ShardsFailed: u}}
 	}
 	reg := telemetry.NewRegistry()
 	registerWorkerFamilies(reg, roster)
@@ -520,8 +505,8 @@ func TestFleetScrapeOneRoster(t *testing.T) {
 				vals = append(vals, -v) // up: 1 for odd calls, 0 for even
 			}
 		}
-		if len(vals) != 9 {
-			return 0, fmt.Errorf("%d samples, want 9:\n%s", len(vals), buf.String())
+		if len(vals) != 4 {
+			return 0, fmt.Errorf("%d samples, want 4:\n%s", len(vals), buf.String())
 		}
 		n := vals[1]
 		if vals[0] != -(n % 2) {

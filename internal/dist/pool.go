@@ -23,13 +23,13 @@ const (
 	// DefaultHeartbeatTimeout is how long a worker may go without a
 	// heartbeat before the coordinator declares it dead.
 	DefaultHeartbeatTimeout = 5 * time.Second
-	// DefaultShardsPerWorker is how many chunks per alive worker the
-	// trial range is cut into — over-decomposition, so that losing a
-	// worker forfeits only a fraction of its assignment and faster
-	// workers naturally steal more chunks.
-	DefaultShardsPerWorker = 4
-	// DefaultMinShard is the smallest chunk worth a network round trip.
-	DefaultMinShard = 8
+	// shardsPerWorker is how many chunks per alive worker the trial
+	// range is cut into — over-decomposition, so that losing a worker
+	// forfeits only a fraction of its assignment and faster workers
+	// naturally steal more chunks.
+	shardsPerWorker = 4
+	// minShard is the smallest chunk worth a network round trip.
+	minShard = 8
 	// DefaultRetireMultiple sets the default roster-retirement horizon as
 	// a multiple of the heartbeat timeout: a worker silent this long is
 	// not "briefly partitioned", it is gone, and keeping it would grow
@@ -43,11 +43,6 @@ type PoolConfig struct {
 	// HeartbeatTimeout declares a silent worker dead (default
 	// DefaultHeartbeatTimeout).
 	HeartbeatTimeout time.Duration
-	// ShardsPerWorker is the over-decomposition factor (default
-	// DefaultShardsPerWorker).
-	ShardsPerWorker int
-	// MinShard is the minimum trials per chunk (default DefaultMinShard).
-	MinShard int
 	// RetireAfter removes a worker from the roster entirely once its
 	// heartbeat has been stale this long (default DefaultRetireMultiple ×
 	// HeartbeatTimeout) — its labeled /metrics series and /v1/cluster
@@ -91,13 +86,6 @@ type poolWorker struct {
 	lastSeen time.Time
 	done     uint64
 	failed   uint64
-	// stats is the worker's self-reported snapshot from its latest
-	// heartbeat (nil until one arrives); rate is trials/sec derived from
-	// consecutive snapshots.
-	stats      *WorkerStats
-	statsAt    time.Time
-	prevTrials uint64
-	rate       float64
 }
 
 func (w *poolWorker) aliveAt(now time.Time, timeout time.Duration) bool {
@@ -110,12 +98,6 @@ func (w *poolWorker) aliveAt(now time.Time, timeout time.Duration) bool {
 func NewPool(cfg PoolConfig) *Pool {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = DefaultHeartbeatTimeout
-	}
-	if cfg.ShardsPerWorker <= 0 {
-		cfg.ShardsPerWorker = DefaultShardsPerWorker
-	}
-	if cfg.MinShard <= 0 {
-		cfg.MinShard = DefaultMinShard
 	}
 	if cfg.RetireAfter <= 0 {
 		cfg.RetireAfter = DefaultRetireMultiple * cfg.HeartbeatTimeout
@@ -150,31 +132,17 @@ func (p *Pool) Register(name, url string) string {
 	return id
 }
 
-// Heartbeat refreshes a worker's liveness and folds in its piggybacked
-// counter snapshot (nil from workers that report none); false means the
-// id is unknown (e.g. the coordinator restarted) and the worker must
-// re-register.
-func (p *Pool) Heartbeat(id string, st *WorkerStats) bool {
+// Heartbeat refreshes a worker's liveness; false means the id is unknown
+// (e.g. the coordinator restarted) and the worker must re-register.
+func (p *Pool) Heartbeat(id string) bool {
 	p.mu.Lock()
 	wk := p.workers[id]
 	p.mu.Unlock()
 	if wk == nil {
 		return false
 	}
-	now := time.Now()
 	wk.mu.Lock()
-	wk.lastSeen = now
-	if st != nil {
-		if !wk.statsAt.IsZero() && st.TrialsDone >= wk.prevTrials {
-			if dt := now.Sub(wk.statsAt).Seconds(); dt > 0 {
-				wk.rate = float64(st.TrialsDone-wk.prevTrials) / dt
-			}
-		}
-		wk.prevTrials = st.TrialsDone
-		wk.statsAt = now
-		cp := *st
-		wk.stats = &cp
-	}
+	wk.lastSeen = time.Now()
 	wk.mu.Unlock()
 	p.heartbeats.Add(1)
 	return true
@@ -211,9 +179,8 @@ func (p *Pool) alive() []*poolWorker {
 }
 
 // WorkerInfo is the /v1/cluster JSON view of one registered worker.
-// ShardsDone/ShardsFailed are this coordinator's view of its own
-// dispatches; Stats is the worker's self-reported lifetime snapshot from
-// its latest heartbeat.
+// ShardsDone/ShardsFailed are this coordinator's count of its own
+// dispatches; a worker's internal counters are on its own /metrics.
 type WorkerInfo struct {
 	ID           string `json:"id"`
 	Name         string `json:"name"`
@@ -222,11 +189,6 @@ type WorkerInfo struct {
 	LastSeenMS   int64  `json:"last_seen_ms"`
 	ShardsDone   uint64 `json:"shards_done"`
 	ShardsFailed uint64 `json:"shards_failed"`
-	// TrialsPerSec is derived from consecutive heartbeat snapshots (0
-	// until two arrive).
-	TrialsPerSec float64 `json:"trials_per_sec"`
-	// Stats is nil until the worker's first stats-bearing heartbeat.
-	Stats *WorkerStats `json:"worker_stats,omitempty"`
 }
 
 // Workers lists every registered worker, alive or not, id-ordered.
@@ -238,7 +200,7 @@ func (p *Pool) Workers() []WorkerInfo {
 	out := make([]WorkerInfo, 0, len(p.workers))
 	for _, wk := range p.workers {
 		wk.mu.Lock()
-		info := WorkerInfo{
+		out = append(out, WorkerInfo{
 			ID:           wk.id,
 			Name:         wk.name,
 			URL:          wk.url,
@@ -246,14 +208,8 @@ func (p *Pool) Workers() []WorkerInfo {
 			LastSeenMS:   now.Sub(wk.lastSeen).Milliseconds(),
 			ShardsDone:   wk.done,
 			ShardsFailed: wk.failed,
-			TrialsPerSec: wk.rate,
-		}
-		if wk.stats != nil {
-			cp := *wk.stats
-			info.Stats = &cp
-		}
+		})
 		wk.mu.Unlock()
-		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -358,15 +314,6 @@ func registerWorkerFamilies(reg *telemetry.Registry, roster func() []WorkerInfo)
 	perWorker := func(read func(wi WorkerInfo) float64) func(*telemetry.Emitter) {
 		return family(func(e *telemetry.Emitter, wi WorkerInfo) { e.Add(read(wi), "worker", wi.Name) })
 	}
-	// Self-reported families skip a worker until its first stats-bearing
-	// heartbeat.
-	selfReported := func(read func(st *WorkerStats) uint64) func(*telemetry.Emitter) {
-		return family(func(e *telemetry.Emitter, wi WorkerInfo) {
-			if wi.Stats != nil {
-				e.Add(float64(read(wi.Stats)), "worker", wi.Name)
-			}
-		})
-	}
 	reg.GaugeFunc("resmod_fleet_worker_up", "Whether the worker's heartbeat is fresh (1) or stale (0).",
 		perWorker(func(wi WorkerInfo) float64 {
 			if wi.Alive {
@@ -377,20 +324,10 @@ func registerWorkerFamilies(reg *telemetry.Registry, roster func() []WorkerInfo)
 	// LastSeenMS is already an age, sampled when the list was built.
 	reg.GaugeFunc("resmod_fleet_worker_heartbeat_age_seconds", "Seconds since the worker's last heartbeat.",
 		perWorker(func(wi WorkerInfo) float64 { return float64(wi.LastSeenMS) / 1000 }))
-	reg.GaugeFunc("resmod_fleet_worker_trials_per_second", "Trial throughput derived from consecutive heartbeat snapshots.",
-		perWorker(func(wi WorkerInfo) float64 { return wi.TrialsPerSec }))
 	reg.CounterFunc("resmod_fleet_worker_shards_done_total", "Shards this worker completed (coordinator's count).",
 		perWorker(func(wi WorkerInfo) float64 { return float64(wi.ShardsDone) }))
 	reg.CounterFunc("resmod_fleet_worker_shards_failed_total", "Shard dispatches to this worker that errored (coordinator's count).",
 		perWorker(func(wi WorkerInfo) float64 { return float64(wi.ShardsFailed) }))
-	reg.CounterFunc("resmod_fleet_worker_trials_done_total", "Trials the worker reports having executed.",
-		selfReported(func(st *WorkerStats) uint64 { return st.TrialsDone }))
-	reg.GaugeFunc("resmod_fleet_worker_shards_inflight", "Shards the worker reports currently executing.",
-		selfReported(func(st *WorkerStats) uint64 { return st.ShardsInflight }))
-	reg.CounterFunc("resmod_fleet_worker_golden_cache_hits_total", "Golden-run cache hits the worker reports.",
-		selfReported(func(st *WorkerStats) uint64 { return st.GoldenHits }))
-	reg.CounterFunc("resmod_fleet_worker_golden_cache_misses_total", "Golden-run cache misses the worker reports.",
-		selfReported(func(st *WorkerStats) uint64 { return st.GoldenMisses }))
 }
 
 // chunk is one contiguous trial range on the campaign's work list, with
@@ -488,7 +425,7 @@ func (p *Pool) Distribute(ctx context.Context, c faultsim.Campaign, golden *faul
 
 	m := faultsim.NewMerger(c, golden)
 	spec := SpecOf(c)
-	queue := &chunkQueue{chunks: shardRanges(c.Trials, len(alive)*p.cfg.ShardsPerWorker, p.cfg.MinShard)}
+	queue := &chunkQueue{chunks: shardRanges(c.Trials, len(alive)*shardsPerWorker, minShard)}
 	log.Info("distributing campaign", "id", c.Identity(),
 		"trials", c.Trials, "workers", len(alive), "chunks", len(queue.chunks))
 

@@ -14,7 +14,7 @@ func TestWorkerRetirement(t *testing.T) {
 		RetireAfter:      80 * time.Millisecond,
 	})
 	id := pool.Register("w", "http://127.0.0.1:1")
-	if !pool.Heartbeat(id, nil) {
+	if !pool.Heartbeat(id) {
 		t.Fatal("heartbeat for a registered worker rejected")
 	}
 
@@ -40,7 +40,7 @@ func TestWorkerRetirement(t *testing.T) {
 	}
 
 	// A retired id cannot heartbeat back in; re-registration can.
-	if pool.Heartbeat(id, nil) {
+	if pool.Heartbeat(id) {
 		t.Fatal("heartbeat for a retired worker accepted")
 	}
 	pool.Register("w", "http://127.0.0.1:1")

@@ -27,7 +27,8 @@ type streamFixture struct {
 	half     string // terminal frame for [0, Trials/2)
 }
 
-const streamTrials = 24
+// streamTrials is minShard, so one worker gets the campaign as one chunk.
+const streamTrials = minShard
 
 func newStreamFixture(t *testing.T) streamFixture {
 	t.Helper()
@@ -81,7 +82,7 @@ func progressFrame(t testing.TB, st faultsim.ShardStatus) string {
 func TestShardStream(t *testing.T) {
 	fx := newStreamFixture(t)
 	ok := progressFrame(t, faultsim.ShardStatus{Start: 0, End: streamTrials, Done: 5, Success: 4, SDC: 1})
-	ok2 := progressFrame(t, faultsim.ShardStatus{Start: 0, End: streamTrials, Done: 9, Success: 7, SDC: 1, Failure: 1, Abnormal: 1})
+	ok2 := progressFrame(t, faultsim.ShardStatus{Start: 0, End: streamTrials, Done: 7, Success: 5, SDC: 1, Failure: 1, Abnormal: 1})
 
 	for _, tc := range []struct {
 		name   string
@@ -116,7 +117,7 @@ func TestShardStream(t *testing.T) {
 				_, _ = io.WriteString(rw, tc.reply)
 			}))
 			defer srv.Close()
-			pool := NewPool(PoolConfig{HeartbeatTimeout: 30 * time.Second, ShardsPerWorker: 1, MinShard: streamTrials})
+			pool := NewPool(PoolConfig{HeartbeatTimeout: 30 * time.Second})
 			pool.Register("scripted", srv.URL)
 
 			prog := telemetry.NewProgress()
@@ -154,7 +155,7 @@ func TestShardStream(t *testing.T) {
 			// ok2's tally is recognisable: no trial of this campaign is abnormal.
 			reported := false
 			for _, ev := range evs {
-				reported = reported || (ev.State == telemetry.StateRunning && ev.Done == 9 && ev.Abnormal == 1)
+				reported = reported || (ev.State == telemetry.StateRunning && ev.Done == 7 && ev.Abnormal == 1)
 			}
 			if reported != (tc.frames == 2) {
 				t.Errorf("second in-flight tally published = %v with %d accepted frames", reported, tc.frames)

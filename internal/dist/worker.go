@@ -60,9 +60,8 @@ type Worker struct {
 	// request that started it (a golden flight).
 	life context.Context
 
-	// reg declares this node's /metrics families.  Their history is
-	// retained at the coordinator, which receives every counter through
-	// the heartbeats (resmod_fleet_worker_*).
+	// reg declares this node's /metrics families, the one copy of its
+	// internal counters.
 	reg *telemetry.Registry
 
 	id atomic.Value // string: coordinator-assigned worker id
@@ -124,36 +123,14 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// stats snapshots the worker's self-reported counters — the payload
-// piggybacked on every heartbeat.
-func (w *Worker) stats() WorkerStats {
-	inflight := w.shardsInflight.Load()
-	if inflight < 0 {
-		inflight = 0
-	}
-	return WorkerStats{
-		ShardsDone:     w.shardsDone.Load(),
-		ShardsFailed:   w.shardsFailed.Load(),
-		ShardsInflight: uint64(inflight),
-		TrialsDone:     w.trialsDone.Load(),
-		GoldenHits:     w.goldenHits.Load(),
-		GoldenMisses:   w.goldenMisses.Load(),
-	}
-}
-
 // Handler returns the worker's HTTP surface: POST /v1/shards executes a
-// shard synchronously; GET /healthz reports liveness and tallies; GET
-// /metrics exposes the worker's own Prometheus families so a standalone
-// node is scrapeable without going through the coordinator.
+// shard synchronously; GET /healthz reports liveness; GET /metrics
+// exposes the worker's own Prometheus families.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/shards", w.handleShard)
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		writeJSON(rw, http.StatusOK, map[string]any{
-			"ok":            true,
-			"shards_done":   w.shardsDone.Load(),
-			"shards_failed": w.shardsFailed.Load(),
-		})
+		writeJSON(rw, http.StatusOK, map[string]bool{"ok": true})
 	})
 	mux.Handle("GET /metrics", w.reg)
 	return mux
@@ -270,9 +247,7 @@ func (w *Worker) register(ctx context.Context, name, advertise string) (string, 
 }
 
 func (w *Worker) heartbeat(ctx context.Context, id string) error {
-	st := w.stats()
-	return w.postJSON(ctx, w.cfg.Coordinator+"/v1/workers/heartbeat",
-		heartbeatRequest{ID: id, Stats: &st}, nil)
+	return w.postJSON(ctx, w.cfg.Coordinator+"/v1/workers/heartbeat", heartbeatRequest{ID: id}, nil)
 }
 
 func (w *Worker) postJSON(ctx context.Context, url string, body, out any) error {

@@ -304,7 +304,7 @@ func TestWorkerStaleAlertEndToEnd(t *testing.T) {
 			sseSaw := sseRecorder(t, hs.URL)
 			w := watchRule(t, srv, hs.URL, "worker-stale", "w1")
 			id := pool.Register("w1", "http://127.0.0.1:1")
-			heartbeat := func() { pool.Heartbeat(id, nil) }
+			heartbeat := func() { pool.Heartbeat(id) }
 			w.until(telemetry.AlertInactive, 1, heartbeat)
 			if tc.quiet > 0 {
 				time.Sleep(tc.quiet)
@@ -339,7 +339,7 @@ func TestWorkerFlapAlert(t *testing.T) {
 	srv, hs := newObsServer(t, Config{DistPool: pool})
 	w := watchRule(t, srv, hs.URL, "worker-flap", "w1")
 	id := pool.Register("w1", "http://127.0.0.1:1")
-	heartbeat := func() { pool.Heartbeat(id, nil) }
+	heartbeat := func() { pool.Heartbeat(id) }
 	w.until(telemetry.AlertInactive, 2, heartbeat)
 
 	alive := true
@@ -367,8 +367,7 @@ func TestRetiredWorkerAlertResolves(t *testing.T) {
 	})
 	srv, hs := newObsServer(t, Config{DistPool: pool})
 	w := watchRule(t, srv, hs.URL, "worker-stale", "w1")
-	// Stats make the self-reported worker series exist, so their retirement shows too.
-	pool.Heartbeat(pool.Register("w1", "http://127.0.0.1:1"), &dist.WorkerStats{TrialsDone: 1})
+	pool.Heartbeat(pool.Register("w1", "http://127.0.0.1:1"))
 	time.Sleep(25 * time.Millisecond)
 	w.until(telemetry.AlertFiring, 4, nil)
 

@@ -16,8 +16,8 @@ import (
 
 // contractServer boots a service over a store with a fast sampler and
 // computes one prediction for a keyed tenant, which makes every family
-// emit a sample.  A coordinator then rosters one worker with
-// self-reported stats and waits until its wildcard alert instance exists.
+// emit a sample.  A coordinator then rosters one worker and waits until
+// its wildcard alert instance exists.
 func contractServer(t *testing.T, coordinator bool) (*Server, string) {
 	t.Helper()
 	st, err := store.Open(store.Config{Dir: t.TempDir()})
@@ -36,7 +36,7 @@ func contractServer(t *testing.T, coordinator bool) (*Server, string) {
 	}
 	pollDone(t, hs.URL, v["id"].(string))
 	if coordinator {
-		cfg.DistPool.Heartbeat(cfg.DistPool.Register("cw1", "http://127.0.0.1:1"), &dist.WorkerStats{})
+		cfg.DistPool.Heartbeat(cfg.DistPool.Register("cw1", "http://127.0.0.1:1"))
 		deadline := time.Now().Add(10 * time.Second)
 		for alertState(getAlerts(t, hs.URL), "worker-stale", "cw1") == "" {
 			if time.Now().After(deadline) {

@@ -14,17 +14,11 @@ import (
 // labelled family fans out to "<series>/<label value>", so wildcard
 // alert rules ("worker_up/*") track each node independently.
 var retained = map[string]string{
-	"resmod_queue_depth":                            seriesQueueDepth,                   // queue-saturation's input; benchmark serve_warm
-	"resmod_campaign_trials_total":                  "trials_total",                     // smoke's /v1/series index check
-	"resmod_predictions_rejected_total":             seriesSheds,                        // rule shed-rate
-	"resmod_fleet_worker_up":                        seriesWorkerUp,                     // rule worker-stale
-	"resmod_dist_shards_requeued_total":             seriesRequeues,                     // rule dist-dispatch-failures
-	"resmod_fleet_worker_shards_done_total":         "worker_shards_done_total",         // TestWorkerSeriesEndpoint
-	"resmod_fleet_worker_shards_failed_total":       "worker_shards_failed_total",       // TestWorkerSeriesEndpoint
-	"resmod_fleet_worker_trials_done_total":         "worker_trials_done_total",         // TestWorkerSeriesEndpoint
-	"resmod_fleet_worker_shards_inflight":           "worker_shards_inflight",           // TestWorkerSeriesEndpoint
-	"resmod_fleet_worker_golden_cache_hits_total":   "worker_golden_cache_hits_total",   // TestWorkerSeriesEndpoint
-	"resmod_fleet_worker_golden_cache_misses_total": "worker_golden_cache_misses_total", // TestWorkerSeriesEndpoint
+	"resmod_queue_depth":                seriesQueueDepth, // queue-saturation's input; benchmark serve_warm
+	"resmod_campaign_trials_total":      "trials_total",   // smoke's /v1/series index check
+	"resmod_predictions_rejected_total": seriesSheds,      // rule shed-rate
+	"resmod_fleet_worker_up":            seriesWorkerUp,   // rule worker-stale
+	"resmod_dist_shards_requeued_total": seriesRequeues,   // rule dist-dispatch-failures
 }
 
 // Series the alert rules and the derived signals below name.

@@ -15,7 +15,7 @@
 //	GET  /v1/predictions              list known jobs
 //	GET  /v1/status                   aggregate scheduler/progress snapshot
 //	GET  /v1/apps                     registered benchmarks
-//	GET  /v1/cluster                  worker roster, stats, liveness
+//	GET  /v1/cluster                  worker roster, liveness, shard counts
 //	GET  /healthz                     liveness + queue snapshot
 //	GET  /metrics                     Prometheus text exposition
 //
@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -488,8 +489,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.join(j, prio)
 	} else {
 		var nj *job
-		if row, ok := s.getPrediction(key); ok {
-			nj = storedJob(id, key, req, reqID, tenant, prio, row)
+		if sp, ok := s.getPrediction(key); ok {
+			nj = storedJob(id, key, req, reqID, tenant, prio, &sp.Row)
 		} else {
 			nj = &job{id: id, key: key, req: req, reqID: reqID, tenant: tenant, prio: prio,
 				status: StatusQueued, submitted: time.Now(), done: make(chan struct{})}
@@ -579,16 +580,50 @@ func (s *Server) admit(nj *job) (*job, *Prediction, *refusal) {
 }
 
 // pathJob returns the job the request path names, answering 404 (and
-// returning nil) when there is none.
+// returning nil) when there is none.  An id this process has not seen
+// (it may have been issued before a restart) names its stored prediction:
+// the id is the head of the entry's file name.
 func (s *Server) pathJob(w http.ResponseWriter, r *http.Request) *job {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
 	if j == nil {
+		j = s.storedByID(id)
+	}
+	if j == nil {
 		writeError(w, http.StatusNotFound, "no prediction %q", id)
 	}
 	return j
+}
+
+// storedByID materializes the done job of a stored prediction by id.  The
+// id must be 16 lowercase hex digits before it goes near a file name; it
+// is not a submission, so no counter moves.
+func (s *Server) storedByID(id string) *job {
+	if s.cfg.Store == nil || len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+		return nil
+	}
+	key, ok := s.cfg.Store.KeyWithPrefix(id)
+	if !ok || jobID(key) != id {
+		return nil
+	}
+	sp, ok := s.getPrediction(key)
+	if !ok {
+		return nil
+	}
+	prio, err := parsePriority(sp.Request.Priority)
+	if err != nil {
+		return nil
+	}
+	nj := storedJob(id, key, sp.Request, "", "", prio, &sp.Row)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok {
+		return j
+	}
+	s.jobs[id] = nj
+	return nj
 }
 
 // handleGet is GET /v1/predictions/{id}.
@@ -662,10 +697,11 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"apps": infos})
 }
 
-// handleCluster is GET /v1/cluster: the fleet view — pool counters plus
-// per-worker detail (self-reported stats, trials/sec, heartbeat age).
-// On a non-coordinator server it answers coordinator:false, so
-// an operator's client can poll it on any instance.
+// handleCluster is GET /v1/cluster: the fleet view — pool counters plus,
+// per worker, liveness, heartbeat age and the coordinator's own shard
+// counts (a worker's internal counters are on its own /metrics).  On a
+// non-coordinator server it answers coordinator:false, so an operator's
+// client can poll it on any instance.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.DistPool == nil {
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -704,19 +740,15 @@ type storedPrediction struct {
 }
 
 // getPrediction probes the store for a finished prediction.
-func (s *Server) getPrediction(key string) (*exper.PredictionRow, bool) {
+func (s *Server) getPrediction(key string) (*storedPrediction, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
 	}
 	var sp storedPrediction
-	if !s.cfg.Store.GetJSON(key, &sp) {
+	if !s.cfg.Store.GetJSON(key, &sp) || sp.Version != PredictionKeyVersion || sp.Key != key {
 		return nil, false
 	}
-	if sp.Version != PredictionKeyVersion || sp.Key != key {
-		return nil, false
-	}
-	row := sp.Row
-	return &row, true
+	return &sp, true
 }
 
 // putPrediction persists a finished prediction (best effort).

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -239,6 +242,83 @@ func TestWarmAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestPredictionIDSurvivesRestart: a finished prediction's id reaches its
+// stored answer after a restart, before anyone re-POSTs the body — 200
+// done with the same result, one done event on /events, a clean 404 on
+// /trace, and no submission or cache hit counted.  An entry whose key no
+// longer hashes to its file name, one of another store version, and a
+// path that is not a 16-hex-digit id are 404s.
+func TestPredictionIDSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	restart := func() string {
+		st, err := store.Open(store.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hs := newTestServer(t, st, 1, 8)
+		return hs.URL
+	}
+	base := restart()
+	code, v := postJSON(t, base+"/v1/predictions", predBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit returned %d: %v", code, v)
+	}
+	id := v["id"].(string)
+	before := pollDone(t, base, id)["result"]
+
+	base = restart()
+	if code, v := getJSON(t, base+"/v1/predictions/"+id); code != http.StatusOK ||
+		v["status"] != StatusDone || !reflect.DeepEqual(v["result"], before) {
+		t.Fatalf("GET after restart = %d %v, want 200 done with result %v", code, v, before)
+	}
+	resp, sc := openSSE(t, context.Background(), base, id)
+	events, _ := readSSE(t, sc)
+	resp.Body.Close()
+	if len(events) != 1 || events[0].name != "done" {
+		t.Fatalf("events after restart = %+v, want one done event", events)
+	}
+	if code, v := getJSON(t, base+"/v1/predictions/"+id+"/trace"); code != http.StatusNotFound {
+		t.Fatalf("trace after restart = %d %v, want 404", code, v)
+	}
+	text := scrape(t, base)
+	for _, name := range []string{"resmod_predictions_submitted_total", "resmod_prediction_cache_hits_total"} {
+		if got := metricValue(t, text, name); got != 0 {
+			t.Errorf("a GET moved %s to %v", name, got)
+		}
+	}
+
+	files, err := filepath.Glob(filepath.Join(dir, id+"*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("entries named by %s: %v (%v)", id, files, err)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(raw)
+	flipped[bytes.Index(flipped, []byte("pred:"))] ^= 1 // the envelope's key
+	foreign := bytes.Replace(raw, []byte(`"version":2,`), []byte(`"version":1,`), 1)
+	if bytes.Equal(foreign, raw) {
+		t.Fatalf("stored entry carries no version 2: %s", raw)
+	}
+	for _, tc := range []struct {
+		name, id string
+		file     []byte
+	}{
+		{"flipped byte", id, flipped},
+		{"foreign version", id, foreign},
+		{"glob", "*", raw},
+		{"short id", id[:15], raw},
+	} {
+		if err := os.WriteFile(files[0], tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, v := getJSON(t, restart()+"/v1/predictions/"+tc.id); code != http.StatusNotFound {
+			t.Errorf("%s: GET = %d %v, want 404", tc.name, code, v)
+		}
+	}
+}
+
 // staleKey is a client's Idempotency-Key retry token.  The server ignores
 // it: a retry is addressed by its body.
 var staleKey = map[string]string{"Idempotency-Key": "retry-1"}
@@ -307,11 +387,12 @@ func TestRetryRequeuesCanceledAcrossRestart(t *testing.T) {
 }
 
 // TestRetryFollowsProtocol: after a restart with another trial count a
-// retried body names the new protocol's job; the old id is unknown to
-// the restarted server, never an alias for the new protocol's row.
+// retried body names the new protocol's job; the old id still names the
+// old protocol's own stored row, never an alias for the new one.
 func TestRetryFollowsProtocol(t *testing.T) {
 	dir := t.TempDir()
 	var ids []string
+	results := map[string]any{}
 	for _, trials := range []int{10, 12} {
 		st, err := store.Open(store.Config{Dir: dir})
 		if err != nil {
@@ -328,10 +409,11 @@ func TestRetryFollowsProtocol(t *testing.T) {
 			if code/100 != 2 || v["id"] != want {
 				t.Fatalf("trials=%d attempt %d answered %d %v, want id %s", trials, attempt, code, v, want)
 			}
-			pollDone(t, hs.URL, want)
+			results[want] = pollDone(t, hs.URL, want)["result"]
 		}
 		for _, old := range ids {
-			if code, v := getJSON(t, hs.URL+"/v1/predictions/"+old); code != http.StatusNotFound {
+			if code, v := getJSON(t, hs.URL+"/v1/predictions/"+old); code != http.StatusOK ||
+				!reflect.DeepEqual(v["result"], results[old]) {
 				t.Fatalf("trials=%d: GET of the earlier protocol's job %s answered %d: %v", trials, old, code, v)
 			}
 		}
@@ -630,8 +712,7 @@ func TestWorkersEndpoint(t *testing.T) {
 // endpoint, answers on every server — coordinator:false and an empty
 // roster on a plain one, the registry view (register + heartbeat
 // reflected) on a coordinator — and a coordinator's /metrics grows the
-// pool counters and per-worker resmod_fleet_* series from heartbeat
-// stats.  A distributed prediction run end-to-end lives in internal/dist
+// pool counters and its per-worker resmod_fleet_worker_* series.  A distributed prediction run end-to-end lives in internal/dist
 // and scripts/distcheck.sh.
 func TestClusterEndpointAndFleetMetrics(t *testing.T) {
 	_, hs := newTestServer(t, nil, 1, 4)
@@ -672,9 +753,6 @@ func TestClusterEndpointAndFleetMetrics(t *testing.T) {
 	if wk["name"] != "w-fleet" {
 		t.Fatalf("cluster worker = %v", wk)
 	}
-	if stats, ok := wk["worker_stats"].(map[string]any); !ok || stats["trials_done"] != float64(42) {
-		t.Fatalf("cluster worker stats = %v", wk["worker_stats"])
-	}
 
 	resp, err := http.Get(hs2.URL + "/metrics")
 	if err != nil {
@@ -692,13 +770,17 @@ func TestClusterEndpointAndFleetMetrics(t *testing.T) {
 		"resmod_dist_heartbeats_total 1",
 		"resmod_dist_shards_dispatched_total 0",
 		`resmod_fleet_worker_up{worker="w-fleet"} 1`,
-		`resmod_fleet_worker_trials_done_total{worker="w-fleet"} 42`,
 		`resmod_fleet_worker_shards_done_total{worker="w-fleet"} 0`,
 		`resmod_fleet_worker_heartbeat_age_seconds{worker="w-fleet"}`,
 	} {
 		if !strings.Contains(buf.String(), family) {
 			t.Errorf("/metrics missing %q", family)
 		}
+	}
+	// up, heartbeat age and the coordinator's two shard counts: a worker's
+	// own counters are on its own /metrics only.
+	if n := strings.Count(buf.String(), `{worker="w-fleet"}`); n != 4 {
+		t.Errorf("/metrics has %d per-worker series, want 4:\n%s", n, buf.String())
 	}
 
 	// A coordinator mounts no route a worker (or anyone else who can reach

@@ -152,6 +152,26 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return env.Data, true
 }
 
+// KeyWithPrefix returns the key of the one entry on disk whose file name
+// (the hex sha256 of its key) starts with prefix, once the key in its
+// envelope hashes back to that name.  prefix becomes part of a glob
+// pattern, so callers pass hex digits only.  None, several, or an
+// unreadable file is a miss.
+func (s *Store) KeyWithPrefix(prefix string) (string, bool) {
+	if s.dir == "" {
+		return "", false
+	}
+	found, _ := filepath.Glob(filepath.Join(s.dir, prefix+"*.json"))
+	var env envelope
+	if len(found) != 1 {
+		return "", false
+	}
+	if raw, err := os.ReadFile(found[0]); err != nil || json.Unmarshal(raw, &env) != nil || s.path(env.Key) != found[0] {
+		return "", false
+	}
+	return env.Key, true
+}
+
 // Put stores data (a JSON document) under key, replacing any previous
 // entry, and persists it when the store has a directory.
 func (s *Store) Put(key string, data []byte) error {

@@ -264,3 +264,41 @@ func TestCampaignCacheV2EntryIsMiss(t *testing.T) {
 		t.Fatalf("the v2 record is served under %q", id)
 	}
 }
+
+// TestKeyWithPrefix: the one entry whose file name starts with a prefix
+// gives back its key.  No match, a prefix two entries share, a
+// memory-only store and a file whose key does not hash to its name are
+// misses.
+func TestKeyWithPrefix(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, Config{Dir: dir})
+	for _, k := range []string{"k1", "k2"} {
+		if err := s.Put(k, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := filepath.Base(s.path("k1"))
+	if key, ok := s.KeyWithPrefix(name[:16]); !ok || key != "k1" {
+		t.Fatalf("KeyWithPrefix(%s) = %q, %v; want k1", name[:16], key, ok)
+	}
+	// Both names start with "" — and no name starts with "g".
+	for _, prefix := range []string{"", "g"} {
+		if key, ok := s.KeyWithPrefix(prefix); ok {
+			t.Errorf("KeyWithPrefix(%q) = %q, want a miss", prefix, key)
+		}
+	}
+	if key, ok := open(t, Config{}).KeyWithPrefix(name[:16]); ok {
+		t.Errorf("memory-only KeyWithPrefix = %q, want a miss", key)
+	}
+	// k2's envelope copied under k1's name: the key no longer hashes to it.
+	raw, err := os.ReadFile(s.path("k2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path("k1"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if key, ok := s.KeyWithPrefix(name[:16]); ok {
+		t.Errorf("KeyWithPrefix over a copied file = %q, want a miss", key)
+	}
+}

@@ -2,7 +2,8 @@
 # Smoke test for `resmod serve`: boots the real binary with a throwaway
 # store, computes one prediction, restarts the server over the same
 # store, and checks the identical POST is answered from disk (flagged
-# cached, reported in /metrics) — with a clean SIGTERM drain both times.
+# cached, reported in /metrics) and that a third process answers a GET of
+# the first one's job id — with a clean SIGTERM drain every time.
 # Along the way it asserts the engine-telemetry metric families
 # (resmod_trial_total by outcome, duration histograms) reach /metrics,
 # that the outcome-labeled sum matches resmod_campaign_trials_total, that
@@ -120,6 +121,12 @@ grep -q '^resmod_campaign_trials_total 0$' <<<"$metrics" ||
     fail "warm server re-ran campaign trials"
 shutdown
 
+# --- id run: a fresh process answers the pre-restart id before any POST --
+boot id
+get_has "http://$addr/v1/predictions/$id" '"status": "done"' ||
+    fail "GET of the pre-restart id $id is not done"
+shutdown
+
 # --- hardened run: tenancy, rate limits, content-addressed retries -------
 # A tiny anonymous budget (burst 3, ~zero refill) plus one keyed tenant,
 # over a fresh store so admissions actually enqueue.
@@ -183,4 +190,4 @@ shutdown
 grep -q '^## Extensions beyond the paper' "$workdir/report.md" ||
     fail "resmod report wrote a document without the Extensions heading"
 
-echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts, warm store hit across restart, tenancy + content-addressed retry + 429 shedding, clean drains, whole report)"
+echo "smoke: OK (cold compute, live SSE progress, status + metrics, series retention + alerts, warm store hit and pre-restart id across restart, tenancy + content-addressed retry + 429 shedding, clean drains, whole report)"
